@@ -43,7 +43,7 @@ from .states import (
     stellar_to_fock,
     stellar_to_fock_exponential,
 )
-from .rootfind import char_poly_coeffs, eigenvalues_small, polyval, roots_polynomial
+from .rootfind import eigenvalues_small, polyval, roots_polynomial
 from .wavefunction import (
     GrowthBound,
     HudsonResult,

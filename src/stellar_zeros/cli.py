@@ -153,7 +153,6 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         methods.append(("ode", lambda: dynamics.integrate(wf, H, ts)))
     if cfg.method in ("closed", "both"):
         methods.append(("closed", lambda: dynamics.sample_closed_form(wf, H, ts)))
-    wrote_any = False
     for name, runner in methods:
         try:
             traj = runner()
@@ -165,13 +164,10 @@ def _cmd_evolve(cfg: RunConfig) -> int:
                 name = "ode"
             else:
                 continue
-        wrote_any = True
         for i, t in enumerate(traj.times):
             for k in range(traj.rank):
                 z = traj.paths[k, i]
                 rows.append(f"{_fmt(t)},{k},{_fmt(z.real)},{_fmt(z.imag)},{name}")
-    if not wrote_any and cfg.method == "both":
-        pass  # ode alone already ran; only closed can be skipped
     _write_output(cfg.out, "\n".join(rows) + "\n")
     return 0
 

@@ -37,6 +37,7 @@ from .errors import (
     DegenerateInitialZeros,
     InvalidParameter,
     StepFailure,
+    TrackingAmbiguity,
     UnsupportedHamiltonian,
     ZeroCollision,
 )
@@ -376,17 +377,36 @@ def matching_distance(a, b) -> float:
     return float(np.max(dists)) if dists.size else 0.0
 
 
-def _track_step(prev, t0, t1, evaluator, depth=0):
-    """Order evaluator(t1) against prev, refining the step when matching jumps."""
+def _track_step(prev, t0, t1, evaluator):
+    """Order evaluator(t1) against prev, bisecting the step while matching is unsafe.
+
+    An assignment is safe when every matched displacement stays below half
+    the smallest pairwise gap of ``prev``: then no zero can have been
+    matched to a neighbour's successor.  Bisection stops at a step of 1e-9,
+    where :class:`TrackingAmbiguity` is raised instead of guessing.
+    """
+    prev = np.asarray(prev, dtype=complex)
     cur = np.asarray(evaluator(t1), dtype=complex)
     perm, dists = match_sets(prev, cur)
-    if dists.size > 1 and depth < 20 and (t1 - t0) > 1e-9:
-        med = float(np.median(dists))
-        if float(np.max(dists)) > 10.0 * max(med, 1e-6):
-            tm = 0.5 * (t0 + t1)
-            mid = _track_step(prev, t0, tm, evaluator, depth + 1)
-            return _track_step(mid, tm, t1, evaluator, depth + 1)
-    return cur[perm]
+    if dists.size < 2:
+        return cur[perm]
+    gaps = np.abs(prev[:, None] - prev[None, :])
+    gaps.flat[:: prev.size + 1] = np.inf
+    gap = float(np.min(gaps))
+    disp = float(np.max(dists))
+    if disp < 0.5 * gap:
+        return cur[perm]
+    if t1 - t0 <= 1e-9:
+        raise TrackingAmbiguity(
+            f"zero assignment unresolved at t={t1:.17g}: displacement {disp:.3g}"
+            f" against minimum gap {gap:.3g}",
+            t=t1,
+            gap=gap,
+            displacement=disp,
+        )
+    tm = 0.5 * (t0 + t1)
+    mid = _track_step(prev, t0, tm, evaluator)
+    return _track_step(mid, tm, t1, evaluator)
 
 
 def sample_closed_form(
@@ -395,9 +415,11 @@ def sample_closed_form(
     """Closed-form trajectory on the given times, continuity-matched.
 
     Eigenvalue orderings are arbitrary, so consecutive samples are matched
-    by optimal assignment; a sample whose best assignment jumps more than
-    ten times the median displacement is bridged through interior midpoints
-    before being accepted.  The Gaussian coefficients are integrated
+    by optimal assignment.  A step whose largest matched displacement
+    reaches half the smallest gap between the previous zeros is bisected
+    until every sub-step is safe; a step that stays unsafe down to a width
+    of 1e-9 (an exact collision on the grid) raises
+    :class:`TrackingAmbiguity`.  The Gaussian coefficients are integrated
     separately (their subsystem does not involve the zeros).
     """
     ts = np.asarray(times, dtype=float)

@@ -59,7 +59,20 @@ class DegenerateInitialZeros(StellarZerosError):
 
 
 class TrackingAmbiguity(StellarZerosError):
-    """Nearest-eigenvalue matching hit an exact tie."""
+    """Zero matching between samples cannot be decided.
+
+    Raised on an exact tie in nearest-eigenvalue matching, and when the
+    tracker's step refinement reaches its 1e-9 width cap with the largest
+    matched displacement still at least half the smallest zero gap (as at an
+    exact collision on the sampling grid); ``t``, ``gap`` and
+    ``displacement`` then describe the unresolved step.
+    """
+
+    def __init__(self, message, t=None, gap=None, displacement=None):
+        super().__init__(message)
+        self.t = t
+        self.gap = gap
+        self.displacement = displacement
 
 
 class TruncationLeakage(StellarZerosError):

@@ -94,6 +94,22 @@ def _interaction_sums(zeros):
     return out
 
 
+def _phase_shift_data(zeros0, g2_0: complex, g1_0: complex):
+    """``(Lambda0, L)`` of the phase-shift zero matrix ``Lambda0 e^{-it} + L sin t``."""
+    lam = np.array(zeros0, dtype=complex)
+    if lam.size == 0:
+        empty = np.zeros((0, 0), dtype=complex)
+        return empty, empty
+    diff = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diff, np.inf)
+    if not np.min(np.abs(diff)) > 1e-9:
+        raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
+    vel = -2j * g2_0 * lam - 1j * g1_0 - 1j * _interaction_sums(lam)
+    lmat = 1j / diff
+    np.fill_diagonal(lmat, vel + 1j * lam)
+    return np.diag(lam), lmat
+
+
 def phase_shift_matrix(zeros0, g2_0: complex, t: float, g1_0: complex = 0.0) -> np.ndarray:
     """Exact zero-propagation matrix for the phase-shift Hamiltonian.
 
@@ -102,24 +118,8 @@ def phase_shift_matrix(zeros0, g2_0: complex, t: float, g1_0: complex = 0.0) -> 
     its eigenvalues are the zeros at phase ``t`` and coincide with the
     general closed form specialized to ``A = B = 1/2``.
     """
-    zeros0 = [complex(z) for z in zeros0]
-    r = len(zeros0)
-    if r == 0:
-        return np.zeros((0, 0), dtype=complex)
-    gaps_ok = all(
-        abs(zeros0[j] - zeros0[k]) > 1e-9 for j in range(r) for k in range(j + 1, r)
-    )
-    if not gaps_ok:
-        raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
-    lam = np.array(zeros0, dtype=complex)
-    vel = -2j * g2_0 * lam - 1j * g1_0 - 1j * _interaction_sums(zeros0)
-    lmat = np.zeros((r, r), dtype=complex)
-    for j in range(r):
-        lmat[j, j] = vel[j] + 1j * lam[j]
-        for k in range(r):
-            if k != j:
-                lmat[j, k] = 1j / (lam[j] - lam[k])
-    return np.diag(lam) * cmath.exp(-1j * t) + lmat * math.sin(t)
+    lambda0, lmat = _phase_shift_data(zeros0, g2_0, g1_0)
+    return lambda0 * cmath.exp(-1j * t) + lmat * math.sin(t)
 
 
 def phase_trajectory(
@@ -127,7 +127,9 @@ def phase_trajectory(
 ) -> ZeroTrajectory:
     """Closed-form phase-shift trajectory over one full period ``[0, 2 pi]``.
 
-    The Gaussian coefficients ride along in closed form as well:
+    ``Lambda0`` and ``L`` are built once; each sample costs one small
+    eigen-solve plus the tracker's rare bisection steps.  The Gaussian
+    coefficients ride along in closed form as well:
     ``u(t) = cos t - 2i g2(0) sin t`` gives ``g2(t) = -u'(t)/(2i u(t))`` and
     ``g1(t) = g1(0)/u(t)``.
     """
@@ -136,11 +138,13 @@ def phase_trajectory(
     zeros0 = [complex(z) for z in zeros0]
     r = len(zeros0)
     ts = np.linspace(0.0, 2.0 * math.pi, samples)
+    lambda0, lmat = _phase_shift_data(zeros0, g2_0, g1_0)
 
     def evaluator(t):
         if r == 0:
             return np.zeros(0, dtype=complex)
-        return np.asarray(eigenvalues_small(phase_shift_matrix(zeros0, g2_0, t, g1_0)))
+        m = lambda0 * cmath.exp(-1j * t) + lmat * math.sin(t)
+        return np.asarray(eigenvalues_small(m))
 
     paths = np.zeros((r, ts.size), dtype=complex)
     if r:

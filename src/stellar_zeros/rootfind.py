@@ -1,9 +1,12 @@
 """Simultaneous polynomial root finding and small-matrix eigenvalues.
 
 The Aberth-Ehrlich iteration refines all roots at once from perturbed-circle
-initial guesses; eigenvalues of small dense matrices are obtained from the
-Faddeev-LeVerrier characteristic polynomial fed to the same root finder.
-Coefficients are stored in ascending order (``coeffs[k]`` multiplies ``z^k``).
+initial guesses.  Eigenvalues of small dense matrices come from LAPACK
+(``np.linalg.eigvals``); eigenvalues closer than ``4 sqrt(eps) max|M|`` are
+reported as their mean, because LAPACK splits a defective eigenvalue (an
+exact zero collision) by about ``sqrt(eps)`` while the cluster mean stays
+accurate.  Coefficients are stored in ascending order (``coeffs[k]``
+multiplies ``z^k``).
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from .errors import InvalidParameter, NoConvergence
 __all__ = [
     "polyval",
     "roots_polynomial",
-    "char_poly_coeffs",
     "eigenvalues_small",
 ]
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-6
+DEFECTIVE_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
 MAX_ITER = 200
 
 
@@ -159,39 +162,26 @@ def roots_polynomial(coeffs, max_iter: int = MAX_ITER, cluster_tol: float = CLUS
     return roots
 
 
-def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of ``det(zI - M)`` via Faddeev-LeVerrier."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise InvalidParameter("matrix must be square")
-    cs = np.zeros(n + 1, dtype=complex)
-    cs[n] = 1.0
-    acc = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        acc = m @ acc
-        ck = -np.trace(acc) / k
-        cs[n - k] = ck
-        acc = acc + ck * np.eye(n, dtype=complex)
-    return cs
-
-
 def eigenvalues_small(m: np.ndarray):
-    """Eigenvalue multiset of a small dense matrix (r <= 20).
+    """Eigenvalue multiset of a small dense matrix (r <= 20), from LAPACK.
 
-    The matrix is rescaled to unit size before the characteristic polynomial
-    is formed, which keeps the coefficient range tame for the root finder.
+    Eigenvalues closer than ``4 sqrt(eps) max|M|`` are chained into clusters
+    and each cluster is reported as its mean, repeated: a defective
+    eigenvalue splits by about ``sqrt(eps) max|M|`` under LAPACK, and the
+    mean of the split pair is accurate to roundoff.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
     if n == 0:
         return []
     if n > 20:
-        raise InvalidParameter("characteristic-polynomial eigenvalues limited to order 20")
+        raise InvalidParameter("small-matrix eigenvalues limited to order 20")
     if n == 1:
         return [complex(m[0, 0])]
-    s = float(np.max(np.abs(m)))
-    if s == 0.0:
-        return [0.0 + 0.0j] * n
-    coeffs = char_poly_coeffs(m / s)
-    return [s * z for z in roots_polynomial(coeffs)]
+    ev = np.linalg.eigvals(m)
+    tol = DEFECTIVE_TOL * float(np.max(np.abs(m)))
+    gaps = np.abs(ev[:, None] - ev[None, :])
+    gaps.flat[:: n + 1] = np.inf
+    if np.min(gaps) <= tol:
+        return _cluster(ev.tolist(), tol)
+    return ev.tolist()

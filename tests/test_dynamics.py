@@ -11,6 +11,7 @@ from stellar_zeros import (
     DegenerateInitialZeros,
     InvalidParameter,
     QuadraticHamiltonian,
+    TrackingAmbiguity,
     UnsupportedHamiltonian,
     WavefunctionForm,
     ZeroCollision,
@@ -243,6 +244,28 @@ class TestSampleClosedForm:
         cf = sample_closed_form(wf, HP, np.linspace(0, 1, 5))
         zs = cf.evaluator(0.5)
         assert matching_distance(zs, closed_form(wf, HP, 0.5)) < 1e-12
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_coarse_and_fine_grids_track_alike(self, rank):
+        # Both grids share every 32nd time exactly, so any difference there is
+        # a different assignment, i.e. one of the two trackers swapped zeros.
+        coarse, fine = np.linspace(0, 6, 13), np.linspace(0, 6, 385)
+        for seed in range(10):
+            _, wf = distinct_random_state(rank, seed)
+            for H in (HP, QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)):
+                a = sample_closed_form(wf, H, coarse).paths
+                b = sample_closed_form(wf, H, fine).paths[:, ::32]
+                assert np.max(np.abs(a - b)) <= 1e-8, (seed, H)
+
+    def test_exact_collision_on_grid_raises(self):
+        # The +-1 pair meets at the origin at t = pi/2, a grid point here:
+        # no assignment through the collision can be justified.
+        wf = build_wavefunction(stellar_state_from_zeros([1.0, -1.0]))
+        with pytest.raises(TrackingAmbiguity) as excinfo:
+            sample_closed_form(wf, HP, np.linspace(0, math.pi, 9))
+        err = excinfo.value
+        assert abs(err.t - math.pi / 2) < 1e-9
+        assert err.displacement >= 0.5 * err.gap
 
 
 class TestEvolveForm:

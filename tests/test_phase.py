@@ -7,6 +7,8 @@ import pytest
 
 from conftest import distinct_random_state, fock_state, separated_state
 
+import stellar_zeros.phase as phase_mod
+
 from stellar_zeros import (
     InvalidParameter,
     QuadraticHamiltonian,
@@ -191,6 +193,25 @@ class TestAntipodal:
     def test_empty_zero_set(self):
         traj = phase_trajectory([], -0.5)
         assert antipodal_check(traj, 0.7) == 0.0
+
+
+class TestTrackingCost:
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_one_period_takes_about_one_solve_per_sample(self, seed, monkeypatch):
+        # These rank-5 fixtures once cost 98,792 and 229,836 eigen-solves
+        # per period under a scale-invariant refinement test.
+        calls = []
+        solve = phase_mod.eigenvalues_small
+
+        def counting(m):
+            calls.append(1)
+            return solve(m)
+
+        monkeypatch.setattr(phase_mod, "eigenvalues_small", counting)
+        _, wf = distinct_random_state(5, seed, scale=0.8, min_gap=0.05)
+        traj = phase_trajectory(wf.zeros, wf.g2, wf.g1)
+        assert traj.times.size == 513
+        assert len(calls) <= 1024
 
 
 def test_imbalanced_states_cross(imbalanced_rank=3):

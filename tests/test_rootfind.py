@@ -1,4 +1,4 @@
-"""Aberth-Ehrlich root finder and characteristic-polynomial eigenvalues."""
+"""Aberth-Ehrlich root finder and small-matrix eigenvalues."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from numpy.polynomial import polynomial as P
 
 from stellar_zeros import (
     InvalidParameter,
-    char_poly_coeffs,
     eigenvalues_small,
     matching_distance,
     polyval,
@@ -88,13 +87,6 @@ class TestRootsPolynomial:
 
 
 class TestCharPoly:
-    def test_against_numpy_poly(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        ours = char_poly_coeffs(m)  # ascending for det(zI - M)
-        want = np.poly(m)[::-1]  # numpy gives descending
-        assert np.max(np.abs(ours - want)) < 1e-10 * np.max(np.abs(want))
-
     def test_eigenvalues_against_lapack(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
