@@ -20,7 +20,6 @@ from .errors import (
     StepFailure,
     TrackingAmbiguity,
     TruncationLeakage,
-    UnsupportedHamiltonian,
     ZeroCollision,
     ZeroOnContour,
     ZeroVector,
@@ -90,7 +89,6 @@ from .phase import (
     detect_crossings,
     gershgorin_check,
     imbalance,
-    phase_shift_matrix,
     phase_trajectory,
 )
 

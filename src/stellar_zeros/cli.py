@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, oracle, phase, states, wavefunction
-from .errors import StellarZerosError, UnsupportedHamiltonian
+from .errors import StellarZerosError
 
 DEFAULT_TIME = (0.0, 2.0 * math.pi, 65)
 
@@ -41,7 +41,6 @@ class RunConfig:
     out: str | None = None
     tol: float | None = None
     method: str = "both"
-    seed: int = 0
 
     def validate(self):
         if self.state_path is not None and self.random_spec is not None:
@@ -154,16 +153,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     if cfg.method in ("closed", "both"):
         methods.append(("closed", lambda: dynamics.sample_closed_form(wf, H, ts)))
     for name, runner in methods:
-        try:
-            traj = runner()
-        except UnsupportedHamiltonian:
-            if cfg.method == "closed":
-                # Closed form inapplicable: fall back so the command still
-                # produces a trajectory, flagged by the method column.
-                traj = dynamics.integrate(wf, H, ts)
-                name = "ode"
-            else:
-                continue
+        traj = runner()
         for i, t in enumerate(traj.times):
             for k in range(traj.rank):
                 z = traj.paths[k, i]
@@ -230,13 +220,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     )
     ode_dev = 0.0
     oracle_dev = 0.0
-    closed_ok = abs(H.B) > 1e-12 and abs(H.omega2) > 1e-12
     if wf.rank > 0:
         traj = dynamics.integrate(wf, H, [0.0] + times)
-        if closed_ok:
-            for i, t in enumerate(times):
-                zc = dynamics.closed_form(wf, H, t)
-                ode_dev = max(ode_dev, dynamics.matching_distance(traj.paths[:, i + 1], zc))
+        refs = [dynamics.closed_form(wf, H, t) for t in times]
+        for i, zc in enumerate(refs):
+            ode_dev = max(ode_dev, dynamics.matching_distance(traj.paths[:, i + 1], zc))
 
         ocut = max(80, cutoff)
         vo = states.stellar_to_fock(st, ocut)
@@ -248,10 +236,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
             zo = oracle.zeros_from_fock(vt, wf.rank, hw)
             return dynamics.matching_distance(zo, ref)
 
-        refs = [
-            dynamics.closed_form(wf, H, t) if closed_ok else list(traj.paths[:, i + 1])
-            for i, t in enumerate(times)
-        ]
         with ThreadPoolExecutor(max_workers=_threads()) as pool:
             devs = list(pool.map(oracle_at, zip(times, refs)))
         oracle_dev = max(devs)
@@ -292,7 +276,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--tol", type=float, help="tolerance scale override")
     p.add_argument("--method", choices=("ode", "closed", "both"), default="both")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file with the same keys; flags win")
 
 
@@ -302,7 +285,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             merged.update(json.load(fh))
     for key in ("state_path", "random_spec", "hamiltonian", "time", "out", "tol",
-                "method", "seed"):
+                "method"):
         val = getattr(args, key, None)
         if val is not None and not (key == "method" and val == "both" and key in merged):
             merged[key] = val
@@ -329,8 +312,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.tol = float(merged["tol"])
     if merged.get("method"):
         cfg.method = str(merged["method"])
-    if merged.get("seed") is not None:
-        cfg.seed = int(merged["seed"])
     return cfg
 
 

@@ -10,18 +10,25 @@ exponent coefficients and the wavefunction zeros obey the coupled system
 
 which decouples into an inverse-cube pair interaction at second order::
 
-    d2lam_k/dt2 = (C^2 - 4AB) lam_k + CE - 2BD + 8B^2 sum_{m!=k} (lam_k - lam_m)^{-3}
+    d2lam_k/dt2 = -omega^2 lam_k + kappa + 8B^2 sum_{m!=k} (lam_k - lam_m)^{-3}
 
-After the affine rescaling ``lam = scale * mu + shift`` with
-``scale = (4B^2)^{1/4}`` and ``shift = (CE - 2BD)/omega^2``
-(``omega^2 = 4AB - C^2``), the zeros at time t are exactly the eigenvalues
-of ``X(t) = scale * (Lambda0 e^{-i omega t} + L sin(omega t)/omega) + shift I``
-where ``L`` is the Lax matrix built from the scaled initial positions and
-velocities.  Two sign/exponent choices in this formula admit an alternative
-reading; the implemented combination is the one that reproduces the
-first-order system above (and the independent Fock-basis propagation); the
-alternative rotation sign is kept behind ``rotation_sign=+1`` for tests to
-show it fails.
+with ``omega^2 = 4AB - C^2`` and ``kappa = CE - 2BD``: a harmonic
+Calogero-Moser system (Moser 1975; Olshanetsky & Perelomov 1981).  Its
+solution is one matrix formula for every such Hamiltonian: the zeros at
+time t are exactly the eigenvalues of
+
+    X(t) = Lambda0 c(t) + L s(t) + kappa q(t) I,
+
+    c = cos(omega t),  s = sin(omega t)/omega,  q = (1 - cos(omega t))/omega^2,
+
+where ``Lambda0 = diag(lam)`` and the Lax matrix ``L`` holds the initial
+velocities on its diagonal and ``2iB/(lam_j - lam_k)`` off it.  ``c``, ``s``
+and ``q`` are entire in ``omega^2``, so ``omega^2 = 0`` and ``B = 0`` need no
+special case.  The Gaussian pair follows the same coefficients through the
+classical flow ``c I + s M`` of its Riccati equation (see
+:func:`_gaussian_flow`).  The alternative reading of the rotation,
+``e^{+i omega t}`` in place of ``e^{-i omega t}``, is kept behind
+``rotation_sign=+1`` for tests to show it fails.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .errors import (
     InvalidParameter,
     StepFailure,
     TrackingAmbiguity,
-    UnsupportedHamiltonian,
     ZeroCollision,
 )
 from .rootfind import eigenvalues_small
@@ -114,17 +120,19 @@ class ZeroTrajectory:
 
 @dataclass(frozen=True)
 class LaxData:
-    """Scaled initial data of the matrix solution."""
+    """Initial data of the matrix solution ``X(t) = c Lambda0 + s L + q kappa I``.
 
-    Lambda0: np.ndarray
-    Lmat: np.ndarray
-    omega: complex
-    shift: complex
-    scale: float
+    ``terms`` stacks ``Lambda0 = diag(initial zeros)``, the Lax matrix ``L``
+    (initial velocities on the diagonal, ``2iB/(lam_j - lam_k)`` off it) and
+    ``kappa I``; ``omega2`` fixes the coefficients ``c, s, q``.
+    """
+
+    terms: np.ndarray  # (3, rank, rank)
+    omega2: float
 
     @property
     def rank(self) -> int:
-        return self.Lmat.shape[0]
+        return self.terms.shape[1]
 
 
 def _min_gap(zeros):
@@ -139,18 +147,7 @@ def ode_rhs(g2: complex, g1: complex, zeros, H: QuadraticHamiltonian):
     zeros = [complex(z) for z in zeros]
     if _min_gap(zeros) <= COLLISION_GAP:
         raise ZeroCollision("pairwise zero gap at or below 1e-9")
-    a, b = complex(g2), complex(g1)
-    A, B, C, D, E, _ = H.as_tuple()
-    da = 4j * B * a * a - 2.0 * C * a - 1j * A
-    db = 4j * B * a * b - C * b - 2.0 * E * a - 1j * D
-    dz = []
-    # The interaction enters with -2iB: verified against the exactly
-    # solvable two-zero phase-shift evolution and the Fock-basis oracle
-    # (the opposite sign propagates an inconsistent velocity into the Lax
-    # matrix and breaks oracle agreement at rank >= 2).
-    for k, lk in enumerate(zeros):
-        s = sum(1.0 / (lk - lm) for m, lm in enumerate(zeros) if m != k)
-        dz.append(lk * (C - 4j * B * a) - 2j * B * b + E - 2j * B * s)
+    da, db, *dz = _rhs_raw([complex(g2), complex(g1), *zeros], H)
     return da, db, dz
 
 
@@ -188,7 +185,7 @@ _DP_E = (
 
 
 def _rhs_raw(y, H):
-    """System rhs on the packed state [g2, g1, zeros...]; never raises."""
+    """System rhs on the packed state [g2, g1, zeros...]; None on an exact collision."""
     a, b = y[0], y[1]
     A, B, C, D, E, _ = H.as_tuple()
     out = [
@@ -196,6 +193,10 @@ def _rhs_raw(y, H):
         4j * B * a * b - C * b - 2.0 * E * a - 1j * D,
     ]
     lam = y[2:]
+    # The interaction enters with -2iB: verified against the exactly
+    # solvable two-zero phase-shift evolution and the Fock-basis oracle
+    # (the opposite sign propagates an inconsistent velocity into the Lax
+    # matrix and breaks oracle agreement at rank >= 2).
     coef = C - 4j * B * a
     drift = -2j * B * b + E
     for k, lk in enumerate(lam):
@@ -210,7 +211,7 @@ def _rhs_raw(y, H):
     return out
 
 
-def _dp45(y0, t0, t1, H, rtol, atol, min_gap_guard=True):
+def _dp45(y0, t0, t1, H, rtol, atol):
     """Advance from t0 to t1, yielding the state at t1.
 
     Plain Dormand-Prince with PI-free step control; the state is a python
@@ -229,7 +230,7 @@ def _dp45(y0, t0, t1, H, rtol, atol, min_gap_guard=True):
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         h = min(h, t1 - t)
         if h < 1e-13:
-            if min_gap_guard and _min_gap(y[2:]) < 1e-6:
+            if _min_gap(y[2:]) < 1e-6:
                 raise ZeroCollision(
                     f"step collapse near zero collision at t~{t:.6g}", t_estimate=t
                 )
@@ -267,7 +268,7 @@ def _dp45(y0, t0, t1, H, rtol, atol, min_gap_guard=True):
             t += h
             y = ynew
             k1 = k7  # first-same-as-last
-            if min_gap_guard and _min_gap(y[2:]) <= COLLISION_GAP:
+            if _min_gap(y[2:]) <= COLLISION_GAP:
                 raise ZeroCollision(
                     f"zero collision detected at t~{t:.6g}", t_estimate=t
                 )
@@ -307,53 +308,75 @@ def integrate(
     return ZeroTrajectory(ts, paths, gauss, "ode")
 
 
+def _flow_coefficients(w2: float, t: float):
+    """``(cos wt, sin(wt)/w, (1 - cos wt)/w^2)`` at ``w^2 = w2``, entire in ``w2``.
+
+    With ``theta = w t`` these are ``cos theta``, ``t sin(theta)/theta`` and
+    ``(t^2/2) (sin(theta/2)/(theta/2))^2``: nothing cancels as ``w2 -> 0``,
+    and ``w2 < 0`` makes ``theta`` imaginary and the three hyperbolic.
+    """
+    theta = cmath.sqrt(w2) * t
+    if not theta:
+        return 1.0, t, 0.5 * t * t
+    half = 0.5 * theta
+    return (
+        cmath.cos(theta).real,
+        t * (cmath.sin(theta) / theta).real,
+        0.5 * t * t * ((cmath.sin(half) / half) ** 2).real,
+    )
+
+
+def _gaussian_flow(g2, g1, H: QuadraticHamiltonian, c, s, q):
+    """``(g2, g1)`` at the time(s) whose flow coefficients are ``c, s, q``.
+
+    ``g2 = p/w`` is a Moebius map: ``(p, w) = (c I + s M)(g2_0, 1)`` with
+    ``M = [[-C, -iA], [-4iB, C]]`` (``M^2 = -omega^2 I``), the classical flow
+    of the Riccati equation.  ``g1 w`` obeys ``(g1 w)' = -2E p - iD w``, so
+    ``g1 = (g1_0 - 2E P - iD W)/w`` with ``(P, W) = (s I + q M)(g2_0, 1)``,
+    the time integral of ``(p, w)``.
+    """
+    mg, mw = -H.C * g2 - 1j * H.A, -4j * H.B * g2 + H.C  # M (g2_0, 1)
+    w = c + s * mw
+    g1t = g1 - 2.0 * H.E * (s * g2 + q * mg) - 1j * H.D * (s + q * mw)
+    return (c * g2 + s * mg) / w, g1t / w
+
+
 def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
-    """Scaled initial positions, velocities and Lax matrix for the closed form."""
-    if abs(H.B) < 1e-12:
-        raise UnsupportedHamiltonian("closed form needs B != 0")
-    w2 = H.omega2
-    if abs(w2) < 1e-12:
-        raise UnsupportedHamiltonian("closed form needs omega^2 != 0")
+    """``Lambda0 = diag(zeros)``, the Lax matrix and ``kappa = CE - 2BD`` of ``H``."""
     if _min_gap(wf.zeros) <= COLLISION_GAP:
         raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
-    omega = cmath.sqrt(complex(w2))
-    shift = (H.C * H.E - 2.0 * H.B * H.D) / w2
-    scale = (4.0 * H.B * H.B) ** 0.25
     lam = np.array(wf.zeros, dtype=complex)
-    _, _, dz = ode_rhs(wf.g2, wf.g1, wf.zeros, H) if wf.rank else (0, 0, [])
-    lam_t = (lam - shift) / scale
-    vel_t = np.array(dz, dtype=complex) / scale
-    r = lam.size
-    lmat = np.zeros((r, r), dtype=complex)
-    for j in range(r):
-        lmat[j, j] = vel_t[j] + 1j * omega * lam_t[j]
-        for k in range(r):
-            if k != j:
-                lmat[j, k] = 1j / (lam_t[j] - lam_t[k])
-    if not np.all(np.isfinite(lmat.view(float))):
-        raise DegenerateInitialZeros("non-finite Lax matrix entries")
-    return LaxData(np.diag(lam_t), lmat, omega, shift, scale)
+    _, _, vel = ode_rhs(wf.g2, wf.g1, wf.zeros, H)
+    diff = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diff, 1.0)
+    lmat = 2j * H.B / diff
+    np.fill_diagonal(lmat, vel)
+    kappa = H.C * H.E - 2.0 * H.B * H.D
+    return LaxData(np.array([np.diag(lam), lmat, kappa * np.eye(lam.size)]), H.omega2)
 
 
 def closed_form_matrix(lax: LaxData, t: float, rotation_sign: int = -1) -> np.ndarray:
-    """Matrix whose eigenvalues are the zeros at time t."""
+    """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t.
+
+    ``rotation_sign=+1`` adds ``2i sin(omega t) Lambda0``, which turns the
+    rotation ``Lambda0 e^{-i omega t}`` into ``Lambda0 e^{+i omega t}``.
+    """
     if rotation_sign not in (-1, 1):
         raise InvalidParameter("rotation_sign must be -1 or +1")
-    rot = cmath.exp(rotation_sign * 1j * lax.omega * t)
-    xt = lax.Lambda0 * rot + lax.Lmat * (cmath.sin(lax.omega * t) / lax.omega)
-    return lax.scale * xt + lax.shift * np.eye(lax.rank, dtype=complex)
+    c, s, q = _flow_coefficients(lax.omega2, t)
+    if rotation_sign == 1:
+        c += 2j * cmath.sin(cmath.sqrt(lax.omega2) * t)
+    r = lax.rank
+    # One complex product rather than three scaled copies: this runs once
+    # per sample and per tracking or crossing bisection step.
+    return (np.array([c, s, q], dtype=complex) @ lax.terms.reshape(3, r * r)).reshape(r, r)
 
 
 def closed_form(
     wf: WavefunctionForm, H: QuadraticHamiltonian, t: float, rotation_sign: int = -1
 ):
     """Zero multiset at time t from the matrix solution."""
-    if wf.rank == 0:
-        if abs(H.B) < 1e-12 or abs(H.omega2) < 1e-12:
-            raise UnsupportedHamiltonian("closed form needs B != 0 and omega^2 != 0")
-        return []
-    lax = lax_data(wf, H)
-    return eigenvalues_small(closed_form_matrix(lax, t, rotation_sign))
+    return eigenvalues_small(closed_form_matrix(lax_data(wf, H), t, rotation_sign))
 
 
 def match_sets(a, b):
@@ -419,38 +442,25 @@ def sample_closed_form(
     reaches half the smallest gap between the previous zeros is bisected
     until every sub-step is safe; a step that stays unsafe down to a width
     of 1e-9 (an exact collision on the grid) raises
-    :class:`TrackingAmbiguity`.  The Gaussian coefficients are integrated
-    separately (their subsystem does not involve the zeros).
+    :class:`TrackingAmbiguity`.  The Gaussian coefficients come from their
+    own closed-form flow on the whole grid at once.
     """
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or np.any(np.diff(ts) <= 0):
-        raise InvalidParameter("times must be strictly increasing")
-    r = wf.rank
-    lax = lax_data(wf, H) if r else None
+    if ts.ndim != 1 or ts.size < 1 or ts[0] < 0 or np.any(np.diff(ts) <= 0):
+        raise InvalidParameter("times must be strictly increasing from t >= 0")
+    lax = lax_data(wf, H)
 
     def evaluator(t):
-        if r == 0:
-            return np.zeros(0, dtype=complex)
         return np.asarray(eigenvalues_small(closed_form_matrix(lax, t, rotation_sign)))
 
-    paths = np.zeros((r, ts.size), dtype=complex)
-    if r:
-        if ts[0] > 0:
-            paths[:, 0] = _track_step(np.array(wf.zeros), 0.0, ts[0], evaluator)
-        else:
-            paths[:, 0] = wf.zeros
-        for i in range(1, ts.size):
-            paths[:, i] = _track_step(paths[:, i - 1], ts[i - 1], ts[i], evaluator)
-    gauss = np.zeros((2, ts.size), dtype=complex)
-    y = [wf.g2, wf.g1]
-    gauss[:, 0] = y
-    start = ts[0]
-    if abs(start) > 1e-12:
-        y = _dp45(y, 0.0, start, H, 1e-10, 1e-12, min_gap_guard=False)
-        gauss[:, 0] = y
-    for i in range(1, ts.size):
-        y = _dp45(y, ts[i - 1], ts[i], H, 1e-10, 1e-12, min_gap_guard=False)
-        gauss[:, i] = y
+    paths = np.zeros((wf.rank, ts.size), dtype=complex)
+    prev, t_prev = np.array(wf.zeros, dtype=complex), 0.0
+    for i, t in enumerate(ts.tolist()):
+        if t > t_prev:
+            prev = _track_step(prev, t_prev, t, evaluator)
+        paths[:, i], t_prev = prev, t
+    c, s, q = np.array([_flow_coefficients(H.omega2, t) for t in ts.tolist()]).T
+    gauss = np.array(_gaussian_flow(wf.g2, wf.g1, H, c, s, q))
     return ZeroTrajectory(ts, paths, gauss, "closed", evaluator=evaluator)
 
 
@@ -462,27 +472,17 @@ def evolve_form(
 ) -> WavefunctionForm:
     """Full wavefunction form at time t.
 
-    Zeros come from the closed form when available (``B != 0``,
-    ``omega^2 != 0``), otherwise from integrating the full system; the
-    Gaussian coefficients always come from their own subsystem; ``g0`` is
-    recovered by normalization.  The global phase is left free unless
-    ``phase_reference`` (a callable ``z -> psi(z)`` realizing the desired
-    convention, typically a Fock-basis propagation) is supplied, in which
-    case the phase is aligned at one reference point.
+    Zeros come from the matrix solution and the Gaussian coefficients from
+    their closed-form flow; ``g0`` is recovered by normalization.  The
+    global phase is left free unless ``phase_reference`` (a callable
+    ``z -> psi(z)`` realizing the desired convention, typically a Fock-basis
+    propagation) is supplied, in which case the phase is aligned at one
+    reference point.
     """
     if t < 0:
         raise InvalidParameter("evolve_form needs t >= 0")
-    y = _dp45([wf.g2, wf.g1], 0.0, t, H, 1e-10, 1e-12, min_gap_guard=False)
-    g2t, g1t = y
-    if wf.rank == 0:
-        zeros = []
-    else:
-        try:
-            traj = sample_closed_form(wf, H, [0.0, t] if t > 0 else [0.0])
-            zeros = list(traj.paths[:, -1])
-        except UnsupportedHamiltonian:
-            traj = integrate(wf, H, [0.0, t] if t > 0 else [0.0])
-            zeros = list(traj.paths[:, -1])
+    g2t, g1t = _gaussian_flow(wf.g2, wf.g1, H, *_flow_coefficients(H.omega2, t))
+    zeros = closed_form(wf, H, t)
     out = WavefunctionForm(g2t, g1t, 0.0, zeros, 1.0).normalized()
     if phase_reference is not None:
         xs = np.linspace(-2.5, 2.5, 11)

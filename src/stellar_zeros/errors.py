@@ -50,10 +50,6 @@ class StepFailure(StellarZerosError):
     """Adaptive step size underflowed."""
 
 
-class UnsupportedHamiltonian(StellarZerosError):
-    """Closed-form zero propagation needs B != 0 and omega^2 != 0."""
-
-
 class DegenerateInitialZeros(StellarZerosError):
     """Initial zeros are not pairwise distinct."""
 

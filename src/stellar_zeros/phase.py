@@ -1,8 +1,9 @@
 """Phase-shift dynamics: zero ellipses, real-axis crossings, certificates.
 
-Under ``H = (x^2 + p^2)/2`` the zero matrix specializes to
+Under ``H = (x^2 + p^2)/2`` the general zero matrix of
+:mod:`stellar_zeros.dynamics` specializes to
 
-    ``M(t) = Lambda0 e^{-it} + L sin(t)``,
+    ``X(t) = Lambda0 cos t + L sin t``,
 
 whose diagonal traces ellipses ``lam_j (cos t - 2i g2 sin t)`` (plus small
 drift and interaction shifts) and whose off-diagonal part has Gershgorin
@@ -16,32 +17,26 @@ detects and certifies those crossing events.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateInitialZeros,
-    InvalidParameter,
-    TrackingAmbiguity,
-)
+from .errors import InvalidParameter, TrackingAmbiguity
 from .dynamics import (
     QuadraticHamiltonian,
     ZeroTrajectory,
-    _track_step,
+    lax_data,
     match_sets,
+    sample_closed_form,
 )
-from .rootfind import eigenvalues_small
 from .states import StellarState
-from .wavefunction import build_wavefunction
+from .wavefunction import WavefunctionForm, build_wavefunction
 
 __all__ = [
     "CrossingEvent",
     "GershgorinReport",
     "AuditResult",
-    "phase_shift_matrix",
     "phase_trajectory",
     "detect_crossings",
     "gershgorin_check",
@@ -86,75 +81,23 @@ class AuditResult:
     gershgorin: GershgorinReport | None = field(default=None, repr=False)
 
 
-def _interaction_sums(zeros):
-    r = len(zeros)
-    out = np.zeros(r, dtype=complex)
-    for j in range(r):
-        out[j] = sum(1.0 / (zeros[j] - zeros[m]) for m in range(r) if m != j)
-    return out
-
-
-def _phase_shift_data(zeros0, g2_0: complex, g1_0: complex):
-    """``(Lambda0, L)`` of the phase-shift zero matrix ``Lambda0 e^{-it} + L sin t``."""
-    lam = np.array(zeros0, dtype=complex)
-    if lam.size == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return empty, empty
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, np.inf)
-    if not np.min(np.abs(diff)) > 1e-9:
-        raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
-    vel = -2j * g2_0 * lam - 1j * g1_0 - 1j * _interaction_sums(lam)
-    lmat = 1j / diff
-    np.fill_diagonal(lmat, vel + 1j * lam)
-    return np.diag(lam), lmat
-
-
-def phase_shift_matrix(zeros0, g2_0: complex, t: float, g1_0: complex = 0.0) -> np.ndarray:
-    """Exact zero-propagation matrix for the phase-shift Hamiltonian.
-
-    ``M(t) = Lambda0 e^{-it} + L sin t`` with ``L`` built from the true
-    initial velocities ``-2i g2 lam_j - i g1 - i sum_m 1/(lam_j - lam_m)``;
-    its eigenvalues are the zeros at phase ``t`` and coincide with the
-    general closed form specialized to ``A = B = 1/2``.
-    """
-    lambda0, lmat = _phase_shift_data(zeros0, g2_0, g1_0)
-    return lambda0 * cmath.exp(-1j * t) + lmat * math.sin(t)
-
-
 def phase_trajectory(
     zeros0, g2_0: complex, g1_0: complex = 0.0, samples: int = 513
 ) -> ZeroTrajectory:
     """Closed-form phase-shift trajectory over one full period ``[0, 2 pi]``.
 
-    ``Lambda0`` and ``L`` are built once; each sample costs one small
-    eigen-solve plus the tracker's rare bisection steps.  The Gaussian
-    coefficients ride along in closed form as well:
-    ``u(t) = cos t - 2i g2(0) sin t`` gives ``g2(t) = -u'(t)/(2i u(t))`` and
-    ``g1(t) = g1(0)/u(t)``.
+    This is :func:`~stellar_zeros.dynamics.sample_closed_form` at
+    ``H = (x^2 + p^2)/2``: each sample costs one small eigen-solve plus the
+    tracker's rare bisection steps, and the Gaussian coefficients ride along
+    in closed form.
     """
     if samples < 257:
         raise InvalidParameter("phase trajectories need at least 257 samples")
-    zeros0 = [complex(z) for z in zeros0]
-    r = len(zeros0)
-    ts = np.linspace(0.0, 2.0 * math.pi, samples)
-    lambda0, lmat = _phase_shift_data(zeros0, g2_0, g1_0)
-
-    def evaluator(t):
-        if r == 0:
-            return np.zeros(0, dtype=complex)
-        m = lambda0 * cmath.exp(-1j * t) + lmat * math.sin(t)
-        return np.asarray(eigenvalues_small(m))
-
-    paths = np.zeros((r, ts.size), dtype=complex)
-    if r:
-        paths[:, 0] = zeros0
-        for i in range(1, ts.size):
-            paths[:, i] = _track_step(paths[:, i - 1], ts[i - 1], ts[i], evaluator)
-    u = np.cos(ts) - 2j * complex(g2_0) * np.sin(ts)
-    du = -np.sin(ts) - 2j * complex(g2_0) * np.cos(ts)
-    gauss = np.vstack([du / (2j * u) * -1.0, complex(g1_0) / u])
-    return ZeroTrajectory(ts, paths, gauss, "closed", evaluator=evaluator)
+    return sample_closed_form(
+        WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0),
+        QuadraticHamiltonian.phase_shift(),
+        np.linspace(0.0, 2.0 * math.pi, samples),
+    )
 
 
 def _refine_crossing(traj, k, t0, t1, z0, z1):
@@ -260,9 +203,10 @@ def gershgorin_check(
 
     The certified verdict requires ``Im g2 = 0`` (the separation threshold
     ``sqrt((r-1)/|Re g2|)`` is derived for real Gaussian exponents); the
-    disc geometry itself is evaluated on the exact matrix, including the
-    interaction contribution to the centers that the plain ellipse picture
-    ignores.
+    discs are those of the exact zero matrix ``X(t) = Lambda0 cos t + L sin t``:
+    centers ``lam_j cos t + L_jj sin t``, which include the interaction
+    contribution that the plain ellipse picture ignores, and radii
+    ``|sin t| sum_{m != j} |L_jm|``.
     """
     zeros0 = [complex(z) for z in zeros0]
     r = len(zeros0)
@@ -272,15 +216,14 @@ def gershgorin_check(
         radii = np.zeros((r, ts.size))
         return GershgorinReport(ts, radii, math.inf, threshold, True, True,
                                 abs(complex(g2_0).imag) <= 1e-12)
-    lam = np.array(zeros0, dtype=complex)
-    inv_abs = np.zeros(r)
-    for j in range(r):
-        inv_abs[j] = sum(1.0 / abs(lam[j] - lam[m]) for m in range(r) if m != j)
-    radii = np.abs(np.sin(ts))[None, :] * inv_abs[:, None]
-    vel = -2j * complex(g2_0) * lam - 1j * complex(g1_0) - 1j * _interaction_sums(zeros0)
+    wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
+    lambda0, lmat, _ = lax_data(wf, QuadraticHamiltonian.phase_shift()).terms  # kappa = 0
+    off = np.abs(lmat)
+    np.fill_diagonal(off, 0.0)
+    radii = np.abs(np.sin(ts))[None, :] * off.sum(axis=1)[:, None]
     centers = (
-        lam[:, None] * np.exp(-1j * ts)[None, :]
-        + (vel + 1j * lam)[:, None] * np.sin(ts)[None, :]
+        np.diag(lambda0)[:, None] * np.cos(ts)[None, :]
+        + np.diag(lmat)[:, None] * np.sin(ts)[None, :]
     )
     disjoint = True
     for i in range(r):
@@ -288,7 +231,7 @@ def gershgorin_check(
             sep = np.abs(centers[i] - centers[j]) - radii[i] - radii[j]
             if np.min(sep) <= 0:
                 disjoint = False
-    min_sep = min(abs(lam[i] - lam[j]) for i in range(r) for j in range(i + 1, r))
+    min_sep = min(abs(zeros0[i] - zeros0[j]) for i in range(r) for j in range(i + 1, r))
     return GershgorinReport(
         ts,
         radii,
@@ -336,7 +279,7 @@ def imbalance(zeros):
 def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
     """Assignment distance between the zero sets at ``t`` and ``-(t + pi)``.
 
-    The propagation matrix satisfies ``M(t + pi) = -M(t)`` exactly, so the
+    The phase-shift zero matrix satisfies ``X(t + pi) = -X(t)``, so the
     zero multisets must match under negation; for closed-form trajectories
     the returned distance is at roundoff level (contract: below 1e-8).
     """

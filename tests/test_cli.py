@@ -2,13 +2,21 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stellar_zeros import StellarState, state_to_json, stellar_state_from_zeros
+import stellar_zeros
+from stellar_zeros import (
+    StellarState,
+    matching_distance,
+    state_to_json,
+    stellar_state_from_zeros,
+)
 from stellar_zeros.cli import main
 
 
@@ -30,6 +38,20 @@ def run_cli(capsys, argv):
 
 def fock2():
     return StellarState(rank=2, core=np.array([0, 0, 1.0 + 0j]), alpha=0.0, chi=0.0)
+
+
+# B = 0 (C != 0, so the zeros move) and omega^2 = 4AB - C^2 = 0.
+EDGE_HAMILTONIANS = pytest.mark.parametrize(
+    "hamiltonian", ["0.3,0,0.2,0.1,0.1,0", "0.5,0.5,1.0,0.1,-0.1,0"], ids=["B0", "omega2_0"]
+)
+
+
+def read_trajectories(path):
+    by_method = {}
+    for line in path.read_text().strip().splitlines()[1:]:
+        t, _, re, im, method = line.split(",")
+        by_method.setdefault(method, {}).setdefault(t, []).append(complex(float(re), float(im)))
+    return by_method
 
 
 class TestZerosCommand:
@@ -93,14 +115,24 @@ class TestEvolveCommand:
         path = tmp_state("r2.json", st)
         out = tmp_path / "traj.csv"
         main(["evolve", "--state", path, "--time", "0,3.0,9", "--out", str(out)])
-        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
-        by_method = {"ode": {}, "closed": {}}
-        for t, k, re, im, method in rows:
-            by_method[method].setdefault(t, []).append(complex(float(re), float(im)))
-        from stellar_zeros import matching_distance
-
+        by_method = read_trajectories(out)
         for t, ode_zs in by_method["ode"].items():
             assert matching_distance(ode_zs, by_method["closed"][t]) < 1e-6
+
+    @EDGE_HAMILTONIANS
+    def test_both_methods_at_b_zero_and_omega2_zero(self, tmp_state, tmp_path, hamiltonian):
+        path = tmp_state("r2.json", stellar_state_from_zeros([0.8j, -0.5 + 0.2j]))
+        out = tmp_path / "traj.csv"
+        rc = main(["evolve", "--state", path, "--hamiltonian", hamiltonian,
+                   "--time", "0,2.0,9", "--method", "both", "--out", str(out)])
+        assert rc == 0
+        by_method = read_trajectories(out)
+        assert set(by_method) == {"ode", "closed"}
+        assert set(by_method["ode"]) == set(by_method["closed"])
+        for t, ode_zs in by_method["ode"].items():
+            assert matching_distance(ode_zs, by_method["closed"][t]) < 1e-6
+        moved = matching_distance(by_method["closed"]["0"], by_method["closed"]["2"])
+        assert moved > 1e-2
 
 
 class TestCrossingsCommand:
@@ -131,6 +163,15 @@ class TestVerifyCommand:
     def test_rank1_passes(self, capsys, tmp_state):
         path = tmp_state("r1.json", stellar_state_from_zeros([1j]))
         rc, out, _ = run_cli(capsys, ["verify", "--state", path])
+        assert rc == 0
+        assert "status=PASS" in out
+
+    @EDGE_HAMILTONIANS
+    def test_b_zero_and_omega2_zero_pass(self, capsys, tmp_state, hamiltonian):
+        path = tmp_state("r2.json", stellar_state_from_zeros([0.8j, -0.5 + 0.2j]))
+        rc, out, _ = run_cli(
+            capsys, ["verify", "--state", path, "--hamiltonian", hamiltonian, "--time", "0,0.3,2"]
+        )
         assert rc == 0
         assert "status=PASS" in out
 
@@ -175,11 +216,16 @@ class TestConfigFile:
 
 
 def test_module_entrypoint_smoke():
+    # The child imports the same package as this process, installed or not.
+    package_root = str(Path(stellar_zeros.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stellar_zeros.cli", "zeros", "--random", "1,1"],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 1

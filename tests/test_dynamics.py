@@ -1,9 +1,12 @@
 """Zero dynamics: coupled ODE system vs the exact matrix solution."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import distinct_random_state, fock_state, ring_state
 
@@ -12,7 +15,6 @@ from stellar_zeros import (
     InvalidParameter,
     QuadraticHamiltonian,
     TrackingAmbiguity,
-    UnsupportedHamiltonian,
     WavefunctionForm,
     ZeroCollision,
     build_wavefunction,
@@ -30,9 +32,14 @@ from stellar_zeros import (
     second_order_acceleration,
     stellar_state_from_zeros,
     stellar_to_fock,
+    zeros_from_fock,
 )
 
 HP = QuadraticHamiltonian.phase_shift()
+# Outside the old closed form's domain: B = 0 (with C != 0 the zeros still
+# move) and omega^2 = 4AB - C^2 = 0 exactly.
+H_B0 = QuadraticHamiltonian(A=0.3, C=0.2, D=0.1, E=0.1)
+H_W0 = QuadraticHamiltonian(A=0.5, B=0.5, C=1.0, D=0.1, E=-0.1)
 
 
 def rank2_exact_zero(t):
@@ -179,12 +186,16 @@ class TestClosedForm:
         zs = closed_form(wf, HP, math.pi / 2)
         assert max(abs(z) for z in zs) < 1e-8
 
-    def test_unsupported_hamiltonians(self):
-        _, wf = distinct_random_state(1, 1)
-        with pytest.raises(UnsupportedHamiltonian):
-            closed_form(wf, QuadraticHamiltonian(A=1.0, D=0.5), 1.0)  # B = 0
-        with pytest.raises(UnsupportedHamiltonian):
-            closed_form(wf, QuadraticHamiltonian(A=1.0, B=1.0, C=2.0), 1.0)  # omega^2 = 0
+    def test_b_zero_and_omega2_zero(self):
+        _, wf = distinct_random_state(3, 1, scale=0.7)
+        ts = np.linspace(0, 2.0, 9)
+        for H in (H_B0, H_W0):
+            tr = integrate(wf, H, ts)
+            dev = max(
+                matching_distance(tr.paths[:, i], closed_form(wf, H, t))
+                for i, t in enumerate(ts)
+            )
+            assert dev < 1e-8, H
 
     def test_degenerate_zeros(self):
         wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.5, 0.5 + 1e-11), 1.0).normalized()
@@ -257,6 +268,13 @@ class TestSampleClosedForm:
                 b = sample_closed_form(wf, H, fine).paths[:, ::32]
                 assert np.max(np.abs(a - b)) <= 1e-8, (seed, H)
 
+    def test_grid_validation(self):
+        wf = build_wavefunction(fock_state(1))
+        with pytest.raises(InvalidParameter):
+            sample_closed_form(wf, HP, [-0.5, 1.0])
+        with pytest.raises(InvalidParameter):
+            sample_closed_form(wf, HP, [0.0, 0.5, 0.4])
+
     def test_exact_collision_on_grid_raises(self):
         # The +-1 pair meets at the origin at t = pi/2, a grid point here:
         # no assignment through the collision can be justified.
@@ -266,6 +284,59 @@ class TestSampleClosedForm:
         err = excinfo.value
         assert abs(err.t - math.pi / 2) < 1e-9
         assert err.displacement >= 0.5 * err.gap
+
+
+@functools.lru_cache(maxsize=None)
+def _separated_form(rank, seed):
+    return distinct_random_state(rank, seed, scale=0.7, min_gap=0.3)[1]
+
+
+def _regime_hamiltonian(regime, a, b, c, d, e):
+    """A Hamiltonian of the named regime from draws ``a, b > 0`` and ``0 < |c| < 2 sqrt(ab)``."""
+    if regime == "omega2_pos":
+        return QuadraticHamiltonian(A=a, B=b, C=c, D=d, E=e)
+    if regime == "omega2_neg":
+        return QuadraticHamiltonian(A=-a, B=b, C=c, D=d, E=e)
+    if regime == "omega2_zero":
+        return QuadraticHamiltonian(A=a, B=b, C=2.0 * math.sqrt(a * b), D=d, E=e)
+    return QuadraticHamiltonian(A=a, B=0.0, C=c, D=d, E=e)
+
+
+class TestEveryQuadraticHamiltonian:
+    @pytest.mark.parametrize("regime", ["omega2_pos", "omega2_neg", "omega2_zero", "b_zero"])
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        a=hst.floats(0.2, 0.7),
+        b=hst.floats(0.2, 0.7),
+        c=hst.floats(0.1, 0.35) | hst.floats(-0.35, -0.1),
+        d=hst.floats(-0.3, 0.3),
+        e=hst.floats(-0.3, 0.3),
+        rank=hst.integers(1, 4),
+        seed=hst.integers(0, 5),
+        t_end=hst.floats(0.2, 1.5),
+    )
+    def test_closed_form_matches_integrate(self, regime, a, b, c, d, e, rank, seed, t_end):
+        H = _regime_hamiltonian(regime, a, b, c, d, e)
+        wf = _separated_form(rank, seed)
+        ts = np.linspace(0.0, t_end, 7)
+        ode = integrate(wf, H, ts)
+        cf = sample_closed_form(wf, H, ts)
+        assert np.max(np.abs(ode.paths - cf.paths)) < 1e-7
+        assert np.max(np.abs(ode.gauss_path - cf.gauss_path)) < 1e-7
+
+    @pytest.mark.parametrize(
+        "H, t", [(H_B0, 0.3), (H_B0, 1.1), (H_W0, 0.3)], ids=["B0-0.3", "B0-1.1", "omega2_0-0.3"]
+    )
+    def test_fock_oracle(self, H, t):
+        # At omega^2 = 0 the packet spreads without bound; by t = 1.1 it
+        # leaks out of the cutoff-80 basis (TruncationLeakage).
+        st = ring_state(3, 4)
+        wf = build_wavefunction(st)
+        vt = evolve_fock(stellar_to_fock(st, 80), H, t, 80)
+        want = closed_form(wf, H, t)
+        hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
+        got = zeros_from_fock(vt, 3, hw)
+        assert matching_distance(got, want) < 1e-8
 
 
 class TestEvolveForm:
@@ -296,11 +367,14 @@ class TestEvolveForm:
         want = eval_entire(vt, xs)
         assert np.max(np.abs(got - want)) < 1e-6
 
-    def test_b_zero_falls_back_to_ode(self):
+    def test_b_zero_and_omega2_zero_closed_form(self):
         _, wf = distinct_random_state(2, 8, scale=0.6)
-        H = QuadraticHamiltonian(A=0.3, D=0.2)  # B = 0: pure potential
-        out = evolve_form(wf, H, 0.5)
-        assert len(out.zeros) == 2
+        for H in (H_B0, H_W0):
+            out = evolve_form(wf, H, 0.5)
+            tr = integrate(wf, H, [0.0, 0.5])
+            assert matching_distance(out.zeros, tr.paths[:, -1]) < 1e-8, H
+            assert abs(out.g2 - tr.gauss_path[0, -1]) < 1e-8, H
+            assert abs(out.g1 - tr.gauss_path[1, -1]) < 1e-8, H
 
 
 class TestMatching:

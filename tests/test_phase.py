@@ -7,22 +7,25 @@ import pytest
 
 from conftest import distinct_random_state, fock_state, separated_state
 
-import stellar_zeros.phase as phase_mod
+import stellar_zeros.dynamics as dynamics_mod
 
 from stellar_zeros import (
+    DegenerateInitialZeros,
     InvalidParameter,
     QuadraticHamiltonian,
     StellarState,
+    WavefunctionForm,
     antipodal_check,
     build_wavefunction,
     closed_form,
+    closed_form_matrix,
     crossing_guarantee_audit,
     detect_crossings,
     eigenvalues_small,
     gershgorin_check,
     imbalance,
+    lax_data,
     matching_distance,
-    phase_shift_matrix,
     phase_trajectory,
     stellar_state_from_zeros,
 )
@@ -30,33 +33,49 @@ from stellar_zeros import (
 HP = QuadraticHamiltonian.phase_shift()
 
 
+def phase_zero_matrix(zeros, g2, t, g1=0.0):
+    """The general zero matrix at the phase shift."""
+    return closed_form_matrix(lax_data(WavefunctionForm(g2, g1, 0.0, zeros, 1.0), HP), t)
+
+
+def hand_derived_phase_shift_matrix(zeros, g2, g1, t):
+    """``Lambda0 e^{-it} + L sin t`` with the phase-shift velocities written out."""
+    lam = np.array(zeros, dtype=complex)
+    diff = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diff, np.inf)
+    vel = -2j * g2 * lam - 1j * g1 - 1j * np.sum(1.0 / diff, axis=1)
+    lmat = 1j / diff
+    np.fill_diagonal(lmat, vel + 1j * lam)
+    return np.diag(lam) * np.exp(-1j * t) + lmat * math.sin(t)
+
+
 class TestPhaseShiftMatrix:
     def test_time_zero_is_diagonal(self):
         zeros = [0.5 + 0.3j, -1.0 + 0.2j]
-        m = phase_shift_matrix(zeros, -0.5, 0.0)
+        m = phase_zero_matrix(zeros, -0.5, 0.0)
         assert np.allclose(m, np.diag(zeros))
 
     def test_half_turn_negates(self):
         zeros = [0.5 + 0.3j, -1.0 + 0.2j]
-        m = phase_shift_matrix(zeros, -0.5, math.pi)
+        m = phase_zero_matrix(zeros, -0.5, math.pi)
         assert np.max(np.abs(m + np.diag(zeros))) < 1e-14
 
     def test_rank1_ellipse(self):
         for t in np.linspace(0, 2 * math.pi, 9):
-            m = phase_shift_matrix([1j], -0.5, t)
+            m = phase_zero_matrix([1j], -0.5, t)
             assert abs(m[0, 0] - 1j * np.exp(1j * t)) < 1e-14
 
     def test_matches_general_closed_form(self):
         _, wf = distinct_random_state(3, 0)
         dev = 0.0
         for t in np.linspace(0, 2 * math.pi, 64):
-            eig = eigenvalues_small(phase_shift_matrix(wf.zeros, wf.g2, t, wf.g1))
-            dev = max(dev, matching_distance(eig, closed_form(wf, HP, t)))
+            m = hand_derived_phase_shift_matrix(wf.zeros, wf.g2, wf.g1, t)
+            dev = max(dev, matching_distance(eigenvalues_small(m), closed_form(wf, HP, t)))
         assert dev < 1e-10
 
     def test_degenerate_zeros_rejected(self):
-        with pytest.raises(Exception):
-            phase_shift_matrix([1.0, 1.0], -0.5, 0.1)
+        with pytest.raises(DegenerateInitialZeros):
+            phase_zero_matrix([1.0, 1.0], -0.5, 0.1)
 
 
 class TestDetectCrossings:
@@ -201,13 +220,13 @@ class TestTrackingCost:
         # These rank-5 fixtures once cost 98,792 and 229,836 eigen-solves
         # per period under a scale-invariant refinement test.
         calls = []
-        solve = phase_mod.eigenvalues_small
+        solve = dynamics_mod.eigenvalues_small
 
         def counting(m):
             calls.append(1)
             return solve(m)
 
-        monkeypatch.setattr(phase_mod, "eigenvalues_small", counting)
+        monkeypatch.setattr(dynamics_mod, "eigenvalues_small", counting)
         _, wf = distinct_random_state(5, seed, scale=0.8, min_gap=0.05)
         traj = phase_trajectory(wf.zeros, wf.g2, wf.g1)
         assert traj.times.size == 513
