@@ -40,9 +40,8 @@ from .states import (
     state_from_json,
     state_to_json,
     stellar_to_fock,
-    stellar_to_fock_exponential,
 )
-from .rootfind import eigenvalues_small, polyval, roots_polynomial
+from .rootfind import eigenvalues_small, roots_polynomial
 from .wavefunction import (
     GrowthBound,
     HudsonResult,

@@ -410,9 +410,9 @@ def _track_step(prev, t0, t1, evaluator):
     """
     prev = np.asarray(prev, dtype=complex)
     cur = np.asarray(evaluator(t1), dtype=complex)
+    if cur.size < 2:
+        return cur
     perm, dists = match_sets(prev, cur)
-    if dists.size < 2:
-        return cur[perm]
     gaps = np.abs(prev[:, None] - prev[None, :])
     gaps.flat[:: prev.size + 1] = np.inf
     gap = float(np.min(gaps))

@@ -26,7 +26,7 @@ class ZeroOnContour(StellarZerosError):
 
 
 class NoConvergence(StellarZerosError):
-    """Iteration budget exhausted; carries the best iterate found."""
+    """Computed roots fail their residual bound; carries the roots and residuals."""
 
     def __init__(self, message, roots=None, residuals=None):
         super().__init__(message)

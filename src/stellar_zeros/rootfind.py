@@ -1,57 +1,31 @@
-"""Simultaneous polynomial root finding and small-matrix eigenvalues.
+"""Polynomial roots and small-matrix eigenvalues, both from LAPACK.
 
-The Aberth-Ehrlich iteration refines all roots at once from perturbed-circle
-initial guesses.  Eigenvalues of small dense matrices come from LAPACK
-(``np.linalg.eigvals``); eigenvalues closer than ``4 sqrt(eps) max|M|`` are
-reported as their mean, because LAPACK splits a defective eigenvalue (an
-exact zero collision) by about ``sqrt(eps)`` while the cluster mean stays
-accurate.  Coefficients are stored in ascending order (``coeffs[k]``
-multiplies ``z^k``).
+Polynomial roots are the eigenvalues of the companion matrix (Edelman &
+Murakami, Math. Comp. 64 (1995) 763), each followed by one bounded Newton
+step.  Eigenvalues of small dense matrices come from ``np.linalg.eigvals``;
+eigenvalues closer than ``4 sqrt(eps) max|M|`` are reported as their mean,
+because LAPACK splits a defective eigenvalue (an exact zero collision) by
+about ``sqrt(eps)`` while the cluster mean stays accurate.  Coefficients are
+stored in ascending order (``coeffs[k]`` multiplies ``z^k``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import InvalidParameter, NoConvergence
 
 __all__ = [
-    "polyval",
     "roots_polynomial",
     "eigenvalues_small",
 ]
 
 RESIDUAL_TOL = 1e-10
-CLUSTER_TOL = 1e-6
 DEFECTIVE_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
-MAX_ITER = 200
-
-
-def polyval(coeffs, z):
-    """Horner evaluation; ``coeffs`` ascending, ``z`` scalar or ndarray."""
-    acc = np.zeros_like(np.asarray(z, dtype=complex)) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _polyval_and_deriv(coeffs, z):
-    p = coeffs[-1]
-    dp = 0.0 + 0.0j
-    for c in coeffs[-2::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _residual_ok(coeffs, roots, scale):
-    deg = len(coeffs) - 1
-    res = np.abs(polyval(coeffs, roots))
-    bound = RESIDUAL_TOL * scale * (1.0 + np.abs(roots)) ** deg
-    return res, np.all(res <= bound)
+_POLISH_ULPS = 8.0 * np.finfo(float).eps
 
 
 def _cluster(roots, tol):
@@ -77,14 +51,15 @@ def _cluster(roots, tol):
     return out
 
 
-def roots_polynomial(coeffs, max_iter: int = MAX_ITER, cluster_tol: float = CLUSTER_TOL):
+def roots_polynomial(coeffs):
     """All roots (with multiplicity) of a complex polynomial.
 
-    Aberth-Ehrlich simultaneous iteration from perturbed-circle starting
-    points.  Every returned root satisfies
-    ``|P(root)| <= 1e-10 * max|c_k| * (1 + |root|)^deg``; clusters tighter
-    than ``cluster_tol`` are reported as one repeated (mean) root.  Raises
-    :class:`NoConvergence` with the best iterate after ``max_iter`` sweeps.
+    Companion-matrix eigenvalues from LAPACK, each given one bounded Newton
+    step.  Every returned root satisfies
+    ``|P(root)| <= 1e-10 * max|c_k| * (1 + |root|)^deg``; roots closer than
+    ``4 sqrt(eps) max(1, max|root|)`` (a split multiple root) are reported as
+    one repeated (mean) root.  Raises :class:`NoConvergence` with the roots
+    and their residuals when the bound fails.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -98,64 +73,33 @@ def roots_polynomial(coeffs, max_iter: int = MAX_ITER, cluster_tol: float = CLUS
             raise InvalidParameter("zero polynomial has no well-defined roots")
         return []
     scale = float(np.max(np.abs(c)))
-    c = c / c[-1]
 
-    # Exact zero roots deflate immediately (keeps the circle guess sane).
-    zero_roots = 0
-    while c.size > 1 and c[0] == 0:
-        zero_roots += 1
-        c = c[1:]
-    deg = c.size - 1
-    if deg == 0:
-        return [0.0 + 0.0j] * zero_roots
-
-    radius = abs(c[0]) ** (1.0 / deg) if c[0] != 0 else 1.0
-    radius = min(max(radius, 1e-3), 1e6)
-    ks = np.arange(deg)
-    z = radius * np.exp(1j * (2.0 * math.pi * ks / deg + 0.37)) * (1.0 + 0.03 * ks / max(deg, 1))
-
-    best = z.copy()
-    best_res = np.inf
-    for _ in range(max_iter):
-        p = np.empty(deg, dtype=complex)
-        dp = np.empty(deg, dtype=complex)
-        for j in range(deg):
-            p[j], dp[j] = _polyval_and_deriv(c, z[j])
-        res = float(np.max(np.abs(p) / (1.0 + np.abs(z)) ** deg))
-        if res < best_res:
-            best_res = res
-            best = z.copy()
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv_sum = np.sum(1.0 / diff, axis=1) - 1.0  # undo the diagonal fill
+    # Exact zero roots deflate, so a z^k factor gives k exact zeros rather
+    # than a defective eigenvalue split by roundoff.
+    zero_roots = int(np.flatnonzero(c)[0])
+    c = c[zero_roots:] / c[-1]
+    if not np.all(np.isfinite(c)):
+        raise NoConvergence("monic coefficients are not finite", roots=[], residuals=[])
+    roots = np.zeros(zero_roots, dtype=complex)
+    if c.size > 1:
+        z = np.linalg.eigvals(P.polycompanion(c))
+        # One Newton step, kept where it lowers |P| by a move of a few ulps:
+        # it restores symmetries that roundoff breaks (the roots of z^2 - 1
+        # come back as exactly +-1) without letting Horner noise pull the
+        # two roots of a close pair together.
+        p = P.polyval(z, c)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
-            denom = 1.0 - newton * inv_sum
-            step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
-        # Stalled points with a vanishing derivative get a nudge off the cycle.
-        stalled = (dp == 0) & (p != 0)
-        if np.any(stalled):
-            step = step + stalled * 0.1 * (1.0 + np.abs(z)) * cmath.exp(0.7j)
-        z = z - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
-            _, ok = _residual_ok(c, z, 1.0)
-            if ok:
-                break
-    else:
-        res, ok = _residual_ok(c, z, 1.0)
-        if not ok:
-            raise NoConvergence(
-                f"Aberth iteration did not converge in {max_iter} sweeps",
-                roots=list(z),
-                residuals=list(res),
-            )
-
-    roots = [0.0 + 0.0j] * zero_roots + list(z)
-    roots = _cluster(roots, cluster_tol)
-    res, ok = _residual_ok(np.asarray(coeffs, dtype=complex) / scale, np.array(roots), 1.0)
-    if not ok:
+            step = p / P.polyval(z, P.polyder(c))
+        keep = (np.abs(step) <= _POLISH_ULPS * (1.0 + np.abs(z))) & (
+            np.abs(P.polyval(z - step, c)) < np.abs(p)
+        )
+        roots = np.concatenate([roots, np.where(keep, z - step, z)])
+    roots = _cluster(roots.tolist(), DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots)))))
+    full = np.asarray(coeffs, dtype=complex) / scale
+    res = np.abs(P.polyval(np.array(roots), full))
+    if not np.all(res <= RESIDUAL_TOL * (1.0 + np.abs(roots)) ** (full.size - 1)):
         raise NoConvergence(
-            "clustered roots violate the residual bound",
+            "companion-matrix roots violate the residual bound",
             roots=roots,
             residuals=list(res),
         )

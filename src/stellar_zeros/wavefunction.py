@@ -174,26 +174,39 @@ def gaussian_packet_params(alpha: complex, chi: complex) -> WavefunctionForm:
     return WavefunctionForm(g2, g1, g0, (), 1.0).normalized()
 
 
-def _apply_raising(poly, a1, a0, v):
-    """One application of ``a1*x + a0 - v*d/dx`` to ascending coefficients."""
-    out = np.zeros(poly.size + 1, dtype=complex)
-    out[1:] += a1 * poly
-    out[:-1] += a0 * poly
-    if poly.size > 1:
-        out[: poly.size - 1] -= v * np.arange(1, poly.size) * poly[1:]
-    return out
-
-
-def _conjugated_creation(st: StellarState):
+def _conjugated_creation(alpha: complex, chi: complex):
     """Coefficients of ``D S a† S† D† = u x - v d/dx - mu`` in position space."""
-    chi = st.chi
     r = abs(chi)
     wbar = cmath.exp(-1j * cmath.phase(chi)) if chi != 0 else 1.0
     ch, sh = math.cosh(r), math.sinh(r)
     u = (ch + sh * wbar) / _SQRT2
     v = (ch - sh * wbar) / _SQRT2
-    mu = ch * np.conj(st.alpha) + wbar * sh * st.alpha
+    mu = ch * np.conj(alpha) + wbar * sh * alpha
     return u, v, complex(mu)
+
+
+def _raising_matrix(packet: WavefunctionForm, u, v, mu, r: int) -> np.ndarray:
+    """Triangular ``(r+1, r+1)`` matrix; column n holds ``(u x - v d/dx - mu)^n 1``.
+
+    The operator acts on polynomial times ``packet``: it multiplies the
+    polynomial ``p`` by ``(u - 2 v g2) x - (v g1 + mu)`` and subtracts
+    ``v p'``, so column n has degree exactly n (``u - 2 v g2`` never
+    vanishes for ``Re g2 < 0``).  Coefficients are ascending.
+    """
+    a1 = u - 2.0 * v * packet.g2
+    a0 = -(v * packet.g1 + mu)
+    m = np.zeros((r + 1, r + 1), dtype=complex)
+    m[0, 0] = 1.0
+    for n in range(1, r + 1):
+        prev = m[:n, n - 1]
+        m[1 : n + 1, n] += a1 * prev
+        m[:n, n] += a0 * prev
+        m[: n - 1, n] -= v * np.arange(1, n) * prev[1:]
+    return m
+
+
+def _sqrt_factorials(r: int) -> np.ndarray:
+    return np.sqrt([float(math.factorial(n)) for n in range(r + 1)])
 
 
 def build_wavefunction(st: StellarState) -> WavefunctionForm:
@@ -207,16 +220,8 @@ def build_wavefunction(st: StellarState) -> WavefunctionForm:
     multiset always has exactly ``rank`` elements.
     """
     packet = gaussian_packet_params(st.alpha, st.chi)
-    u, v, mu = _conjugated_creation(st)
-    a1 = u - 2.0 * v * packet.g2
-    a0 = -(v * packet.g1 + mu)
-    acc = np.zeros(st.rank + 1, dtype=complex)
-    cur = np.array([1.0 + 0.0j])
-    acc[0] += st.core[0]
-    for n in range(1, st.rank + 1):
-        cur = _apply_raising(cur, a1, a0, v)
-        weight = st.core[n] / math.sqrt(math.factorial(n))
-        acc[: cur.size] += weight * cur
+    m = _raising_matrix(packet, *_conjugated_creation(st.alpha, st.chi), st.rank)
+    acc = m @ (st.core / _sqrt_factorials(st.rank))
     leading = complex(acc[-1])
     scale = float(np.max(np.abs(acc)))
     if abs(leading) < 1e-12 * scale:
@@ -239,15 +244,7 @@ def apply_creation_polynomial(packet: WavefunctionForm, coeffs) -> np.ndarray:
     if packet.rank != 0:
         raise InvalidParameter("packet must be a rank-0 form")
     coeffs = np.asarray(coeffs, dtype=complex)
-    a1 = (1.0 - 2.0 * packet.g2) / _SQRT2
-    a0 = -packet.g1 / _SQRT2
-    acc = np.zeros(coeffs.size, dtype=complex)
-    cur = np.array([1.0 + 0.0j])
-    acc[0] += coeffs[0]
-    for k in range(1, coeffs.size):
-        cur = _apply_raising(cur, a1, a0, 1.0 / _SQRT2)
-        acc[: cur.size] += coeffs[k] * cur
-    return acc
+    return _raising_matrix(packet, 1.0 / _SQRT2, 1.0 / _SQRT2, 0.0, coeffs.size - 1) @ coeffs
 
 
 def stellar_state_from_zeros(zeros, alpha: complex = 0.0, chi: complex = 0.0) -> StellarState:
@@ -261,18 +258,9 @@ def stellar_state_from_zeros(zeros, alpha: complex = 0.0, chi: complex = 0.0) ->
     zeros = [complex(z) for z in zeros]
     r = len(zeros)
     packet = gaussian_packet_params(alpha, chi)
-    st_probe = StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=alpha, chi=chi)
-    u, v, mu = _conjugated_creation(st_probe)
-    a1 = u - 2.0 * v * packet.g2
-    a0 = -(v * packet.g1 + mu)
-    m = np.zeros((r + 1, r + 1), dtype=complex)
-    cur = np.array([1.0 + 0.0j])
-    m[0, 0] = 1.0
-    for n in range(1, r + 1):
-        cur = _apply_raising(cur, a1, a0, v)
-        m[: cur.size, n] = cur / math.sqrt(math.factorial(n))
+    m = _raising_matrix(packet, *_conjugated_creation(alpha, chi), r)
     target = np.polynomial.polynomial.polyfromroots(zeros) if r > 0 else np.array([1.0 + 0j])
-    core = np.linalg.solve(m, target.astype(complex))
+    core = np.linalg.solve(m / _sqrt_factorials(r), target.astype(complex))
     return StellarState(rank=r, core=core, alpha=alpha, chi=chi)
 
 

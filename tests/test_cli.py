@@ -69,6 +69,11 @@ class TestZerosCommand:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_random_rank_fifteen(self, capsys):
+        rc, out, _ = run_cli(capsys, ["zeros", "--random", "15,2"])
+        assert rc == 0
+        assert len(out.strip().splitlines()) == 15
+
 
 class TestBuildCommand:
     def test_roundtrip_and_determinism(self, capsys, tmp_state, tmp_path):

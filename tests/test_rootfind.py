@@ -1,4 +1,4 @@
-"""Aberth-Ehrlich root finder and small-matrix eigenvalues."""
+"""Companion-matrix polynomial roots and small-matrix eigenvalues."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from numpy.polynomial import polynomial as P
 from stellar_zeros import (
     InvalidParameter,
     eigenvalues_small,
+    NoConvergence,
     matching_distance,
-    polyval,
     roots_polynomial,
 )
 
@@ -21,7 +21,7 @@ def residuals_ok(coeffs, roots):
     coeffs = np.asarray(coeffs, dtype=complex)
     deg = coeffs.size - 1
     scale = np.max(np.abs(coeffs))
-    res = np.abs(polyval(coeffs, np.array(roots)))
+    res = np.abs(P.polyval(np.array(roots), coeffs))
     return np.all(res <= RESIDUAL_TOL * scale * (1 + np.abs(roots)) ** deg)
 
 
@@ -56,6 +56,13 @@ class TestRootsPolynomial:
         with pytest.raises(InvalidParameter):
             roots_polynomial([0.0])
 
+    @pytest.mark.parametrize(
+        "coeffs", [[1, float("nan"), 1], [1, float("inf"), 1], [1e300, 1e-300, 1e-300]]
+    )
+    def test_non_finite_raises_typed(self, coeffs):
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence):
+            roots_polynomial(coeffs)
+
     def test_residual_bound_enforced(self):
         rng = np.random.default_rng(0)
         for deg in (1, 2, 3, 5, 8, 12):
@@ -64,8 +71,8 @@ class TestRootsPolynomial:
             assert len(roots) == deg
             assert residuals_ok(coeffs, roots)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 9), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 20), st.integers(0, 10_000))
     def test_random_polynomials(self, deg, seed):
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
@@ -75,15 +82,13 @@ class TestRootsPolynomial:
         assert len(roots) == deg
         assert residuals_ok(coeffs, roots)
 
-    def test_no_convergence_carries_best_iterate(self):
-        from stellar_zeros import NoConvergence
-
-        coeffs = P.polyfromroots(np.linspace(1, 9, 9))
+    def test_residual_check_raises_with_roots(self, monkeypatch):
+        exact = np.array([0.5, -0.3j, 0.2 + 0.1j, -0.7])
+        perturbed = exact + np.array([0, 1e-3, 0, 0])
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: perturbed.copy())
         with pytest.raises(NoConvergence) as excinfo:
-            roots_polynomial(coeffs, max_iter=1)
-        assert excinfo.value.roots is not None
-        assert len(excinfo.value.roots) == 9
-        assert excinfo.value.residuals is not None
+            roots_polynomial(P.polyfromroots(exact))
+        assert len(excinfo.value.roots) == len(excinfo.value.residuals) == 4
 
 
 class TestCharPoly:

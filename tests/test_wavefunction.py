@@ -119,6 +119,15 @@ class TestBuildWavefunction:
         dense = np.trapezoid(np.abs(eval_form(wf, xs)) ** 2, xs)
         assert abs(dense - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("rank,seed", [(14, 24), (15, 2), (16, 3)])
+    def test_moderate_ranks_build(self, rank, seed):
+        # Zeros out to |z| ~ 40; the state rebuilt from them must be the same state.
+        st = random_stellar_state(rank, seed)
+        wf = build_wavefunction(st)
+        assert len(wf.zeros) == rank
+        back = stellar_state_from_zeros(wf.zeros, alpha=st.alpha, chi=st.chi)
+        assert abs(np.vdot(back.core, st.core)) > 1.0 - 1e-9
+
     @pytest.mark.parametrize("alpha,chi", [(0.0, 0.0), (0.4, 0.0), (0.3, 0.5), (-0.2j, 0.2j)])
     def test_rank_one_leading_coefficient(self, alpha, chi):
         # Leading coefficient of (c0 + c1 a†) applied to a packet is
@@ -350,6 +359,11 @@ class TestStateFromZeros:
         st = stellar_state_from_zeros(zeros, alpha=0.3 - 0.1j, chi=0.25)
         wf = build_wavefunction(st)
         assert matching_distance(wf.zeros, zeros) < 1e-9
+
+    def test_close_zeros_stay_distinct(self):
+        zeros = [3, 3 + 1e-6, -3, 3j, -3j, 2 + 2j]
+        wf = build_wavefunction(stellar_state_from_zeros(zeros))
+        assert matching_distance(wf.zeros, zeros) < 1e-12
 
 
 class TestFormJson:
