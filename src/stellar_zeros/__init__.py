@@ -12,7 +12,6 @@ from .errors import (
     CountMismatch,
     CutoffTooSmall,
     DegenerateInitialZeros,
-    DegenerateLeadingCoefficient,
     InvalidParameter,
     NoConvergence,
     PrecisionLoss,

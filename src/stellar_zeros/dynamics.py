@@ -26,9 +26,7 @@ velocities on its diagonal and ``2iB/(lam_j - lam_k)`` off it.  ``c``, ``s``
 and ``q`` are entire in ``omega^2``, so ``omega^2 = 0`` and ``B = 0`` need no
 special case.  The Gaussian pair follows the same coefficients through the
 classical flow ``c I + s M`` of its Riccati equation (see
-:func:`_gaussian_flow`).  The alternative reading of the rotation,
-``e^{+i omega t}`` in place of ``e^{-i omega t}``, is kept behind
-``rotation_sign=+1`` for tests to show it fails.
+:func:`_gaussian_flow`).
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import DOP853
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
@@ -67,6 +66,7 @@ __all__ = [
 ]
 
 COLLISION_GAP = 1e-9
+RTOL, ATOL = 1e-10, 1e-12  # integrate's relative and absolute tolerances
 
 
 @dataclass(frozen=True)
@@ -163,29 +163,12 @@ def second_order_acceleration(zeros, H: QuadraticHamiltonian):
     return out
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (
-    35 / 384 - 5179 / 57600,
-    0.0,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-)
-
-
 def _rhs_raw(y, H):
-    """System rhs on the packed state [g2, g1, zeros...]; None on an exact collision."""
+    """System rhs on the packed state [g2, g1, zeros...]; NaN on an exact collision.
+
+    NaN makes the integrator's error norm NaN, so the step is rejected and
+    retried shorter.
+    """
     a, b = y[0], y[1]
     A, B, C, D, E, _ = H.as_tuple()
     out = [
@@ -205,107 +188,54 @@ def _rhs_raw(y, H):
             if m != k:
                 d = lk - lm
                 if d == 0:
-                    return None
+                    return [complex(math.nan, math.nan)] * len(y)
                 s += 1.0 / d
         out.append(lk * coef + drift - 2j * B * s)
     return out
 
 
-def _dp45(y0, t0, t1, H, rtol, atol):
-    """Advance from t0 to t1, yielding the state at t1.
-
-    Plain Dormand-Prince with PI-free step control; the state is a python
-    list of complex (systems here have at most a couple dozen entries).
-    """
-    n = len(y0)
-    y = list(y0)
-    t = t0
-    span = t1 - t0
-    if span <= 0:
-        return y
-    h = min(0.05, span)
-    k1 = _rhs_raw(y, H)
-    if k1 is None:
-        raise ZeroCollision("zero collision in initial state", t_estimate=t0)
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        h = min(h, t1 - t)
-        if h < 1e-13:
-            if _min_gap(y[2:]) < 1e-6:
-                raise ZeroCollision(
-                    f"step collapse near zero collision at t~{t:.6g}", t_estimate=t
-                )
-            raise StepFailure(f"step size underflow at t={t:.6g}")
-        ks = [k1]
-        failed = False
-        for row in _DP_A:
-            ytmp = [
-                y[i] + h * sum(row[j] * ks[j][i] for j in range(len(row)))
-                for i in range(n)
-            ]
-            knext = _rhs_raw(ytmp, H)
-            if knext is None:
-                failed = True
-                break
-            ks.append(knext)
-        if not failed:
-            ynew = [
-                y[i] + h * sum(_DP_B5[j] * ks[j][i] for j in range(6))
-                for i in range(n)
-            ]
-            k7 = _rhs_raw(ynew, H)
-            failed = k7 is None
-        if failed:
-            h *= 0.25
-            continue
-        ks.append(k7)
-        errsq = 0.0
-        for i in range(n):
-            e = h * sum(_DP_E[j] * ks[j][i] for j in range(7))
-            sc = atol + rtol * max(abs(y[i]), abs(ynew[i]))
-            errsq += (abs(e) / sc) ** 2
-        errnorm = math.sqrt(errsq / n)
-        if errnorm <= 1.0:
-            t += h
-            y = ynew
-            k1 = k7  # first-same-as-last
-            if _min_gap(y[2:]) <= COLLISION_GAP:
-                raise ZeroCollision(
-                    f"zero collision detected at t~{t:.6g}", t_estimate=t
-                )
-        factor = 0.9 * errnorm**-0.2 if errnorm > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return y
-
-
-def integrate(
-    wf: WavefunctionForm,
-    H: QuadraticHamiltonian,
-    t_grid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ZeroTrajectory:
+def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTrajectory:
     """Integrate the coupled system, sampling on ``t_grid``.
 
-    ``t_grid`` must increase from 0; the initial zeros must be pairwise
-    separated by more than 1e-6.  ``g0`` is not integrated (the phase
-    equation is not needed for zeros); trajectories carry ``(g2, g1)`` only.
+    One pass of SciPy's DOP853 (Dormand-Prince 8(5,3), Hairer, Norsett &
+    Wanner, *Solving ODEs I*, 1993, II.5-6) over ``[0, t_grid[-1]]`` at
+    ``RTOL``/``ATOL``; each grid sample comes from the 7th-order dense output
+    of the accepted step that covers it.  ``t_grid`` must increase from 0;
+    the initial zeros must be pairwise separated by more than 1e-6.  ``g0``
+    is not integrated (the phase equation is not needed for zeros);
+    trajectories carry ``(g2, g1)`` only.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or abs(ts[0]) > 1e-12 or np.any(np.diff(ts) <= 0):
         raise InvalidParameter("t_grid must increase from 0")
     if _min_gap(wf.zeros) <= 1e-6:
         raise DegenerateInitialZeros("initial zeros closer than 1e-6")
-    r = wf.rank
-    y = [wf.g2, wf.g1, *wf.zeros]
-    paths = np.zeros((r, ts.size), dtype=complex)
-    gauss = np.zeros((2, ts.size), dtype=complex)
-    gauss[:, 0] = (wf.g2, wf.g1)
-    paths[:, 0] = wf.zeros
-    for i in range(1, ts.size):
-        y = _dp45(y, ts[i - 1], ts[i], H, rtol, atol)
-        gauss[:, i] = (y[0], y[1])
-        paths[:, i] = y[2:]
-    return ZeroTrajectory(ts, paths, gauss, "ode")
+    y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
+    out = np.empty((y0.size, ts.size), dtype=complex)
+    out[:, 0] = y0
+    solver = DOP853(
+        lambda t, y: _rhs_raw(y.tolist(), H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL
+    )
+    i = 1
+    while i < ts.size:
+        # A NaN stage (exact collision) makes the error norm NaN, which
+        # rejects the step; the NaN arithmetic there is expected.
+        with np.errstate(invalid="ignore"):
+            failed = solver.step() is not None
+        t, gap = solver.t, _min_gap(solver.y[2:])
+        if failed and gap < 1e-6:
+            raise ZeroCollision(
+                f"step collapse near zero collision at t~{t:.6g}", t_estimate=t
+            )
+        if failed:
+            raise StepFailure(f"step size underflow at t={t:.6g}")
+        if gap <= COLLISION_GAP:
+            raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
+        j = int(np.searchsorted(ts, t, side="right"))
+        if j > i:
+            out[:, i:j] = solver.dense_output()(ts[i:j])
+            i = j
+    return ZeroTrajectory(ts, out[2:], out[:2], "ode")
 
 
 def _flow_coefficients(w2: float, t: float):
@@ -355,28 +285,18 @@ def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
     return LaxData(np.array([np.diag(lam), lmat, kappa * np.eye(lam.size)]), H.omega2)
 
 
-def closed_form_matrix(lax: LaxData, t: float, rotation_sign: int = -1) -> np.ndarray:
-    """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t.
-
-    ``rotation_sign=+1`` adds ``2i sin(omega t) Lambda0``, which turns the
-    rotation ``Lambda0 e^{-i omega t}`` into ``Lambda0 e^{+i omega t}``.
-    """
-    if rotation_sign not in (-1, 1):
-        raise InvalidParameter("rotation_sign must be -1 or +1")
+def closed_form_matrix(lax: LaxData, t: float) -> np.ndarray:
+    """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t."""
     c, s, q = _flow_coefficients(lax.omega2, t)
-    if rotation_sign == 1:
-        c += 2j * cmath.sin(cmath.sqrt(lax.omega2) * t)
     r = lax.rank
     # One complex product rather than three scaled copies: this runs once
     # per sample and per tracking or crossing bisection step.
     return (np.array([c, s, q], dtype=complex) @ lax.terms.reshape(3, r * r)).reshape(r, r)
 
 
-def closed_form(
-    wf: WavefunctionForm, H: QuadraticHamiltonian, t: float, rotation_sign: int = -1
-):
+def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float):
     """Zero multiset at time t from the matrix solution."""
-    return eigenvalues_small(closed_form_matrix(lax_data(wf, H), t, rotation_sign))
+    return eigenvalues_small(closed_form_matrix(lax_data(wf, H), t))
 
 
 def match_sets(a, b):
@@ -432,9 +352,7 @@ def _track_step(prev, t0, t1, evaluator):
     return _track_step(mid, tm, t1, evaluator)
 
 
-def sample_closed_form(
-    wf: WavefunctionForm, H: QuadraticHamiltonian, times, rotation_sign: int = -1
-) -> ZeroTrajectory:
+def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> ZeroTrajectory:
     """Closed-form trajectory on the given times, continuity-matched.
 
     Eigenvalue orderings are arbitrary, so consecutive samples are matched
@@ -451,7 +369,7 @@ def sample_closed_form(
     lax = lax_data(wf, H)
 
     def evaluator(t):
-        return np.asarray(eigenvalues_small(closed_form_matrix(lax, t, rotation_sign)))
+        return np.asarray(eigenvalues_small(closed_form_matrix(lax, t)))
 
     paths = np.zeros((wf.rank, ts.size), dtype=complex)
     prev, t_prev = np.array(wf.zeros, dtype=complex), 0.0

@@ -34,10 +34,6 @@ class NoConvergence(StellarZerosError):
         self.residuals = residuals
 
 
-class DegenerateLeadingCoefficient(StellarZerosError):
-    """Leading polynomial coefficient collapsed numerically."""
-
-
 class ZeroCollision(StellarZerosError):
     """Two tracked zeros came closer than the collision threshold."""
 

@@ -4,6 +4,7 @@ All generators are deterministic in their seed arguments so that every test
 run exercises byte-identical fixtures.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ import numpy as np
 from stellar_zeros import (
     StellarState,
     build_wavefunction,
+    closed_form_matrix,
+    eigenvalues_small,
+    lax_data,
     random_stellar_state,
     stellar_state_from_zeros,
 )
@@ -96,3 +100,15 @@ def distinct_random_state(rank, seed, scale=1.0, min_gap=0.1, max_extent=None):
                 continue
         return st, wf
     raise AssertionError("random fixture construction failed")
+
+
+def wrong_sign_closed_form(wf, H, t):
+    """Zeros of the matrix solution with the rotation read the wrong way.
+
+    Adding ``2i sin(omega t) Lambda0`` to ``closed_form_matrix`` turns the
+    rotation ``Lambda0 e^{-i omega t}`` into ``Lambda0 e^{+i omega t}``; the
+    ODE checks must reject the zeros this gives.
+    """
+    lax = lax_data(wf, H)
+    flip = 2j * cmath.sin(cmath.sqrt(lax.omega2) * t) * lax.terms[0]
+    return eigenvalues_small(closed_form_matrix(lax, t) + flip)

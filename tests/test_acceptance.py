@@ -16,6 +16,7 @@ from conftest import (
     ring_state,
     separated_state,
     standard_grid,
+    wrong_sign_closed_form,
 )
 
 from stellar_zeros import (
@@ -193,7 +194,7 @@ def test_criterion_02_closed_form_vs_ode(crit2_trajectories):
     rank, seed, name, wf, H, tr = crit2_trajectories[0]
     bad = max(
         matching_distance(
-            tr.paths[:, i], closed_form(wf, H, float(tr.times[i]), rotation_sign=+1)
+            tr.paths[:, i], wrong_sign_closed_form(wf, H, float(tr.times[i]))
         )
         for i in range(0, N_DENSE, STRIDE_32)
     )

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import distinct_random_state, fock_state, ring_state
+from conftest import distinct_random_state, fock_state, ring_state, wrong_sign_closed_form
 
+from stellar_zeros import dynamics
 from stellar_zeros import (
     DegenerateInitialZeros,
     InvalidParameter,
     QuadraticHamiltonian,
+    StepFailure,
     TrackingAmbiguity,
     WavefunctionForm,
     ZeroCollision,
@@ -157,6 +159,40 @@ class TestIntegrate:
             back = integrate(end, H.negated(), ts)
             assert matching_distance(back.paths[:, -1], wf.zeros) < 1e-7
 
+    def test_nan_rhs_is_a_step_failure(self, monkeypatch):
+        # The 1j zero rides 1j e^{it}; past Re z = -0.5 (t = pi/6) every
+        # right-hand side is NaN, so each step there is rejected until the
+        # step size underflows.  The zero has no neighbour, so this is a
+        # StepFailure rather than a ZeroCollision.
+        wf = build_wavefunction(stellar_state_from_zeros([1j]))
+        rhs = dynamics._rhs_raw
+
+        def poisoned(y, H):
+            return [complex(math.nan, math.nan)] * len(y) if y[2].real < -0.5 else rhs(y, H)
+
+        monkeypatch.setattr(dynamics, "_rhs_raw", poisoned)
+        with pytest.raises(StepFailure, match=r"t=0\.523"):
+            integrate(wf, HP, np.linspace(0, 2.0, 9))
+
+    @pytest.mark.parametrize("rank,seed", [(1, 0), (3, 3), (4, 3), (5, 1)])
+    def test_dense_grid_costs_fewer_rhs_than_samples(self, monkeypatch, rank, seed):
+        # Grid samples come from the dense output of the steps that cover
+        # them, so the right-hand side is evaluated for the steps the
+        # dynamics need, not once or more per sample.
+        _, wf = distinct_random_state(rank, seed, scale=0.8, min_gap=0.12, max_extent=2.5)
+        ts = np.linspace(0, 6, 3721)
+        rhs, calls = dynamics._rhs_raw, [0]
+
+        def counted(y, H):
+            calls[0] += 1
+            return rhs(y, H)
+
+        monkeypatch.setattr(dynamics, "_rhs_raw", counted)
+        for H in (HP, QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)):
+            calls[0] = 0
+            integrate(wf, H, ts)
+            assert calls[0] < ts.size, (H, calls[0])
+
 
 class TestClosedForm:
     def test_time_zero_identity(self):
@@ -212,7 +248,7 @@ class TestClosedForm:
             for i, t in enumerate(ts)
         )
         bad = max(
-            matching_distance(tr.paths[:, i], closed_form(wf, HP, t, rotation_sign=+1))
+            matching_distance(tr.paths[:, i], wrong_sign_closed_form(wf, HP, t))
             for i, t in enumerate(ts)
         )
         assert good < 1e-9

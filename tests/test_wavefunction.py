@@ -119,7 +119,9 @@ class TestBuildWavefunction:
         dense = np.trapezoid(np.abs(eval_form(wf, xs)) ** 2, xs)
         assert abs(dense - 1.0) < 1e-6
 
-    @pytest.mark.parametrize("rank,seed", [(14, 24), (15, 2), (16, 3)])
+    @pytest.mark.parametrize(
+        "rank,seed", [(14, 24), (15, 2), (16, 3), (17, 2), (18, 1), (19, 2), (20, 1)]
+    )
     def test_moderate_ranks_build(self, rank, seed):
         # Zeros out to |z| ~ 40; the state rebuilt from them must be the same state.
         st = random_stellar_state(rank, seed)
