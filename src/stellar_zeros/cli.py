@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,8 @@ from . import dynamics, oracle, phase, states, wavefunction
 from .errors import StellarZerosError
 
 DEFAULT_TIME = (0.0, 2.0 * math.pi, 65)
+# The oracle's second cutoff: its truncation ring differs, its true zeros do not.
+_PARTNER_CUTOFF_STEP = 20
 
 
 @dataclass
@@ -106,14 +107,6 @@ def _load_state(cfg: RunConfig) -> states.StellarState:
 
 def _hamiltonian(cfg: RunConfig) -> dynamics.QuadraticHamiltonian:
     return dynamics.QuadraticHamiltonian(*cfg.hamiltonian)
-
-
-def _threads() -> int:
-    env = os.environ.get("STELLAR_ZEROS_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return max(1, min(4, os.cpu_count() or 1))
 
 
 def _cmd_build(cfg: RunConfig) -> int:
@@ -228,17 +221,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
         ocut = max(80, cutoff)
         vo = states.stellar_to_fock(st, ocut)
-
-        def oracle_at(t_and_ref):
-            t, ref = t_and_ref
+        for t, ref in zip(times, refs):
             vt = oracle.evolve_fock(vo, H, t, ocut)
+            partner = oracle.evolve_fock(vo, H, t, ocut + _PARTNER_CUTOFF_STEP)
             hw = max(max(abs(z.real), abs(z.imag)) for z in ref) + 0.9
-            zo = oracle.zeros_from_fock(vt, wf.rank, hw)
-            return dynamics.matching_distance(zo, ref)
-
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            devs = list(pool.map(oracle_at, zip(times, refs)))
-        oracle_dev = max(devs)
+            zo = oracle.zeros_from_fock(vt, wf.rank, hw, partner=partner)
+            oracle_dev = max(oracle_dev, dynamics.matching_distance(zo, ref))
 
     ok = (
         dual_dev <= 1e-7 * scale_tol

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
@@ -210,6 +209,10 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
         raise InvalidParameter("t_grid must increase from 0")
     if _min_gap(wf.zeros) <= 1e-6:
         raise DegenerateInitialZeros("initial zeros closer than 1e-6")
+    # Imported here: scipy.integrate costs every importer of the package
+    # about 0.05 s and 3 MB, and most never integrate.
+    from scipy.integrate import DOP853
+
     y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
     out = np.empty((y0.size, ts.size), dtype=complex)
     out[:, 0] = y0

@@ -2,11 +2,13 @@
 
 The quadratic Hamiltonian is assembled from truncated ladder matrices,
 symmetrized, and exponentiated by eigendecomposition; evolved vectors are
-monitored for leakage into the top quarter of the basis.  Zeros of the
-evolved wavefunction are then recovered from the Hermite-series extension
-by recursive argument-principle subdivision plus Newton polishing.  None of
-this shares a code path with the closed-form zero dynamics, which is the
-point: agreement between the two is the package's strongest check.
+monitored for leakage into the top quarter of the basis.  A cutoff-N
+vector is a degree-N Hermite series, so one colleague-matrix eigen-solve
+gives all N zeros of its entire extension.  The true zeros are those that
+agree across two cutoffs (the truncation ring moves with the cutoff), and
+one argument-principle contour certifies their count.  None of this shares
+a code path with the closed-form zero dynamics, which is the point:
+agreement between the two is the package's strongest check.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CountMismatch,
-    InvalidParameter,
-    TruncationLeakage,
-    ZeroOnContour,
-)
+from .errors import CountMismatch, InvalidParameter, TruncationLeakage
 from .dynamics import QuadraticHamiltonian
 from .states import FockVector, annihilation_matrix
 from .wavefunction import count_zeros_box, eval_entire
@@ -32,6 +29,14 @@ __all__ = [
     "evolve_fock",
     "zeros_from_fock",
 ]
+
+# Roots of two cutoffs closer than this (relative above |z| = 1) are one zero.
+_AGREE = 1e-6
+# Margin of the certificate contour around the kept zeros.
+_PAD = 0.5
+# Trailing coefficients below this fraction of the largest are dropped
+# before dividing by the last one, which could otherwise overflow.
+_NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -111,96 +116,69 @@ def evolve_fock(
     return FockVector(out)
 
 
-def _newton_polish(f, z0, steps=60):
-    z = complex(z0)
-    fz = complex(f(z))
-    for _ in range(steps):
-        h = 1e-6 * (1.0 + abs(z))
-        d = (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
-        if d == 0:
-            break
-        step = fz / d
-        z -= step
-        fz = complex(f(z))
-        if abs(step) <= 1e-12 * (1.0 + abs(z)):
-            break
-    return z, fz
+def _hermite_roots(v: FockVector) -> np.ndarray:
+    """All zeros of the Hermite series of ``v``, from one colleague matrix.
+
+    ``psi(z) = exp(-z^2/2) sum_n c_n p_n(z)`` with the orthonormal Hermite
+    polynomials ``p_n``, which obey ``z p_n = b_{n+1} p_{n+1} + b_n p_{n-1}``
+    with ``b_n = sqrt(n/2)``.  Their Jacobi matrix, with the series folded
+    into its last column, has the zeros as eigenvalues (Good 1961); working
+    in the orthonormal basis keeps the ``2^n n!`` scale out of the matrix.
+    Trailing coefficients too small to divide by are dropped: they only
+    push spurious roots further out.
+    """
+    c = v.coeffs
+    kept = np.flatnonzero(np.abs(c) > np.max(np.abs(c)) * _NEGLIGIBLE)
+    if kept.size == 0:
+        raise InvalidParameter("the zero vector has no isolated zeros")
+    n = int(kept[-1])
+    if n == 0:
+        return np.empty(0, dtype=complex)
+    b = np.sqrt(np.arange(1, n) / 2.0)
+    colleague = np.diag(b, 1) + np.diag(b, -1) + 0j
+    colleague[:, -1] -= math.sqrt(n / 2.0) * c[:n] / c[n]
+    return np.linalg.eigvals(colleague)
 
 
 def zeros_from_fock(
-    v: FockVector, expected_rank: int, box_halfwidth: float, center: complex = 0.0
+    v: FockVector, expected_rank: int, box_halfwidth: float, partner: FockVector | None = None
 ) -> list:
-    """Zeros of the entire extension inside a centered box.
+    """Zeros of the entire extension inside a centered square box.
 
-    Recursive argument-principle subdivision down to cells of width 1e-3,
-    then Newton polishing with a numerically differentiated function.  The
-    total count must equal ``expected_rank`` (anything else signals
-    truncation artifacts or a wrong box).  Contour hits are retried with a
-    deterministic sequence of small box jitters.
+    Every zero of the truncated series comes from one eigen-solve
+    (:func:`_hermite_roots`).  Truncation adds a ring of spurious zeros
+    that moves with the cutoff, while the true zeros do not: only roots
+    of ``v`` with a root of ``partner`` (the same state at another
+    cutoff) within ``1e-6 max(1, |z|)`` are kept.  Without a partner
+    ``v`` is its own and every root is kept.  The kept roots inside the
+    box must number ``expected_rank``, and the argument principle on the
+    series, around their bounding rectangle padded by 0.5 (the box
+    itself when there are none), must count exactly them; otherwise
+    :class:`CountMismatch` is raised.
     """
     if expected_rank < 0:
         raise InvalidParameter("expected_rank must be nonnegative")
     if box_halfwidth <= 0:
         raise InvalidParameter("box_halfwidth must be positive")
-
-    def f(zz):
-        return eval_entire(v, zz, check=False)
-
+    roots = _hermite_roots(v)
+    others = roots if partner is None else _hermite_roots(partner)
+    gap = np.min(np.abs(roots[:, None] - others[None, :]), axis=1, initial=np.inf)
+    roots = roots[gap <= _AGREE * np.maximum(1.0, np.abs(roots))]
     hw = float(box_halfwidth)
-    cx, cy = complex(center).real, complex(center).imag
-    # Root box: grow symmetrically until the contour clears all zeros.
-    total = None
-    last_exc = None
-    for j in (0.0, 1e-4, -1e-4, 2.3e-4, -3.1e-4, 4.7e-4):
-        root_box = (cx - hw - j, cx + hw + j, cy - hw - j, cy + hw + j)
-        try:
-            total = count_zeros_box(f, root_box, 48)
-            break
-        except ZeroOnContour as exc:
-            last_exc = exc
-    if total is None:
-        raise last_exc
-    if total != expected_rank:
+    roots = roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
+    if roots.size != expected_rank:
         raise CountMismatch(
-            f"box contains {total} zeros, expected {expected_rank}; "
+            f"box holds {roots.size} stable zeros, expected {expected_rank}; "
             "wrong box or truncation artifacts"
         )
-    found = []
-    stack = [(root_box, total)]
-    while stack:
-        box, n = stack.pop()
-        if n == 0:
-            continue
-        x0, x1, y0, y1 = box
-        if max(x1 - x0, y1 - y0) <= 1e-3:
-            z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-            z, _ = _newton_polish(f, z0)
-            found.extend([z] * n)
-            continue
-        # Split lines are jittered, never the outer edges, so the four
-        # children always partition the parent exactly.
-        counted = None
-        width = max(x1 - x0, y1 - y0)
-        for j in (0.0, 7e-4, -1.1e-3, 1.7e-3, -2.3e-3, 3.1e-3):
-            dx = min(j, 0.2 * width)
-            xm, ym = 0.5 * (x0 + x1) + dx, 0.5 * (y0 + y1) - dx
-            quads = (
-                (x0, xm, y0, ym),
-                (xm, x1, y0, ym),
-                (x0, xm, ym, y1),
-                (xm, x1, ym, y1),
-            )
-            try:
-                counts = [count_zeros_box(f, q, 32) for q in quads]
-            except ZeroOnContour:
-                continue
-            if sum(counts) == n:
-                counted = list(zip(quads, counts))
-                break
-        if counted is None:
-            raise CountMismatch(
-                f"could not subdivide a box holding {n} zeros; "
-                "zeros sit on every tried split line"
-            )
-        stack.extend(cb for cb in counted if cb[1] > 0)
-    return found
+    box = (-hw, hw, -hw, hw)
+    if roots.size:
+        x, y = roots.real, roots.imag
+        box = (x.min() - _PAD, x.max() + _PAD, y.min() - _PAD, y.max() + _PAD)
+    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box, 48)
+    if count != roots.size:
+        raise CountMismatch(
+            f"contour around {roots.size} stable zeros counts {count}; "
+            "truncation artifacts near the zeros"
+        )
+    return [complex(z) for z in roots]

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ring_state
+
 import stellar_zeros
 from stellar_zeros import (
     StellarState,
@@ -180,10 +182,14 @@ class TestVerifyCommand:
         assert rc == 0
         assert "status=PASS" in out
 
-    def test_thread_cap_respected(self, capsys, tmp_state, monkeypatch):
-        monkeypatch.setenv("STELLAR_ZEROS_THREADS", "1")
-        path = tmp_state("r1.json", stellar_state_from_zeros([0.7j]))
-        rc, out, _ = run_cli(capsys, ["verify", "--state", path])
+    @pytest.mark.parametrize("rank", [4, 5, 6])
+    def test_high_rank_ring_passes(self, capsys, tmp_state, rank):
+        # By t = 1.1 the zeros spread far enough that the oracle's box
+        # reaches the truncation ring of the cutoff-80 vector.
+        path = tmp_state("ring.json", ring_state(rank, 0, radius=0.85, chi=0.12, alpha=0.08))
+        rc, out, _ = run_cli(
+            capsys, ["verify", "--state", path, "--hamiltonian", "0.45,0.52,-0.10,-0.10,0.08,0"]
+        )
         assert rc == 0
         assert "status=PASS" in out
 

@@ -19,6 +19,7 @@ from stellar_zeros import (
     hamiltonian_matrix,
     matching_distance,
     normalize,
+    stellar_state_from_zeros,
     stellar_to_fock,
     zeros_from_fock,
 )
@@ -114,12 +115,23 @@ class TestZerosFromFock:
         v = stellar_to_fock(fock_state(0), 60)
         assert zeros_from_fock(v, 0, 3.0) == []
 
-    def test_rank3_matches_build(self):
+    @pytest.mark.parametrize("cutoff", [90, 400])
+    def test_rank3_matches_build(self, cutoff):
+        # At cutoff 400 the last coefficient is ~1e-162: the colleague
+        # matrix must not carry the 2^n n! scale of the physicists' basis.
         st = ring_state(3, 6)
         wf = build_wavefunction(st)
-        v = stellar_to_fock(st, 90)
+        v = stellar_to_fock(st, cutoff)
         zs = zeros_from_fock(v, 3, 2.2)
         assert matching_distance(zs, wf.zeros) < 1e-6
+
+    def test_subnormal_tail(self):
+        # Without squeezing the amplitudes underflow to subnormals near
+        # n = 170; dividing by such a last coefficient would overflow.
+        st = stellar_state_from_zeros([0.5j, -0.4], alpha=0.1)
+        v = stellar_to_fock(st, 400)
+        zs = zeros_from_fock(v, 2, 2.0)
+        assert matching_distance(zs, build_wavefunction(st).zeros) < 1e-9
 
     def test_count_mismatch(self):
         v = stellar_to_fock(fock_state(2), 60)
@@ -132,6 +144,8 @@ class TestZerosFromFock:
             zeros_from_fock(v, -1, 2.0)
         with pytest.raises(InvalidParameter):
             zeros_from_fock(v, 1, 0.0)
+        with pytest.raises(InvalidParameter):
+            zeros_from_fock(FockVector(np.zeros(8, dtype=complex)), 0, 2.0)
 
 
 class TestOracleLoop:
@@ -147,3 +161,21 @@ class TestOracleLoop:
         got = zeros_from_fock(vt, 2, hw)
         assert len(got) == 2
         assert matching_distance(got, want) < 1e-4
+
+    def test_partner_cutoff_rejects_truncation_ring(self):
+        # At t = 1.1 the rank-4 zeros spread until a truncation-ring zero
+        # of the cutoff-80 vector falls inside the box; the cutoff-100
+        # vector's ring lies elsewhere, so only the true zeros agree.
+        st = ring_state(4, 0, radius=0.85, chi=0.12, alpha=0.08)
+        wf = build_wavefunction(st)
+        H = QuadraticHamiltonian(A=0.45, B=0.52, C=-0.10, D=-0.10, E=0.08)
+        t = 1.1
+        v = stellar_to_fock(st, 80)
+        vt = evolve_fock(v, H, t, 80)
+        partner = evolve_fock(v, H, t, 100)
+        want = closed_form(wf, H, t)
+        hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
+        with pytest.raises(CountMismatch):
+            zeros_from_fock(vt, 4, hw)
+        got = zeros_from_fock(vt, 4, hw, partner=partner)
+        assert matching_distance(got, want) < 1e-8

@@ -1,0 +1,49 @@
+"""Package structure: what importing costs and what the oracle may use."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import stellar_zeros
+import stellar_zeros.oracle
+
+PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
+
+
+def test_import_does_not_load_the_ode_solver():
+    # scipy.integrate is needed only by `integrate`; a fresh interpreter
+    # shows what `import stellar_zeros` alone pulls in.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stellar_zeros; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_oracle_shares_no_code_with_the_closed_form():
+    # The Fock oracle is the independent check of the closed-form dynamics,
+    # so it may take the Hamiltonian's type from `dynamics` and nothing
+    # else, and nothing from the root finder the closed form relies on.
+    tree = ast.parse(Path(stellar_zeros.oracle.__file__).read_text(encoding="utf-8"))
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used += [(alias.name.split(".")[-1], None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                used.append((module, alias.name) if module else (alias.name, None))
+    assert used, "no imports parsed"
+    for module, name in used:
+        assert module != "rootfind", (module, name)
+        if module == "dynamics":
+            assert name == "QuadraticHamiltonian", (module, name)
