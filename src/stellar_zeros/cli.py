@@ -126,10 +126,7 @@ def _cmd_zeros(cfg: RunConfig) -> int:
             wf = wavefunction.form_from_json(data)
     else:
         wf = wavefunction.build_wavefunction(_load_state(cfg))
-    lines = [
-        f"{_fmt(z.real)} {_fmt(z.imag)}"
-        for z in sorted(wf.zeros, key=lambda z: (round(z.real, 13), round(z.imag, 13)))
-    ]
+    lines = [f"{_fmt(z.real)} {_fmt(z.imag)}" for z in wavefunction._sorted_zeros(wf.zeros)]
     _write_output(cfg.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 

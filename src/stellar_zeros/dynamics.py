@@ -104,17 +104,26 @@ class QuadraticHamiltonian:
 
 @dataclass
 class ZeroTrajectory:
-    """Continuity-matched zero paths plus the Gaussian coefficient track."""
+    """Continuity-matched zero paths plus the Gaussian coefficient track.
+
+    ``lax`` is the matrix solution behind a closed-form trajectory and
+    ``None`` for an integrated one.
+    """
 
     times: np.ndarray
     paths: np.ndarray       # (rank, n_times) complex
     gauss_path: np.ndarray  # (2, n_times) complex: g2(t), g1(t)
-    method: str             # "ode" | "closed"
-    evaluator: object = field(default=None, repr=False)  # t -> unordered zero ndarray
+    lax: LaxData | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
         return self.paths.shape[0]
+
+    def zeros_at(self, t: float) -> np.ndarray:
+        """Unordered zero multiset at time t from the matrix solution."""
+        if self.lax is None:
+            raise InvalidParameter("zeros off the grid need a closed-form trajectory")
+        return np.array(eigenvalues_small(closed_form_matrix(self.lax, t)), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -238,7 +247,7 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
         if j > i:
             out[:, i:j] = solver.dense_output()(ts[i:j])
             i = j
-    return ZeroTrajectory(ts, out[2:], out[:2], "ode")
+    return ZeroTrajectory(ts, out[2:], out[:2])
 
 
 def _flow_coefficients(w2: float, t: float):
@@ -293,7 +302,7 @@ def closed_form_matrix(lax: LaxData, t: float) -> np.ndarray:
     c, s, q = _flow_coefficients(lax.omega2, t)
     r = lax.rank
     # One complex product rather than three scaled copies: this runs once
-    # per sample and per tracking or crossing bisection step.
+    # per sample and per tracking bisection step.
     return (np.array([c, s, q], dtype=complex) @ lax.terms.reshape(3, r * r)).reshape(r, r)
 
 
@@ -370,19 +379,15 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     if ts.ndim != 1 or ts.size < 1 or ts[0] < 0 or np.any(np.diff(ts) <= 0):
         raise InvalidParameter("times must be strictly increasing from t >= 0")
     lax = lax_data(wf, H)
-
-    def evaluator(t):
-        return np.asarray(eigenvalues_small(closed_form_matrix(lax, t)))
-
-    paths = np.zeros((wf.rank, ts.size), dtype=complex)
+    c, s, q = np.array([_flow_coefficients(H.omega2, t) for t in ts.tolist()]).T
+    gauss = np.array(_gaussian_flow(wf.g2, wf.g1, H, c, s, q))
+    traj = ZeroTrajectory(ts, np.zeros((wf.rank, ts.size), dtype=complex), gauss, lax)
     prev, t_prev = np.array(wf.zeros, dtype=complex), 0.0
     for i, t in enumerate(ts.tolist()):
         if t > t_prev:
-            prev = _track_step(prev, t_prev, t, evaluator)
-        paths[:, i], t_prev = prev, t
-    c, s, q = np.array([_flow_coefficients(H.omega2, t) for t in ts.tolist()]).T
-    gauss = np.array(_gaussian_flow(wf.g2, wf.g1, H, c, s, q))
-    return ZeroTrajectory(ts, paths, gauss, "closed", evaluator=evaluator)
+            prev = _track_step(prev, t_prev, t, traj.zeros_at)
+        traj.paths[:, i], t_prev = prev, t
+    return traj
 
 
 def evolve_form(

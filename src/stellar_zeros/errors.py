@@ -53,11 +53,10 @@ class DegenerateInitialZeros(StellarZerosError):
 class TrackingAmbiguity(StellarZerosError):
     """Zero matching between samples cannot be decided.
 
-    Raised on an exact tie in nearest-eigenvalue matching, and when the
-    tracker's step refinement reaches its 1e-9 width cap with the largest
-    matched displacement still at least half the smallest zero gap (as at an
-    exact collision on the sampling grid); ``t``, ``gap`` and
-    ``displacement`` then describe the unresolved step.
+    Raised when the tracker's step refinement reaches its 1e-9 width cap
+    with the largest matched displacement still at least half the smallest
+    zero gap (as at an exact collision on the sampling grid); ``t``, ``gap``
+    and ``displacement`` describe the unresolved step.
     """
 
     def __init__(self, message, t=None, gap=None, displacement=None):

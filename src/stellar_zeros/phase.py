@@ -12,7 +12,10 @@ separated by at least ``sqrt((r-1)/|Re g2|)`` (real ``g2``), the discs stay
 disjoint, each zero is trapped near its ellipse, and must land on the real
 axis at least twice per period; with unbalanced numbers of zeros above and
 below the axis at least one crossing happens regardless.  This module
-detects and certifies those crossing events.
+detects and certifies those crossing events.  A zero is real exactly when
+``X(t)`` and ``conj(X(t))`` share an eigenvalue, so every crossing time in
+the period comes from one QZ solve of an ``r^2 x r^2`` Kronecker pencil,
+with no sampling between the times.
 """
 
 from __future__ import annotations
@@ -21,15 +24,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvals
 
-from .errors import InvalidParameter, TrackingAmbiguity
+from .errors import InvalidParameter
 from .dynamics import (
     QuadraticHamiltonian,
     ZeroTrajectory,
+    _min_gap,
+    _track_step,
     lax_data,
     match_sets,
     sample_closed_form,
 )
+from .rootfind import DEFECTIVE_TOL, _cluster
 from .states import StellarState
 from .wavefunction import WavefunctionForm, build_wavefunction
 
@@ -46,6 +53,7 @@ __all__ = [
 ]
 
 IM_BAND = 1e-12
+REAL_TOL = 1e-9  # real at a pencil root: |Im| <= REAL_TOL max(1, |zeros|)
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,6 @@ class CrossingEvent:
     zero_index: int
     t_star: float
     x_star: float
-    refinement_width: float
     flag: str = "crossing"  # "crossing" | "always_real"
 
 
@@ -100,98 +107,64 @@ def phase_trajectory(
     )
 
 
-def _refine_crossing(traj, k, t0, t1, z0, z1):
-    """Bisection on the matched eigenvalue between two bracketing samples."""
-    s0 = z0.imag
-    width = t1 - t0
-    zm = z0
-    tm = t0
-    for _ in range(200):
-        tm = 0.5 * (t0 + t1)
-        zs = np.asarray(traj.evaluator(tm), dtype=complex)
-        frac = (tm - t0) / (t1 - t0) if t1 > t0 else 0.5
-        pred = z0 + (z1 - z0) * frac
-        d = np.abs(zs - pred)
-        order = np.argsort(d)
-        if d.size > 1 and abs(d[order[0]] - d[order[1]]) < 1e-12:
-            raise TrackingAmbiguity(
-                f"eigenvalue matching tie while refining a crossing near t={tm:.6g}"
-            )
-        zm = zs[order[0]]
-        width = t1 - t0
-        if abs(zm.imag) <= IM_BAND and width <= 1e-10:
-            break
-        if (zm.imag > 0) == (s0 > 0):
-            t0, z0 = tm, zm
-        else:
-            t1, z1 = tm, zm
-        width = t1 - t0
-        if width <= 1e-10 and abs(zm.imag) <= 1e-9:
-            break
-    return CrossingEvent(k, float(tm), float(zm.real), float(width))
+def _pencil_times(lax) -> np.ndarray:
+    """Sorted times in ``[0, 2 pi)`` where ``X(t)`` and its conjugate share an eigenvalue.
+
+    That is where ``K(t) = cos t K0 + sin t K1``, with ``K = M (x) I - I (x)
+    conj(M)`` built from ``M = Lambda0`` and ``M = L``, is singular: one QZ
+    solve of the pencil ``(K0, -K1)`` whose real eigenvalues are ``tan t``.
+    """
+    lambda0, lmat, _ = lax.terms
+    eye = np.eye(lax.rank)
+    k0 = np.kron(lambda0, eye) - np.kron(eye, lambda0.conj())
+    k1 = np.kron(lmat, eye) - np.kron(eye, lmat.conj())
+    alpha, beta = eigvals(k0, -k1, homogeneous_eigvals=True)
+    # w = (beta + i alpha)/(beta - i alpha) = e^{2it} for a real root
+    # tan t = alpha/beta.  A vanishing denominator marks the singular part
+    # of the pencil (alpha ~ beta ~ 0, a zero pinned on the axis) or a root
+    # far off the unit circle; both are dropped.
+    num, den = beta + 1j * alpha, beta - 1j * alpha
+    keep = np.abs(den) > DEFECTIVE_TOL * np.abs([k0, k1]).max(initial=0.0)
+    # A double root (mirror zeros crossing at the same t) splits by about
+    # sqrt(eps) off the circle; its mean lies back on it to roundoff.
+    w = np.array(_cluster((num[keep] / den[keep]).tolist(), DEFECTIVE_TOL))
+    half = np.angle(w[np.abs(np.abs(w) - 1.0) <= DEFECTIVE_TOL]) / 2.0 % math.pi
+    return np.unique(np.concatenate([half, half + math.pi]) % (2.0 * math.pi))
 
 
 def detect_crossings(traj: ZeroTrajectory) -> list:
-    """Real-axis crossing events of every tracked zero over the trajectory.
+    """Real-axis crossing events of every tracked zero over one phase-shift period.
 
-    Sign changes of ``Im lambda_k`` between consecutive samples are refined
-    by bisection on the closed-form eigenvalues (matched to the path by
-    nearest-to-prediction) down to a window of 1e-10; samples already on
-    the axis (|Im| < 1e-12) are recorded directly.  A zero whose imaginary
-    part stays inside the band for the whole period is reported once with
-    the ``always_real`` flag.  Events closer than 1e-6 in t are merged.
+    Every time at which some zero is real is a root of one Kronecker-pencil
+    eigenproblem (:func:`_pencil_times`; Horn & Johnson, *Topics in Matrix
+    Analysis*, 1991, sec. 4.4).  The sampled zeros just before each such
+    time are carried to it by the trajectory's tracker, and every zero whose
+    imaginary part is then within ``REAL_TOL`` of the axis gives one event
+    at its real part.  A zero whose imaginary part stays inside 1e-12 at
+    every sample is reported once with the ``always_real`` flag instead.
+    The trajectory must be a closed-form phase-shift trajectory sampled over
+    ``[0, 2 pi]`` at 256 or more times; the floor keeps that reading honest,
+    since on a 2-sample grid ``X(0) = X(2 pi)`` and a zero real at t = 0
+    would read as pinned.
     """
-    if traj.evaluator is None:
-        raise InvalidParameter("crossing detection needs a closed-form-backed trajectory")
+    lax = traj.lax
+    if lax is None or lax.omega2 != 1.0 or np.any(lax.terms[2]):
+        raise InvalidParameter("crossing detection needs a closed-form phase-shift trajectory")
     if traj.times.size < 256:
         raise InvalidParameter("crossing detection needs at least 256 samples")
-    events = []
-    period = 2.0 * math.pi
-    for k in range(traj.rank):
-        ys = traj.paths[k].imag
-        if np.all(np.abs(ys) < IM_BAND):
-            events.append(
-                CrossingEvent(k, 0.0, float(traj.paths[k, 0].real), 0.0, "always_real")
-            )
-            continue
-        found = []
-
-        def record(ev):
-            tmod = ev.t_star % period
-            for other in found:
-                if abs((other.t_star - tmod + period / 2) % period - period / 2) < 1e-6:
-                    return
-            found.append(
-                CrossingEvent(ev.zero_index, tmod, ev.x_star, ev.refinement_width, ev.flag)
-            )
-
-        for i in range(traj.times.size - 1):
-            y0, y1 = ys[i], ys[i + 1]
-            if abs(y0) < IM_BAND:
-                record(
-                    CrossingEvent(k, float(traj.times[i]), float(traj.paths[k, i].real), 0.0)
-                )
-                continue
-            if abs(y1) < IM_BAND:
-                continue  # picked up as the left endpoint of the next segment
-            if (y0 > 0) != (y1 > 0):
-                ev = _refine_crossing(
-                    traj,
-                    k,
-                    float(traj.times[i]),
-                    float(traj.times[i + 1]),
-                    complex(traj.paths[k, i]),
-                    complex(traj.paths[k, i + 1]),
-                )
-                record(ev)
-        last = traj.times.size - 1
-        if abs(ys[last]) < IM_BAND:
-            record(
-                CrossingEvent(
-                    k, float(traj.times[last]), float(traj.paths[k, last].real), 0.0
-                )
-            )
-        events.extend(found)
+    if traj.times[0] != 0.0 or traj.times[-1] < 2.0 * math.pi:
+        raise InvalidParameter("crossing detection needs samples over [0, 2 pi]")
+    pinned = np.all(np.abs(traj.paths.imag) < IM_BAND, axis=1)
+    events = [
+        CrossingEvent(k, 0.0, float(traj.paths[k, 0].real), "always_real")
+        for k in np.flatnonzero(pinned).tolist()
+    ]
+    for t in _pencil_times(lax).tolist():
+        i = int(np.searchsorted(traj.times, t, side="right")) - 1
+        zs = _track_step(traj.paths[:, i], float(traj.times[i]), t, traj.zeros_at)
+        scale = REAL_TOL * max(1.0, float(np.max(np.abs(zs))))
+        for k in np.flatnonzero(~pinned & (np.abs(zs.imag) <= scale)).tolist():
+            events.append(CrossingEvent(k, t, float(zs[k].real)))
     events.sort(key=lambda e: (e.t_star, e.zero_index))
     return events
 
@@ -231,7 +204,7 @@ def gershgorin_check(
             sep = np.abs(centers[i] - centers[j]) - radii[i] - radii[j]
             if np.min(sep) <= 0:
                 disjoint = False
-    min_sep = min(abs(zeros0[i] - zeros0[j]) for i in range(r) for j in range(i + 1, r))
+    min_sep = _min_gap(zeros0)
     return GershgorinReport(
         ts,
         radii,
@@ -285,9 +258,5 @@ def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
     """
     if traj.rank == 0:
         return 0.0
-    if traj.evaluator is None:
-        raise InvalidParameter("antipodal check needs a closed-form-backed trajectory")
-    zs = np.asarray(traj.evaluator(t), dtype=complex)
-    zs_pi = np.asarray(traj.evaluator(t + math.pi), dtype=complex)
-    _, dists = match_sets(zs, -zs_pi)
+    _, dists = match_sets(traj.zeros_at(t), -traj.zeros_at(t + math.pi))
     return float(np.max(dists)) if dists.size else 0.0

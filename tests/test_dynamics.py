@@ -285,12 +285,14 @@ class TestSampleClosedForm:
         steps = np.abs(np.diff(cf.paths, axis=1))
         assert np.max(steps) < 0.2
 
-    def test_evaluator_present(self):
+    def test_zeros_at_matches_closed_form(self):
         st = ring_state(2, 3)
         wf = build_wavefunction(st)
         cf = sample_closed_form(wf, HP, np.linspace(0, 1, 5))
-        zs = cf.evaluator(0.5)
+        zs = cf.zeros_at(0.5)
         assert matching_distance(zs, closed_form(wf, HP, 0.5)) < 1e-12
+        with pytest.raises(InvalidParameter):
+            integrate(wf, HP, np.linspace(0, 1, 5)).zeros_at(0.5)
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_coarse_and_fine_grids_track_alike(self, rank):

@@ -22,12 +22,17 @@ from stellar_zeros import (
     crossing_guarantee_audit,
     detect_crossings,
     eigenvalues_small,
+    eval_entire_envelope,
     gershgorin_check,
     imbalance,
     lax_data,
     matching_distance,
+    phase_shift,
     phase_trajectory,
+    random_stellar_state,
+    sample_closed_form,
     stellar_state_from_zeros,
+    stellar_to_fock,
 )
 
 HP = QuadraticHamiltonian.phase_shift()
@@ -88,8 +93,7 @@ class TestDetectCrossings:
         assert abs(events[1].t_star - 3 * math.pi / 2) < 1e-9
         assert abs(events[1].x_star - 1.0) < 1e-9
         for e in events:
-            assert e.refinement_width <= 1e-10
-            lam = traj.evaluator(e.t_star)
+            lam = traj.zeros_at(e.t_star)
             assert min(abs(z.imag) for z in lam) <= 1e-9
 
     def test_fock_state_always_real(self):
@@ -129,14 +133,58 @@ class TestDetectCrossings:
     def test_preconditions(self):
         traj = phase_trajectory([1j], -0.5)
         short = type(traj)(
-            traj.times[:100], traj.paths[:, :100], traj.gauss_path[:, :100],
-            "closed", traj.evaluator,
+            traj.times[:100], traj.paths[:, :100], traj.gauss_path[:, :100], traj.lax
         )
         with pytest.raises(InvalidParameter):
             detect_crossings(short)
-        no_eval = type(traj)(traj.times, traj.paths, traj.gauss_path, "ode", None)
+        no_lax = type(traj)(traj.times, traj.paths, traj.gauss_path)
         with pytest.raises(InvalidParameter):
-            detect_crossings(no_eval)
+            detect_crossings(no_lax)
+        part = sample_closed_form(WavefunctionForm(-0.5, 0.0, 0.0, [1j], 1.0), HP,
+                                  np.linspace(0.0, 3.0, 300))
+        with pytest.raises(InvalidParameter):
+            detect_crossings(part)
+
+    def test_other_hamiltonian_rejected(self):
+        # The pencil holds only for X(t) = cos t Lambda0 + sin t L.
+        wf = build_wavefunction(random_stellar_state(3, 1))
+        H = QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)
+        traj = sample_closed_form(wf, H, np.linspace(0.0, 2.0 * math.pi, 513))
+        with pytest.raises(InvalidParameter):
+            detect_crossings(traj)
+
+    def test_crossing_pair_inside_one_sample_step(self):
+        # Zero 1 rises above the axis from t = 0.6202 to 0.6242, a third of
+        # the 2 pi / 512 sample step, so a sign-change scan of the samples
+        # misses both crossings and their antipodes and reports 10 events.
+        st = random_stellar_state(5, 108)
+        wf = build_wavefunction(st)
+        events = detect_crossings(phase_trajectory(wf.zeros, wf.g2, wf.g1))
+        assert len(events) == 14
+        assert {e.flag for e in events} == {"crossing"}
+        # Independent check: the state rotated by exp(-i t* n) in the Fock
+        # basis vanishes at x*, to the series' own roundoff floor.
+        v = stellar_to_fock(st, 200)
+        for e in events:
+            val, env = eval_entire_envelope(phase_shift(v, e.t_star), e.x_star)
+            assert abs(val) <= 1e-6 * env, (e, abs(val) / env)
+
+    def test_zero_pinned_on_axis_makes_the_pencil_singular(self):
+        # An odd state keeps a zero at 0 for all t, so cos t K0 + sin t K1
+        # is singular at every t; its other two zeros mirror each other.
+        st = StellarState(rank=3, core=np.array([0, 0.6, 0, 0.8j]), alpha=0.0, chi=0.0)
+        wf = build_wavefunction(st)
+        events = detect_crossings(phase_trajectory(wf.zeros, wf.g2, wf.g1))
+        pinned = [e for e in events if e.flag == "always_real"]
+        crossings = [e for e in events if e.flag == "crossing"]
+        assert len(pinned) == 1 and abs(pinned[0].x_star) < 1e-12
+        assert len(crossings) == 8
+        for e in crossings:
+            mirror = [
+                o for o in crossings
+                if o.zero_index != e.zero_index and abs(o.t_star - e.t_star) < 1e-9
+            ]
+            assert len(mirror) == 1 and abs(mirror[0].x_star + e.x_star) < 1e-9
 
 
 class TestGershgorin:
