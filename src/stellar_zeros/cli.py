@@ -9,8 +9,12 @@ crossings  write crossing-event JSON lines over one phase-shift period
 audit      run the crossing-guarantee audit and print the verdict
 verify     cross-validate closed form, ODE and the Fock oracle for a state
 
-Exit codes: 0 success, 1 input error (single machine-parsable line on
-stderr), 2 contract violation (failed verification or a missed guarantee).
+Each command accepts only the flags it reads, declared once in ``_COMMANDS``.
+``--config`` names a JSON object keyed by flag dest names; its values become
+that command's argparse defaults, so explicit flags win.
+
+Exit codes: 0 success, 1 input or usage error (single machine-parsable line
+on stderr), 2 contract violation (failed verification or a missed guarantee).
 """
 
 from __future__ import annotations
@@ -20,36 +24,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, oracle, phase, states, wavefunction
 from .errors import StellarZerosError
 
-DEFAULT_TIME = (0.0, 2.0 * math.pi, 65)
 # The oracle's second cutoff: its truncation ring differs, its true zeros do not.
 _PARTNER_CUTOFF_STEP = 20
-
-
-@dataclass
-class RunConfig:
-    command: str
-    state_path: str | None = None
-    random_spec: str | None = None
-    hamiltonian: tuple = (0.5, 0.5, 0.0, 0.0, 0.0, 0.0)
-    time: tuple = DEFAULT_TIME
-    out: str | None = None
-    tol: float | None = None
-    method: str = "both"
-
-    def validate(self):
-        if self.state_path is not None and self.random_spec is not None:
-            raise ValueError("provide exactly one of --state and --random")
-        if self.command in ("evolve", "crossings") and self.time[2] < 2:
-            raise ValueError("time grid needs at least 2 samples")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+_METHODS = ("ode", "closed", "both")
 
 
 def _fmt(x: float) -> str:
@@ -93,81 +76,93 @@ def _write_output(path: str | None, text: str):
     os.replace(tmp, path)
 
 
-def _load_state(cfg: RunConfig) -> states.StellarState:
-    if (cfg.state_path is None) == (cfg.random_spec is None):
+def _load_state(args: argparse.Namespace) -> states.StellarState:
+    if (args.state_path is None) == (args.random_spec is None):
         raise ValueError("provide exactly one of --state and --random")
-    if cfg.state_path is not None:
-        with open(cfg.state_path, "r", encoding="utf-8") as fh:
+    if args.state_path is not None:
+        with open(args.state_path, "r", encoding="utf-8") as fh:
             return states.state_from_json(json.load(fh))
-    parts = cfg.random_spec.split(",")
+    parts = args.random_spec.split(",")
     if len(parts) != 2:
         raise ValueError("--random expects RANK,SEED")
     return states.random_stellar_state(int(parts[0]), int(parts[1]))
 
 
-def _hamiltonian(cfg: RunConfig) -> dynamics.QuadraticHamiltonian:
-    return dynamics.QuadraticHamiltonian(*cfg.hamiltonian)
+def _reals(text: str, n: int, usage: str) -> list:
+    """The n comma-separated reals of a flag value (a config list arrives joined)."""
+    vals = [float(x) for x in text.split(",")]
+    if len(vals) != n:
+        raise ValueError(usage)
+    return vals
 
 
-def _cmd_build(cfg: RunConfig) -> int:
-    wf = wavefunction.build_wavefunction(_load_state(cfg))
-    _write_output(cfg.out, _to_json_text(wavefunction.form_to_json(wf)) + "\n")
+def _hamiltonian(args: argparse.Namespace) -> dynamics.QuadraticHamiltonian:
+    usage = "--hamiltonian expects six comma-separated reals"
+    return dynamics.QuadraticHamiltonian(*_reals(args.hamiltonian, 6, usage))
+
+
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    t0, t1, n = _reals(args.time, 3, "--time expects T0,T1,N")
+    if not (math.isfinite(t0) and math.isfinite(t1) and n.is_integer() and n >= 2):
+        raise ValueError("--time needs finite T0,T1 and an integer N of at least 2")
+    return np.linspace(t0, t1, int(n))
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    wf = wavefunction.build_wavefunction(_load_state(args))
+    _write_output(args.out, _to_json_text(wavefunction.form_to_json(wf)) + "\n")
     return 0
 
 
-def _cmd_zeros(cfg: RunConfig) -> int:
-    if cfg.state_path is not None:
+def _cmd_zeros(args: argparse.Namespace) -> int:
+    if args.state_path is not None and args.random_spec is None:
         # Accept either a state descriptor or a wavefunction-form descriptor.
-        with open(cfg.state_path, "r", encoding="utf-8") as fh:
+        with open(args.state_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if "core" in data:
             wf = wavefunction.build_wavefunction(states.state_from_json(data))
         else:
             wf = wavefunction.form_from_json(data)
     else:
-        wf = wavefunction.build_wavefunction(_load_state(cfg))
+        wf = wavefunction.build_wavefunction(_load_state(args))
     lines = [f"{_fmt(z.real)} {_fmt(z.imag)}" for z in wavefunction._sorted_zeros(wf.zeros)]
-    _write_output(cfg.out, "\n".join(lines) + ("\n" if lines else ""))
+    _write_output(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
-def _cmd_evolve(cfg: RunConfig) -> int:
-    wf = wavefunction.build_wavefunction(_load_state(cfg))
-    H = _hamiltonian(cfg)
-    t0, t1, n = cfg.time
-    ts = np.linspace(t0, t1, int(n))
+def _cmd_evolve(args: argparse.Namespace) -> int:
+    if args.method not in _METHODS:  # a --config value skips argparse's choices check
+        raise ValueError(f"--method expects one of {', '.join(_METHODS)}")
+    H = _hamiltonian(args)
+    ts = np.linspace(0.0, 2.0 * math.pi, 65) if args.time is None else _grid(args)
+    wf = wavefunction.build_wavefunction(_load_state(args))
     rows = ["t,k,re,im,method"]
-    methods = []
-    if cfg.method in ("ode", "both"):
-        methods.append(("ode", lambda: dynamics.integrate(wf, H, ts)))
-    if cfg.method in ("closed", "both"):
-        methods.append(("closed", lambda: dynamics.sample_closed_form(wf, H, ts)))
-    for name, runner in methods:
-        traj = runner()
+    for name, solve in (("ode", dynamics.integrate), ("closed", dynamics.sample_closed_form)):
+        if args.method not in (name, "both"):
+            continue
+        traj = solve(wf, H, ts)
         for i, t in enumerate(traj.times):
             for k in range(traj.rank):
                 z = traj.paths[k, i]
                 rows.append(f"{_fmt(t)},{k},{_fmt(z.real)},{_fmt(z.imag)},{name}")
-    _write_output(cfg.out, "\n".join(rows) + "\n")
+    _write_output(args.out, "\n".join(rows) + "\n")
     return 0
 
 
-def _cmd_crossings(cfg: RunConfig) -> int:
-    wf = wavefunction.build_wavefunction(_load_state(cfg))
-    samples = max(257, int(cfg.time[2]))
-    traj = phase.phase_trajectory(wf.zeros, wf.g2, wf.g1, samples)
-    events = phase.detect_crossings(traj)
+def _cmd_crossings(args: argparse.Namespace) -> int:
+    wf = wavefunction.build_wavefunction(_load_state(args))
+    events = phase.detect_crossings(phase.phase_trajectory(wf.zeros, wf.g2, wf.g1))
     lines = [
         f'{{"k": {e.zero_index}, "t": {_fmt(e.t_star)}, "x": {_fmt(e.x_star)}, '
         f'"flag": "{e.flag}"}}'
         for e in events
     ]
-    _write_output(cfg.out, "\n".join(lines) + ("\n" if lines else ""))
+    _write_output(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
-def _cmd_audit(cfg: RunConfig) -> int:
-    result = phase.crossing_guarantee_audit(_load_state(cfg))
+def _cmd_audit(args: argparse.Namespace) -> int:
+    result = phase.crossing_guarantee_audit(_load_state(args))
     rep = result.gershgorin
     extras = ""
     if rep is not None:
@@ -180,15 +175,18 @@ def _cmd_audit(cfg: RunConfig) -> int:
         f"audit outcome={result.outcome} guaranteed={str(result.guaranteed).lower()}"
         f" events={result.count}{extras}\n"
     )
-    _write_output(cfg.out, line)
+    _write_output(args.out, line)
     return 2 if result.outcome == "GuaranteedButMissed" else 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    st = _load_state(cfg)
-    H = _hamiltonian(cfg)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    scale_tol = 1.0 if args.tol is None else args.tol
+    if not scale_tol > 0:
+        raise ValueError("tolerance must be positive")
+    H = _hamiltonian(args)
+    times = [0.3, 1.1, 2.9] if args.time is None else list(_grid(args)[1:])
+    st = _load_state(args)
     wf = wavefunction.build_wavefunction(st)
-    scale_tol = cfg.tol if cfg.tol is not None else 1.0
 
     # Dual representation on the standard grid.
     grid_1d = np.arange(-3.0, 3.01, 0.5)
@@ -205,9 +203,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
     dual_dev = float(np.max(np.abs(a - b))) / grid_scale
 
     # Zero propagation: ODE vs closed form vs Fock oracle.
-    times = [0.3, 1.1, 2.9] if cfg.time == DEFAULT_TIME else list(
-        np.linspace(cfg.time[0], cfg.time[1], int(cfg.time[2]))[1:]
-    )
     ode_dev = 0.0
     oracle_dev = 0.0
     if wf.rank > 0:
@@ -234,93 +229,81 @@ def _cmd_verify(cfg: RunConfig) -> int:
         f"verify dual_path={dual_dev:.3e} ode_closed={ode_dev:.3e} "
         f"oracle={oracle_dev:.3e} status={'PASS' if ok else 'FAIL'}\n"
     )
-    _write_output(cfg.out, line)
+    _write_output(args.out, line)
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them like any input error (exit 1)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# Flags by dest name, which is also the --config key: (option, add_argument kwargs).
+_FLAGS = {
+    "state_path": ("--state", dict(help="state-descriptor JSON path")),
+    "random_spec": ("--random", dict(help="RANK,SEED fixture spec")),
+    "out": ("--out", dict(help="output path (default stdout)")),
+    "hamiltonian": ("--hamiltonian", dict(default="0.5,0.5,0,0,0,0", help="A,B,C,D,E,F")),
+    "time": ("--time", dict(help="T0,T1,N sampling grid")),
+    "tol": ("--tol", dict(type=float, help="tolerance scale override")),
+    "method": ("--method", dict(choices=_METHODS, default="both")),
+}
+_INPUT = ("state_path", "random_spec", "out")
+
+# Each command: handler, help line, and the flags it reads beyond _INPUT and --config.
 _COMMANDS = {
-    "build": _cmd_build,
-    "zeros": _cmd_zeros,
-    "evolve": _cmd_evolve,
-    "crossings": _cmd_crossings,
-    "audit": _cmd_audit,
-    "verify": _cmd_verify,
+    "build": (_cmd_build, "write the wavefunction form of a state as JSON", ()),
+    "zeros": (_cmd_zeros, "print the zero multiset of a state", ()),
+    "evolve": (_cmd_evolve, "write the zero trajectory CSV under a quadratic Hamiltonian",
+               ("hamiltonian", "time", "method")),
+    "crossings": (_cmd_crossings, "write crossing-event JSON lines over one phase period", ()),
+    "audit": (_cmd_audit, "run the crossing-guarantee audit", ()),
+    "verify": (_cmd_verify, "cross-validate closed form, ODE and the Fock oracle",
+               ("hamiltonian", "time", "tol")),
 }
 
 
-def run(cfg: RunConfig) -> int:
-    cfg.validate()
-    return _COMMANDS[cfg.command](cfg)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--state", dest="state_path", help="state-descriptor JSON path")
-    p.add_argument("--random", dest="random_spec", help="RANK,SEED fixture spec")
-    p.add_argument("--hamiltonian", help="A,B,C,D,E,F (default phase shift)")
-    p.add_argument("--time", help="T0,T1,N sampling grid")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--tol", type=float, help="tolerance scale override")
-    p.add_argument("--method", choices=("ode", "closed", "both"), default="both")
-    p.add_argument("--config", help="JSON file with the same keys; flags win")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    merged = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            merged.update(json.load(fh))
-    for key in ("state_path", "random_spec", "hamiltonian", "time", "out", "tol",
-                "method"):
-        val = getattr(args, key, None)
-        if val is not None and not (key == "method" and val == "both" and key in merged):
-            merged[key] = val
-    cfg = RunConfig(command=args.command)
-    if merged.get("state_path"):
-        cfg.state_path = str(merged["state_path"])
-    if merged.get("random_spec"):
-        cfg.random_spec = str(merged["random_spec"])
-    ham = merged.get("hamiltonian")
-    if ham:
-        vals = [float(x) for x in (ham.split(",") if isinstance(ham, str) else ham)]
-        if len(vals) != 6:
-            raise ValueError("--hamiltonian expects six comma-separated reals")
-        cfg.hamiltonian = tuple(vals)
-    tm = merged.get("time")
-    if tm:
-        vals = [float(x) for x in (tm.split(",") if isinstance(tm, str) else tm)]
-        if len(vals) != 3:
-            raise ValueError("--time expects T0,T1,N")
-        cfg.time = (vals[0], vals[1], int(vals[2]))
-    if merged.get("out"):
-        cfg.out = str(merged["out"])
-    if merged.get("tol") is not None:
-        cfg.tol = float(merged["tol"])
-    if merged.get("method"):
-        cfg.method = str(merged["method"])
-    return cfg
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a --config object becomes the command's defaults and argv is parsed again."""
+    parser = _Parser(
         prog="stellar-zeros",
         description="Wavefunction zeros of finite-rank bosonic states: "
         "closed forms, Gaussian dynamics, crossing certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("build", "write the wavefunction form of a state as JSON"),
-        ("zeros", "print the zero multiset of a state"),
-        ("evolve", "write the zero trajectory CSV under a quadratic Hamiltonian"),
-        ("crossings", "write crossing-event JSON lines over one phase period"),
-        ("audit", "run the crossing-guarantee audit"),
-        ("verify", "cross-validate closed form, ODE and the Fock oracle"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
+    for name, (_, help_text, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in _INPUT + extra:
+            option, kwargs = _FLAGS[dest]
+            p.add_argument(option, dest=dest, **kwargs)
+        p.add_argument("--config", help="JSON object keyed by flag dest names; flags win")
     args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("--config expects a JSON object")
+    unknown = sorted(set(data) - set(_FLAGS))
+    if unknown:
+        raise ValueError(f"--config key {unknown[0]!r} names no flag")
+    # A value stands for its flag text, a list joined with commas.  Keys of
+    # another command's flags are skipped: one file may serve several commands.
+    own = _INPUT + _COMMANDS[args.command][2]
+    sub.choices[args.command].set_defaults(**{
+        k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+        for k, v in data.items() if k in own and v is not None
+    })
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        cfg = _build_config(args)
-        return run(cfg)
-    except (StellarZerosError, ValueError, OSError, json.JSONDecodeError) as exc:
+        args = _parse(argv)
+        return _COMMANDS[args.command][0](args)
+    except (StellarZerosError, ValueError, OSError) as exc:
         msg = str(exc).replace("\n", " ")
         print(f"error: {msg}", file=sys.stderr)
         return 1

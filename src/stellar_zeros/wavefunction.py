@@ -36,7 +36,9 @@ from .rootfind import roots_polynomial
 from .states import (
     FockVector,
     StellarState,
+    Verdict,
     default_cutoff,
+    energy_moment,
     packet_exponents,
     stellar_to_fock,
 )
@@ -375,8 +377,6 @@ def growth_bound(v: FockVector, s: float, alpha: float) -> GrowthBound:
     constant of the underlying bound, which is only defined up to finite-p
     behavior.
     """
-    from .states import Verdict, energy_moment  # local import avoids cycle noise
-
     if not s > 1.0:
         raise InvalidParameter("growth bound needs s > 1")
     if not 0.0 <= alpha < 0.5:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
+from stellar_zeros import dynamics
 from stellar_zeros import (
     StellarState,
     matching_distance,
@@ -182,6 +184,22 @@ class TestVerifyCommand:
         assert rc == 0
         assert "status=PASS" in out
 
+    def test_explicit_time_grid_is_checked(self, capsys, tmp_state, monkeypatch):
+        # The explicit grid equals the evolve default; verify must still run it.
+        grids = []
+        integrate = dynamics.integrate
+
+        def spy(wf, H, ts):
+            grids.append(len(ts))
+            return integrate(wf, H, ts)
+
+        monkeypatch.setattr(dynamics, "integrate", spy)
+        path = tmp_state("r1.json", stellar_state_from_zeros([1j]))
+        rc, out, _ = run_cli(capsys, ["verify", "--state", path, "--time", "0,6.283185307179586,65"])
+        assert rc == 0
+        assert "status=PASS" in out
+        assert grids == [65]
+
     @pytest.mark.parametrize("rank", [4, 5, 6])
     def test_high_rank_ring_passes(self, capsys, tmp_state, rank):
         # By t = 1.1 the zeros spread far enough that the oracle's box
@@ -212,6 +230,68 @@ class TestErrors:
         assert rc == 1
 
 
+# The flags each command reads, besides --help, --state, --random, --out and --config.
+COMMAND_FLAGS = {
+    "build": set(),
+    "zeros": set(),
+    "evolve": {"--hamiltonian", "--time", "--method"},
+    "crossings": set(),
+    "audit": set(),
+    "verify": {"--hamiltonian", "--time", "--tol"},
+}
+FLAG_VALUES = {
+    "--hamiltonian": "0.5,0.5,0,0,0,0", "--time": "0,1,3", "--method": "both", "--tol": "1",
+}
+
+
+def assert_one_error_line(rc, err):
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "\n" not in err.strip()
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        common = {"--help", "--state", "--random", "--out", "--config"}
+        assert listed == common | COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_flags_not_read_are_rejected(self, capsys, command):
+        for flag in sorted(set(FLAG_VALUES) - COMMAND_FLAGS[command]):
+            rc, _, err = run_cli(capsys, [command, "--random", "1,1", flag, FLAG_VALUES[flag]])
+            assert_one_error_line(rc, err)
+            assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "--random", "1,1", "--bogus"],
+            ["evolve", "--random", "1,1", "--method", "sideways"],
+            [],
+        ],
+        ids=["unknown_flag", "bad_choice", "no_command"],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv):
+        rc, _, err = run_cli(capsys, argv)
+        assert_one_error_line(rc, err)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    @pytest.mark.parametrize(
+        "grid", ["0,1,1", "0,1,2.5", "0,nan,3"], ids=["one_sample", "non_integer", "nan_end"]
+    )
+    def test_bad_sample_count(self, capsys, command, grid):
+        rc, out, err = run_cli(capsys, [command, "--random", "1,1", "--time", grid])
+        assert_one_error_line(rc, err)
+        assert out == ""
+
+
 class TestConfigFile:
     def test_config_with_flag_precedence(self, capsys, tmp_state, tmp_path):
         path = tmp_state("r1.json", stellar_state_from_zeros([1j]))
@@ -224,6 +304,45 @@ class TestConfigFile:
         ts = sorted({float(line.split(",")[0]) for line in lines[1:]})
         assert abs(ts[-1] - 2.0) < 1e-12  # flag overrode the config grid
         assert len(ts) == 5
+
+
+    @pytest.mark.parametrize(
+        "data", [[1, 2], {"time": 5}, {"hamiltonian": 7}, {"hamiltonain": "0,0,0,0,0,0"}],
+        ids=["not_object", "time_number", "hamiltonian_number", "unknown_key"],
+    )
+    def test_bad_config_one_line(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, ["evolve", "--random", "1,1", "--config", str(cfg)])
+        assert_one_error_line(rc, err)
+
+    def test_explicit_method_both_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"random_spec": "1,1", "method": "ode"}))
+        out = tmp_path / "t.csv"
+        rc = main(["evolve", "--config", str(cfg), "--method", "both", "--time", "0,1,3",
+                   "--out", str(out)])
+        assert rc == 0
+        assert set(read_trajectories(out)) == {"ode", "closed"}
+
+    def test_config_lists_and_other_commands_keys(self, capsys, tmp_path):
+        # One file serves evolve and zeros; zeros skips the keys it does not read.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"random_spec": "1,1", "time": [0, 2.0, 5], "method": "closed",
+                                   "hamiltonian": [0.5, 0.5, 0, 0, 0, 0]}))
+        out = tmp_path / "t.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        closed = read_trajectories(out)["closed"]
+        assert sorted(map(float, closed)) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        rc, zeros_out, _ = run_cli(capsys, ["zeros", "--config", str(cfg)])
+        assert rc == 0
+        assert zeros_out == run_cli(capsys, ["zeros", "--random", "1,1"])[1]
+
+    def test_config_method_must_be_a_choice(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "sideways"}))
+        rc, _, err = run_cli(capsys, ["evolve", "--random", "1,1", "--config", str(cfg)])
+        assert_one_error_line(rc, err)
 
 
 def test_module_entrypoint_smoke():

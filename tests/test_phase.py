@@ -204,7 +204,7 @@ class TestGershgorin:
         assert not rep.separation_ok
 
     def test_radius_samples(self):
-        rep = gershgorin_check([2.0, -2.0], -0.5, t_samples=64)
+        rep = gershgorin_check([2.0, -2.0], -0.5)
         want = np.abs(np.sin(rep.times)) / 4.0
         assert np.max(np.abs(rep.radii[0] - want)) < 1e-14
 
