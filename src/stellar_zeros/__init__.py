@@ -77,7 +77,7 @@ from .dynamics import (
     sample_closed_form,
     second_order_acceleration,
 )
-from .oracle import TruncatedOperator, evolve_fock, hamiltonian_matrix, zeros_from_fock
+from .oracle import evolve_fock, hamiltonian_matrix, zeros_from_fock
 from .phase import (
     AuditResult,
     CrossingEvent,

@@ -208,13 +208,15 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     One pass of SciPy's DOP853 (Dormand-Prince 8(5,3), Hairer, Norsett &
     Wanner, *Solving ODEs I*, 1993, II.5-6) over ``[0, t_grid[-1]]`` at
     ``RTOL``/``ATOL``; each grid sample comes from the 7th-order dense output
-    of the accepted step that covers it.  ``t_grid`` must increase from 0;
-    the initial zeros must be pairwise separated by more than 1e-6.  ``g0``
-    is not integrated (the phase equation is not needed for zeros);
-    trajectories carry ``(g2, g1)`` only.
+    of the accepted step that covers it.  ``t_grid`` must be finite and
+    increase from 0; the initial zeros must be pairwise separated by more
+    than 1e-6.  ``g0`` is not integrated (the phase equation is not needed
+    for zeros); trajectories carry ``(g2, g1)`` only.
     """
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or abs(ts[0]) > 1e-12 or np.any(np.diff(ts) <= 0):
+    if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
+        raise InvalidParameter("t_grid must be a finite 1-d grid")
+    if abs(ts[0]) > 1e-12 or np.any(np.diff(ts) <= 0):
         raise InvalidParameter("t_grid must increase from 0")
     if _min_gap(wf.zeros) <= 1e-6:
         raise DegenerateInitialZeros("initial zeros closer than 1e-6")
@@ -376,7 +378,9 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     own closed-form flow on the whole grid at once.
     """
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or ts[0] < 0 or np.any(np.diff(ts) <= 0):
+    if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
+        raise InvalidParameter("times must be a finite 1-d grid")
+    if ts[0] < 0 or np.any(np.diff(ts) <= 0):
         raise InvalidParameter("times must be strictly increasing from t >= 0")
     lax = lax_data(wf, H)
     c, s, q = np.array([_flow_coefficients(H.omega2, t) for t in ts.tolist()]).T

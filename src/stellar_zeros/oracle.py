@@ -1,12 +1,13 @@
 """Independent ground truth: truncated Fock-basis propagation.
 
-The quadratic Hamiltonian is assembled from truncated ladder matrices,
-symmetrized, and exponentiated by eigendecomposition; evolved vectors are
-monitored for leakage into the top quarter of the basis.  A cutoff-N
-vector is a degree-N Hermite series, so one colleague-matrix eigen-solve
-gives all N zeros of its entire extension.  The true zeros are those that
-agree across two cutoffs (the truncation ring moves with the cutoff), and
-one argument-principle contour certifies their count.  None of this shares
+The quadratic Hamiltonian is assembled from products of the truncated
+Hermitian quadrature matrices, so it is exactly Hermitian, and is
+exponentiated by eigendecomposition; evolved vectors are monitored for
+leakage into the top quarter of the basis.  A cutoff-N vector is a degree-N
+Hermite series, so one colleague-matrix eigen-solve gives all N zeros of
+its entire extension.  The true zeros are those that agree across two
+cutoffs (the truncation ring moves with the cutoff), and one
+argument-principle contour certifies their count.  None of this shares
 a code path with the closed-form zero dynamics, which is the point:
 agreement between the two is the package's strongest check.
 """
@@ -14,7 +15,6 @@ agreement between the two is the package's strongest check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .states import FockVector, annihilation_matrix
 from .wavefunction import count_zeros_box, eval_entire
 
 __all__ = [
-    "TruncatedOperator",
     "hamiltonian_matrix",
     "evolve_fock",
     "zeros_from_fock",
@@ -39,24 +38,13 @@ _PAD = 0.5
 _NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense truncated operator with its Hermiticity defect."""
-
-    entries: np.ndarray
-    hermitian_defect: float
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: int) -> TruncatedOperator:
+def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
     """Truncated matrix of the quadratic Hamiltonian.
 
     Built from products of the truncated quadrature matrices
-    ``x = (a + a†)/sqrt(2)``, ``p = i(a† - a)/sqrt(2)``; entries within two
-    rows/columns of the truncation edge deviate from their infinite-
+    ``x = (a + a†)/sqrt(2)``, ``p = i(a† - a)/sqrt(2)``, which are
+    Hermitian, so ``x x``, ``p p`` and ``x p + p x`` are too; entries within
+    two rows/columns of the truncation edge deviate from their infinite-
     dimensional values, which is why evolved states must stay away from the
     top of the basis.
     """
@@ -67,7 +55,7 @@ def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: int) -> TruncatedOperato
     ad = a.conj().T
     x = (a + ad) / math.sqrt(2.0)
     p = 1j * (ad - a) / math.sqrt(2.0)
-    m = (
+    return (
         H.A * (x @ x)
         + H.B * (p @ p)
         + H.C * 0.5 * (x @ p + p @ x)
@@ -75,8 +63,6 @@ def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: int) -> TruncatedOperato
         + H.E * p
         + H.F * np.eye(dim)
     )
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    return TruncatedOperator(m, defect)
 
 
 def _top_quarter_norm(coeffs: np.ndarray) -> float:
@@ -89,9 +75,8 @@ def evolve_fock(
 ) -> FockVector:
     """Apply ``exp(-i t H)`` in the truncated basis.
 
-    The truncated matrix is replaced by its Hermitian part before
-    eigendecomposition (truncation only breaks Hermiticity at the edge), so
-    the propagation is exactly unitary; correctness is guarded by requiring
+    The truncated matrix is Hermitian, so its eigendecomposition makes the
+    propagation exactly unitary; correctness is guarded by requiring
     the input to carry less than 1e-10 of its norm in the top quarter of
     the basis and the output less than 1e-8.
     """
@@ -104,9 +89,7 @@ def evolve_fock(
         raise InvalidParameter(
             "state support reaches the top quarter of the basis; raise the cutoff"
         )
-    op = hamiltonian_matrix(H, cutoff)
-    herm = 0.5 * (op.entries + op.entries.conj().T)
-    evals, evecs = np.linalg.eigh(herm)
+    evals, evecs = np.linalg.eigh(hamiltonian_matrix(H, cutoff))
     out = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec))
     leak = _top_quarter_norm(out)
     if leak > 1e-8:

@@ -70,8 +70,6 @@ class CrossingEvent:
 class GershgorinReport:
     """Disc geometry of the phase-shift zero matrix over one period."""
 
-    times: np.ndarray
-    radii: np.ndarray  # (rank, len(times))
     min_separation: float
     threshold: float
     discs_disjoint_all_t: bool
@@ -168,45 +166,36 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
 
 
 def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinReport:
-    """Disc-separation report for the phase-shift zero matrix at 256 times per period.
+    """Disc-separation report for the phase-shift zero matrix over a whole period.
 
     The certified verdict requires ``Im g2 = 0`` (the separation threshold
     ``sqrt((r-1)/|Re g2|)`` is derived for real Gaussian exponents); the
     discs are those of the exact zero matrix ``X(t) = Lambda0 cos t + L sin t``:
     centers ``lam_j cos t + L_jj sin t``, which include the interaction
     contribution that the plain ellipse picture ignores, and radii
-    ``|sin t| sum_{m != j} |L_jm|``.
+    ``|sin t| rho_j`` with ``rho_j = sum_{m != j} |L_jm|``.  Discs i and j
+    are apart at t exactly when ``|a cos t + b sin t|^2 - rho^2 sin^2 t > 0``
+    (``a = lam_i - lam_j``, ``b = L_ii - L_jj``, ``rho = rho_i + rho_j``), a
+    quadratic form in ``(cos t, sin t)`` that is positive for every t exactly
+    when its matrix ``[[|a|^2, Re(conj(a) b)], [Re(conj(a) b), |b|^2 - rho^2]]``
+    is positive definite; as ``a != 0``, that is
+    ``|Im(conj(a) b)| > |a| rho``, decided once per pair with no sampling.
     """
     zeros0 = [complex(z) for z in zeros0]
-    r = len(zeros0)
-    ts = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    threshold = math.sqrt(max(r - 1, 0) / abs(complex(g2_0).real))
-    if r < 2:
-        radii = np.zeros((r, ts.size))
-        return GershgorinReport(ts, radii, math.inf, threshold, True, True,
-                                abs(complex(g2_0).imag) <= 1e-12)
+    threshold = math.sqrt(max(len(zeros0) - 1, 0) / abs(complex(g2_0).real))
     wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
     lambda0, lmat, _ = lax_data(wf, QuadraticHamiltonian.phase_shift()).terms  # kappa = 0
     off = np.abs(lmat)
     np.fill_diagonal(off, 0.0)
-    radii = np.abs(np.sin(ts))[None, :] * off.sum(axis=1)[:, None]
-    centers = (
-        np.diag(lambda0)[:, None] * np.cos(ts)[None, :]
-        + np.diag(lmat)[:, None] * np.sin(ts)[None, :]
-    )
-    disjoint = True
-    for i in range(r):
-        for j in range(i + 1, r):
-            sep = np.abs(centers[i] - centers[j]) - radii[i] - radii[j]
-            if np.min(sep) <= 0:
-                disjoint = False
+    rho = off.sum(axis=1)
+    a = np.subtract.outer(np.diag(lambda0), np.diag(lambda0))
+    b = np.subtract.outer(np.diag(lmat), np.diag(lmat))
+    apart = np.abs((a.conj() * b).imag) > np.abs(a) * np.add.outer(rho, rho)
     min_sep = _min_gap(zeros0)
     return GershgorinReport(
-        ts,
-        radii,
         float(min_sep),
         float(threshold),
-        bool(disjoint),
+        bool(np.all(apart[np.triu_indices(len(zeros0), 1)])),
         bool(min_sep >= threshold),
         abs(complex(g2_0).imag) <= 1e-12,
     )

@@ -107,7 +107,7 @@ def roots_polynomial(coeffs):
 
 
 def eigenvalues_small(m: np.ndarray):
-    """Eigenvalue multiset of a small dense matrix (r <= 20), from LAPACK.
+    """Eigenvalue multiset of a small dense matrix, from LAPACK.
 
     Eigenvalues closer than ``4 sqrt(eps) max|M|`` are chained into clusters
     and each cluster is reported as its mean, repeated: a defective
@@ -118,8 +118,6 @@ def eigenvalues_small(m: np.ndarray):
     n = m.shape[0]
     if n == 0:
         return []
-    if n > 20:
-        raise InvalidParameter("small-matrix eigenvalues limited to order 20")
     if n == 1:
         return [complex(m[0, 0])]
     ev = np.linalg.eigvals(m)

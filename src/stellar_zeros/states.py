@@ -44,6 +44,9 @@ __all__ = [
     "state_from_json",
 ]
 
+# energy_moment's Converged verdict needs an extrapolated tail below this.
+TAIL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -155,19 +158,17 @@ def _log_terms(v: FockVector, s: float):
     return idx, logs
 
 
-def energy_moment(v: FockVector, s: float, tol: float = 1e-6) -> EnergyMomentReport:
+def energy_moment(v: FockVector, s: float) -> EnergyMomentReport:
     """Partial sum of ``<s^n>`` with a geometric-ratio tail diagnosis.
 
     The verdict fits the log of the last (up to) ten nonzero terms: a
     geometric ratio below ``1 - 1e-3`` gives ``Converged`` (provided the
-    extrapolated tail is below ``tol``), above ``1 + 1e-3`` gives
+    extrapolated tail is below ``TAIL_TOL``), above ``1 + 1e-3`` gives
     ``Diverged``, anything else is ``Inconclusive``.  A vector whose support
     ends well before the cutoff is a polynomial state and converges exactly.
     """
     if not s > 1.0:
         raise InvalidParameter("energy moment needs s > 1")
-    if tol <= 0:
-        raise InvalidParameter("tolerance must be positive")
     idx, logs = _log_terms(v, s)
     if idx.size == 0:
         raise ZeroVector("energy moment of the zero vector")
@@ -190,7 +191,7 @@ def energy_moment(v: FockVector, s: float, tol: float = 1e-6) -> EnergyMomentRep
     ratio = math.exp(slope)
     last = math.exp(min(float(logs[-1]), 700.0))
     tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if ratio < 1.0 - 1e-3 and tail < tol:
+    if ratio < 1.0 - 1e-3 and tail < TAIL_TOL:
         verdict = Verdict.CONVERGED
     elif ratio > 1.0 + 1e-3:
         verdict = Verdict.DIVERGED
@@ -199,7 +200,7 @@ def energy_moment(v: FockVector, s: float, tol: float = 1e-6) -> EnergyMomentRep
     return EnergyMomentReport(s, partial, tail, verdict, ratio)
 
 
-def squeezed_vacuum_fock(chi: complex, cutoff: int, renormalize: bool = False) -> FockVector:
+def squeezed_vacuum_fock(chi: complex, cutoff: int) -> FockVector:
     """Squeezed-vacuum amplitudes from the closed-form expansion.
 
     ``psi_{2n} = (-e^{i phi} tanh r)^n sqrt((2n)!) / (2^n n!) / sqrt(cosh r)``
@@ -228,8 +229,7 @@ def squeezed_vacuum_fock(chi: complex, cutoff: int, renormalize: bool = False) -
         if logmag < -745.0:
             continue
         out[2 * n] = math.exp(logmag) * cmath.exp(1j * n * (phi + math.pi))
-    v = FockVector(out)
-    return normalize(v) if renormalize else v
+    return FockVector(out)
 
 
 def default_cutoff(rank: int, alpha: complex, chi: complex) -> int:

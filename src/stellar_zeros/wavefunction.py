@@ -488,9 +488,7 @@ def count_zeros_box(f, box, samples_per_edge: int = 64) -> int:
     return int(nearest)
 
 
-def hudson_test(
-    st: StellarState, box_halfwidth: float | None = None, cutoff: int | None = None
-) -> HudsonResult:
+def hudson_test(st: StellarState, box_halfwidth: float | None = None) -> HudsonResult:
     """Zero-existence non-Gaussianity test on the Hermite-series extension.
 
     Counts zeros of the independently evaluated entire extension inside a
@@ -514,11 +512,10 @@ def hudson_test(
         hw = float(box_halfwidth)
         box = (-hw, hw, -hw, hw)
     max_im = max(abs(box[2]), abs(box[3]))
-    if cutoff is None:
-        cutoff = max(
-            default_cutoff(st.rank, st.alpha, st.chi),
-            hermite_eval_cutoff(abs(st.chi), max_im, 1e-8, st.rank, abs(st.alpha)),
-        )
+    cutoff = max(
+        default_cutoff(st.rank, st.alpha, st.chi),
+        hermite_eval_cutoff(abs(st.chi), max_im, 1e-8, st.rank, abs(st.alpha)),
+    )
     v = stellar_to_fock(st, cutoff)
     count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box, 96)
     return HudsonResult(gaussian=(count == 0), zero_count=count)

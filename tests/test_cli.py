@@ -143,6 +143,15 @@ class TestEvolveCommand:
         moved = matching_distance(by_method["closed"]["0"], by_method["closed"]["2"])
         assert moved > 1e-2
 
+    def test_closed_form_above_rank_twenty(self, capsys):
+        # The tracker's rank x rank eigen-solves come from LAPACK, which has
+        # no order limit.
+        rc, out, err = run_cli(
+            capsys, ["evolve", "--random", "21,0", "--time", "0,3.0,9", "--method", "closed"]
+        )
+        assert rc == 0 and err == ""
+        assert len(out.strip().splitlines()) - 1 == 9 * 21
+
 
 class TestCrossingsCommand:
     def test_json_lines(self, capsys, tmp_state, tmp_path):

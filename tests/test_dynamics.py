@@ -30,6 +30,7 @@ from stellar_zeros import (
     match_sets,
     matching_distance,
     ode_rhs,
+    random_stellar_state,
     sample_closed_form,
     second_order_acceleration,
     stellar_state_from_zeros,
@@ -127,6 +128,14 @@ class TestIntegrate:
             integrate(wf, HP, [0.5, 1.0])
         with pytest.raises(InvalidParameter):
             integrate(wf, HP, [0.0, 0.5, 0.4])
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, math.nan], [0.0, 1.0, math.inf]])
+    def test_non_finite_grid_rejected(self, grid):
+        # NaN fails every ordering comparison, so the ordering checks pass
+        # it; DOP853 never returns on a NaN end time.
+        wf = build_wavefunction(random_stellar_state(1, 1))
+        with pytest.raises(InvalidParameter):
+            integrate(wf, HP, grid)
 
     def test_initial_gap_guard(self):
         wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.3, 0.3 + 1e-8), 1.0).normalized()
@@ -312,6 +321,12 @@ class TestSampleClosedForm:
             sample_closed_form(wf, HP, [-0.5, 1.0])
         with pytest.raises(InvalidParameter):
             sample_closed_form(wf, HP, [0.0, 0.5, 0.4])
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, math.nan], [0.0, 1.0, math.inf]])
+    def test_non_finite_grid_rejected(self, grid):
+        wf = build_wavefunction(random_stellar_state(1, 1))
+        with pytest.raises(InvalidParameter):
+            sample_closed_form(wf, HP, grid)
 
     def test_exact_collision_on_grid_raises(self):
         # The +-1 pair meets at the origin at t = pi/2, a grid point here:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import distinct_random_state, fock_state, separated_state
+from conftest import distinct_random_state, fock_state, imbalanced_state, separated_state
 
 import stellar_zeros.dynamics as dynamics_mod
 
@@ -52,6 +52,17 @@ def hand_derived_phase_shift_matrix(zeros, g2, g1, t):
     lmat = 1j / diff
     np.fill_diagonal(lmat, vel + 1j * lam)
     return np.diag(lam) * np.exp(-1j * t) + lmat * math.sin(t)
+
+
+def sampled_min_separation(zeros, g2, g1, ts):
+    """Smallest gap between two Gershgorin discs of the phase-shift zero matrix at times ``ts``."""
+    lambda0, lmat, _ = lax_data(WavefunctionForm(g2, g1, 0.0, zeros, 1.0), HP).terms
+    centers = np.outer(np.diag(lambda0), np.cos(ts)) + np.outer(np.diag(lmat), np.sin(ts))
+    off = np.abs(lmat)
+    np.fill_diagonal(off, 0.0)
+    radii = np.outer(off.sum(axis=1), np.abs(np.sin(ts)))
+    i, j = np.triu_indices(len(zeros), 1)
+    return float(np.min(np.abs(centers[i] - centers[j]) - radii[i] - radii[j]))
 
 
 class TestPhaseShiftMatrix:
@@ -203,10 +214,30 @@ class TestGershgorin:
         rep = gershgorin_check([0.1, -0.1], -0.5)
         assert not rep.separation_ok
 
-    def test_radius_samples(self):
-        rep = gershgorin_check([2.0, -2.0], -0.5)
-        want = np.abs(np.sin(rep.times)) / 4.0
-        assert np.max(np.abs(rep.radii[0] - want)) < 1e-14
+    def test_near_tangent_pair_decided_exactly(self):
+        # The discs of this pair touch at scale s* = 18/17.  Just below it they
+        # overlap by 3.8e-6 near t = 4.494, too briefly for a 256-point grid.
+        zeros, g2, g1 = np.array([1.0 + 0.3j, -0.8 - 0.1j]), -0.5, 0.4 + 0.2j
+        s_star = 18.0 / 17.0
+        inside = list(zeros * s_star * (1.0 - 1e-6))
+        assert sampled_min_separation(inside, g2, g1, np.linspace(4.49, 4.50, 10001)) < -3e-6
+        assert not gershgorin_check(inside, g2, g1).discs_disjoint_all_t
+        outside = list(zeros * s_star * (1.0 + 1e-6))
+        assert gershgorin_check(outside, g2, g1).discs_disjoint_all_t
+
+    def test_matches_dense_sampling_away_from_tangency(self):
+        ts = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        verdicts = []
+        for r in range(2, 7):
+            for seed in range(4):
+                for make in (separated_state, imbalanced_state, random_stellar_state):
+                    wf = build_wavefunction(make(r, seed))
+                    sep = sampled_min_separation(wf.zeros, wf.g2, wf.g1, ts)
+                    assert abs(sep) > 1e-3  # far from tangency: sampling is decisive
+                    rep = gershgorin_check(wf.zeros, wf.g2, wf.g1)
+                    assert rep.discs_disjoint_all_t == (sep > 0)
+                    verdicts.append(rep.discs_disjoint_all_t)
+        assert any(verdicts) and not all(verdicts)
 
     def test_complex_g2_not_certified(self):
         rep = gershgorin_check([2.0, -2.0], -0.5 + 0.2j)

@@ -102,7 +102,3 @@ class TestCharPoly:
     def test_small_sizes(self):
         assert eigenvalues_small(np.zeros((0, 0))) == []
         assert eigenvalues_small(np.array([[2.5 + 1j]])) == [2.5 + 1j]
-
-    def test_order_cap(self):
-        with pytest.raises(InvalidParameter):
-            eigenvalues_small(np.eye(21))
