@@ -181,8 +181,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scale_tol = 1.0 if args.tol is None else args.tol
-    if not scale_tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not (scale_tol > 0 and math.isfinite(scale_tol)):
+        raise ValueError("tolerance must be positive and finite")
     H = _hamiltonian(args)
     times = [0.3, 1.1, 2.9] if args.time is None else list(_grid(args)[1:])
     st = _load_state(args)
@@ -192,10 +192,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid_1d = np.arange(-3.0, 3.01, 0.5)
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
-    cutoff = max(
-        states.default_cutoff(st.rank, st.alpha, st.chi),
-        wavefunction.hermite_eval_cutoff(abs(st.chi), 3.0, 1e-9, st.rank, abs(st.alpha)),
-    )
+    cutoff = wavefunction._series_cutoff(st, 3.0)
     v = states.stellar_to_fock(st, cutoff)
     a = wavefunction.eval_form(wf, zs)
     b = wavefunction.eval_entire(v, zs, check=False)
@@ -211,11 +208,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for i, zc in enumerate(refs):
             ode_dev = max(ode_dev, dynamics.matching_distance(traj.paths[:, i + 1], zc))
 
-        ocut = max(80, cutoff)
-        vo = states.stellar_to_fock(st, ocut)
         for t, ref in zip(times, refs):
-            vt = oracle.evolve_fock(vo, H, t, ocut)
-            partner = oracle.evolve_fock(vo, H, t, ocut + _PARTNER_CUTOFF_STEP)
+            vt = oracle.evolve_fock(v, H, t, cutoff)
+            partner = oracle.evolve_fock(v, H, t, cutoff + _PARTNER_CUTOFF_STEP)
             hw = max(max(abs(z.real), abs(z.imag)) for z in ref) + 0.9
             zo = oracle.zeros_from_fock(vt, wf.rank, hw, partner=partner)
             oracle_dev = max(oracle_dev, dynamics.matching_distance(zo, ref))

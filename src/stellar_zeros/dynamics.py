@@ -46,7 +46,7 @@ from .errors import (
     ZeroCollision,
 )
 from .rootfind import eigenvalues_small
-from .wavefunction import WavefunctionForm, eval_form
+from .wavefunction import WavefunctionForm
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -394,35 +394,15 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     return traj
 
 
-def evolve_form(
-    wf: WavefunctionForm,
-    H: QuadraticHamiltonian,
-    t: float,
-    phase_reference=None,
-) -> WavefunctionForm:
+def evolve_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float) -> WavefunctionForm:
     """Full wavefunction form at time t.
 
     Zeros come from the matrix solution and the Gaussian coefficients from
     their closed-form flow; ``g0`` is recovered by normalization.  The
-    global phase is left free unless ``phase_reference`` (a callable
-    ``z -> psi(z)`` realizing the desired convention, typically a Fock-basis
-    propagation) is supplied, in which case the phase is aligned at one
-    reference point.
+    global phase is left free.
     """
     if t < 0:
         raise InvalidParameter("evolve_form needs t >= 0")
     g2t, g1t = _gaussian_flow(wf.g2, wf.g1, H, *_flow_coefficients(H.omega2, t))
     zeros = closed_form(wf, H, t)
-    out = WavefunctionForm(g2t, g1t, 0.0, zeros, 1.0).normalized()
-    if phase_reference is not None:
-        xs = np.linspace(-2.5, 2.5, 11)
-        vals = eval_form(out, xs)
-        j = int(np.argmax(np.abs(vals)))
-        ref = complex(phase_reference(complex(xs[j])))
-        cur = complex(vals[j])
-        if abs(ref) > 0 and abs(cur) > 0:
-            theta = cmath.phase(ref / cur)
-            out = WavefunctionForm(
-                out.g2, out.g1, out.g0 + 1j * theta, out.zeros, out.leading
-            )
-    return out
+    return WavefunctionForm(g2t, g1t, 0.0, zeros, 1.0).normalized()

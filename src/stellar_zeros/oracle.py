@@ -158,7 +158,7 @@ def zeros_from_fock(
     if roots.size:
         x, y = roots.real, roots.imag
         box = (x.min() - _PAD, x.max() + _PAD, y.min() - _PAD, y.max() + _PAD)
-    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box, 48)
+    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box)
     if count != roots.size:
         raise CountMismatch(
             f"contour around {roots.size} stable zeros counts {count}; "

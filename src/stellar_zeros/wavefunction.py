@@ -67,6 +67,8 @@ __all__ = [
 
 _PI_M14 = math.pi ** -0.25
 _SQRT2 = math.sqrt(2.0)
+# Initial contour samples per box edge of the argument principle.
+_EDGE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -408,26 +410,21 @@ def growth_bound_holds(gb: GrowthBound, v: FockVector, zs) -> bool:
 def _box_boundary(box, ts):
     """Map parameters in [0,4) to boundary points, counterclockwise."""
     x0, x1, y0, y1 = box
+    corners = np.array(
+        [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
+    )
     ts = np.asarray(ts, dtype=float) % 4.0
     side = np.floor(ts).astype(int)
     frac = ts - side
-    pts = np.empty(ts.shape, dtype=complex)
-    m = side == 0
-    pts[m] = (x0 + (x1 - x0) * frac[m]) + 1j * y0
-    m = side == 1
-    pts[m] = x1 + 1j * (y0 + (y1 - y0) * frac[m])
-    m = side == 2
-    pts[m] = (x1 - (x1 - x0) * frac[m]) + 1j * y1
-    m = side == 3
-    pts[m] = x0 + 1j * (y1 - (y1 - y0) * frac[m])
-    return pts
+    return corners[side] + frac * (corners[side + 1] - corners[side])
 
 
-def count_zeros_box(f, box, samples_per_edge: int = 64) -> int:
+def count_zeros_box(f, box) -> int:
     """Number of zeros of an entire function inside a rectangle.
 
-    Sums phase increments of ``f`` around the boundary, subdividing each
-    segment until adjacent samples differ by less than pi/2 (winding-number
+    Sums phase increments of ``f`` around the boundary, starting from
+    ``_EDGE_SAMPLES`` samples per edge and halving each segment until
+    adjacent samples differ by less than pi/2 (winding-number
     correctness needs increments below pi; the extra margin is cheap).  The
     result is an exact integer.  Raises :class:`ZeroOnContour` when ``f``
     nearly vanishes on the contour or a phase jump cannot be resolved.
@@ -438,9 +435,7 @@ def count_zeros_box(f, box, samples_per_edge: int = 64) -> int:
     x0, x1, y0, y1 = box
     if not (x1 > x0 and y1 > y0):
         raise InvalidParameter("box must have positive width and height")
-    if samples_per_edge < 4:
-        raise InvalidParameter("need at least 4 samples per edge")
-    ts = np.concatenate([k + np.arange(samples_per_edge) / samples_per_edge for k in range(4)])
+    ts = np.arange(4 * _EDGE_SAMPLES) / _EDGE_SAMPLES
     fs = np.asarray(f(_box_boundary(box, ts)), dtype=complex)
 
     def contour_guard(values):
@@ -457,7 +452,9 @@ def count_zeros_box(f, box, samples_per_edge: int = 64) -> int:
             raise ZeroOnContour("function nearly vanishes on the contour; perturb the box")
 
     contour_guard(fs)
-    for _ in range(64):
+    # A bad segment is halved on every pass and a good one is never split,
+    # so the 1e-9 gap test ends the loop within 25 passes.
+    while True:
         args = np.angle(fs)
         dphi = np.diff(args, append=args[0])
         dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
@@ -476,11 +473,6 @@ def count_zeros_box(f, box, samples_per_edge: int = 64) -> int:
         if ts.size > 200_000:
             raise ZeroOnContour("contour refinement budget exhausted")
         contour_guard(fs)
-    else:
-        raise ZeroOnContour("contour refinement did not settle")
-    args = np.angle(fs)
-    dphi = np.diff(args, append=args[0])
-    dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
     winding = float(np.sum(dphi)) / (2.0 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 0.25:
@@ -488,36 +480,35 @@ def count_zeros_box(f, box, samples_per_edge: int = 64) -> int:
     return int(nearest)
 
 
-def hudson_test(st: StellarState, box_halfwidth: float | None = None) -> HudsonResult:
+def _series_cutoff(st: StellarState, max_abs_im: float) -> int:
+    """Fock cutoff for the Hermite series of ``st`` at ``|Im z| <= max_abs_im``.
+
+    The one rule by which :func:`hudson_test` and ``verify`` size a state's
+    series off the real axis: the state's own truncation
+    (:func:`~stellar_zeros.states.default_cutoff`) or the series tail cleared
+    to the double-precision floor, whichever is larger.
+    """
+    return max(
+        default_cutoff(st.rank, st.alpha, st.chi),
+        hermite_eval_cutoff(abs(st.chi), max_abs_im, np.finfo(float).eps, st.rank, abs(st.alpha)),
+    )
+
+
+def hudson_test(st: StellarState) -> HudsonResult:
     """Zero-existence non-Gaussianity test on the Hermite-series extension.
 
-    Counts zeros of the independently evaluated entire extension inside a
-    centered square box by the argument principle; ``gaussian`` is true iff
-    the count is zero.  The box must strictly contain all zeros of the
-    closed form (checked against the explicit list); when omitted it is
-    grown from that list with unit margin.
+    Counts zeros of the independently evaluated entire extension by the
+    argument principle around the bounding rectangle of the closed-form
+    zeros with unit margin (the square ``[-1, 1]^2`` at rank 0);
+    ``gaussian`` is true iff the count is zero.  Contour points far from
+    every zero would only degrade the evaluation conditioning.
     """
     wf = build_wavefunction(st)
-    extent = max((max(abs(z.real), abs(z.imag)) for z in wf.zeros), default=0.0)
-    if box_halfwidth is None:
-        # Tight rectangle around the zero set with unit margin: contour
-        # points far from every zero only degrade the evaluation
-        # conditioning without adding information.
-        res = [z.real for z in wf.zeros] or [0.0]
-        ims = [z.imag for z in wf.zeros] or [0.0]
-        box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
-    else:
-        if box_halfwidth <= extent:
-            raise InvalidParameter("box does not strictly contain all zeros")
-        hw = float(box_halfwidth)
-        box = (-hw, hw, -hw, hw)
-    max_im = max(abs(box[2]), abs(box[3]))
-    cutoff = max(
-        default_cutoff(st.rank, st.alpha, st.chi),
-        hermite_eval_cutoff(abs(st.chi), max_im, 1e-8, st.rank, abs(st.alpha)),
-    )
-    v = stellar_to_fock(st, cutoff)
-    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box, 96)
+    res = [z.real for z in wf.zeros] or [0.0]
+    ims = [z.imag for z in wf.zeros] or [0.0]
+    box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
+    v = stellar_to_fock(st, _series_cutoff(st, max(abs(box[2]), abs(box[3]))))
+    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box)
     return HudsonResult(gaussian=(count == 0), zero_count=count)
 
 

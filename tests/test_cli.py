@@ -220,6 +220,20 @@ class TestVerifyCommand:
         assert rc == 0
         assert "status=PASS" in out
 
+    @pytest.mark.parametrize("spec", ["6,1", "0,2"])
+    def test_squeezed_random_state_passes(self, capsys, spec):
+        # Squeezed enough that a series cleared only to 1e-9 leaves its
+        # truncation tail above the 1e-7 dual-path bound.
+        rc, out, _ = run_cli(capsys, ["verify", "--random", spec])
+        assert rc == 0
+        assert "status=PASS" in out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        rc, out, err = run_cli(capsys, ["verify", "--random", "3,1", "--tol", tol])
+        assert_one_error_line(rc, err)
+        assert out == ""
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

@@ -410,14 +410,14 @@ class TestEvolveForm:
     def test_oracle_cross_validation_with_phase(self):
         st = ring_state(3, 7)
         wf = build_wavefunction(st)
-        H = HP
         t = 0.7
-        v = stellar_to_fock(st, 120)
-        vt = evolve_fock(v, H, t, 120)
-        out = evolve_form(wf, H, t, phase_reference=lambda z: eval_entire(vt, z))
+        vt = evolve_fock(stellar_to_fock(st, 120), HP, t, 120)
         xs = np.arange(-3.0, 3.01, 0.5)
-        got = eval_form(out, xs)
+        got = eval_form(evolve_form(wf, HP, t), xs)
         want = eval_entire(vt, xs)
+        # evolve_form leaves the global phase free: align it where |psi| peaks.
+        j = int(np.argmax(np.abs(want)))
+        got = got * (want[j] / got[j]) / abs(want[j] / got[j])
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_b_zero_and_omega2_zero_closed_form(self):

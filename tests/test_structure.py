@@ -47,3 +47,23 @@ def test_oracle_shares_no_code_with_the_closed_form():
         assert module != "rootfind", (module, name)
         if module == "dynamics":
             assert name == "QuadraticHamiltonian", (module, name)
+
+
+def test_series_cutoff_rule_is_written_once():
+    # Every zero count of a Fock vector sizes its series by one rule, so
+    # `hermite_eval_cutoff` has exactly one caller in the package: the
+    # private helper that applies it.
+    callers = []
+    for path in sorted(Path(stellar_zeros.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            f = getattr(node, "func", None)
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if not isinstance(node, ast.Call) or name != "hermite_eval_cutoff":
+                continue
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            callers.append((path.stem, getattr(scope, "name", "<module>")))
+    assert callers == [("wavefunction", "_series_cutoff")]

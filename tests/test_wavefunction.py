@@ -36,6 +36,7 @@ from stellar_zeros import (
     stellar_state_from_zeros,
     stellar_to_fock,
 )
+from stellar_zeros.wavefunction import _box_boundary
 
 PI14 = math.pi ** -0.25
 
@@ -277,6 +278,13 @@ class TestCountZerosBox:
         with pytest.raises(InvalidParameter):
             count_zeros_box(lambda z: z, (1, 0, -1, 1))
 
+    def test_boundary_parameters_hit_corners_and_midpoints(self):
+        # Counterclockwise from (re_min, im_min): corners at integer
+        # parameters, edge midpoints at half-integers.
+        pts = _box_boundary((-1.0, 3.0, -2.0, 4.0), np.arange(8) / 2.0)
+        want = [-1 - 2j, 1 - 2j, 3 - 2j, 3 + 1j, 3 + 4j, 1 + 4j, -1 + 4j, -1 + 1j]
+        assert pts.tolist() == want
+
 
 class TestHudson:
     def test_rank_zero_is_gaussian(self):
@@ -293,10 +301,6 @@ class TestHudson:
         st = random_stellar_state(4, 11, scale=0.7)
         res = hudson_test(st)
         assert res.zero_count == 4
-
-    def test_box_must_contain_zeros(self):
-        with pytest.raises(InvalidParameter):
-            hudson_test(fock_state(2), box_halfwidth=0.1)
 
 
 class TestStellarEval:
