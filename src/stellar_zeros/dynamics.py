@@ -45,7 +45,7 @@ from .errors import (
     TrackingAmbiguity,
     ZeroCollision,
 )
-from .rootfind import eigenvalues_small
+from .rootfind import _min_gap, eigenvalues_small
 from .wavefunction import WavefunctionForm
 
 __all__ = [
@@ -119,11 +119,11 @@ class ZeroTrajectory:
     def rank(self) -> int:
         return self.paths.shape[0]
 
-    def zeros_at(self, t: float) -> np.ndarray:
-        """Unordered zero multiset at time t from the matrix solution."""
+    def zeros_at(self, t) -> np.ndarray:
+        """Unordered zero multiset at time t (``(..., rank)`` at an array of times)."""
         if self.lax is None:
             raise InvalidParameter("zeros off the grid need a closed-form trajectory")
-        return np.array(eigenvalues_small(closed_form_matrix(self.lax, t)), dtype=complex)
+        return eigenvalues_small(closed_form_matrix(self.lax, t))
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,6 @@ class LaxData:
     @property
     def rank(self) -> int:
         return self.terms.shape[1]
-
-
-def _min_gap(zeros):
-    r = len(zeros)
-    if r < 2:
-        return math.inf
-    return min(abs(zeros[j] - zeros[k]) for j in range(r) for k in range(j + 1, r))
 
 
 def ode_rhs(g2: complex, g1: complex, zeros, H: QuadraticHamiltonian):
@@ -290,7 +283,7 @@ def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
     if _min_gap(wf.zeros) <= COLLISION_GAP:
         raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
     lam = np.array(wf.zeros, dtype=complex)
-    _, _, vel = ode_rhs(wf.g2, wf.g1, wf.zeros, H)
+    vel = _rhs_raw([wf.g2, wf.g1, *wf.zeros], H)[2:]
     diff = lam[:, None] - lam[None, :]
     np.fill_diagonal(diff, 1.0)
     lmat = 2j * H.B / diff
@@ -299,13 +292,15 @@ def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
     return LaxData(np.array([np.diag(lam), lmat, kappa * np.eye(lam.size)]), H.omega2)
 
 
-def closed_form_matrix(lax: LaxData, t: float) -> np.ndarray:
-    """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t."""
-    c, s, q = _flow_coefficients(lax.omega2, t)
-    r = lax.rank
-    # One complex product rather than three scaled copies: this runs once
-    # per sample and per tracking bisection step.
-    return (np.array([c, s, q], dtype=complex) @ lax.terms.reshape(3, r * r)).reshape(r, r)
+def closed_form_matrix(lax: LaxData, t) -> np.ndarray:
+    """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t.
+
+    An array of times gives the stack ``(..., rank, rank)``.
+    """
+    ts = np.asarray(t, dtype=float)
+    csq = np.array([_flow_coefficients(lax.omega2, x) for x in ts.ravel().tolist()], dtype=complex)
+    # One complex product for the whole stack, not three scaled copies per time.
+    return (csq @ lax.terms.reshape(3, -1)).reshape(*ts.shape, *lax.terms.shape[1:])
 
 
 def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float):
@@ -319,12 +314,8 @@ def match_sets(a, b):
     b = np.asarray(b, dtype=complex)
     if a.size != b.size:
         raise InvalidParameter("multisets must have equal size")
-    if a.size == 0:
-        return np.zeros(0, dtype=int), np.zeros(0)
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(a.size, dtype=int)
-    perm[rows] = cols
+    _, perm = linear_sum_assignment(cost)  # rows come back as 0 .. n-1
     return perm, cost[np.arange(a.size), perm]
 
 
@@ -334,48 +325,51 @@ def matching_distance(a, b) -> float:
     return float(np.max(dists)) if dists.size else 0.0
 
 
-def _track_step(prev, t0, t1, evaluator):
-    """Order evaluator(t1) against prev, bisecting the step while matching is unsafe.
+def _track(zeros0, t0: float, times, zeros_at) -> np.ndarray:
+    """Zeros ``(1 + len(times), rank)`` at ``t0`` and the later, increasing ``times``.
 
-    An assignment is safe when every matched displacement stays below half
-    the smallest pairwise gap of ``prev``: then no zero can have been
-    matched to a neighbour's successor.  Bisection stops at a step of 1e-9,
-    where :class:`TrackingAmbiguity` is raised instead of guessing.
+    Each row is ordered like ``zeros0``; ``zeros_at`` maps an array of times
+    to unordered zero sets.  A step is safe when every zero has a nearest
+    successor closer than half the smallest gap among the zeros it leaves:
+    those discs are disjoint, so each holds one successor, and that pairing
+    is the only optimal assignment.  Each pass solves the midpoints of all
+    unsafe steps at once; an unsafe step of width 1e-9 (an exact collision)
+    raises :class:`TrackingAmbiguity` instead of guessing.
     """
-    prev = np.asarray(prev, dtype=complex)
-    cur = np.asarray(evaluator(t1), dtype=complex)
-    if cur.size < 2:
-        return cur
-    perm, dists = match_sets(prev, cur)
-    gaps = np.abs(prev[:, None] - prev[None, :])
-    gaps.flat[:: prev.size + 1] = np.inf
-    gap = float(np.min(gaps))
-    disp = float(np.max(dists))
-    if disp < 0.5 * gap:
-        return cur[perm]
-    if t1 - t0 <= 1e-9:
-        raise TrackingAmbiguity(
-            f"zero assignment unresolved at t={t1:.17g}: displacement {disp:.3g}"
-            f" against minimum gap {gap:.3g}",
-            t=t1,
-            gap=gap,
-            displacement=disp,
-        )
-    tm = 0.5 * (t0 + t1)
-    mid = _track_step(prev, t0, tm, evaluator)
-    return _track_step(mid, tm, t1, evaluator)
+    ts = np.concatenate([[t0], times])
+    zs = np.concatenate([np.asarray(zeros0, dtype=complex)[None], zeros_at(times)])
+    if zs.shape[1] < 2:
+        return zs
+    asked = np.ones(ts.size, dtype=bool)
+    while True:
+        gap = _min_gap(zs[:-1])
+        dist = np.abs(zs[:-1, :, None] - zs[1:, None, :])
+        near = np.min(dist, axis=2).max(axis=1)
+        bad = np.flatnonzero(near >= 0.5 * gap)
+        if bad.size == 0:
+            break
+        tiny = bad[ts[bad + 1] - ts[bad] <= 1e-9]
+        if tiny.size:
+            t, g, d = float(ts[tiny[0] + 1]), float(gap[tiny[0]]), float(near[tiny[0]])
+            msg = f"zero assignment unresolved at t={t:.17g}: displacement {d:.3g}, gap {g:.3g}"
+            raise TrackingAmbiguity(msg, t=t, gap=g, displacement=d)
+        mid = 0.5 * (ts[bad] + ts[bad + 1])
+        ts, asked = np.insert(ts, bad + 1, mid), np.insert(asked, bad + 1, False)
+        zs = np.insert(zs, bad + 1, zeros_at(mid), axis=0)
+    order = [np.arange(zs.shape[1])]  # row k: where each tracked zero sits in zs[k]
+    for succ in np.argmin(dist, axis=2):
+        order.append(succ[order[-1]])
+    return np.take_along_axis(zs, np.array(order), axis=1)[asked]
 
 
 def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> ZeroTrajectory:
     """Closed-form trajectory on the given times, continuity-matched.
 
-    Eigenvalue orderings are arbitrary, so consecutive samples are matched
-    by optimal assignment.  A step whose largest matched displacement
-    reaches half the smallest gap between the previous zeros is bisected
-    until every sub-step is safe; a step that stays unsafe down to a width
-    of 1e-9 (an exact collision on the grid) raises
-    :class:`TrackingAmbiguity`.  The Gaussian coefficients come from their
-    own closed-form flow on the whole grid at once.
+    Eigenvalue orderings are arbitrary, so the grid is solved in one stacked
+    eigen-solve and ordered by :func:`_track`, which halves unsafe steps
+    until each is safe and raises :class:`TrackingAmbiguity` at an exact
+    collision on the grid.  The Gaussian coefficients come from their own
+    closed-form flow on the whole grid at once.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
@@ -385,13 +379,10 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     lax = lax_data(wf, H)
     c, s, q = np.array([_flow_coefficients(H.omega2, t) for t in ts.tolist()]).T
     gauss = np.array(_gaussian_flow(wf.g2, wf.g1, H, c, s, q))
-    traj = ZeroTrajectory(ts, np.zeros((wf.rank, ts.size), dtype=complex), gauss, lax)
-    prev, t_prev = np.array(wf.zeros, dtype=complex), 0.0
-    for i, t in enumerate(ts.tolist()):
-        if t > t_prev:
-            prev = _track_step(prev, t_prev, t, traj.zeros_at)
-        traj.paths[:, i], t_prev = prev, t
-    return traj
+    paths = _track(
+        wf.zeros, 0.0, ts[ts > 0], lambda t: eigenvalues_small(closed_form_matrix(lax, t))
+    )
+    return ZeroTrajectory(ts, paths[int(ts[0] > 0) :].T, gauss, lax)
 
 
 def evolve_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float) -> WavefunctionForm:

@@ -30,13 +30,12 @@ from .errors import InvalidParameter
 from .dynamics import (
     QuadraticHamiltonian,
     ZeroTrajectory,
-    _min_gap,
-    _track_step,
+    _track,
     lax_data,
     matching_distance,
     sample_closed_form,
 )
-from .rootfind import DEFECTIVE_TOL, _cluster
+from .rootfind import DEFECTIVE_TOL, _cluster, _min_gap
 from .states import StellarState
 from .wavefunction import WavefunctionForm, build_wavefunction
 
@@ -90,11 +89,11 @@ def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajecto
     """Closed-form phase-shift trajectory at 513 times over one full period ``[0, 2 pi]``.
 
     This is :func:`~stellar_zeros.dynamics.sample_closed_form` at
-    ``H = (x^2 + p^2)/2``: each sample costs one small eigen-solve plus the
-    tracker's rare bisection steps, and the Gaussian coefficients ride along
-    in closed form.  The sample count is fixed: crossing times come from the
-    pencil, not the grid (257, 513 and 2049 samples give identical events
-    on 150 random states of ranks 1-6).
+    ``H = (x^2 + p^2)/2``: one stacked eigen-solve for the grid plus one per
+    refinement pass of the tracker, with the Gaussian coefficients in closed
+    form.  The sample count is fixed: crossing times come from the pencil,
+    not the grid (257, 513 and 2049 samples give identical events on 150
+    random states of ranks 1-6).
     """
     return sample_closed_form(
         WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0),
@@ -157,7 +156,7 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
     ]
     for t in _pencil_times(lax).tolist():
         i = int(np.searchsorted(traj.times, t, side="right")) - 1
-        zs = _track_step(traj.paths[:, i], float(traj.times[i]), t, traj.zeros_at)
+        zs = _track(traj.paths[:, i], float(traj.times[i]), [t], traj.zeros_at)[-1]
         scale = REAL_TOL * max(1.0, float(np.max(np.abs(zs))))
         for k in np.flatnonzero(~pinned & (np.abs(zs.imag) <= scale)).tolist():
             events.append(CrossingEvent(k, t, float(zs[k].real)))
@@ -240,6 +239,4 @@ def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
     zero multisets must match under negation; for closed-form trajectories
     the returned distance is at roundoff level (contract: below 1e-8).
     """
-    if traj.rank == 0:
-        return 0.0
     return matching_distance(traj.zeros_at(t), -traj.zeros_at(t + math.pi))

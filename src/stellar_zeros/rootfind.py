@@ -2,11 +2,12 @@
 
 Polynomial roots are the eigenvalues of the companion matrix (Edelman &
 Murakami, Math. Comp. 64 (1995) 763), each followed by one bounded Newton
-step.  Eigenvalues of small dense matrices come from ``np.linalg.eigvals``;
-eigenvalues closer than ``4 sqrt(eps) max|M|`` are reported as their mean,
-because LAPACK splits a defective eigenvalue (an exact zero collision) by
-about ``sqrt(eps)`` while the cluster mean stays accurate.  Coefficients are
-stored in ascending order (``coeffs[k]`` multiplies ``z^k``).
+step.  Eigenvalues of small dense matrices, one or a stack of them, come from
+one ``np.linalg.eigvals`` call; within each matrix, eigenvalues closer than
+``4 sqrt(eps) max|M|`` are reported as their mean, because LAPACK splits a
+defective eigenvalue (an exact zero collision) by about ``sqrt(eps)`` while
+the cluster mean stays accurate.  Coefficients are stored in ascending order
+(``coeffs[k]`` multiplies ``z^k``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 DEFECTIVE_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
 _POLISH_ULPS = 8.0 * np.finfo(float).eps
+
+
+def _min_gap(z):
+    """Smallest pairwise distance within each set ``z[..., :]``; inf below two points."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    gaps = np.abs(z[..., :, None] - z[..., None, :])
+    gaps.reshape(*z.shape[:-1], n * n)[..., :: n + 1] = np.inf  # a view: the diagonals
+    return gaps.min(axis=(-2, -1), initial=np.inf)
 
 
 def _cluster(roots, tol):
@@ -51,6 +61,7 @@ def _cluster(roots, tol):
     return out
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def roots_polynomial(coeffs):
     """All roots (with multiplicity) of a complex polynomial.
 
@@ -59,7 +70,8 @@ def roots_polynomial(coeffs):
     ``|P(root)| <= 1e-10 * max|c_k| * (1 + |root|)^deg``; roots closer than
     ``4 sqrt(eps) max(1, max|root|)`` (a split multiple root) are reported as
     one repeated (mean) root.  Raises :class:`NoConvergence` with the roots
-    and their residuals when the bound fails.
+    and their residuals when the bound fails, or cannot be evaluated because
+    Horner's rule overflows at high degree.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -88,8 +100,7 @@ def roots_polynomial(coeffs):
         # come back as exactly +-1) without letting Horner noise pull the
         # two roots of a close pair together.
         p = P.polyval(z, c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / P.polyval(z, P.polyder(c))
+        step = p / P.polyval(z, P.polyder(c))
         keep = (np.abs(step) <= _POLISH_ULPS * (1.0 + np.abs(z))) & (
             np.abs(P.polyval(z - step, c)) < np.abs(p)
         )
@@ -97,7 +108,7 @@ def roots_polynomial(coeffs):
     roots = _cluster(roots.tolist(), DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots)))))
     full = np.asarray(coeffs, dtype=complex) / scale
     res = np.abs(P.polyval(np.array(roots), full))
-    if not np.all(res <= RESIDUAL_TOL * (1.0 + np.abs(roots)) ** (full.size - 1)):
+    if not np.all(res / (1.0 + np.abs(roots)) ** (full.size - 1) <= RESIDUAL_TOL):
         raise NoConvergence(
             "companion-matrix roots violate the residual bound",
             roots=roots,
@@ -106,24 +117,20 @@ def roots_polynomial(coeffs):
     return roots
 
 
-def eigenvalues_small(m: np.ndarray):
-    """Eigenvalue multiset of a small dense matrix, from LAPACK.
+def eigenvalues_small(m: np.ndarray) -> np.ndarray:
+    """Eigenvalue multisets ``(..., n)`` of a small dense matrix or a stack ``(..., n, n)``.
 
-    Eigenvalues closer than ``4 sqrt(eps) max|M|`` are chained into clusters
-    and each cluster is reported as its mean, repeated: a defective
-    eigenvalue splits by about ``sqrt(eps) max|M|`` under LAPACK, and the
-    mean of the split pair is accurate to roundoff.
+    From LAPACK.  Within each matrix, eigenvalues closer than
+    ``4 sqrt(eps) max|M|`` are chained into clusters and each cluster is
+    reported as its mean, repeated: a defective eigenvalue splits by about
+    ``sqrt(eps) max|M|`` under LAPACK, and the mean of the split pair is
+    accurate to roundoff.
     """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    if n == 0:
-        return []
-    if n == 1:
-        return [complex(m[0, 0])]
     ev = np.linalg.eigvals(m)
-    tol = DEFECTIVE_TOL * float(np.max(np.abs(m)))
-    gaps = np.abs(ev[:, None] - ev[None, :])
-    gaps.flat[:: n + 1] = np.inf
-    if np.min(gaps) <= tol:
-        return _cluster(ev.tolist(), tol)
-    return ev.tolist()
+    tol = DEFECTIVE_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    split = _min_gap(ev) <= tol
+    if split.any():  # rare, so the common case skips the index search
+        for idx in map(tuple, np.argwhere(split)):
+            ev[idx] = _cluster(ev[idx].tolist(), float(tol[idx]))
+    return ev

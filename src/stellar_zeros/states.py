@@ -290,6 +290,16 @@ def _packet_amplitudes(alpha: complex, chi: complex, dim: int) -> np.ndarray:
     return g
 
 
+def _sqrt_factorials(r: int) -> np.ndarray:
+    """``sqrt(n!)`` for ``n = 0 .. r``, rounded from the exact ``n!`` (finite up to n = 300)."""
+    out, fact = [1.0], 1
+    for k in range(1, r + 1):
+        fact *= k
+        shift = max(fact.bit_length() - 1000, 0) // 2  # keeps the int-to-float step finite
+        out.append(math.ldexp(math.sqrt(fact >> 2 * shift), shift))
+    return np.array(out)
+
+
 def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     """Amplitudes of ``D(alpha) S(chi) sum_n c_n |n>`` at the given cutoff.
 
@@ -319,7 +329,8 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     mu = ch * np.conj(st.alpha) + np.conj(w) * sh * st.alpha
     wbar_sh = np.conj(w) * sh
     sq = np.sqrt(np.arange(1, dim))
-    vec = st.core[0] * g
+    weights = st.core / _sqrt_factorials(st.rank)
+    vec = weights[0] * g
     cur = g
     for n in range(1, st.rank + 1):
         nxt = np.zeros(dim, dtype=complex)
@@ -327,7 +338,7 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
         nxt[:-1] += wbar_sh * sq * cur[1:]
         nxt -= mu * cur
         cur = nxt
-        vec = vec + (st.core[n] / math.sqrt(math.factorial(n))) * cur
+        vec = vec + weights[n] * cur
 
     discarded = float(np.sum(np.abs(vec[cutoff + 1 :]) ** 2))
     if discarded >= 1e-10:
@@ -370,12 +381,14 @@ def state_to_json(st: StellarState) -> dict:
 
 def state_from_json(data: dict) -> StellarState:
     try:
-        rank = int(data["rank"])
+        rank = data["rank"]
         core = np.array([complex(re, im) for re, im in data["core"]])
         alpha = complex(data["alpha"][0], data["alpha"][1])
         chi = complex(data["chi"][0], data["chi"][1])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed state descriptor: {exc}") from exc
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise InvalidParameter("state descriptor rank must be an integer")
     nsq = float(np.sum(np.abs(core) ** 2))
     if abs(nsq - 1.0) > 1e-9:
         raise InvalidParameter("core coefficients are not normalized")

@@ -37,6 +37,7 @@ from .states import (
     FockVector,
     StellarState,
     Verdict,
+    _sqrt_factorials,
     default_cutoff,
     energy_moment,
     packet_exponents,
@@ -125,32 +126,26 @@ class HudsonResult:
     zero_count: int
 
 
-@lru_cache(maxsize=1)
-def _gauss_hermite_257():
-    nodes, weights = np.polynomial.hermite.hermgauss(257)
-    return nodes, weights
+_hermgauss = lru_cache(maxsize=64)(np.polynomial.hermite.hermgauss)  # by node count
 
 
 def form_norm_squared(wf: WavefunctionForm) -> float:
-    """L2 norm squared on the real line, by 257-node Gauss-Hermite quadrature.
+    """L2 norm squared on the real line, by ``(rank + 1)``-node Gauss-Hermite quadrature.
 
     After the standardizing substitution the integrand is a polynomial of
     degree ``2 * rank`` times the Gauss-Hermite weight, so the quadrature is
-    exact up to roundoff.
+    exact up to roundoff.  The zero factors are summed in log space, so high
+    ranks do not overflow.
     """
     beta = -2.0 * wf.g2.real
     mu = wf.g1.real / beta
-    lead = math.log(abs(wf.leading)) if wf.leading != 0 else -math.inf
-    logfactor = 2.0 * wf.g0.real + beta * mu * mu + 2.0 * lead - 0.5 * math.log(beta)
-    nodes, weights = _gauss_hermite_257()
+    logfactor = 2.0 * wf.g0.real + beta * mu * mu + 2.0 * math.log(abs(wf.leading))
+    nodes, weights = _hermgauss(wf.rank + 1)
     xs = mu + nodes / math.sqrt(beta)
-    poly = np.ones_like(xs)
-    for lam in wf.zeros:
-        poly *= (xs - lam.real) ** 2 + lam.imag**2
-    total = float(np.dot(weights, poly))
-    if total <= 0:
-        return 0.0
-    return math.exp(logfactor + math.log(total))
+    with np.errstate(divide="ignore"):  # a real zero on a node zeroes that term
+        logs = np.log(weights) + 2.0 * np.log(np.abs(xs[:, None] - np.array(wf.zeros))).sum(axis=1)
+    top = float(np.max(logs))
+    return math.exp(logfactor - 0.5 * math.log(beta) + top + math.log(np.sum(np.exp(logs - top))))
 
 
 def eval_form(wf: WavefunctionForm, z):
@@ -206,10 +201,6 @@ def _raising_matrix(packet: WavefunctionForm, u, v, mu, r: int) -> np.ndarray:
         m[:n, n] += a0 * prev
         m[: n - 1, n] -= v * np.arange(1, n) * prev[1:]
     return m
-
-
-def _sqrt_factorials(r: int) -> np.ndarray:
-    return np.sqrt([float(math.factorial(n)) for n in range(r + 1)])
 
 
 def build_wavefunction(st: StellarState) -> WavefunctionForm:

@@ -253,6 +253,16 @@ class TestErrors:
         assert rc == 1
 
 
+    @pytest.mark.parametrize("rank", [171, 200])
+    def test_very_high_rank_ends_in_a_result_or_one_error_line(self, capsys, rank):
+        # sqrt(171!) once overflowed a float, and rank 200 overflows Horner's rule.
+        rc, out, err = run_cli(capsys, ["zeros", "--random", f"{rank},0"])
+        if rc == 1:
+            assert_one_error_line(rc, err)
+        else:
+            assert rc == 0 and len(out.strip().splitlines()) == rank
+
+
 # The flags each command reads, besides --help, --state, --random, --out and --config.
 COMMAND_FLAGS = {
     "build": set(),

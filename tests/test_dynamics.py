@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from conftest import distinct_random_state, fock_state, ring_state, wrong_sign_closed_form
@@ -315,6 +315,12 @@ class TestSampleClosedForm:
                 b = sample_closed_form(wf, H, fine).paths[:, ::32]
                 assert np.max(np.abs(a - b)) <= 1e-8, (seed, H)
 
+    def test_grid_may_start_after_zero(self):
+        _, wf = distinct_random_state(3, 4)
+        ts = np.linspace(0, 6, 13)
+        full = sample_closed_form(wf, HP, ts).paths
+        assert np.max(np.abs(sample_closed_form(wf, HP, ts[1:]).paths - full[:, 1:])) < 1e-12
+
     def test_grid_validation(self):
         wf = build_wavefunction(fock_state(1))
         with pytest.raises(InvalidParameter):
@@ -444,3 +450,59 @@ class TestMatching:
     def test_size_mismatch(self):
         with pytest.raises(InvalidParameter):
             match_sets([1.0], [1.0, 2.0])
+
+
+class TestTracker:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hst.data())
+    def test_half_gap_rule_agrees_with_optimal_assignment(self, data):
+        # Whenever every zero has a successor within half the smallest gap,
+        # the nearest successors form the optimal assignment; otherwise the
+        # step is halved down to 1e-9 and given up.
+        a = np.array(data.draw(hst.lists(
+            hst.complex_numbers(max_magnitude=2.0), min_size=2, max_size=6, unique=True
+        )))
+        gap = np.min(np.abs(a[:, None] - a[None, :]) + np.diag(np.full(a.size, np.inf)))
+        assume(gap > 1e-6)
+        moves = data.draw(hst.lists(
+            hst.tuples(hst.floats(0.0, 0.6), hst.floats(0.0, 2 * math.pi)),
+            min_size=a.size, max_size=a.size,
+        ))
+        perm = data.draw(hst.permutations(range(a.size)))
+        b = (a + np.array([f * gap * np.exp(1j * th) for f, th in moves]))[perm]
+
+        def zeros_at(ts):
+            return np.tile(b, (len(ts), 1))
+
+        dist = np.abs(a[:, None] - b[None, :])
+        if np.all(dist.min(axis=1) < 0.5 * gap):
+            nearest = dist.argmin(axis=1)
+            assert np.array_equal(nearest, match_sets(a, b)[0])
+            assert np.array_equal(dynamics._track(a, 0.0, [1.0], zeros_at)[1], b[nearest])
+        else:
+            with pytest.raises(TrackingAmbiguity):
+                dynamics._track(a, 0.0, [1.0], zeros_at)
+
+    def test_one_solve_for_the_grid_and_one_per_refinement_pass(self, monkeypatch):
+        solves, times = [], []
+        solve, matrix = dynamics.eigenvalues_small, dynamics.closed_form_matrix
+        monkeypatch.setattr(
+            dynamics, "eigenvalues_small", lambda m: solves.append(len(m)) or solve(m)
+        )
+        monkeypatch.setattr(
+            dynamics, "closed_form_matrix", lambda lax, t: times.append(t) or matrix(lax, t)
+        )
+        _, wf = distinct_random_state(4, 1)
+        grid = np.linspace(0, 6, 13)
+        sample_closed_form(wf, HP, grid)
+        assert solves == [len(t) for t in times]
+        assert np.array_equal(times[0], grid[1:])
+        assert len(times) >= 3, "this fixture needs refining"
+        known = grid
+        for k, mid in enumerate(times[1:], 1):
+            # Pass k halves steps of width 0.5 / 2^(k-1), the grid's spacing
+            # halved k - 1 times, all in one solve.
+            i = np.searchsorted(known, mid)
+            assert np.allclose(mid - known[i - 1], 0.5**k * 0.5, rtol=1e-9)
+            assert np.allclose(known[i] - mid, 0.5**k * 0.5, rtol=1e-9)
+            known = np.sort(np.concatenate([known, mid]))

@@ -99,6 +99,24 @@ class TestCharPoly:
         want = np.linalg.eigvals(m)
         assert matching_distance(ours, want) < 1e-9
 
+    def test_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+        # Row 2 is defective: a 2x2 Jordan block at 0.5 + 0.2i, which LAPACK
+        # splits by about 1e-8 and the cluster merge restores.
+        jordan = np.diag([0.5 + 0.2j, 0.5 + 0.2j, -1.0, 2.0j])
+        jordan[0, 1] = 1.0
+        s = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+        stack[2] = s @ jordan @ np.linalg.inv(s)
+        ev = eigenvalues_small(stack)
+        assert ev.shape == (4, 4)
+        for row, m in zip(ev, stack):
+            assert np.array_equal(row, eigenvalues_small(m))
+        pair = ev[2][np.abs(ev[2] - (0.5 + 0.2j)) < 1e-6]
+        assert pair.size == 2 and pair[0] == pair[1]
+        assert abs(pair[0] - (0.5 + 0.2j)) < 1e-12
+        assert eigenvalues_small(np.zeros((3, 0, 0))).shape == (3, 0)
+
     def test_small_sizes(self):
-        assert eigenvalues_small(np.zeros((0, 0))) == []
-        assert eigenvalues_small(np.array([[2.5 + 1j]])) == [2.5 + 1j]
+        assert np.array_equal(eigenvalues_small(np.zeros((0, 0))), np.zeros(0, dtype=complex))
+        assert np.array_equal(eigenvalues_small(np.array([[2.5 + 1j]])), [2.5 + 1j])

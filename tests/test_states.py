@@ -306,3 +306,11 @@ class TestStateJson:
         data = {"rank": 0, "core": [[2.0, 0.0]], "alpha": [0, 0], "chi": [0, 0]}
         with pytest.raises(InvalidParameter):
             state_from_json(data)
+
+    @pytest.mark.parametrize("rank", [True, 1.9, 1.0, "1", None])
+    def test_rejects_a_rank_that_is_not_an_integer(self, rank):
+        # With int() these loaded as rank 1 beside a two-entry core.
+        data = state_to_json(random_stellar_state(1, 0))
+        data["rank"] = rank
+        with pytest.raises(InvalidParameter):
+            state_from_json(data)

@@ -49,21 +49,39 @@ def test_oracle_shares_no_code_with_the_closed_form():
             assert name == "QuadraticHamiltonian", (module, name)
 
 
-def test_series_cutoff_rule_is_written_once():
-    # Every zero count of a Fock vector sizes its series by one rule, so
-    # `hermite_eval_cutoff` has exactly one caller in the package: the
-    # private helper that applies it.
-    callers = []
+def _scopes_of(name, node_type=ast.Call):
+    """(module, enclosing function) of every ``node_type`` node in the package naming ``name``.
+
+    A call names the function it calls; a ``raise`` names the exception it
+    constructs.
+    """
+    scopes = []
     for path in sorted(Path(stellar_zeros.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            f = getattr(node, "func", None)
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if not isinstance(node, ast.Call) or name != "hermite_eval_cutoff":
+            if not isinstance(node, node_type):
+                continue
+            f = getattr(node.exc, "func", node.exc) if node_type is ast.Raise else node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) != name:
                 continue
             scope = node
             while scope in parents and not isinstance(scope, ast.FunctionDef):
                 scope = parents[scope]
-            callers.append((path.stem, getattr(scope, "name", "<module>")))
-    assert callers == [("wavefunction", "_series_cutoff")]
+            scopes.append((path.stem, getattr(scope, "name", "<module>")))
+    return scopes
+
+
+def test_series_cutoff_rule_is_written_once():
+    # Every zero count of a Fock vector sizes its series by one rule, so
+    # `hermite_eval_cutoff` has exactly one caller in the package: the
+    # private helper that applies it.
+    assert _scopes_of("hermite_eval_cutoff") == [("wavefunction", "_series_cutoff")]
+
+
+def test_one_zero_tracker():
+    # Sampling and crossing detection share one tracker, which orders zeros
+    # by nearest successor; optimal assignment is left to `match_sets`,
+    # which serves `matching_distance`.
+    assert _scopes_of("linear_sum_assignment") == [("dynamics", "match_sets")]
+    assert _scopes_of("TrackingAmbiguity", ast.Raise) == [("dynamics", "_track")]

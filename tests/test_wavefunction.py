@@ -12,6 +12,7 @@ from stellar_zeros import (
     PrecisionLoss,
     StellarState,
     Verdict,
+    WavefunctionForm,
     ZeroOnContour,
     annihilation_matrix,
     apply_creation_polynomial,
@@ -130,6 +131,18 @@ class TestBuildWavefunction:
         assert len(wf.zeros) == rank
         back = stellar_state_from_zeros(wf.zeros, alpha=st.alpha, chi=st.chi)
         assert abs(np.vdot(back.core, st.core)) > 1.0 - 1e-9
+
+    def test_rank_120_builds(self):
+        # The norm's zero factors once overflowed their product from rank 96 on.
+        wf = build_wavefunction(random_stellar_state(120, 0))
+        assert len(wf.zeros) == 120
+        assert abs(form_norm_squared(wf) - 1.0) < 1e-12
+
+    def test_norm_with_a_zero_on_a_quadrature_node(self):
+        # Zeros 0 and 1 at g2 = -1/2: three nodes, the middle one at x = 0,
+        # and the integral of x^2 (x - 1)^2 exp(-x^2) is 5 sqrt(pi) / 4.
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.0, 1.0), 1.0)
+        assert abs(form_norm_squared(wf) - 1.25 * math.sqrt(math.pi)) < 1e-14
 
     @pytest.mark.parametrize("alpha,chi", [(0.0, 0.0), (0.4, 0.0), (0.3, 0.5), (-0.2j, 0.2j)])
     def test_rank_one_leading_coefficient(self, alpha, chi):
