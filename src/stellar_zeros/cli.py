@@ -208,9 +208,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for i, zc in enumerate(refs):
             ode_dev = max(ode_dev, dynamics.matching_distance(traj.paths[:, i + 1], zc))
 
-        for t, ref in zip(times, refs):
-            vt = oracle.evolve_fock(v, H, t, cutoff)
-            partner = oracle.evolve_fock(v, H, t, cutoff + _PARTNER_CUTOFF_STEP)
+        vts = oracle.evolve_fock(v, H, times, cutoff)
+        partners = oracle.evolve_fock(v, H, times, cutoff + _PARTNER_CUTOFF_STEP)
+        for vt, partner, ref in zip(vts, partners, refs):
             hw = max(max(abs(z.real), abs(z.imag)) for z in ref) + 0.9
             zo = oracle.zeros_from_fock(vt, wf.rank, hw, partner=partner)
             oracle_dev = max(oracle_dev, dynamics.matching_distance(zo, ref))

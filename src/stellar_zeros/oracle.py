@@ -1,12 +1,13 @@
 """Independent ground truth: truncated Fock-basis propagation.
 
-The quadratic Hamiltonian is assembled from products of the truncated
-Hermitian quadrature matrices, so it is exactly Hermitian, and is
-exponentiated by eigendecomposition; evolved vectors are monitored for
-leakage into the top quarter of the basis.  A cutoff-N vector is a degree-N
-Hermite series, so one colleague-matrix eigen-solve gives all N zeros of
-its entire extension.  The true zeros are those that agree across two
-cutoffs (the truncation ring moves with the cutoff), and one
+The quadratic Hamiltonian is the truncated pentadiagonal band of ``x^2``,
+``p^2``, ``xp + px``, ``x`` and ``p``, exactly Hermitian, and is
+exponentiated by one eigendecomposition for any number of times; evolved
+vectors are monitored for leakage into the top quarter of the basis.  A
+cutoff-N vector is a degree-N Hermite series, so one colleague-matrix
+eigen-solve gives all N zeros of its entire extension.  The true zeros are
+those on which two Newton steps on the series of the same state at another
+cutoff agree (the truncation ring moves with the cutoff), and one
 argument-principle contour certifies their count.  None of this shares
 a code path with the closed-form zero dynamics, which is the point:
 agreement between the two is the package's strongest check.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import CountMismatch, InvalidParameter, TruncationLeakage
 from .dynamics import QuadraticHamiltonian
-from .states import FockVector, annihilation_matrix
+from .states import FockVector
 from .wavefunction import count_zeros_box, eval_entire
 
 __all__ = [
@@ -29,7 +30,8 @@ __all__ = [
     "zeros_from_fock",
 ]
 
-# Roots of two cutoffs closer than this (relative above |z| = 1) are one zero.
+# A root whose Newton step on the partner series is below this (relative
+# above |z| = 1) is a zero of both cutoffs.
 _AGREE = 1e-6
 # Margin of the certificate contour around the kept zeros.
 _PAD = 0.5
@@ -39,30 +41,24 @@ _NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
-    """Truncated matrix of the quadratic Hamiltonian.
+    """Truncated matrix of the quadratic Hamiltonian, as a closed-form band.
 
-    Built from products of the truncated quadrature matrices
-    ``x = (a + a†)/sqrt(2)``, ``p = i(a† - a)/sqrt(2)``, which are
-    Hermitian, so ``x x``, ``p p`` and ``x p + p x`` are too; entries within
-    two rows/columns of the truncation edge deviate from their infinite-
-    dimensional values, which is why evolved states must stay away from the
-    top of the basis.
+    For the truncated ``x = (a + a†)/sqrt(2)`` and ``p = i(a† - a)/sqrt(2)``:
+    diagonal ``(A + B)(n + 1/2) + F``, and in column n ``(D - iE) sqrt(n/2)``
+    and ``(A - B - iC) sqrt(n(n-1))/2`` above it, conjugated below, so it is
+    exactly Hermitian.  Truncation leaves the last diagonal entry at
+    ``(A + B) cutoff/2 + F``, which is why evolved states must stay away
+    from the top of the basis.
     """
     if cutoff < 4:
         raise InvalidParameter("Hamiltonian matrix needs cutoff >= 4")
-    dim = cutoff + 1
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
-    x = (a + ad) / math.sqrt(2.0)
-    p = 1j * (ad - a) / math.sqrt(2.0)
-    return (
-        H.A * (x @ x)
-        + H.B * (p @ p)
-        + H.C * 0.5 * (x @ p + p @ x)
-        + H.D * x
-        + H.E * p
-        + H.F * np.eye(dim)
-    )
+    n = np.arange(cutoff + 1)
+    diag = (H.A + H.B) * (n + 0.5) + H.F
+    diag[-1] = (H.A + H.B) * cutoff / 2.0 + H.F
+    up1 = (H.D - 1j * H.E) * np.sqrt(n[1:] / 2.0)
+    up2 = (H.A - H.B - 1j * H.C) * 0.5 * np.sqrt(n[2:] * (n[2:] - 1.0))
+    m = np.diag(diag + 0j) + np.diag(up1, 1) + np.diag(up2, 2)
+    return m + np.triu(m, 1).conj().T
 
 
 def _top_quarter_norm(coeffs: np.ndarray) -> float:
@@ -70,33 +66,36 @@ def _top_quarter_norm(coeffs: np.ndarray) -> float:
     return float(np.sum(np.abs(coeffs[start:]) ** 2))
 
 
-def evolve_fock(
-    v: FockVector, H: QuadraticHamiltonian, t: float, cutoff: int | None = None
-) -> FockVector:
+def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t, cutoff: int | None = None):
     """Apply ``exp(-i t H)`` in the truncated basis.
 
     The truncated matrix is Hermitian, so its eigendecomposition makes the
     propagation exactly unitary; correctness is guarded by requiring
     the input to carry less than 1e-10 of its norm in the top quarter of
-    the basis and the output less than 1e-8.
+    the basis and the output less than 1e-8.  A 1-d sequence of times gives
+    one vector per time from the one decomposition, each checked.
     """
     if cutoff is None:
         cutoff = v.cutoff
     if cutoff < max(4, v.cutoff):
         raise InvalidParameter("evolution cutoff below the state cutoff")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise InvalidParameter("times must be a scalar or a 1-d sequence")
     vec = v.padded(cutoff).coeffs
     if _top_quarter_norm(vec) >= 1e-10:
         raise InvalidParameter(
             "state support reaches the top quarter of the basis; raise the cutoff"
         )
     evals, evecs = np.linalg.eigh(hamiltonian_matrix(H, cutoff))
-    out = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec))
-    leak = _top_quarter_norm(out)
+    amps = evecs.conj().T @ vec
+    out = [evecs @ (np.exp(-1j * tk * evals) * amps) for tk in times.reshape(-1)]
+    leak = max(map(_top_quarter_norm, out), default=0.0)
     if leak > 1e-8:
         raise TruncationLeakage(
             f"evolved state leaked {leak:.3e} into the top quarter of the basis"
         )
-    return FockVector(out)
+    return [FockVector(o) for o in out] if times.ndim else FockVector(out[0])
 
 
 def _hermite_roots(v: FockVector) -> np.ndarray:
@@ -123,6 +122,22 @@ def _hermite_roots(v: FockVector) -> np.ndarray:
     return np.linalg.eigvals(colleague)
 
 
+def _partner_agrees(w: FockVector, z: np.ndarray) -> np.ndarray:
+    """Whether two Newton steps on ``w``'s Hermite series confirm each ``z``.
+
+    The first step must be within ``_AGREE max(1, |z|)``, the second at most
+    half the first above a roundoff floor; a zero derivative rejects.  As
+    ``p_n' = sqrt(2n) p_{n-1}``, the derivative series is ``sqrt(2(m+1)) c_{m+1}``.
+    """
+    d = FockVector(np.append(np.sqrt(2.0 * np.arange(1, w.coeffs.size)) * w.coeffs[1:], 0.0))
+    scale = np.maximum(1.0, np.abs(z))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s1 = eval_entire(w, z, check=False) / eval_entire(d, z, check=False)
+        s2 = eval_entire(w, z - s1, check=False) / eval_entire(d, z - s1, check=False)
+    floor = 16.0 * np.finfo(float).eps * scale
+    return (np.abs(s1) <= _AGREE * scale) & (np.abs(s2) <= 0.5 * np.abs(s1) + floor)
+
+
 def zeros_from_fock(
     v: FockVector, expected_rank: int, box_halfwidth: float, partner: FockVector | None = None
 ) -> list:
@@ -130,13 +145,13 @@ def zeros_from_fock(
 
     Every zero of the truncated series comes from one eigen-solve
     (:func:`_hermite_roots`).  Truncation adds a ring of spurious zeros
-    that moves with the cutoff, while the true zeros do not: only roots
-    of ``v`` with a root of ``partner`` (the same state at another
-    cutoff) within ``1e-6 max(1, |z|)`` are kept.  Without a partner
-    ``v`` is its own and every root is kept.  The kept roots inside the
-    box must number ``expected_rank``, and the argument principle on the
-    series, around their bounding rectangle padded by 0.5 (the box
-    itself when there are none), must count exactly them; otherwise
+    that moves with the cutoff, while the true zeros do not: of the roots
+    of ``v`` in the box, only those on which two Newton steps on the series
+    of ``partner`` (the same state at another cutoff) agree are kept.
+    Without a partner every root in the box is kept.  The kept roots must
+    number ``expected_rank``, and the argument principle on the series,
+    around their bounding rectangle padded by 0.5 (the box itself when
+    there are none), must count exactly them; otherwise
     :class:`CountMismatch` is raised.
     """
     if expected_rank < 0:
@@ -144,11 +159,10 @@ def zeros_from_fock(
     if box_halfwidth <= 0:
         raise InvalidParameter("box_halfwidth must be positive")
     roots = _hermite_roots(v)
-    others = roots if partner is None else _hermite_roots(partner)
-    gap = np.min(np.abs(roots[:, None] - others[None, :]), axis=1, initial=np.inf)
-    roots = roots[gap <= _AGREE * np.maximum(1.0, np.abs(roots))]
     hw = float(box_halfwidth)
     roots = roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
+    if partner is not None:
+        roots = roots[_partner_agrees(partner, roots)]
     if roots.size != expected_rank:
         raise CountMismatch(
             f"box holds {roots.size} stable zeros, expected {expected_rank}; "

@@ -292,6 +292,8 @@ def _packet_amplitudes(alpha: complex, chi: complex, dim: int) -> np.ndarray:
 
 def _sqrt_factorials(r: int) -> np.ndarray:
     """``sqrt(n!)`` for ``n = 0 .. r``, rounded from the exact ``n!`` (finite up to n = 300)."""
+    if r > 300:
+        raise InvalidParameter(f"sqrt(n!) overflows past n = 300; rank {r} is too high")
     out, fact = [1.0], 1
     for k in range(1, r + 1):
         fact *= k

@@ -195,11 +195,15 @@ def _raising_matrix(packet: WavefunctionForm, u, v, mu, r: int) -> np.ndarray:
     a0 = -(v * packet.g1 + mu)
     m = np.zeros((r + 1, r + 1), dtype=complex)
     m[0, 0] = 1.0
-    for n in range(1, r + 1):
-        prev = m[:n, n - 1]
-        m[1 : n + 1, n] += a1 * prev
-        m[:n, n] += a0 * prev
-        m[: n - 1, n] -= v * np.arange(1, n) * prev[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, r + 1):
+            prev = m[:n, n - 1]
+            m[1 : n + 1, n] += a1 * prev
+            m[:n, n] += a0 * prev
+            m[: n - 1, n] -= v * np.arange(1, n) * prev[1:]
+    finite = np.isfinite(m).all(axis=0)
+    if not finite.all():
+        raise PrecisionLoss(f"raising-operator coefficients overflow at degree {np.argmin(finite)}")
     return m
 
 

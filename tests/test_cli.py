@@ -262,6 +262,11 @@ class TestErrors:
         else:
             assert rc == 0 and len(out.strip().splitlines()) == rank
 
+    def test_rank_300_overflow_is_one_error_line(self, capsys):
+        # The raising-operator coefficients overflow a float near degree 300.
+        rc, _, err = run_cli(capsys, ["zeros", "--random", "300,0"])
+        assert_one_error_line(rc, err)
+
 
 # The flags each command reads, besides --help, --state, --random, --out and --config.
 COMMAND_FLAGS = {

@@ -1,5 +1,6 @@
 """Truncated Fock-basis propagation and oracle zero extraction."""
 
+import json
 import math
 
 import numpy as np
@@ -13,18 +14,69 @@ from stellar_zeros import (
     InvalidParameter,
     QuadraticHamiltonian,
     TruncationLeakage,
+    annihilation_matrix,
     build_wavefunction,
     closed_form,
+    eval_entire,
     evolve_fock,
     hamiltonian_matrix,
     matching_distance,
     normalize,
+    state_to_json,
     stellar_state_from_zeros,
     stellar_to_fock,
     zeros_from_fock,
 )
+from stellar_zeros import oracle
+from stellar_zeros.cli import main
+from stellar_zeros.wavefunction import _series_cutoff
 
 HP = QuadraticHamiltonian.phase_shift()
+# Criterion 3's Hamiltonians, which verify's benchmark also runs.
+VERIFY_HAMILTONIANS = (
+    HP,
+    QuadraticHamiltonian(A=0.50, B=0.45, C=0.08, D=0.12, E=-0.10),
+    QuadraticHamiltonian(A=0.45, B=0.52, C=-0.10, D=-0.10, E=0.08),
+)
+VERIFY_TIMES = (0.3, 1.1, 2.9)
+
+
+def dense_hamiltonian(H, cutoff):
+    """Reference: the Hamiltonian from dense products of the quadratures."""
+    a = annihilation_matrix(cutoff + 1)
+    ad = a.conj().T
+    x = (a + ad) / math.sqrt(2.0)
+    p = 1j * (ad - a) / math.sqrt(2.0)
+    return (
+        H.A * (x @ x)
+        + H.B * (p @ p)
+        + H.C * 0.5 * (x @ p + p @ x)
+        + H.D * x
+        + H.E * p
+        + H.F * np.eye(cutoff + 1)
+    )
+
+
+def dense_partner_keep(roots, partner):
+    """Reference: roots with a root of the partner's own colleague solve nearby."""
+    others = oracle._hermite_roots(partner)
+    gap = np.min(np.abs(roots[:, None] - others[None, :]), axis=1, initial=np.inf)
+    return gap <= oracle._AGREE * np.maximum(1.0, np.abs(roots))
+
+
+def roots_in_box(v, hw):
+    roots = oracle._hermite_roots(v)
+    return roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
+
+
+def newton_steps(w, z):
+    """The two Newton steps of the partner rule, on ``w``'s Hermite series."""
+    d = np.zeros_like(w.coeffs)
+    d[:-1] = np.sqrt(2.0 * np.arange(1, d.size)) * w.coeffs[1:]
+    d = FockVector(d)
+    s1 = eval_entire(w, z, check=False) / eval_entire(d, z, check=False)
+    s2 = eval_entire(w, z - s1, check=False) / eval_entire(d, z - s1, check=False)
+    return np.abs(s1), np.abs(s2)
 
 
 class TestHamiltonianMatrix:
@@ -54,6 +106,17 @@ class TestHamiltonianMatrix:
     def test_cutoff_floor(self):
         with pytest.raises(InvalidParameter):
             hamiltonian_matrix(HP, 3)
+
+    @pytest.mark.parametrize("cutoff", [4, 20, 123])
+    @pytest.mark.parametrize(
+        "H",
+        [QuadraticHamiltonian(**{name: 0.7}) for name in "ABCDEF"]
+        + [QuadraticHamiltonian(A=0.7, B=0.3, C=-0.4, D=0.2, E=0.1, F=1.0)],
+        ids=list("ABCDEF") + ["mixed"],
+    )
+    def test_band_matches_dense_products(self, H, cutoff):
+        m = hamiltonian_matrix(H, cutoff)
+        assert np.max(np.abs(m - dense_hamiltonian(H, cutoff))) < 1e-13
 
 
 class TestEvolveFock:
@@ -89,6 +152,26 @@ class TestEvolveFock:
         two_steps = evolve_fock(evolve_fock(v, H, 0.4, 80), H, 0.9, 80)
         one_step = evolve_fock(v, H, 1.3, 80)
         assert np.max(np.abs(two_steps.coeffs - one_step.coeffs)) < 1e-8
+
+    def test_times_sequence_equals_scalar_calls(self):
+        v = stellar_to_fock(ring_state(3, 2), 80)
+        H = VERIFY_HAMILTONIANS[1]
+        many = evolve_fock(v, H, list(VERIFY_TIMES), 100)
+        assert len(many) == len(VERIFY_TIMES)
+        for t, out in zip(VERIFY_TIMES, many):
+            assert np.max(np.abs(out.coeffs - evolve_fock(v, H, t, 100).coeffs)) < 1e-12
+
+    def test_times_sequence_checks_leakage_at_every_time(self):
+        v = FockVector(np.array([1.0] + [0.0] * 11, dtype=complex))
+        squeezer = QuadraticHamiltonian(A=1.0, B=-1.0)
+        evolve_fock(v, squeezer, [0.02, 0.05])
+        with pytest.raises(TruncationLeakage):
+            evolve_fock(v, squeezer, [0.02, 2.0, 0.05])
+
+    def test_times_must_be_at_most_1d(self):
+        v = FockVector(np.array([1.0] + [0.0] * 11, dtype=complex))
+        with pytest.raises(InvalidParameter):
+            evolve_fock(v, HP, [[0.1, 0.2]])
 
     def test_support_precondition(self):
         bad = np.zeros(41, dtype=complex)
@@ -178,3 +261,67 @@ class TestOracleLoop:
             zeros_from_fock(vt, 4, hw)
         got = zeros_from_fock(vt, 4, hw, partner=partner)
         assert matching_distance(got, want) < 1e-8
+
+
+class TestNewtonPartner:
+    def test_keeps_what_the_dense_partner_solve_keeps(self):
+        rejected = 0
+        for rank in range(1, 7):
+            st = ring_state(rank, 10 + rank, radius=0.85, chi=0.12, alpha=0.08)
+            wf = build_wavefunction(st)
+            v = stellar_to_fock(st, 80)
+            for H in VERIFY_HAMILTONIANS:
+                vts = evolve_fock(v, H, VERIFY_TIMES, 80)
+                partners = evolve_fock(v, H, VERIFY_TIMES, 100)
+                for t, vt, partner in zip(VERIFY_TIMES, vts, partners):
+                    want = closed_form(wf, H, t)
+                    hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
+                    roots = roots_in_box(vt, hw)
+                    keep = oracle._partner_agrees(partner, roots)
+                    assert np.array_equal(keep, dense_partner_keep(roots, partner))
+                    assert np.count_nonzero(keep) == rank
+                    rejected += roots.size - rank
+        # the truncation ring reaches the box in some cases
+        assert rejected > 0
+
+    def test_rank1_steps_at_roundoff_are_kept(self):
+        # Both steps sit at ~1.2e-16, so the second is not half the first:
+        # only the roundoff floor keeps the true zero.
+        st = stellar_state_from_zeros([1j])
+        cutoff = _series_cutoff(st, 3.0)
+        v = stellar_to_fock(st, cutoff)
+        vts = evolve_fock(v, HP, VERIFY_TIMES, cutoff)
+        partners = evolve_fock(v, HP, VERIFY_TIMES, cutoff + 20)
+        for vt, partner in zip(vts, partners):
+            roots = roots_in_box(vt, 2.0)
+            assert roots.size == 1
+            s1, s2 = newton_steps(partner, roots)
+            assert np.all(s2 > 0.5 * s1)
+            assert np.all(oracle._partner_agrees(partner, roots))
+
+    def test_zero_derivative_rejects_without_warning(self):
+        constant = FockVector(np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
+        assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j])))
+
+
+def test_verify_makes_two_decompositions_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
+    # One eigh per cutoff and no colleague solve for the partner: a return
+    # to one dense solve per time fails here, not only in the benchmark.
+    calls = {"eigh": 0, "colleague": 0}
+    eigh, hermite_roots = np.linalg.eigh, oracle._hermite_roots
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_roots(*args, **kwargs):
+        calls["colleague"] += 1
+        return hermite_roots(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(oracle, "_hermite_roots", counting_roots)
+    path = tmp_path / "r2.json"
+    path.write_text(json.dumps(state_to_json(ring_state(2, 1))), encoding="utf-8")
+    assert main(["verify", "--state", str(path)]) == 0
+    assert "status=PASS" in capsys.readouterr().out
+    assert calls == {"eigh": 2, "colleague": 3}

@@ -262,6 +262,13 @@ class TestStellarToFock:
         with pytest.raises(CutoffTooSmall):
             stellar_to_fock(st_, 10)
 
+    def test_rank_past_300_is_a_typed_error(self):
+        # sqrt(301!) is past the largest float.
+        core = np.zeros(302, dtype=complex)
+        core[-1] = 1.0
+        with pytest.raises(InvalidParameter):
+            stellar_to_fock(StellarState(rank=301, core=core, alpha=0.0, chi=0.0), 400)
+
     def test_norm_postcondition(self):
         st_ = random_stellar_state(3, 7)
         v = stellar_to_fock(st_)

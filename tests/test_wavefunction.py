@@ -138,6 +138,11 @@ class TestBuildWavefunction:
         assert len(wf.zeros) == 120
         assert abs(form_norm_squared(wf) - 1.0) < 1e-12
 
+    def test_rank_300_overflow_is_typed(self):
+        # The raising-operator coefficients overflow a float before degree 300.
+        with pytest.raises(PrecisionLoss):
+            build_wavefunction(random_stellar_state(300, 0))
+
     def test_norm_with_a_zero_on_a_quadrature_node(self):
         # Zeros 0 and 1 at g2 = -1/2: three nodes, the middle one at x = 0,
         # and the integral of x^2 (x - 1)^2 exp(-x^2) is 5 sqrt(pi) / 4.
