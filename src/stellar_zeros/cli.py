@@ -119,7 +119,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         # Accept either a state descriptor or a wavefunction-form descriptor.
         with open(args.state_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "core" in data:
+        if not isinstance(data, dict) or "core" in data:  # state_from_json rejects a non-object
             wf = wavefunction.build_wavefunction(states.state_from_json(data))
         else:
             wf = wavefunction.form_from_json(data)
@@ -200,13 +200,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     dual_dev = float(np.max(np.abs(a - b))) / grid_scale
 
     # Zero propagation: ODE vs closed form vs Fock oracle.
-    ode_dev = 0.0
-    oracle_dev = 0.0
+    ode_dev = oracle_dev = 0.0
     if wf.rank > 0:
         traj = dynamics.integrate(wf, H, [0.0] + times)
-        refs = [dynamics.closed_form(wf, H, t) for t in times]
-        for i, zc in enumerate(refs):
-            ode_dev = max(ode_dev, dynamics.matching_distance(traj.paths[:, i + 1], zc))
+        refs = dynamics.closed_form(wf, H, times)
+        ode_dev = max(map(dynamics.matching_distance, traj.paths[:, 1:].T, refs))
 
         vts = oracle.evolve_fock(v, H, times, cutoff)
         partners = oracle.evolve_fock(v, H, times, cutoff + _PARTNER_CUTOFF_STEP)

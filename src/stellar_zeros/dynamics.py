@@ -31,7 +31,6 @@ classical flow ``c I + s M`` of its Riccati equation (see
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -220,51 +219,57 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
     out = np.empty((y0.size, ts.size), dtype=complex)
     out[:, 0] = y0
-    solver = DOP853(
-        lambda t, y: _rhs_raw(y.tolist(), H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL
-    )
+    solver = DOP853(lambda t, y: _rhs_raw(y.tolist(), H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL)
     i = 1
-    while i < ts.size:
-        # A NaN stage (exact collision) makes the error norm NaN, which
-        # rejects the step; the NaN arithmetic there is expected.
-        with np.errstate(invalid="ignore"):
+    # A NaN or overflowing stage (a collision, a hyperbolic blow-up) makes the
+    # error norm NaN or inf, which rejects the step; samples are checked after.
+    with np.errstate(invalid="ignore", over="ignore"):
+        while i < ts.size:
             failed = solver.step() is not None
-        t, gap = solver.t, _min_gap(solver.y[2:])
-        if failed and gap < 1e-6:
-            raise ZeroCollision(
-                f"step collapse near zero collision at t~{t:.6g}", t_estimate=t
-            )
-        if failed:
-            raise StepFailure(f"step size underflow at t={t:.6g}")
-        if gap <= COLLISION_GAP:
-            raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
-        j = int(np.searchsorted(ts, t, side="right"))
-        if j > i:
-            out[:, i:j] = solver.dense_output()(ts[i:j])
-            i = j
+            t, gap = solver.t, _min_gap(solver.y[2:])
+            if failed and gap < 1e-6:
+                msg = f"step collapse near zero collision at t~{t:.6g}"
+                raise ZeroCollision(msg, t_estimate=t)
+            if failed:
+                raise StepFailure(f"step size underflow at t={t:.6g}")
+            if gap <= COLLISION_GAP:
+                raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
+            j = int(np.searchsorted(ts, t, side="right"))
+            if j > i:
+                out[:, i:j] = solver.dense_output()(ts[i:j])
+                i = j
+    out = _finite(out, ts, "integrated solution", axis=0)
     return ZeroTrajectory(ts, out[2:], out[:2])
 
 
-def _flow_coefficients(w2: float, t: float):
-    """``(cos wt, sin(wt)/w, (1 - cos wt)/w^2)`` at ``w^2 = w2``, entire in ``w2``.
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
+def _flow_coefficients(w2: float, t) -> np.ndarray:
+    """``(cos wt, sin(wt)/w, (1 - cos wt)/w^2)`` at ``w^2 = w2`` and time(s) ``t``, on axis 0.
 
-    With ``theta = w t`` these are ``cos theta``, ``t sin(theta)/theta`` and
-    ``(t^2/2) (sin(theta/2)/(theta/2))^2``: nothing cancels as ``w2 -> 0``,
+    With ``theta = w t`` these are ``cos theta``, ``t sinc theta`` and
+    ``(t^2/2) sinc^2(theta/2)``: nothing cancels as ``w2 -> 0`` or ``t -> 0``,
     and ``w2 < 0`` makes ``theta`` imaginary and the three hyperbolic.
     """
-    theta = cmath.sqrt(w2) * t
-    if not theta:
-        return 1.0, t, 0.5 * t * t
-    half = 0.5 * theta
-    return (
-        cmath.cos(theta).real,
-        t * (cmath.sin(theta) / theta).real,
-        0.5 * t * t * ((cmath.sin(half) / half) ** 2).real,
-    )
+    t = np.asarray(t, dtype=float)
+    x = np.sqrt(complex(w2)) * t / np.pi  # theta / pi: np.sinc(x) is sin(pi x)/(pi x)
+    csq = np.array([np.cos(np.pi * x), t * np.sinc(x), 0.5 * t * t * np.sinc(0.5 * x) ** 2])
+    return _finite(csq, t, "classical flow", axis=0).real
 
 
-def _gaussian_flow(g2, g1, H: QuadraticHamiltonian, c, s, q):
-    """``(g2, g1)`` at the time(s) whose flow coefficients are ``c, s, q``.
+def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:
+    """``x``, or :class:`InvalidParameter` at the first time of ``t`` where it is not finite.
+
+    ``axis`` lists the axes of ``x`` other than time.  Only a hyperbolic flow overflows.
+    """
+    if not np.isfinite(x).all():
+        bad = np.ravel(t)[np.argmin(np.isfinite(x).all(axis=axis))]
+        raise InvalidParameter(f"{what} overflows at t={bad:.6g}")
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gaussian_flow(g2, g1, H: QuadraticHamiltonian, t):
+    """``(g2, g1)`` at time(s) ``t``, stacked on a leading axis of 2.
 
     ``g2 = p/w`` is a Moebius map: ``(p, w) = (c I + s M)(g2_0, 1)`` with
     ``M = [[-C, -iA], [-4iB, C]]`` (``M^2 = -omega^2 I``), the classical flow
@@ -272,10 +277,11 @@ def _gaussian_flow(g2, g1, H: QuadraticHamiltonian, c, s, q):
     ``g1 = (g1_0 - 2E P - iD W)/w`` with ``(P, W) = (s I + q M)(g2_0, 1)``,
     the time integral of ``(p, w)``.
     """
+    c, s, q = _flow_coefficients(H.omega2, t)
     mg, mw = -H.C * g2 - 1j * H.A, -4j * H.B * g2 + H.C  # M (g2_0, 1)
     w = c + s * mw
     g1t = g1 - 2.0 * H.E * (s * g2 + q * mg) - 1j * H.D * (s + q * mw)
-    return (c * g2 + s * mg) / w, g1t / w
+    return _finite(np.array([(c * g2 + s * mg) / w, g1t / w]), t, "Gaussian flow", axis=0)
 
 
 def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
@@ -292,19 +298,21 @@ def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
     return LaxData(np.array([np.diag(lam), lmat, kappa * np.eye(lam.size)]), H.omega2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def closed_form_matrix(lax: LaxData, t) -> np.ndarray:
     """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t.
 
     An array of times gives the stack ``(..., rank, rank)``.
     """
     ts = np.asarray(t, dtype=float)
-    csq = np.array([_flow_coefficients(lax.omega2, x) for x in ts.ravel().tolist()], dtype=complex)
-    # One complex product for the whole stack, not three scaled copies per time.
-    return (csq @ lax.terms.reshape(3, -1)).reshape(*ts.shape, *lax.terms.shape[1:])
+    csq = _flow_coefficients(lax.omega2, ts).reshape(3, -1).T
+    # One product for the whole stack, not three scaled copies per time.
+    mats = (csq @ lax.terms.reshape(3, -1)).reshape(*ts.shape, *lax.terms.shape[1:])
+    return _finite(mats, ts, "zero matrix", axis=(-2, -1))
 
 
-def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float):
-    """Zero multiset at time t from the matrix solution."""
+def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t):
+    """Zero multiset at time t from the matrix solution; n times give an ``(n, rank)`` stack."""
     return eigenvalues_small(closed_form_matrix(lax_data(wf, H), t))
 
 
@@ -377,11 +385,9 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     if ts[0] < 0 or np.any(np.diff(ts) <= 0):
         raise InvalidParameter("times must be strictly increasing from t >= 0")
     lax = lax_data(wf, H)
-    c, s, q = np.array([_flow_coefficients(H.omega2, t) for t in ts.tolist()]).T
-    gauss = np.array(_gaussian_flow(wf.g2, wf.g1, H, c, s, q))
-    paths = _track(
-        wf.zeros, 0.0, ts[ts > 0], lambda t: eigenvalues_small(closed_form_matrix(lax, t))
-    )
+    gauss = _gaussian_flow(wf.g2, wf.g1, H, ts)
+    paths = _track(wf.zeros, 0.0, ts[ts > 0],
+                   lambda t: eigenvalues_small(closed_form_matrix(lax, t)))
     return ZeroTrajectory(ts, paths[int(ts[0] > 0) :].T, gauss, lax)
 
 
@@ -394,6 +400,5 @@ def evolve_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float) -> Wave
     """
     if t < 0:
         raise InvalidParameter("evolve_form needs t >= 0")
-    g2t, g1t = _gaussian_flow(wf.g2, wf.g1, H, *_flow_coefficients(H.omega2, t))
-    zeros = closed_form(wf, H, t)
-    return WavefunctionForm(g2t, g1t, 0.0, zeros, 1.0).normalized()
+    g2t, g1t = _gaussian_flow(wf.g2, wf.g1, H, t)
+    return WavefunctionForm(g2t, g1t, 0.0, closed_form(wf, H, t), 1.0).normalized()

@@ -10,9 +10,8 @@ throughout the package:
 
 The conversion from the second to the first builds the rank-0 packet
 amplitudes by a stable three-term recurrence and applies the core polynomial
-through the conjugated creation operator, so the closed-form amplitude
-formulas (squeezed vacuum, displacement matrix elements) and the
-matrix-exponential route remain available as independent test oracles.
+through the conjugated creation operator.  The test suite checks it against
+displacement matrix elements and against the matrix-exponential route.
 """
 
 from __future__ import annotations

@@ -459,12 +459,10 @@ def count_zeros_box(f, box) -> int:
         gaps = np.diff(ts, append=ts[0] + 4.0)
         if np.any(gaps[bad] < 1e-9):
             raise ZeroOnContour("unresolvable phase jump on the contour")
+        # ts starts at 0, so even the closing segment's midpoint stays below 4.
+        idx = np.flatnonzero(bad) + 1
         mid_ts = ts[bad] + 0.5 * gaps[bad]
-        mid_fs = np.asarray(f(_box_boundary(box, mid_ts)), dtype=complex)
-        ts = np.concatenate([ts, mid_ts % 4.0])
-        fs = np.concatenate([fs, mid_fs])
-        order = np.argsort(ts, kind="stable")
-        ts, fs = ts[order], fs[order]
+        ts, fs = np.insert(ts, idx, mid_ts), np.insert(fs, idx, f(_box_boundary(box, mid_ts)))
         if ts.size > 200_000:
             raise ZeroOnContour("contour refinement budget exhausted")
         contour_guard(fs)

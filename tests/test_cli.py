@@ -267,6 +267,24 @@ class TestErrors:
         rc, _, err = run_cli(capsys, ["zeros", "--random", "300,0"])
         assert_one_error_line(rc, err)
 
+    @pytest.mark.parametrize("method", ["closed", "ode"])
+    @pytest.mark.parametrize("t_end", [705, 710, 800, 900])
+    def test_hyperbolic_blow_up_ends_in_a_result_or_one_error_line(self, capsys, t_end, method):
+        # omega^2 = -1: the flow grows like e^t and overflows a float near t = 710.
+        rc, _, err = run_cli(capsys, [
+            "evolve", "--random", "2,0", "--hamiltonian", "0,0.5,1,0,0,0",
+            "--time", f"0,{t_end},3", "--method", method,
+        ])
+        if rc != 0:
+            assert_one_error_line(rc, err)
+
+    @pytest.mark.parametrize("text", ["5", "null", "true"])
+    def test_zeros_of_a_json_file_that_is_no_object(self, capsys, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        rc, _, err = run_cli(capsys, ["zeros", "--state", str(path)])
+        assert_one_error_line(rc, err)
+
 
 # The flags each command reads, besides --help, --state, --random, --out and --config.
 COMMAND_FLAGS = {

@@ -203,6 +203,45 @@ class TestIntegrate:
             assert calls[0] < ts.size, (H, calls[0])
 
 
+def flow_reference(w2, t):
+    """``cos wt``, ``sin(wt)/w`` and ``(1 - cos wt)/w^2`` from ``math``, or hyperbolic forms."""
+    if abs(w2) < 1e-100:  # w t underflows; the w -> 0 limits are exact in double precision
+        return 1.0, t, 0.5 * t * t
+    w = math.sqrt(abs(w2))
+    if w2 > 0:
+        return math.cos(w * t), math.sin(w * t) / w, (1.0 - math.cos(w * t)) / w2
+    return math.cosh(w * t), math.sinh(w * t) / w, (1.0 - math.cosh(w * t)) / w2
+
+
+# A hyperbolic Hamiltonian: omega^2 = 4AB - C^2 = -1, so cosh(t) overflows past t ~ 710.
+H_HYP = QuadraticHamiltonian(B=0.5, C=1.0)
+
+
+class TestFlowCoefficients:
+    TIMES = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 8.0, 40)])
+
+    @pytest.mark.parametrize("w2", [1.0, 0.7, 0.0, 1e-300, -1e-300, -0.05, -2.0])
+    def test_matches_the_trigonometric_and_hyperbolic_forms(self, w2):
+        got = dynamics._flow_coefficients(w2, self.TIMES)
+        assert got.shape == (3, self.TIMES.size) and got.dtype == float
+        want = np.array([flow_reference(w2, t) for t in self.TIMES]).T
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("w2", [0.7, 0.0, -2.0])
+    def test_a_scalar_time_gives_one_triple(self, w2):
+        got = dynamics._flow_coefficients(w2, 1.3)
+        assert got.shape == (3,)
+        assert np.array_equal(got, dynamics._flow_coefficients(w2, [1.3])[:, 0])
+
+    def test_overflow_is_a_typed_error_naming_the_time(self):
+        lax = lax_data(distinct_random_state(2, 0)[1], H_HYP)
+        with pytest.raises(InvalidParameter, match="t=800"):
+            dynamics.closed_form_matrix(lax, [1.0, 800.0])
+        # cosh(710) is still finite; the matrix built from it is not.
+        with pytest.raises(InvalidParameter, match="t=710"):
+            dynamics.closed_form_matrix(lax, [1.0, 710.0])
+
+
 class TestClosedForm:
     def test_time_zero_identity(self):
         _, wf = distinct_random_state(3, 2, scale=0.7)
@@ -230,6 +269,15 @@ class TestClosedForm:
         # passes straight through
         zs = closed_form(wf, HP, math.pi / 2)
         assert max(abs(z) for z in zs) < 1e-8
+
+    def test_an_array_of_times_gives_one_zero_set_per_time(self):
+        _, wf = distinct_random_state(3, 2, scale=0.7)
+        H = QuadraticHamiltonian(0.7, 0.3, 0.1, 0.0, 0.05, 0.0)
+        times = [0.3, 1.1, 2.9]
+        got = closed_form(wf, H, times)
+        assert got.shape == (3, 3)
+        for row, t in zip(got, times):
+            assert matching_distance(row, closed_form(wf, H, t)) < 1e-14
 
     def test_b_zero_and_omega2_zero(self):
         _, wf = distinct_random_state(3, 1, scale=0.7)
@@ -482,6 +530,22 @@ class TestTracker:
         else:
             with pytest.raises(TrackingAmbiguity):
                 dynamics._track(a, 0.0, [1.0], zeros_at)
+
+    def test_flow_coefficients_once_per_solve_not_per_sample(self, monkeypatch):
+        calls, solves = [], []
+        flow, solve = dynamics._flow_coefficients, dynamics.eigenvalues_small
+        monkeypatch.setattr(
+            dynamics, "_flow_coefficients", lambda w2, t: calls.append(np.size(t)) or flow(w2, t)
+        )
+        monkeypatch.setattr(
+            dynamics, "eigenvalues_small", lambda m: solves.append(len(m)) or solve(m)
+        )
+        _, wf = distinct_random_state(4, 1)
+        grid = np.linspace(0.0, 2.0 * math.pi, 513)
+        sample_closed_form(wf, HP, grid)
+        assert len(solves) >= 2, "this fixture needs refining"
+        # One call for the Gaussian flow on the whole grid, then one per solve.
+        assert calls == [grid.size] + solves
 
     def test_one_solve_for_the_grid_and_one_per_refinement_pass(self, monkeypatch):
         solves, times = [], []
