@@ -4,12 +4,16 @@ The quadratic Hamiltonian is the truncated pentadiagonal band of ``x^2``,
 ``p^2``, ``xp + px``, ``x`` and ``p``, exactly Hermitian, and is
 exponentiated by one eigendecomposition for any number of times; evolved
 vectors are monitored for leakage into the top quarter of the basis.  A
-cutoff-N vector is a degree-N Hermite series, so one colleague-matrix
-eigen-solve gives all N zeros of its entire extension.  The true zeros are
-those on which two Newton steps on the series of the same state at another
-cutoff agree (the truncation ring moves with the cutoff), and one
-argument-principle contour certifies their count.  None of this shares
-a code path with the closed-form zero dynamics, which is the point:
+cutoff-N vector is a degree-N Hermite series, so a colleague-matrix
+eigen-solve gives its zeros.  The solve is first made on the degree the
+coefficients resolve (the series cut after its last coefficient above
+``eps`` of the largest), usually well below N.  The true zeros are those
+on which two Newton steps on the series of the same state at another
+cutoff agree (the truncation ring moves with the cutoff); they are
+reported as the twice-stepped roots, and one argument-principle contour
+on the full series certifies their count.  Only when that certificate
+fails is the solve repeated on the full degree.  None of this shares a
+code path with the closed-form zero dynamics, which is the point:
 agreement between the two is the package's strongest check.
 """
 
@@ -19,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import CountMismatch, InvalidParameter, TruncationLeakage
+from .errors import CountMismatch, InvalidParameter, TruncationLeakage, ZeroOnContour
 from .dynamics import QuadraticHamiltonian
 from .states import FockVector
 from .wavefunction import count_zeros_box, eval_entire
@@ -35,8 +39,11 @@ __all__ = [
 _AGREE = 1e-6
 # Margin of the certificate contour around the kept zeros.
 _PAD = 0.5
-# Trailing coefficients below this fraction of the largest are dropped
-# before dividing by the last one, which could otherwise overflow.
+# The short solve cuts the series after its last coefficient above this
+# fraction of the largest.
+_RESOLVED = np.finfo(float).eps
+# The full solve drops only trailing coefficients below this fraction of
+# the largest, since dividing by the last one could otherwise overflow.
 _NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
 
 
@@ -73,15 +80,16 @@ def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t, cutoff: int | None = 
     propagation exactly unitary; correctness is guarded by requiring
     the input to carry less than 1e-10 of its norm in the top quarter of
     the basis and the output less than 1e-8.  A 1-d sequence of times gives
-    one vector per time from the one decomposition, each checked.
+    one vector per time from the one decomposition, each checked.  The
+    times must be finite.
     """
     if cutoff is None:
         cutoff = v.cutoff
     if cutoff < max(4, v.cutoff):
         raise InvalidParameter("evolution cutoff below the state cutoff")
     times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise InvalidParameter("times must be a scalar or a 1-d sequence")
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise InvalidParameter("t must be a finite scalar or 1-d sequence")
     vec = v.padded(cutoff).coeffs
     if _top_quarter_norm(vec) >= 1e-10:
         raise InvalidParameter(
@@ -98,19 +106,20 @@ def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t, cutoff: int | None = 
     return [FockVector(o) for o in out] if times.ndim else FockVector(out[0])
 
 
-def _hermite_roots(v: FockVector) -> np.ndarray:
-    """All zeros of the Hermite series of ``v``, from one colleague matrix.
+def _hermite_roots(v: FockVector, floor: float = _NEGLIGIBLE) -> np.ndarray:
+    """Zeros of the Hermite series of ``v`` cut after its last coefficient
+    above ``floor`` times the largest, from one colleague matrix.
 
     ``psi(z) = exp(-z^2/2) sum_n c_n p_n(z)`` with the orthonormal Hermite
     polynomials ``p_n``, which obey ``z p_n = b_{n+1} p_{n+1} + b_n p_{n-1}``
     with ``b_n = sqrt(n/2)``.  Their Jacobi matrix, with the series folded
     into its last column, has the zeros as eigenvalues (Good 1961); working
     in the orthonormal basis keeps the ``2^n n!`` scale out of the matrix.
-    Trailing coefficients too small to divide by are dropped: they only
-    push spurious roots further out.
+    The default floor drops only coefficients too small to divide by: they
+    only push spurious roots further out.
     """
     c = v.coeffs
-    kept = np.flatnonzero(np.abs(c) > np.max(np.abs(c)) * _NEGLIGIBLE)
+    kept = np.flatnonzero(np.abs(c) > np.max(np.abs(c)) * floor)
     if kept.size == 0:
         raise InvalidParameter("the zero vector has no isolated zeros")
     n = int(kept[-1])
@@ -122,8 +131,9 @@ def _hermite_roots(v: FockVector) -> np.ndarray:
     return np.linalg.eigvals(colleague)
 
 
-def _partner_agrees(w: FockVector, z: np.ndarray) -> np.ndarray:
-    """Whether two Newton steps on ``w``'s Hermite series confirm each ``z``.
+def _partner_agrees(w: FockVector, z: np.ndarray):
+    """Whether two Newton steps on ``w``'s Hermite series confirm each ``z``,
+    and the twice-stepped roots ``z - s1 - s2``.
 
     The first step must be within ``_AGREE max(1, |z|)``, the second at most
     half the first above a roundoff floor; a zero derivative rejects.  As
@@ -134,8 +144,9 @@ def _partner_agrees(w: FockVector, z: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s1 = eval_entire(w, z, check=False) / eval_entire(d, z, check=False)
         s2 = eval_entire(w, z - s1, check=False) / eval_entire(d, z - s1, check=False)
+        polished = z - s1 - s2
     floor = 16.0 * np.finfo(float).eps * scale
-    return (np.abs(s1) <= _AGREE * scale) & (np.abs(s2) <= 0.5 * np.abs(s1) + floor)
+    return (np.abs(s1) <= _AGREE * scale) & (np.abs(s2) <= 0.5 * np.abs(s1) + floor), polished
 
 
 def zeros_from_fock(
@@ -143,26 +154,39 @@ def zeros_from_fock(
 ) -> list:
     """Zeros of the entire extension inside a centered square box.
 
-    Every zero of the truncated series comes from one eigen-solve
-    (:func:`_hermite_roots`).  Truncation adds a ring of spurious zeros
-    that moves with the cutoff, while the true zeros do not: of the roots
-    of ``v`` in the box, only those on which two Newton steps on the series
-    of ``partner`` (the same state at another cutoff) agree are kept.
-    Without a partner every root in the box is kept.  The kept roots must
-    number ``expected_rank``, and the argument principle on the series,
-    around their bounding rectangle padded by 0.5 (the box itself when
-    there are none), must count exactly them; otherwise
-    :class:`CountMismatch` is raised.
+    The candidate zeros come from one eigen-solve (:func:`_hermite_roots`)
+    on the degree the coefficients resolve: the series cut after its last
+    coefficient above ``eps`` of the largest.  Truncation adds a ring of
+    spurious zeros that moves with the cutoff, while the true zeros do
+    not: of the roots in the box, only those on which two Newton steps on
+    the series of ``partner`` (the same state at another cutoff) agree are
+    kept, and they are returned after those two steps.  Without a partner
+    every root in the box is kept as it is.  The kept roots must number
+    ``expected_rank``, and the argument principle on the full series of
+    ``v``, around their bounding rectangle padded by 0.5 (the box itself
+    when there are none), must count exactly them.  If either check fails
+    (the short series can miss a zero that only its tail resolves), the
+    same steps are run once on the full degree, and its
+    :class:`CountMismatch` or :class:`ZeroOnContour` is the one raised.
     """
     if expected_rank < 0:
         raise InvalidParameter("expected_rank must be nonnegative")
-    if box_halfwidth <= 0:
-        raise InvalidParameter("box_halfwidth must be positive")
-    roots = _hermite_roots(v)
+    if not 0 < box_halfwidth < math.inf:
+        raise InvalidParameter("box_halfwidth must be positive and finite")
     hw = float(box_halfwidth)
+    try:
+        return _certified_zeros(v, expected_rank, hw, partner, _RESOLVED)
+    except (CountMismatch, ZeroOnContour):
+        return _certified_zeros(v, expected_rank, hw, partner, _NEGLIGIBLE)
+
+
+def _certified_zeros(v, expected_rank, hw, partner, floor) -> list:
+    """:func:`zeros_from_fock`'s steps on the series of ``v`` cut at ``floor``."""
+    roots = _hermite_roots(v, floor)
     roots = roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
     if partner is not None:
-        roots = roots[_partner_agrees(partner, roots)]
+        keep, polished = _partner_agrees(partner, roots)
+        roots = polished[keep]
     if roots.size != expected_rank:
         raise CountMismatch(
             f"box holds {roots.size} stable zeros, expected {expected_rank}; "

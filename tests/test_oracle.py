@@ -22,6 +22,7 @@ from stellar_zeros import (
     hamiltonian_matrix,
     matching_distance,
     normalize,
+    random_stellar_state,
     state_to_json,
     stellar_state_from_zeros,
     stellar_to_fock,
@@ -168,6 +169,12 @@ class TestEvolveFock:
         with pytest.raises(TruncationLeakage):
             evolve_fock(v, squeezer, [0.02, 2.0, 0.05])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.3, math.nan]])
+    def test_times_must_be_finite(self, t):
+        v = FockVector(np.array([1.0] + [0.0] * 11, dtype=complex))
+        with pytest.raises(InvalidParameter, match="finite"):
+            evolve_fock(v, HP, t)
+
     def test_times_must_be_at_most_1d(self):
         v = FockVector(np.array([1.0] + [0.0] * 11, dtype=complex))
         with pytest.raises(InvalidParameter):
@@ -226,6 +233,10 @@ class TestZerosFromFock:
             zeros_from_fock(v, -1, 2.0)
         with pytest.raises(InvalidParameter):
             zeros_from_fock(v, 1, 0.0)
+        for hw in (math.nan, math.inf):
+            for rank in (0, 1):
+                with pytest.raises(InvalidParameter):
+                    zeros_from_fock(v, rank, hw)
         with pytest.raises(InvalidParameter):
             zeros_from_fock(FockVector(np.zeros(8, dtype=complex)), 0, 2.0)
 
@@ -246,7 +257,7 @@ class TestOracleLoop:
 
     def test_partner_cutoff_rejects_truncation_ring(self):
         # At t = 1.1 the rank-4 zeros spread until a truncation-ring zero
-        # of the cutoff-80 vector falls inside the box; the cutoff-100
+        # of the full cutoff-80 series falls inside the box; the cutoff-100
         # vector's ring lies elsewhere, so only the true zeros agree.
         st = ring_state(4, 0, radius=0.85, chi=0.12, alpha=0.08)
         wf = build_wavefunction(st)
@@ -257,10 +268,35 @@ class TestOracleLoop:
         partner = evolve_fock(v, H, t, 100)
         want = closed_form(wf, H, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        with pytest.raises(CountMismatch):
-            zeros_from_fock(vt, 4, hw)
+        assert roots_in_box(vt, hw).size == 5
         got = zeros_from_fock(vt, 4, hw, partner=partner)
         assert matching_distance(got, want) < 1e-8
+
+    @pytest.mark.parametrize("t, solves", [(0.3, 1), (1.1, 1), (2.9, 2)])
+    def test_short_solve_falls_back_to_the_full_degree(self, monkeypatch, t, solves):
+        # At t = 2.9 the zero near 5.42+0.40i needs coefficients down to
+        # 1e-20, below what the short solve keeps: its count fails and the
+        # full-degree solve finds the zero.
+        st = random_stellar_state(6, 1)
+        cutoff = _series_cutoff(st, 3.0)
+        v = stellar_to_fock(st, cutoff)
+        vt = evolve_fock(v, HP, t, cutoff)
+        partner = evolve_fock(v, HP, t, cutoff + 20)
+        want = closed_form(build_wavefunction(st), HP, t)
+        hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
+        orders, hermite_roots = [], oracle._hermite_roots
+
+        def recording_roots(*args, **kwargs):
+            roots = hermite_roots(*args, **kwargs)
+            orders.append(roots.size)
+            return roots
+
+        monkeypatch.setattr(oracle, "_hermite_roots", recording_roots)
+        got = zeros_from_fock(vt, 6, hw, partner=partner)
+        assert len(orders) == solves
+        assert orders[-1] == (cutoff if solves == 2 else orders[0])
+        assert orders[0] < cutoff
+        assert matching_distance(got, want) < 1e-9
 
 
 class TestNewtonPartner:
@@ -277,7 +313,7 @@ class TestNewtonPartner:
                     want = closed_form(wf, H, t)
                     hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
                     roots = roots_in_box(vt, hw)
-                    keep = oracle._partner_agrees(partner, roots)
+                    keep, _ = oracle._partner_agrees(partner, roots)
                     assert np.array_equal(keep, dense_partner_keep(roots, partner))
                     assert np.count_nonzero(keep) == rank
                     rejected += roots.size - rank
@@ -297,26 +333,33 @@ class TestNewtonPartner:
             assert roots.size == 1
             s1, s2 = newton_steps(partner, roots)
             assert np.all(s2 > 0.5 * s1)
-            assert np.all(oracle._partner_agrees(partner, roots))
+            assert np.all(oracle._partner_agrees(partner, roots)[0])
 
     def test_zero_derivative_rejects_without_warning(self):
         constant = FockVector(np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
-        assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j])))
+        assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j]))[0])
 
 
 def test_verify_makes_two_decompositions_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
     # One eigh per cutoff and no colleague solve for the partner: a return
     # to one dense solve per time fails here, not only in the benchmark.
+    # Each solve is on the degree the coefficients resolve, below the cutoff.
     calls = {"eigh": 0, "colleague": 0}
+    orders, resolved, cutoffs = [], [], []
     eigh, hermite_roots = np.linalg.eigh, oracle._hermite_roots
 
     def counting_eigh(*args, **kwargs):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
-    def counting_roots(*args, **kwargs):
+    def counting_roots(v, *args, **kwargs):
         calls["colleague"] += 1
-        return hermite_roots(*args, **kwargs)
+        roots = hermite_roots(v, *args, **kwargs)
+        c = np.abs(v.coeffs)
+        orders.append(roots.size)
+        resolved.append(int(np.flatnonzero(c > np.finfo(float).eps * c.max())[-1]))
+        cutoffs.append(v.cutoff)
+        return roots
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(oracle, "_hermite_roots", counting_roots)
@@ -325,3 +368,5 @@ def test_verify_makes_two_decompositions_and_three_colleague_solves(monkeypatch,
     assert main(["verify", "--state", str(path)]) == 0
     assert "status=PASS" in capsys.readouterr().out
     assert calls == {"eigh": 2, "colleague": 3}
+    assert orders == resolved
+    assert all(n < cutoff for n, cutoff in zip(orders, cutoffs))

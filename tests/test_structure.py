@@ -85,3 +85,9 @@ def test_one_zero_tracker():
     # which serves `matching_distance`.
     assert _scopes_of("linear_sum_assignment") == [("dynamics", "match_sets")]
     assert _scopes_of("TrackingAmbiguity", ast.Raise) == [("dynamics", "_track")]
+
+
+def test_oracle_has_one_colleague_solver():
+    # The short solve and its full-degree fallback are one function with a
+    # floor argument, so the oracle's only eigenvalue solve lives there.
+    assert [s for s in _scopes_of("eigvals") if s[0] == "oracle"] == [("oracle", "_hermite_roots")]
