@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CountMismatch, InvalidParameter, TruncationLeakage, ZeroOnContour
 from .dynamics import QuadraticHamiltonian
 from .states import FockVector
-from .wavefunction import count_zeros_box, eval_entire
+from .wavefunction import _hermite_functions, count_zeros_box, eval_entire
 
 __all__ = [
     "hamiltonian_matrix",
@@ -137,13 +137,15 @@ def _partner_agrees(w: FockVector, z: np.ndarray):
 
     The first step must be within ``_AGREE max(1, |z|)``, the second at most
     half the first above a roundoff floor; a zero derivative rejects.  As
-    ``p_n' = sqrt(2n) p_{n-1}``, the derivative series is ``sqrt(2(m+1)) c_{m+1}``.
+    ``p_n' = sqrt(2n) p_{n-1}``, the derivative series is ``sqrt(2(m+1)) c_{m+1}``,
+    and each step takes both series from one set of Hermite functions.
     """
-    d = FockVector(np.append(np.sqrt(2.0 * np.arange(1, w.coeffs.size)) * w.coeffs[1:], 0.0))
+    c = w.coeffs
+    series = np.stack([c, np.append(np.sqrt(2.0 * np.arange(1, c.size)) * c[1:], 0.0)], axis=1)
     scale = np.maximum(1.0, np.abs(z))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s1 = eval_entire(w, z, check=False) / eval_entire(d, z, check=False)
-        s2 = eval_entire(w, z - s1, check=False) / eval_entire(d, z - s1, check=False)
+        s1 = np.divide(*(_hermite_functions(c.size, z) @ series).T)
+        s2 = np.divide(*(_hermite_functions(c.size, z - s1) @ series).T)
         polished = z - s1 - s2
     floor = 16.0 * np.finfo(float).eps * scale
     return (np.abs(s1) <= _AGREE * scale) & (np.abs(s2) <= 0.5 * np.abs(s1) + floor), polished

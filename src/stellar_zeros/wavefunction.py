@@ -7,9 +7,9 @@ A finite-rank state has the position wavefunction
 square-integrable on the real line (``Re g2 < 0``).  This module builds that
 closed form from the displaced-squeezed parametrization, evaluates the same
 function through the truncated Hermite series of an arbitrary Fock vector
-(the two paths share no code and are compared in tests), counts zeros by the
-argument principle, and runs the non-Gaussianity test based on zero
-existence.
+(one banded triangular solve for all points; the two paths share no code
+and are compared in tests), counts zeros by the argument principle, and runs
+the non-Gaussianity test based on zero existence.
 
 A caveat inherited from the theory: zero-based non-Gaussianity certification
 requires the ``<s^n>`` energy bound for some ``s > 1``.  States violating it
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import ztbsv
 
 from .errors import (
     InvalidParameter,
@@ -68,6 +69,9 @@ __all__ = [
 
 _PI_M14 = math.pi ** -0.25
 _SQRT2 = math.sqrt(2.0)
+# Point-terms per banded Hermite solve: about 260 KB of work arrays, which malloc
+# reuses (from 2**13 on they are mapped afresh and page-fault on every call).
+_CHUNK = 2**12
 # Initial contour samples per box edge of the argument principle.
 _EDGE_SAMPLES = 64
 
@@ -286,31 +290,42 @@ def hermite_eval_cutoff(
     return min(max(base, needed), 6000)
 
 
+def _hermite_functions(n: int, z) -> np.ndarray:
+    """``(z.size, n)`` matrix of the normalized Hermite functions ``phi_0 .. phi_{n-1}``.
+
+    Each point's recurrence is a unit lower-triangular band of width 2, packed
+    block-diagonally with the others into one BLAS ``ztbsv`` per ``_CHUNK``
+    point-terms.  A chunk holding a non-finite value, which would leak into the
+    next point as ``inf * 0``, is solved again point by point.
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    k = np.arange(1.0, n)
+    phi = np.zeros((z.size, n), dtype=complex)
+    phi[:, 0] = _PI_M14 * np.exp(-0.5 * z * z)
+    step = max(1, _CHUNK // n)
+    todo = [slice(lo, min(lo + step, z.size)) for lo in range(0, z.size, step)]
+    while todo:
+        rows = todo.pop()
+        bands = np.zeros(phi[rows].shape + (3,), dtype=complex)  # the column-major band, transposed
+        bands[:, :-1, 1] = -z[rows, None] * np.sqrt(2.0 / k)
+        bands[:, :-2, 2] = np.sqrt(k[:-1] / k[1:])
+        part = ztbsv(2, bands.reshape(-1, 3).T, phi[rows].reshape(-1), lower=1, diag=1)
+        if len(bands) > 1 and not np.isfinite(part.view(float)).all():
+            todo += [slice(j, j + 1) for j in range(rows.start, rows.stop)]
+        else:
+            phi[rows] = part.reshape(-1, n)
+    return phi
+
+
 def _hermite_series(coeffs: np.ndarray, z: np.ndarray):
-    """Values, roundoff floor, and truncation-tail estimate of the series."""
+    """Values, termwise magnitude envelope, and truncation-tail estimate of the series."""
     n = coeffs.size
-    acc = coeffs[0] * (_PI_M14 * np.exp(-0.5 * z * z))
-    phi_prev = _PI_M14 * np.exp(-0.5 * z * z)
-    magsum = np.abs(acc)
-    ring = np.zeros((8, z.size))
-    if n > 1:
-        phi = _SQRT2 * z * phi_prev
-        for k in range(1, n):
-            term = coeffs[k] * phi
-            acc = acc + term
-            tm = np.abs(term)
-            magsum = magsum + tm
-            ring[k % 8] = tm
-            if k + 1 < n:
-                phi_next = math.sqrt(2.0 / (k + 1)) * z * phi - math.sqrt(k / (k + 1.0)) * phi_prev
-                phi_prev, phi = phi, phi_next
-    order = [(n - 1 - j) % 8 for j in range(8)]
-    recent = np.max(ring[order[:4]], axis=0)
-    older = np.max(ring[order[4:]], axis=0)
-    growing = recent > older
-    tail = recent * np.where(growing, 50.0, 2.0)
-    roundoff = 32.0 * np.finfo(float).eps * magsum
-    return acc, roundoff, tail
+    phi = _hermite_functions(n, z)
+    ring = np.zeros((phi.shape[0], 8))  # the last eight terms past phi_0, oldest first
+    ring[:, 8 - min(8, n - 1) :] = np.abs(phi[:, max(1, n - 8) :] * coeffs[max(1, n - 8) :])
+    recent, older = ring[:, 4:].max(axis=1), ring[:, :4].max(axis=1)
+    tail = recent * np.where(recent > older, 50.0, 2.0)
+    return phi @ coeffs, np.abs(phi) @ np.abs(coeffs), tail
 
 
 def eval_entire(v: FockVector, z, check: bool = True):
@@ -318,22 +333,25 @@ def eval_entire(v: FockVector, z, check: bool = True):
 
     Uses the normalized three-term recurrence of the Hermite functions (the
     numerically stable equivalent of the power-series extension, with which
-    it agrees because both are entire and coincide on the real line).  With
+    it agrees because both are entire and coincide on the real line), one
+    banded solve for all points; values take the shape of ``z``.  With
     ``check=True`` a :class:`PrecisionLoss` is raised when the estimated
     truncation tail exceeds ``1e-8`` of the result; cancellation at genuine
     zeros of the function does not trigger it.
     """
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals, roundoff, tail = _hermite_series(v.coeffs, zz)
-    if check:
-        bad = tail > np.maximum(1e-8 * np.abs(vals), 2.0 * roundoff)
+    zz = np.asarray(z, dtype=complex)
+    if not check:
+        vals = _hermite_functions(v.coeffs.size, zz) @ v.coeffs
+    else:
+        vals, envelope, tail = _hermite_series(v.coeffs, zz)
+        bad = tail > np.maximum(1e-8 * np.abs(vals), 64.0 * np.finfo(float).eps * envelope)
         if np.any(bad):
             j = int(np.argmax(bad))
             raise PrecisionLoss(
-                f"Hermite series truncation unreliable at z={zz[j]:.4g} "
+                f"Hermite series truncation unreliable at z={zz.reshape(-1)[j]:.4g} "
                 f"(cutoff {v.cutoff}); increase the cutoff"
             )
-    return vals if np.asarray(z).shape else complex(vals[0])
+    return vals.reshape(zz.shape) if zz.ndim else complex(vals[0])
 
 
 def eval_entire_envelope(v: FockVector, z):
@@ -345,11 +363,10 @@ def eval_entire_envelope(v: FockVector, z):
     use it as the honest accuracy floor at points where the two exponent
     scales cancel deeply.
     """
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals, roundoff, _ = _hermite_series(v.coeffs, zz)
-    envelope = roundoff / (32.0 * np.finfo(float).eps)
-    if np.asarray(z).shape:
-        return vals, envelope
+    zz = np.asarray(z, dtype=complex)
+    vals, envelope, _ = _hermite_series(v.coeffs, zz)
+    if zz.ndim:
+        return vals.reshape(zz.shape), envelope.reshape(zz.shape)
     return complex(vals[0]), float(envelope[0])
 
 

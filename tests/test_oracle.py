@@ -28,7 +28,7 @@ from stellar_zeros import (
     stellar_to_fock,
     zeros_from_fock,
 )
-from stellar_zeros import oracle
+from stellar_zeros import oracle, wavefunction
 from stellar_zeros.cli import main
 from stellar_zeros.wavefunction import _series_cutoff
 
@@ -78,6 +78,19 @@ def newton_steps(w, z):
     s1 = eval_entire(w, z, check=False) / eval_entire(d, z, check=False)
     s2 = eval_entire(w, z - s1, check=False) / eval_entire(d, z - s1, check=False)
     return np.abs(s1), np.abs(s2)
+
+
+def count_hermite_solves(monkeypatch):
+    """Record every call of the banded Hermite solve, in the oracle and the series alike."""
+    calls, hermite_functions = [], wavefunction._hermite_functions
+
+    def counting(n, z):
+        calls.append(np.size(z))
+        return hermite_functions(n, z)
+
+    monkeypatch.setattr(wavefunction, "_hermite_functions", counting)
+    monkeypatch.setattr(oracle, "_hermite_functions", counting)
+    return calls
 
 
 class TestHamiltonianMatrix:
@@ -335,6 +348,23 @@ class TestNewtonPartner:
             assert np.all(s2 > 0.5 * s1)
             assert np.all(oracle._partner_agrees(partner, roots)[0])
 
+    def test_nan_candidate_leaves_the_true_roots_alone(self, monkeypatch):
+        # The NaN candidate's first step is NaN, so both Hermite solves hold
+        # a non-finite point; the true roots must not see it.
+        st = ring_state(3, 2)
+        v = stellar_to_fock(st, 80)
+        vt, partner = evolve_fock(v, HP, 1.1, 80), evolve_fock(v, HP, 1.1, 100)
+        candidates = roots_in_box(vt, 2.5)
+        roots = candidates[oracle._partner_agrees(partner, candidates)[0]]
+        assert roots.size == 3
+        calls = count_hermite_solves(monkeypatch)
+        keep, polished = oracle._partner_agrees(partner, roots)
+        keep_nan, polished_nan = oracle._partner_agrees(partner, np.append(np.nan, roots))
+        assert calls == [3, 3, 4, 4]
+        assert np.all(keep) and not keep_nan[0]
+        assert np.array_equal(keep_nan[1:], keep)
+        assert np.array_equal(polished_nan[1:], polished)
+
     def test_zero_derivative_rejects_without_warning(self):
         constant = FockVector(np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
         assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j]))[0])
@@ -370,3 +400,14 @@ def test_verify_makes_two_decompositions_and_three_colleague_solves(monkeypatch,
     assert calls == {"eigh": 2, "colleague": 3}
     assert orders == resolved
     assert all(n < cutoff for n, cutoff in zip(orders, cutoffs))
+
+
+def test_verify_solves_the_hermite_band_ten_times(monkeypatch, capsys, tmp_path):
+    # One solve for the dual-path grid, then per time two for the partner's
+    # Newton steps and one for the certificate contour's samples.
+    calls = count_hermite_solves(monkeypatch)
+    path = tmp_path / "r3.json"
+    path.write_text(json.dumps(state_to_json(ring_state(3, 2))), encoding="utf-8")
+    assert main(["verify", "--state", str(path)]) == 0
+    assert "status=PASS" in capsys.readouterr().out
+    assert len(calls) == 10

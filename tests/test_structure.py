@@ -8,6 +8,7 @@ from pathlib import Path
 
 import stellar_zeros
 import stellar_zeros.oracle
+import stellar_zeros.wavefunction
 
 PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
 
@@ -91,3 +92,15 @@ def test_oracle_has_one_colleague_solver():
     # The short solve and its full-degree fallback are one function with a
     # floor argument, so the oracle's only eigenvalue solve lives there.
     assert [s for s in _scopes_of("eigvals") if s[0] == "oracle"] == [("oracle", "_hermite_roots")]
+
+
+def test_one_hermite_evaluator():
+    # Every Hermite-series value, the oracle's Newton steps included, comes
+    # from the one banded solve; the series adds its checks without a loop.
+    assert _scopes_of("ztbsv") == [("wavefunction", "_hermite_functions")]
+    tree = ast.parse(Path(stellar_zeros.wavefunction.__file__).read_text(encoding="utf-8"))
+    (series,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_hermite_series"
+    ]
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [n for n in ast.walk(series) if isinstance(n, loops)]

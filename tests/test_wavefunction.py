@@ -37,9 +37,30 @@ from stellar_zeros import (
     stellar_state_from_zeros,
     stellar_to_fock,
 )
-from stellar_zeros.wavefunction import _box_boundary
+from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
 
 PI14 = math.pi ** -0.25
+EPS = np.finfo(float).eps
+
+
+def hermite_series_loop(coeffs, z):
+    """Reference: the series and its envelope summed along the recurrence, term by term."""
+    phi_prev = PI14 * np.exp(-0.5 * z * z)
+    acc = coeffs[0] * phi_prev
+    envelope = np.abs(acc)
+    phi = math.sqrt(2.0) * z * phi_prev
+    for k in range(1, coeffs.size):
+        term = coeffs[k] * phi
+        acc = acc + term
+        envelope = envelope + np.abs(term)
+        phi_next = math.sqrt(2.0 / (k + 1)) * z * phi - math.sqrt(k / (k + 1.0)) * phi_prev
+        phi_prev, phi = phi, phi_next
+    return acc, envelope
+
+
+def solo_solves(n, z):
+    """Reference: the Hermite functions solved one point per call."""
+    return np.concatenate([_hermite_functions(n, z[j : j + 1]) for j in range(z.size)])
 
 
 def eval_cutoff_for(st, max_im=3.0, rel=1e-9):
@@ -197,6 +218,58 @@ class TestEvalEntire:
         # a sufficiently deep cutoff evaluates the same point cleanly
         deep = squeezed_vacuum_fock(1.0, 900)
         assert np.isfinite(eval_entire(deep, 3j).real)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 9, 104, 851])
+    def test_banded_solve_matches_the_recurrence_loop(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        v = FockVector(rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
+        zs = rng.uniform(-3.0, 3.0, 64) + 1j * rng.uniform(-3.0, 3.0, 64)
+        want, want_envelope = hermite_series_loop(v.coeffs, zs)
+        got, envelope = eval_entire_envelope(v, zs)
+        assert np.all(np.abs(got - want) <= 8.0 * EPS * want_envelope)
+        assert np.allclose(envelope, want_envelope, rtol=1e-12, atol=0.0)
+        assert np.array_equal(eval_entire(v, zs, check=False), got)
+
+    def test_grid_keeps_its_shape(self):
+        st = random_stellar_state(2, 3)
+        v = stellar_to_fock(st, eval_cutoff_for(st))
+        zs = np.array([[0.1 + 0.2j, -1.0, 2.0j], [0.5 - 0.5j, 1.5 + 0.3j, -2.0 - 1.0j]])
+        flat = eval_entire(v, zs.ravel())
+        assert np.array_equal(eval_entire(v, zs), flat.reshape(2, 3))
+        assert np.array_equal(eval_entire(v, zs, check=False), flat.reshape(2, 3))
+        vals, envelope = eval_entire_envelope(v, zs)
+        flat_vals, flat_envelope = eval_entire_envelope(v, zs.ravel())
+        assert vals.shape == envelope.shape == (2, 3)
+        assert np.array_equal(vals.ravel(), flat_vals)
+        assert np.array_equal(envelope.ravel(), flat_envelope)
+
+    def test_empty_and_scalar_arguments(self):
+        v = FockVector(np.array([0.6, 0.8j] + [0.0] * 10, dtype=complex))
+        assert eval_entire(v, np.empty(0)).shape == (0,)
+        assert eval_entire(v, np.empty(0), check=False).shape == (0,)
+        assert [a.shape for a in eval_entire_envelope(v, np.empty(0))] == [(0,), (0,)]
+        assert isinstance(eval_entire(v, 0.5), complex)
+        assert isinstance(eval_entire(v, 0.5, check=False), complex)
+        value, envelope = eval_entire_envelope(v, 0.5)
+        assert isinstance(value, complex) and isinstance(envelope, float)
+        assert value == eval_entire(v, np.array([0.5]))[0]
+
+    def test_chunks_equal_single_point_solves(self):
+        n, size = 852, 3 * (_CHUNK // 852) + 5
+        rng = np.random.default_rng(7)
+        zs = rng.uniform(-3.0, 3.0, size) + 1j * rng.uniform(-3.0, 3.0, size)
+        assert np.array_equal(_hermite_functions(n, zs), solo_solves(n, zs))
+
+    @pytest.mark.parametrize("n", [5, 105])
+    def test_non_finite_points_do_not_leak(self, n):
+        # exp(-z^2/2) overflows at 40i, and inf * 0 at a structural zero of
+        # the band would turn the next point's values into NaN.
+        zs = np.array([0.3 + 0.2j, 40j, 0.5 - 0.1j, np.nan, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = _hermite_functions(n, zs)
+        finite = [0, 2, 4]
+        assert np.isfinite(phi[finite]).all()
+        assert np.array_equal(phi[finite], solo_solves(n, zs[finite]))
 
     @staticmethod
     def dual_path_ok(a, b, envelope):
