@@ -28,7 +28,6 @@ from .states import (
     FockVector,
     StellarState,
     Verdict,
-    annihilation_matrix,
     default_cutoff,
     energy_moment,
     normalize,
@@ -59,7 +58,6 @@ from .wavefunction import (
     growth_bound_holds,
     hermite_eval_cutoff,
     hudson_test,
-    stellar_eval,
     stellar_state_from_zeros,
 )
 from .dynamics import (
@@ -73,7 +71,6 @@ from .dynamics import (
     lax_data,
     match_sets,
     matching_distance,
-    ode_rhs,
     sample_closed_form,
     second_order_acceleration,
 )

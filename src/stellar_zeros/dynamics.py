@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -51,7 +52,6 @@ __all__ = [
     "QuadraticHamiltonian",
     "ZeroTrajectory",
     "LaxData",
-    "ode_rhs",
     "second_order_acceleration",
     "integrate",
     "lax_data",
@@ -122,7 +122,7 @@ class ZeroTrajectory:
         """Unordered zero multiset at time t (``(..., rank)`` at an array of times)."""
         if self.lax is None:
             raise InvalidParameter("zeros off the grid need a closed-form trajectory")
-        return eigenvalues_small(closed_form_matrix(self.lax, t))
+        return _zeros_at(self.lax, t)
 
 
 @dataclass(frozen=True)
@@ -140,15 +140,6 @@ class LaxData:
     @property
     def rank(self) -> int:
         return self.terms.shape[1]
-
-
-def ode_rhs(g2: complex, g1: complex, zeros, H: QuadraticHamiltonian):
-    """Right-hand sides ``(dg2, dg1, dzeros)`` of the first-order system."""
-    zeros = [complex(z) for z in zeros]
-    if _min_gap(zeros) <= COLLISION_GAP:
-        raise ZeroCollision("pairwise zero gap at or below 1e-9")
-    da, db, *dz = _rhs_raw([complex(g2), complex(g1), *zeros], H)
-    return da, db, dz
 
 
 def second_order_acceleration(zeros, H: QuadraticHamiltonian):
@@ -252,7 +243,8 @@ def _flow_coefficients(w2: float, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     x = np.sqrt(complex(w2)) * t / np.pi  # theta / pi: np.sinc(x) is sin(pi x)/(pi x)
-    csq = np.array([np.cos(np.pi * x), t * np.sinc(x), 0.5 * t * t * np.sinc(0.5 * x) ** 2])
+    sinc = np.sinc([x, 0.5 * x])  # one call: its fixed cost outweighs a single time's work
+    csq = np.array([np.cos(np.pi * x), t * sinc[0], 0.5 * t * t * sinc[1] ** 2])
     return _finite(csq, t, "classical flow", axis=0).real
 
 
@@ -311,9 +303,14 @@ def closed_form_matrix(lax: LaxData, t) -> np.ndarray:
     return _finite(mats, ts, "zero matrix", axis=(-2, -1))
 
 
+def _zeros_at(lax: LaxData, t) -> np.ndarray:
+    """Unordered zero multiset(s) of the matrix solution at time(s) t."""
+    return eigenvalues_small(closed_form_matrix(lax, t))
+
+
 def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t):
     """Zero multiset at time t from the matrix solution; n times give an ``(n, rank)`` stack."""
-    return eigenvalues_small(closed_form_matrix(lax_data(wf, H), t))
+    return _zeros_at(lax_data(wf, H), t)
 
 
 def match_sets(a, b):
@@ -333,19 +330,19 @@ def matching_distance(a, b) -> float:
     return float(np.max(dists)) if dists.size else 0.0
 
 
-def _track(zeros0, t0: float, times, zeros_at) -> np.ndarray:
-    """Zeros ``(1 + len(times), rank)`` at ``t0`` and the later, increasing ``times``.
+def _track(ts, zs, zeros_at) -> np.ndarray:
+    """The zero sets ``zs`` at the increasing times ``ts``, each row ordered like ``zs[0]``.
 
-    Each row is ordered like ``zeros0``; ``zeros_at`` maps an array of times
-    to unordered zero sets.  A step is safe when every zero has a nearest
-    successor closer than half the smallest gap among the zeros it leaves:
-    those discs are disjoint, so each holds one successor, and that pairing
-    is the only optimal assignment.  Each pass solves the midpoints of all
-    unsafe steps at once; an unsafe step of width 1e-9 (an exact collision)
-    raises :class:`TrackingAmbiguity` instead of guessing.
+    ``zs`` is the already-solved stack ``(len(ts), rank)``: ``zs[0]`` in the
+    order to keep, the later rows unordered.  ``zeros_at`` maps an array of
+    times to unordered zero sets.  A step is safe when every zero has a
+    nearest successor closer than half the smallest gap among the zeros it
+    leaves: those discs are disjoint, so each holds one successor, and that
+    pairing is the only optimal assignment.  Each pass solves the midpoints
+    of all unsafe steps at once; an unsafe step of width 1e-9 (an exact
+    collision) raises :class:`TrackingAmbiguity` instead of guessing.
     """
-    ts = np.concatenate([[t0], times])
-    zs = np.concatenate([np.asarray(zeros0, dtype=complex)[None], zeros_at(times)])
+    ts, zs = np.asarray(ts, dtype=float), np.asarray(zs, dtype=complex)
     if zs.shape[1] < 2:
         return zs
     asked = np.ones(ts.size, dtype=bool)
@@ -386,8 +383,10 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
         raise InvalidParameter("times must be strictly increasing from t >= 0")
     lax = lax_data(wf, H)
     gauss = _gaussian_flow(wf.g2, wf.g1, H, ts)
-    paths = _track(wf.zeros, 0.0, ts[ts > 0],
-                   lambda t: eigenvalues_small(closed_form_matrix(lax, t)))
+    later = ts[ts > 0]
+    start = np.asarray(wf.zeros, dtype=complex).reshape(1, -1)
+    paths = _track(np.concatenate([[0.0], later]),
+                   np.concatenate([start, _zeros_at(lax, later)]), partial(_zeros_at, lax))
     return ZeroTrajectory(ts, paths[int(ts[0] > 0) :].T, gauss, lax)
 
 

@@ -5,8 +5,11 @@ Under ``H = (x^2 + p^2)/2`` the general zero matrix of
 
     ``X(t) = Lambda0 cos t + L sin t``,
 
-whose diagonal traces ellipses ``lam_j (cos t - 2i g2 sin t)`` (plus small
-drift and interaction shifts) and whose off-diagonal part has Gershgorin
+which is antiperiodic, ``X(t + pi) = -X(t)``: the zeros half a period on
+are the negated zeros, so a sampled period takes eigen-solves only on its
+first half, and the antipodal check tests that identity with fresh solves.
+Its diagonal traces ellipses ``lam_j (cos t - 2i g2 sin t)`` (plus small
+drift and interaction shifts) and its off-diagonal part has Gershgorin
 radii ``|sin t| * sum_j 1/|lam_i - lam_j|``.  When the initial zeros are
 separated by at least ``sqrt((r-1)/|Re g2|)`` (real ``g2``), the discs stay
 disjoint, each zero is trapped near its ellipse, and must land on the real
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigvals
@@ -30,10 +34,11 @@ from .errors import InvalidParameter
 from .dynamics import (
     QuadraticHamiltonian,
     ZeroTrajectory,
+    _gaussian_flow,
     _track,
+    _zeros_at,
     lax_data,
     matching_distance,
-    sample_closed_form,
 )
 from .rootfind import DEFECTIVE_TOL, _cluster, _min_gap
 from .states import StellarState
@@ -89,17 +94,24 @@ def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajecto
     """Closed-form phase-shift trajectory at 513 times over one full period ``[0, 2 pi]``.
 
     This is :func:`~stellar_zeros.dynamics.sample_closed_form` at
-    ``H = (x^2 + p^2)/2``: one stacked eigen-solve for the grid plus one per
-    refinement pass of the tracker, with the Gaussian coefficients in closed
-    form.  The sample count is fixed: crossing times come from the pencil,
-    not the grid (257, 513 and 2049 samples give identical events on 150
-    random states of ranks 1-6).
+    ``H = (x^2 + p^2)/2`` from half the eigen-solves: the zero matrix obeys
+    ``X(t + pi) = -X(t)``, so one stacked solve gives the 256 times in
+    ``(0, pi]`` and their negatives are the samples at the 256 times in
+    ``(pi, 2 pi]``.  The tracker then orders the whole period, with one
+    fresh solve per refinement pass; the Gaussian coefficients are in closed
+    form.  Criterion 5 (:func:`antipodal_check`) checks that identity with
+    fresh solves at both times.  The sample count is fixed: crossing times
+    come from the pencil, not the grid (257, 513 and 2049 samples give
+    identical events on 150 random states of ranks 1-6).
     """
-    return sample_closed_form(
-        WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0),
-        QuadraticHamiltonian.phase_shift(),
-        np.linspace(0.0, 2.0 * math.pi, 513),
-    )
+    wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
+    H = QuadraticHamiltonian.phase_shift()
+    lax = lax_data(wf, H)
+    ts = np.linspace(0.0, 2.0 * math.pi, 513)
+    half = _zeros_at(lax, ts[1:257])
+    start = np.asarray(wf.zeros, dtype=complex).reshape(1, -1)
+    paths = _track(ts, np.concatenate([start, half, -half]), partial(_zeros_at, lax))
+    return ZeroTrajectory(ts, paths.T, _gaussian_flow(wf.g2, wf.g1, H, ts), lax)
 
 
 def _pencil_times(lax) -> np.ndarray:
@@ -132,8 +144,9 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
 
     Every time at which some zero is real is a root of one Kronecker-pencil
     eigenproblem (:func:`_pencil_times`; Horn & Johnson, *Topics in Matrix
-    Analysis*, 1991, sec. 4.4).  The sampled zeros just before each such
-    time are carried to it by the trajectory's tracker, and every zero whose
+    Analysis*, 1991, sec. 4.4).  The zeros at all those times come from one
+    stacked eigen-solve; each set is ordered by the trajectory's tracker
+    from the sample just before its time, and every zero whose
     imaginary part is then within ``REAL_TOL`` of the axis gives one event
     at its real part.  A zero whose imaginary part stays inside 1e-12 at
     every sample is reported once with the ``always_real`` flag instead.
@@ -154,9 +167,10 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
         CrossingEvent(k, 0.0, float(traj.paths[k, 0].real), "always_real")
         for k in np.flatnonzero(pinned).tolist()
     ]
-    for t in _pencil_times(lax).tolist():
-        i = int(np.searchsorted(traj.times, t, side="right")) - 1
-        zs = _track(traj.paths[:, i], float(traj.times[i]), [t], traj.zeros_at)[-1]
+    t_p = _pencil_times(lax)
+    before = np.searchsorted(traj.times, t_p, side="right") - 1
+    for t, i, fresh in zip(t_p.tolist(), before.tolist(), traj.zeros_at(t_p)):
+        zs = _track([traj.times[i], t], [traj.paths[:, i], fresh], traj.zeros_at)[-1]
         scale = REAL_TOL * max(1.0, float(np.max(np.abs(zs))))
         for k in np.flatnonzero(~pinned & (np.abs(zs.imag) <= scale)).tolist():
             events.append(CrossingEvent(k, t, float(zs[k].real)))
@@ -239,4 +253,5 @@ def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
     zero multisets must match under negation; for closed-form trajectories
     the returned distance is at roundoff level (contract: below 1e-8).
     """
-    return matching_distance(traj.zeros_at(t), -traj.zeros_at(t + math.pi))
+    now, later = traj.zeros_at(np.array([t, t + math.pi]))
+    return matching_distance(now, -later)

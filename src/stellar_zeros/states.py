@@ -30,7 +30,6 @@ __all__ = [
     "StellarState",
     "EnergyMomentReport",
     "Verdict",
-    "annihilation_matrix",
     "normalize",
     "energy_moment",
     "squeezed_vacuum_fock",
@@ -131,14 +130,6 @@ class EnergyMomentReport:
     tail_estimate: float
     verdict: Verdict
     ratio: float
-
-
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Dense annihilation operator truncated to ``dim`` Fock levels."""
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
 
 
 def normalize(v: FockVector) -> FockVector:

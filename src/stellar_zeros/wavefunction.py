@@ -57,7 +57,6 @@ __all__ = [
     "eval_entire",
     "eval_entire_envelope",
     "hermite_eval_cutoff",
-    "stellar_eval",
     "growth_bound",
     "growth_bound_holds",
     "count_zeros_box",
@@ -368,17 +367,6 @@ def eval_entire_envelope(v: FockVector, z):
     if zz.ndim:
         return vals.reshape(zz.shape), envelope.reshape(zz.shape)
     return complex(vals[0]), float(envelope[0])
-
-
-def stellar_eval(v: FockVector, z):
-    """Truncated stellar series ``sum_n psi_n z^n / sqrt(n!)``."""
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    term = np.ones_like(zz)
-    acc = v.coeffs[0] * term
-    for n in range(1, v.coeffs.size):
-        term = term * zz / math.sqrt(n)
-        acc = acc + v.coeffs[n] * term
-    return acc if np.asarray(z).shape else complex(acc[0])
 
 
 def growth_bound(v: FockVector, s: float, alpha: float) -> GrowthBound:

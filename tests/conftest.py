@@ -11,13 +11,16 @@ import numpy as np
 
 from stellar_zeros import (
     StellarState,
+    ZeroCollision,
     build_wavefunction,
     closed_form_matrix,
+    dynamics,
     eigenvalues_small,
     lax_data,
     random_stellar_state,
     stellar_state_from_zeros,
 )
+from stellar_zeros.rootfind import _min_gap
 
 
 def standard_grid(step=0.5, extent=3.0):
@@ -112,3 +115,31 @@ def wrong_sign_closed_form(wf, H, t):
     lax = lax_data(wf, H)
     flip = 2j * cmath.sin(cmath.sqrt(lax.omega2) * t) * lax.terms[0]
     return eigenvalues_small(closed_form_matrix(lax, t) + flip)
+
+
+def ode_rhs(g2, g1, zeros, H):
+    """Right-hand sides ``(dg2, dg1, dzeros)`` of the first-order zero system."""
+    zeros = [complex(z) for z in zeros]
+    if _min_gap(zeros) <= dynamics.COLLISION_GAP:
+        raise ZeroCollision("pairwise zero gap at or below 1e-9")
+    da, db, *dz = dynamics._rhs_raw([complex(g2), complex(g1), *zeros], H)
+    return da, db, dz
+
+
+def annihilation_matrix(dim):
+    """Dense annihilation operator truncated to ``dim`` Fock levels."""
+    a = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a
+
+
+def stellar_eval(v, z):
+    """Truncated stellar series ``sum_n psi_n z^n / sqrt(n!)``."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    term = np.ones_like(zz)
+    acc = v.coeffs[0] * term
+    for n in range(1, v.coeffs.size):
+        term = term * zz / math.sqrt(n)
+        acc = acc + v.coeffs[n] * term
+    return acc if np.asarray(z).shape else complex(acc[0])

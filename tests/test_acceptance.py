@@ -24,6 +24,7 @@ from stellar_zeros import (
     QuadraticHamiltonian,
     StellarState,
     Verdict,
+    ZeroTrajectory,
     antipodal_check,
     apply_creation_polynomial,
     build_wavefunction,
@@ -97,22 +98,19 @@ def crit2_trajectories():
     """75 integrated trajectories: ranks 1..5, seeds 0..4, three Hamiltonians.
 
     Fixtures are regenerated deterministically until the integrated paths
-    keep a pairwise gap of at least 0.2 for all three Hamiltonians, which
-    keeps the second-order finite-difference bias (criterion 4) inside its
-    tolerance; the comparison tolerances themselves are untouched.
+    keep a pairwise gap of at least 0.25 for all three Hamiltonians, on a
+    200-point screen and on the dense grid, which keeps the second-order
+    finite-difference bias (criterion 4) inside its tolerance; the
+    comparison tolerances themselves are untouched.  Each Hamiltonian is
+    integrated once, on the union of both grids: a grid point's sample
+    depends only on the accepted step that covers it, not on the other
+    points, so the two sample sets are those of two separate runs.
     """
-    def min_traj_gap(tr, rank):
+    def min_traj_gap(paths, rank):
         if rank < 2:
             return math.inf
-        return float(
-            np.min(
-                [
-                    np.abs(tr.paths[i] - tr.paths[j])
-                    for i in range(rank)
-                    for j in range(i + 1, rank)
-                ]
-            )
-        )
+        i, j = np.triu_indices(rank, 1)
+        return float(np.min(np.abs(paths[i] - paths[j])))
 
     out = []
     for rank in range(1, 6):
@@ -122,34 +120,20 @@ def crit2_trajectories():
                     rank, seed + 100_000 * attempt, scale=0.8,
                     min_gap=0.12, max_extent=2.5,
                 )
-                hams = _draw_hamiltonians(rank, seed)
-                # cheap coarse screen before paying for the dense grids
-                try:
-                    screened = all(
-                        min_traj_gap(
-                            integrate(wf, H, np.linspace(0.0, _window(H), 200)), rank
-                        )
-                        >= 0.25
-                        for _, H in hams
-                    )
-                except Exception:
-                    screened = False
-                if not screened:
-                    continue
                 entries = []
-                ok = True
-                for name, H in hams:
-                    ts = np.linspace(0.0, _window(H), N_DENSE)
+                for name, H in _draw_hamiltonians(rank, seed):
+                    dense = np.linspace(0.0, _window(H), N_DENSE)
+                    ts = np.union1d(np.linspace(0.0, _window(H), 200), dense)
                     try:
                         tr = integrate(wf, H, ts)
                     except Exception:
-                        ok = False
                         break
-                    if min_traj_gap(tr, rank) < 0.25:
-                        ok = False
+                    if min_traj_gap(tr.paths, rank) < 0.25:  # on both grids at once
                         break
-                    entries.append((name, H, tr))
-                if ok:
+                    at = np.searchsorted(ts, dense)
+                    entries.append((name, H, ZeroTrajectory(dense, tr.paths[:, at],
+                                                            tr.gauss_path[:, at])))
+                else:
                     out.extend((rank, seed, name, wf, H, tr) for name, H, tr in entries)
                     break
             else:

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from conftest import distinct_random_state, fock_state, ring_state, wrong_sign_closed_form
+from conftest import (
+    distinct_random_state,
+    fock_state,
+    ode_rhs,
+    ring_state,
+    wrong_sign_closed_form,
+)
 
 from stellar_zeros import dynamics
 from stellar_zeros import (
@@ -29,7 +35,6 @@ from stellar_zeros import (
     lax_data,
     match_sets,
     matching_distance,
-    ode_rhs,
     random_stellar_state,
     sample_closed_form,
     second_order_acceleration,
@@ -526,10 +531,10 @@ class TestTracker:
         if np.all(dist.min(axis=1) < 0.5 * gap):
             nearest = dist.argmin(axis=1)
             assert np.array_equal(nearest, match_sets(a, b)[0])
-            assert np.array_equal(dynamics._track(a, 0.0, [1.0], zeros_at)[1], b[nearest])
+            assert np.array_equal(dynamics._track([0.0, 1.0], [a, b], zeros_at)[1], b[nearest])
         else:
             with pytest.raises(TrackingAmbiguity):
-                dynamics._track(a, 0.0, [1.0], zeros_at)
+                dynamics._track([0.0, 1.0], [a, b], zeros_at)
 
     def test_flow_coefficients_once_per_solve_not_per_sample(self, monkeypatch):
         calls, solves = [], []

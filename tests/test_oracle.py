@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fock_state, ring_state
+from conftest import annihilation_matrix, fock_state, ring_state
 
 from stellar_zeros import (
     CountMismatch,
@@ -14,7 +14,6 @@ from stellar_zeros import (
     InvalidParameter,
     QuadraticHamiltonian,
     TruncationLeakage,
-    annihilation_matrix,
     build_wavefunction,
     closed_form,
     eval_entire,

@@ -8,12 +8,14 @@ import pytest
 from conftest import distinct_random_state, fock_state, imbalanced_state, separated_state
 
 import stellar_zeros.dynamics as dynamics_mod
+import stellar_zeros.phase as phase_mod
 
 from stellar_zeros import (
     DegenerateInitialZeros,
     InvalidParameter,
     QuadraticHamiltonian,
     StellarState,
+    TrackingAmbiguity,
     WavefunctionForm,
     antipodal_check,
     build_wavefunction,
@@ -310,6 +312,80 @@ class TestTrackingCost:
         traj = phase_trajectory(wf.zeros, wf.g2, wf.g1)
         assert traj.times.size == 513
         assert len(calls) <= 1024
+
+
+def _fixture_forms():
+    """Criterion-6 and criterion-7 fixtures, random states of ranks 1-6, and rank 0."""
+    states = [separated_state(2 + i % 3, 400 + i) for i in range(20)]
+    states += [imbalanced_state(1 + i % 5, 500 + i) for i in range(20)]
+    states += [random_stellar_state(r, seed) for r in range(1, 7) for seed in range(2)]
+    states.append(StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.2, chi=0.1))
+    return [build_wavefunction(st) for st in states]
+
+
+class TestHalfPeriod:
+    """``X(t + pi) = -X(t)``: the second half of a period is the first half negated."""
+
+    def test_matches_sampling_every_time(self):
+        grid = np.linspace(0.0, 2.0 * math.pi, 513)
+        ranks = set()
+        for wf in _fixture_forms():
+            half = phase_trajectory(wf.zeros, wf.g2, wf.g1)
+            full = sample_closed_form(wf, HP, grid)
+            scale = max(1.0, float(np.max(np.abs(full.paths), initial=0.0)))
+            assert np.array_equal(half.times, full.times)
+            assert np.max(np.abs(half.paths - full.paths), initial=0.0) <= 1e-11 * scale
+            assert np.max(np.abs(half.gauss_path - full.gauss_path)) <= 1e-11
+            events = [[(e.zero_index, e.flag, e.t_star) for e in detect_crossings(tr)]
+                      for tr in (half, full)]
+            assert events[0] == events[1], wf.zeros
+            ranks.add(wf.rank)
+        assert ranks == set(range(7))
+
+    def test_exact_collision_raises_at_the_same_time(self):
+        # The +-1 pair meets at the origin at t = pi/2, a grid point.
+        wf = build_wavefunction(stellar_state_from_zeros([1.0, -1.0]))
+        errors = []
+        for run in (
+            lambda: phase_trajectory(wf.zeros, wf.g2, wf.g1),
+            lambda: sample_closed_form(wf, HP, np.linspace(0.0, 2.0 * math.pi, 513)),
+        ):
+            with pytest.raises(TrackingAmbiguity) as excinfo:
+                run()
+            errors.append(excinfo.value)
+        assert errors[0].t == errors[1].t and abs(errors[0].t - math.pi / 2) < 1e-9
+
+
+class TestSolveCounts:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Sizes of the stacks passed to the eigen-solver, one entry per call."""
+        sizes = []
+        solve = dynamics_mod.eigenvalues_small
+        monkeypatch.setattr(
+            dynamics_mod, "eigenvalues_small", lambda m: sizes.append(len(m)) or solve(m)
+        )
+        return sizes
+
+    def test_period_solves_its_first_half_only(self, solves):
+        wf = build_wavefunction(separated_state(3, 1))
+        phase_trajectory(wf.zeros, wf.g2, wf.g1)
+        assert solves == [256]
+
+    def test_crossing_times_take_one_stacked_solve(self, solves):
+        wf = build_wavefunction(separated_state(3, 1))
+        traj = phase_trajectory(wf.zeros, wf.g2, wf.g1)
+        del solves[:]
+        events = detect_crossings(traj)
+        assert len(events) >= 6
+        assert solves == [len(phase_mod._pencil_times(traj.lax))]
+
+    def test_antipodal_pair_takes_one_solve(self, solves):
+        wf = build_wavefunction(separated_state(3, 1))
+        traj = phase_trajectory(wf.zeros, wf.g2, wf.g1)
+        del solves[:]
+        assert antipodal_check(traj, 0.7) < 1e-8
+        assert solves == [2]
 
 
 def test_imbalanced_states_cross(imbalanced_rank=3):

@@ -10,6 +10,8 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
+from conftest import annihilation_matrix
+
 from stellar_zeros import (
     CutoffTooSmall,
     FockVector,
@@ -17,7 +19,6 @@ from stellar_zeros import (
     StellarState,
     Verdict,
     ZeroVector,
-    annihilation_matrix,
     energy_moment,
     normalize,
     phase_shift,

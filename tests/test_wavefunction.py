@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import distinct_random_state, fock_state, standard_grid
+from conftest import (
+    annihilation_matrix,
+    distinct_random_state,
+    fock_state,
+    standard_grid,
+    stellar_eval,
+)
 
 from stellar_zeros import (
     InvalidParameter,
@@ -14,7 +20,6 @@ from stellar_zeros import (
     Verdict,
     WavefunctionForm,
     ZeroOnContour,
-    annihilation_matrix,
     apply_creation_polynomial,
     build_wavefunction,
     count_zeros_box,
@@ -33,7 +38,6 @@ from stellar_zeros import (
     hudson_test,
     matching_distance,
     random_stellar_state,
-    stellar_eval,
     stellar_state_from_zeros,
     stellar_to_fock,
 )
