@@ -233,18 +233,20 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     return ZeroTrajectory(ts, out[2:], out[:2])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def _flow_coefficients(w2: float, t) -> np.ndarray:
     """``(cos wt, sin(wt)/w, (1 - cos wt)/w^2)`` at ``w^2 = w2`` and time(s) ``t``, on axis 0.
 
     With ``theta = w t`` these are ``cos theta``, ``t sinc theta`` and
     ``(t^2/2) sinc^2(theta/2)``: nothing cancels as ``w2 -> 0`` or ``t -> 0``,
-    and ``w2 < 0`` makes ``theta`` imaginary and the three hyperbolic.
+    and ``w2 < 0`` makes ``theta`` imaginary and the three hyperbolic.  The
+    callers ignore overflow in ``np.errstate``; :func:`_finite` reports it.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.sqrt(complex(w2)) * t / np.pi  # theta / pi: np.sinc(x) is sin(pi x)/(pi x)
-    sinc = np.sinc([x, 0.5 * x])  # one call: its fixed cost outweighs a single time's work
-    csq = np.array([np.cos(np.pi * x), t * sinc[0], 0.5 * t * t * sinc[1] ** 2])
+    t = np.asarray(t, dtype=float)[()]  # one time: a NumPy scalar, 10x cheaper than 0-d
+    # np.sinc's own steps without its overhead: theta through theta/pi, 1e-20 for 0.
+    theta = np.pi * (np.sqrt(complex(w2)) * t / np.pi)
+    y = np.where(theta, theta, 1e-20)[()]
+    half = 0.5 * y
+    csq = np.array([np.cos(theta), t * (np.sin(y) / y), 0.5 * t * t * (np.sin(half) / half) ** 2])
     return _finite(csq, t, "classical flow", axis=0).real
 
 
@@ -278,14 +280,13 @@ def _gaussian_flow(g2, g1, H: QuadraticHamiltonian, t):
 
 def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
     """``Lambda0 = diag(zeros)``, the Lax matrix and ``kappa = CE - 2BD`` of ``H``."""
-    if _min_gap(wf.zeros) <= COLLISION_GAP:
-        raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
     lam = np.array(wf.zeros, dtype=complex)
-    vel = _rhs_raw([wf.g2, wf.g1, *wf.zeros], H)[2:]
     diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
+    np.fill_diagonal(diff, 1.0)  # above COLLISION_GAP, so only pairs can fail the test
+    if np.abs(diff).min(initial=np.inf) <= COLLISION_GAP:
+        raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
     lmat = 2j * H.B / diff
-    np.fill_diagonal(lmat, vel)
+    np.fill_diagonal(lmat, _rhs_raw([wf.g2, wf.g1, *wf.zeros], H)[2:])
     kappa = H.C * H.E - 2.0 * H.B * H.D
     return LaxData(np.array([np.diag(lam), lmat, kappa * np.eye(lam.size)]), H.omega2)
 
@@ -330,27 +331,30 @@ def matching_distance(a, b) -> float:
     return float(np.max(dists)) if dists.size else 0.0
 
 
-def _track(ts, zs, zeros_at) -> np.ndarray:
-    """The zero sets ``zs`` at the increasing times ``ts``, each row ordered like ``zs[0]``.
+def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
+    """The zero sets ``zs`` at the times ``ts``, each row ordered like the anchor before it.
 
-    ``zs`` is the already-solved stack ``(len(ts), rank)``: ``zs[0]`` in the
-    order to keep, the later rows unordered.  ``zeros_at`` maps an array of
-    times to unordered zero sets.  A step is safe when every zero has a
-    nearest successor closer than half the smallest gap among the zeros it
-    leaves: those discs are disjoint, so each holds one successor, and that
-    pairing is the only optimal assignment.  Each pass solves the midpoints
-    of all unsafe steps at once; an unsafe step of width 1e-9 (an exact
-    collision) raises :class:`TrackingAmbiguity` instead of guessing.
+    ``zs`` is the already-solved stack ``(len(ts), rank)``.  The rows that
+    the mask ``anchors`` marks (by default ``zs[0]`` alone) are in the order
+    to keep and each starts a run of increasing times; the other rows are
+    unordered.  ``zeros_at`` maps an array of times to unordered zero sets.
+    A step is safe when every zero has a nearest successor closer than half
+    the smallest gap among the zeros it leaves: those discs are disjoint, so
+    each holds one successor, and that pairing is the only optimal
+    assignment.  Each pass solves the midpoints of all unsafe steps, in every
+    run, at once; an unsafe step of width 1e-9 (an exact collision) raises
+    :class:`TrackingAmbiguity` instead of guessing.
     """
     ts, zs = np.asarray(ts, dtype=float), np.asarray(zs, dtype=complex)
     if zs.shape[1] < 2:
         return zs
     asked = np.ones(ts.size, dtype=bool)
+    anchors = np.arange(ts.size) == 0 if anchors is None else np.asarray(anchors, dtype=bool)
     while True:
         gap = _min_gap(zs[:-1])
         dist = np.abs(zs[:-1, :, None] - zs[1:, None, :])
         near = np.min(dist, axis=2).max(axis=1)
-        bad = np.flatnonzero(near >= 0.5 * gap)
+        bad = np.flatnonzero((near >= 0.5 * gap) & ~anchors[1:])
         if bad.size == 0:
             break
         tiny = bad[ts[bad + 1] - ts[bad] <= 1e-9]
@@ -359,11 +363,11 @@ def _track(ts, zs, zeros_at) -> np.ndarray:
             msg = f"zero assignment unresolved at t={t:.17g}: displacement {d:.3g}, gap {g:.3g}"
             raise TrackingAmbiguity(msg, t=t, gap=g, displacement=d)
         mid = 0.5 * (ts[bad] + ts[bad + 1])
-        ts, asked = np.insert(ts, bad + 1, mid), np.insert(asked, bad + 1, False)
-        zs = np.insert(zs, bad + 1, zeros_at(mid), axis=0)
+        ts, zs = np.insert(ts, bad + 1, mid), np.insert(zs, bad + 1, zeros_at(mid), axis=0)
+        asked, anchors = np.insert(asked, bad + 1, False), np.insert(anchors, bad + 1, False)
     order = [np.arange(zs.shape[1])]  # row k: where each tracked zero sits in zs[k]
-    for succ in np.argmin(dist, axis=2):
-        order.append(succ[order[-1]])
+    for succ, anchor in zip(np.argmin(dist, axis=2), anchors[1:]):
+        order.append(order[0] if anchor else succ[order[-1]])
     return np.take_along_axis(zs, np.array(order), axis=1)[asked]
 
 

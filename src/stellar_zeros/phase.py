@@ -18,7 +18,7 @@ below the axis at least one crossing happens regardless.  This module
 detects and certifies those crossing events.  A zero is real exactly when
 ``X(t)`` and ``conj(X(t))`` share an eigenvalue, so every crossing time in
 the period comes from one QZ solve of an ``r^2 x r^2`` Kronecker pencil,
-with no sampling between the times.
+with no sampling between the times; the samples only order the zeros.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 IM_BAND = 1e-12
+PERIOD_STEPS = 256  # phase_trajectory's steps per period; detect_crossings needs as many samples
 REAL_TOL = 1e-9  # real at a pencil root: |Im| <= REAL_TOL max(1, |zeros|)
 
 
@@ -91,24 +92,23 @@ class AuditResult:
 
 
 def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajectory:
-    """Closed-form phase-shift trajectory at 513 times over one full period ``[0, 2 pi]``.
+    """Closed-form phase-shift trajectory at 257 times over one full period ``[0, 2 pi]``.
 
     This is :func:`~stellar_zeros.dynamics.sample_closed_form` at
-    ``H = (x^2 + p^2)/2`` from half the eigen-solves: the zero matrix obeys
-    ``X(t + pi) = -X(t)``, so one stacked solve gives the 256 times in
-    ``(0, pi]`` and their negatives are the samples at the 256 times in
-    ``(pi, 2 pi]``.  The tracker then orders the whole period, with one
-    fresh solve per refinement pass; the Gaussian coefficients are in closed
-    form.  Criterion 5 (:func:`antipodal_check`) checks that identity with
-    fresh solves at both times.  The sample count is fixed: crossing times
-    come from the pencil, not the grid (257, 513 and 2049 samples give
-    identical events on 150 random states of ranks 1-6).
+    ``H = (x^2 + p^2)/2`` from half the eigen-solves: ``X(t + pi) = -X(t)``,
+    so one stacked solve gives the 128 times in ``(0, pi]`` and their
+    negatives are the samples at the 128 in ``(pi, 2 pi]``.  The tracker then
+    orders the period, with one fresh solve per refinement pass; the Gaussian
+    coefficients are in closed form.  Criterion 5 (:func:`antipodal_check`)
+    checks that identity with fresh solves.  ``PERIOD_STEPS`` is also the
+    floor of :func:`detect_crossings`, whose times come from the pencil: this
+    grid and a 2049-point one give the same events.
     """
     wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
     H = QuadraticHamiltonian.phase_shift()
     lax = lax_data(wf, H)
-    ts = np.linspace(0.0, 2.0 * math.pi, 513)
-    half = _zeros_at(lax, ts[1:257])
+    ts = np.linspace(0.0, 2.0 * math.pi, PERIOD_STEPS + 1)
+    half = _zeros_at(lax, ts[1 : PERIOD_STEPS // 2 + 1])
     start = np.asarray(wf.zeros, dtype=complex).reshape(1, -1)
     paths = _track(ts, np.concatenate([start, half, -half]), partial(_zeros_at, lax))
     return ZeroTrajectory(ts, paths.T, _gaussian_flow(wf.g2, wf.g1, H, ts), lax)
@@ -145,21 +145,22 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
     Every time at which some zero is real is a root of one Kronecker-pencil
     eigenproblem (:func:`_pencil_times`; Horn & Johnson, *Topics in Matrix
     Analysis*, 1991, sec. 4.4).  The zeros at all those times come from one
-    stacked eigen-solve; each set is ordered by the trajectory's tracker
-    from the sample just before its time, and every zero whose
-    imaginary part is then within ``REAL_TOL`` of the axis gives one event
-    at its real part.  A zero whose imaginary part stays inside 1e-12 at
-    every sample is reported once with the ``always_real`` flag instead.
-    The trajectory must be a closed-form phase-shift trajectory sampled over
-    ``[0, 2 pi]`` at 256 or more times; the floor keeps that reading honest,
-    since on a 2-sample grid ``X(0) = X(2 pi)`` and a zero real at t = 0
-    would read as pinned.
+    stacked eigen-solve and are ordered like the sample before each time by
+    one tracker call over all those steps (fresh solves only for a step that
+    fails its half-gap test), and every zero whose imaginary part is then
+    within ``REAL_TOL`` of the axis gives one event at its real part.  A zero
+    whose imaginary part stays inside 1e-12 at every sample is reported once
+    with the ``always_real`` flag instead.  The trajectory must be a
+    closed-form phase-shift trajectory sampled over ``[0, 2 pi]`` at
+    ``PERIOD_STEPS`` (256) or more times; the floor keeps that reading
+    honest, since on a 2-sample grid ``X(0) = X(2 pi)`` and a zero real at
+    t = 0 would read as pinned.
     """
     lax = traj.lax
     if lax is None or lax.omega2 != 1.0 or np.any(lax.terms[2]):
         raise InvalidParameter("crossing detection needs a closed-form phase-shift trajectory")
-    if traj.times.size < 256:
-        raise InvalidParameter("crossing detection needs at least 256 samples")
+    if traj.times.size < PERIOD_STEPS:
+        raise InvalidParameter(f"crossing detection needs at least {PERIOD_STEPS} samples")
     if traj.times[0] != 0.0 or traj.times[-1] < 2.0 * math.pi:
         raise InvalidParameter("crossing detection needs samples over [0, 2 pi]")
     pinned = np.all(np.abs(traj.paths.imag) < IM_BAND, axis=1)
@@ -169,11 +170,14 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
     ]
     t_p = _pencil_times(lax)
     before = np.searchsorted(traj.times, t_p, side="right") - 1
-    for t, i, fresh in zip(t_p.tolist(), before.tolist(), traj.zeros_at(t_p)):
-        zs = _track([traj.times[i], t], [traj.paths[:, i], fresh], traj.zeros_at)[-1]
-        scale = REAL_TOL * max(1.0, float(np.max(np.abs(zs))))
-        for k in np.flatnonzero(~pinned & (np.abs(zs.imag) <= scale)).tolist():
-            events.append(CrossingEvent(k, t, float(zs[k].real)))
+    # One step per pencil time, from the sample before it, all tracked at once.
+    ts = np.stack([traj.times[before], t_p], axis=1).ravel()
+    zs = np.stack([traj.paths[:, before].T, traj.zeros_at(t_p)], axis=1).reshape(ts.size, traj.rank)
+    zs = _track(ts, zs, traj.zeros_at, anchors=np.arange(ts.size) % 2 == 0)[1::2]
+    scale = REAL_TOL * np.maximum(1.0, np.abs(zs).max(axis=1, initial=0.0))
+    real = ~pinned & (np.abs(zs.imag) <= scale[:, None])
+    for j, k in np.argwhere(real).tolist():
+        events.append(CrossingEvent(k, float(t_p[j]), float(zs[j, k].real)))
     events.sort(key=lambda e: (e.t_star, e.zero_index))
     return events
 

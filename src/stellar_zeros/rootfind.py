@@ -128,6 +128,8 @@ def eigenvalues_small(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     ev = np.linalg.eigvals(m)
+    if m.shape[-1] < 2:  # nothing to cluster
+        return ev
     tol = DEFECTIVE_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
     split = _min_gap(ev) <= tol
     if split.any():  # rare, so the common case skips the index search

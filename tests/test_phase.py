@@ -300,18 +300,18 @@ class TestTrackingCost:
     def test_one_period_takes_about_one_solve_per_sample(self, seed, monkeypatch):
         # These rank-5 fixtures once cost 98,792 and 229,836 eigen-solves
         # per period under a scale-invariant refinement test.
-        calls = []
+        solved = []  # matrices in each eigen-solve call
         solve = dynamics_mod.eigenvalues_small
 
         def counting(m):
-            calls.append(1)
+            solved.append(len(m))
             return solve(m)
 
         monkeypatch.setattr(dynamics_mod, "eigenvalues_small", counting)
         _, wf = distinct_random_state(5, seed, scale=0.8, min_gap=0.05)
         traj = phase_trajectory(wf.zeros, wf.g2, wf.g1)
-        assert traj.times.size == 513
-        assert len(calls) <= 1024
+        assert traj.times.size == 257
+        assert sum(solved) <= traj.times.size
 
 
 def _fixture_forms():
@@ -327,7 +327,7 @@ class TestHalfPeriod:
     """``X(t + pi) = -X(t)``: the second half of a period is the first half negated."""
 
     def test_matches_sampling_every_time(self):
-        grid = np.linspace(0.0, 2.0 * math.pi, 513)
+        grid = np.linspace(0.0, 2.0 * math.pi, 257)
         ranks = set()
         for wf in _fixture_forms():
             half = phase_trajectory(wf.zeros, wf.g2, wf.g1)
@@ -370,7 +370,7 @@ class TestSolveCounts:
     def test_period_solves_its_first_half_only(self, solves):
         wf = build_wavefunction(separated_state(3, 1))
         phase_trajectory(wf.zeros, wf.g2, wf.g1)
-        assert solves == [256]
+        assert solves == [128]
 
     def test_crossing_times_take_one_stacked_solve(self, solves):
         wf = build_wavefunction(separated_state(3, 1))
@@ -386,6 +386,62 @@ class TestSolveCounts:
         del solves[:]
         assert antipodal_check(traj, 0.7) < 1e-8
         assert solves == [2]
+
+
+def per_event_crossings(traj):
+    """Crossing events with one tracker call per pencil time: the reference for the array pass."""
+    pinned = np.all(np.abs(traj.paths.imag) < phase_mod.IM_BAND, axis=1)
+    events = [
+        phase_mod.CrossingEvent(k, 0.0, float(traj.paths[k, 0].real), "always_real")
+        for k in np.flatnonzero(pinned).tolist()
+    ]
+    t_p = phase_mod._pencil_times(traj.lax)
+    before = np.searchsorted(traj.times, t_p, side="right") - 1
+    for t, i, fresh in zip(t_p.tolist(), before.tolist(), traj.zeros_at(t_p)):
+        zs = dynamics_mod._track([traj.times[i], t], [traj.paths[:, i], fresh], traj.zeros_at)[-1]
+        scale = phase_mod.REAL_TOL * max(1.0, float(np.max(np.abs(zs))))
+        for k in np.flatnonzero(~pinned & (np.abs(zs.imag) <= scale)).tolist():
+            events.append(phase_mod.CrossingEvent(k, t, float(zs[k].real)))
+    events.sort(key=lambda e: (e.t_star, e.zero_index))
+    return events
+
+
+def event_rows(events):
+    return [(e.zero_index, e.flag, e.t_star, e.x_star) for e in events]
+
+
+@pytest.fixture(scope="module")
+def grid_forms():
+    """The half-period fixtures, random states of ranks 1-6 (seeds 0-9), and ranks 8 and 10."""
+    forms = _fixture_forms()
+    states = [random_stellar_state(r, seed) for r in range(1, 7) for seed in range(10)]
+    states += [random_stellar_state(8, 0), random_stellar_state(10, 0)]
+    return forms + [build_wavefunction(st) for st in states]
+
+
+class TestGridIndependence:
+    """Crossing times come from the pencil, so the sample grid only orders the zeros."""
+
+    def test_events_match_a_2049_sample_period(self, grid_forms):
+        dense = np.linspace(0.0, 2.0 * math.pi, 2049)
+        for wf in grid_forms:
+            coarse = detect_crossings(phase_trajectory(wf.zeros, wf.g2, wf.g1))
+            fine = detect_crossings(sample_closed_form(wf, HP, dense))
+            assert event_rows(coarse) == event_rows(fine), wf.zeros
+
+    def test_array_pass_matches_per_event_tracking(self, grid_forms, monkeypatch):
+        trajectories = [phase_trajectory(wf.zeros, wf.g2, wf.g1) for wf in grid_forms]
+        solves, refined = [], 0
+        solve = dynamics_mod.eigenvalues_small
+        monkeypatch.setattr(
+            dynamics_mod, "eigenvalues_small", lambda m: solves.append(len(m)) or solve(m)
+        )
+        for traj in trajectories:
+            del solves[:]
+            events = detect_crossings(traj)
+            refined += len(solves) - 1  # passes that halve unsafe steps, after the pencil solve
+            assert event_rows(events) == event_rows(per_event_crossings(traj)), traj.paths[:, 0]
+        assert refined, "these fixtures need steps that fail the half-gap test"
 
 
 def test_imbalanced_states_cross(imbalanced_rank=3):
