@@ -61,18 +61,18 @@ from .wavefunction import (
     stellar_state_from_zeros,
 )
 from .dynamics import (
-    LaxData,
     QuadraticHamiltonian,
+    ZeroPair,
     ZeroTrajectory,
     closed_form,
     closed_form_matrix,
     evolve_form,
     integrate,
-    lax_data,
     match_sets,
     matching_distance,
     sample_closed_form,
     second_order_acceleration,
+    zero_pair,
 )
 from .oracle import evolve_fock, hamiltonian_matrix, zeros_from_fock
 from .phase import (

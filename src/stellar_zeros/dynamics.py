@@ -13,20 +13,22 @@ which decouples into an inverse-cube pair interaction at second order::
     d2lam_k/dt2 = -omega^2 lam_k + kappa + 8B^2 sum_{m!=k} (lam_k - lam_m)^{-3}
 
 with ``omega^2 = 4AB - C^2`` and ``kappa = CE - 2BD``: a harmonic
-Calogero-Moser system (Moser 1975; Olshanetsky & Perelomov 1981).  Its
-solution is one matrix formula for every such Hamiltonian: the zeros at
-time t are exactly the eigenvalues of
+Calogero-Moser system (Moser 1975; Olshanetsky & Perelomov 1981), solved
+here without the ODE.  The state alone gives the zeros' positions and
+momenta: the pair ``X0 = diag(lam)`` and ``P0``, with ``i/(lam_j - lam_k)``
+off the diagonal and ``-i (2 g2 lam_k + g1 + sum_{m!=k} 1/(lam_k - lam_m))``
+on it, which obeys ``[X0, P0] = i(11^T - I)`` (Kazhdan, Kostant & Sternberg
+1978); the Gaussian is the line ``p = k x + m``, ``k = -2i g2``, ``m = -i g1``.
+H moves both by its classical flow F, the affine map of ``(x, p, 1)`` under
+``dx/dt = 2Bp + Cx + E`` and ``dp/dt = -2Ax - Cp - D``::
 
-    X(t) = Lambda0 c(t) + L s(t) + kappa q(t) I,
+    F = [[c + sC, 2Bs, sE + q kappa], [-2As, c - sC, -sD + q (CD - 2AE)], [0, 0, 1]]
+    c = cos(omega t),  s = sin(omega t)/omega,  q = (1 - cos(omega t))/omega^2
 
-    c = cos(omega t),  s = sin(omega t)/omega,  q = (1 - cos(omega t))/omega^2,
-
-where ``Lambda0 = diag(lam)`` and the Lax matrix ``L`` holds the initial
-velocities on its diagonal and ``2iB/(lam_j - lam_k)`` off it.  ``c``, ``s``
-and ``q`` are entire in ``omega^2``, so ``omega^2 = 0`` and ``B = 0`` need no
-special case.  The Gaussian pair follows the same coefficients through the
-classical flow ``c I + s M`` of its Riccati equation (see
-:func:`_gaussian_flow`).
+The zeros at time t are the eigenvalues of ``F11 X0 + F12 P0 + F13 I`` and
+the line goes to ``k' = (F21 + F22 k)/(F11 + F12 k)``,
+``m' = F22 m + F23 - k'(F12 m + F13)``.  ``c``, ``s`` and ``q`` are entire in
+``omega^2``, so ``omega^2 = 0`` and ``B = 0`` need no special case.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from .wavefunction import WavefunctionForm
 __all__ = [
     "QuadraticHamiltonian",
     "ZeroTrajectory",
-    "LaxData",
+    "ZeroPair",
     "second_order_acceleration",
     "integrate",
-    "lax_data",
+    "zero_pair",
     "closed_form_matrix",
     "closed_form",
     "sample_closed_form",
@@ -94,9 +96,6 @@ class QuadraticHamiltonian:
         """Number operator plus one half: ``(x^2 + p^2)/2``."""
         return cls(A=0.5, B=0.5)
 
-    def negated(self) -> "QuadraticHamiltonian":
-        return QuadraticHamiltonian(-self.A, -self.B, -self.C, -self.D, -self.E, -self.F)
-
     def as_tuple(self):
         return (self.A, self.B, self.C, self.D, self.E, self.F)
 
@@ -105,14 +104,15 @@ class QuadraticHamiltonian:
 class ZeroTrajectory:
     """Continuity-matched zero paths plus the Gaussian coefficient track.
 
-    ``lax`` is the matrix solution behind a closed-form trajectory and
-    ``None`` for an integrated one.
+    A closed-form trajectory keeps its state's ``pair`` and the Hamiltonian
+    ``H`` that moves it; an integrated one has ``None`` for both.
     """
 
     times: np.ndarray
     paths: np.ndarray       # (rank, n_times) complex
     gauss_path: np.ndarray  # (2, n_times) complex: g2(t), g1(t)
-    lax: LaxData | None = field(default=None, repr=False)
+    pair: ZeroPair | None = field(default=None, repr=False)
+    H: QuadraticHamiltonian | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
@@ -120,26 +120,22 @@ class ZeroTrajectory:
 
     def zeros_at(self, t) -> np.ndarray:
         """Unordered zero multiset at time t (``(..., rank)`` at an array of times)."""
-        if self.lax is None:
+        if self.pair is None:
             raise InvalidParameter("zeros off the grid need a closed-form trajectory")
-        return _zeros_at(self.lax, t)
+        return _zeros_at(self.pair, self.H, t)
 
 
 @dataclass(frozen=True)
-class LaxData:
-    """Initial data of the matrix solution ``X(t) = c Lambda0 + s L + q kappa I``.
+class ZeroPair:
+    """Zero positions ``X0``, momenta ``P0`` and the Gaussian line ``p = k x + m`` of one state.
 
-    ``terms`` stacks ``Lambda0 = diag(initial zeros)``, the Lax matrix ``L``
-    (initial velocities on the diagonal, ``2iB/(lam_j - lam_k)`` off it) and
-    ``kappa I``; ``omega2`` fixes the coefficients ``c, s, q``.
+    ``terms`` stacks ``X0``, ``P0`` and the identity, so that ``F11 X0 + F12 P0 + F13 I``
+    is one product for a whole array of times.
     """
 
-    terms: np.ndarray  # (3, rank, rank)
-    omega2: float
-
-    @property
-    def rank(self) -> int:
-        return self.terms.shape[1]
+    terms: np.ndarray  # (3, rank, rank): X0 (diagonal), P0, I
+    k: complex
+    m: complex
 
 
 def second_order_acceleration(zeros, H: QuadraticHamiltonian):
@@ -169,8 +165,8 @@ def _rhs_raw(y, H):
     lam = y[2:]
     # The interaction enters with -2iB: verified against the exactly
     # solvable two-zero phase-shift evolution and the Fock-basis oracle
-    # (the opposite sign propagates an inconsistent velocity into the Lax
-    # matrix and breaks oracle agreement at rank >= 2).
+    # (the opposite sign breaks agreement with the closed form's P0 and
+    # with the oracle at rank >= 2).
     coef = C - 4j * B * a
     drift = -2j * B * b + E
     for k, lk in enumerate(lam):
@@ -233,23 +229,6 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     return ZeroTrajectory(ts, out[2:], out[:2])
 
 
-def _flow_coefficients(w2: float, t) -> np.ndarray:
-    """``(cos wt, sin(wt)/w, (1 - cos wt)/w^2)`` at ``w^2 = w2`` and time(s) ``t``, on axis 0.
-
-    With ``theta = w t`` these are ``cos theta``, ``t sinc theta`` and
-    ``(t^2/2) sinc^2(theta/2)``: nothing cancels as ``w2 -> 0`` or ``t -> 0``,
-    and ``w2 < 0`` makes ``theta`` imaginary and the three hyperbolic.  The
-    callers ignore overflow in ``np.errstate``; :func:`_finite` reports it.
-    """
-    t = np.asarray(t, dtype=float)[()]  # one time: a NumPy scalar, 10x cheaper than 0-d
-    # np.sinc's own steps without its overhead: theta through theta/pi, 1e-20 for 0.
-    theta = np.pi * (np.sqrt(complex(w2)) * t / np.pi)
-    y = np.where(theta, theta, 1e-20)[()]
-    half = 0.5 * y
-    csq = np.array([np.cos(theta), t * (np.sin(y) / y), 0.5 * t * t * (np.sin(half) / half) ** 2])
-    return _finite(csq, t, "classical flow", axis=0).real
-
-
 def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:
     """``x``, or :class:`InvalidParameter` at the first time of ``t`` where it is not finite.
 
@@ -261,57 +240,69 @@ def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:
     return x
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _gaussian_flow(g2, g1, H: QuadraticHamiltonian, t):
-    """``(g2, g1)`` at time(s) ``t``, stacked on a leading axis of 2.
-
-    ``g2 = p/w`` is a Moebius map: ``(p, w) = (c I + s M)(g2_0, 1)`` with
-    ``M = [[-C, -iA], [-4iB, C]]`` (``M^2 = -omega^2 I``), the classical flow
-    of the Riccati equation.  ``g1 w`` obeys ``(g1 w)' = -2E p - iD w``, so
-    ``g1 = (g1_0 - 2E P - iD W)/w`` with ``(P, W) = (s I + q M)(g2_0, 1)``,
-    the time integral of ``(p, w)``.
-    """
-    c, s, q = _flow_coefficients(H.omega2, t)
-    mg, mw = -H.C * g2 - 1j * H.A, -4j * H.B * g2 + H.C  # M (g2_0, 1)
-    w = c + s * mw
-    g1t = g1 - 2.0 * H.E * (s * g2 + q * mg) - 1j * H.D * (s + q * mw)
-    return _finite(np.array([(c * g2 + s * mg) / w, g1t / w]), t, "Gaussian flow", axis=0)
-
-
-def lax_data(wf: WavefunctionForm, H: QuadraticHamiltonian) -> LaxData:
-    """``Lambda0 = diag(zeros)``, the Lax matrix and ``kappa = CE - 2BD`` of ``H``."""
+def zero_pair(wf: WavefunctionForm) -> ZeroPair:
+    """The matrix pair ``(X0, P0)`` and the Gaussian line of ``wf`` (see the module docstring)."""
     lam = np.array(wf.zeros, dtype=complex)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)  # above COLLISION_GAP, so only pairs can fail the test
+    diff, eye = lam[:, None] - lam, np.eye(lam.size)
+    diff.flat[:: lam.size + 1] = np.inf  # the diagonal: only pairs can fail the test, and i/inf = 0
     if np.abs(diff).min(initial=np.inf) <= COLLISION_GAP:
         raise DegenerateInitialZeros("initial zeros must be pairwise distinct")
-    lmat = 2j * H.B / diff
-    np.fill_diagonal(lmat, _rhs_raw([wf.g2, wf.g1, *wf.zeros], H)[2:])
-    kappa = H.C * H.E - 2.0 * H.B * H.D
-    return LaxData(np.array([np.diag(lam), lmat, kappa * np.eye(lam.size)]), H.omega2)
+    p0, k, m = 1j / diff, -2j * wf.g2, -1j * wf.g1
+    # The Gaussian line's momentum k lam + m, less row k's sum of i/(lam_k - lam_m).
+    p0.flat[:: lam.size + 1] = k * lam + m - p0.sum(axis=1)
+    return ZeroPair(np.array([eye * lam, p0, eye]), k, m)
+
+
+def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
+    """Rows ``(F11, F12, F13)``, ``(F21, F22, F23)`` of H's affine flow, entries shaped like ``t``.
+
+    They are linear in ``c = cos theta``, ``s = t sinc theta`` and
+    ``q = (t^2/2) sinc^2(theta/2)``, with ``theta = omega t``: nothing cancels
+    as ``omega^2 -> 0`` or ``t -> 0``, and ``omega^2 < 0`` makes ``theta``
+    imaginary and the three hyperbolic.  The callers ignore overflow in
+    ``np.errstate``; :func:`_finite` reports it.
+    """
+    t = np.asarray(t, dtype=float)[()]  # one time: a NumPy scalar, 10x cheaper than 0-d
+    # np.sinc's own steps without its overhead: theta through theta/pi, 1e-20 for 0.
+    theta = np.pi * (np.sqrt(complex(H.omega2)) * t / np.pi)
+    y = np.where(theta, theta, 1e-20)[()]
+    half = 0.5 * y
+    csq = np.array([np.cos(theta), t * (np.sin(y) / y), 0.5 * t * t * (np.sin(half) / half) ** 2])
+    c, s, q = _finite(csq, t, "classical flow", axis=0).real
+    A, B, C, D, E, _ = H.as_tuple()
+    return ((c + s * C, 2.0 * B * s, s * E + q * (C * E - 2.0 * B * D)),
+            (-2.0 * A * s, c - s * C, q * (C * D - 2.0 * A * E) - s * D))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def closed_form_matrix(lax: LaxData, t) -> np.ndarray:
-    """Matrix ``c Lambda0 + s L + q kappa I`` whose eigenvalues are the zeros at time t.
+def _gaussian_at(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray:
+    """``(g2, g1) = (i k'/2, i m')`` at time(s) ``t``, on a leading axis: the flow moves the line."""
+    (f11, f12, f13), (f21, f22, f23) = _classical_flow(H, t)
+    k = (f21 + f22 * pair.k) / (f11 + f12 * pair.k)
+    m = f22 * pair.m + f23 - k * (f12 * pair.m + f13)
+    return _finite(np.array([0.5j * k, 1j * m]), t, "Gaussian flow", axis=0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def closed_form_matrix(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray:
+    """Matrix ``F11 X0 + F12 P0 + F13 I`` whose eigenvalues are the zeros at time t.
 
     An array of times gives the stack ``(..., rank, rank)``.
     """
     ts = np.asarray(t, dtype=float)
-    csq = _flow_coefficients(lax.omega2, ts).reshape(3, -1).T
-    # One product for the whole stack, not three scaled copies per time.
-    mats = (csq @ lax.terms.reshape(3, -1)).reshape(*ts.shape, *lax.terms.shape[1:])
+    row = np.array(_classical_flow(H, ts)[0]).reshape(3, -1).T  # (F11, F12, F13) per time
+    mats = (row @ pair.terms.reshape(3, -1)).reshape(*ts.shape, *pair.terms.shape[1:])
     return _finite(mats, ts, "zero matrix", axis=(-2, -1))
 
 
-def _zeros_at(lax: LaxData, t) -> np.ndarray:
+def _zeros_at(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray:
     """Unordered zero multiset(s) of the matrix solution at time(s) t."""
-    return eigenvalues_small(closed_form_matrix(lax, t))
+    return eigenvalues_small(closed_form_matrix(pair, H, t))
 
 
 def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t):
     """Zero multiset at time t from the matrix solution; n times give an ``(n, rank)`` stack."""
-    return _zeros_at(lax_data(wf, H), t)
+    return _zeros_at(zero_pair(wf), H, t)
 
 
 def match_sets(a, b):
@@ -377,31 +368,32 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     Eigenvalue orderings are arbitrary, so the grid is solved in one stacked
     eigen-solve and ordered by :func:`_track`, which halves unsafe steps
     until each is safe and raises :class:`TrackingAmbiguity` at an exact
-    collision on the grid.  The Gaussian coefficients come from their own
-    closed-form flow on the whole grid at once.
+    collision on the grid.  The Gaussian coefficients come from the same
+    classical flow on the whole grid at once.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
         raise InvalidParameter("times must be a finite 1-d grid")
     if ts[0] < 0 or np.any(np.diff(ts) <= 0):
         raise InvalidParameter("times must be strictly increasing from t >= 0")
-    lax = lax_data(wf, H)
-    gauss = _gaussian_flow(wf.g2, wf.g1, H, ts)
+    pair = zero_pair(wf)
+    gauss = _gaussian_at(pair, H, ts)
     later = ts[ts > 0]
+    at = partial(_zeros_at, pair, H)
     start = np.asarray(wf.zeros, dtype=complex).reshape(1, -1)
-    paths = _track(np.concatenate([[0.0], later]),
-                   np.concatenate([start, _zeros_at(lax, later)]), partial(_zeros_at, lax))
-    return ZeroTrajectory(ts, paths[int(ts[0] > 0) :].T, gauss, lax)
+    paths = _track(np.concatenate([[0.0], later]), np.concatenate([start, at(later)]), at)
+    return ZeroTrajectory(ts, paths[int(ts[0] > 0) :].T, gauss, pair, H)
 
 
 def evolve_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float) -> WavefunctionForm:
     """Full wavefunction form at time t.
 
-    Zeros come from the matrix solution and the Gaussian coefficients from
-    their closed-form flow; ``g0`` is recovered by normalization.  The
+    Zeros and Gaussian coefficients both come from the state's pair under
+    the classical flow of ``H``; ``g0`` is recovered by normalization.  The
     global phase is left free.
     """
     if t < 0:
         raise InvalidParameter("evolve_form needs t >= 0")
-    g2t, g1t = _gaussian_flow(wf.g2, wf.g1, H, t)
-    return WavefunctionForm(g2t, g1t, 0.0, closed_form(wf, H, t), 1.0).normalized()
+    pair = zero_pair(wf)
+    g2t, g1t = _gaussian_at(pair, H, t)
+    return WavefunctionForm(g2t, g1t, 0.0, _zeros_at(pair, H, t), 1.0).normalized()

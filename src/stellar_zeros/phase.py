@@ -3,7 +3,7 @@
 Under ``H = (x^2 + p^2)/2`` the general zero matrix of
 :mod:`stellar_zeros.dynamics` specializes to
 
-    ``X(t) = Lambda0 cos t + L sin t``,
+    ``X(t) = X0 cos t + L sin t``,
 
 which is antiperiodic, ``X(t + pi) = -X(t)``: the zeros half a period on
 are the negated zeros, so a sampled period takes eigen-solves only on its
@@ -34,11 +34,11 @@ from .errors import InvalidParameter
 from .dynamics import (
     QuadraticHamiltonian,
     ZeroTrajectory,
-    _gaussian_flow,
+    _gaussian_at,
     _track,
     _zeros_at,
-    lax_data,
     matching_distance,
+    zero_pair,
 )
 from .rootfind import DEFECTIVE_TOL, _cluster, _min_gap
 from .states import StellarState
@@ -106,24 +106,26 @@ def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajecto
     """
     wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
     H = QuadraticHamiltonian.phase_shift()
-    lax = lax_data(wf, H)
+    pair = zero_pair(wf)
     ts = np.linspace(0.0, 2.0 * math.pi, PERIOD_STEPS + 1)
-    half = _zeros_at(lax, ts[1 : PERIOD_STEPS // 2 + 1])
+    half = _zeros_at(pair, H, ts[1 : PERIOD_STEPS // 2 + 1])
     start = np.asarray(wf.zeros, dtype=complex).reshape(1, -1)
-    paths = _track(ts, np.concatenate([start, half, -half]), partial(_zeros_at, lax))
-    return ZeroTrajectory(ts, paths.T, _gaussian_flow(wf.g2, wf.g1, H, ts), lax)
+    paths = _track(ts, np.concatenate([start, half, -half]), partial(_zeros_at, pair, H))
+    return ZeroTrajectory(ts, paths.T, _gaussian_at(pair, H, ts), pair, H)
 
 
-def _pencil_times(lax) -> np.ndarray:
+def _pencil_times(pair, H: QuadraticHamiltonian) -> np.ndarray:
     """Sorted times in ``[0, 2 pi)`` where ``X(t)`` and its conjugate share an eigenvalue.
 
-    That is where ``K(t) = cos t K0 + sin t K1``, with ``K = M (x) I - I (x)
-    conj(M)`` built from ``M = Lambda0`` and ``M = L``, is singular: one QZ
-    solve of the pencil ``(K0, -K1)`` whose real eigenvalues are ``tan t``.
+    At ``omega^2 = 1`` and ``kappa = 0``, ``X(t) = cos t X0 + sin t L`` with
+    ``L = 2B P0 + C X0 + E I``, so that is where ``K(t) = cos t K0 + sin t K1``,
+    with ``K = M (x) I - I (x) conj(M)`` from ``M = X0`` and ``M = L``, is
+    singular: one QZ solve of the pencil ``(K0, -K1)``, whose real
+    eigenvalues are ``tan t``.
     """
-    lambda0, lmat, _ = lax.terms
-    eye = np.eye(lax.rank)
-    k0 = np.kron(lambda0, eye) - np.kron(eye, lambda0.conj())
+    x0, p0, eye = pair.terms
+    lmat = 2.0 * H.B * p0 + H.C * x0 + H.E * eye
+    k0 = np.kron(x0, eye) - np.kron(eye, x0.conj())
     k1 = np.kron(lmat, eye) - np.kron(eye, lmat.conj())
     alpha, beta = eigvals(k0, -k1, homogeneous_eigvals=True)
     # w = (beta + i alpha)/(beta - i alpha) = e^{2it} for a real root
@@ -156,8 +158,8 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
     honest, since on a 2-sample grid ``X(0) = X(2 pi)`` and a zero real at
     t = 0 would read as pinned.
     """
-    lax = traj.lax
-    if lax is None or lax.omega2 != 1.0 or np.any(lax.terms[2]):
+    H = traj.H  # kappa = CE - 2BD must vanish
+    if traj.pair is None or H.omega2 != 1.0 or H.C * H.E != 2.0 * H.B * H.D:
         raise InvalidParameter("crossing detection needs a closed-form phase-shift trajectory")
     if traj.times.size < PERIOD_STEPS:
         raise InvalidParameter(f"crossing detection needs at least {PERIOD_STEPS} samples")
@@ -168,7 +170,7 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
         CrossingEvent(k, 0.0, float(traj.paths[k, 0].real), "always_real")
         for k in np.flatnonzero(pinned).tolist()
     ]
-    t_p = _pencil_times(lax)
+    t_p = _pencil_times(traj.pair, H)
     before = np.searchsorted(traj.times, t_p, side="right") - 1
     # One step per pencil time, from the sample before it, all tracked at once.
     ts = np.stack([traj.times[before], t_p], axis=1).ravel()
@@ -187,7 +189,7 @@ def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinRe
 
     The certified verdict requires ``Im g2 = 0`` (the separation threshold
     ``sqrt((r-1)/|Re g2|)`` is derived for real Gaussian exponents); the
-    discs are those of the exact zero matrix ``X(t) = Lambda0 cos t + L sin t``:
+    discs are those of the exact zero matrix ``X(t) = X0 cos t + L sin t``:
     centers ``lam_j cos t + L_jj sin t``, which include the interaction
     contribution that the plain ellipse picture ignores, and radii
     ``|sin t| rho_j`` with ``rho_j = sum_{m != j} |L_jm|``.  Discs i and j
@@ -200,12 +202,12 @@ def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinRe
     """
     zeros0 = [complex(z) for z in zeros0]
     threshold = math.sqrt(max(len(zeros0) - 1, 0) / abs(complex(g2_0).real))
-    wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
-    lambda0, lmat, _ = lax_data(wf, QuadraticHamiltonian.phase_shift()).terms  # kappa = 0
+    pair = zero_pair(WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0))
+    x0, lmat, _ = pair.terms  # L = 2B P0 + C X0 + E I is P0 at the phase shift
     off = np.abs(lmat)
     np.fill_diagonal(off, 0.0)
     rho = off.sum(axis=1)
-    a = np.subtract.outer(np.diag(lambda0), np.diag(lambda0))
+    a = np.subtract.outer(np.diag(x0), np.diag(x0))
     b = np.subtract.outer(np.diag(lmat), np.diag(lmat))
     apart = np.abs((a.conj() * b).imag) > np.abs(a) * np.add.outer(rho, rho)
     min_sep = _min_gap(zeros0)

@@ -127,9 +127,9 @@ def eigenvalues_small(m: np.ndarray) -> np.ndarray:
     accurate to roundoff.
     """
     m = np.asarray(m, dtype=complex)
+    if m.shape[-1] < 2:  # the entry of a 1x1 matrix is its eigenvalue; nothing to cluster
+        return m.diagonal(axis1=-2, axis2=-1).copy()
     ev = np.linalg.eigvals(m)
-    if m.shape[-1] < 2:  # nothing to cluster
-        return ev
     tol = DEFECTIVE_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
     split = _min_gap(ev) <= tol
     if split.any():  # rare, so the common case skips the index search

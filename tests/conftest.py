@@ -16,9 +16,9 @@ from stellar_zeros import (
     closed_form_matrix,
     dynamics,
     eigenvalues_small,
-    lax_data,
     random_stellar_state,
     stellar_state_from_zeros,
+    zero_pair,
 )
 from stellar_zeros.rootfind import _min_gap
 
@@ -108,13 +108,13 @@ def distinct_random_state(rank, seed, scale=1.0, min_gap=0.1, max_extent=None):
 def wrong_sign_closed_form(wf, H, t):
     """Zeros of the matrix solution with the rotation read the wrong way.
 
-    Adding ``2i sin(omega t) Lambda0`` to ``closed_form_matrix`` turns the
-    rotation ``Lambda0 e^{-i omega t}`` into ``Lambda0 e^{+i omega t}``; the
-    ODE checks must reject the zeros this gives.
+    Adding ``2i sin(omega t) X0`` to ``closed_form_matrix`` turns the
+    rotation ``X0 e^{-i omega t}`` into ``X0 e^{+i omega t}``; the ODE
+    checks must reject the zeros this gives.
     """
-    lax = lax_data(wf, H)
-    flip = 2j * cmath.sin(cmath.sqrt(lax.omega2) * t) * lax.terms[0]
-    return eigenvalues_small(closed_form_matrix(lax, t) + flip)
+    pair = zero_pair(wf)
+    flip = 2j * cmath.sin(cmath.sqrt(H.omega2) * t) * pair.terms[0]
+    return eigenvalues_small(closed_form_matrix(pair, H, t) + flip)
 
 
 def ode_rhs(g2, g1, zeros, H):

@@ -32,7 +32,6 @@ from stellar_zeros import (
     eval_entire,
     eval_form,
     integrate,
-    lax_data,
     match_sets,
     matching_distance,
     random_stellar_state,
@@ -40,6 +39,7 @@ from stellar_zeros import (
     second_order_acceleration,
     stellar_state_from_zeros,
     stellar_to_fock,
+    zero_pair,
     zeros_from_fock,
 )
 
@@ -86,6 +86,30 @@ class TestOdeRhs:
         # the same fixture: lambda''(0) = -omega^2 * 1 + 8 B^2 / 2^3 = -3/4
         acc = second_order_acceleration([1.0, -1.0], HP)
         assert abs(acc[0] + 0.75) < 1e-15
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+class TestZeroPair:
+    SEEDS = range(4)
+
+    def test_calogero_moser_constraint(self, rank):
+        # [X0, P0] = i (11^T - I) (Kazhdan, Kostant & Sternberg 1978).
+        want = 1j * (np.ones((rank, rank)) - np.eye(rank))
+        for seed in self.SEEDS:
+            x0, p0, _ = zero_pair(build_wavefunction(random_stellar_state(rank, seed))).terms
+            got = x0 @ p0 - p0 @ x0
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_lax_diagonal_is_the_ode_velocity(self, rank):
+        rng = np.random.default_rng(rank)
+        for seed in self.SEEDS:
+            wf = build_wavefunction(random_stellar_state(rank, seed))
+            x0, p0, eye = zero_pair(wf).terms
+            for _ in range(3):
+                H = QuadraticHamiltonian(*rng.uniform(-1.0, 1.0, 6))
+                lax = 2.0 * H.B * p0 + H.C * x0 + H.E * eye
+                want = np.array(ode_rhs(wf.g2, wf.g1, wf.zeros, H)[2])
+                assert np.max(np.abs(np.diag(lax) - want)) <= 1e-12 * np.max(np.abs(want)), H
 
 
 class TestIntegrate:
@@ -170,7 +194,7 @@ class TestIntegrate:
                 tr.gauss_path[0, -1], tr.gauss_path[1, -1], 0.0,
                 list(tr.paths[:, -1]), 1.0,
             ).normalized()
-            back = integrate(end, H.negated(), ts)
+            back = integrate(end, QuadraticHamiltonian(*(-v for v in H.as_tuple())), ts)
             assert matching_distance(back.paths[:, -1], wf.zeros) < 1e-7
 
     def test_nan_rhs_is_a_step_failure(self, monkeypatch):
@@ -218,6 +242,12 @@ def flow_reference(w2, t):
     return math.cosh(w * t), math.sinh(w * t) / w, (1.0 - math.cosh(w * t)) / w2
 
 
+def flow_coefficients(w2, t):
+    """``(c, s, q)``: with ``B = 1/2``, ``D = -1`` and ``C = E = 0`` they are ``(F11, F12, F13)``."""
+    H = QuadraticHamiltonian(A=0.5 * w2, B=0.5, D=-1.0)  # omega^2 = 4AB = w2
+    return np.array(dynamics._classical_flow(H, t)[0])
+
+
 # A hyperbolic Hamiltonian: omega^2 = 4AB - C^2 = -1, so cosh(t) overflows past t ~ 710.
 H_HYP = QuadraticHamiltonian(B=0.5, C=1.0)
 
@@ -227,24 +257,24 @@ class TestFlowCoefficients:
 
     @pytest.mark.parametrize("w2", [1.0, 0.7, 0.0, 1e-300, -1e-300, -0.05, -2.0])
     def test_matches_the_trigonometric_and_hyperbolic_forms(self, w2):
-        got = dynamics._flow_coefficients(w2, self.TIMES)
+        got = flow_coefficients(w2, self.TIMES)
         assert got.shape == (3, self.TIMES.size) and got.dtype == float
         want = np.array([flow_reference(w2, t) for t in self.TIMES]).T
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("w2", [0.7, 0.0, -2.0])
     def test_a_scalar_time_gives_one_triple(self, w2):
-        got = dynamics._flow_coefficients(w2, 1.3)
+        got = flow_coefficients(w2, 1.3)
         assert got.shape == (3,)
-        assert np.array_equal(got, dynamics._flow_coefficients(w2, [1.3])[:, 0])
+        assert np.array_equal(got, flow_coefficients(w2, [1.3])[:, 0])
 
     def test_overflow_is_a_typed_error_naming_the_time(self):
-        lax = lax_data(distinct_random_state(2, 0)[1], H_HYP)
+        pair = zero_pair(distinct_random_state(2, 0)[1])
         with pytest.raises(InvalidParameter, match="t=800"):
-            dynamics.closed_form_matrix(lax, [1.0, 800.0])
+            dynamics.closed_form_matrix(pair, H_HYP, [1.0, 800.0])
         # cosh(710) is still finite; the matrix built from it is not.
         with pytest.raises(InvalidParameter, match="t=710"):
-            dynamics.closed_form_matrix(lax, [1.0, 710.0])
+            dynamics.closed_form_matrix(pair, H_HYP, [1.0, 710.0])
 
 
 class TestClosedForm:
@@ -298,7 +328,7 @@ class TestClosedForm:
     def test_degenerate_zeros(self):
         wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.5, 0.5 + 1e-11), 1.0).normalized()
         with pytest.raises(DegenerateInitialZeros):
-            lax_data(wf, HP)
+            zero_pair(wf)
 
     def test_wrong_rotation_sign_fails_ode_check(self):
         st = stellar_state_from_zeros([1j])
@@ -538,9 +568,9 @@ class TestTracker:
 
     def test_flow_coefficients_once_per_solve_not_per_sample(self, monkeypatch):
         calls, solves = [], []
-        flow, solve = dynamics._flow_coefficients, dynamics.eigenvalues_small
+        flow, solve = dynamics._classical_flow, dynamics.eigenvalues_small
         monkeypatch.setattr(
-            dynamics, "_flow_coefficients", lambda w2, t: calls.append(np.size(t)) or flow(w2, t)
+            dynamics, "_classical_flow", lambda H, t: calls.append(np.size(t)) or flow(H, t)
         )
         monkeypatch.setattr(
             dynamics, "eigenvalues_small", lambda m: solves.append(len(m)) or solve(m)
@@ -559,7 +589,7 @@ class TestTracker:
             dynamics, "eigenvalues_small", lambda m: solves.append(len(m)) or solve(m)
         )
         monkeypatch.setattr(
-            dynamics, "closed_form_matrix", lambda lax, t: times.append(t) or matrix(lax, t)
+            dynamics, "closed_form_matrix", lambda pair, H, t: times.append(t) or matrix(pair, H, t)
         )
         _, wf = distinct_random_state(4, 1)
         grid = np.linspace(0, 6, 13)

@@ -27,7 +27,6 @@ from stellar_zeros import (
     eval_entire_envelope,
     gershgorin_check,
     imbalance,
-    lax_data,
     matching_distance,
     phase_shift,
     phase_trajectory,
@@ -35,6 +34,7 @@ from stellar_zeros import (
     sample_closed_form,
     stellar_state_from_zeros,
     stellar_to_fock,
+    zero_pair,
 )
 
 HP = QuadraticHamiltonian.phase_shift()
@@ -42,7 +42,7 @@ HP = QuadraticHamiltonian.phase_shift()
 
 def phase_zero_matrix(zeros, g2, t, g1=0.0):
     """The general zero matrix at the phase shift."""
-    return closed_form_matrix(lax_data(WavefunctionForm(g2, g1, 0.0, zeros, 1.0), HP), t)
+    return closed_form_matrix(zero_pair(WavefunctionForm(g2, g1, 0.0, zeros, 1.0)), HP, t)
 
 
 def hand_derived_phase_shift_matrix(zeros, g2, g1, t):
@@ -58,8 +58,8 @@ def hand_derived_phase_shift_matrix(zeros, g2, g1, t):
 
 def sampled_min_separation(zeros, g2, g1, ts):
     """Smallest gap between two Gershgorin discs of the phase-shift zero matrix at times ``ts``."""
-    lambda0, lmat, _ = lax_data(WavefunctionForm(g2, g1, 0.0, zeros, 1.0), HP).terms
-    centers = np.outer(np.diag(lambda0), np.cos(ts)) + np.outer(np.diag(lmat), np.sin(ts))
+    x0, lmat, _ = zero_pair(WavefunctionForm(g2, g1, 0.0, zeros, 1.0)).terms  # L = P0 here
+    centers = np.outer(np.diag(x0), np.cos(ts)) + np.outer(np.diag(lmat), np.sin(ts))
     off = np.abs(lmat)
     np.fill_diagonal(off, 0.0)
     radii = np.outer(off.sum(axis=1), np.abs(np.sin(ts)))
@@ -146,13 +146,13 @@ class TestDetectCrossings:
     def test_preconditions(self):
         traj = phase_trajectory([1j], -0.5)
         short = type(traj)(
-            traj.times[:100], traj.paths[:, :100], traj.gauss_path[:, :100], traj.lax
+            traj.times[:100], traj.paths[:, :100], traj.gauss_path[:, :100], traj.pair, traj.H
         )
         with pytest.raises(InvalidParameter):
             detect_crossings(short)
-        no_lax = type(traj)(traj.times, traj.paths, traj.gauss_path)
+        no_pair = type(traj)(traj.times, traj.paths, traj.gauss_path)
         with pytest.raises(InvalidParameter):
-            detect_crossings(no_lax)
+            detect_crossings(no_pair)
         part = sample_closed_form(WavefunctionForm(-0.5, 0.0, 0.0, [1j], 1.0), HP,
                                   np.linspace(0.0, 3.0, 300))
         with pytest.raises(InvalidParameter):
@@ -378,7 +378,7 @@ class TestSolveCounts:
         del solves[:]
         events = detect_crossings(traj)
         assert len(events) >= 6
-        assert solves == [len(phase_mod._pencil_times(traj.lax))]
+        assert solves == [len(phase_mod._pencil_times(traj.pair, traj.H))]
 
     def test_antipodal_pair_takes_one_solve(self, solves):
         wf = build_wavefunction(separated_state(3, 1))
@@ -395,7 +395,7 @@ def per_event_crossings(traj):
         phase_mod.CrossingEvent(k, 0.0, float(traj.paths[k, 0].real), "always_real")
         for k in np.flatnonzero(pinned).tolist()
     ]
-    t_p = phase_mod._pencil_times(traj.lax)
+    t_p = phase_mod._pencil_times(traj.pair, traj.H)
     before = np.searchsorted(traj.times, t_p, side="right") - 1
     for t, i, fresh in zip(t_p.tolist(), before.tolist(), traj.zeros_at(t_p)):
         zs = dynamics_mod._track([traj.times[i], t], [traj.paths[:, i], fresh], traj.zeros_at)[-1]

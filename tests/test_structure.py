@@ -88,6 +88,12 @@ def test_one_zero_tracker():
     assert _scopes_of("TrackingAmbiguity", ast.Raise) == [("dynamics", "_track")]
 
 
+def test_closed_form_shares_no_code_with_the_ode():
+    # The closed form takes the zero momenta from the state, never from the
+    # ODE's right-hand side, so criterion 2 compares two independent paths.
+    assert _scopes_of("_rhs_raw") == [("dynamics", "integrate")]
+
+
 def test_oracle_has_one_colleague_solver():
     # The short solve and its full-degree fallback are one function with a
     # floor argument, so the oracle's only eigenvalue solve lives there.
