@@ -10,8 +10,8 @@ audit      run the crossing-guarantee audit and print the verdict
 verify     cross-validate closed form, ODE and the Fock oracle for a state
 
 Each command accepts only the flags it reads, declared once in ``_COMMANDS``.
-``--config`` names a JSON object keyed by flag dest names; its values become
-that command's argparse defaults, so explicit flags win.
+``--config`` names a JSON object keyed by flag dest names; its values enter
+as that command's flags ahead of the command line's own, so explicit flags win.
 
 Exit codes: 0 success, 1 input or usage error (single machine-parsable line
 on stderr), 2 contract violation (failed verification or a missed guarantee).
@@ -20,6 +20,7 @@ on stderr), 2 contract violation (failed verification or a missed guarantee).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -131,8 +132,6 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    if args.method not in _METHODS:  # a --config value skips argparse's choices check
-        raise ValueError(f"--method expects one of {', '.join(_METHODS)}")
     H = _hamiltonian(args)
     ts = np.linspace(0.0, 2.0 * math.pi, 65) if args.time is None else _grid(args)
     wf = wavefunction.build_wavefunction(_load_state(args))
@@ -206,6 +205,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         refs = dynamics.closed_form(wf, H, times)
         ode_dev = max(map(dynamics.matching_distance, traj.paths[:, 1:].T, refs))
 
+        # Each cutoff needs its own propagation: a cut of the partner would share
+        # its first N + 1 amplitudes exactly, so the partner test would keep the cut's ring.
         vts = oracle.evolve_fock(v, H, times, cutoff)
         partners = oracle.evolve_fock(v, H, times, cutoff + _PARTNER_CUTOFF_STEP)
         for vt, partner, ref in zip(vts, partners, refs):
@@ -258,8 +259,9 @@ _COMMANDS = {
 }
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parse argv; a --config object becomes the command's defaults and argv is parsed again."""
+@functools.cache
+def _parser() -> _Parser:
+    """The command tree, built once per process and never mutated."""
     parser = _Parser(
         prog="stellar-zeros",
         description="Wavefunction zeros of finite-rank bosonic states: "
@@ -272,7 +274,13 @@ def _parse(argv) -> argparse.Namespace:
             option, kwargs = _FLAGS[dest]
             p.add_argument(option, dest=dest, **kwargs)
         p.add_argument("--config", help="JSON object keyed by flag dest names; flags win")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a --config object's values enter as flags right after the command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(argv)
     if args.config is None:
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -282,14 +290,15 @@ def _parse(argv) -> argparse.Namespace:
     unknown = sorted(set(data) - set(_FLAGS))
     if unknown:
         raise ValueError(f"--config key {unknown[0]!r} names no flag")
-    # A value stands for its flag text, a list joined with commas.  Keys of
-    # another command's flags are skipped: one file may serve several commands.
+    # A value stands for its flag text (a list joined with commas), in the `=` form that
+    # carries a leading '-'; the command line's own flags follow and win.  Keys of another
+    # command's flags are skipped: one file may serve several commands.
     own = _INPUT + _COMMANDS[args.command][2]
-    sub.choices[args.command].set_defaults(**{
-        k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+    flags = [
+        f"{_FLAGS[k][0]}={','.join(map(str, v)) if isinstance(v, list) else v}"
         for k, v in data.items() if k in own and v is not None
-    })
-    return parser.parse_args(argv)
+    ]
+    return _parser().parse_args([argv[0], *flags, *argv[1:]])
 
 
 def main(argv=None) -> int:

@@ -260,7 +260,7 @@ def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
     ``q = (t^2/2) sinc^2(theta/2)``, with ``theta = omega t``: nothing cancels
     as ``omega^2 -> 0`` or ``t -> 0``, and ``omega^2 < 0`` makes ``theta``
     imaginary and the three hyperbolic.  The callers ignore overflow in
-    ``np.errstate``; :func:`_finite` reports it.
+    ``np.errstate``; :func:`_finite` finds it in their products.
     """
     t = np.asarray(t, dtype=float)[()]  # one time: a NumPy scalar, 10x cheaper than 0-d
     # np.sinc's own steps without its overhead: theta through theta/pi, 1e-20 for 0.
@@ -268,13 +268,13 @@ def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
     y = np.where(theta, theta, 1e-20)[()]
     half = 0.5 * y
     csq = np.array([np.cos(theta), t * (np.sin(y) / y), 0.5 * t * t * (np.sin(half) / half) ** 2])
-    c, s, q = _finite(csq, t, "classical flow", axis=0).real
+    c, s, q = csq.real
     A, B, C, D, E, _ = H.as_tuple()
     return ((c + s * C, 2.0 * B * s, s * E + q * (C * E - 2.0 * B * D)),
             (-2.0 * A * s, c - s * C, q * (C * D - 2.0 * A * E) - s * D))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gaussian_at(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray:
     """``(g2, g1) = (i k'/2, i m')`` at time(s) ``t``, on a leading axis: the flow moves the line."""
     (f11, f12, f13), (f21, f22, f23) = _classical_flow(H, t)

@@ -136,7 +136,7 @@ def _pencil_times(pair, H: QuadraticHamiltonian) -> np.ndarray:
     keep = np.abs(den) > DEFECTIVE_TOL * np.abs([k0, k1]).max(initial=0.0)
     # A double root (mirror zeros crossing at the same t) splits by about
     # sqrt(eps) off the circle; its mean lies back on it to roundoff.
-    w = np.array(_cluster((num[keep] / den[keep]).tolist(), DEFECTIVE_TOL))
+    w = _cluster(num[keep] / den[keep], DEFECTIVE_TOL)
     half = np.angle(w[np.abs(np.abs(w) - 1.0) <= DEFECTIVE_TOL]) / 2.0 % math.pi
     return np.unique(np.concatenate([half, half + math.pi]) % (2.0 * math.pi))
 

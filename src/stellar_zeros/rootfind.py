@@ -38,27 +38,15 @@ def _min_gap(z):
     return gaps.min(axis=(-2, -1), initial=np.inf)
 
 
-def _cluster(roots, tol):
-    """Greedy chaining of roots within ``tol``; clusters collapse to their mean."""
-    roots = list(roots)
-    used = [False] * len(roots)
-    out = []
-    for i, z in enumerate(roots):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        frontier = [z]
-        while frontier:
-            w = frontier.pop()
-            for j, y in enumerate(roots):
-                if not used[j] and abs(y - w) <= tol:
-                    used[j] = True
-                    group.append(j)
-                    frontier.append(y)
-        center = sum(roots[j] for j in group) / len(group)
-        out.extend([center] * len(group))
-    return out
+def _cluster(z, tol):
+    """Each point of ``z`` as the mean of its connected component under ``|z_i - z_j| <= tol``."""
+    near = np.abs(z[:, None] - z) <= tol
+    label, old = np.arange(z.size), None
+    while not np.array_equal(label, old):  # each point takes its smallest neighbour label
+        label, old = np.where(near, label, label[:, None]).min(axis=1, initial=z.size), label
+    count = np.bincount(label)[label]
+    re, im = (np.bincount(label, part)[label] / count for part in (z.real, z.imag))
+    return re + 1j * im
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -105,16 +93,16 @@ def roots_polynomial(coeffs):
             np.abs(P.polyval(z - step, c)) < np.abs(p)
         )
         roots = np.concatenate([roots, np.where(keep, z - step, z)])
-    roots = _cluster(roots.tolist(), DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots)))))
+    roots = _cluster(roots, DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots)))))
     full = np.asarray(coeffs, dtype=complex) / scale
-    res = np.abs(P.polyval(np.array(roots), full))
+    res = np.abs(P.polyval(roots, full))
     if not np.all(res / (1.0 + np.abs(roots)) ** (full.size - 1) <= RESIDUAL_TOL):
         raise NoConvergence(
             "companion-matrix roots violate the residual bound",
-            roots=roots,
+            roots=roots.tolist(),
             residuals=list(res),
         )
-    return roots
+    return roots.tolist()
 
 
 def eigenvalues_small(m: np.ndarray) -> np.ndarray:
@@ -134,5 +122,5 @@ def eigenvalues_small(m: np.ndarray) -> np.ndarray:
     split = _min_gap(ev) <= tol
     if split.any():  # rare, so the common case skips the index search
         for idx in map(tuple, np.argwhere(split)):
-            ev[idx] = _cluster(ev[idx].tolist(), float(tol[idx]))
+            ev[idx] = _cluster(ev[idx], tol[idx])
     return ev

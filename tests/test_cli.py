@@ -14,7 +14,7 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
-from stellar_zeros import dynamics
+from stellar_zeros import cli, dynamics
 from stellar_zeros import (
     StellarState,
     matching_distance,
@@ -402,6 +402,45 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"method": "sideways"}))
         rc, _, err = run_cli(capsys, ["evolve", "--random", "1,1", "--config", str(cfg)])
         assert_one_error_line(rc, err)
+        assert "invalid choice: 'sideways'" in err
+
+    def test_config_leaves_the_shared_parser_unchanged(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "closed"}))
+        out = tmp_path / "t.csv"
+        argv = ["evolve", "--random", "1,1", "--time", "0,1,3", "--out", str(out)]
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert set(read_trajectories(out)) == {"closed"}
+        assert main(argv) == 0
+        assert set(read_trajectories(out)) == {"ode", "closed"}
+
+    def test_config_value_starting_with_a_dash(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hamiltonian": "-0.1,0.5,0,0,0,0", "time": [0, 1, 3]}))
+        via_config = run_cli(capsys, ["evolve", "--random", "1,1", "--config", str(cfg)])
+        via_flags = run_cli(capsys, ["evolve", "--random", "1,1",
+                                     "--hamiltonian=-0.1,0.5,0,0,0,0", "--time", "0,1,3"])
+        assert via_config[0] == 0
+        assert via_config == via_flags
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch, tmp_path):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"random_spec": "2,1"}))
+        for argv in (["zeros", "--random", "1,1"], ["build", "--random", "1,1"],
+                     ["zeros", "--config", str(cfg)], ["zeros", "--random", "1,1", "--bogus"]):
+            run_cli(capsys, argv)
+        # One tree: the top-level parser and one subparser per command.
+        assert built.count("stellar-zeros") == 1
+        assert len(built) == 1 + len(cli._COMMANDS)
 
 
 def test_module_entrypoint_smoke():

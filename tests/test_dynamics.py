@@ -276,6 +276,14 @@ class TestFlowCoefficients:
         with pytest.raises(InvalidParameter, match="t=710"):
             dynamics.closed_form_matrix(pair, H_HYP, [1.0, 710.0])
 
+    def test_a_vanishing_gaussian_denominator_is_a_typed_error(self):
+        # B = 0 and omega^2 = -C^2 make F11 = c + s C = exp(-|C| t), which
+        # rounds to 0 long before c overflows: a division by zero, not a warning.
+        H = QuadraticHamiltonian(A=-0.7, C=-0.52, D=-0.2, E=-0.8)
+        wf = build_wavefunction(random_stellar_state(3, 20))
+        with pytest.raises(InvalidParameter, match="Gaussian flow"):
+            sample_closed_form(wf, H, np.linspace(0.0, 1400.0, 400))
+
 
 class TestClosedForm:
     def test_time_zero_identity(self):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
+from scipy.sparse.csgraph import connected_components
 
 from stellar_zeros import (
     InvalidParameter,
@@ -13,8 +14,10 @@ from stellar_zeros import (
     matching_distance,
     roots_polynomial,
 )
+from stellar_zeros.rootfind import _cluster
 
 RESIDUAL_TOL = 1e-10
+CLUSTER_TOL = 1e-3
 
 
 def residuals_ok(coeffs, roots):
@@ -23,6 +26,46 @@ def residuals_ok(coeffs, roots):
     scale = np.max(np.abs(coeffs))
     res = np.abs(P.polyval(np.array(roots), coeffs))
     return np.all(res <= RESIDUAL_TOL * scale * (1 + np.abs(roots)) ** deg)
+
+
+def cluster_bfs(roots, tol):
+    """Reference: greedy chaining of roots within ``tol``, each cluster listed as its mean."""
+    roots = list(roots)
+    used = [False] * len(roots)
+    out = []
+    for i, z in enumerate(roots):
+        if used[i]:
+            continue
+        group = [i]
+        used[i] = True
+        frontier = [z]
+        while frontier:
+            w = frontier.pop()
+            for j, y in enumerate(roots):
+                if not used[j] and abs(y - w) <= tol:
+                    used[j] = True
+                    group.append(j)
+                    frontier.append(y)
+        center = sum(roots[j] for j in group) / len(group)
+        out.extend([center] * len(group))
+    return out
+
+
+coords = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def planted_clusters(draw):
+    """Random points, some trailing a chain of steps shorter than CLUSTER_TOL."""
+    points = []
+    for _ in range(draw(st.integers(0, 8))):
+        z = complex(draw(coords), draw(coords))
+        points.append(z)
+        for _ in range(draw(st.integers(0, 4))):  # 1 step plants a pair, more a chain
+            step = draw(st.floats(0.0, 0.9 * CLUSTER_TOL))
+            z += step * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+            points.append(z)
+    return draw(st.permutations(points))
 
 
 class TestRootsPolynomial:
@@ -89,6 +132,30 @@ class TestRootsPolynomial:
         with pytest.raises(NoConvergence) as excinfo:
             roots_polynomial(P.polyfromroots(exact))
         assert len(excinfo.value.roots) == len(excinfo.value.residuals) == 4
+
+
+class TestCluster:
+    @settings(max_examples=200, deadline=None)
+    @given(planted_clusters())
+    def test_component_means_match_the_chaining_reference(self, points):
+        z = np.array(points, dtype=complex)
+        got = _cluster(z, CLUSTER_TOL)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        assert matching_distance(got, cluster_bfs(points, CLUSTER_TOL)) <= 1e-14
+        near = np.abs(z[:, None] - z) <= CLUSTER_TOL
+        _, label = connected_components(near, directed=False)
+        for k in range(label.max(initial=-1) + 1):
+            assert np.allclose(got[label == k], z[label == k].mean(), rtol=0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(coords, coords), max_size=12))
+    def test_isolated_points_keep_values_and_order(self, pairs):
+        z = np.array([complex(*p) for p in pairs], dtype=complex)
+        gaps = np.abs(z[:, None] - z) + np.diag(np.full(z.size, np.inf))
+        assume(gaps.min(initial=np.inf) > CLUSTER_TOL)
+        got = _cluster(z, CLUSTER_TOL)
+        assert np.array_equal(got, z)
+        assert got.tolist() == cluster_bfs(z.tolist(), CLUSTER_TOL)
 
 
 class TestCharPoly:
