@@ -150,35 +150,35 @@ def second_order_acceleration(zeros, H: QuadraticHamiltonian):
     return out
 
 
-def _rhs_raw(y, H):
-    """System rhs on the packed state [g2, g1, zeros...]; NaN on an exact collision.
+def _rhs(H: QuadraticHamiltonian):
+    """System rhs ``f(t, y)`` on the packed state [g2, g1, zeros...]; NaN on an exact collision.
 
-    NaN makes the integrator's error norm NaN, so the step is rejected and
-    retried shorter.
+    H's constant products are formed once per Hamiltonian.  NaN makes the
+    integrator's error norm NaN, so the step is rejected and retried shorter.
     """
-    a, b = y[0], y[1]
     A, B, C, D, E, _ = H.as_tuple()
-    out = [
-        4j * B * a * a - 2.0 * C * a - 1j * A,
-        4j * B * a * b - C * b - 2.0 * E * a - 1j * D,
-    ]
-    lam = y[2:]
-    # The interaction enters with -2iB: verified against the exactly
-    # solvable two-zero phase-shift evolution and the Fock-basis oracle
-    # (the opposite sign breaks agreement with the closed form's P0 and
-    # with the oracle at rank >= 2).
-    coef = C - 4j * B * a
-    drift = -2j * B * b + E
-    for k, lk in enumerate(lam):
-        s = 0.0 + 0.0j
-        for m, lm in enumerate(lam):
-            if m != k:
-                d = lk - lm
-                if d == 0:
-                    return [complex(math.nan, math.nan)] * len(y)
-                s += 1.0 / d
-        out.append(lk * coef + drift - 2j * B * s)
-    return out
+    b4, b2, drift_b, c2, e2, ia, id_ = 4j * B, 2j * B, -2j * B, 2.0 * C, 2.0 * E, 1j * A, 1j * D
+
+    def f(t, y):
+        a, b, *lam = y.tolist()  # one object per entry, so identity picks out the self term
+        out = [b4 * a * a - c2 * a - ia, b4 * a * b - C * b - e2 * a - id_]
+        # The interaction enters with -2iB: verified against the exactly
+        # solvable two-zero phase-shift evolution and the Fock-basis oracle
+        # (the opposite sign breaks agreement with the closed form's P0 and
+        # with the oracle at rank >= 2).
+        coef, drift = C - b4 * a, drift_b * b + E
+        try:
+            for lk in lam:
+                s = 0j
+                for lm in lam:
+                    if lm is not lk:
+                        s += 1.0 / (lk - lm)
+                out.append(lk * coef + drift - b2 * s)
+        except ZeroDivisionError:  # two zeros exactly equal
+            return [complex(math.nan, math.nan)] * y.size
+        return out
+
+    return f
 
 
 def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTrajectory:
@@ -206,14 +206,15 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
     out = np.empty((y0.size, ts.size), dtype=complex)
     out[:, 0] = y0
-    solver = DOP853(lambda t, y: _rhs_raw(y.tolist(), H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL)
+    solver = DOP853(_rhs(H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL)
     i = 1
     # A NaN or overflowing stage (a collision, a hyperbolic blow-up) makes the
     # error norm NaN or inf, which rejects the step; samples are checked after.
     with np.errstate(invalid="ignore", over="ignore"):
         while i < ts.size:
             failed = solver.step() is not None
-            t, gap = solver.t, _min_gap(solver.y[2:])
+            t, lam = solver.t, solver.y[2:].tolist()
+            gap = min([abs(p - q) for k, p in enumerate(lam) for q in lam[:k]], default=math.inf)
             if failed and gap < 1e-6:
                 msg = f"step collapse near zero collision at t~{t:.6g}"
                 raise ZeroCollision(msg, t_estimate=t)
@@ -333,8 +334,9 @@ def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
     the smallest gap among the zeros it leaves: those discs are disjoint, so
     each holds one successor, and that pairing is the only optimal
     assignment.  Each pass solves the midpoints of all unsafe steps, in every
-    run, at once; an unsafe step of width 1e-9 (an exact collision) raises
-    :class:`TrackingAmbiguity` instead of guessing.
+    run, at once; an unsafe step of width 1e-9 (an exact collision), or one
+    that leaves an exact tie, raises :class:`TrackingAmbiguity` instead of
+    guessing.
     """
     ts, zs = np.asarray(ts, dtype=float), np.asarray(zs, dtype=complex)
     if zs.shape[1] < 2:
@@ -348,9 +350,11 @@ def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
         bad = np.flatnonzero((near >= 0.5 * gap) & ~anchors[1:])
         if bad.size == 0:
             break
-        tiny = bad[ts[bad + 1] - ts[bad] <= 1e-9]
-        if tiny.size:
-            t, g, d = float(ts[tiny[0] + 1]), float(gap[tiny[0]]), float(near[tiny[0]])
+        # Stuck: a step leaving an exact tie never passes, one of width 1e-9 ends in a collision.
+        stuck = bad[(gap[bad] == 0) | (ts[bad + 1] - ts[bad] <= 1e-9)]
+        if stuck.size:
+            j = stuck[0]
+            t, g, d = float(ts[j + (gap[j] != 0)]), float(gap[j]), float(near[j])
             msg = f"zero assignment unresolved at t={t:.17g}: displacement {d:.3g}, gap {g:.3g}"
             raise TrackingAmbiguity(msg, t=t, gap=g, displacement=d)
         mid = 0.5 * (ts[bad] + ts[bad + 1])

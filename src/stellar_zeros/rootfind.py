@@ -93,7 +93,9 @@ def roots_polynomial(coeffs):
             np.abs(P.polyval(z - step, c)) < np.abs(p)
         )
         roots = np.concatenate([roots, np.where(keep, z - step, z)])
-    roots = _cluster(roots, DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots)))))
+    tol = DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots))))
+    if _min_gap(roots) <= tol:  # rare, as in eigenvalues_small
+        roots = _cluster(roots, tol)
     full = np.asarray(coeffs, dtype=complex) / scale
     res = np.abs(P.polyval(roots, full))
     if not np.all(res / (1.0 + np.abs(roots)) ** (full.size - 1) <= RESIDUAL_TOL):

@@ -122,7 +122,7 @@ def ode_rhs(g2, g1, zeros, H):
     zeros = [complex(z) for z in zeros]
     if _min_gap(zeros) <= dynamics.COLLISION_GAP:
         raise ZeroCollision("pairwise zero gap at or below 1e-9")
-    da, db, *dz = dynamics._rhs_raw([complex(g2), complex(g1), *zeros], H)
+    da, db, *dz = dynamics._rhs(H)(0.0, np.array([g2, g1, *zeros], dtype=complex))
     return da, db, dz
 
 

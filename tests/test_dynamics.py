@@ -82,6 +82,31 @@ class TestOdeRhs:
         with pytest.raises(ZeroCollision):
             ode_rhs(-0.5, 0.0, [1.0, 1.0 + 1e-12], HP)
 
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_rhs_equals_the_plain_double_loop(self, rank):
+        # Same products in the same operand order, m ascending with k skipped,
+        # so the factory's values are the loop's to the last bit.
+        rng = np.random.default_rng(rank)
+        for _ in range(5):
+            H = QuadraticHamiltonian(*rng.normal(size=6))
+            y = rng.normal(size=rank + 2) + 1j * rng.normal(size=rank + 2)
+            A, B, C, D, E, _ = H.as_tuple()
+            a, b, *lam = y.tolist()
+            want = [4j * B * a * a - 2.0 * C * a - 1j * A,
+                    4j * B * a * b - C * b - 2.0 * E * a - 1j * D]
+            for k, lk in enumerate(lam):
+                s = 0j
+                for m, lm in enumerate(lam):
+                    if m != k:
+                        s += 1.0 / (lk - lm)
+                want.append(lk * (C - 4j * B * a) + (-2j * B * b + E) - 2j * B * s)
+            assert dynamics._rhs(H)(0.0, y) == want
+
+    def test_exact_tie_gives_the_all_nan_row(self):
+        y = np.array([-0.5, 0.1, 0.3 + 1j, -1.0, 0.3 + 1j], dtype=complex)
+        row = dynamics._rhs(HP)(0.0, y)
+        assert len(row) == y.size and np.all(np.isnan(row))
+
     def test_second_order_acceleration_exact(self):
         # the same fixture: lambda''(0) = -omega^2 * 1 + 8 B^2 / 2^3 = -3/4
         acc = second_order_acceleration([1.0, -1.0], HP)
@@ -203,14 +228,37 @@ class TestIntegrate:
         # step size underflows.  The zero has no neighbour, so this is a
         # StepFailure rather than a ZeroCollision.
         wf = build_wavefunction(stellar_state_from_zeros([1j]))
-        rhs = dynamics._rhs_raw
+        rhs = dynamics._rhs
 
-        def poisoned(y, H):
-            return [complex(math.nan, math.nan)] * len(y) if y[2].real < -0.5 else rhs(y, H)
+        def poisoned(H):
+            f = rhs(H)
 
-        monkeypatch.setattr(dynamics, "_rhs_raw", poisoned)
+            def g(t, y):
+                return [complex(math.nan, math.nan)] * y.size if y[2].real < -0.5 else f(t, y)
+
+            return g
+
+        monkeypatch.setattr(dynamics, "_rhs", poisoned)
         with pytest.raises(StepFailure, match=r"t=0\.523"):
             integrate(wf, HP, np.linspace(0, 2.0, 9))
+
+    def test_accepted_step_inside_the_collision_gap_raises(self, monkeypatch):
+        # An injected right-hand side pulls the +-1 pair together like e^{-t},
+        # so the gap falls to 1e-9 at t = ln(2e9) on smooth, accepted steps;
+        # the first accepted step past it raises, before the grid's end.
+        wf = build_wavefunction(stellar_state_from_zeros([1.0, -1.0]))
+
+        def pulled(H):
+            def f(t, y):
+                half = 0.5 * (y[2] - y[3])
+                return [0j, 0j, -half, half]
+
+            return f
+
+        monkeypatch.setattr(dynamics, "_rhs", pulled)
+        with pytest.raises(ZeroCollision, match="detected") as excinfo:
+            integrate(wf, HP, np.linspace(0, 30.0, 31))
+        assert math.log(2e9) <= excinfo.value.t_estimate < 30.0
 
     @pytest.mark.parametrize("rank,seed", [(1, 0), (3, 3), (4, 3), (5, 1)])
     def test_dense_grid_costs_fewer_rhs_than_samples(self, monkeypatch, rank, seed):
@@ -219,13 +267,18 @@ class TestIntegrate:
         # dynamics need, not once or more per sample.
         _, wf = distinct_random_state(rank, seed, scale=0.8, min_gap=0.12, max_extent=2.5)
         ts = np.linspace(0, 6, 3721)
-        rhs, calls = dynamics._rhs_raw, [0]
+        rhs, calls = dynamics._rhs, [0]
 
-        def counted(y, H):
-            calls[0] += 1
-            return rhs(y, H)
+        def counted(H):
+            f = rhs(H)
 
-        monkeypatch.setattr(dynamics, "_rhs_raw", counted)
+            def g(t, y):
+                calls[0] += 1
+                return f(t, y)
+
+            return g
+
+        monkeypatch.setattr(dynamics, "_rhs", counted)
         for H in (HP, QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)):
             calls[0] = 0
             integrate(wf, H, ts)
@@ -573,6 +626,40 @@ class TestTracker:
         else:
             with pytest.raises(TrackingAmbiguity):
                 dynamics._track([0.0, 1.0], [a, b], zeros_at)
+
+    def test_step_leaving_an_exact_tie_raises_at_the_tie(self):
+        # No successor is within half of a zero gap, so halving such a step
+        # never makes it safe, and with ties at every midpoint the unsafe
+        # steps would double on every pass: the tracker gives up at the tie.
+        solved = [0]
+
+        def zeros_at(ts):
+            solved[0] += len(ts)
+            assert solved[0] <= 1000, "tracker refines a tie without end"
+            return np.zeros((len(ts), 2), dtype=complex)
+
+        with pytest.raises(TrackingAmbiguity) as excinfo:
+            dynamics._track([0.0, 1.0, 2.0], [[1.0, -1.0], [0.0, 0.0], [1j, -1j]], zeros_at)
+        assert excinfo.value.t == 1.0 and excinfo.value.gap == 0
+
+    def test_tied_sample_costs_a_bounded_number_of_solves(self, monkeypatch):
+        # This B = 0 hyperbolic flow merges the three zeros into an exact tie
+        # at a sample before t = 34; tracking on from the tie would double
+        # its unsafe steps on every pass.  A counter caps the solved matrices.
+        solved, solve = [0], dynamics.eigenvalues_small
+
+        def counted(m):
+            solved[0] += len(m)
+            assert solved[0] <= 10_000, "tracker refines a tie without end"
+            return solve(m)
+
+        monkeypatch.setattr(dynamics, "eigenvalues_small", counted)
+        wf = build_wavefunction(random_stellar_state(3, 20))
+        H = QuadraticHamiltonian(-0.7, 0, -0.52, -0.2, -0.8)
+        with pytest.raises(TrackingAmbiguity) as excinfo:
+            sample_closed_form(wf, H, np.linspace(0, 34, 100))
+        err = excinfo.value
+        assert err.gap == 0 and err.t in np.linspace(0, 34, 100)
 
     def test_flow_coefficients_once_per_solve_not_per_sample(self, monkeypatch):
         calls, solves = [], []

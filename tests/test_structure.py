@@ -91,7 +91,7 @@ def test_one_zero_tracker():
 def test_closed_form_shares_no_code_with_the_ode():
     # The closed form takes the zero momenta from the state, never from the
     # ODE's right-hand side, so criterion 2 compares two independent paths.
-    assert _scopes_of("_rhs_raw") == [("dynamics", "integrate")]
+    assert _scopes_of("_rhs") == [("dynamics", "integrate")]
 
 
 def test_oracle_has_one_colleague_solver():
