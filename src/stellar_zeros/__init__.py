@@ -39,7 +39,7 @@ from .states import (
     state_to_json,
     stellar_to_fock,
 )
-from .rootfind import eigenvalues_small, roots_polynomial
+from .rootfind import eigenvalues_small, roots_hermite
 from .wavefunction import (
     GrowthBound,
     HudsonResult,

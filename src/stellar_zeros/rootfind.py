@@ -1,13 +1,14 @@
-"""Polynomial roots and small-matrix eigenvalues, both from LAPACK.
+"""Hermite-series roots and small-matrix eigenvalues, both from LAPACK.
 
-Polynomial roots are the eigenvalues of the companion matrix (Edelman &
-Murakami, Math. Comp. 64 (1995) 763), each followed by one bounded Newton
-step.  Eigenvalues of small dense matrices, one or a stack of them, come from
-one ``np.linalg.eigvals`` call; within each matrix, eigenvalues closer than
-``4 sqrt(eps) max|M|`` are reported as their mean, because LAPACK splits a
-defective eigenvalue (an exact zero collision) by about ``sqrt(eps)`` while
-the cluster mean stays accurate.  Coefficients are stored in ascending order
-(``coeffs[k]`` multiplies ``z^k``).
+Roots of a series in the orthonormal Hermite polynomials ``h_n`` are the
+eigenvalues of its colleague matrix (Good, 1961), the Jacobi matrix of
+``w h_n = sqrt(n+1) h_{n+1} + sqrt(n) h_{n-1}`` with the series folded into
+its last column, each followed by one bounded Newton step; ``coeffs[n]``
+multiplies ``h_n``.  Eigenvalues of small dense matrices, one or a stack of
+them, come from one ``np.linalg.eigvals`` call; within each matrix,
+eigenvalues closer than ``4 sqrt(eps) max|M|`` are reported as their mean,
+because LAPACK splits a defective eigenvalue (an exact zero collision) by
+about ``sqrt(eps)`` while the cluster mean stays accurate.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import InvalidParameter, NoConvergence
 
 __all__ = [
-    "roots_polynomial",
+    "roots_hermite",
     "eigenvalues_small",
 ]
 
@@ -49,58 +49,55 @@ def _cluster(z, tol):
     return re + 1j * im
 
 
+def _series_at(d, w):
+    """``sum_n d_n h_n(w)``, its derivative (``h_n' = sqrt(n) h_{n-1}``), and ``||h(w)||``."""
+    h = np.ones((w.size, d.size), dtype=complex)
+    for n in range(d.size - 1):  # at n = 0 the sqrt(n) term drops
+        h[:, n + 1] = (w * h[:, n] - math.sqrt(n) * h[:, n - 1]) / math.sqrt(n + 1)
+    return h @ d, h[:, :-1] @ (d[1:] * np.sqrt(np.arange(1.0, d.size))), np.linalg.norm(h, axis=1)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def roots_polynomial(coeffs):
-    """All roots (with multiplicity) of a complex polynomial.
+def roots_hermite(coeffs):
+    """All roots (with multiplicity) of ``sum_n coeffs[n] h_n(w)``, ``h_n = He_n / sqrt(n!)``.
 
-    Companion-matrix eigenvalues from LAPACK, each given one bounded Newton
-    step.  Every returned root satisfies
-    ``|P(root)| <= 1e-10 * max|c_k| * (1 + |root|)^deg``; roots closer than
-    ``4 sqrt(eps) max(1, max|root|)`` (a split multiple root) are reported as
-    one repeated (mean) root.  Raises :class:`NoConvergence` with the roots
-    and their residuals when the bound fails, or cannot be evaluated because
-    Horner's rule overflows at high degree.
+    Colleague-matrix eigenvalues, each given one bounded Newton step; all
+    satisfy ``|p(w)| <= 1e-10 ||coeffs|| ||h(w)||`` (the Cauchy-Schwarz scale),
+    or :class:`NoConvergence` carries them with their residuals.  Roots closer
+    than ``4 sqrt(eps) max(1, max|w|)`` (a split multiple root) are reported
+    as one repeated (mean) root.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise InvalidParameter("coefficient list must be 1-d and nonempty")
-    # Strip numerically absent leading terms only if they are exact zeros;
-    # a tiny-but-nonzero leading coefficient is the caller's problem.
-    while c.size > 1 and c[-1] == 0:
-        c = c[:-1]
-    if c.size == 1:
-        if c[0] == 0:
-            raise InvalidParameter("zero polynomial has no well-defined roots")
+    d = np.asarray(coeffs, dtype=complex)
+    if d.ndim != 1 or not d.any():
+        raise InvalidParameter("coefficients must be a 1-d list, not all zero")
+    d = np.trim_zeros(d, "b")  # exact zeros only: a tiny top coefficient is the caller's problem
+    r = d.size - 1
+    if r == 0:
         return []
-    scale = float(np.max(np.abs(c)))
-
-    # Exact zero roots deflate, so a z^k factor gives k exact zeros rather
-    # than a defective eigenvalue split by roundoff.
-    zero_roots = int(np.flatnonzero(c)[0])
-    c = c[zero_roots:] / c[-1]
-    if not np.all(np.isfinite(c)):
-        raise NoConvergence("monic coefficients are not finite", roots=[], residuals=[])
-    roots = np.zeros(zero_roots, dtype=complex)
-    if c.size > 1:
-        z = np.linalg.eigvals(P.polycompanion(c))
-        # One Newton step, kept where it lowers |P| by a move of a few ulps:
-        # it restores symmetries that roundoff breaks (the roots of z^2 - 1
-        # come back as exactly +-1) without letting Horner noise pull the
-        # two roots of a close pair together.
-        p = P.polyval(z, c)
-        step = p / P.polyval(z, P.polyder(c))
-        keep = (np.abs(step) <= _POLISH_ULPS * (1.0 + np.abs(z))) & (
-            np.abs(P.polyval(z - step, c)) < np.abs(p)
-        )
-        roots = np.concatenate([roots, np.where(keep, z - step, z)])
+    fold = math.sqrt(r) * d[:r] / d[r]
+    if not np.all(np.isfinite(fold)):
+        raise NoConvergence("normalized coefficients are not finite", roots=[], residuals=[])
+    b = np.sqrt(np.arange(1.0, r))
+    colleague = np.diag(b, 1) + np.diag(b, -1) + 0j
+    colleague[:, -1] -= fold
+    w = np.linalg.eigvals(colleague)
+    # One Newton step, kept where it lowers |p| by a move of a few ulps: it restores
+    # symmetries that roundoff breaks (h_2's roots come back as exactly +-1)
+    # without letting evaluation noise pull the two roots of a close pair together.
+    p, dp, _ = _series_at(d, w)
+    step = p / dp
+    keep = (np.abs(step) <= _POLISH_ULPS * (1.0 + np.abs(w))) & (
+        np.abs(_series_at(d, w - step)[0]) < np.abs(p)
+    )
+    roots = np.where(keep, w - step, w)
     tol = DEFECTIVE_TOL * max(1.0, float(np.max(np.abs(roots))))
     if _min_gap(roots) <= tol:  # rare, as in eigenvalues_small
         roots = _cluster(roots, tol)
-    full = np.asarray(coeffs, dtype=complex) / scale
-    res = np.abs(P.polyval(roots, full))
-    if not np.all(res / (1.0 + np.abs(roots)) ** (full.size - 1) <= RESIDUAL_TOL):
+    p, _, hnorm = _series_at(d, roots)
+    res = np.abs(p) / (np.linalg.norm(d) * hnorm)
+    if not np.all(res <= RESIDUAL_TOL):
         raise NoConvergence(
-            "companion-matrix roots violate the residual bound",
+            "colleague-matrix roots violate the residual bound",
             roots=roots.tolist(),
             residuals=list(res),
         )

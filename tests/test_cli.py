@@ -266,7 +266,7 @@ class TestErrors:
             assert rc == 0 and len(out.strip().splitlines()) == rank
 
     def test_rank_300_overflow_is_one_error_line(self, capsys):
-        # The raising-operator coefficients overflow a float near degree 300.
+        # The leading coefficient c_r a1^r / sqrt(r!) underflows a float at rank 300.
         rc, _, err = run_cli(capsys, ["zeros", "--random", "300,0"])
         assert_one_error_line(rc, err)
 

@@ -13,6 +13,7 @@ from stellar_zeros import (
     FockVector,
     InvalidParameter,
     QuadraticHamiltonian,
+    StellarState,
     TruncationLeakage,
     build_wavefunction,
     closed_form,
@@ -334,8 +335,10 @@ class TestNewtonPartner:
 
     def test_rank1_steps_at_roundoff_are_kept(self):
         # Both steps sit at ~1.2e-16, so the second is not half the first:
-        # only the roundoff floor keeps the true zero.
-        st = stellar_state_from_zeros([1j])
+        # only the roundoff floor keeps the true zero.  That premise rests on
+        # the core's last bits, so the core of the zero 1j is pinned.
+        core = np.array([-0.8164965809277261j, 0.5773502691896258])
+        st = StellarState(rank=1, core=core, alpha=0.0, chi=0.0)
         cutoff = _series_cutoff(st, 3.0)
         v = stellar_to_fock(st, cutoff)
         vts = evolve_fock(v, HP, VERIFY_TIMES, cutoff)

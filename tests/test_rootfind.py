@@ -1,9 +1,12 @@
-"""Companion-matrix polynomial roots and small-matrix eigenvalues."""
+"""Colleague-matrix Hermite-series roots and small-matrix eigenvalues."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e as HE
 from numpy.polynomial import polynomial as P
 from scipy.sparse.csgraph import connected_components
 
@@ -12,7 +15,7 @@ from stellar_zeros import (
     eigenvalues_small,
     NoConvergence,
     matching_distance,
-    roots_polynomial,
+    roots_hermite,
 )
 from stellar_zeros.rootfind import _cluster
 
@@ -20,12 +23,21 @@ RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-3
 
 
+def sqrt_factorials(deg):
+    return np.sqrt([math.factorial(n) for n in range(deg + 1)])
+
+
+def from_roots(roots):
+    """Orthonormal-Hermite coefficients of ``prod (w - root)``, through numpy's He_n basis."""
+    return HE.poly2herme(P.polyfromroots(roots)) * sqrt_factorials(len(roots))
+
+
 def residuals_ok(coeffs, roots):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    deg = coeffs.size - 1
-    scale = np.max(np.abs(coeffs))
-    res = np.abs(P.polyval(np.array(roots), coeffs))
-    return np.all(res <= RESIDUAL_TOL * scale * (1 + np.abs(roots)) ** deg)
+    """``|p(w)| <= 1e-10 ||d|| ||h(w)||`` at every root, with numpy's Vandermonde matrix."""
+    d = np.asarray(coeffs, dtype=complex)
+    h = HE.hermevander(np.array(roots, dtype=complex), d.size - 1) / sqrt_factorials(d.size - 1)
+    res = np.abs(h @ d)
+    return np.all(res <= RESIDUAL_TOL * np.linalg.norm(d) * np.linalg.norm(h, axis=1))
 
 
 def cluster_bfs(roots, tol):
@@ -69,48 +81,53 @@ def planted_clusters(draw):
 
 
 class TestRootsPolynomial:
+    """``roots_hermite`` on series in ``h_n = He_n / sqrt(n!)``."""
+
     def test_quadratic_real_roots(self):
-        roots = roots_polynomial([-1, 0, 1])  # z^2 - 1
+        roots = roots_hermite([0, 0, 1])  # h_2 = (w^2 - 1) / sqrt(2)
         assert matching_distance(roots, [1, -1]) < 1e-12
 
     def test_quadratic_imaginary_roots(self):
-        roots = roots_polynomial([1, 0, 1])  # z^2 + 1
+        roots = roots_hermite([2, 0, math.sqrt(2)])  # w^2 + 1
         assert matching_distance(roots, [1j, -1j]) < 1e-12
 
     def test_wilkinson_5(self):
-        coeffs = P.polyfromroots([1, 2, 3, 4, 5])
-        roots = roots_polynomial(coeffs)
+        roots = roots_hermite(from_roots([1, 2, 3, 4, 5]))
         assert matching_distance(roots, [1, 2, 3, 4, 5]) < 1e-8
 
     def test_multiplicity_clustering(self):
-        coeffs = P.polyfromroots([1.0, 1.0, -2.0])
-        roots = sorted(roots_polynomial(coeffs), key=lambda z: z.real)
+        roots = sorted(roots_hermite(from_roots([1.0, 1.0, -2.0])), key=lambda z: z.real)
         assert abs(roots[0] + 2.0) < 1e-8
         # double root reported as one clustered value, repeated
         assert roots[1] == roots[2]
         assert abs(roots[1] - 1.0) < 1e-6
 
-    def test_exact_zero_roots_deflate(self):
-        roots = roots_polynomial([0, 0, 0, 1.0])  # z^3
-        assert roots == [0, 0, 0]
+    def test_root_where_every_term_vanishes(self):
+        # At w = 0 only the odd terms are nonzero in h, and the series has
+        # only odd terms, so a residual scaled by sum |d_n h_n(w)| would be
+        # 0 / 0 there; the Cauchy-Schwarz scale ||d|| ||h(w)|| keeps h_0 = 1.
+        d = [0, 0.6, 0, 0.8j]
+        roots = roots_hermite(d)
+        assert min(abs(z) for z in roots) < 1e-15
+        assert matching_distance(roots, np.roots(HE.herme2poly(d / sqrt_factorials(3))[::-1])) < 1e-12
 
     def test_constant_and_zero(self):
-        assert roots_polynomial([3.0]) == []
+        assert roots_hermite([3.0]) == []
         with pytest.raises(InvalidParameter):
-            roots_polynomial([0.0])
+            roots_hermite([0.0])
 
     @pytest.mark.parametrize(
         "coeffs", [[1, float("nan"), 1], [1, float("inf"), 1], [1e300, 1e-300, 1e-300]]
     )
     def test_non_finite_raises_typed(self, coeffs):
         with np.errstate(all="ignore"), pytest.raises(NoConvergence):
-            roots_polynomial(coeffs)
+            roots_hermite(coeffs)
 
     def test_residual_bound_enforced(self):
         rng = np.random.default_rng(0)
         for deg in (1, 2, 3, 5, 8, 12):
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            roots = roots_polynomial(coeffs)
+            roots = roots_hermite(coeffs)
             assert len(roots) == deg
             assert residuals_ok(coeffs, roots)
 
@@ -121,7 +138,7 @@ class TestRootsPolynomial:
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         if abs(coeffs[-1]) < 1e-3:
             coeffs[-1] = 1.0
-        roots = roots_polynomial(coeffs)
+        roots = roots_hermite(coeffs)
         assert len(roots) == deg
         assert residuals_ok(coeffs, roots)
 
@@ -130,7 +147,7 @@ class TestRootsPolynomial:
         perturbed = exact + np.array([0, 1e-3, 0, 0])
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: perturbed.copy())
         with pytest.raises(NoConvergence) as excinfo:
-            roots_polynomial(P.polyfromroots(exact))
+            roots_hermite(from_roots(exact))
         assert len(excinfo.value.roots) == len(excinfo.value.residuals) == 4
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import stellar_zeros
 import stellar_zeros.oracle
+import stellar_zeros.rootfind
 import stellar_zeros.wavefunction
 
 PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
@@ -110,3 +111,41 @@ def test_one_hermite_evaluator():
     ]
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [n for n in ast.walk(series) if isinstance(n, loops)]
+
+
+def _dotted(node):
+    """``np.linalg.solve`` for that expression; '' for anything but a dotted name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_states_are_built_in_the_hermite_basis():
+    # The closed form and its inverse go through one colleague matrix: no
+    # monomial companion matrix and no triangular solve of a raising matrix.
+    assert _scopes_of("polycompanion") == []
+    names = []
+    for path in Path(stellar_zeros.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                names.append(_dotted(node.func))
+            elif isinstance(node, ast.ImportFrom):
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert names and not [n for n in names if n.endswith("linalg.solve")]
+
+
+def test_root_finder_shares_no_code_with_the_series():
+    # The finder sums its Hermite series in its own loop, never through
+    # `_hermite_functions`, so criteria 9 and 10 still compare the closed
+    # form with an independent evaluation.
+    tree = ast.parse(Path(stellar_zeros.rootfind.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            used |= {(node.module or "").split(".")[-1]} | {alias.name for alias in node.names}
+    assert used, "no imports parsed"
+    assert not used & {"states", "wavefunction", "oracle"}, used

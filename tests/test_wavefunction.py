@@ -1,6 +1,8 @@
 """Closed wavefunction form, Hermite-series extension, zero counting."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,10 @@ from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
 
 PI14 = math.pi ** -0.25
 EPS = np.finfo(float).eps
+# Zeros of random_stellar_state(rank, seed), keyed "rank,seed", from the
+# monomial raising recursion and polynomial roots at 120 digits (mpmath),
+# rounded to double.
+REFERENCE_ZEROS = json.loads((Path(__file__).parent / "reference_zeros.json").read_text())
 
 
 def hermite_series_loop(coeffs, z):
@@ -157,6 +163,13 @@ class TestBuildWavefunction:
         back = stellar_state_from_zeros(wf.zeros, alpha=st.alpha, chi=st.chi)
         assert abs(np.vdot(back.core, st.core)) > 1.0 - 1e-9
 
+    @pytest.mark.parametrize("case", sorted(REFERENCE_ZEROS))
+    def test_zeros_match_the_high_precision_reference(self, case):
+        rank, seed = map(int, case.split(","))
+        want = np.array([complex(*z) for z in REFERENCE_ZEROS[case]])
+        wf = build_wavefunction(random_stellar_state(rank, seed))
+        assert matching_distance(wf.zeros, want) <= 1e-12 * np.max(np.abs(want))
+
     def test_rank_120_builds(self):
         # The norm's zero factors once overflowed their product from rank 96 on.
         wf = build_wavefunction(random_stellar_state(120, 0))
@@ -164,7 +177,7 @@ class TestBuildWavefunction:
         assert abs(form_norm_squared(wf) - 1.0) < 1e-12
 
     def test_rank_300_overflow_is_typed(self):
-        # The raising-operator coefficients overflow a float before degree 300.
+        # The leading coefficient c_r a1^r / sqrt(r!) underflows a float at rank 300.
         with pytest.raises(PrecisionLoss):
             build_wavefunction(random_stellar_state(300, 0))
 
@@ -461,10 +474,44 @@ class TestStateFromZeros:
         wf = build_wavefunction(st)
         assert matching_distance(wf.zeros, zeros) < 1e-9
 
+    @pytest.mark.parametrize("case", sorted(REFERENCE_ZEROS))
+    def test_sorted_reference_zeros_give_back_the_core(self, case):
+        # Sorted zeros are the order in which an unordered product of the
+        # factors loses 2e-2 of the rank-50 core.
+        st = random_stellar_state(*map(int, case.split(",")))
+        zeros = sorted((complex(*z) for z in REFERENCE_ZEROS[case]), key=lambda z: (z.real, z.imag))
+        back = stellar_state_from_zeros(zeros, alpha=st.alpha, chi=st.chi)
+        overlap = np.vdot(back.core, st.core)
+        assert np.max(np.abs(back.core * overlap / abs(overlap) - st.core)) < 1e-9
+
     def test_close_zeros_stay_distinct(self):
+        # A 1-ulp change to this core moves the pair near 3 by up to 2.5e-9,
+        # so the build is held to the core's own zeros (60-digit mpmath,
+        # rounded), which lie 9.3e-10 from the targets, not to the targets.
         zeros = [3, 3 + 1e-6, -3, 3j, -3j, 2 + 2j]
-        wf = build_wavefunction(stellar_state_from_zeros(zeros))
-        assert matching_distance(wf.zeros, zeros) < 1e-12
+        core = np.array([
+            -0.6763465016794203 - 0.6261203530304019j,
+            0.35515257405654604 + 0.14206100121041818j,
+            -0.0475835337234507 + 0.016550801774456534j,
+            -0.028153481788820475 - 0.011261390463250094j,
+            0.021500118203017102 + 0.009555609859786617j,
+            -0.012590619816620994 - 0.005036246919399014j,
+            0.004361517771930665,
+        ])
+        assert np.allclose(stellar_state_from_zeros(zeros).core, core, rtol=0, atol=1e-14)
+        want = np.array([
+            2.9999999996391775 - 8.54201422067728e-10j,
+            3.0000010003608235 + 8.542026669874099e-10j,
+            -3.0 - 1.0748100150414057e-17j,
+            8.600158093679256e-17 + 2.9999999999999996j,
+            -5.729601193143445e-17 - 3.0j,
+            2.0000000000000004 + 1.9999999999999996j,
+        ])
+        got = np.array(build_wavefunction(StellarState(6, core, 0.0, 0.0)).zeros)
+        pair = np.abs(got - 3.0) < 1e-3
+        assert matching_distance(got[~pair], want[2:]) < 1e-12
+        assert matching_distance(got[pair], want[:2]) < 1e-8  # about four ulps of the core
+        assert 0.9e-6 < abs(got[pair][0] - got[pair][1]) < 1.1e-6
 
 
 class TestFormJson:
