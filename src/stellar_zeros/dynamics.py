@@ -186,17 +186,21 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
 
     One pass of SciPy's DOP853 (Dormand-Prince 8(5,3), Hairer, Norsett &
     Wanner, *Solving ODEs I*, 1993, II.5-6) over ``[0, t_grid[-1]]`` at
-    ``RTOL``/``ATOL``; each grid sample comes from the 7th-order dense output
-    of the accepted step that covers it.  ``t_grid`` must be finite and
-    increase from 0; the initial zeros must be pairwise separated by more
-    than 1e-6.  ``g0`` is not integrated (the phase equation is not needed
-    for zeros); trajectories carry ``(g2, g1)`` only.
+    ``RTOL``/``ATOL``.  Each accepted step that covers grid samples keeps its
+    7th-order dense output (II.6); after the last step :func:`_dense_samples`
+    evaluates every sample from its step's interpolant in one vectorized
+    pass, with SciPy's own arithmetic, so the values are those of calling
+    each interpolant.  ``t_grid`` must be finite and strictly increasing
+    from ``t >= 0``; a sample at ``t = 0`` is the initial state itself.  The
+    initial zeros must be pairwise separated by more than 1e-6.  ``g0`` is
+    not integrated (the phase equation is not needed for zeros);
+    trajectories carry ``(g2, g1)`` only.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
         raise InvalidParameter("t_grid must be a finite 1-d grid")
-    if abs(ts[0]) > 1e-12 or np.any(np.diff(ts) <= 0):
-        raise InvalidParameter("t_grid must increase from 0")
+    if ts[0] < 0 or np.any(np.diff(ts) <= 0):
+        raise InvalidParameter("t_grid must be strictly increasing from t >= 0")
     if _min_gap(wf.zeros) <= 1e-6:
         raise DegenerateInitialZeros("initial zeros closer than 1e-6")
     # Imported here: scipy.integrate costs every importer of the package
@@ -205,9 +209,10 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
 
     y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
     out = np.empty((y0.size, ts.size), dtype=complex)
-    out[:, 0] = y0
+    start = int(ts[0] == 0.0)
+    out[:, :start] = y0[:, None]
     solver = DOP853(_rhs(H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL)
-    i = 1
+    steps, owned, i = [], [], start  # each covering step's interpolant and its sample count
     # A NaN or overflowing stage (a collision, a hyperbolic blow-up) makes the
     # error norm NaN or inf, which rejects the step; samples are checked after.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -224,10 +229,37 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
             j = int(np.searchsorted(ts, t, side="right"))
             if j > i:
-                out[:, i:j] = solver.dense_output()(ts[i:j])
+                steps.append(solver.dense_output())
+                owned.append(j - i)
                 i = j
+        if steps:
+            _dense_samples(steps, owned, ts[start:], out[:, start:])
     out = _finite(out, ts, "integrated solution", axis=0)
     return ZeroTrajectory(ts, out[2:], out[:2])
+
+
+def _dense_samples(steps, owned, ts, y) -> None:
+    """Fill ``y`` (components x samples) from the DOP853 interpolants ``steps``.
+
+    ``steps[k]`` owns the next ``owned[k]`` samples, in order.  This is SciPy's
+    ``Dop853DenseOutput._call_impl`` elementwise, in its order: from
+    ``x = (t - t_old)/h``, take the rows of ``F`` in reverse, alternately
+    ``y += f; y *= x`` and ``y += f; y *= 1 - x``, then add ``y_old``.  So
+    every sample is bitwise what calling its step's interpolant gives.
+    """
+    owner = np.repeat(np.arange(len(steps)), owned)
+    t_old = np.array([d.t_old for d in steps])[owner]
+    h = np.array([d.h for d in steps])[owner]
+    x = (ts - t_old) / h
+    # (powers, components, steps): each power's rows gather into one reused buffer.  The
+    # owners are in range by construction; mode "raise" would copy through a temporary.
+    F = np.array([d.F for d in steps]).transpose(1, 2, 0)
+    buf = np.empty_like(y)
+    y.fill(0)
+    for k, f in enumerate(F[::-1]):
+        y += np.take(f, owner, axis=1, out=buf, mode="clip")
+        y *= x if k % 2 == 0 else 1 - x
+    y += np.take(np.array([d.y_old for d in steps]).T, owner, axis=1, out=buf, mode="clip")
 
 
 def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:

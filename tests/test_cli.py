@@ -143,6 +143,15 @@ class TestEvolveCommand:
         moved = matching_distance(by_method["closed"]["0"], by_method["closed"]["2"])
         assert moved > 1e-2
 
+    def test_both_methods_on_a_grid_after_zero(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        rc = main(["evolve", "--random", "2,0", "--time", "1,2,3", "--out", str(out)])
+        assert rc == 0
+        by_method = read_trajectories(out)
+        assert set(by_method["ode"]) == set(by_method["closed"]) == {"1", "1.5", "2"}
+        for t, ode_zs in by_method["ode"].items():
+            assert matching_distance(ode_zs, by_method["closed"][t]) < 1e-6
+
     def test_closed_form_above_rank_twenty(self, capsys):
         # The tracker's rank x rank eigen-solves come from LAPACK, which has
         # no order limit.

@@ -179,9 +179,21 @@ class TestIntegrate:
     def test_grid_validation(self):
         wf = build_wavefunction(fock_state(1))
         with pytest.raises(InvalidParameter):
-            integrate(wf, HP, [0.5, 1.0])
+            integrate(wf, HP, [-0.5, 1.0])
         with pytest.raises(InvalidParameter):
             integrate(wf, HP, [0.0, 0.5, 0.4])
+
+    def test_grid_may_start_after_zero(self):
+        # The solver starts at 0 whatever the grid; the steps do not depend
+        # on the samples, so the later samples are the same interpolants' values.
+        _, wf = distinct_random_state(3, 2, scale=0.8, min_gap=0.12)
+        full = integrate(wf, HP, [0.0, 0.5, 1.0])
+        late = integrate(wf, HP, [0.5, 1.0])
+        assert np.array_equal(late.times, [0.5, 1.0])
+        assert np.array_equal(late.paths, full.paths[:, 1:])
+        assert np.array_equal(late.gauss_path, full.gauss_path[:, 1:])
+        assert np.array_equal(full.paths[:, 0], wf.zeros)
+        assert np.array_equal(full.gauss_path[:, 0], [wf.g2, wf.g1])
 
     @pytest.mark.parametrize("grid", [[0.0, math.nan, math.nan], [0.0, 1.0, math.inf]])
     def test_non_finite_grid_rejected(self, grid):
@@ -285,6 +297,96 @@ class TestIntegrate:
             assert calls[0] < ts.size, (H, calls[0])
 
 
+# A hyperbolic Hamiltonian: omega^2 = 4AB - C^2 = -1, so cosh(t) overflows past t ~ 710.
+H_HYP = QuadraticHamiltonian(B=0.5, C=1.0)
+H_ELLIPTIC = QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)
+
+
+def dense_output_reference(wf, H, ts):
+    """``integrate``'s samples as SciPy documents them: each covering step's interpolant, called."""
+    from scipy.integrate import DOP853
+
+    ts = np.asarray(ts, dtype=float)
+    y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
+    out = np.empty((y0.size, ts.size), dtype=complex)
+    i = int(ts[0] == 0.0)
+    out[:, :i] = y0[:, None]
+    solver = DOP853(dynamics._rhs(H), 0.0, y0, ts[-1], rtol=dynamics.RTOL, atol=dynamics.ATOL)
+    with np.errstate(invalid="ignore", over="ignore"):
+        while i < ts.size:
+            assert solver.step() is None
+            j = int(np.searchsorted(ts, solver.t, side="right"))
+            if j > i:
+                out[:, i:j] = solver.dense_output()(ts[i:j])
+                i = j
+    return out
+
+
+class TestDenseSamples:
+    """``integrate`` evaluates every step's interpolant in one pass, bitwise SciPy's own call."""
+
+    GRIDS = {
+        "window": np.linspace(0.0, 2.0 * math.pi, 3721),
+        "verify": np.array([0.0, 0.3, 1.1, 2.9]),
+        "late": np.array([0.3, 1.1, 2.9]),
+        "origin": np.array([0.0]),
+    }
+
+    def test_interpolant_keeps_the_attributes_the_pass_reads(self):
+        from scipy.integrate import DOP853
+
+        solver = DOP853(lambda t, y: -y, 0.0, np.ones(3, dtype=complex), 1.0)
+        assert solver.step() is None
+        interp = solver.dense_output()
+        for name in ("t_old", "h", "F", "y_old"):
+            assert hasattr(interp, name), f"SciPy's DOP853 interpolant has no {name!r} any more"
+        assert interp.t_old == solver.t_old and interp.h == solver.t - solver.t_old
+        assert interp.F.shape == (7, 3) and interp.y_old.shape == (3,)
+
+    CASES = [(rank, "phase", "window") for rank in range(6)] + [(3, "hyperbolic", "window")]
+    CASES += [(rank, h, g) for rank in range(6) for h in ("phase", "elliptic", "hyperbolic")
+              for g in ("verify", "late")]
+    CASES += [(2, h, "origin") for h in ("phase", "hyperbolic")]
+
+    @pytest.mark.parametrize("rank,h,grid", CASES)
+    def test_samples_equal_each_step_interpolant_called(self, rank, h, grid):
+        H = {"phase": HP, "elliptic": H_ELLIPTIC, "hyperbolic": H_HYP}[h]
+        _, wf = distinct_random_state(rank, 7, scale=0.8, min_gap=0.12, max_extent=2.5)
+        ts = self.GRIDS[grid]
+        tr = integrate(wf, H, ts)
+        want = dense_output_reference(wf, H, ts)
+        assert np.array_equal(tr.gauss_path, want[:2])
+        assert np.array_equal(tr.paths, want[2:])
+
+    @pytest.mark.parametrize("H", [HP, H_HYP], ids=["phase", "hyperbolic"])
+    def test_no_interpolant_is_called_and_at_most_one_built_per_step(self, monkeypatch, H):
+        from scipy.integrate import DOP853, DenseOutput
+
+        counts = {"accepted": 0, "built": 0, "called": 0}
+        step, build, call = DOP853.step, DOP853.dense_output, DenseOutput.__call__
+
+        def counting_step(solver):
+            failed = step(solver)
+            counts["accepted"] += failed is None
+            return failed
+
+        def counting_build(solver):
+            counts["built"] += 1
+            return build(solver)
+
+        def counting_call(interp, t):
+            counts["called"] += 1
+            return call(interp, t)
+
+        monkeypatch.setattr(DOP853, "step", counting_step)
+        monkeypatch.setattr(DOP853, "dense_output", counting_build)
+        monkeypatch.setattr(DenseOutput, "__call__", counting_call)
+        _, wf = distinct_random_state(4, 3, scale=0.8, min_gap=0.12, max_extent=2.5)
+        integrate(wf, H, np.linspace(0.0, 6.0, 3721))
+        assert counts["called"] == 0
+        assert 0 < counts["built"] <= counts["accepted"], counts
+
+
 def flow_reference(w2, t):
     """``cos wt``, ``sin(wt)/w`` and ``(1 - cos wt)/w^2`` from ``math``, or hyperbolic forms."""
     if abs(w2) < 1e-100:  # w t underflows; the w -> 0 limits are exact in double precision
@@ -299,10 +401,6 @@ def flow_coefficients(w2, t):
     """``(c, s, q)``: with ``B = 1/2``, ``D = -1`` and ``C = E = 0`` they are ``(F11, F12, F13)``."""
     H = QuadraticHamiltonian(A=0.5 * w2, B=0.5, D=-1.0)  # omega^2 = 4AB = w2
     return np.array(dynamics._classical_flow(H, t)[0])
-
-
-# A hyperbolic Hamiltonian: omega^2 = 4AB - C^2 = -1, so cosh(t) overflows past t ~ 710.
-H_HYP = QuadraticHamiltonian(B=0.5, C=1.0)
 
 
 class TestFlowCoefficients:

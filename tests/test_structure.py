@@ -95,6 +95,12 @@ def test_closed_form_shares_no_code_with_the_ode():
     assert _scopes_of("_rhs") == [("dynamics", "integrate")]
 
 
+def test_only_integrate_builds_step_interpolants():
+    # Grid samples come from one vectorized pass over the interpolants that
+    # `integrate` keeps; nothing else in the package builds or calls one.
+    assert _scopes_of("dense_output") == [("dynamics", "integrate")]
+
+
 def test_oracle_has_one_colleague_solver():
     # The short solve and its full-degree fallback are one function with a
     # floor argument, so the oracle's only eigenvalue solve lives there.
