@@ -56,7 +56,6 @@ from .wavefunction import (
     gaussian_packet_params,
     growth_bound,
     growth_bound_holds,
-    hermite_eval_cutoff,
     hudson_test,
     stellar_state_from_zeros,
 )

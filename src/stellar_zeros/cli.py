@@ -201,9 +201,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Zero propagation: ODE vs closed form vs Fock oracle.
     ode_dev = oracle_dev = 0.0
     if wf.rank > 0:
-        traj = dynamics.integrate(wf, H, [0.0] + times)
+        traj = dynamics.integrate(wf, H, times)
         refs = dynamics.closed_form(wf, H, times)
-        ode_dev = max(map(dynamics.matching_distance, traj.paths[:, 1:].T, refs))
+        ode_dev = max(map(dynamics.matching_distance, traj.paths.T, refs))
 
         # Each cutoff needs its own propagation: a cut of the partner would share
         # its first N + 1 amplitudes exactly, so the partner test would keep the cut's ring.

@@ -181,6 +181,14 @@ def _rhs(H: QuadraticHamiltonian):
     return f
 
 
+def _time_grid(t) -> np.ndarray:
+    """``t`` as a float array, or :class:`InvalidParameter` unless it is a sampling grid."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0 and (np.diff(ts) > 0).all():
+        return ts
+    raise InvalidParameter("time grid must be finite, 1-d and strictly increasing from t >= 0")
+
+
 def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTrajectory:
     """Integrate the coupled system, sampling on ``t_grid``.
 
@@ -196,11 +204,7 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     not integrated (the phase equation is not needed for zeros);
     trajectories carry ``(g2, g1)`` only.
     """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
-        raise InvalidParameter("t_grid must be a finite 1-d grid")
-    if ts[0] < 0 or np.any(np.diff(ts) <= 0):
-        raise InvalidParameter("t_grid must be strictly increasing from t >= 0")
+    ts = _time_grid(t_grid)
     if _min_gap(wf.zeros) <= 1e-6:
         raise DegenerateInitialZeros("initial zeros closer than 1e-6")
     # Imported here: scipy.integrate costs every importer of the package
@@ -407,11 +411,7 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     collision on the grid.  The Gaussian coefficients come from the same
     classical flow on the whole grid at once.
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or not np.all(np.isfinite(ts)):
-        raise InvalidParameter("times must be a finite 1-d grid")
-    if ts[0] < 0 or np.any(np.diff(ts) <= 0):
-        raise InvalidParameter("times must be strictly increasing from t >= 0")
+    ts = _time_grid(times)
     pair = zero_pair(wf)
     gauss = _gaussian_at(pair, H, ts)
     later = ts[ts > 0]

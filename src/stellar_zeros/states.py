@@ -228,6 +228,12 @@ def default_cutoff(rank: int, alpha: complex, chi: complex) -> int:
     return max(60, math.ceil(8.0 * mean_n))
 
 
+def _squeeze_frame(chi: complex):
+    """``(cosh r, sinh r, e^{i phi})`` of ``chi = r e^{i phi}``; the phase factor is 1.0 at 0."""
+    r = abs(chi)
+    return math.cosh(r), math.sinh(r), (cmath.exp(1j * cmath.phase(chi)) if chi != 0 else 1.0)
+
+
 def packet_exponents(alpha: complex, chi: complex):
     """Exponent coefficients ``(g2, g1, g0)`` of the rank-0 packet.
 
@@ -237,10 +243,7 @@ def packet_exponents(alpha: complex, chi: complex):
     with the Baker-Campbell-Hausdorff phase ``exp(-i Re(alpha) Im(alpha))``).
     """
     alpha = complex(alpha)
-    chi = complex(chi)
-    r = abs(chi)
-    w = cmath.exp(1j * cmath.phase(chi)) if chi != 0 else 1.0
-    ch, sh = math.cosh(r), math.sinh(r)
+    ch, sh, w = _squeeze_frame(complex(chi))
     denom = ch - w * sh
     g2 = -(ch + w * sh) / (2.0 * denom)
     x0 = math.sqrt(2.0) * alpha.real
@@ -258,7 +261,8 @@ def _packet_amplitudes(alpha: complex, chi: complex, dim: int) -> np.ndarray:
     alpha*) |G>`` gives a three-term recurrence whose two homogeneous
     solutions share the modulus ``sqrt(tanh r)`` per step, so forward
     recursion keeps the deep tail accurate relative to its own magnitude
-    (which matrix-exponential routes cannot do).
+    (which matrix-exponential routes cannot do) down to underflow; from
+    there on the amplitudes are zero.
     """
     g2, g1, g0 = packet_exponents(alpha, chi)
     c = 0.5 - g2
@@ -268,15 +272,15 @@ def _packet_amplitudes(alpha: complex, chi: complex, dim: int) -> np.ndarray:
         * cmath.sqrt(math.pi / c)
         * cmath.exp(g1 * g1 / (4.0 * c))
     )
-    r = abs(chi)
-    w = cmath.exp(1j * cmath.phase(chi)) if chi != 0 else 1.0
-    ch, sh = math.cosh(r), math.sinh(r)
+    ch, sh, w = _squeeze_frame(chi)
     kappa = ch * alpha + w * sh * np.conj(alpha)
     g = np.zeros(dim, dtype=complex)
     g[0] = seed
     for n in range(dim - 1):
         prev = g[n - 1] if n >= 1 else 0.0
         g[n + 1] = (kappa * g[n] - w * sh * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
+    small = np.abs(g) < np.finfo(float).tiny  # from two underflowed amplitudes on: only noise
+    g[np.append(np.flatnonzero(small[:-1] & small[1:]), dim)[0] :] = 0.0
     return g
 
 
@@ -314,10 +318,7 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     dim = cutoff + 1 + pad
     g = _packet_amplitudes(st.alpha, st.chi, dim)
 
-    chi = st.chi
-    r = abs(chi)
-    w = cmath.exp(1j * cmath.phase(chi)) if chi != 0 else 1.0
-    ch, sh = math.cosh(r), math.sinh(r)
+    ch, sh, w = _squeeze_frame(st.chi)
     mu = ch * np.conj(st.alpha) + np.conj(w) * sh * st.alpha
     wbar_sh = np.conj(w) * sh
     sq = np.sqrt(np.arange(1, dim))

@@ -29,8 +29,10 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg.blas import ztbsv
+from scipy.special import gammaln, xlogy
 
 from .errors import (
+    CutoffTooSmall,
     InvalidParameter,
     PrecisionLoss,
     ZeroOnContour,
@@ -40,6 +42,7 @@ from .states import (
     FockVector,
     StellarState,
     Verdict,
+    _squeeze_frame,
     default_cutoff,
     energy_moment,
     packet_exponents,
@@ -57,7 +60,6 @@ __all__ = [
     "eval_form",
     "eval_entire",
     "eval_entire_envelope",
-    "hermite_eval_cutoff",
     "growth_bound",
     "growth_bound_holds",
     "count_zeros_box",
@@ -185,9 +187,8 @@ def _hermite_frame(alpha: complex, chi: complex, g2: complex, g1: complex):
     ``q_n' = n a1 q_{n-1}``, so ``q_{n+1} = (a1 x + a0) q_n - n v a1 q_{n-1}``,
     the recurrence of ``s^n He_n`` with ``s^2 = v a1``.
     """
-    r = abs(chi)
-    wbar = cmath.exp(-1j * cmath.phase(chi)) if chi != 0 else 1.0
-    ch, sh = math.cosh(r), math.sinh(r)
+    ch, sh, w = _squeeze_frame(chi)
+    wbar = w.conjugate()
     u = (ch + sh * wbar) / _SQRT2
     v = (ch - sh * wbar) / _SQRT2
     mu = ch * np.conj(alpha) + wbar * sh * alpha
@@ -262,31 +263,6 @@ def stellar_state_from_zeros(zeros, alpha: complex = 0.0, chi: complex = 0.0) ->
         we[:n] += up[:n] * e[1 : n + 1]
         e = we / np.linalg.norm(we)
     return StellarState(rank=r, core=e / s ** np.arange(r + 1), alpha=alpha, chi=chi)
-
-
-def hermite_eval_cutoff(
-    chi_mag: float,
-    max_abs_im: float,
-    rel_tol: float = 1e-9,
-    rank: int = 0,
-    alpha_mag: float = 0.0,
-) -> int:
-    """Cutoff needed to evaluate the Hermite series at ``|Im z| <= max_abs_im``.
-
-    Hermite functions grow like ``exp(|Im z| sqrt(2n))`` while squeezed-core
-    amplitudes only decay geometrically like ``tanh(|chi|)^{n/2}``, so the
-    series terms peak near ``n* = 2 (Im z)^2 / ln^2 tanh|chi|`` and the
-    cutoff must clear that peak with room for the requested relative tail.
-    """
-    base = 60 + 4 * rank + math.ceil(8.0 * alpha_mag**2 + 2.0 * max_abs_im**2)
-    q = math.tanh(abs(chi_mag))
-    if q < 0.05:
-        return min(base + 16, 6000)
-    lq = -math.log(q)
-    sigma_star = 2.0 * max_abs_im / lq
-    sigma_n = sigma_star + math.sqrt(4.0 * (math.log(1.0 / rel_tol) + 6.0) / lq)
-    needed = math.ceil(0.5 * sigma_n * sigma_n) + 8
-    return min(max(base, needed), 6000)
 
 
 def _hermite_functions(n: int, z) -> np.ndarray:
@@ -478,18 +454,41 @@ def count_zeros_box(f, box) -> int:
     return int(nearest)
 
 
+def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
+    """``log B_n(y)``, where ``B_n(y) >= |phi_n(z)|`` on the whole strip ``|Im z| <= y`` (y >= 0).
+
+    Cauchy's estimate on ``sum_n phi_n(z) w^n / sqrt(n!) = pi^{-1/4} exp(-z^2/2 + sqrt(2) z w
+    - w^2/2)``, whose modulus on ``|w| = rho`` is at most ``pi^{-1/4} exp(y^2/2 + rho^2/2 +
+    sqrt(2) y rho)``, taken at the best radius ``rho = (sqrt(2 y^2 + 4n) - sqrt(2) y) / 2``.
+    """
+    rho = 0.5 * (np.sqrt(2.0 * y * y + 4.0 * n) - _SQRT2 * y)
+    return (math.log(_PI_M14) + 0.5 * (gammaln(n + 1.0) + y * y + rho * rho)
+            + _SQRT2 * y * rho - xlogy(n, rho))
+
+
 def _series_cutoff(st: StellarState, max_abs_im: float) -> int:
     """Fock cutoff for the Hermite series of ``st`` at ``|Im z| <= max_abs_im``.
 
-    The one rule by which :func:`hudson_test` and ``verify`` size a state's
-    series off the real axis: the state's own truncation
-    (:func:`~stellar_zeros.states.default_cutoff`) or the series tail cleared
-    to the double-precision floor, whichever is larger.
+    The one rule by which :func:`hudson_test` and ``verify`` size a series off
+    the real axis: the least ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
+    (:func:`_log_hermite_bound`), but not below the state's own truncation,
+    :func:`~stellar_zeros.states.default_cutoff`.  The amplitudes are read at a
+    working cutoff, doubled from that floor until ``N`` is below its top quarter.
     """
-    return max(
-        default_cutoff(st.rank, st.alpha, st.chi),
-        hermite_eval_cutoff(abs(st.chi), max_abs_im, np.finfo(float).eps, st.rank, abs(st.alpha)),
-    )
+    floor = work = default_cutoff(st.rank, st.alpha, st.chi)
+    while True:
+        try:
+            amps = np.abs(stellar_to_fock(st, work).coeffs)
+        except CutoffTooSmall:  # the norm past the working cutoff is not even small
+            work *= 2
+            continue
+        with np.errstate(divide="ignore"):  # an underflowed amplitude weighs nothing
+            logs = np.log(amps) + _log_hermite_bound(np.arange(amps.size), max_abs_im)
+        tails = np.cumsum(np.exp(logs - logs.max())[::-1])[::-1]  # tails[k]: sum over n >= k
+        cut = int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])) - 1
+        if cut < (3 * amps.size) // 4:
+            return max(floor, cut)
+        work *= 2
 
 
 def hudson_test(st: StellarState) -> HudsonResult:

@@ -39,7 +39,6 @@ from stellar_zeros import (
     gaussian_packet_params,
     growth_bound,
     growth_bound_holds,
-    hermite_eval_cutoff,
     hudson_test,
     integrate,
     matching_distance,
@@ -51,6 +50,7 @@ from stellar_zeros import (
     stellar_to_fock,
     zeros_from_fock,
 )
+from stellar_zeros.wavefunction import _series_cutoff
 
 HP = QuadraticHamiltonian.phase_shift()
 
@@ -312,7 +312,7 @@ def test_criterion_09_growth_bound():
         st = random_stellar_state(rank, 600 + i, scale=0.8)
         chi_mag = abs(st.chi)
         s = 4.0 if chi_mag < 0.05 else min(4.0, 1.0 + 0.5 * (1.0 / math.tanh(chi_mag) - 1.0))
-        cutoff = max(400, hermite_eval_cutoff(chi_mag, 5.0, 1e-6, rank, abs(st.alpha)))
+        cutoff = max(400, _series_cutoff(st, 5.0))
         v = stellar_to_fock(st, cutoff)
         gb = growth_bound(v, s, 0.25)
         rng = np.random.default_rng(4242 + i)
@@ -334,7 +334,7 @@ def test_criterion_10_dual_representation():
         chosen = None
         for seed in range(30):
             st = random_stellar_state(rank, seed)
-            cutoff = hermite_eval_cutoff(abs(st.chi), 3.0, 1e-9, rank, abs(st.alpha))
+            cutoff = _series_cutoff(st, 3.0)
             v = stellar_to_fock(st, cutoff)
             wf = build_wavefunction(st)
             a = eval_form(wf, zs)

@@ -203,7 +203,8 @@ class TestVerifyCommand:
         assert "status=PASS" in out
 
     def test_explicit_time_grid_is_checked(self, capsys, tmp_state, monkeypatch):
-        # The explicit grid equals the evolve default; verify must still run it.
+        # The explicit grid equals the evolve default; verify must still run
+        # its 64 times after T0.
         grids = []
         integrate = dynamics.integrate
 
@@ -216,7 +217,13 @@ class TestVerifyCommand:
         rc, out, _ = run_cli(capsys, ["verify", "--state", path, "--time", "0,6.283185307179586,65"])
         assert rc == 0
         assert "status=PASS" in out
-        assert grids == [65]
+        assert grids == [64]
+
+    def test_time_grid_may_start_before_zero(self, capsys):
+        # The times after T0 = -1 are 0, 1 and 2: t = 0 enters once, as a sample.
+        rc, out, err = run_cli(capsys, ["verify", "--random", "1,0", "--time=-1,2,4"])
+        assert (rc, err) == (0, "")
+        assert "status=PASS" in out
 
     @pytest.mark.parametrize("rank", [4, 5, 6])
     def test_high_rank_ring_passes(self, capsys, tmp_state, rank):

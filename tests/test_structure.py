@@ -75,10 +75,16 @@ def _scopes_of(name, node_type=ast.Call):
 
 
 def test_series_cutoff_rule_is_written_once():
-    # Every zero count of a Fock vector sizes its series by one rule, so
-    # `hermite_eval_cutoff` has exactly one caller in the package: the
-    # private helper that applies it.
-    assert _scopes_of("hermite_eval_cutoff") == [("wavefunction", "_series_cutoff")]
+    # Every zero count of a Fock vector sizes its series by one rule: the
+    # Hermite-function bound has exactly one caller, the private helper that
+    # applies it, and the commands that count zeros reach a cutoff only
+    # through that helper.  The old peak guess is gone from the namespace.
+    assert _scopes_of("_log_hermite_bound") == [("wavefunction", "_series_cutoff")]
+    assert not hasattr(stellar_zeros, "hermite_eval_cutoff")
+    counters = [("cli", "_cmd_verify"), ("wavefunction", "hudson_test")]
+    assert sorted(_scopes_of("_series_cutoff")) == counters
+    for name in ("default_cutoff", "_log_hermite_bound"):
+        assert not set(_scopes_of(name)) & set(counters), name
 
 
 def test_one_zero_tracker():

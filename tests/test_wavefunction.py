@@ -36,14 +36,19 @@ from stellar_zeros import (
     gaussian_packet_params,
     growth_bound,
     growth_bound_holds,
-    hermite_eval_cutoff,
     hudson_test,
     matching_distance,
     random_stellar_state,
     stellar_state_from_zeros,
     stellar_to_fock,
 )
-from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
+from stellar_zeros.wavefunction import (
+    _CHUNK,
+    _box_boundary,
+    _hermite_functions,
+    _log_hermite_bound,
+    _series_cutoff,
+)
 
 PI14 = math.pi ** -0.25
 EPS = np.finfo(float).eps
@@ -73,8 +78,23 @@ def solo_solves(n, z):
     return np.concatenate([_hermite_functions(n, z[j : j + 1]) for j in range(z.size)])
 
 
-def eval_cutoff_for(st, max_im=3.0, rel=1e-9):
-    return hermite_eval_cutoff(abs(st.chi), max_im, rel, st.rank, abs(st.alpha))
+def max_log_abs_hermite_functions(n, z):
+    """Reference: ``max_j log|phi_k(z[..., j])|`` for k < n, shaped ``(n, *z.shape[:-1])``.
+
+    The recurrence of :func:`hermite_series_loop`, rescaled at every step and
+    the scale kept as a logarithm, so it neither underflows nor overflows.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((n,) + z.shape[:-1])
+    log_scale = math.log(PI14) - 0.5 * (z * z).real
+    prev, cur = np.zeros_like(z), np.exp(-0.5j * (z * z).imag)
+    with np.errstate(divide="ignore"):  # a point on a zero of phi_k
+        for k in range(n):
+            out[k] = np.max(log_scale + np.log(np.abs(cur)), axis=-1)
+            nxt = math.sqrt(2.0 / (k + 1)) * z * cur - math.sqrt(k / (k + 1.0)) * prev
+            m = np.maximum(np.abs(nxt), np.abs(cur))
+            prev, cur, log_scale = cur / m, nxt / m, log_scale + np.log(m)
+    return out
 
 
 class TestGaussianPacket:
@@ -120,7 +140,7 @@ class TestGaussianPacket:
         alpha, chi = 0.5 + 0.3j, -0.25 + 0.35j
         wf = gaussian_packet_params(alpha, chi)
         st = StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=alpha, chi=chi)
-        v = stellar_to_fock(st, eval_cutoff_for(st))
+        v = stellar_to_fock(st, _series_cutoff(st, 3.0))
         zs = np.linspace(-2.2, 2.2, 20) + 0.15j
         a = eval_form(wf, zs)
         b = eval_entire(v, zs)
@@ -249,7 +269,7 @@ class TestEvalEntire:
 
     def test_grid_keeps_its_shape(self):
         st = random_stellar_state(2, 3)
-        v = stellar_to_fock(st, eval_cutoff_for(st))
+        v = stellar_to_fock(st, _series_cutoff(st, 3.0))
         zs = np.array([[0.1 + 0.2j, -1.0, 2.0j], [0.5 - 0.5j, 1.5 + 0.3j, -2.0 - 1.0j]])
         flat = eval_entire(v, zs.ravel())
         assert np.array_equal(eval_entire(v, zs), flat.reshape(2, 3))
@@ -297,7 +317,7 @@ class TestEvalEntire:
 
     def test_dual_path_rank3(self):
         st, wf = distinct_random_state(3, 5, min_gap=0.0)
-        v = stellar_to_fock(st, eval_cutoff_for(st))
+        v = stellar_to_fock(st, _series_cutoff(st, 3.0))
         zs = standard_grid()
         a = eval_form(wf, zs)
         b, envelope = eval_entire_envelope(v, zs)
@@ -316,11 +336,46 @@ class TestEvalEntire:
             for seed in range(10):
                 st = random_stellar_state(rank, seed)
                 wf = build_wavefunction(st)
-                v = stellar_to_fock(st, eval_cutoff_for(st))
+                v = stellar_to_fock(st, _series_cutoff(st, 3.0))
                 zs = standard_grid()
                 a = eval_form(wf, zs)
                 b, envelope = eval_entire_envelope(v, zs)
                 assert self.dual_path_ok(a, b, envelope), (rank, seed)
+
+
+class TestSeriesCutoff:
+    def test_bound_dominates_the_hermite_functions_on_the_strip(self):
+        # |phi_n(-x + iy)| = |phi_n(x + iy)|, so x >= 0 covers the lines Im z = 0, y/2, y;
+        # the Airy peak of phi_1499 on the real axis sits at x ~ 54.8.
+        ys, n = np.array([0.0, 0.5, 1.0, 3.0, 3.8, 6.0]), np.arange(1500)
+        x = np.linspace(0.0, 60.0, 601)
+        zs = (x + 1j * ys[:, None, None] * np.array([0.0, 0.5, 1.0])[:, None]).reshape(ys.size, -1)
+        bound = np.stack([_log_hermite_bound(n, y) for y in ys], axis=1)
+        ratio = np.exp(max_log_abs_hermite_functions(n.size, zs) - bound)
+        assert ratio.max() <= 1.0 + 1e-12  # n = 0 at z = iy: the bound is attained
+        assert ratio.min() > 5e-3  # and never loose by more than a factor 200
+
+    @pytest.mark.parametrize(
+        "rank,seed",
+        [(0, 0), (1, 2), (2, 0), (3, 0), (4, 0), (5, 3), (5, 0), (6, 2), (3, 4), (1, 1)]
+        + [(r, 700 + s) for r in range(1, 6) for s in range(3)],
+    )
+    def test_cut_series_matches_twice_its_length(self, rank, seed):
+        # The tail past the cutoff stays below eps of the termwise envelope on the grid.
+        st = random_stellar_state(rank, seed)
+        cutoff = _series_cutoff(st, 3.0)
+        zs = standard_grid()
+        cut = eval_entire(stellar_to_fock(st, cutoff), zs, check=False)
+        full, envelope = eval_entire_envelope(stellar_to_fock(st, 2 * cutoff), zs)
+        assert np.all(np.abs(cut - full) <= EPS * envelope)
+
+    def test_far_strip_stops_where_the_amplitudes_underflow(self):
+        # At Im 25 the bound outgrows every amplitude a double can hold, so the
+        # working basis stops doubling at the last amplitude that did not underflow.
+        st = random_stellar_state(5, 0)
+        cutoff = _series_cutoff(st, 25.0)
+        amps = stellar_to_fock(st, 2 * cutoff).coeffs
+        assert amps[cutoff] != 0 and not amps[cutoff + 1 :].any()
 
 
 class TestGrowthBound:
@@ -435,7 +490,7 @@ class TestStellarEval:
         st = random_stellar_state(rank, seed, scale=0.7)
         wf = build_wavefunction(st)
         assert len(wf.zeros) == rank
-        cutoff = max(160, eval_cutoff_for(st))
+        cutoff = max(160, _series_cutoff(st, 3.0))
         v = stellar_to_fock(st, cutoff)
         hw = 3.0
         while hw < 40:
