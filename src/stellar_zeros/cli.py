@@ -191,8 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid_1d = np.arange(-3.0, 3.01, 0.5)
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
-    cutoff = wavefunction._series_cutoff(st, 3.0)
-    v = states.stellar_to_fock(st, cutoff)
+    v = wavefunction._series(st, 3.0)
     a = wavefunction.eval_form(wf, zs)
     b = wavefunction.eval_entire(v, zs, check=False)
     grid_scale = float(np.max(np.abs(a)))
@@ -207,8 +206,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         # Each cutoff needs its own propagation: a cut of the partner would share
         # its first N + 1 amplitudes exactly, so the partner test would keep the cut's ring.
-        vts = oracle.evolve_fock(v, H, times, cutoff)
-        partners = oracle.evolve_fock(v, H, times, cutoff + _PARTNER_CUTOFF_STEP)
+        vts = oracle.evolve_fock(v, H, times)
+        partners = oracle.evolve_fock(v, H, times, v.cutoff + _PARTNER_CUTOFF_STEP)
         for vt, partner, ref in zip(vts, partners, refs):
             hw = max(max(abs(z.real), abs(z.imag)) for z in ref) + 0.9
             zo = oracle.zeros_from_fock(vt, wf.rank, hw, partner=partner)

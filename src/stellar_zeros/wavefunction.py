@@ -403,7 +403,9 @@ def count_zeros_box(f, box) -> int:
     adjacent samples differ by less than pi/2 (winding-number
     correctness needs increments below pi; the extra margin is cheap).  The
     result is an exact integer.  Raises :class:`ZeroOnContour` when ``f``
-    nearly vanishes on the contour or a phase jump cannot be resolved.
+    nearly vanishes on the contour or a phase jump cannot be resolved, and
+    :class:`PrecisionLoss` when a contour value is not finite (inf or NaN
+    carries no phase).
 
     ``box`` is ``(re_min, re_max, im_min, im_max)``; ``f`` must accept a
     complex ndarray.
@@ -415,6 +417,8 @@ def count_zeros_box(f, box) -> int:
     fs = np.asarray(f(_box_boundary(box, ts)), dtype=complex)
 
     def contour_guard(values):
+        if not np.isfinite(values.view(float)).all():
+            raise PrecisionLoss("contour value is not finite (overflow or NaN)")
         # The Gaussian factor makes |f| vary by many orders along a large
         # contour, so zero proximity is judged against the local median:
         # a genuine near-zero dips sharply below its own neighborhood.
@@ -466,29 +470,35 @@ def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
             + _SQRT2 * y * rho - xlogy(n, rho))
 
 
-def _series_cutoff(st: StellarState, max_abs_im: float) -> int:
-    """Fock cutoff for the Hermite series of ``st`` at ``|Im z| <= max_abs_im``.
+def _series(st: StellarState, max_abs_im: float) -> FockVector:
+    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``.
 
-    The one rule by which :func:`hudson_test` and ``verify`` size a series off
-    the real axis: the least ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
-    (:func:`_log_hermite_bound`), but not below the state's own truncation,
-    :func:`~stellar_zeros.states.default_cutoff`.  The amplitudes are read at a
-    working cutoff, doubled from that floor until ``N`` is below its top quarter.
+    The one rule by which :func:`hudson_test` and ``verify`` size and build a series: the least
+    cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n`` (:func:`_log_hermite_bound`),
+    not below :func:`~stellar_zeros.states.default_cutoff`, read off a working vector doubled from
+    twice that floor until ``N`` is below its top quarter.  The recurrences run forward, so the
+    vector is the working one's start.  Raises :class:`PrecisionLoss` if amplitudes underflow first.
     """
     floor = work = default_cutoff(st.rank, st.alpha, st.chi)
     while True:
+        work *= 2
         try:
-            amps = np.abs(stellar_to_fock(st, work).coeffs)
+            v = stellar_to_fock(st, work)
         except CutoffTooSmall:  # the norm past the working cutoff is not even small
-            work *= 2
             continue
+        amps = np.abs(v.coeffs)
         with np.errstate(divide="ignore"):  # an underflowed amplitude weighs nothing
             logs = np.log(amps) + _log_hermite_bound(np.arange(amps.size), max_abs_im)
         tails = np.cumsum(np.exp(logs - logs.max())[::-1])[::-1]  # tails[k]: sum over n >= k
         cut = int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])) - 1
         if cut < (3 * amps.size) // 4:
-            return max(floor, cut)
-        work *= 2
+            break
+    if amps[cut] < np.finfo(float).tiny / np.finfo(float).eps and not amps[cut + 1 :].any():
+        raise PrecisionLoss(
+            f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
+            f"the amplitudes underflow past n = {cut}"
+        )
+    return FockVector(v.coeffs[: max(floor, cut) + 1])
 
 
 def hudson_test(st: StellarState) -> HudsonResult:
@@ -504,7 +514,7 @@ def hudson_test(st: StellarState) -> HudsonResult:
     res = [z.real for z in wf.zeros] or [0.0]
     ims = [z.imag for z in wf.zeros] or [0.0]
     box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
-    v = stellar_to_fock(st, _series_cutoff(st, max(abs(box[2]), abs(box[3]))))
+    v = _series(st, max(abs(box[2]), abs(box[3])))
     count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box)
     return HudsonResult(gaussian=(count == 0), zero_count=count)
 

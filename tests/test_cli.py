@@ -14,7 +14,7 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
-from stellar_zeros import cli, dynamics
+from stellar_zeros import cli, dynamics, states, wavefunction
 from stellar_zeros import (
     StellarState,
     matching_distance,
@@ -224,6 +224,19 @@ class TestVerifyCommand:
         rc, out, err = run_cli(capsys, ["verify", "--random", "1,0", "--time=-1,2,4"])
         assert (rc, err) == (0, "")
         assert "status=PASS" in out
+
+    def test_builds_its_series_once(self, capsys, tmp_state, monkeypatch):
+        # The dual path and the oracle share the one vector that sized the series.
+        builds, to_fock = [], states.stellar_to_fock
+        for module in (states, wavefunction):
+            monkeypatch.setattr(
+                module, "stellar_to_fock", lambda st, *n: builds.append(n) or to_fock(st, *n)
+            )
+        path = tmp_state("ring.json", ring_state(3, 2))
+        rc, out, _ = run_cli(capsys, ["verify", "--state", path])
+        assert rc == 0
+        assert "status=PASS" in out
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("rank", [4, 5, 6])
     def test_high_rank_ring_passes(self, capsys, tmp_state, rank):

@@ -30,7 +30,7 @@ from stellar_zeros import (
 )
 from stellar_zeros import oracle, wavefunction
 from stellar_zeros.cli import main
-from stellar_zeros.wavefunction import _series_cutoff
+from stellar_zeros.wavefunction import _series
 
 HP = QuadraticHamiltonian.phase_shift()
 # Criterion 3's Hamiltonians, which verify's benchmark also runs.
@@ -291,8 +291,8 @@ class TestOracleLoop:
         # 1e-20, below what the short solve keeps: its count fails and the
         # full-degree solve finds the zero.
         st = random_stellar_state(6, 1)
-        cutoff = _series_cutoff(st, 3.0)
-        v = stellar_to_fock(st, cutoff)
+        v = _series(st, 3.0)
+        cutoff = v.cutoff
         vt = evolve_fock(v, HP, t, cutoff)
         partner = evolve_fock(v, HP, t, cutoff + 20)
         want = closed_form(build_wavefunction(st), HP, t)
@@ -339,8 +339,8 @@ class TestNewtonPartner:
         # the core's last bits, so the core of the zero 1j is pinned.
         core = np.array([-0.8164965809277261j, 0.5773502691896258])
         st = StellarState(rank=1, core=core, alpha=0.0, chi=0.0)
-        cutoff = _series_cutoff(st, 3.0)
-        v = stellar_to_fock(st, cutoff)
+        v = _series(st, 3.0)
+        cutoff = v.cutoff
         vts = evolve_fock(v, HP, VERIFY_TIMES, cutoff)
         partners = evolve_fock(v, HP, VERIFY_TIMES, cutoff + 20)
         for vt, partner in zip(vts, partners):

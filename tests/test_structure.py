@@ -75,16 +75,21 @@ def _scopes_of(name, node_type=ast.Call):
 
 
 def test_series_cutoff_rule_is_written_once():
-    # Every zero count of a Fock vector sizes its series by one rule: the
-    # Hermite-function bound has exactly one caller, the private helper that
-    # applies it, and the commands that count zeros reach a cutoff only
-    # through that helper.  The old peak guess is gone from the namespace.
-    assert _scopes_of("_log_hermite_bound") == [("wavefunction", "_series_cutoff")]
-    assert not hasattr(stellar_zeros, "hermite_eval_cutoff")
+    # Every zero count of a Fock vector sizes and builds its series by one
+    # rule: the Hermite-function bound and the Fock conversion each have
+    # exactly one caller in the package, the private helper that returns the
+    # vector the bound measured, and the commands that count zeros get a
+    # series only through that helper.  The old cutoff helpers are gone.
+    assert _scopes_of("_log_hermite_bound") == [("wavefunction", "_series")]
+    assert _scopes_of("stellar_to_fock") == [("wavefunction", "_series")]
     counters = [("cli", "_cmd_verify"), ("wavefunction", "hudson_test")]
-    assert sorted(_scopes_of("_series_cutoff")) == counters
-    for name in ("default_cutoff", "_log_hermite_bound"):
+    assert sorted(_scopes_of("_series")) == counters
+    for name in ("default_cutoff", "_log_hermite_bound", "stellar_to_fock"):
         assert not set(_scopes_of(name)) & set(counters), name
+    for path in Path(stellar_zeros.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for name in ("hermite_eval_cutoff", "_series_cutoff"):
+            assert name not in text, (path.name, name)
 
 
 def test_one_zero_tracker():

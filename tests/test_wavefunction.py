@@ -25,6 +25,7 @@ from stellar_zeros import (
     apply_creation_polynomial,
     build_wavefunction,
     count_zeros_box,
+    default_cutoff,
     energy_moment,
     eval_entire,
     eval_entire_envelope,
@@ -47,7 +48,7 @@ from stellar_zeros.wavefunction import (
     _box_boundary,
     _hermite_functions,
     _log_hermite_bound,
-    _series_cutoff,
+    _series,
 )
 
 PI14 = math.pi ** -0.25
@@ -140,7 +141,7 @@ class TestGaussianPacket:
         alpha, chi = 0.5 + 0.3j, -0.25 + 0.35j
         wf = gaussian_packet_params(alpha, chi)
         st = StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=alpha, chi=chi)
-        v = stellar_to_fock(st, _series_cutoff(st, 3.0))
+        v = _series(st, 3.0)
         zs = np.linspace(-2.2, 2.2, 20) + 0.15j
         a = eval_form(wf, zs)
         b = eval_entire(v, zs)
@@ -269,7 +270,7 @@ class TestEvalEntire:
 
     def test_grid_keeps_its_shape(self):
         st = random_stellar_state(2, 3)
-        v = stellar_to_fock(st, _series_cutoff(st, 3.0))
+        v = _series(st, 3.0)
         zs = np.array([[0.1 + 0.2j, -1.0, 2.0j], [0.5 - 0.5j, 1.5 + 0.3j, -2.0 - 1.0j]])
         flat = eval_entire(v, zs.ravel())
         assert np.array_equal(eval_entire(v, zs), flat.reshape(2, 3))
@@ -317,7 +318,7 @@ class TestEvalEntire:
 
     def test_dual_path_rank3(self):
         st, wf = distinct_random_state(3, 5, min_gap=0.0)
-        v = stellar_to_fock(st, _series_cutoff(st, 3.0))
+        v = _series(st, 3.0)
         zs = standard_grid()
         a = eval_form(wf, zs)
         b, envelope = eval_entire_envelope(v, zs)
@@ -336,7 +337,7 @@ class TestEvalEntire:
             for seed in range(10):
                 st = random_stellar_state(rank, seed)
                 wf = build_wavefunction(st)
-                v = stellar_to_fock(st, _series_cutoff(st, 3.0))
+                v = _series(st, 3.0)
                 zs = standard_grid()
                 a = eval_form(wf, zs)
                 b, envelope = eval_entire_envelope(v, zs)
@@ -363,19 +364,48 @@ class TestSeriesCutoff:
     def test_cut_series_matches_twice_its_length(self, rank, seed):
         # The tail past the cutoff stays below eps of the termwise envelope on the grid.
         st = random_stellar_state(rank, seed)
-        cutoff = _series_cutoff(st, 3.0)
+        v = _series(st, 3.0)
         zs = standard_grid()
-        cut = eval_entire(stellar_to_fock(st, cutoff), zs, check=False)
-        full, envelope = eval_entire_envelope(stellar_to_fock(st, 2 * cutoff), zs)
+        cut = eval_entire(v, zs, check=False)
+        full, envelope = eval_entire_envelope(stellar_to_fock(st, 2 * v.cutoff), zs)
         assert np.all(np.abs(cut - full) <= EPS * envelope)
 
+    @pytest.mark.parametrize("y", [1.0, 3.0, 5.0])
+    def test_series_is_the_fock_vector_at_its_cutoff(self, monkeypatch, y):
+        # The vector the bound measured is the start of the working vector, bitwise
+        # what stellar_to_fock builds at the cutoff; the first one is twice the floor.
+        builds, to_fock = [], stellar_to_fock
+        monkeypatch.setattr(
+            "stellar_zeros.wavefunction.stellar_to_fock",
+            lambda st, n: builds.append(n) or to_fock(st, n),
+        )
+        for rank in (0, 2, 4, 6, 8):
+            for seed, scale in [(0, 0.5), (1, 1.0), (2, 1.5)]:
+                st = random_stellar_state(rank, seed, scale=scale)
+                floor = default_cutoff(st.rank, st.alpha, st.chi)
+                builds.clear()
+                v = _series(st, y)
+                assert builds[0] == 2 * floor, (rank, seed)
+                assert v.cutoff >= floor, (rank, seed)
+                assert np.array_equal(v.coeffs, to_fock(st, v.cutoff).coeffs), (rank, seed)
+
+    @pytest.mark.parametrize("y", [0.0, 3.0, 25.0])
+    def test_a_core_without_packet_ends_without_underflow(self, y):
+        # |4> has no amplitude past n = 4 by construction, so however far the
+        # strip reaches, the series ends there and the floor is the cutoff.
+        v = _series(fock_state(4), y)
+        assert v.cutoff == default_cutoff(4, 0.0, 0.0)
+        assert abs(v.coeffs[4]) > 0.5 and not v.coeffs[5:].any()
+
     def test_far_strip_stops_where_the_amplitudes_underflow(self):
-        # At Im 25 the bound outgrows every amplitude a double can hold, so the
-        # working basis stops doubling at the last amplitude that did not underflow.
-        st = random_stellar_state(5, 0)
-        cutoff = _series_cutoff(st, 25.0)
-        amps = stellar_to_fock(st, 2 * cutoff).coeffs
-        assert amps[cutoff] != 0 and not amps[cutoff + 1 :].any()
+        # Far off the axis the bound outgrows every amplitude a double can hold:
+        # the series would stop at the last amplitude that did not underflow, with
+        # its tail unproven (for the squeezed (6, 0) at Im 6, n = 29,290, whose
+        # weighted term is still 0.13 of the peak).
+        for (rank, seed, scale), y in [((5, 0, 1.0), 25.0), ((6, 0, 2.0), 6.0),
+                                       ((3, 1, 3.0), 25.0)]:
+            with pytest.raises(PrecisionLoss, match="underflow past n = "):
+                _series(random_stellar_state(rank, seed, scale=scale), y)
 
 
 class TestGrowthBound:
@@ -441,6 +471,20 @@ class TestCountZerosBox:
         with pytest.raises(InvalidParameter):
             count_zeros_box(lambda z: z, (1, 0, -1, 1))
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda z, value=value: np.full(z.shape, value, dtype=complex)
+         for value in (np.inf, np.nan, complex(np.inf, np.nan))]
+        + [lambda z: np.exp(400.0 * z * z)],  # overflows on part of the contour only
+        ids=["inf", "nan", "inf_nan", "partial_overflow"],
+    )
+    def test_non_finite_contour_is_a_typed_error(self, f):
+        # An infinite contour has no phase to wind (it would count 0), and a
+        # NaN one no winding number to round.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PrecisionLoss, match="not finite"):
+                count_zeros_box(f, (-2.0, 2.0, -0.5, 0.5))
+
     def test_boundary_parameters_hit_corners_and_midpoints(self):
         # Counterclockwise from (re_min, im_min): corners at integer
         # parameters, edge midpoints at half-integers.
@@ -464,6 +508,11 @@ class TestHudson:
         st = random_stellar_state(4, 11, scale=0.7)
         res = hudson_test(st)
         assert res.zero_count == 4
+
+    def test_underflowed_series_is_a_typed_error(self):
+        # The box reaches Im 11.8, past where this squeezed state's amplitudes underflow.
+        with pytest.raises(PrecisionLoss, match="underflow"):
+            hudson_test(random_stellar_state(6, 0, scale=2.0))
 
 
 class TestStellarEval:
@@ -490,7 +539,7 @@ class TestStellarEval:
         st = random_stellar_state(rank, seed, scale=0.7)
         wf = build_wavefunction(st)
         assert len(wf.zeros) == rank
-        cutoff = max(160, _series_cutoff(st, 3.0))
+        cutoff = max(160, _series(st, 3.0).cutoff)
         v = stellar_to_fock(st, cutoff)
         hw = 3.0
         while hw < 40:
