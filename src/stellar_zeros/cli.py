@@ -54,16 +54,8 @@ def _to_json_text(obj, indent=0) -> str:
             return pad + "[" + ", ".join(_to_json_text(v).strip() for v in obj) + "]"
         items = ",\n".join(_to_json_text(v, indent + 2) for v in obj)
         return f"{pad}[\n{items}\n{pad}]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, int):
-        return pad + str(obj)
     if isinstance(obj, float):
         return pad + _fmt(obj)
-    if isinstance(obj, str):
-        return pad + json.dumps(obj)
-    if obj is None:
-        return pad + "null"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -72,9 +64,14 @@ def _write_output(path: str | None, text: str):
         sys.stdout.write(text)
         return
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise OSError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 def _load_state(args: argparse.Namespace) -> states.StellarState:
@@ -83,10 +80,11 @@ def _load_state(args: argparse.Namespace) -> states.StellarState:
     if args.state_path is not None:
         with open(args.state_path, "r", encoding="utf-8") as fh:
             return states.state_from_json(json.load(fh))
-    parts = args.random_spec.split(",")
-    if len(parts) != 2:
-        raise ValueError("--random expects RANK,SEED")
-    return states.random_stellar_state(int(parts[0]), int(parts[1]))
+    try:
+        rank, seed = map(int, args.random_spec.split(","))
+    except ValueError:
+        raise ValueError(f"--random expects RANK,SEED, not {args.random_spec!r}") from None
+    return states.random_stellar_state(rank, seed)
 
 
 def _reals(text: str, n: int, usage: str) -> list:
@@ -191,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid_1d = np.arange(-3.0, 3.01, 0.5)
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
-    v = wavefunction._series(st, 3.0)
+    v = states._series(st, 3.0)
     a = wavefunction.eval_form(wf, zs)
     b = wavefunction.eval_entire(v, zs, check=False)
     grid_scale = float(np.max(np.abs(a)))

@@ -348,6 +348,8 @@ def match_sets(a, b):
     b = np.asarray(b, dtype=complex)
     if a.size != b.size:
         raise InvalidParameter("multisets must have equal size")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidParameter("multisets must be finite")
     cost = np.abs(a[:, None] - b[None, :])
     _, perm = linear_sum_assignment(cost)  # rows come back as 0 .. n-1
     return perm, cost[np.arange(a.size), perm]

@@ -201,8 +201,8 @@ def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinRe
     ``|Im(conj(a) b)| > |a| rho``, decided once per pair with no sampling.
     """
     zeros0 = [complex(z) for z in zeros0]
-    threshold = math.sqrt(max(len(zeros0) - 1, 0) / abs(complex(g2_0).real))
     pair = zero_pair(WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0))
+    threshold = math.sqrt(max(len(zeros0) - 1, 0) / abs(complex(g2_0).real))
     x0, lmat, _ = pair.terms  # L = 2B P0 + C X0 + E I is P0 at the phase shift
     off = np.abs(lmat)
     np.fill_diagonal(off, 0.0)

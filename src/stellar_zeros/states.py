@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from .errors import CutoffTooSmall, InvalidParameter, ZeroVector
+from .errors import CutoffTooSmall, InvalidParameter, PrecisionLoss, ZeroVector
 
 __all__ = [
     "FockVector",
@@ -44,6 +45,8 @@ __all__ = [
 
 # energy_moment's Converged verdict needs an extrapolated tail below this.
 TAIL_TOL = 1e-6
+_PI_M14 = math.pi ** -0.25
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,8 @@ class StellarState:
         core = np.asarray(self.core, dtype=complex)
         if core.ndim != 1 or core.size != self.rank + 1:
             raise InvalidParameter("core must have length rank + 1")
+        if not (np.isfinite(core).all() and all(map(cmath.isfinite, (self.alpha, self.chi)))):
+            raise InvalidParameter("core, alpha and chi must be finite")
         nrm = np.linalg.norm(core)
         if not nrm > 1e-300:
             raise ZeroVector("core vector has zero norm")
@@ -309,9 +314,11 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
 
     The discarded norm is measured in a padded working range: everything
     above ``cutoff`` must carry less than 1e-10 of the squared norm.
+    Without a cutoff the vector is ``_series(st, 0.0)``: cut where the
+    Hermite series' bounded tail on the real line falls below ``eps``.
     """
     if cutoff is None:
-        cutoff = default_cutoff(st.rank, st.alpha, st.chi)
+        return _series(st, 0.0)
     if cutoff < st.rank:
         raise CutoffTooSmall("cutoff below the stellar rank")
     pad = max(24, (cutoff + 1) // 2)
@@ -341,6 +348,51 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     return FockVector(vec[: cutoff + 1])
 
 
+def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
+    """``log B_n(y)``, where ``B_n(y) >= |phi_n(z)|`` on the whole strip ``|Im z| <= y`` (y >= 0).
+
+    Cauchy's estimate on ``sum_n phi_n(z) w^n / sqrt(n!) = pi^{-1/4} exp(-z^2/2 + sqrt(2) z w
+    - w^2/2)``, whose modulus on ``|w| = rho`` is at most ``pi^{-1/4} exp(y^2/2 + rho^2/2 +
+    sqrt(2) y rho)``, taken at the best radius ``rho = (sqrt(2 y^2 + 4n) - sqrt(2) y) / 2``.
+    """
+    rho = 0.5 * (np.sqrt(2.0 * y * y + 4.0 * n) - _SQRT2 * y)
+    return (math.log(_PI_M14) + 0.5 * (gammaln(n + 1.0) + y * y + rho * rho)
+            + _SQRT2 * y * rho - xlogy(n, rho))
+
+
+def _series(st: StellarState, max_abs_im: float) -> FockVector:
+    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``.
+
+    The one rule by which :func:`stellar_to_fock` without a cutoff,
+    :func:`~stellar_zeros.wavefunction.hudson_test` and ``verify`` size and build a series:
+    the least cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
+    (:func:`_log_hermite_bound`), not below :func:`default_cutoff`, read off a working vector
+    doubled from twice that floor until ``N`` is below its top quarter.  The recurrences run
+    forward, so the vector is the working one's start.  Raises :class:`PrecisionLoss` if
+    amplitudes underflow first.
+    """
+    floor = work = default_cutoff(st.rank, st.alpha, st.chi)
+    while True:
+        work *= 2
+        try:
+            v = stellar_to_fock(st, work)
+        except CutoffTooSmall:  # the norm past the working cutoff is not even small
+            continue
+        amps = np.abs(v.coeffs)
+        with np.errstate(divide="ignore"):  # an underflowed amplitude weighs nothing
+            logs = np.log(amps) + _log_hermite_bound(np.arange(amps.size), max_abs_im)
+        tails = np.cumsum(np.exp(logs - logs.max())[::-1])[::-1]  # tails[k]: sum over n >= k
+        cut = int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])) - 1
+        if cut < (3 * amps.size) // 4:
+            break
+    if amps[cut] < np.finfo(float).tiny / np.finfo(float).eps and not amps[cut + 1 :].any():
+        raise PrecisionLoss(
+            f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
+            f"the amplitudes underflow past n = {cut}"
+        )
+    return FockVector(v.coeffs[: max(floor, cut) + 1])
+
+
 def phase_shift(v: FockVector, theta: float) -> FockVector:
     """Apply ``exp(-i theta n)``: ``psi_n -> exp(-i theta n) psi_n``."""
     ns = np.arange(v.coeffs.size)
@@ -349,8 +401,10 @@ def phase_shift(v: FockVector, theta: float) -> FockVector:
 
 def random_stellar_state(rank: int, seed: int, scale: float = 1.0) -> StellarState:
     """Seeded random fixture: complex-normal core, disc-uniform alpha, chi."""
-    if rank < 0:
-        raise InvalidParameter("rank must be nonnegative")
+    if rank < 0 or seed < 0:
+        raise InvalidParameter("rank and seed must be nonnegative")
+    if not 0.0 <= scale < math.inf:
+        raise InvalidParameter("scale must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     while True:
         core = rng.standard_normal(rank + 1) + 1j * rng.standard_normal(rank + 1)

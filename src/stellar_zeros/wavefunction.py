@@ -29,24 +29,19 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg.blas import ztbsv
-from scipy.special import gammaln, xlogy
 
-from .errors import (
-    CutoffTooSmall,
-    InvalidParameter,
-    PrecisionLoss,
-    ZeroOnContour,
-)
+from .errors import InvalidParameter, PrecisionLoss, ZeroOnContour
 from .rootfind import roots_hermite
 from .states import (
+    _PI_M14,
+    _SQRT2,
     FockVector,
     StellarState,
     Verdict,
+    _series,
     _squeeze_frame,
-    default_cutoff,
     energy_moment,
     packet_exponents,
-    stellar_to_fock,
 )
 
 __all__ = [
@@ -69,8 +64,6 @@ __all__ = [
     "form_from_json",
 ]
 
-_PI_M14 = math.pi ** -0.25
-_SQRT2 = math.sqrt(2.0)
 # Point-terms per banded Hermite solve: about 260 KB of work arrays, which malloc
 # reuses (from 2**13 on they are mapped afresh and page-fault on every call).
 _CHUNK = 2**12
@@ -250,9 +243,12 @@ def stellar_state_from_zeros(zeros, alpha: complex = 0.0, chi: complex = 0.0) ->
     come back from their zeros within 1.5e-13, where Leja order loses 4e-6 at
     rank 80 and a sorted order 2e-2 at rank 50.
     """
+    zeros = np.array(zeros, dtype=complex).reshape(-1)
+    if not (np.isfinite(zeros).all() and all(map(cmath.isfinite, (alpha, chi)))):
+        raise InvalidParameter("zeros, alpha and chi must be finite")
     g2, g1, _ = packet_exponents(alpha, chi)
     a1, a0, s = _hermite_frame(alpha, chi, g2, g1)
-    w = (a1 * np.array(zeros, dtype=complex).reshape(-1) + a0) / s
+    w = (a1 * zeros + a0) / s
     r = w.size
     e = np.zeros(r + 1, dtype=complex)
     e[0] = 1.0
@@ -411,8 +407,8 @@ def count_zeros_box(f, box) -> int:
     complex ndarray.
     """
     x0, x1, y0, y1 = box
-    if not (x1 > x0 and y1 > y0):
-        raise InvalidParameter("box must have positive width and height")
+    if not (all(map(math.isfinite, box)) and x1 > x0 and y1 > y0):
+        raise InvalidParameter("box must be finite, with positive width and height")
     ts = np.arange(4 * _EDGE_SAMPLES) / _EDGE_SAMPLES
     fs = np.asarray(f(_box_boundary(box, ts)), dtype=complex)
 
@@ -456,49 +452,6 @@ def count_zeros_box(f, box) -> int:
     if abs(winding - nearest) > 0.25:
         raise ZeroOnContour(f"non-integer winding {winding:.3f}")
     return int(nearest)
-
-
-def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
-    """``log B_n(y)``, where ``B_n(y) >= |phi_n(z)|`` on the whole strip ``|Im z| <= y`` (y >= 0).
-
-    Cauchy's estimate on ``sum_n phi_n(z) w^n / sqrt(n!) = pi^{-1/4} exp(-z^2/2 + sqrt(2) z w
-    - w^2/2)``, whose modulus on ``|w| = rho`` is at most ``pi^{-1/4} exp(y^2/2 + rho^2/2 +
-    sqrt(2) y rho)``, taken at the best radius ``rho = (sqrt(2 y^2 + 4n) - sqrt(2) y) / 2``.
-    """
-    rho = 0.5 * (np.sqrt(2.0 * y * y + 4.0 * n) - _SQRT2 * y)
-    return (math.log(_PI_M14) + 0.5 * (gammaln(n + 1.0) + y * y + rho * rho)
-            + _SQRT2 * y * rho - xlogy(n, rho))
-
-
-def _series(st: StellarState, max_abs_im: float) -> FockVector:
-    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``.
-
-    The one rule by which :func:`hudson_test` and ``verify`` size and build a series: the least
-    cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n`` (:func:`_log_hermite_bound`),
-    not below :func:`~stellar_zeros.states.default_cutoff`, read off a working vector doubled from
-    twice that floor until ``N`` is below its top quarter.  The recurrences run forward, so the
-    vector is the working one's start.  Raises :class:`PrecisionLoss` if amplitudes underflow first.
-    """
-    floor = work = default_cutoff(st.rank, st.alpha, st.chi)
-    while True:
-        work *= 2
-        try:
-            v = stellar_to_fock(st, work)
-        except CutoffTooSmall:  # the norm past the working cutoff is not even small
-            continue
-        amps = np.abs(v.coeffs)
-        with np.errstate(divide="ignore"):  # an underflowed amplitude weighs nothing
-            logs = np.log(amps) + _log_hermite_bound(np.arange(amps.size), max_abs_im)
-        tails = np.cumsum(np.exp(logs - logs.max())[::-1])[::-1]  # tails[k]: sum over n >= k
-        cut = int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])) - 1
-        if cut < (3 * amps.size) // 4:
-            break
-    if amps[cut] < np.finfo(float).tiny / np.finfo(float).eps and not amps[cut + 1 :].any():
-        raise PrecisionLoss(
-            f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
-            f"the amplitudes underflow past n = {cut}"
-        )
-    return FockVector(v.coeffs[: max(floor, cut) + 1])
 
 
 def hudson_test(st: StellarState) -> HudsonResult:

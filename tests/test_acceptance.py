@@ -50,7 +50,7 @@ from stellar_zeros import (
     stellar_to_fock,
     zeros_from_fock,
 )
-from stellar_zeros.wavefunction import _series
+from stellar_zeros.states import _series
 
 HP = QuadraticHamiltonian.phase_shift()
 

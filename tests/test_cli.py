@@ -14,7 +14,7 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
-from stellar_zeros import cli, dynamics, states, wavefunction
+from stellar_zeros import cli, dynamics, states
 from stellar_zeros import (
     StellarState,
     matching_distance,
@@ -228,10 +228,9 @@ class TestVerifyCommand:
     def test_builds_its_series_once(self, capsys, tmp_state, monkeypatch):
         # The dual path and the oracle share the one vector that sized the series.
         builds, to_fock = [], states.stellar_to_fock
-        for module in (states, wavefunction):
-            monkeypatch.setattr(
-                module, "stellar_to_fock", lambda st, *n: builds.append(n) or to_fock(st, *n)
-            )
+        monkeypatch.setattr(
+            states, "stellar_to_fock", lambda st, *n: builds.append(n) or to_fock(st, *n)
+        )
         path = tmp_state("ring.json", ring_state(3, 2))
         rc, out, _ = run_cli(capsys, ["verify", "--state", path])
         assert rc == 0
@@ -284,6 +283,20 @@ class TestErrors:
         rc, _, err = run_cli(capsys, ["evolve", "--random", "1,1", "--hamiltonian", "1,2"])
         assert rc == 1
 
+
+    @pytest.mark.parametrize("spec", ["1.5,0", "1,x", "2", "1,2,3"])
+    def test_random_spec_is_named_in_the_error(self, capsys, spec):
+        rc, _, err = run_cli(capsys, ["zeros", "--random", spec])
+        assert_one_error_line(rc, err)
+        assert f"--random expects RANK,SEED, not {spec!r}" in err
+
+    def test_unwritable_out_is_named_and_leaves_no_temporary_file(self, capsys, tmp_path):
+        out = tmp_path / "taken"
+        out.mkdir()
+        rc, _, err = run_cli(capsys, ["build", "--random", "2,0", "--out", str(out)])
+        assert_one_error_line(rc, err)
+        assert f"--out {str(out)!r}: Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     @pytest.mark.parametrize("rank", [171, 200])
     def test_very_high_rank_ends_in_a_result_or_one_error_line(self, capsys, rank):

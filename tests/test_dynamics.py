@@ -272,6 +272,25 @@ class TestIntegrate:
             integrate(wf, HP, np.linspace(0, 30.0, 31))
         assert math.log(2e9) <= excinfo.value.t_estimate < 30.0
 
+    def test_step_collapse_at_a_square_root_collision(self, monkeypatch):
+        # An injected right-hand side pulls the +-0.5 pair together as
+        # gap^2 = 1 - 2t: the speed blows up at t = 0.5, the step size
+        # underflows there while the gap is still above 1e-9, and the
+        # failure is reported as the collision it is.
+        wf = build_wavefunction(stellar_state_from_zeros([0.5, -0.5]))
+
+        def attracted(H):
+            def f(t, y):
+                pull = 0.5 / (y[2] - y[3])
+                return [0j, 0j, -pull, pull]
+
+            return f
+
+        monkeypatch.setattr(dynamics, "_rhs", attracted)
+        with pytest.raises(ZeroCollision, match="step collapse") as excinfo:
+            integrate(wf, HP, np.linspace(0, 1.0, 5))
+        assert abs(excinfo.value.t_estimate - 0.5) < 1e-9
+
     @pytest.mark.parametrize("rank,seed", [(1, 0), (3, 3), (4, 3), (5, 1)])
     def test_dense_grid_costs_fewer_rhs_than_samples(self, monkeypatch, rank, seed):
         # Grid samples come from the dense output of the steps that cover
@@ -692,6 +711,13 @@ class TestMatching:
     def test_size_mismatch(self):
         with pytest.raises(InvalidParameter):
             match_sets([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_entry_is_rejected(self, bad):
+        with pytest.raises(InvalidParameter, match="finite"):
+            match_sets([1.0, bad], [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match="finite"):
+            matching_distance([1.0, 2.0], [bad, 1.0])
 
 
 class TestTracker:

@@ -30,7 +30,7 @@ from stellar_zeros import (
 )
 from stellar_zeros import oracle, wavefunction
 from stellar_zeros.cli import main
-from stellar_zeros.wavefunction import _series
+from stellar_zeros.states import _series
 
 HP = QuadraticHamiltonian.phase_shift()
 # Criterion 3's Hamiltonians, which verify's benchmark also runs.
@@ -239,6 +239,15 @@ class TestZerosFromFock:
         v = stellar_to_fock(fock_state(2), 60)
         with pytest.raises(CountMismatch):
             zeros_from_fock(v, 3, 2.0)
+
+    def test_contour_catches_a_zero_the_partner_dropped(self):
+        # The partner shares only the zero at 0, so the one at 0.3 is dropped
+        # as a truncation artifact; the count around the kept zero (padded by
+        # 0.5) still finds it, on the short and the full-degree series alike.
+        v = stellar_to_fock(stellar_state_from_zeros([0.0, 0.3]), 60)
+        partner = stellar_to_fock(stellar_state_from_zeros([0.0]), 60)
+        with pytest.raises(CountMismatch, match="contour around 1 stable zeros counts 2"):
+            zeros_from_fock(v, 1, 2.0, partner=partner)
 
     def test_parameter_validation(self):
         v = stellar_to_fock(fock_state(1), 60)

@@ -212,6 +212,11 @@ class TestGershgorin:
         assert abs(rep.threshold - math.sqrt(2.0)) < 1e-14
         assert rep.separation_ok and rep.discs_disjoint_all_t
 
+    def test_exponent_without_decay_is_rejected(self):
+        # The threshold divides by |Re g2|; the form's check comes first.
+        with pytest.raises(InvalidParameter):
+            gershgorin_check([1j, -1j], 0.0)
+
     def test_close_pair_fails_condition(self):
         rep = gershgorin_check([0.1, -0.1], -0.5)
         assert not rep.separation_ok

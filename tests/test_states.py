@@ -28,6 +28,7 @@ from stellar_zeros import (
     state_to_json,
     stellar_to_fock,
 )
+from stellar_zeros.states import _series
 
 
 def vec(*amps):
@@ -100,6 +101,14 @@ class TestEnergyMoment:
     def test_requires_s_above_one(self):
         with pytest.raises(InvalidParameter):
             energy_moment(vec(1, 0), 1.0)
+
+    def test_two_terms_at_the_cutoff_are_inconclusive(self):
+        # The support reaches the cutoff, so it may be a cut tail, and two
+        # terms are too few to fit a geometric ratio.
+        rep = energy_moment(vec(1, 0, 0, 1), 2.0)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.tail_estimate == math.inf and math.isnan(rep.ratio)
+        assert abs(rep.partial_sum - 9.0) < 1e-14
 
     def test_squeezed_vacuum_thresholds(self):
         # tanh r = 0.5 puts the convergence edge at s = 2.
@@ -275,6 +284,17 @@ class TestStellarToFock:
         v = stellar_to_fock(st_)
         assert 0.0 < v.norm() ** 2 <= 1.0 + 1e-9
 
+    def test_without_a_cutoff_it_is_the_real_line_series(self):
+        # One sizing rule: the series cut where its bounded tail on the real
+        # line is below eps.  The 8<n> floor alone leaves more than 1e-10 of
+        # the norm past it for 116 of these 210 draws.
+        for rank in range(7):
+            for seed in range(30):
+                st_ = random_stellar_state(rank, seed)
+                v = stellar_to_fock(st_)
+                assert np.array_equal(v.coeffs, _series(st_, 0.0).coeffs), (rank, seed)
+                assert abs(v.norm() ** 2 - 1.0) < 1e-10, (rank, seed)
+
     def test_exponential_route_agrees(self):
         st_ = random_stellar_state(2, 4, scale=0.8)
         a = stellar_to_fock(st_, 120).coeffs
@@ -302,6 +322,25 @@ class TestRandomStellarState:
         st_ = random_stellar_state(2, 9, scale=0.5)
         assert abs(st_.alpha) <= 0.5 and abs(st_.chi) <= 0.5
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_rejects_a_scale_that_is_not_finite_and_nonnegative(self, scale):
+        with pytest.raises(InvalidParameter):
+            random_stellar_state(2, 0, scale=scale)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(InvalidParameter, match="seed"):
+            random_stellar_state(2, -1)
+
+
+class TestStellarState:
+    @pytest.mark.parametrize("field", ["core", "alpha", "chi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        params = dict(rank=1, core=np.array([0.6, 0.8j]), alpha=0.3, chi=0.2j)
+        params[field] = np.array([0.6, bad]) if field == "core" else bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            StellarState(**params)
+
 
 class TestStateJson:
     def test_roundtrip(self):
@@ -312,6 +351,13 @@ class TestStateJson:
 
     def test_rejects_unnormalized(self):
         data = {"rank": 0, "core": [[2.0, 0.0]], "alpha": [0, 0], "chi": [0, 0]}
+        with pytest.raises(InvalidParameter):
+            state_from_json(data)
+
+    @pytest.mark.parametrize("key", ["alpha", "chi"])
+    def test_rejects_non_finite_displacement_or_squeezing(self, key):
+        data = state_to_json(random_stellar_state(1, 0))
+        data[key] = [math.inf, 0.0]
         with pytest.raises(InvalidParameter):
             state_from_json(data)
 

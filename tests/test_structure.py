@@ -75,17 +75,17 @@ def _scopes_of(name, node_type=ast.Call):
 
 
 def test_series_cutoff_rule_is_written_once():
-    # Every zero count of a Fock vector sizes and builds its series by one
-    # rule: the Hermite-function bound and the Fock conversion each have
-    # exactly one caller in the package, the private helper that returns the
-    # vector the bound measured, and the commands that count zeros get a
-    # series only through that helper.  The old cutoff helpers are gone.
-    assert _scopes_of("_log_hermite_bound") == [("wavefunction", "_series")]
-    assert _scopes_of("stellar_to_fock") == [("wavefunction", "_series")]
-    counters = [("cli", "_cmd_verify"), ("wavefunction", "hudson_test")]
-    assert sorted(_scopes_of("_series")) == counters
-    for name in ("default_cutoff", "_log_hermite_bound", "stellar_to_fock"):
-        assert not set(_scopes_of(name)) & set(counters), name
+    # Every Fock vector the package sizes itself comes from one rule: the
+    # Hermite-function bound, the truncation floor and the Fock conversion
+    # each have exactly one caller in the package, the private helper that
+    # returns the vector the bound measured.  The conversion without a
+    # cutoff and the commands that count zeros get a series only through
+    # that helper.  The old cutoff helpers are gone.
+    for name in ("_log_hermite_bound", "default_cutoff", "stellar_to_fock"):
+        assert _scopes_of(name) == [("states", "_series")], name
+    callers = [("cli", "_cmd_verify"), ("states", "stellar_to_fock"),
+               ("wavefunction", "hudson_test")]
+    assert sorted(_scopes_of("_series")) == callers
     for path in Path(stellar_zeros.__file__).parent.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         for name in ("hermite_eval_cutoff", "_series_cutoff"):

@@ -43,13 +43,8 @@ from stellar_zeros import (
     stellar_state_from_zeros,
     stellar_to_fock,
 )
-from stellar_zeros.wavefunction import (
-    _CHUNK,
-    _box_boundary,
-    _hermite_functions,
-    _log_hermite_bound,
-    _series,
-)
+from stellar_zeros.states import _log_hermite_bound, _series
+from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
 
 PI14 = math.pi ** -0.25
 EPS = np.finfo(float).eps
@@ -376,7 +371,7 @@ class TestSeriesCutoff:
         # what stellar_to_fock builds at the cutoff; the first one is twice the floor.
         builds, to_fock = [], stellar_to_fock
         monkeypatch.setattr(
-            "stellar_zeros.wavefunction.stellar_to_fock",
+            "stellar_zeros.states.stellar_to_fock",
             lambda st, n: builds.append(n) or to_fock(st, n),
         )
         for rank in (0, 2, 4, 6, 8):
@@ -470,6 +465,34 @@ class TestCountZerosBox:
     def test_box_validation(self):
         with pytest.raises(InvalidParameter):
             count_zeros_box(lambda z: z, (1, 0, -1, 1))
+
+    @pytest.mark.parametrize("box", [(-math.inf, 1, -1, 1), (-1, 1, -1, math.inf),
+                                     (-1, math.nan, -1, 1)])
+    def test_non_finite_box_is_rejected(self, box):
+        with pytest.raises(InvalidParameter, match="finite"):
+            count_zeros_box(lambda z: z, box)
+
+    @pytest.mark.parametrize("zero,count", [(0.3 + 0.999j, 1), (-0.2 - 1.001j, 0),
+                                            (-0.999 + 0.45j, 1), (-1.001 + 0.45j, 0)])
+    def test_zero_next_to_an_edge_is_resolved_by_refinement(self, zero, count):
+        # 1e-3 from an edge, between two of its first samples, the zero turns the
+        # phase by nearly pi across one step: the halving passes decide its side.
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return z - zero
+
+        assert count_zeros_box(f, (-1.0, 1.0, -1.0, 1.0)) == count
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("zero,message", [
+        (1.0, "vanished"),  # on a first sample: the value is exactly zero
+        (1.0 + 1e-12 + 0.0123j, "unresolvable phase jump"),  # halving reaches the 1e-9 floor
+    ])
+    def test_zero_on_the_contour_is_a_typed_error(self, zero, message):
+        with pytest.raises(ZeroOnContour, match=message):
+            count_zeros_box(lambda z: z - zero, (-1.0, 1.0, -1.0, 1.0))
 
     @pytest.mark.parametrize(
         "f",
@@ -587,6 +610,14 @@ class TestStateFromZeros:
         back = stellar_state_from_zeros(zeros, alpha=st.alpha, chi=st.chi)
         overlap = np.vdot(back.core, st.core)
         assert np.max(np.abs(back.core * overlap / abs(overlap) - st.core)) < 1e-9
+
+    @pytest.mark.parametrize("zeros,alpha,chi", [
+        ([math.nan], 0.0, 0.0), ([0.5, math.inf], 0.0, 0.0),
+        ([0.5], math.nan, 0.0), ([0.5], 0.0, math.inf),
+    ])
+    def test_non_finite_input_is_rejected(self, zeros, alpha, chi):
+        with pytest.raises(InvalidParameter, match="finite"):
+            stellar_state_from_zeros(zeros, alpha=alpha, chi=chi)
 
     def test_close_zeros_stay_distinct(self):
         # A 1-ulp change to this core moves the pair near 3 by up to 2.5e-9,
