@@ -5,7 +5,7 @@ form polynomial times Gaussian.  This package builds that closed form,
 counts and certifies its zeros, propagates them under arbitrary quadratic
 Hamiltonians (adaptive ODE integration and an exact matrix solution that
 cross-validate), detects real-axis crossings under phase shifts, and checks
-everything against an independent truncated Fock-basis propagation.
+everything against an independent exact Fock-basis propagation.
 """
 
 from .errors import (
@@ -73,7 +73,7 @@ from .dynamics import (
     second_order_acceleration,
     zero_pair,
 )
-from .oracle import evolve_fock, hamiltonian_matrix, zeros_from_fock
+from .oracle import evolve_fock, zeros_from_fock
 from .phase import (
     AuditResult,
     CrossingEvent,

@@ -31,7 +31,7 @@ import numpy as np
 from . import dynamics, oracle, phase, states, wavefunction
 from .errors import StellarZerosError
 
-# The oracle's second cutoff: its truncation ring differs, its true zeros do not.
+# The oracle's partner holds this many more amplitudes: its ring moves, its zeros do not.
 _PARTNER_CUTOFF_STEP = 20
 _METHODS = ("ode", "closed", "both")
 
@@ -189,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid_1d = np.arange(-3.0, 3.01, 0.5)
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
-    v = states._series(st, 3.0)
+    v, work = states._series(st, 3.0)
     a = wavefunction.eval_form(wf, zs)
     b = wavefunction.eval_entire(v, zs, check=False)
     grid_scale = float(np.max(np.abs(a)))
@@ -202,11 +202,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         refs = dynamics.closed_form(wf, H, times)
         ode_dev = max(map(dynamics.matching_distance, traj.paths.T, refs))
 
-        # Each cutoff needs its own propagation: a cut of the partner would share
-        # its first N + 1 amplitudes exactly, so the partner test would keep the cut's ring.
-        vts = oracle.evolve_fock(v, H, times)
-        partners = oracle.evolve_fock(v, H, times, v.cutoff + _PARTNER_CUTOFF_STEP)
-        for vt, partner, ref in zip(vts, partners, refs):
+        # One propagation of the series with its next amplitudes (from v alone, the partner
+        # would be vt padded with zeros under a phase shift); vt is its first N + 1 rows.
+        longer = states.FockVector(work.coeffs[: v.cutoff + 1 + _PARTNER_CUTOFF_STEP])
+        partners = oracle.evolve_fock(longer, H, times)
+        for partner, ref in zip(partners, refs):
+            vt = states.FockVector(partner.coeffs[: v.cutoff + 1])
             hw = max(max(abs(z.real), abs(z.imag)) for z in ref) + 0.9
             zo = oracle.zeros_from_fock(vt, wf.rank, hw, partner=partner)
             oracle_dev = max(oracle_dev, dynamics.matching_distance(zo, ref))

@@ -67,7 +67,7 @@ class TrackingAmbiguity(StellarZerosError):
 
 
 class TruncationLeakage(StellarZerosError):
-    """Evolved state leaked into the top of the truncated basis."""
+    """Evolved state lost norm past the rows it was asked for."""
 
 
 class CountMismatch(StellarZerosError):

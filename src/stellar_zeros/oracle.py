@@ -1,20 +1,13 @@
-"""Independent ground truth: truncated Fock-basis propagation.
+"""Independent ground truth: exact Fock-basis propagation and its zeros.
 
-The quadratic Hamiltonian is the truncated pentadiagonal band of ``x^2``,
-``p^2``, ``xp + px``, ``x`` and ``p``, exactly Hermitian, and is
-exponentiated by one eigendecomposition for any number of times; evolved
-vectors are monitored for leakage into the top quarter of the basis.  A
-cutoff-N vector is a degree-N Hermite series, so a colleague-matrix
-eigen-solve gives its zeros.  The solve is first made on the degree the
-coefficients resolve (the series cut after its last coefficient above
-``eps`` of the largest), usually well below N.  The true zeros are those
-on which two Newton steps on the series of the same state at another
-cutoff agree (the truncation ring moves with the cutoff); they are
-reported as the twice-stepped roots, and one argument-principle contour
-on the full series certifies their count.  Only when that certificate
-fails is the solve repeated on the full degree.  None of this shares a
-code path with the closed-form zero dynamics, which is the point:
-agreement between the two is the package's strongest check.
+:func:`evolve_fock` gives any rows of ``exp(-iHt) v`` exactly, from the
+recurrences of a Gaussian unitary's matrix elements, with no truncated
+operator.  :func:`zeros_from_fock` takes a cutoff-N vector's zeros from its
+degree-N Hermite series, keeps those that a partner series confirms and
+certifies their count.  None of this shares a code path with the
+closed-form zero dynamics, which is the point: agreement between the two
+is the package's strongest check.  The flow of ``(a, a†, 1)`` is the one
+physics both start from; criterion 2's ODE checks it apart.
 """
 
 from __future__ import annotations
@@ -22,17 +15,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import CountMismatch, InvalidParameter, TruncationLeakage, ZeroOnContour
+from .errors import (CountMismatch, InvalidParameter, PrecisionLoss, TruncationLeakage,
+                     ZeroOnContour)
 from .dynamics import QuadraticHamiltonian
 from .states import FockVector
 from .wavefunction import _hermite_functions, count_zeros_box, eval_entire
 
-__all__ = [
-    "hamiltonian_matrix",
-    "evolve_fock",
-    "zeros_from_fock",
-]
+__all__ = ["evolve_fock", "zeros_from_fock"]
 
 # A root whose Newton step on the partner series is below this (relative
 # above |z| = 1) is a zero of both cutoffs.
@@ -45,64 +36,78 @@ _RESOLVED = np.finfo(float).eps
 # The full solve drops only trailing coefficients below this fraction of
 # the largest, since dividing by the last one could otherwise overflow.
 _NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
+# The propagated rows may lose, and rounding may add, at most this fraction of the norm.
+_LEAK = 1e-8
 
 
-def hamiltonian_matrix(H: QuadraticHamiltonian, cutoff: int) -> np.ndarray:
-    """Truncated matrix of the quadratic Hamiltonian, as a closed-form band.
+def _kernel(H: QuadraticHamiltonian, times: np.ndarray):
+    """``(a11, a12, a22, b1, b2)`` of ``<m|exp(-iHt)|n>`` at each time, and ``log|<0|U|0>|``.
 
-    For the truncated ``x = (a + a†)/sqrt(2)`` and ``p = i(a† - a)/sqrt(2)``:
-    diagonal ``(A + B)(n + 1/2) + F``, and in column n ``(D - iE) sqrt(n/2)``
-    and ``(A - B - iC) sqrt(n(n-1))/2`` above it, conjugated below, so it is
-    exactly Hermitian.  Truncation leaves the last diagonal entry at
-    ``(A + B) cutoff/2 + F``, which is why evolved states must stay away
-    from the top of the basis.
+    ``U† a U = mu a + nu a† + gamma`` is the first row of ``expm`` of the
+    generator of ``(a, a†, 1)``, so a diagonal H gives a diagonal kernel
+    (README, "Exact Fock propagation"; Miatto & Quesada, Quantum 4, 366, 2020).
     """
-    if cutoff < 4:
-        raise InvalidParameter("Hamiltonian matrix needs cutoff >= 4")
-    n = np.arange(cutoff + 1)
-    diag = (H.A + H.B) * (n + 0.5) + H.F
-    diag[-1] = (H.A + H.B) * cutoff / 2.0 + H.F
-    up1 = (H.D - 1j * H.E) * np.sqrt(n[1:] / 2.0)
-    up2 = (H.A - H.B - 1j * H.C) * 0.5 * np.sqrt(n[2:] * (n[2:] - 1.0))
-    m = np.diag(diag + 0j) + np.diag(up1, 1) + np.diag(up2, 2)
-    return m + np.triu(m, 1).conj().T
+    shift = (H.E - 1j * H.D) / math.sqrt(2.0)
+    generator = np.array([[-1j * (H.A + H.B), H.C - 1j * (H.A - H.B), shift],
+                          [H.C + 1j * (H.A - H.B), 1j * (H.A + H.B), np.conj(shift)],
+                          [0.0, 0.0, 0.0]])
+    mu, nu, gamma = expm(times[:, None, None] * generator)[:, 0, :].T
+    mu_bar, gamma_bar = np.conj(mu), np.conj(gamma)
+    log_c = 0.5 * (np.real(nu * gamma_bar**2 / mu_bar) - np.abs(gamma) ** 2 - np.log(np.abs(mu)))
+    coeffs = (nu, 1.0, -np.conj(nu), gamma * mu_bar - nu * gamma_bar, -gamma_bar)
+    return [np.asarray(c / mu_bar)[:, None] for c in coeffs], log_c
 
 
-def _top_quarter_norm(coeffs: np.ndarray) -> float:
-    start = (3 * coeffs.size) // 4
-    return float(np.sum(np.abs(coeffs[start:]) ** 2))
+def _first_column(b1, a11, log_c, rows: int) -> np.ndarray:
+    """``<m|U|0>``, ``m = 0 .. rows``, at each time from ``sqrt(m+1) g_{m+1} = b1 g_m +
+    a11 sqrt(m) g_{m-1}``, run from 1 under a running scale that ``log_c`` joins at the
+    end: the column alone can grow like ``exp(|b1|^2/2)`` and ``<0|U|0>`` underflow."""
+    sq = np.sqrt(np.arange(rows + 1)).tolist()
+    out = np.empty((log_c.size, rows + 1), dtype=complex)
+    for k, (b, a, scale) in enumerate(zip(b1[:, 0], a11[:, 0], log_c)):
+        prev, cur, vals, scales = 0j, 1 + 0j, [1 + 0j], [scale]
+        for m in range(1, rows + 1):
+            prev, cur = cur, (b * cur + a * sq[m - 1] * prev) / sq[m]
+            if abs(cur) > 1e100:
+                prev, cur, scale = prev * 1e-100, cur * 1e-100, scale + math.log(1e100)
+            vals.append(cur)
+            scales.append(scale)
+        out[k] = np.array(vals) * np.exp(scales)
+    return out
 
 
 def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t, cutoff: int | None = None):
-    """Apply ``exp(-i t H)`` in the truncated basis.
+    """Rows ``0..cutoff`` (default: the state's) of ``exp(-itH) v`` for a finite time or
+    1-d sequence of times, up to the global phase that makes ``<0|U|0>`` positive.
 
-    The truncated matrix is Hermitian, so its eigendecomposition makes the
-    propagation exactly unitary; correctness is guarded by requiring
-    the input to carry less than 1e-10 of its norm in the top quarter of
-    the basis and the output less than 1e-8.  A 1-d sequence of times gives
-    one vector per time from the one decomposition, each checked.  The
-    times must be finite.
+    Column 0 of ``g_mn = <m|U|n>`` comes from :func:`_first_column`, each later one from
+    ``sqrt(n+1) g_{m,n+1} = b2 g_mn + a12 sqrt(m) g_{m-1,n} + a22 sqrt(n) g_{m,n-1}``, which
+    reaches no row above m, so the rows are exact; each is summed against ``v`` as it is
+    made.  :class:`TruncationLeakage` if the rows lose more than 1e-8 of ``|v|^2``, and
+    :class:`PrecisionLoss` if rounding adds that much: the column recurrence amplifies it
+    with ``|gamma|`` and the number of columns.
     """
-    if cutoff is None:
-        cutoff = v.cutoff
-    if cutoff < max(4, v.cutoff):
-        raise InvalidParameter("evolution cutoff below the state cutoff")
+    rows = v.cutoff if cutoff is None else int(cutoff)
     times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.all(np.isfinite(times)):
-        raise InvalidParameter("t must be a finite scalar or 1-d sequence")
-    vec = v.padded(cutoff).coeffs
-    if _top_quarter_norm(vec) >= 1e-10:
-        raise InvalidParameter(
-            "state support reaches the top quarter of the basis; raise the cutoff"
-        )
-    evals, evecs = np.linalg.eigh(hamiltonian_matrix(H, cutoff))
-    amps = evecs.conj().T @ vec
-    out = [evecs @ (np.exp(-1j * tk * evals) * amps) for tk in times.reshape(-1)]
-    leak = max(map(_top_quarter_norm, out), default=0.0)
-    if leak > 1e-8:
-        raise TruncationLeakage(
-            f"evolved state leaked {leak:.3e} into the top quarter of the basis"
-        )
+    if rows < 0 or times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise InvalidParameter("t must be a finite scalar or 1-d sequence, cutoff nonnegative")
+    c = v.coeffs[: max(1, np.trim_zeros(v.coeffs, "b").size)]
+    norm = float(np.sum(np.abs(c) ** 2))
+    (a11, a12, a22, b1, b2), log_c = _kernel(H, times.reshape(-1))
+    up = a12 * np.sqrt(np.arange(1, rows + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = _first_column(b1, a11, log_c, rows)
+        prev, out = np.zeros_like(col), c[0] * col
+        for n in range(1, c.size):
+            nxt = b2 * col + (a22 * math.sqrt(n - 1)) * prev
+            nxt[:, 1:] += up * col[:, :-1]
+            prev, col = col, nxt * (1.0 / math.sqrt(n))
+            out += c[n] * col
+        lost = norm - np.sum(np.abs(out) ** 2, axis=1)
+    if not np.all(lost >= -_LEAK * norm):
+        raise PrecisionLoss(f"rounding in the column recurrence added {-lost.min():.3e} to |v|^2")
+    if np.any(lost > _LEAK * norm):
+        raise TruncationLeakage(f"evolved state lost {lost.max():.3e} of |v|^2 past row {rows}")
     return [FockVector(o) for o in out] if times.ndim else FockVector(out[0])
 
 

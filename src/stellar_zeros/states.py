@@ -76,14 +76,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def padded(self, cutoff: int) -> "FockVector":
-        """Zero-pad (or reject shrinking) to the requested cutoff."""
-        if cutoff < self.cutoff:
-            raise InvalidParameter("padded() cannot shrink a FockVector")
-        out = np.zeros(cutoff + 1, dtype=complex)
-        out[: self.coeffs.size] = self.coeffs
-        return FockVector(out)
-
 
 @dataclass(frozen=True)
 class StellarState:
@@ -318,7 +310,7 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     Hermite series' bounded tail on the real line falls below ``eps``.
     """
     if cutoff is None:
-        return _series(st, 0.0)
+        return _series(st, 0.0)[0]
     if cutoff < st.rank:
         raise CutoffTooSmall("cutoff below the stellar rank")
     pad = max(24, (cutoff + 1) // 2)
@@ -360,16 +352,17 @@ def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
             + _SQRT2 * y * rho - xlogy(n, rho))
 
 
-def _series(st: StellarState, max_abs_im: float) -> FockVector:
-    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``.
+def _series(st: StellarState, max_abs_im: float) -> tuple[FockVector, FockVector]:
+    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``, and the
+    working vector it was read from.
 
     The one rule by which :func:`stellar_to_fock` without a cutoff,
     :func:`~stellar_zeros.wavefunction.hudson_test` and ``verify`` size and build a series:
     the least cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
     (:func:`_log_hermite_bound`), not below :func:`default_cutoff`, read off a working vector
     doubled from twice that floor until ``N`` is below its top quarter.  The recurrences run
-    forward, so the vector is the working one's start.  Raises :class:`PrecisionLoss` if
-    amplitudes underflow first.
+    forward, so the vector is the working one's start, which holds at least 30 amplitudes
+    more.  Raises :class:`PrecisionLoss` if amplitudes underflow first.
     """
     floor = work = default_cutoff(st.rank, st.alpha, st.chi)
     while True:
@@ -390,7 +383,7 @@ def _series(st: StellarState, max_abs_im: float) -> FockVector:
             f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
             f"the amplitudes underflow past n = {cut}"
         )
-    return FockVector(v.coeffs[: max(floor, cut) + 1])
+    return FockVector(v.coeffs[: max(floor, cut) + 1]), v
 
 
 def phase_shift(v: FockVector, theta: float) -> FockVector:

@@ -467,7 +467,7 @@ def hudson_test(st: StellarState) -> HudsonResult:
     res = [z.real for z in wf.zeros] or [0.0]
     ims = [z.imag for z in wf.zeros] or [0.0]
     box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
-    v = _series(st, max(abs(box[2]), abs(box[3])))
+    v, _ = _series(st, max(abs(box[2]), abs(box[3])))
     count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box)
     return HudsonResult(gaussian=(count == 0), zero_count=count)
 

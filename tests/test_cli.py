@@ -259,6 +259,26 @@ class TestVerifyCommand:
         assert "status=PASS" in out
         assert float(re.search(r"oracle=(\S+)", out).group(1)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "spec, hamiltonian",
+        [
+            ("1,0", "0.50,0.45,0.08,0.12,-0.10,0"),
+            ("6,1", "0.50,0.45,0.08,0.12,-0.10,0"),
+            ("1,0", "0.45,0.52,-0.10,-0.10,0.08,0"),
+            ("6,1", "0.45,0.52,-0.10,-0.10,0.08,0"),
+            ("4,0", "0.45,0.52,-0.10,-0.10,0.08,0"),
+            ("1,0", "0.5,0.5,0,0,0,0"),
+        ],
+    )
+    def test_exact_propagation_passes(self, capsys, spec, hamiltonian):
+        # The evolved amplitudes must carry no rounding floor, which the
+        # Hermite weights would turn into spurious rings near the zeros.  The
+        # phase-shift run needs the partner to carry the series' own next
+        # amplitudes: padded with zeros, it keeps the cut's ring.
+        rc, out, _ = run_cli(capsys, ["verify", "--random", spec, "--hamiltonian=" + hamiltonian])
+        assert rc == 0
+        assert "status=PASS" in out
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
         rc, out, err = run_cli(capsys, ["verify", "--random", "3,1", "--tol", tol])

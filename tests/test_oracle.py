@@ -1,10 +1,12 @@
-"""Truncated Fock-basis propagation and oracle zero extraction."""
+"""Exact Fock-basis propagation and oracle zero extraction."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import annihilation_matrix, fock_state, ring_state
 
@@ -12,6 +14,7 @@ from stellar_zeros import (
     CountMismatch,
     FockVector,
     InvalidParameter,
+    PrecisionLoss,
     QuadraticHamiltonian,
     StellarState,
     TruncationLeakage,
@@ -19,7 +22,6 @@ from stellar_zeros import (
     closed_form,
     eval_entire,
     evolve_fock,
-    hamiltonian_matrix,
     matching_distance,
     normalize,
     random_stellar_state,
@@ -65,6 +67,21 @@ def dense_partner_keep(roots, partner):
     return gap <= oracle._AGREE * np.maximum(1.0, np.abs(roots))
 
 
+def aligned(out, ref):
+    """``out`` times the global phase that brings it closest to ``ref``."""
+    inner = np.vdot(out, ref)
+    return out * (inner / abs(inner))
+
+
+def displacement_element(alpha, m, n):
+    """``<m|D(alpha)|n>`` from the associated Laguerre polynomials."""
+    x = abs(alpha) ** 2
+    if m < n:  # <m|D(alpha)|n> = conj(<n|D(-alpha)|m>)
+        return np.conj(displacement_element(-alpha, n, m))
+    log_ratio = 0.5 * (gammaln(n + 1.0) - gammaln(m + 1.0)) - 0.5 * x
+    return np.exp(log_ratio) * alpha ** (m - n) * eval_genlaguerre(n, m - n, x)
+
+
 def roots_in_box(v, hw):
     roots = oracle._hermite_roots(v)
     return roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
@@ -93,64 +110,27 @@ def count_hermite_solves(monkeypatch):
     return calls
 
 
-class TestHamiltonianMatrix:
-    def test_number_operator_diagonal(self):
-        diag = np.real(np.diag(hamiltonian_matrix(HP, 20)))
-        want = np.arange(21) + 0.5
-        # entries near the truncation edge deviate by construction
-        assert np.max(np.abs(diag[:-2] - want[:-2])) < 1e-13
-
-    def test_position_operator_offdiagonals(self):
-        m = hamiltonian_matrix(QuadraticHamiltonian(D=1.0), 10)
-        ns = np.arange(10)
-        want = np.sqrt(ns + 1) / math.sqrt(2)
-        assert np.allclose(np.diag(m, 1), want)
-        assert np.allclose(np.diag(m, -1), want)
-
-    def test_constant_term(self):
-        m = hamiltonian_matrix(QuadraticHamiltonian(F=2.5), 6)
-        assert np.allclose(m, 2.5 * np.eye(7))
-
-    def test_hermitian_defect_tiny(self):
-        m = hamiltonian_matrix(
-            QuadraticHamiltonian(A=0.7, B=0.3, C=-0.4, D=0.2, E=0.1, F=1.0), 30
-        )
-        assert np.array_equal(m, m.conj().T)
-
-    def test_cutoff_floor(self):
-        with pytest.raises(InvalidParameter):
-            hamiltonian_matrix(HP, 3)
-
-    @pytest.mark.parametrize("cutoff", [4, 20, 123])
-    @pytest.mark.parametrize(
-        "H",
-        [QuadraticHamiltonian(**{name: 0.7}) for name in "ABCDEF"]
-        + [QuadraticHamiltonian(A=0.7, B=0.3, C=-0.4, D=0.2, E=0.1, F=1.0)],
-        ids=list("ABCDEF") + ["mixed"],
-    )
-    def test_band_matches_dense_products(self, H, cutoff):
-        m = hamiltonian_matrix(H, cutoff)
-        assert np.max(np.abs(m - dense_hamiltonian(H, cutoff))) < 1e-13
-
-
 class TestEvolveFock:
+    # evolve_fock fixes the global phase by a real positive <0|U|0>, so these
+    # compare after aligning it.
     def test_vacuum_eigenphase(self):
         v = FockVector(np.array([1.0] + [0.0] * 20, dtype=complex))
         t = 0.9
-        out = evolve_fock(v, HP, t)
-        assert abs(out.coeffs[0] - np.exp(-0.5j * t)) < 1e-12
+        out = aligned(evolve_fock(v, HP, t).coeffs, np.exp(-0.5j * t) * v.coeffs)
+        assert abs(out[0] - np.exp(-0.5j * t)) < 1e-12
 
     def test_constant_hamiltonian_is_scalar_phase(self):
-        v = normalize(FockVector(np.array([0.5, 0.5j, 0.7], dtype=complex))).padded(16)
-        out = evolve_fock(v, QuadraticHamiltonian(F=1.7), 2.0)
-        assert np.max(np.abs(out.coeffs - v.coeffs * np.exp(-1j * 1.7 * 2.0))) < 1e-12
+        v = FockVector(np.pad(normalize(FockVector(np.array([0.5, 0.5j, 0.7]))).coeffs, (0, 14)))
+        want = v.coeffs * np.exp(-1j * 1.7 * 2.0)
+        out = aligned(evolve_fock(v, QuadraticHamiltonian(F=1.7), 2.0).coeffs, want)
+        assert np.max(np.abs(out - want)) < 1e-12
 
     def test_single_photon_full_turn(self):
         v = FockVector(np.array([0, 1.0] + [0.0] * 19, dtype=complex))
-        out = evolve_fock(v, HP, 2 * math.pi)
+        out = aligned(evolve_fock(v, HP, 2 * math.pi).coeffs, -v.coeffs)
         # eigenphase exp(-i (1 + 1/2) 2 pi) = -1
-        assert abs(out.coeffs[1] + 1.0) < 1e-12
-        assert np.max(np.abs(np.abs(out.coeffs) - np.abs(v.coeffs))) < 1e-12
+        assert abs(out[1] + 1.0) < 1e-12
+        assert np.max(np.abs(np.abs(out) - np.abs(v.coeffs))) < 1e-12
 
     def test_unitarity(self):
         st = ring_state(3, 2)
@@ -165,7 +145,7 @@ class TestEvolveFock:
         H = QuadraticHamiltonian(A=0.45, B=0.5, C=-0.1, D=0.1, E=0.2)
         two_steps = evolve_fock(evolve_fock(v, H, 0.4, 80), H, 0.9, 80)
         one_step = evolve_fock(v, H, 1.3, 80)
-        assert np.max(np.abs(two_steps.coeffs - one_step.coeffs)) < 1e-8
+        assert np.max(np.abs(aligned(two_steps.coeffs, one_step.coeffs) - one_step.coeffs)) < 1e-8
 
     def test_times_sequence_equals_scalar_calls(self):
         v = stellar_to_fock(ring_state(3, 2), 80)
@@ -193,18 +173,100 @@ class TestEvolveFock:
         with pytest.raises(InvalidParameter):
             evolve_fock(v, HP, [[0.1, 0.2]])
 
-    def test_support_precondition(self):
-        bad = np.zeros(41, dtype=complex)
-        bad[38] = 1.0
-        with pytest.raises(InvalidParameter):
-            evolve_fock(FockVector(bad), HP, 0.1)
-
     def test_leakage_detected(self):
         # strong single-mode squeezing at a tiny cutoff spills amplitude
         v = FockVector(np.array([1.0] + [0.0] * 11, dtype=complex))
         squeezer = QuadraticHamiltonian(A=1.0, B=-1.0)
         with pytest.raises(TruncationLeakage):
             evolve_fock(v, squeezer, 2.0)
+
+    def test_rows_past_the_input_are_exact(self):
+        # Rows above the input's cutoff come from the same recurrences, so a
+        # vector propagated to more rows starts with the shorter propagation.
+        v = stellar_to_fock(ring_state(2, 4), 80)
+        short, long = evolve_fock(v, VERIFY_HAMILTONIANS[2], 1.1), evolve_fock(
+            v, VERIFY_HAMILTONIANS[2], 1.1, 120
+        )
+        assert np.array_equal(long.coeffs[:81], short.coeffs)
+
+
+class TestKernelPins:
+    """The propagation against matrix elements known exactly."""
+
+    def test_phase_shift_is_diagonal(self):
+        v = stellar_to_fock(ring_state(3, 2), 80)
+        n = np.arange(81)
+        for t in VERIFY_TIMES + (2 * math.pi,):
+            want = np.exp(-1j * (n + 0.5) * t) * v.coeffs
+            out = aligned(evolve_fock(v, HP, t).coeffs, want)
+            assert np.max(np.abs(out - want)) < 1e-13, t
+
+    @pytest.mark.parametrize("D, E, t", [(0.3, -0.5, 1.3), (-0.9, 0.6, 1.1)])
+    def test_displacement_is_laguerre(self, D, E, t):
+        # exp(-i t (D x + E p)) = D(alpha) with alpha = t (E - i D) / sqrt(2).
+        alpha = t * complex(E, -D) / math.sqrt(2.0)
+        rows, cols = 40, 16
+        got = np.stack(
+            [evolve_fock(FockVector(np.eye(cols + 1)[n]), QuadraticHamiltonian(D=D, E=E), t,
+                         rows).coeffs for n in range(cols + 1)], axis=1
+        )
+        want = np.array(
+            [[displacement_element(alpha, m, n) for n in range(cols + 1)] for m in range(rows + 1)]
+        )
+        assert np.max(np.abs(aligned(got.ravel(), want.ravel()) - want.ravel())) < 1e-13
+
+    def test_rows_match_a_dense_exponential(self):
+        # Criterion 3's states and Hamiltonians: rows <= 80 of the exact
+        # propagation against a dense expm of the cutoff-160 Hamiltonian,
+        # whose own truncation stays far above row 80.
+        worst = norm_dev = 0.0
+        vs = [
+            stellar_to_fock(ring_state(rank, 10 + rank, radius=0.85, chi=0.12, alpha=0.08), 80)
+            for rank in (1, 2, 3, 4)
+        ]
+        for H in VERIFY_HAMILTONIANS:
+            dense = [expm(-1j * t * dense_hamiltonian(H, 160))[:81, :81] for t in VERIFY_TIMES]
+            for v in vs:
+                for u, out in zip(dense, evolve_fock(v, H, VERIFY_TIMES)):
+                    want = u @ v.coeffs
+                    worst = max(worst, np.max(np.abs(aligned(out.coeffs, want) - want)))
+                    norm_dev = max(norm_dev, abs(out.norm() - v.norm()))
+        assert worst < 1e-13
+        assert norm_dev < 1e-13
+
+    @pytest.mark.parametrize(
+        "H",
+        [QuadraticHamiltonian(**{name: 0.7}) for name in "ABCDEF"]
+        + [QuadraticHamiltonian(A=0.7, B=0.3, C=-0.4, D=0.2, E=0.1, F=1.0)],
+        ids=list("ABCDEF") + ["mixed"],
+    )
+    def test_each_term_matches_a_dense_exponential(self, H):
+        # Each term's sign and scale, one at a time, on rows <= 80.
+        v = stellar_to_fock(ring_state(2, 4), 40)
+        for t in (0.5, 1.3):
+            want = expm(-1j * t * dense_hamiltonian(H, 160))[:81, :41] @ v.coeffs
+            out = evolve_fock(v, H, t, 80).coeffs
+            assert np.max(np.abs(aligned(out, want) - want)) < 1e-13, t
+
+    def test_strong_displacement_stays_finite(self):
+        # |gamma|^2 = 1600: <0|U|0> = exp(-800) underflows, while the column
+        # without it would reach exp(800); the running scale keeps both apart.
+        gamma = 40.0
+        H = QuadraticHamiltonian(E=gamma * math.sqrt(2.0))
+        vacuum = FockVector(np.array([1.0, 0.0], dtype=complex))
+        out = evolve_fock(vacuum, H, 1.0, 2100).coeffs
+        m = np.arange(out.size)
+        want = np.exp(-0.5 * gamma**2 + m * math.log(gamma) - 0.5 * gammaln(m + 1.0))
+        assert np.max(np.abs(out - want)) < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    def test_unstable_columns_are_a_typed_error(self):
+        # The column recurrence amplifies rounding with |gamma| and the number
+        # of columns: 80 columns at |gamma| = 40 end in PrecisionLoss, not NaN.
+        v = stellar_to_fock(ring_state(3, 2), 80)
+        H = QuadraticHamiltonian(E=40.0 * math.sqrt(2.0))
+        with pytest.raises(PrecisionLoss):
+            evolve_fock(v, H, 1.0, 2100)
 
 
 class TestZerosFromFock:
@@ -278,20 +340,19 @@ class TestOracleLoop:
         assert matching_distance(got, want) < 1e-4
 
     def test_partner_cutoff_rejects_truncation_ring(self):
-        # At t = 1.1 the rank-4 zeros spread until a truncation-ring zero
-        # of the full cutoff-80 series falls inside the box; the cutoff-100
+        # At t = 1.1 the rank-6 zeros spread until five truncation-ring zeros
+        # of the full cutoff-80 series fall inside the box; the cutoff-100
         # vector's ring lies elsewhere, so only the true zeros agree.
-        st = ring_state(4, 0, radius=0.85, chi=0.12, alpha=0.08)
+        st = ring_state(6, 0, radius=0.85, chi=0.12, alpha=0.08)
         wf = build_wavefunction(st)
         H = QuadraticHamiltonian(A=0.45, B=0.52, C=-0.10, D=-0.10, E=0.08)
         t = 1.1
-        v = stellar_to_fock(st, 80)
-        vt = evolve_fock(v, H, t, 80)
-        partner = evolve_fock(v, H, t, 100)
+        vt = evolve_fock(stellar_to_fock(st, 80), H, t)
+        partner = evolve_fock(stellar_to_fock(st, 100), H, t)
         want = closed_form(wf, H, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        assert roots_in_box(vt, hw).size == 5
-        got = zeros_from_fock(vt, 4, hw, partner=partner)
+        assert roots_in_box(vt, hw).size == 11
+        got = zeros_from_fock(vt, 6, hw, partner=partner)
         assert matching_distance(got, want) < 1e-8
 
     @pytest.mark.parametrize("t, solves", [(0.3, 1), (1.1, 1), (2.9, 2)])
@@ -300,10 +361,10 @@ class TestOracleLoop:
         # 1e-20, below what the short solve keeps: its count fails and the
         # full-degree solve finds the zero.
         st = random_stellar_state(6, 1)
-        v = _series(st, 3.0)
+        v = _series(st, 3.0)[0]
         cutoff = v.cutoff
-        vt = evolve_fock(v, HP, t, cutoff)
-        partner = evolve_fock(v, HP, t, cutoff + 20)
+        vt = evolve_fock(v, HP, t)
+        partner = evolve_fock(stellar_to_fock(st, cutoff + 20), HP, t)
         want = closed_form(build_wavefunction(st), HP, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
         orders, hermite_roots = [], oracle._hermite_roots
@@ -327,10 +388,10 @@ class TestNewtonPartner:
         for rank in range(1, 7):
             st = ring_state(rank, 10 + rank, radius=0.85, chi=0.12, alpha=0.08)
             wf = build_wavefunction(st)
-            v = stellar_to_fock(st, 80)
+            v, longer = stellar_to_fock(st, 80), stellar_to_fock(st, 100)
             for H in VERIFY_HAMILTONIANS:
-                vts = evolve_fock(v, H, VERIFY_TIMES, 80)
-                partners = evolve_fock(v, H, VERIFY_TIMES, 100)
+                vts = evolve_fock(v, H, VERIFY_TIMES)
+                partners = evolve_fock(longer, H, VERIFY_TIMES)
                 for t, vt, partner in zip(VERIFY_TIMES, vts, partners):
                     want = closed_form(wf, H, t)
                     hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
@@ -343,15 +404,14 @@ class TestNewtonPartner:
         assert rejected > 0
 
     def test_rank1_steps_at_roundoff_are_kept(self):
-        # Both steps sit at ~1.2e-16, so the second is not half the first:
-        # only the roundoff floor keeps the true zero.  That premise rests on
-        # the core's last bits, so the core of the zero 1j is pinned.
-        core = np.array([-0.8164965809277261j, 0.5773502691896258])
+        # Both steps sit at ~2e-16 to 5e-16, so the second is not half the
+        # first: only the roundoff floor keeps the true zero.  That premise
+        # rests on the core's last bits, so the core of the zero 1.5j is pinned.
+        core = np.array([-0.9045340337332909j, 0.42640143271122094])
         st = StellarState(rank=1, core=core, alpha=0.0, chi=0.0)
-        v = _series(st, 3.0)
-        cutoff = v.cutoff
-        vts = evolve_fock(v, HP, VERIFY_TIMES, cutoff)
-        partners = evolve_fock(v, HP, VERIFY_TIMES, cutoff + 20)
+        v = _series(st, 3.0)[0]
+        vts = evolve_fock(v, HP, VERIFY_TIMES)
+        partners = evolve_fock(stellar_to_fock(st, v.cutoff + 20), HP, VERIFY_TIMES)
         for vt, partner in zip(vts, partners):
             roots = roots_in_box(vt, 2.0)
             assert roots.size == 1
@@ -363,8 +423,8 @@ class TestNewtonPartner:
         # The NaN candidate's first step is NaN, so both Hermite solves hold
         # a non-finite point; the true roots must not see it.
         st = ring_state(3, 2)
-        v = stellar_to_fock(st, 80)
-        vt, partner = evolve_fock(v, HP, 1.1, 80), evolve_fock(v, HP, 1.1, 100)
+        vt = evolve_fock(stellar_to_fock(st, 80), HP, 1.1)
+        partner = evolve_fock(stellar_to_fock(st, 100), HP, 1.1)
         candidates = roots_in_box(vt, 2.5)
         roots = candidates[oracle._partner_agrees(partner, candidates)[0]]
         assert roots.size == 3
@@ -381,17 +441,18 @@ class TestNewtonPartner:
         assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j]))[0])
 
 
-def test_verify_makes_two_decompositions_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
-    # One eigh per cutoff and no colleague solve for the partner: a return
+def test_verify_makes_one_propagation_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
+    # One propagation for all times, its first rows the solved vectors and
+    # all of it the partner, and no colleague solve for the partner: a return
     # to one dense solve per time fails here, not only in the benchmark.
     # Each solve is on the degree the coefficients resolve, below the cutoff.
-    calls = {"eigh": 0, "colleague": 0}
+    calls = {"propagations": 0, "colleague": 0}
     orders, resolved, cutoffs = [], [], []
-    eigh, hermite_roots = np.linalg.eigh, oracle._hermite_roots
+    propagate, hermite_roots = oracle.evolve_fock, oracle._hermite_roots
 
-    def counting_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
+    def counting_propagation(*args, **kwargs):
+        calls["propagations"] += 1
+        return propagate(*args, **kwargs)
 
     def counting_roots(v, *args, **kwargs):
         calls["colleague"] += 1
@@ -402,13 +463,13 @@ def test_verify_makes_two_decompositions_and_three_colleague_solves(monkeypatch,
         cutoffs.append(v.cutoff)
         return roots
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(oracle, "evolve_fock", counting_propagation)
     monkeypatch.setattr(oracle, "_hermite_roots", counting_roots)
     path = tmp_path / "r2.json"
     path.write_text(json.dumps(state_to_json(ring_state(2, 1))), encoding="utf-8")
     assert main(["verify", "--state", str(path)]) == 0
     assert "status=PASS" in capsys.readouterr().out
-    assert calls == {"eigh": 2, "colleague": 3}
+    assert calls == {"propagations": 1, "colleague": 3}
     assert orders == resolved
     assert all(n < cutoff for n, cutoff in zip(orders, cutoffs))
 

@@ -112,6 +112,15 @@ def test_only_integrate_builds_step_interpolants():
     assert _scopes_of("dense_output") == [("dynamics", "integrate")]
 
 
+def test_oracle_propagates_without_a_truncated_hamiltonian():
+    # The propagation is the exact kernel recurrence: no eigendecomposition
+    # of a truncated Hamiltonian, whose band builder is gone from the API.
+    assert [s for s in _scopes_of("eigh") if s[0] == "oracle"] == []
+    assert "eigh" not in Path(stellar_zeros.oracle.__file__).read_text(encoding="utf-8")
+    assert not hasattr(stellar_zeros, "hamiltonian_matrix")
+    assert not hasattr(stellar_zeros.oracle, "hamiltonian_matrix")
+
+
 def test_oracle_has_one_colleague_solver():
     # The short solve and its full-degree fallback are one function with a
     # floor argument, so the oracle's only eigenvalue solve lives there.
