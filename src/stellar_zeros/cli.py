@@ -29,10 +29,12 @@ import sys
 import numpy as np
 
 from . import dynamics, oracle, phase, states, wavefunction
-from .errors import StellarZerosError
+from .errors import InvalidParameter, StellarZerosError
 
 # The oracle's partner holds this many more amplitudes: its ring moves, its zeros do not.
 _PARTNER_CUTOFF_STEP = 20
+# verify refuses a longer oracle series: a colleague solve is O(N^3), 20 s at this N on one core.
+_MAX_ORACLE_CUTOFF = 2048
 _METHODS = ("ode", "closed", "both")
 
 
@@ -198,6 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Zero propagation: ODE vs closed form vs Fock oracle.
     ode_dev = oracle_dev = 0.0
     if wf.rank > 0:
+        if v.cutoff > _MAX_ORACLE_CUTOFF:
+            raise InvalidParameter(f"oracle series needs N = {v.cutoff}, past verify's cap N = "
+                                   f"{_MAX_ORACLE_CUTOFF}")
         traj = dynamics.integrate(wf, H, times)
         refs = dynamics.closed_form(wf, H, times)
         ode_dev = max(map(dynamics.matching_distance, traj.paths.T, refs))

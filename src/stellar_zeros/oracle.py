@@ -12,6 +12,7 @@ physics both start from; criterion 2's ODE checks it apart.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -26,15 +27,16 @@ from .wavefunction import _hermite_functions, count_zeros_box, eval_entire
 __all__ = ["evolve_fock", "zeros_from_fock"]
 
 # A root whose Newton step on the partner series is below this (relative
-# above |z| = 1) is a zero of both cutoffs.
+# above |z| = 1) is a zero of both cutoffs.  Coefficients below _AGREE**2 of
+# the largest move a root of condition <= 1/_AGREE by less than that.
 _AGREE = 1e-6
 # Margin of the certificate contour around the kept zeros.
 _PAD = 0.5
-# The short solve cuts the series after its last coefficient above this
-# fraction of the largest.
+# The next solve (the first without a partner) cuts the series after its
+# last coefficient above this fraction of the largest.
 _RESOLVED = np.finfo(float).eps
-# The full solve drops only trailing coefficients below this fraction of
-# the largest, since dividing by the last one could otherwise overflow.
+# The last solve, at the full degree, drops only trailing coefficients below
+# this fraction of the largest, since dividing by the last one could overflow.
 _NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
 # The propagated rows may lose, and rounding may add, at most this fraction of the norm.
 _LEAK = 1e-8
@@ -162,29 +164,30 @@ def zeros_from_fock(
     """Zeros of the entire extension inside a centered square box.
 
     The candidate zeros come from one eigen-solve (:func:`_hermite_roots`)
-    on the degree the coefficients resolve: the series cut after its last
-    coefficient above ``eps`` of the largest.  Truncation adds a ring of
-    spurious zeros that moves with the cutoff, while the true zeros do
-    not: of the roots in the box, only those on which two Newton steps on
-    the series of ``partner`` (the same state at another cutoff) agree are
-    kept, and they are returned after those two steps.  Without a partner
-    every root in the box is kept as it is.  The kept roots must number
-    ``expected_rank``, and the argument principle on the full series of
-    ``v``, around their bounding rectangle padded by 0.5 (the box itself
-    when there are none), must count exactly them.  If either check fails
-    (the short series can miss a zero that only its tail resolves), the
-    same steps are run once on the full degree, and its
-    :class:`CountMismatch` or :class:`ZeroOnContour` is the one raised.
+    of the series cut after its last coefficient above ``_AGREE**2`` of the
+    largest when a partner polishes them, else above ``eps``.  Truncation
+    adds a ring of spurious zeros that moves with the cutoff, while the
+    true zeros do not: of the roots in the box, only those on which two
+    Newton steps on the series of ``partner`` (the same state at another
+    cutoff) agree are kept, and they are returned after those two steps.
+    Without a partner every root in the box is kept as it is.  The kept
+    roots must number ``expected_rank``, and the argument principle on the
+    full series of ``v``, around their bounding rectangle padded by 0.5
+    (the box itself when there are none), must count exactly them.  If
+    either check fails (a short series can miss a zero that only its tail
+    resolves), the same steps run at the next floor, ``eps`` and then the
+    full degree, whose :class:`CountMismatch` or :class:`ZeroOnContour` is raised.
     """
     if expected_rank < 0:
         raise InvalidParameter("expected_rank must be nonnegative")
     if not 0 < box_halfwidth < math.inf:
         raise InvalidParameter("box_halfwidth must be positive and finite")
     hw = float(box_halfwidth)
-    try:
-        return _certified_zeros(v, expected_rank, hw, partner, _RESOLVED)
-    except (CountMismatch, ZeroOnContour):
-        return _certified_zeros(v, expected_rank, hw, partner, _NEGLIGIBLE)
+    floors = (_RESOLVED, _NEGLIGIBLE) if partner is None else (_AGREE**2, _RESOLVED, _NEGLIGIBLE)
+    for floor in floors[:-1]:
+        with contextlib.suppress(CountMismatch, ZeroOnContour):
+            return _certified_zeros(v, expected_rank, hw, partner, floor)
+    return _certified_zeros(v, expected_rank, hw, partner, floors[-1])
 
 
 def _certified_zeros(v, expected_rank, hw, partner, floor) -> list:

@@ -14,10 +14,11 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
-from stellar_zeros import cli, dynamics, states
+from stellar_zeros import cli, dynamics, oracle, states
 from stellar_zeros import (
     StellarState,
     matching_distance,
+    random_stellar_state,
     state_to_json,
     stellar_state_from_zeros,
 )
@@ -278,6 +279,17 @@ class TestVerifyCommand:
         rc, out, _ = run_cli(capsys, ["verify", "--random", spec, "--hamiltonian=" + hamiltonian])
         assert rc == 0
         assert "status=PASS" in out
+
+    def test_series_past_the_cap_is_refused_before_propagating(self, capsys, tmp_state, monkeypatch):
+        # This state's series has N = 15,961: its colleague matrix alone would take
+        # about 4 GB, so verify names the cap before anything is propagated or solved.
+        monkeypatch.setattr(dynamics, "integrate", lambda *a: pytest.fail("integrated"))
+        monkeypatch.setattr(oracle, "evolve_fock", lambda *a: pytest.fail("propagated"))
+        path = tmp_state("big.json", random_stellar_state(6, 0, scale=2.0))
+        rc, out, err = run_cli(capsys, ["verify", "--state", path])
+        assert_one_error_line(rc, err)
+        assert "N = 15961, past verify's cap N = 2048" in err
+        assert out == ""
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):

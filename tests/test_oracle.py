@@ -355,11 +355,15 @@ class TestOracleLoop:
         got = zeros_from_fock(vt, 6, hw, partner=partner)
         assert matching_distance(got, want) < 1e-8
 
-    @pytest.mark.parametrize("t, solves", [(0.3, 1), (1.1, 1), (2.9, 2)])
-    def test_short_solve_falls_back_to_the_full_degree(self, monkeypatch, t, solves):
-        # At t = 2.9 the zero near 5.42+0.40i needs coefficients down to
-        # 1e-20, below what the short solve keeps: its count fails and the
-        # full-degree solve finds the zero.
+    @pytest.mark.parametrize(
+        "t, orders", [(0.3, [80, 99]), (1.1, [80]), (2.9, [80, 99, 179])], ids=["0.3", "1.1", "2.9"]
+    )
+    def test_solve_escalates_through_the_floors(self, monkeypatch, t, orders):
+        # With a partner the first solve cuts the series at _AGREE**2 of its
+        # largest coefficient, the next at eps, the last at the full degree.
+        # At t = 0.3 the first count fails and the eps rung certifies; at
+        # t = 2.9 the zero near 5.42+0.40i needs coefficients down to 1e-20,
+        # below what both short solves keep, and the full-degree solve finds it.
         st = random_stellar_state(6, 1)
         v = _series(st, 3.0)[0]
         cutoff = v.cutoff
@@ -367,18 +371,18 @@ class TestOracleLoop:
         partner = evolve_fock(stellar_to_fock(st, cutoff + 20), HP, t)
         want = closed_form(build_wavefunction(st), HP, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        orders, hermite_roots = [], oracle._hermite_roots
+        solved, hermite_roots = [], oracle._hermite_roots
 
         def recording_roots(*args, **kwargs):
             roots = hermite_roots(*args, **kwargs)
-            orders.append(roots.size)
+            solved.append(roots.size)
             return roots
 
         monkeypatch.setattr(oracle, "_hermite_roots", recording_roots)
         got = zeros_from_fock(vt, 6, hw, partner=partner)
-        assert len(orders) == solves
-        assert orders[-1] == (cutoff if solves == 2 else orders[0])
-        assert orders[0] < cutoff
+        assert solved == orders
+        assert solved[0] < cutoff
+        assert (solved[-1] == cutoff) == (len(solved) == 3)  # only the last rung is the full degree
         assert matching_distance(got, want) < 1e-9
 
 
@@ -441,37 +445,59 @@ class TestNewtonPartner:
         assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j]))[0])
 
 
-def test_verify_makes_one_propagation_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
-    # One propagation for all times, its first rows the solved vectors and
-    # all of it the partner, and no colleague solve for the partner: a return
-    # to one dense solve per time fails here, not only in the benchmark.
-    # Each solve is on the degree the coefficients resolve, below the cutoff.
-    calls = {"propagations": 0, "colleague": 0}
-    orders, resolved, cutoffs = [], [], []
+def spy_on_oracle(monkeypatch):
+    """Count propagations; per colleague solve, its degree, the last coefficient above
+    ``_AGREE**2`` of the largest (the first rung's cut) and the cutoff."""
+    seen = {"propagations": 0, "orders": [], "resolved": [], "cutoffs": []}
     propagate, hermite_roots = oracle.evolve_fock, oracle._hermite_roots
 
     def counting_propagation(*args, **kwargs):
-        calls["propagations"] += 1
+        seen["propagations"] += 1
         return propagate(*args, **kwargs)
 
     def counting_roots(v, *args, **kwargs):
-        calls["colleague"] += 1
         roots = hermite_roots(v, *args, **kwargs)
         c = np.abs(v.coeffs)
-        orders.append(roots.size)
-        resolved.append(int(np.flatnonzero(c > np.finfo(float).eps * c.max())[-1]))
-        cutoffs.append(v.cutoff)
+        seen["orders"].append(roots.size)
+        seen["resolved"].append(int(np.flatnonzero(c > oracle._AGREE**2 * c.max())[-1]))
+        seen["cutoffs"].append(v.cutoff)
         return roots
 
     monkeypatch.setattr(oracle, "evolve_fock", counting_propagation)
     monkeypatch.setattr(oracle, "_hermite_roots", counting_roots)
+    return seen
+
+
+def test_verify_makes_one_propagation_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
+    # One propagation for all times, its first rows the solved vectors and
+    # all of it the partner, and no colleague solve for the partner: a return
+    # to one dense solve per time fails here, not only in the benchmark.
+    # Each solve is on the degree cut at the partner's resolution, _AGREE**2
+    # of the largest coefficient, well below the cutoff.
+    seen = spy_on_oracle(monkeypatch)
     path = tmp_path / "r2.json"
     path.write_text(json.dumps(state_to_json(ring_state(2, 1))), encoding="utf-8")
     assert main(["verify", "--state", str(path)]) == 0
     assert "status=PASS" in capsys.readouterr().out
-    assert calls == {"propagations": 1, "colleague": 3}
-    assert orders == resolved
-    assert all(n < cutoff for n, cutoff in zip(orders, cutoffs))
+    assert seen["propagations"] == 1 and len(seen["orders"]) == 3
+    assert seen["orders"] == seen["resolved"]
+    assert all(n < cutoff for n, cutoff in zip(seen["orders"], seen["cutoffs"]))
+
+
+@pytest.mark.parametrize("H", VERIFY_HAMILTONIANS, ids=["hp", "h1", "h2"])
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_verify_ring_fixtures_stay_on_the_first_rung(monkeypatch, capsys, tmp_path, rank, H):
+    # The benchmark's ring fixtures: each time is certified by one solve at the
+    # partner's resolution, and no solve moves on to the eps or full degree.
+    st = ring_state(rank, 1000, radius=0.85, chi=0.12, alpha=0.08)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(state_to_json(st)), encoding="utf-8")
+    seen = spy_on_oracle(monkeypatch)
+    hamiltonian = ",".join(map(str, H.as_tuple()))
+    assert main(["verify", "--state", str(path), "--hamiltonian", hamiltonian]) == 0
+    assert "status=PASS" in capsys.readouterr().out
+    assert len(seen["orders"]) == 3
+    assert seen["orders"] == seen["resolved"]
 
 
 def test_verify_solves_the_hermite_band_ten_times(monkeypatch, capsys, tmp_path):

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import stellar_zeros
 import stellar_zeros.oracle
 import stellar_zeros.rootfind
 import stellar_zeros.wavefunction
+from stellar_zeros import CountMismatch, ZeroOnContour
 
 PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
 
@@ -122,9 +126,33 @@ def test_oracle_propagates_without_a_truncated_hamiltonian():
 
 
 def test_oracle_has_one_colleague_solver():
-    # The short solve and its full-degree fallback are one function with a
-    # floor argument, so the oracle's only eigenvalue solve lives there.
+    # Every rung of the floor ladder, the full degree included, is one function
+    # with a floor argument, so the oracle's only eigenvalue solve lives there.
     assert [s for s in _scopes_of("eigvals") if s[0] == "oracle"] == [("oracle", "_hermite_roots")]
+
+
+def test_oracle_floor_ladder(monkeypatch):
+    # With a partner the solves cut the series at _AGREE**2 of its largest
+    # coefficient, then eps, then only where dividing would overflow; without
+    # one they start at eps.  A failed certificate moves to the next rung, and
+    # the last rung's error is the one raised.
+    assert set(_scopes_of("_certified_zeros")) == {("oracle", "zeros_from_fock")}
+    floors = []
+
+    def failing(v, expected_rank, hw, partner, floor):
+        floors.append(floor)
+        raise (ZeroOnContour if len(floors) == 1 else CountMismatch)(f"rung {len(floors)}")
+
+    monkeypatch.setattr(stellar_zeros.oracle, "_certified_zeros", failing)
+    v = stellar_zeros.FockVector(np.array([0.0, 1.0], dtype=complex))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    with pytest.raises(CountMismatch, match="rung 3"):
+        stellar_zeros.zeros_from_fock(v, 1, 2.0, partner=v)
+    assert floors == [stellar_zeros.oracle._AGREE**2, eps, tiny / eps]
+    floors.clear()
+    with pytest.raises(CountMismatch, match="rung 2"):
+        stellar_zeros.zeros_from_fock(v, 1, 2.0)
+    assert floors == [eps, tiny / eps]
 
 
 def test_one_hermite_evaluator():
