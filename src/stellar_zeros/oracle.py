@@ -18,10 +18,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (CountMismatch, InvalidParameter, PrecisionLoss, TruncationLeakage,
-                     ZeroOnContour)
+from .errors import CountMismatch, InvalidParameter, TruncationLeakage, ZeroOnContour
 from .dynamics import QuadraticHamiltonian
-from .states import FockVector
+from .states import FockVector, _kernel_rows
 from .wavefunction import _hermite_functions, count_zeros_box, eval_entire
 
 __all__ = ["evolve_fock", "zeros_from_fock"]
@@ -38,78 +37,33 @@ _RESOLVED = np.finfo(float).eps
 # The last solve, at the full degree, drops only trailing coefficients below
 # this fraction of the largest, since dividing by the last one could overflow.
 _NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
-# The propagated rows may lose, and rounding may add, at most this fraction of the norm.
+# The propagated rows may lose at most this fraction of the norm.
 _LEAK = 1e-8
 
 
-def _kernel(H: QuadraticHamiltonian, times: np.ndarray):
-    """``(a11, a12, a22, b1, b2)`` of ``<m|exp(-iHt)|n>`` at each time, and ``log|<0|U|0>|``.
+def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t):
+    """Rows ``0..N`` (the state's cutoff) of ``exp(-itH) v`` for a finite time or 1-d sequence
+    of times, up to the global phase that makes ``<0|U|0>`` positive.
 
-    ``U† a U = mu a + nu a† + gamma`` is the first row of ``expm`` of the
-    generator of ``(a, a†, 1)``, so a diagonal H gives a diagonal kernel
-    (README, "Exact Fock propagation"; Miatto & Quesada, Quantum 4, 366, 2020).
+    ``U† a U = mu a + nu a† + gamma`` is the first row of ``expm`` of the generator of
+    ``(a, a†, 1)``, so a diagonal H gives a diagonal kernel, and the Gaussian kernel's
+    recurrences (:func:`~stellar_zeros.states._kernel_rows`) give the rows exactly: a longer
+    result is ``v`` padded with zeros.  :class:`TruncationLeakage` if the rows lose more than
+    1e-8 of ``|v|^2``, and :class:`PrecisionLoss` if rounding adds that much.
     """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise InvalidParameter("t must be a finite scalar or 1-d sequence")
     shift = (H.E - 1j * H.D) / math.sqrt(2.0)
     generator = np.array([[-1j * (H.A + H.B), H.C - 1j * (H.A - H.B), shift],
                           [H.C + 1j * (H.A - H.B), 1j * (H.A + H.B), np.conj(shift)],
                           [0.0, 0.0, 0.0]])
-    mu, nu, gamma = expm(times[:, None, None] * generator)[:, 0, :].T
-    mu_bar, gamma_bar = np.conj(mu), np.conj(gamma)
-    log_c = 0.5 * (np.real(nu * gamma_bar**2 / mu_bar) - np.abs(gamma) ** 2 - np.log(np.abs(mu)))
-    coeffs = (nu, 1.0, -np.conj(nu), gamma * mu_bar - nu * gamma_bar, -gamma_bar)
-    return [np.asarray(c / mu_bar)[:, None] for c in coeffs], log_c
-
-
-def _first_column(b1, a11, log_c, rows: int) -> np.ndarray:
-    """``<m|U|0>``, ``m = 0 .. rows``, at each time from ``sqrt(m+1) g_{m+1} = b1 g_m +
-    a11 sqrt(m) g_{m-1}``, run from 1 under a running scale that ``log_c`` joins at the
-    end: the column alone can grow like ``exp(|b1|^2/2)`` and ``<0|U|0>`` underflow."""
-    sq = np.sqrt(np.arange(rows + 1)).tolist()
-    out = np.empty((log_c.size, rows + 1), dtype=complex)
-    for k, (b, a, scale) in enumerate(zip(b1[:, 0], a11[:, 0], log_c)):
-        prev, cur, vals, scales = 0j, 1 + 0j, [1 + 0j], [scale]
-        for m in range(1, rows + 1):
-            prev, cur = cur, (b * cur + a * sq[m - 1] * prev) / sq[m]
-            if abs(cur) > 1e100:
-                prev, cur, scale = prev * 1e-100, cur * 1e-100, scale + math.log(1e100)
-            vals.append(cur)
-            scales.append(scale)
-        out[k] = np.array(vals) * np.exp(scales)
-    return out
-
-
-def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t, cutoff: int | None = None):
-    """Rows ``0..cutoff`` (default: the state's) of ``exp(-itH) v`` for a finite time or
-    1-d sequence of times, up to the global phase that makes ``<0|U|0>`` positive.
-
-    Column 0 of ``g_mn = <m|U|n>`` comes from :func:`_first_column`, each later one from
-    ``sqrt(n+1) g_{m,n+1} = b2 g_mn + a12 sqrt(m) g_{m-1,n} + a22 sqrt(n) g_{m,n-1}``, which
-    reaches no row above m, so the rows are exact; each is summed against ``v`` as it is
-    made.  :class:`TruncationLeakage` if the rows lose more than 1e-8 of ``|v|^2``, and
-    :class:`PrecisionLoss` if rounding adds that much: the column recurrence amplifies it
-    with ``|gamma|`` and the number of columns.
-    """
-    rows = v.cutoff if cutoff is None else int(cutoff)
-    times = np.asarray(t, dtype=float)
-    if rows < 0 or times.ndim > 1 or not np.all(np.isfinite(times)):
-        raise InvalidParameter("t must be a finite scalar or 1-d sequence, cutoff nonnegative")
-    c = v.coeffs[: max(1, np.trim_zeros(v.coeffs, "b").size)]
-    norm = float(np.sum(np.abs(c) ** 2))
-    (a11, a12, a22, b1, b2), log_c = _kernel(H, times.reshape(-1))
-    up = a12 * np.sqrt(np.arange(1, rows + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        col = _first_column(b1, a11, log_c, rows)
-        prev, out = np.zeros_like(col), c[0] * col
-        for n in range(1, c.size):
-            nxt = b2 * col + (a22 * math.sqrt(n - 1)) * prev
-            nxt[:, 1:] += up * col[:, :-1]
-            prev, col = col, nxt * (1.0 / math.sqrt(n))
-            out += c[n] * col
-        lost = norm - np.sum(np.abs(out) ** 2, axis=1)
-    if not np.all(lost >= -_LEAK * norm):
-        raise PrecisionLoss(f"rounding in the column recurrence added {-lost.min():.3e} to |v|^2")
+    mu, nu, gamma = expm(times.reshape(-1, 1, 1) * generator)[:, 0, :].T
+    out = _kernel_rows(mu, nu, gamma, v.coeffs, v.cutoff)
+    norm = float(np.sum(np.abs(v.coeffs) ** 2))
+    lost = norm - np.sum(np.abs(out) ** 2, axis=1)
     if np.any(lost > _LEAK * norm):
-        raise TruncationLeakage(f"evolved state lost {lost.max():.3e} of |v|^2 past row {rows}")
+        raise TruncationLeakage(f"evolved state lost {lost.max():.3e} of |v|^2 past row {v.cutoff}")
     return [FockVector(o) for o in out] if times.ndim else FockVector(out[0])
 
 

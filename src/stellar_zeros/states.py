@@ -8,10 +8,11 @@ throughout the package:
   ``D(alpha) S(chi) sum_n c_n |n>`` with ``S(chi) = exp((chi* a^2 - chi a†^2)/2)``
   and ``D(alpha) = exp(alpha a† - alpha* a)``.
 
-The conversion from the second to the first builds the rank-0 packet
-amplitudes by a stable three-term recurrence and applies the core polynomial
-through the conjugated creation operator.  The test suite checks it against
-displacement matrix elements and against the matrix-exponential route.
+The conversion from the second to the first applies the Gaussian unitary
+``D(alpha) S(chi)`` to the core through the recurrences of its number-basis
+kernel, the one recurrence the Fock oracle also propagates with.  The test
+suite checks it against displacement matrix elements, the matrix-exponential
+route and the closed-form wavefunction.
 """
 
 from __future__ import annotations
@@ -251,93 +252,88 @@ def packet_exponents(alpha: complex, chi: complex):
     return g2, g1, g0
 
 
-def _packet_amplitudes(alpha: complex, chi: complex, dim: int) -> np.ndarray:
-    """Number-basis amplitudes of the rank-0 packet by the stable recurrence.
+def _kernel_rows(mu, nu, gamma, c: np.ndarray, rows: int) -> np.ndarray:
+    """Rows ``0..rows`` of ``U c`` for each Gaussian unitary with ``U† a U = mu a + nu a† +
+    gamma`` (1-d arrays, one unitary each), up to the global phase that makes ``<0|U|0>`` positive.
 
-    ``(cosh r a + e^{i phi} sinh r a†) |G> = (cosh r alpha + e^{i phi} sinh r
-    alpha*) |G>`` gives a three-term recurrence whose two homogeneous
-    solutions share the modulus ``sqrt(tanh r)`` per step, so forward
-    recursion keeps the deep tail accurate relative to its own magnitude
-    (which matrix-exponential routes cannot do) down to underflow; from
-    there on the amplitudes are zero.
+    The kernel ``g_mn = <m|U|n>`` obeys two three-term recurrences (Miatto & Quesada, Quantum
+    4, 366, 2020; README, "Exact Fock propagation").  Column 0 comes from ``sqrt(m+1) g_{m+1}
+    = b1 g_m + a11 sqrt(m) g_{m-1}``, run from 1 under a running scale that ``log|<0|U|0>|``
+    joins at the end: the column alone can grow like ``exp(|b1|^2/2)`` and ``<0|U|0>``
+    underflow.  Each later column comes from ``sqrt(n+1) g_{m,n+1} = b2 g_mn + a12 sqrt(m)
+    g_{m-1,n} + a22 sqrt(n) g_{m,n-1}``.  Neither reaches a row above m, so the rows are
+    exact; each column is summed against ``c``, trailing zeros trimmed, as it is made.
+    Raises :class:`PrecisionLoss` if rounding adds more than 1e-8 of ``|c|^2``: the column
+    recurrence amplifies it with ``|gamma|`` and the number of columns.
     """
-    g2, g1, g0 = packet_exponents(alpha, chi)
-    c = 0.5 - g2
-    seed = (
-        math.pi**-0.25
-        * cmath.exp(g0)
-        * cmath.sqrt(math.pi / c)
-        * cmath.exp(g1 * g1 / (4.0 * c))
-    )
-    ch, sh, w = _squeeze_frame(chi)
-    kappa = ch * alpha + w * sh * np.conj(alpha)
-    g = np.zeros(dim, dtype=complex)
-    g[0] = seed
-    for n in range(dim - 1):
-        prev = g[n - 1] if n >= 1 else 0.0
-        g[n + 1] = (kappa * g[n] - w * sh * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
-    small = np.abs(g) < np.finfo(float).tiny  # from two underflowed amplitudes on: only noise
-    g[np.append(np.flatnonzero(small[:-1] & small[1:]), dim)[0] :] = 0.0
+    mu, nu, gamma = (np.asarray(x, dtype=complex).reshape(-1) for x in (mu, nu, gamma))
+    mu_bar, gamma_bar = np.conj(mu), np.conj(gamma)
+    log_c = 0.5 * (np.real(nu * gamma_bar**2 / mu_bar) - np.abs(gamma) ** 2 - np.log(np.abs(mu)))
+    a11, b1 = nu / mu_bar, (gamma * mu_bar - nu * gamma_bar) / mu_bar
+    a12, a22, b2 = (np.asarray(x / mu_bar)[:, None] for x in (1.0, -np.conj(nu), -gamma_bar))
+    c = c[: max(1, np.trim_zeros(c, "b").size)]
+    sq = np.sqrt(np.arange(rows + 1))
+    sq_list, up = sq.tolist(), a12 * sq[1:]  # Python floats keep the scalar loop fast
+    col = np.empty((mu.size, rows + 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (b, a, scale) in enumerate(zip(b1, a11, log_c)):
+            prev, cur, vals, scales = 0j, 1 + 0j, [1 + 0j], [scale]
+            for m in range(1, rows + 1):
+                prev, cur = cur, (b * cur + a * sq_list[m - 1] * prev) / sq_list[m]
+                if abs(cur) > 1e100:
+                    prev, cur, scale = prev * 1e-100, cur * 1e-100, scale + math.log(1e100)
+                vals.append(cur)
+                scales.append(scale)
+            col[k] = np.array(vals) * np.exp(scales)
+        prev, out = np.zeros_like(col), c[0] * col
+        for n in range(1, c.size):
+            nxt = b2 * col + (a22 * math.sqrt(n - 1)) * prev
+            nxt[:, 1:] += up * col[:, :-1]
+            prev, col = col, nxt * (1.0 / math.sqrt(n))
+            out += c[n] * col
+        norm = np.sum(np.abs(c) ** 2)
+        grown = np.sum(np.abs(out) ** 2, axis=1) - norm
+    if not np.all(grown <= 1e-8 * norm):
+        raise PrecisionLoss(f"rounding in the column recurrence added {np.max(grown):.3e} to |c|^2")
+    return out
+
+
+def _stellar_rows(st: StellarState, rows: int) -> np.ndarray:
+    """Amplitudes ``0..rows`` of ``D(alpha) S(chi) sum_n c_n |n>``, exact to rounding.
+
+    :func:`_kernel_rows` with ``U† a U = cosh r a - e^{i phi} sinh r a† + alpha``, times the
+    phase ``exp(-i Im(e^{i phi} tanh r alpha*^2) / 2)`` of ``<0|D S|0>``.  Past the core, from
+    the first two amplitudes below the smallest normal double on, the rows are zero: there
+    the recurrences carry only underflowed noise.
+    """
+    ch, sh, w = _squeeze_frame(st.chi)
+    g = _kernel_rows(ch, -w * sh, st.alpha, st.core, rows)[0]
+    g *= cmath.exp(-0.5j * (w * (sh / ch) * st.alpha.conjugate() ** 2).imag)
+    small = np.abs(g[st.rank + 1 :]) < np.finfo(float).tiny
+    g[st.rank + 1 + np.append(np.flatnonzero(small[:-1] & small[1:]), small.size)[0] :] = 0.0
     return g
-
-
-def _sqrt_factorials(r: int) -> np.ndarray:
-    """``sqrt(n!)`` for ``n = 0 .. r``, rounded from the exact ``n!`` (finite up to n = 300)."""
-    if r > 300:
-        raise InvalidParameter(f"sqrt(n!) overflows past n = 300; rank {r} is too high")
-    out, fact = [1.0], 1
-    for k in range(1, r + 1):
-        fact *= k
-        shift = max(fact.bit_length() - 1000, 0) // 2  # keeps the int-to-float step finite
-        out.append(math.ldexp(math.sqrt(fact >> 2 * shift), shift))
-    return np.array(out)
 
 
 def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     """Amplitudes of ``D(alpha) S(chi) sum_n c_n |n>`` at the given cutoff.
 
-    The rank-0 packet amplitudes come from the stable three-term recurrence
-    and the core polynomial is applied through the conjugated creation
-    operator ``D S a† S† D`` (a banded cascade), so every amplitude is
-    accurate relative to its own size down to underflow.  Exponentials of
-    the truncated generators give the same amplitudes on the real axis but
-    lose the deep tail to absolute roundoff, which ruins evaluations at
-    complex argument.
-
-    The discarded norm is measured in a padded working range: everything
-    above ``cutoff`` must carry less than 1e-10 of the squared norm.
-    Without a cutoff the vector is ``_series(st, 0.0)``: cut where the
-    Hermite series' bounded tail on the real line falls below ``eps``.
+    The rows come from the Gaussian kernel's recurrences (:func:`_stellar_rows`), so every
+    amplitude is exact to rounding whatever the cutoff, and the norm past it is ``1 - |v|^2``:
+    :class:`CutoffTooSmall` when that is 1e-10 or more.  Without a cutoff the vector is
+    ``_series(st, 0.0)``: cut where the Hermite series' bounded tail on the real line falls
+    below ``eps``.
     """
     if cutoff is None:
         return _series(st, 0.0)[0]
     if cutoff < st.rank:
         raise CutoffTooSmall("cutoff below the stellar rank")
-    pad = max(24, (cutoff + 1) // 2)
-    dim = cutoff + 1 + pad
-    g = _packet_amplitudes(st.alpha, st.chi, dim)
-
-    ch, sh, w = _squeeze_frame(st.chi)
-    mu = ch * np.conj(st.alpha) + np.conj(w) * sh * st.alpha
-    wbar_sh = np.conj(w) * sh
-    sq = np.sqrt(np.arange(1, dim))
-    weights = st.core / _sqrt_factorials(st.rank)
-    vec = weights[0] * g
-    cur = g
-    for n in range(1, st.rank + 1):
-        nxt = np.zeros(dim, dtype=complex)
-        nxt[1:] += ch * sq * cur[:-1]
-        nxt[:-1] += wbar_sh * sq * cur[1:]
-        nxt -= mu * cur
-        cur = nxt
-        vec = vec + weights[n] * cur
-
-    discarded = float(np.sum(np.abs(vec[cutoff + 1 :]) ** 2))
+    vec = _stellar_rows(st, cutoff)
+    discarded = 1.0 - float(np.sum(np.abs(vec) ** 2))
     if discarded >= 1e-10:
         raise CutoffTooSmall(
             f"discarded norm {discarded:.3e} at cutoff {cutoff}; increase the cutoff"
         )
-    return FockVector(vec[: cutoff + 1])
+    return FockVector(vec)
 
 
 def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
@@ -360,18 +356,15 @@ def _series(st: StellarState, max_abs_im: float) -> tuple[FockVector, FockVector
     :func:`~stellar_zeros.wavefunction.hudson_test` and ``verify`` size and build a series:
     the least cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
     (:func:`_log_hermite_bound`), not below :func:`default_cutoff`, read off a working vector
-    doubled from twice that floor until ``N`` is below its top quarter.  The recurrences run
-    forward, so the vector is the working one's start, which holds at least 30 amplitudes
-    more.  Raises :class:`PrecisionLoss` if amplitudes underflow first.
+    doubled from twice that floor until ``N`` is below its top quarter.  The rows are exact
+    (:func:`_stellar_rows`), so the vector is the working one's start, which holds at least
+    30 amplitudes more.  Raises :class:`PrecisionLoss` if amplitudes underflow first.
     """
     floor = work = default_cutoff(st.rank, st.alpha, st.chi)
     while True:
         work *= 2
-        try:
-            v = stellar_to_fock(st, work)
-        except CutoffTooSmall:  # the norm past the working cutoff is not even small
-            continue
-        amps = np.abs(v.coeffs)
+        v = _stellar_rows(st, work)
+        amps = np.abs(v)
         with np.errstate(divide="ignore"):  # an underflowed amplitude weighs nothing
             logs = np.log(amps) + _log_hermite_bound(np.arange(amps.size), max_abs_im)
         tails = np.cumsum(np.exp(logs - logs.max())[::-1])[::-1]  # tails[k]: sum over n >= k
@@ -383,7 +376,7 @@ def _series(st: StellarState, max_abs_im: float) -> tuple[FockVector, FockVector
             f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
             f"the amplitudes underflow past n = {cut}"
         )
-    return FockVector(v.coeffs[: max(floor, cut) + 1]), v
+    return FockVector(v[: max(floor, cut) + 1]), FockVector(v)
 
 
 def phase_shift(v: FockVector, theta: float) -> FockVector:

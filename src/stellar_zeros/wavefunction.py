@@ -461,14 +461,29 @@ def hudson_test(st: StellarState) -> HudsonResult:
     argument principle around the bounding rectangle of the closed-form
     zeros with unit margin (the square ``[-1, 1]^2`` at rank 0);
     ``gaussian`` is true iff the count is zero.  Contour points far from
-    every zero would only degrade the evaluation conditioning.
+    every zero would only degrade the evaluation conditioning.  Where the
+    series cancels below ``64 eps`` of its termwise envelope on the contour
+    its phase is rounding, and a negative count is no count: both raise
+    :class:`PrecisionLoss`.
     """
     wf = build_wavefunction(st)
     res = [z.real for z in wf.zeros] or [0.0]
     ims = [z.imag for z in wf.zeros] or [0.0]
     box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
     v, _ = _series(st, max(abs(box[2]), abs(box[3])))
-    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box)
+
+    def resolved(zz):
+        with np.errstate(over="ignore", invalid="ignore"):  # count_zeros_box rejects non-finite
+            vals, envelope = eval_entire_envelope(v, zz)
+        lost = np.abs(vals) < 64.0 * np.finfo(float).eps * envelope
+        if np.any(lost):
+            raise PrecisionLoss(f"Hermite series cancels below its rounding floor at "
+                                f"z={zz[np.argmax(lost)]:.4g} on the contour")
+        return vals
+
+    count = count_zeros_box(resolved, box)
+    if count < 0:
+        raise PrecisionLoss(f"contour counts {count} zeros: the series is not resolved there")
     return HudsonResult(gaussian=(count == 0), zero_count=count)
 
 

@@ -200,7 +200,7 @@ def test_criterion_03_oracle_equivalence():
         v = stellar_to_fock(st, 80)
         for H in (HP, h1, h2):
             for t in (0.3, 1.1, 2.9):
-                vt = evolve_fock(v, H, t, 80)
+                vt = evolve_fock(v, H, t)
                 zc = closed_form(wf, H, t)
                 hw = max(max(abs(z.real), abs(z.imag)) for z in zc) + 0.9
                 zo = zeros_from_fock(vt, rank, hw)

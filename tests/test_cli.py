@@ -228,10 +228,8 @@ class TestVerifyCommand:
 
     def test_builds_its_series_once(self, capsys, tmp_state, monkeypatch):
         # The dual path and the oracle share the one vector that sized the series.
-        builds, to_fock = [], states.stellar_to_fock
-        monkeypatch.setattr(
-            states, "stellar_to_fock", lambda st, *n: builds.append(n) or to_fock(st, *n)
-        )
+        builds, rows = [], states._stellar_rows
+        monkeypatch.setattr(states, "_stellar_rows", lambda st, n: builds.append(n) or rows(st, n))
         path = tmp_state("ring.json", ring_state(3, 2))
         rc, out, _ = run_cli(capsys, ["verify", "--state", path])
         assert rc == 0

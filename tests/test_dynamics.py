@@ -652,7 +652,7 @@ class TestEveryQuadraticHamiltonian:
         # leaks out of the cutoff-80 basis (TruncationLeakage).
         st = ring_state(3, 4)
         wf = build_wavefunction(st)
-        vt = evolve_fock(stellar_to_fock(st, 80), H, t, 80)
+        vt = evolve_fock(stellar_to_fock(st, 80), H, t)
         want = closed_form(wf, H, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
         got = zeros_from_fock(vt, 3, hw)
@@ -678,7 +678,7 @@ class TestEvolveForm:
         st = ring_state(3, 7)
         wf = build_wavefunction(st)
         t = 0.7
-        vt = evolve_fock(stellar_to_fock(st, 120), HP, t, 120)
+        vt = evolve_fock(stellar_to_fock(st, 120), HP, t)
         xs = np.arange(-3.0, 3.01, 0.5)
         got = eval_form(evolve_form(wf, HP, t), xs)
         want = eval_entire(vt, xs)

@@ -82,6 +82,11 @@ def displacement_element(alpha, m, n):
     return np.exp(log_ratio) * alpha ** (m - n) * eval_genlaguerre(n, m - n, x)
 
 
+def padded(v, cutoff):
+    """``v`` with zeros up to ``cutoff``: ``evolve_fock`` returns as many rows as it is given."""
+    return FockVector(np.pad(v.coeffs, (0, cutoff - v.cutoff)))
+
+
 def roots_in_box(v, hw):
     roots = oracle._hermite_roots(v)
     return roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
@@ -136,24 +141,24 @@ class TestEvolveFock:
         st = ring_state(3, 2)
         v = stellar_to_fock(st, 80)
         H = QuadraticHamiltonian(A=0.5, B=0.4, C=0.1, D=0.2, E=-0.1)
-        out = evolve_fock(v, H, 1.3, 80)
+        out = evolve_fock(v, H, 1.3)
         assert abs(out.norm() - v.norm()) < 1e-10
 
     def test_composition(self):
         st = ring_state(2, 4)
         v = stellar_to_fock(st, 80)
         H = QuadraticHamiltonian(A=0.45, B=0.5, C=-0.1, D=0.1, E=0.2)
-        two_steps = evolve_fock(evolve_fock(v, H, 0.4, 80), H, 0.9, 80)
-        one_step = evolve_fock(v, H, 1.3, 80)
+        two_steps = evolve_fock(evolve_fock(v, H, 0.4), H, 0.9)
+        one_step = evolve_fock(v, H, 1.3)
         assert np.max(np.abs(aligned(two_steps.coeffs, one_step.coeffs) - one_step.coeffs)) < 1e-8
 
     def test_times_sequence_equals_scalar_calls(self):
-        v = stellar_to_fock(ring_state(3, 2), 80)
+        v = padded(stellar_to_fock(ring_state(3, 2), 80), 100)
         H = VERIFY_HAMILTONIANS[1]
-        many = evolve_fock(v, H, list(VERIFY_TIMES), 100)
+        many = evolve_fock(v, H, list(VERIFY_TIMES))
         assert len(many) == len(VERIFY_TIMES)
         for t, out in zip(VERIFY_TIMES, many):
-            assert np.max(np.abs(out.coeffs - evolve_fock(v, H, t, 100).coeffs)) < 1e-12
+            assert np.max(np.abs(out.coeffs - evolve_fock(v, H, t).coeffs)) < 1e-12
 
     def test_times_sequence_checks_leakage_at_every_time(self):
         v = FockVector(np.array([1.0] + [0.0] * 11, dtype=complex))
@@ -181,12 +186,11 @@ class TestEvolveFock:
             evolve_fock(v, squeezer, 2.0)
 
     def test_rows_past_the_input_are_exact(self):
-        # Rows above the input's cutoff come from the same recurrences, so a
-        # vector propagated to more rows starts with the shorter propagation.
+        # Rows above the input's cutoff come from the same recurrences, so the
+        # vector padded with zeros to more rows starts with the shorter propagation.
         v = stellar_to_fock(ring_state(2, 4), 80)
-        short, long = evolve_fock(v, VERIFY_HAMILTONIANS[2], 1.1), evolve_fock(
-            v, VERIFY_HAMILTONIANS[2], 1.1, 120
-        )
+        short = evolve_fock(v, VERIFY_HAMILTONIANS[2], 1.1)
+        long = evolve_fock(padded(v, 120), VERIFY_HAMILTONIANS[2], 1.1)
         assert np.array_equal(long.coeffs[:81], short.coeffs)
 
 
@@ -207,8 +211,8 @@ class TestKernelPins:
         alpha = t * complex(E, -D) / math.sqrt(2.0)
         rows, cols = 40, 16
         got = np.stack(
-            [evolve_fock(FockVector(np.eye(cols + 1)[n]), QuadraticHamiltonian(D=D, E=E), t,
-                         rows).coeffs for n in range(cols + 1)], axis=1
+            [evolve_fock(FockVector(np.eye(rows + 1)[n]), QuadraticHamiltonian(D=D, E=E), t).coeffs
+             for n in range(cols + 1)], axis=1
         )
         want = np.array(
             [[displacement_element(alpha, m, n) for n in range(cols + 1)] for m in range(rows + 1)]
@@ -245,7 +249,7 @@ class TestKernelPins:
         v = stellar_to_fock(ring_state(2, 4), 40)
         for t in (0.5, 1.3):
             want = expm(-1j * t * dense_hamiltonian(H, 160))[:81, :41] @ v.coeffs
-            out = evolve_fock(v, H, t, 80).coeffs
+            out = evolve_fock(padded(v, 80), H, t).coeffs
             assert np.max(np.abs(aligned(out, want) - want)) < 1e-13, t
 
     def test_strong_displacement_stays_finite(self):
@@ -253,8 +257,8 @@ class TestKernelPins:
         # without it would reach exp(800); the running scale keeps both apart.
         gamma = 40.0
         H = QuadraticHamiltonian(E=gamma * math.sqrt(2.0))
-        vacuum = FockVector(np.array([1.0, 0.0], dtype=complex))
-        out = evolve_fock(vacuum, H, 1.0, 2100).coeffs
+        vacuum = padded(FockVector(np.ones(1, dtype=complex)), 2100)
+        out = evolve_fock(vacuum, H, 1.0).coeffs
         m = np.arange(out.size)
         want = np.exp(-0.5 * gamma**2 + m * math.log(gamma) - 0.5 * gammaln(m + 1.0))
         assert np.max(np.abs(out - want)) < 1e-12
@@ -266,7 +270,7 @@ class TestKernelPins:
         v = stellar_to_fock(ring_state(3, 2), 80)
         H = QuadraticHamiltonian(E=40.0 * math.sqrt(2.0))
         with pytest.raises(PrecisionLoss):
-            evolve_fock(v, H, 1.0, 2100)
+            evolve_fock(padded(v, 2100), H, 1.0)
 
 
 class TestZerosFromFock:
@@ -332,7 +336,7 @@ class TestOracleLoop:
         v = stellar_to_fock(st, 80)
         H = QuadraticHamiltonian(A=0.5, B=0.45, C=0.08, D=0.12, E=-0.10)
         t = 1.1
-        vt = evolve_fock(v, H, t, 80)
+        vt = evolve_fock(v, H, t)
         want = closed_form(wf, H, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
         got = zeros_from_fock(vt, 2, hw)
@@ -408,10 +412,10 @@ class TestNewtonPartner:
         assert rejected > 0
 
     def test_rank1_steps_at_roundoff_are_kept(self):
-        # Both steps sit at ~2e-16 to 5e-16, so the second is not half the
+        # Both steps sit at ~2e-16 to 3e-16, so the second is not half the
         # first: only the roundoff floor keeps the true zero.  That premise
         # rests on the core's last bits, so the core of the zero 1.5j is pinned.
-        core = np.array([-0.9045340337332909j, 0.42640143271122094])
+        core = np.array([-0.9045340337332909j, 0.42640143271122105])
         st = StellarState(rank=1, core=core, alpha=0.0, chi=0.0)
         v = _series(st, 3.0)[0]
         vts = evolve_fock(v, HP, VERIFY_TIMES)

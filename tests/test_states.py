@@ -17,9 +17,13 @@ from stellar_zeros import (
     FockVector,
     InvalidParameter,
     StellarState,
+    StellarZerosError,
     Verdict,
     ZeroVector,
+    build_wavefunction,
     energy_moment,
+    eval_entire_envelope,
+    eval_form,
     normalize,
     phase_shift,
     random_stellar_state,
@@ -272,12 +276,13 @@ class TestStellarToFock:
         with pytest.raises(CutoffTooSmall):
             stellar_to_fock(st_, 10)
 
-    def test_rank_past_300_is_a_typed_error(self):
-        # sqrt(301!) is past the largest float.
+    def test_rank_past_300_comes_back_exactly(self):
+        # sqrt(301!) is past the largest float, but the kernel's rows need no
+        # factorial: |301> comes back as the unit vector e_301, to rounding.
         core = np.zeros(302, dtype=complex)
         core[-1] = 1.0
-        with pytest.raises(InvalidParameter):
-            stellar_to_fock(StellarState(rank=301, core=core, alpha=0.0, chi=0.0), 400)
+        v = stellar_to_fock(StellarState(rank=301, core=core, alpha=0.0, chi=0.0), 400)
+        assert np.max(np.abs(v.coeffs - np.eye(401)[301])) < 1e-14
 
     def test_norm_postcondition(self):
         st_ = random_stellar_state(3, 7)
@@ -294,6 +299,29 @@ class TestStellarToFock:
                 v = stellar_to_fock(st_)
                 assert np.array_equal(v.coeffs, _series(st_, 0.0)[0].coeffs), (rank, seed)
                 assert abs(v.norm() ** 2 - 1.0) < 1e-10, (rank, seed)
+
+    @pytest.mark.parametrize("rank", [10, 20, 30, 40])
+    def test_high_rank_conversion_is_the_closed_form(self, rank):
+        # The rows are exact, so the norm is one and the series is the closed form
+        # on Im z = 0.5, to rounding of the larger of the envelope and the value.
+        zs = np.linspace(-4.0, 4.0, 41) + 0.5j
+        for seed in range(10):
+            st_ = random_stellar_state(rank, seed)
+            v = stellar_to_fock(st_)
+            assert abs(v.norm() ** 2 - 1.0) <= 1e-12, seed
+            got, envelope = eval_entire_envelope(v, zs)
+            want = eval_form(build_wavefunction(st_), zs)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(envelope, np.abs(want))), seed
+
+    def test_rank_100_is_kept_or_refused(self):
+        # Past the column recurrence's reach, rounding grows the norm: a typed
+        # error, never a vector whose norm is off.
+        for seed in range(10):
+            try:
+                v = stellar_to_fock(random_stellar_state(100, seed))
+            except StellarZerosError:
+                continue
+            assert abs(v.norm() ** 2 - 1.0) <= 1e-8, seed
 
     def test_exponential_route_agrees(self):
         st_ = random_stellar_state(2, 4, scale=0.8)

@@ -80,13 +80,17 @@ def _scopes_of(name, node_type=ast.Call):
 
 def test_series_cutoff_rule_is_written_once():
     # Every Fock vector the package sizes itself comes from one rule: the
-    # Hermite-function bound, the truncation floor and the Fock conversion
-    # each have exactly one caller in the package, the private helper that
-    # returns the vector the bound measured.  The conversion without a
+    # Hermite-function bound and the truncation floor each have exactly one
+    # caller in the package, the private helper that returns the vector the
+    # bound measured, and it takes its rows from the one row function that the
+    # conversion at a given cutoff also uses.  The conversion without a
     # cutoff and the commands that count zeros get a series only through
     # that helper.  The old cutoff helpers are gone.
-    for name in ("_log_hermite_bound", "default_cutoff", "stellar_to_fock"):
+    for name in ("_log_hermite_bound", "default_cutoff"):
         assert _scopes_of(name) == [("states", "_series")], name
+    assert sorted(_scopes_of("_stellar_rows")) == [("states", "_series"),
+                                                    ("states", "stellar_to_fock")]
+    assert _scopes_of("stellar_to_fock") == []
     callers = [("cli", "_cmd_verify"), ("states", "stellar_to_fock"),
                ("wavefunction", "hudson_test")]
     assert sorted(_scopes_of("_series")) == callers
@@ -94,6 +98,38 @@ def test_series_cutoff_rule_is_written_once():
         text = path.read_text(encoding="utf-8")
         for name in ("hermite_eval_cutoff", "_series_cutoff"):
             assert name not in text, (path.name, name)
+
+
+def test_one_gaussian_kernel_recurrence():
+    # Every Fock vector of a Gaussian unitary acting on a finite vector, the
+    # state conversion's and the oracle's propagation alike, comes from one
+    # kernel recurrence in `states`; the closed-form side never calls it, and
+    # the conversion's old packet recurrence and sqrt(n!) table are gone.
+    package = Path(stellar_zeros.__file__).parent
+    defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "_kernel_rows"]
+    assert defined == [("states", "_kernel_rows")]
+    assert sorted(_scopes_of("_kernel_rows")) == [("oracle", "evolve_fock"),
+                                                   ("states", "_stellar_rows")]
+    for path in package.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for name in ("_packet_amplitudes", "_sqrt_factorials", "_first_column"):
+            assert name not in text, (path.name, name)
+
+
+def test_no_multiprecision_reference_in_the_package_or_tests():
+    # mpmath references are computed once and pinned as numbers; neither
+    # the package nor its tests import it.
+    imported = set()
+    for path in [*Path(stellar_zeros.__file__).parent.glob("*.py"),
+                 *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+    assert "numpy" in imported and "mpmath" not in imported
 
 
 def test_one_zero_tracker():

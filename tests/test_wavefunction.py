@@ -43,7 +43,7 @@ from stellar_zeros import (
     stellar_state_from_zeros,
     stellar_to_fock,
 )
-from stellar_zeros.states import _log_hermite_bound, _series
+from stellar_zeros.states import _log_hermite_bound, _series, _stellar_rows
 from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
 
 PI14 = math.pi ** -0.25
@@ -368,11 +368,11 @@ class TestSeriesCutoff:
     @pytest.mark.parametrize("y", [1.0, 3.0, 5.0])
     def test_series_is_the_fock_vector_at_its_cutoff(self, monkeypatch, y):
         # The vector the bound measured is the start of the working vector, bitwise
-        # what stellar_to_fock builds at the cutoff; the first one is twice the floor.
-        builds, to_fock = [], stellar_to_fock
+        # the rows _stellar_rows makes at the cutoff; the first one is twice the floor.
+        builds, rows = [], _stellar_rows
         monkeypatch.setattr(
-            "stellar_zeros.states.stellar_to_fock",
-            lambda st, n: builds.append(n) or to_fock(st, n),
+            "stellar_zeros.states._stellar_rows",
+            lambda st, n: builds.append(n) or rows(st, n),
         )
         for rank in (0, 2, 4, 6, 8):
             for seed, scale in [(0, 0.5), (1, 1.0), (2, 1.5)]:
@@ -382,7 +382,7 @@ class TestSeriesCutoff:
                 v = _series(st, y)[0]
                 assert builds[0] == 2 * floor, (rank, seed)
                 assert v.cutoff >= floor, (rank, seed)
-                assert np.array_equal(v.coeffs, to_fock(st, v.cutoff).coeffs), (rank, seed)
+                assert np.array_equal(v.coeffs, rows(st, v.cutoff)), (rank, seed)
 
     @pytest.mark.parametrize("y", [0.0, 3.0, 25.0])
     def test_a_core_without_packet_ends_without_underflow(self, y):
@@ -536,6 +536,21 @@ class TestHudson:
         # The box reaches Im 11.8, past where this squeezed state's amplitudes underflow.
         with pytest.raises(PrecisionLoss, match="underflow"):
             hudson_test(random_stellar_state(6, 0, scale=2.0))
+
+    def test_never_a_wrong_count(self):
+        # Unit-scale draws of ranks 0-8: where the contour passes through the
+        # series' rounding floor (e.g. (2, 3)) the count is a PrecisionLoss,
+        # never a wrong number such as (6, 6)'s zero or (6, 2)'s -14.
+        counted = 0
+        for rank in range(9):
+            for seed in range(10):
+                try:
+                    res = hudson_test(random_stellar_state(rank, seed))
+                except PrecisionLoss:
+                    continue
+                assert (res.gaussian, res.zero_count) == (rank == 0, rank), (rank, seed)
+                counted += 1
+        assert counted >= 66
 
 
 class TestStellarEval:
