@@ -31,10 +31,7 @@ from .states import (
     default_cutoff,
     energy_moment,
     normalize,
-    packet_exponents,
-    phase_shift,
     random_stellar_state,
-    squeezed_vacuum_fock,
     state_from_json,
     state_to_json,
     stellar_to_fock,
@@ -53,7 +50,6 @@ from .wavefunction import (
     form_from_json,
     form_norm_squared,
     form_to_json,
-    gaussian_packet_params,
     growth_bound,
     growth_bound_holds,
     hudson_test,

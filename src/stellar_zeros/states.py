@@ -34,11 +34,8 @@ __all__ = [
     "Verdict",
     "normalize",
     "energy_moment",
-    "squeezed_vacuum_fock",
-    "packet_exponents",
     "stellar_to_fock",
     "default_cutoff",
-    "phase_shift",
     "random_stellar_state",
     "state_to_json",
     "state_from_json",
@@ -82,11 +79,12 @@ class FockVector:
 class StellarState:
     """Finite-rank core parameters ``(r, c_0..c_r, alpha, chi)``.
 
-    The core is stored normalized (``sum |c_n|^2 = 1`` within 1e-12) and the
-    declared rank is exact: ``|c_r| > 1e-12``.  Global phase is not fixed by
-    this parametrization; all conversions in this package nevertheless use a
-    single consistent operator convention, so cross-representation
-    comparisons are phase-exact.
+    The rank is a nonnegative Python or NumPy integer (not a bool), stored as
+    an ``int``.  The core is stored normalized (``sum |c_n|^2 = 1`` within
+    1e-12) and the declared rank is exact: ``|c_r| > 1e-12``.  Global phase
+    is not fixed by this parametrization; all conversions in this package
+    nevertheless use a single consistent operator convention, so
+    cross-representation comparisons are phase-exact.
     """
 
     rank: int
@@ -95,6 +93,10 @@ class StellarState:
     chi: complex
 
     def __post_init__(self):
+        rank = self.rank
+        if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or rank < 0:
+            raise InvalidParameter(f"rank must be a nonnegative integer, not {rank!r}")
+        object.__setattr__(self, "rank", int(rank))
         core = np.asarray(self.core, dtype=complex)
         if core.ndim != 1 or core.size != self.rank + 1:
             raise InvalidParameter("core must have length rank + 1")
@@ -188,38 +190,6 @@ def energy_moment(v: FockVector, s: float) -> EnergyMomentReport:
     return EnergyMomentReport(s, partial, tail, verdict, ratio)
 
 
-def squeezed_vacuum_fock(chi: complex, cutoff: int) -> FockVector:
-    """Squeezed-vacuum amplitudes from the closed-form expansion.
-
-    ``psi_{2n} = (-e^{i phi} tanh r)^n sqrt((2n)!) / (2^n n!) / sqrt(cosh r)``
-    with ``chi = r e^{i phi}``; odd amplitudes are exactly zero.  Computed in
-    log space so deep tails do not underflow prematurely.
-    """
-    if cutoff < 2:
-        raise InvalidParameter("cutoff must be at least 2")
-    chi = complex(chi)
-    out = np.zeros(cutoff + 1, dtype=complex)
-    if chi == 0:
-        out[0] = 1.0
-        return FockVector(out)
-    r = abs(chi)
-    phi = cmath.phase(chi)
-    tanh_r = math.tanh(r)
-    log_cosh = math.log(math.cosh(r)) if r < 350 else r - math.log(2.0)
-    for n in range(0, cutoff // 2 + 1):
-        logmag = (
-            n * math.log(tanh_r)
-            + 0.5 * math.lgamma(2 * n + 1)
-            - n * math.log(2.0)
-            - math.lgamma(n + 1)
-            - 0.5 * log_cosh
-        )
-        if logmag < -745.0:
-            continue
-        out[2 * n] = math.exp(logmag) * cmath.exp(1j * n * (phi + math.pi))
-    return FockVector(out)
-
-
 def default_cutoff(rank: int, alpha: complex, chi: complex) -> int:
     """Truncation heuristic: mean photon number sets the scale."""
     mean_n = rank + abs(alpha) ** 2 + math.sinh(abs(chi)) ** 2
@@ -232,7 +202,7 @@ def _squeeze_frame(chi: complex):
     return math.cosh(r), math.sinh(r), (cmath.exp(1j * cmath.phase(chi)) if chi != 0 else 1.0)
 
 
-def packet_exponents(alpha: complex, chi: complex):
+def _packet_exponents(alpha: complex, chi: complex):
     """Exponent coefficients ``(g2, g1, g0)`` of the rank-0 packet.
 
     The wavefunction of ``D(alpha) S(chi) |0>`` is ``exp(g2 x^2 + g1 x + g0)``
@@ -379,12 +349,6 @@ def _series(st: StellarState, max_abs_im: float) -> tuple[FockVector, FockVector
     return FockVector(v[: max(floor, cut) + 1]), FockVector(v)
 
 
-def phase_shift(v: FockVector, theta: float) -> FockVector:
-    """Apply ``exp(-i theta n)``: ``psi_n -> exp(-i theta n) psi_n``."""
-    ns = np.arange(v.coeffs.size)
-    return FockVector(v.coeffs * np.exp(-1j * theta * ns))
-
-
 def random_stellar_state(rank: int, seed: int, scale: float = 1.0) -> StellarState:
     """Seeded random fixture: complex-normal core, disc-uniform alpha, chi."""
     if rank < 0 or seed < 0:
@@ -420,8 +384,6 @@ def state_from_json(data: dict) -> StellarState:
         chi = complex(data["chi"][0], data["chi"][1])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed state descriptor: {exc}") from exc
-    if isinstance(rank, bool) or not isinstance(rank, int):
-        raise InvalidParameter("state descriptor rank must be an integer")
     nsq = float(np.sum(np.abs(core) ** 2))
     if abs(nsq - 1.0) > 1e-9:
         raise InvalidParameter("core coefficients are not normalized")

@@ -38,17 +38,16 @@ from .states import (
     FockVector,
     StellarState,
     Verdict,
+    _packet_exponents,
     _series,
     _squeeze_frame,
     energy_moment,
-    packet_exponents,
 )
 
 __all__ = [
     "WavefunctionForm",
     "GrowthBound",
     "HudsonResult",
-    "gaussian_packet_params",
     "build_wavefunction",
     "apply_creation_polynomial",
     "stellar_state_from_zeros",
@@ -157,20 +156,6 @@ def eval_form(wf: WavefunctionForm, z):
     return acc if acc.shape else complex(acc)
 
 
-def gaussian_packet_params(alpha: complex, chi: complex) -> WavefunctionForm:
-    """Normalized wavefunction of the rank-0 state ``D(alpha) S(chi) |0>``.
-
-    Closed form including the global phase of the operator convention:
-    squeezing fixes ``g2 = -(cosh r + e^{i phi} sinh r) / (2 (cosh r -
-    e^{i phi} sinh r))`` and the prefactor ``pi^{-1/4} (cosh r - e^{i phi}
-    sinh r)^{-1/2}``; displacing by ``alpha`` shifts the packet to
-    ``x0 = sqrt(2) Re alpha`` with momentum ``p0 = sqrt(2) Im alpha`` and
-    phase ``exp(-i Re(alpha) Im(alpha))``.
-    """
-    g2, g1, g0 = packet_exponents(alpha, chi)
-    return WavefunctionForm(g2, g1, g0, (), 1.0).normalized()
-
-
 def _hermite_frame(alpha: complex, chi: complex, g2: complex, g1: complex):
     """``(a1, a0, s)`` such that ``(D S a† S† D†)^n`` makes ``s^n He_n((a1 x + a0) / s)``.
 
@@ -197,7 +182,7 @@ def build_wavefunction(st: StellarState) -> WavefunctionForm:
     The leading coefficient ``c_r a1^r / sqrt(r!)`` may be tiny at high rank;
     :class:`PrecisionLoss` is raised only when it is no finite nonzero double.
     """
-    g2, g1, g0 = packet_exponents(st.alpha, st.chi)
+    g2, g1, g0 = _packet_exponents(st.alpha, st.chi)
     a1, a0, s = _hermite_frame(st.alpha, st.chi, g2, g1)
     with np.errstate(over="ignore", invalid="ignore"):
         leading = complex(st.core[-1] * np.prod(a1 / np.sqrt(np.arange(1.0, st.rank + 1))))
@@ -246,7 +231,7 @@ def stellar_state_from_zeros(zeros, alpha: complex = 0.0, chi: complex = 0.0) ->
     zeros = np.array(zeros, dtype=complex).reshape(-1)
     if not (np.isfinite(zeros).all() and all(map(cmath.isfinite, (alpha, chi)))):
         raise InvalidParameter("zeros, alpha and chi must be finite")
-    g2, g1, _ = packet_exponents(alpha, chi)
+    g2, g1, _ = _packet_exponents(alpha, chi)
     a1, a0, s = _hermite_frame(alpha, chi, g2, g1)
     w = (a1 * zeros + a0) / s
     r = w.size
@@ -299,22 +284,49 @@ def _hermite_series(coeffs: np.ndarray, z: np.ndarray):
     return phi @ coeffs, np.abs(phi) @ np.abs(coeffs), tail
 
 
+# The series evaluators run under this: a value that overflows or turns NaN is a
+# typed error where it is checked, and is returned raw, unwarned, where it is not.
+_unwarned = np.errstate(over="ignore", invalid="ignore")
+
+
+def _points(z) -> np.ndarray:
+    """``z`` as a complex array; :class:`InvalidParameter` if a point is not finite."""
+    zz = np.asarray(z, dtype=complex)
+    if not np.isfinite(zz).all():
+        raise InvalidParameter("evaluation points must be finite")
+    return zz
+
+
+def _finite(vals, zz):
+    """``vals``, or :class:`PrecisionLoss` naming the first point of ``zz`` whose value is
+    not finite."""
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise PrecisionLoss(f"Hermite series value at z={zz.reshape(-1)[np.argmax(bad)]:.4g} "
+                            "is not finite (overflow or NaN)")
+    return vals
+
+
+@_unwarned
 def eval_entire(v: FockVector, z, check: bool = True):
     """Hermite-series value of the entire extension at complex argument.
 
     Uses the normalized three-term recurrence of the Hermite functions (the
     numerically stable equivalent of the power-series extension, with which
     it agrees because both are entire and coincide on the real line), one
-    banded solve for all points; values take the shape of ``z``.  With
-    ``check=True`` a :class:`PrecisionLoss` is raised when the estimated
-    truncation tail exceeds ``1e-8`` of the result; cancellation at genuine
-    zeros of the function does not trigger it.
+    banded solve for all points; values take the shape of ``z``, whose points
+    must be finite (:class:`InvalidParameter`).  With ``check=True`` a
+    :class:`PrecisionLoss` is raised at the first value that is not finite,
+    and where the estimated truncation tail exceeds ``1e-8`` of the result;
+    cancellation at genuine zeros of the function does not trigger it.  With
+    ``check=False`` the values are returned as they come, inf and NaN included.
     """
-    zz = np.asarray(z, dtype=complex)
+    zz = _points(z)
     if not check:
         vals = _hermite_functions(v.coeffs.size, zz) @ v.coeffs
     else:
         vals, envelope, tail = _hermite_series(v.coeffs, zz)
+        _finite(vals, zz)
         bad = tail > np.maximum(1e-8 * np.abs(vals), 64.0 * np.finfo(float).eps * envelope)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -325,6 +337,7 @@ def eval_entire(v: FockVector, z, check: bool = True):
     return vals.reshape(zz.shape) if zz.ndim else complex(vals[0])
 
 
+@_unwarned
 def eval_entire_envelope(v: FockVector, z):
     """Series value together with its termwise magnitude envelope.
 
@@ -332,10 +345,12 @@ def eval_entire_envelope(v: FockVector, z):
     the evaluation: no double-precision summation can resolve the value
     below roughly ``eps`` times it.  Comparisons against the closed form
     use it as the honest accuracy floor at points where the two exponent
-    scales cancel deeply.
+    scales cancel deeply.  As in :func:`eval_entire`, a non-finite point is
+    an :class:`InvalidParameter` and a non-finite value a :class:`PrecisionLoss`.
     """
-    zz = np.asarray(z, dtype=complex)
+    zz = _points(z)
     vals, envelope, _ = _hermite_series(v.coeffs, zz)
+    _finite(vals, zz)
     if zz.ndim:
         return vals.reshape(zz.shape), envelope.reshape(zz.shape)
     return complex(vals[0]), float(envelope[0])
@@ -370,10 +385,12 @@ def growth_bound(v: FockVector, s: float, alpha: float) -> GrowthBound:
 
 
 def growth_bound_holds(gb: GrowthBound, v: FockVector, zs) -> bool:
-    """Check ``|psi(z)|^2 <= K exp(L |z|^2)`` in log space (K e^{L|z|^2} overflows)."""
+    """Check ``|psi(z)|^2 <= K exp(L |z|^2)`` in log space (K e^{L|z|^2} overflows).
+
+    A value that is not finite is no evidence either way: :class:`PrecisionLoss`.
+    """
     zs = np.asarray(zs, dtype=complex)
-    vals = eval_entire(v, zs, check=False)
-    mags = np.abs(vals)
+    mags = np.abs(_finite(eval_entire(v, zs, check=False), zs))
     lhs = 2.0 * np.log(np.where(mags > 0, mags, 1e-300))
     rhs = math.log(gb.K_bound) + gb.L_bound * np.abs(zs) ** 2
     return bool(np.all(lhs <= rhs))
@@ -473,8 +490,7 @@ def hudson_test(st: StellarState) -> HudsonResult:
     v, _ = _series(st, max(abs(box[2]), abs(box[3])))
 
     def resolved(zz):
-        with np.errstate(over="ignore", invalid="ignore"):  # count_zeros_box rejects non-finite
-            vals, envelope = eval_entire_envelope(v, zz)
+        vals, envelope = eval_entire_envelope(v, zz)
         lost = np.abs(vals) < 64.0 * np.finfo(float).eps * envelope
         if np.any(lost):
             raise PrecisionLoss(f"Hermite series cancels below its rounding floor at "

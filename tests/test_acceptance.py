@@ -36,7 +36,6 @@ from stellar_zeros import (
     eval_entire_envelope,
     eval_form,
     evolve_fock,
-    gaussian_packet_params,
     growth_bound,
     growth_bound_holds,
     hudson_test,
@@ -46,7 +45,6 @@ from stellar_zeros import (
     phase_trajectory,
     random_stellar_state,
     second_order_acceleration,
-    squeezed_vacuum_fock,
     stellar_to_fock,
     zeros_from_fock,
 )
@@ -285,7 +283,7 @@ def test_criterion_08_energy_bound_lemmas():
     """Squeezed-vacuum verdicts flip across 1/tanh(r); additions survive."""
     for r in (0.3, 0.6, 1.0):
         edge = 1.0 / math.tanh(r)
-        v = squeezed_vacuum_fock(r, 2000)
+        v = stellar_to_fock(StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.0, chi=r), 2000)
         lo = energy_moment(v, 0.9 * edge)
         hi = energy_moment(v, 1.1 * edge)
         assert lo.verdict is Verdict.CONVERGED, r
@@ -351,7 +349,9 @@ def test_criterion_10_dual_representation():
 
     # Leading-coefficient recurrence spot check at rank 1:
     # (c0 + c1 a†) on a packet has leading coefficient c1 (1 + 2a)/sqrt(2).
-    packet = gaussian_packet_params(0.2, 0.35)
+    packet = build_wavefunction(
+        StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.2, chi=0.35)
+    )
     c0, c1 = 0.6 - 0.2j, 0.5 + 0.7j
     poly = apply_creation_polynomial(packet, [c0, c1])
     a_coef = -packet.g2

@@ -25,10 +25,10 @@ from stellar_zeros import (
     detect_crossings,
     eigenvalues_small,
     eval_entire_envelope,
+    evolve_fock,
     gershgorin_check,
     imbalance,
     matching_distance,
-    phase_shift,
     phase_trajectory,
     random_stellar_state,
     sample_closed_form,
@@ -179,7 +179,7 @@ class TestDetectCrossings:
         # basis vanishes at x*, to the series' own roundoff floor.
         v = stellar_to_fock(st, 200)
         for e in events:
-            val, env = eval_entire_envelope(phase_shift(v, e.t_star), e.x_star)
+            val, env = eval_entire_envelope(evolve_fock(v, HP, e.t_star), e.x_star)
             assert abs(val) <= 1e-6 * env, (e, abs(val) / env)
 
     def test_zero_pinned_on_axis_makes_the_pencil_singular(self):

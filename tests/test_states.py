@@ -1,5 +1,7 @@
 """State representations, basis operations, energy-bound diagnostics."""
 
+import cmath
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
@@ -16,6 +19,7 @@ from stellar_zeros import (
     CutoffTooSmall,
     FockVector,
     InvalidParameter,
+    QuadraticHamiltonian,
     StellarState,
     StellarZerosError,
     Verdict,
@@ -24,10 +28,9 @@ from stellar_zeros import (
     energy_moment,
     eval_entire_envelope,
     eval_form,
+    evolve_fock,
     normalize,
-    phase_shift,
     random_stellar_state,
-    squeezed_vacuum_fock,
     state_from_json,
     state_to_json,
     stellar_to_fock,
@@ -35,8 +38,30 @@ from stellar_zeros import (
 from stellar_zeros.states import _series
 
 
+HP = QuadraticHamiltonian.phase_shift()
+
+
 def vec(*amps):
     return FockVector(np.array(amps, dtype=complex))
+
+
+def squeezed_vacuum(chi, cutoff):
+    return stellar_to_fock(StellarState(0, [1.0], 0.0, chi), cutoff)
+
+
+def squeezed_vacuum_reference(chi, cutoff):
+    """Closed-form squeezed-vacuum amplitudes (test oracle), in log space.
+
+    ``psi_{2n} = (-e^{i phi} tanh r)^n sqrt((2n)!) / (2^n n!) / sqrt(cosh r)``
+    with ``chi = r e^{i phi}``; odd amplitudes are exactly zero.
+    """
+    r, phi = abs(chi), cmath.phase(chi)
+    n = np.arange(cutoff // 2 + 1)
+    logmag = (n * math.log(math.tanh(r)) + 0.5 * gammaln(2 * n + 1) - n * math.log(2.0)
+              - gammaln(n + 1) - 0.5 * math.log(math.cosh(r)))
+    out = np.zeros(cutoff + 1, dtype=complex)
+    out[::2] = np.exp(logmag + 1j * n * (phi + math.pi))
+    return out
 
 
 class TestNormalize:
@@ -65,15 +90,15 @@ class TestNormalize:
 class TestPhaseShift:
     def test_identity(self):
         v = normalize(vec(1, 1, 1))
-        assert np.allclose(phase_shift(v, 0.0).coeffs, v.coeffs)
+        assert np.allclose(evolve_fock(v, HP, 0.0).coeffs, v.coeffs)
 
     def test_quarter_turn_single_photon(self):
-        v = phase_shift(vec(0, 1), math.pi / 2)
+        v = evolve_fock(vec(0, 1), HP, math.pi / 2)
         assert abs(v.coeffs[1] - (-1j)) < 1e-15
 
     def test_full_turn(self):
         v = normalize(vec(1, 2, 3, 4))
-        w = phase_shift(v, 2 * math.pi)
+        w = evolve_fock(v, HP, 2 * math.pi)
         assert np.max(np.abs(w.coeffs - v.coeffs)) < 1e-14
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -83,10 +108,10 @@ class TestPhaseShift:
     )
     def test_unitary_and_composed(self, t1, t2):
         v = normalize(vec(0.3, -0.5 + 0.1j, 0.7, 0.2j, -0.1))
-        w = phase_shift(v, t1)
+        w = evolve_fock(v, HP, t1)
         assert abs(w.norm() - v.norm()) < 1e-14
-        once = phase_shift(w, t2).coeffs
-        both = phase_shift(v, t1 + t2).coeffs
+        once = evolve_fock(w, HP, t2).coeffs
+        both = evolve_fock(v, HP, t1 + t2).coeffs
         assert np.max(np.abs(once - both)) < 1e-13
 
 
@@ -117,7 +142,7 @@ class TestEnergyMoment:
     def test_squeezed_vacuum_thresholds(self):
         # tanh r = 0.5 puts the convergence edge at s = 2.
         r = math.atanh(0.5)
-        v = squeezed_vacuum_fock(r, 2000)
+        v = squeezed_vacuum(r, 2000)
         assert energy_moment(v, 1.8).verdict is Verdict.CONVERGED
         assert energy_moment(v, 2.2).verdict is Verdict.DIVERGED
 
@@ -134,7 +159,7 @@ class TestEnergyMoment:
             assert grew == should_grow
 
     def test_monotone_in_s(self):
-        v = squeezed_vacuum_fock(0.4, 300)
+        v = squeezed_vacuum(0.4, 300)
         sums = [energy_moment(v, s).partial_sum for s in (1.1, 1.4, 1.9, 2.6)]
         assert all(a <= b for a, b in zip(sums, sums[1:]))
 
@@ -160,17 +185,17 @@ class TestEnergyMoment:
 
 class TestSqueezedVacuum:
     def test_zero_squeezing_is_vacuum(self):
-        v = squeezed_vacuum_fock(0.0, 10)
+        v = squeezed_vacuum(0.0, 10)
         assert v.coeffs[0] == 1.0
         assert np.all(v.coeffs[1:] == 0)
 
     def test_odd_amplitudes_vanish(self):
-        v = squeezed_vacuum_fock(0.7 + 0.3j, 41)
+        v = squeezed_vacuum(0.7 + 0.3j, 81)
         assert np.all(np.abs(v.coeffs[1::2]) == 0)
 
     @pytest.mark.parametrize("r", (0.3, 0.8))
     def test_second_amplitude_ratio(self, r):
-        v = squeezed_vacuum_fock(r, 20)
+        v = squeezed_vacuum(r, 60)
         ratio = v.coeffs[2] / v.coeffs[0]
         assert abs(ratio - (-math.tanh(r) / math.sqrt(2))) < 1e-14
 
@@ -181,14 +206,18 @@ class TestSqueezedVacuum:
         ad = a.conj().T
         s_op = expm(0.5 * (np.conj(chi) * (a @ a) - chi * (ad @ ad)))
         want = s_op[:, 0]
-        got = squeezed_vacuum_fock(chi, 60).coeffs
+        got = squeezed_vacuum(chi, 60).coeffs
         # the dense exponential of the truncated generator is only reliable
         # away from the truncation edge
         assert np.max(np.abs(got - want)[:50]) < 1e-12
 
-    def test_cutoff_validation(self):
-        with pytest.raises(InvalidParameter):
-            squeezed_vacuum_fock(0.3, 1)
+    @pytest.mark.parametrize("chi", (0.3, 0.6, 1.0, 0.55 * cmath.exp(0.8j)))
+    def test_kernel_rows_match_the_closed_form_expansion(self, chi):
+        got = squeezed_vacuum(chi, 2000).coeffs
+        want = squeezed_vacuum_reference(chi, 2000)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        last = np.flatnonzero(got)[-10:]  # past them the rows underflow and are zeroed
+        assert np.max(np.abs(got[last] - want[last]) / np.abs(want[last])) <= 1e-10
 
 
 def laguerre_displacement_element(m, n, alpha):
@@ -368,6 +397,17 @@ class TestStellarState:
         params[field] = np.array([0.6, bad]) if field == "core" else bad
         with pytest.raises(InvalidParameter, match="finite"):
             StellarState(**params)
+
+    @pytest.mark.parametrize("rank,core", [(1.0, [0.6, 0.8]), (True, [0.6, 0.8]), (-1, [])])
+    def test_rejects_a_rank_that_is_not_a_nonnegative_integer(self, rank, core):
+        # A float rank failed later in stellar_to_fock's slicing, and -1 as a zero core.
+        with pytest.raises(InvalidParameter, match="rank"):
+            StellarState(rank, core, 0.1, 0.1)
+
+    def test_numpy_integer_rank_is_stored_as_int(self):
+        st_ = StellarState(np.int64(1), [0.6, 0.8], 0.1, 0.1)
+        assert type(st_.rank) is int
+        assert json.loads(json.dumps(state_to_json(st_)))["rank"] == 1
 
 
 class TestStateJson:

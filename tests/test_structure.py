@@ -1,6 +1,8 @@
 """Package structure: what importing costs and what the oracle may use."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import stellar_zeros
 import stellar_zeros.oracle
 import stellar_zeros.rootfind
 import stellar_zeros.wavefunction
-from stellar_zeros import CountMismatch, ZeroOnContour
+from stellar_zeros import CountMismatch, ZeroOnContour, errors
 
 PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
 
@@ -239,3 +241,30 @@ def test_root_finder_shares_no_code_with_the_series():
             used |= {(node.module or "").split(".")[-1]} | {alias.name for alias in node.names}
     assert used, "no imports parsed"
     assert not used & {"states", "wavefunction", "oracle"}, used
+
+
+def test_public_api_is_declared_once():
+    # The package exports exactly what its modules declare in __all__, plus
+    # the error types, and every declared name resolves.  The special cases
+    # of the general paths are gone: the squeezed vacuum is stellar_to_fock
+    # of a rank-0 state, the Gaussian packet its build_wavefunction, and the
+    # phase shift evolve_fock under QuadraticHamiltonian.phase_shift().
+    package = Path(stellar_zeros.__file__).parent
+    modules = [importlib.import_module(f"stellar_zeros.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    declared = {name for module in modules for name in getattr(module, "__all__", ())}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+    error_types = {name for name, obj in vars(errors).items()
+                   if inspect.isclass(obj) and issubclass(obj, Exception)}
+    public = {name for name, obj in vars(stellar_zeros).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == declared | error_types
+    gone = ("squeezed_vacuum_fock", "gaussian_packet_params", "phase_shift", "packet_exponents")
+    for name in gone:
+        assert not hasattr(stellar_zeros, name), name
+    for path in package.glob("*.py"):
+        top = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {node.name for node in top if isinstance(node, ast.FunctionDef)}
+        assert not defined & set(gone), (path.name, defined & set(gone))

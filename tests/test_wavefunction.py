@@ -34,7 +34,6 @@ from stellar_zeros import (
     form_norm_squared,
     form_to_json,
     FockVector,
-    gaussian_packet_params,
     growth_bound,
     growth_bound_holds,
     hudson_test,
@@ -52,6 +51,10 @@ EPS = np.finfo(float).eps
 # monomial raising recursion and polynomial roots at 120 digits (mpmath),
 # rounded to double.
 REFERENCE_ZEROS = json.loads((Path(__file__).parent / "reference_zeros.json").read_text())
+
+
+def packet(alpha, chi):
+    return build_wavefunction(StellarState(0, [1.0], alpha, chi))
 
 
 def hermite_series_loop(coeffs, z):
@@ -95,14 +98,14 @@ def max_log_abs_hermite_functions(n, z):
 
 class TestGaussianPacket:
     def test_vacuum_parameters(self):
-        wf = gaussian_packet_params(0.0, 0.0)
+        wf = packet(0.0, 0.0)
         assert abs(wf.g2 + 0.5) < 1e-15
         assert abs(wf.g1) < 1e-15
         assert abs(wf.g0 + 0.25 * math.log(math.pi)) < 1e-14
         assert wf.zeros == ()
 
     def test_displaced_peak_position(self):
-        wf = gaussian_packet_params(1.0, 0.0)
+        wf = packet(1.0, 0.0)
         # |psi|^2 peaks where the real part of the exponent is stationary.
         peak = -wf.g1.real / (2 * wf.g2.real)
         assert abs(peak - math.sqrt(2)) < 1e-14
@@ -117,7 +120,7 @@ class TestGaussianPacket:
 
     @pytest.mark.parametrize("r", (0.4, 0.9))
     def test_squeezed_width_sign(self, r):
-        wf = gaussian_packet_params(0.0, r)
+        wf = packet(0.0, r)
         assert abs(wf.g2 + math.exp(2 * r) / 2) < 1e-12
 
         # Oracle: Var(x) = exp(-2r)/2 for position squeezing.
@@ -129,13 +132,13 @@ class TestGaussianPacket:
         assert abs(var - math.exp(-2 * r) / 2) < 1e-10
 
     def test_normalized(self):
-        wf = gaussian_packet_params(0.7 - 0.2j, 0.3 + 0.4j)
+        wf = packet(0.7 - 0.2j, 0.3 + 0.4j)
         assert abs(form_norm_squared(wf) - 1.0) < 1e-12
 
     def test_matches_fock_path_on_sample_points(self):
         alpha, chi = 0.5 + 0.3j, -0.25 + 0.35j
-        wf = gaussian_packet_params(alpha, chi)
         st = StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=alpha, chi=chi)
+        wf = build_wavefunction(st)
         v = _series(st, 3.0)[0]
         zs = np.linspace(-2.2, 2.2, 20) + 0.15j
         a = eval_form(wf, zs)
@@ -207,10 +210,10 @@ class TestBuildWavefunction:
     def test_rank_one_leading_coefficient(self, alpha, chi):
         # Leading coefficient of (c0 + c1 a†) applied to a packet is
         # c1 (1 + 2a)/sqrt(2) with a = -g2 (exact, pre-normalization).
-        packet = gaussian_packet_params(alpha, chi)
+        wf = packet(alpha, chi)
         c0, c1 = 0.3 - 0.1j, 0.8 + 0.25j
-        poly = apply_creation_polynomial(packet, [c0, c1])
-        a = -packet.g2
+        poly = apply_creation_polynomial(wf, [c0, c1])
+        a = -wf.g2
         want = c1 * (1 + 2 * a) / math.sqrt(2)
         assert abs(poly[-1] - want) < 1e-14 * abs(want)
 
@@ -221,7 +224,7 @@ class TestEvalForm:
         assert abs(eval_form(wf, wf.zeros[0])) < 1e-14
 
     def test_vacuum_at_origin(self):
-        wf = gaussian_packet_params(0.0, 0.0)
+        wf = packet(0.0, 0.0)
         assert abs(eval_form(wf, 0.0) - PI14) < 1e-14
 
     def test_cross_path_fock_one(self):
@@ -241,16 +244,32 @@ class TestEvalEntire:
         assert abs(eval_entire(v, 0.0)) < 1e-15
 
     def test_precision_loss_on_undertruncated_tail(self):
-        from stellar_zeros import squeezed_vacuum_fock
-
         # At chi = 1 the series terms at z = 3i keep growing until n ~ 240,
         # so a cutoff of 100 leaves an obviously unconverged tail.
-        v = squeezed_vacuum_fock(1.0, 100)
+        v = stellar_to_fock(StellarState(0, [1.0], 0.0, 1.0), 100)
         with pytest.raises(PrecisionLoss):
             eval_entire(v, 3j)
         # a sufficiently deep cutoff evaluates the same point cleanly
-        deep = squeezed_vacuum_fock(1.0, 900)
+        deep = stellar_to_fock(StellarState(0, [1.0], 0.0, 1.0), 900)
         assert np.isfinite(eval_entire(deep, 3j).real)
+
+    def test_overflowed_value_is_a_typed_error(self):
+        # At 40i the series overflows to NaN, which the checked evaluators once
+        # returned; unchecked, it comes back raw and without a warning.
+        v = stellar_to_fock(random_stellar_state(2, 1))
+        with pytest.raises(PrecisionLoss, match=r"z=0\+40j is not finite"):
+            eval_entire(v, 40j)
+        with pytest.raises(PrecisionLoss, match=r"z=0\+40j is not finite"):
+            eval_entire_envelope(v, [1.0, 40j])
+        assert np.isnan(eval_entire(v, [1.0, 40j], check=False)[1])
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.0, math.inf)])
+    def test_non_finite_point_is_rejected(self, z):
+        v = stellar_to_fock(random_stellar_state(2, 1))
+        for evaluate in (eval_entire, eval_entire_envelope,
+                         lambda v, z: eval_entire(v, z, check=False)):
+            with pytest.raises(InvalidParameter, match="finite"):
+                evaluate(v, [0.5, z])
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 9, 104, 851])
     def test_banded_solve_matches_the_recurrence_loop(self, cutoff):
@@ -437,6 +456,12 @@ class TestGrowthBound:
         with pytest.raises(InvalidParameter):
             growth_bound(diverging, 4.0, 0.25)  # > 1/tanh(1.2)
 
+    def test_non_finite_value_is_no_evidence(self):
+        # The series overflows at 30i; its NaN was once read as |psi| = 1e-300.
+        w = stellar_to_fock(random_stellar_state(2, 600), 400)
+        with pytest.raises(PrecisionLoss, match=r"z=0\+30j is not finite"):
+            growth_bound_holds(growth_bound(w, 2.0, 0.25), w, [1.0, 30j])
+
 
 def normalize_like(amps):
     arr = np.array(amps, dtype=complex)
@@ -445,7 +470,7 @@ def normalize_like(amps):
 
 class TestCountZerosBox:
     def test_gaussian_has_no_zeros(self):
-        wf = gaussian_packet_params(0.0, 0.0)
+        wf = packet(0.0, 0.0)
         assert count_zeros_box(lambda z: eval_form(wf, z), (-4, 4, -4, 4)) == 0
 
     def test_fock_two_roots_inside(self):
