@@ -31,9 +31,8 @@ import numpy as np
 from . import dynamics, oracle, phase, states, wavefunction
 from .errors import InvalidParameter, StellarZerosError
 
-# The oracle's partner holds this many more amplitudes: its ring moves, its zeros do not.
-_PARTNER_CUTOFF_STEP = 20
-# verify refuses a longer oracle series: a colleague solve is O(N^3), 20 s at this N on one core.
+# verify refuses a longer oracle series: propagating it costs O(N^2) per time, 0.2 s for
+# three times at this N and 15 s at N = 16,000 on one core.
 _MAX_ORACLE_CUTOFF = 2048
 _METHODS = ("ode", "closed", "both")
 
@@ -191,7 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid_1d = np.arange(-3.0, 3.01, 0.5)
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
-    v, work = states._series(st, 3.0)
+    v = states._series(st, 3.0)
     a = wavefunction.eval_form(wf, zs)
     b = wavefunction.eval_entire(v, zs, check=False)
     grid_scale = float(np.max(np.abs(a)))
@@ -206,15 +205,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         traj = dynamics.integrate(wf, H, times)
         refs = dynamics.closed_form(wf, H, times)
         ode_dev = max(map(dynamics.matching_distance, traj.paths.T, refs))
-
-        # One propagation of the series with its next amplitudes (from v alone, the partner
-        # would be vt padded with zeros under a phase shift); vt is its first N + 1 rows.
-        longer = states.FockVector(work.coeffs[: v.cutoff + 1 + _PARTNER_CUTOFF_STEP])
-        partners = oracle.evolve_fock(longer, H, times)
-        for partner, ref in zip(partners, refs):
-            vt = states.FockVector(partner.coeffs[: v.cutoff + 1])
-            hw = max(max(abs(z.real), abs(z.imag)) for z in ref) + 0.9
-            zo = oracle.zeros_from_fock(vt, wf.rank, hw, partner=partner)
+        for vt, ref in zip(oracle.evolve_fock(v, H, times), refs):
+            zo = oracle.zeros_from_fock(vt, wf.rank)
             oracle_dev = max(oracle_dev, dynamics.matching_distance(zo, ref))
 
     ok = (

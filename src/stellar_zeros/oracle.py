@@ -2,41 +2,39 @@
 
 :func:`evolve_fock` gives any rows of ``exp(-iHt) v`` exactly, from the
 recurrences of a Gaussian unitary's matrix elements, with no truncated
-operator.  :func:`zeros_from_fock` takes a cutoff-N vector's zeros from its
-degree-N Hermite series, keeps those that a partner series confirms and
-certifies their count.  None of this shares a code path with the
-closed-form zero dynamics, which is the point: agreement between the two
-is the package's strongest check.  The flow of ``(a, a†, 1)`` is the one
-physics both start from; criterion 2's ODE checks it apart.
+operator.  :func:`zeros_from_fock` reads the vector's own Gaussian frame off
+its amplitudes and takes a rank-r state's zeros from its r + 1 Hermite terms
+in that frame.  None of this shares a code path with the closed-form zero
+dynamics, which is the point: agreement between the two is the package's
+strongest check.  The flow of ``(a, a†, 1)`` is the one physics both start
+from; criterion 2's ODE checks it apart.
 """
 
 from __future__ import annotations
 
-import contextlib
+import cmath
+import functools
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CountMismatch, InvalidParameter, TruncationLeakage, ZeroOnContour
+from .errors import CountMismatch, InvalidParameter, PrecisionLoss, TruncationLeakage
 from .dynamics import QuadraticHamiltonian
 from .states import FockVector, _kernel_rows
-from .wavefunction import _hermite_functions, count_zeros_box, eval_entire
+from .wavefunction import _hermite_functions, eval_entire
 
 __all__ = ["evolve_fock", "zeros_from_fock"]
 
-# A root whose Newton step on the partner series is below this (relative
-# above |z| = 1) is a zero of both cutoffs.  Coefficients below _AGREE**2 of
-# the largest move a root of condition <= 1/_AGREE by less than that.
-_AGREE = 1e-6
-# Margin of the certificate contour around the kept zeros.
-_PAD = 0.5
-# The next solve (the first without a partner) cuts the series after its
-# last coefficient above this fraction of the largest.
-_RESOLVED = np.finfo(float).eps
-# The last solve, at the full degree, drops only trailing coefficients below
-# this fraction of the largest, since dividing by the last one could overflow.
-_NEGLIGIBLE = np.finfo(float).tiny / np.finfo(float).eps
+# Singular values at most this fraction of the largest span the degree-r null space.
+_NULL = 1e-10
+# The frame series' degree-r term must exceed this fraction of its largest, and the terms
+# past it may hold at most this fraction of the degree-r term, by which the colleague
+# matrix divides: a rank one too high meets the first test with noise that fails the second.
+_TAIL = 1e-9
+# The frame series is sampled at r + _NODES Gauss-Hermite nodes: its coefficients past
+# degree r are the certificate.
+_NODES = 13
 # The propagated rows may lose at most this fraction of the norm.
 _LEAK = 1e-8
 
@@ -67,103 +65,105 @@ def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t):
     return [FockVector(o) for o in out] if times.ndim else FockVector(out[0])
 
 
-def _hermite_roots(v: FockVector, floor: float = _NEGLIGIBLE) -> np.ndarray:
-    """Zeros of the Hermite series of ``v`` cut after its last coefficient
-    above ``floor`` times the largest, from one colleague matrix.
-
-    ``psi(z) = exp(-z^2/2) sum_n c_n p_n(z)`` with the orthonormal Hermite
-    polynomials ``p_n``, which obey ``z p_n = b_{n+1} p_{n+1} + b_n p_{n-1}``
-    with ``b_n = sqrt(n/2)``.  Their Jacobi matrix, with the series folded
-    into its last column, has the zeros as eigenvalues (Good 1961); working
-    in the orthonormal basis keeps the ``2^n n!`` scale out of the matrix.
-    The default floor drops only coefficients too small to divide by: they
-    only push spurious roots further out.
+@functools.cache
+def _frame_projection(m: int):
+    """Gauss-Hermite nodes ``w_k`` and the ``(m, m)`` matrix taking the samples at them of
+    ``q(w) exp(-w^2/2)`` to its coefficients ``d_0 .. d_{m-1}`` on the normalized Hermite
+    functions, exactly for ``deg q <= m``: ``d_n = sum_k W_k exp(w_k^2) phi_n(w_k) q(w_k)
+    exp(-w_k^2/2)``, a quadrature of a polynomial of degree below ``2m`` against ``exp(-w^2)``.
     """
-    c = v.coeffs
-    kept = np.flatnonzero(np.abs(c) > np.max(np.abs(c)) * floor)
-    if kept.size == 0:
-        raise InvalidParameter("the zero vector has no isolated zeros")
-    n = int(kept[-1])
-    if n == 0:
+    nodes, mass = np.polynomial.hermite.hermgauss(m)
+    phi = _hermite_functions(m, nodes).real
+    return nodes, (phi * (mass * np.exp(nodes**2))[:, None]).T
+
+
+def _hermite_roots(d: np.ndarray) -> np.ndarray:
+    """Zeros of ``exp(-w^2/2) sum_{n<=r} d_n p_n(w)``, ``d_r != 0``, from one colleague matrix.
+
+    The orthonormal Hermite polynomials ``p_n`` obey ``w p_n = b_{n+1} p_{n+1} + b_n p_{n-1}``
+    with ``b_n = sqrt(n/2)``.  Their Jacobi matrix, with the series folded into its last
+    column, has the zeros as eigenvalues (Good 1961); working in the orthonormal basis keeps
+    the ``2^n n!`` scale out of the matrix.
+    """
+    r = d.size - 1
+    if r == 0:
         return np.empty(0, dtype=complex)
-    b = np.sqrt(np.arange(1, n) / 2.0)
+    b = np.sqrt(np.arange(1, r) / 2.0)
     colleague = np.diag(b, 1) + np.diag(b, -1) + 0j
-    colleague[:, -1] -= math.sqrt(n / 2.0) * c[:n] / c[n]
+    colleague[:, -1] -= math.sqrt(r / 2.0) * d[:r] / d[r]
     return np.linalg.eigvals(colleague)
 
 
-def _partner_agrees(w: FockVector, z: np.ndarray):
-    """Whether two Newton steps on ``w``'s Hermite series confirm each ``z``,
-    and the twice-stepped roots ``z - s1 - s2``.
+def _stellar_exponents(c: np.ndarray, r: int):
+    """``(E, F0)`` of the Bargmann function ``F = sum_n c_n b^n / sqrt(n!) = P exp(E b^2/2 +
+    F0 b)``, ``deg P = r``, from one SVD; :class:`CountMismatch` if no ``P`` of degree ``r``
+    fits.
 
-    The first step must be within ``_AGREE max(1, |z|)``, the second at most
-    half the first above a roundoff floor; a zero derivative rejects.  As
-    ``p_n' = sqrt(2n) p_{n-1}``, the derivative series is ``sqrt(2(m+1)) c_{m+1}``,
-    and each step takes both series from one set of Hermite functions.
+    ``P F' = R F`` with ``R = P' + (E b + F0) P`` is linear in the ``2r + 3`` coefficients of
+    ``P`` and ``R``.  Its order ``m < N`` reads ``sum_j p_j (m-j+1) f_{m-j+1} = sum_j rho_j
+    f_{m-j}`` in ``f_k = c_k / sqrt(k!)``; row m times ``sqrt((m+1)!)`` has entries ``c_k
+    sqrt((m+1)!/k!)``, which neither overflow nor use the amplitudes past the cutoff.  The
+    null space is spanned by the right singular vectors at most ``_NULL`` of the largest
+    (after unit column scaling).  A repeated zero leaves more than one direction, all with
+    the same ``E = rho_{r+1} / p_r`` and ``F0 = (rho_r - E p_{r-1}) / p_r``; the one with the
+    largest ``|p_r|`` divides best.
     """
-    c = w.coeffs
-    series = np.stack([c, np.append(np.sqrt(2.0 * np.arange(1, c.size)) * c[1:], 0.0)], axis=1)
-    scale = np.maximum(1.0, np.abs(z))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s1 = np.divide(*(_hermite_functions(c.size, z) @ series).T)
-        s2 = np.divide(*(_hermite_functions(c.size, z - s1) @ series).T)
-        polished = z - s1 - s2
-    floor = 16.0 * np.finfo(float).eps * scale
-    return (np.abs(s1) <= _AGREE * scale) & (np.abs(s2) <= 0.5 * np.abs(s1) + floor), polished
+    n, cols = c.size - 1, 2 * r + 3
+    rows = max(n, cols)  # zero rows past the cutoff keep every right singular vector
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, rows + 2)))))
+    m, j = np.arange(rows)[:, None], np.arange(cols)
+    k = m + np.where(j <= r, 1 - j, r + 1 - j)
+    inside = (k >= 0) & (k <= n) & (m < n)
+    k = np.where(inside, k, 0)
+    system = np.where(inside, np.where(j <= r, k, -1) * c[k]
+                      * np.exp(0.5 * (log_fact[m + 1] - log_fact[k])), 0.0)
+    scale = np.linalg.norm(system, axis=0)
+    scale[scale == 0.0] = 1.0
+    _, sigma, vh = np.linalg.svd(system / scale, full_matrices=False)
+    null = vh[sigma <= _NULL * sigma[0]].conj()
+    if null.shape[0] == 0:
+        raise CountMismatch(f"no polynomial of degree {r} fits: the smallest singular value is "
+                            f"{sigma[-1] / sigma[0]:.1e} of the largest; the rank is higher")
+    x = (null.T @ null[:, r].conj()) / scale
+    p, rho = x[: r + 1], x[r + 1 :]
+    e = rho[r + 1] / p[r]
+    return e, (rho[r] - e * (p[r - 1] if r else 0.0)) / p[r]
 
 
-def zeros_from_fock(
-    v: FockVector, expected_rank: int, box_halfwidth: float, partner: FockVector | None = None
-) -> list:
-    """Zeros of the entire extension inside a centered square box.
+def zeros_from_fock(v: FockVector, expected_rank: int) -> list:
+    """Zeros of the entire extension of a Fock vector of stellar rank ``expected_rank``.
 
-    The candidate zeros come from one eigen-solve (:func:`_hermite_roots`)
-    of the series cut after its last coefficient above ``_AGREE**2`` of the
-    largest when a partner polishes them, else above ``eps``.  Truncation
-    adds a ring of spurious zeros that moves with the cutoff, while the
-    true zeros do not: of the roots in the box, only those on which two
-    Newton steps on the series of ``partner`` (the same state at another
-    cutoff) agree are kept, and they are returned after those two steps.
-    Without a partner every root in the box is kept as it is.  The kept
-    roots must number ``expected_rank``, and the argument principle on the
-    full series of ``v``, around their bounding rectangle padded by 0.5
-    (the box itself when there are none), must count exactly them.  If
-    either check fails (a short series can miss a zero that only its tail
-    resolves), the same steps run at the next floor, ``eps`` and then the
-    full degree, whose :class:`CountMismatch` or :class:`ZeroOnContour` is raised.
+    A finite-rank state has ``psi(x) = Q(x) exp(-A x^2/2 + g1 x + g0)`` with ``deg Q = r``,
+    ``A = (1 - E)/(1 + E)`` and ``g1 = sqrt(2) F0 / (1 + E)`` from the Bargmann exponents
+    (:func:`_stellar_exponents`).  In the frame ``x = xbar + s w`` with ``s = 1/sqrt(Re A)``
+    and ``xbar = Re g1 / Re A``, ``psi`` times the unimodular ``exp(i Im A x^2/2 - i Im g1 x)``
+    is ``Q(xbar + s w) exp(-w^2/2)`` up to a constant: exactly the Hermite terms ``d_0 ..
+    d_r``.  The ``r + 13`` coefficients ``d_n`` come from the series of ``v`` at as many
+    Gauss-Hermite nodes on the real line (:func:`_frame_projection`), where it is well
+    conditioned, and the zeros from one degree-r colleague solve, mapped back.  The rank gap
+    and the w-tail are the certificate: :class:`CountMismatch` if no degree-r null vector
+    exists or ``|d_r|`` is at most ``_TAIL`` of ``max|d|``, :class:`PrecisionLoss` if the
+    frame is not normalizable or ``d_{r+1..}`` exceeds ``_TAIL`` of ``|d_r|``.
     """
     if expected_rank < 0:
         raise InvalidParameter("expected_rank must be nonnegative")
-    if not 0 < box_halfwidth < math.inf:
-        raise InvalidParameter("box_halfwidth must be positive and finite")
-    hw = float(box_halfwidth)
-    floors = (_RESOLVED, _NEGLIGIBLE) if partner is None else (_AGREE**2, _RESOLVED, _NEGLIGIBLE)
-    for floor in floors[:-1]:
-        with contextlib.suppress(CountMismatch, ZeroOnContour):
-            return _certified_zeros(v, expected_rank, hw, partner, floor)
-    return _certified_zeros(v, expected_rank, hw, partner, floors[-1])
-
-
-def _certified_zeros(v, expected_rank, hw, partner, floor) -> list:
-    """:func:`zeros_from_fock`'s steps on the series of ``v`` cut at ``floor``."""
-    roots = _hermite_roots(v, floor)
-    roots = roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
-    if partner is not None:
-        keep, polished = _partner_agrees(partner, roots)
-        roots = polished[keep]
-    if roots.size != expected_rank:
-        raise CountMismatch(
-            f"box holds {roots.size} stable zeros, expected {expected_rank}; "
-            "wrong box or truncation artifacts"
-        )
-    box = (-hw, hw, -hw, hw)
-    if roots.size:
-        x, y = roots.real, roots.imag
-        box = (x.min() - _PAD, x.max() + _PAD, y.min() - _PAD, y.max() + _PAD)
-    count = count_zeros_box(lambda zz: eval_entire(v, zz, check=False), box)
-    if count != roots.size:
-        raise CountMismatch(
-            f"contour around {roots.size} stable zeros counts {count}; "
-            "truncation artifacts near the zeros"
-        )
-    return [complex(z) for z in roots]
+    if not np.any(v.coeffs):
+        raise InvalidParameter("the zero vector has no isolated zeros")
+    r = int(expected_rank)
+    e, f0 = _stellar_exponents(v.coeffs, r)
+    a, g1 = (1.0 - e) / (1.0 + e), math.sqrt(2.0) * f0 / (1.0 + e)
+    if not (cmath.isfinite(a) and cmath.isfinite(g1) and a.real > 0.0):
+        raise PrecisionLoss(f"Gaussian frame A = {a:.3g} is not normalizable (E = {e:.3g})")
+    s, xbar = 1.0 / math.sqrt(a.real), g1.real / a.real
+    nodes, projection = _frame_projection(r + _NODES)
+    x = xbar + s * nodes
+    samples = eval_entire(v, x, check=False)  # finite: |phi_n| <= pi^(-1/4) on the real line
+    d = projection @ (samples * np.exp(1j * (0.5 * a.imag * x * x - g1.imag * x)))
+    peak, lead, tail = np.max(np.abs(d)), abs(d[r]), np.max(np.abs(d[r + 1 :]))
+    if not lead > _TAIL * peak:
+        raise CountMismatch(f"frame series has no degree-{r} term (|d_{r}| = {lead:.1e}, "
+                            f"max |d| = {peak:.1e}); the rank is lower or a zero is repeated")
+    if not tail <= _TAIL * lead:
+        raise PrecisionLoss(f"frame series past degree {r} reaches {tail / lead:.1e} of its "
+                            f"degree-{r} term; the frame is not resolved")
+    return [complex(z) for z in xbar + s * _hermite_roots(d[: r + 1])]

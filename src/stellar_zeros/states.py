@@ -294,7 +294,7 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     below ``eps``.
     """
     if cutoff is None:
-        return _series(st, 0.0)[0]
+        return _series(st, 0.0)
     if cutoff < st.rank:
         raise CutoffTooSmall("cutoff below the stellar rank")
     vec = _stellar_rows(st, cutoff)
@@ -318,17 +318,16 @@ def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
             + _SQRT2 * y * rho - xlogy(n, rho))
 
 
-def _series(st: StellarState, max_abs_im: float) -> tuple[FockVector, FockVector]:
-    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``, and the
-    working vector it was read from.
+def _series(st: StellarState, max_abs_im: float) -> FockVector:
+    """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``.
 
     The one rule by which :func:`stellar_to_fock` without a cutoff,
     :func:`~stellar_zeros.wavefunction.hudson_test` and ``verify`` size and build a series:
     the least cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
     (:func:`_log_hermite_bound`), not below :func:`default_cutoff`, read off a working vector
     doubled from twice that floor until ``N`` is below its top quarter.  The rows are exact
-    (:func:`_stellar_rows`), so the vector is the working one's start, which holds at least
-    30 amplitudes more.  Raises :class:`PrecisionLoss` if amplitudes underflow first.
+    (:func:`_stellar_rows`), so the vector is the working one's start.  Raises
+    :class:`PrecisionLoss` if amplitudes underflow first.
     """
     floor = work = default_cutoff(st.rank, st.alpha, st.chi)
     while True:
@@ -346,7 +345,7 @@ def _series(st: StellarState, max_abs_im: float) -> tuple[FockVector, FockVector
             f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
             f"the amplitudes underflow past n = {cut}"
         )
-    return FockVector(v[: max(floor, cut) + 1]), FockVector(v)
+    return FockVector(v[: max(floor, cut) + 1])
 
 
 def random_stellar_state(rank: int, seed: int, scale: float = 1.0) -> StellarState:

@@ -487,7 +487,7 @@ def hudson_test(st: StellarState) -> HudsonResult:
     res = [z.real for z in wf.zeros] or [0.0]
     ims = [z.imag for z in wf.zeros] or [0.0]
     box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
-    v, _ = _series(st, max(abs(box[2]), abs(box[3])))
+    v = _series(st, max(abs(box[2]), abs(box[3])))
 
     def resolved(zz):
         vals, envelope = eval_entire_envelope(v, zz)

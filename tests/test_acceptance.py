@@ -200,8 +200,7 @@ def test_criterion_03_oracle_equivalence():
             for t in (0.3, 1.1, 2.9):
                 vt = evolve_fock(v, H, t)
                 zc = closed_form(wf, H, t)
-                hw = max(max(abs(z.real), abs(z.imag)) for z in zc) + 0.9
-                zo = zeros_from_fock(vt, rank, hw)
+                zo = zeros_from_fock(vt, rank)
                 assert len(zo) == rank
                 worst = max(worst, matching_distance(zo, zc))
     assert worst <= 1e-4
@@ -310,7 +309,7 @@ def test_criterion_09_growth_bound():
         st = random_stellar_state(rank, 600 + i, scale=0.8)
         chi_mag = abs(st.chi)
         s = 4.0 if chi_mag < 0.05 else min(4.0, 1.0 + 0.5 * (1.0 / math.tanh(chi_mag) - 1.0))
-        cutoff = max(400, _series(st, 5.0)[0].cutoff)
+        cutoff = max(400, _series(st, 5.0).cutoff)
         v = stellar_to_fock(st, cutoff)
         gb = growth_bound(v, s, 0.25)
         rng = np.random.default_rng(4242 + i)
@@ -332,7 +331,7 @@ def test_criterion_10_dual_representation():
         chosen = None
         for seed in range(30):
             st = random_stellar_state(rank, seed)
-            v = _series(st, 3.0)[0]
+            v = _series(st, 3.0)
             wf = build_wavefunction(st)
             a = eval_form(wf, zs)
             scale = float(np.max(np.abs(a)))

@@ -238,8 +238,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("rank", [4, 5, 6])
     def test_high_rank_ring_passes(self, capsys, tmp_state, rank):
-        # By t = 1.1 the zeros spread far enough that the oracle's box
-        # reaches the truncation ring of the cutoff-80 vector.
+        # By t = 1.1 the zeros spread far enough that a box around them
+        # reaches the truncation ring of the cutoff-80 Hermite series.
         path = tmp_state("ring.json", ring_state(rank, 0, radius=0.85, chi=0.12, alpha=0.08))
         rc, out, _ = run_cli(
             capsys, ["verify", "--state", path, "--hamiltonian", "0.45,0.52,-0.10,-0.10,0.08,0"]
@@ -251,8 +251,7 @@ class TestVerifyCommand:
     def test_squeezed_random_state_passes(self, capsys, spec):
         # Squeezed enough that a series cleared only to 1e-9 leaves its
         # truncation tail above the 1e-7 dual-path bound.  The oracle's
-        # zeros come from a series cut short, so they must be polished on
-        # the partner to agree this closely.
+        # frame series must still give the zeros to 1e-9.
         rc, out, _ = run_cli(capsys, ["verify", "--random", spec])
         assert rc == 0
         assert "status=PASS" in out
@@ -270,17 +269,30 @@ class TestVerifyCommand:
         ],
     )
     def test_exact_propagation_passes(self, capsys, spec, hamiltonian):
-        # The evolved amplitudes must carry no rounding floor, which the
-        # Hermite weights would turn into spurious rings near the zeros.  The
-        # phase-shift run needs the partner to carry the series' own next
-        # amplitudes: padded with zeros, it keeps the cut's ring.
+        # The evolved amplitudes must carry no rounding floor, which would
+        # leave the rank system without a null vector at the state's rank.
         rc, out, _ = run_cli(capsys, ["verify", "--random", spec, "--hamiltonian=" + hamiltonian])
         assert rc == 0
         assert "status=PASS" in out
 
+    @pytest.mark.parametrize(
+        "hamiltonian",
+        ["0.5,0.5,0,0,0,0", "0.50,0.45,0.08,0.12,-0.10,0", "0.45,0.52,-0.10,-0.10,0.08,0"],
+        ids=["hp", "h1", "h2"],
+    )
+    @pytest.mark.parametrize("spec", "1,0 2,1 5,0 6,2 3,4 5,1 1,1 3,1 4,0".split())
+    def test_oracle_finds_every_random_zero(self, capsys, spec, hamiltonian):
+        # In the lab-frame Hermite series some of these zeros cancel below any
+        # double-precision floor (2,1 at t = 1.1 under the phase shift: |psi| =
+        # 264 under a termwise envelope of 2e22).  The stellar frame resolves
+        # all of them; a FAIL (exit 2) may remain on the dual path only.
+        rc, out, err = run_cli(capsys, ["verify", "--random", spec, "--hamiltonian=" + hamiltonian])
+        assert rc != 1, err
+        assert float(re.search(r"oracle=(\S+)", out).group(1)) <= 1e-4
+
     def test_series_past_the_cap_is_refused_before_propagating(self, capsys, tmp_state, monkeypatch):
-        # This state's series has N = 15,961: its colleague matrix alone would take
-        # about 4 GB, so verify names the cap before anything is propagated or solved.
+        # This state's series has N = 15,961: its propagation alone would take about
+        # 15 s, so verify names the cap before anything is propagated or solved.
         monkeypatch.setattr(dynamics, "integrate", lambda *a: pytest.fail("integrated"))
         monkeypatch.setattr(oracle, "evolve_fock", lambda *a: pytest.fail("propagated"))
         path = tmp_state("big.json", random_stellar_state(6, 0, scale=2.0))

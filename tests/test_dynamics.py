@@ -654,8 +654,7 @@ class TestEveryQuadraticHamiltonian:
         wf = build_wavefunction(st)
         vt = evolve_fock(stellar_to_fock(st, 80), H, t)
         want = closed_form(wf, H, t)
-        hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        got = zeros_from_fock(vt, 3, hw)
+        got = zeros_from_fock(vt, 3)
         assert matching_distance(got, want) < 1e-8
 
 

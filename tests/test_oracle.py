@@ -20,7 +20,6 @@ from stellar_zeros import (
     TruncationLeakage,
     build_wavefunction,
     closed_form,
-    eval_entire,
     evolve_fock,
     matching_distance,
     normalize,
@@ -30,9 +29,8 @@ from stellar_zeros import (
     stellar_to_fock,
     zeros_from_fock,
 )
-from stellar_zeros import oracle, wavefunction
+from stellar_zeros import oracle
 from stellar_zeros.cli import main
-from stellar_zeros.states import _series
 
 HP = QuadraticHamiltonian.phase_shift()
 # Criterion 3's Hamiltonians, which verify's benchmark also runs.
@@ -60,13 +58,6 @@ def dense_hamiltonian(H, cutoff):
     )
 
 
-def dense_partner_keep(roots, partner):
-    """Reference: roots with a root of the partner's own colleague solve nearby."""
-    others = oracle._hermite_roots(partner)
-    gap = np.min(np.abs(roots[:, None] - others[None, :]), axis=1, initial=np.inf)
-    return gap <= oracle._AGREE * np.maximum(1.0, np.abs(roots))
-
-
 def aligned(out, ref):
     """``out`` times the global phase that brings it closest to ``ref``."""
     inner = np.vdot(out, ref)
@@ -85,34 +76,6 @@ def displacement_element(alpha, m, n):
 def padded(v, cutoff):
     """``v`` with zeros up to ``cutoff``: ``evolve_fock`` returns as many rows as it is given."""
     return FockVector(np.pad(v.coeffs, (0, cutoff - v.cutoff)))
-
-
-def roots_in_box(v, hw):
-    roots = oracle._hermite_roots(v)
-    return roots[(np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)]
-
-
-def newton_steps(w, z):
-    """The two Newton steps of the partner rule, on ``w``'s Hermite series."""
-    d = np.zeros_like(w.coeffs)
-    d[:-1] = np.sqrt(2.0 * np.arange(1, d.size)) * w.coeffs[1:]
-    d = FockVector(d)
-    s1 = eval_entire(w, z, check=False) / eval_entire(d, z, check=False)
-    s2 = eval_entire(w, z - s1, check=False) / eval_entire(d, z - s1, check=False)
-    return np.abs(s1), np.abs(s2)
-
-
-def count_hermite_solves(monkeypatch):
-    """Record every call of the banded Hermite solve, in the oracle and the series alike."""
-    calls, hermite_functions = [], wavefunction._hermite_functions
-
-    def counting(n, z):
-        calls.append(np.size(z))
-        return hermite_functions(n, z)
-
-    monkeypatch.setattr(wavefunction, "_hermite_functions", counting)
-    monkeypatch.setattr(oracle, "_hermite_functions", counting)
-    return calls
 
 
 class TestEvolveFock:
@@ -273,60 +236,97 @@ class TestKernelPins:
             evolve_fock(padded(v, 2100), H, 1.0)
 
 
+def hermite_zeros(n):
+    """Zeros of ``H_n``, those of the number state ``|n>``'s wavefunction."""
+    return np.polynomial.hermite.hermroots(np.eye(n + 1)[n]) if n else np.empty(0)
+
+
 class TestZerosFromFock:
     def test_fock_two(self):
         v = stellar_to_fock(fock_state(2), 60)
-        zs = zeros_from_fock(v, 2, 2.0)
+        zs = zeros_from_fock(v, 2)
         assert matching_distance(zs, [1 / math.sqrt(2), -1 / math.sqrt(2)]) < 1e-9
 
     def test_vacuum_empty(self):
         v = stellar_to_fock(fock_state(0), 60)
-        assert zeros_from_fock(v, 0, 3.0) == []
+        assert zeros_from_fock(v, 0) == []
 
     @pytest.mark.parametrize("cutoff", [90, 400])
     def test_rank3_matches_build(self, cutoff):
-        # At cutoff 400 the last coefficient is ~1e-162: the colleague
-        # matrix must not carry the 2^n n! scale of the physicists' basis.
+        # At cutoff 400 the last coefficient is ~1e-162: the scaled rows and the
+        # frame series must not carry the n! scale of the monomials.
         st = ring_state(3, 6)
         wf = build_wavefunction(st)
         v = stellar_to_fock(st, cutoff)
-        zs = zeros_from_fock(v, 3, 2.2)
+        zs = zeros_from_fock(v, 3)
         assert matching_distance(zs, wf.zeros) < 1e-6
 
     def test_subnormal_tail(self):
-        # Without squeezing the amplitudes underflow to subnormals near
-        # n = 170; dividing by such a last coefficient would overflow.
+        # Without squeezing the amplitudes underflow to subnormals near n = 170.
         st = stellar_state_from_zeros([0.5j, -0.4], alpha=0.1)
         v = stellar_to_fock(st, 400)
-        zs = zeros_from_fock(v, 2, 2.0)
+        zs = zeros_from_fock(v, 2)
         assert matching_distance(zs, build_wavefunction(st).zeros) < 1e-9
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_number_states_repeat_their_stellar_zero(self, n):
+        # |n> has P = b^n, so for n >= 2 the null space has n directions; the
+        # one with the largest leading coefficient gives the frame.
+        v = stellar_to_fock(fock_state(n), 80)
+        assert matching_distance(zeros_from_fock(v, n), hermite_zeros(n)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_displaced_squeezed_number_states(self, n):
+        st = StellarState(rank=n, core=np.eye(n + 1)[n], alpha=0.3 - 0.2j, chi=0.25 + 0.1j)
+        v = stellar_to_fock(st, 120)
+        assert matching_distance(zeros_from_fock(v, n), build_wavefunction(st).zeros) < 1e-12
+
     def test_count_mismatch(self):
+        # Asked for rank 3, |2> has null vectors (P = b^3) but no degree-3 frame term.
         v = stellar_to_fock(fock_state(2), 60)
         with pytest.raises(CountMismatch):
-            zeros_from_fock(v, 3, 2.0)
+            zeros_from_fock(v, 3)
 
-    def test_contour_catches_a_zero_the_partner_dropped(self):
-        # The partner shares only the zero at 0, so the one at 0.3 is dropped
-        # as a truncation artifact; the count around the kept zero (padded by
-        # 0.5) still finds it, on the short and the full-degree series alike.
-        v = stellar_to_fock(stellar_state_from_zeros([0.0, 0.3]), 60)
-        partner = stellar_to_fock(stellar_state_from_zeros([0.0]), 60)
-        with pytest.raises(CountMismatch, match="contour around 1 stable zeros counts 2"):
-            zeros_from_fock(v, 1, 2.0, partner=partner)
+    def test_count_mismatch_below_a_repeated_zero(self):
+        # Asked for rank 1, P = b fits the log-derivative 2/b of |2>, so a null
+        # vector exists; the frame series has no degree-1 term.
+        v = stellar_to_fock(fock_state(2), 60)
+        with pytest.raises(CountMismatch, match="no degree-1 term"):
+            zeros_from_fock(v, 1)
+
+    def test_no_null_vector_below_the_rank(self):
+        v = stellar_to_fock(ring_state(3, 2), 80)
+        with pytest.raises(CountMismatch, match="no polynomial of degree 2 fits"):
+            zeros_from_fock(v, 2)
+
+    @pytest.mark.parametrize("rank", [20, 30, 50])
+    def test_high_rank_fails_typed(self, rank):
+        # The monomial Bargmann basis degrades with rank: each state either
+        # agrees with the closed form or raises a typed error, never a wrong set.
+        for seed in range(4):
+            st = random_stellar_state(rank, seed)
+            want = build_wavefunction(st).zeros
+            try:
+                got = zeros_from_fock(stellar_to_fock(st), rank)
+            except (PrecisionLoss, CountMismatch):
+                continue
+            assert matching_distance(got, want) <= 1e-8 * max(1.0, np.max(np.abs(want))), seed
+
+    @pytest.mark.parametrize("rank, seed", [(24, 3), (30, 3)])
+    def test_one_rank_too_many_is_refused(self, rank, seed):
+        # Asked for rank + 1, the frame's noise puts d_{r+1} just above 1e-9 of
+        # max|d| and the terms past it just below: only their ratio to d_{r+1}
+        # tells that the extra zero is noise.
+        v = stellar_to_fock(random_stellar_state(rank, seed))
+        with pytest.raises((PrecisionLoss, CountMismatch)):
+            zeros_from_fock(v, rank + 1)
 
     def test_parameter_validation(self):
         v = stellar_to_fock(fock_state(1), 60)
         with pytest.raises(InvalidParameter):
-            zeros_from_fock(v, -1, 2.0)
+            zeros_from_fock(v, -1)
         with pytest.raises(InvalidParameter):
-            zeros_from_fock(v, 1, 0.0)
-        for hw in (math.nan, math.inf):
-            for rank in (0, 1):
-                with pytest.raises(InvalidParameter):
-                    zeros_from_fock(v, rank, hw)
-        with pytest.raises(InvalidParameter):
-            zeros_from_fock(FockVector(np.zeros(8, dtype=complex)), 0, 2.0)
+            zeros_from_fock(FockVector(np.zeros(8, dtype=complex)), 0)
 
 
 class TestOracleLoop:
@@ -337,162 +337,49 @@ class TestOracleLoop:
         H = QuadraticHamiltonian(A=0.5, B=0.45, C=0.08, D=0.12, E=-0.10)
         t = 1.1
         vt = evolve_fock(v, H, t)
-        want = closed_form(wf, H, t)
-        hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        got = zeros_from_fock(vt, 2, hw)
+        got = zeros_from_fock(vt, 2)
         assert len(got) == 2
-        assert matching_distance(got, want) < 1e-4
+        assert matching_distance(got, closed_form(wf, H, t)) < 1e-4
 
     def test_partner_cutoff_rejects_truncation_ring(self):
         # At t = 1.1 the rank-6 zeros spread until five truncation-ring zeros
-        # of the full cutoff-80 series fall inside the box; the cutoff-100
-        # vector's ring lies elsewhere, so only the true zeros agree.
+        # of the full cutoff-80 Hermite series fall inside the zeros' box; the
+        # stellar frame has only the six Hermite terms of the state itself.
         st = ring_state(6, 0, radius=0.85, chi=0.12, alpha=0.08)
         wf = build_wavefunction(st)
         H = QuadraticHamiltonian(A=0.45, B=0.52, C=-0.10, D=-0.10, E=0.08)
         t = 1.1
         vt = evolve_fock(stellar_to_fock(st, 80), H, t)
-        partner = evolve_fock(stellar_to_fock(st, 100), H, t)
         want = closed_form(wf, H, t)
         hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        assert roots_in_box(vt, hw).size == 11
-        got = zeros_from_fock(vt, 6, hw, partner=partner)
-        assert matching_distance(got, want) < 1e-8
-
-    @pytest.mark.parametrize(
-        "t, orders", [(0.3, [80, 99]), (1.1, [80]), (2.9, [80, 99, 179])], ids=["0.3", "1.1", "2.9"]
-    )
-    def test_solve_escalates_through_the_floors(self, monkeypatch, t, orders):
-        # With a partner the first solve cuts the series at _AGREE**2 of its
-        # largest coefficient, the next at eps, the last at the full degree.
-        # At t = 0.3 the first count fails and the eps rung certifies; at
-        # t = 2.9 the zero near 5.42+0.40i needs coefficients down to 1e-20,
-        # below what both short solves keep, and the full-degree solve finds it.
-        st = random_stellar_state(6, 1)
-        v = _series(st, 3.0)[0]
-        cutoff = v.cutoff
-        vt = evolve_fock(v, HP, t)
-        partner = evolve_fock(stellar_to_fock(st, cutoff + 20), HP, t)
-        want = closed_form(build_wavefunction(st), HP, t)
-        hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-        solved, hermite_roots = [], oracle._hermite_roots
-
-        def recording_roots(*args, **kwargs):
-            roots = hermite_roots(*args, **kwargs)
-            solved.append(roots.size)
-            return roots
-
-        monkeypatch.setattr(oracle, "_hermite_roots", recording_roots)
-        got = zeros_from_fock(vt, 6, hw, partner=partner)
-        assert solved == orders
-        assert solved[0] < cutoff
-        assert (solved[-1] == cutoff) == (len(solved) == 3)  # only the last rung is the full degree
-        assert matching_distance(got, want) < 1e-9
-
-
-class TestNewtonPartner:
-    def test_keeps_what_the_dense_partner_solve_keeps(self):
-        rejected = 0
-        for rank in range(1, 7):
-            st = ring_state(rank, 10 + rank, radius=0.85, chi=0.12, alpha=0.08)
-            wf = build_wavefunction(st)
-            v, longer = stellar_to_fock(st, 80), stellar_to_fock(st, 100)
-            for H in VERIFY_HAMILTONIANS:
-                vts = evolve_fock(v, H, VERIFY_TIMES)
-                partners = evolve_fock(longer, H, VERIFY_TIMES)
-                for t, vt, partner in zip(VERIFY_TIMES, vts, partners):
-                    want = closed_form(wf, H, t)
-                    hw = max(max(abs(z.real), abs(z.imag)) for z in want) + 0.9
-                    roots = roots_in_box(vt, hw)
-                    keep, _ = oracle._partner_agrees(partner, roots)
-                    assert np.array_equal(keep, dense_partner_keep(roots, partner))
-                    assert np.count_nonzero(keep) == rank
-                    rejected += roots.size - rank
-        # the truncation ring reaches the box in some cases
-        assert rejected > 0
-
-    def test_rank1_steps_at_roundoff_are_kept(self):
-        # Both steps sit at ~2e-16 to 3e-16, so the second is not half the
-        # first: only the roundoff floor keeps the true zero.  That premise
-        # rests on the core's last bits, so the core of the zero 1.5j is pinned.
-        core = np.array([-0.9045340337332909j, 0.42640143271122105])
-        st = StellarState(rank=1, core=core, alpha=0.0, chi=0.0)
-        v = _series(st, 3.0)[0]
-        vts = evolve_fock(v, HP, VERIFY_TIMES)
-        partners = evolve_fock(stellar_to_fock(st, v.cutoff + 20), HP, VERIFY_TIMES)
-        for vt, partner in zip(vts, partners):
-            roots = roots_in_box(vt, 2.0)
-            assert roots.size == 1
-            s1, s2 = newton_steps(partner, roots)
-            assert np.all(s2 > 0.5 * s1)
-            assert np.all(oracle._partner_agrees(partner, roots)[0])
-
-    def test_nan_candidate_leaves_the_true_roots_alone(self, monkeypatch):
-        # The NaN candidate's first step is NaN, so both Hermite solves hold
-        # a non-finite point; the true roots must not see it.
-        st = ring_state(3, 2)
-        vt = evolve_fock(stellar_to_fock(st, 80), HP, 1.1)
-        partner = evolve_fock(stellar_to_fock(st, 100), HP, 1.1)
-        candidates = roots_in_box(vt, 2.5)
-        roots = candidates[oracle._partner_agrees(partner, candidates)[0]]
-        assert roots.size == 3
-        calls = count_hermite_solves(monkeypatch)
-        keep, polished = oracle._partner_agrees(partner, roots)
-        keep_nan, polished_nan = oracle._partner_agrees(partner, np.append(np.nan, roots))
-        assert calls == [3, 3, 4, 4]
-        assert np.all(keep) and not keep_nan[0]
-        assert np.array_equal(keep_nan[1:], keep)
-        assert np.array_equal(polished_nan[1:], polished)
-
-    def test_zero_derivative_rejects_without_warning(self):
-        constant = FockVector(np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
-        assert not np.any(oracle._partner_agrees(constant, np.array([0.3 + 0j]))[0])
+        roots = oracle._hermite_roots(vt.coeffs)
+        assert np.count_nonzero((np.abs(roots.real) <= hw) & (np.abs(roots.imag) <= hw)) == 11
+        assert matching_distance(zeros_from_fock(vt, 6), want) < 1e-8
 
 
 def spy_on_oracle(monkeypatch):
-    """Count propagations; per colleague solve, its degree, the last coefficient above
-    ``_AGREE**2`` of the largest (the first rung's cut) and the cutoff."""
-    seen = {"propagations": 0, "orders": [], "resolved": [], "cutoffs": []}
+    """Count propagations, and the degree of every colleague solve."""
+    seen = {"propagations": 0, "orders": []}
     propagate, hermite_roots = oracle.evolve_fock, oracle._hermite_roots
 
     def counting_propagation(*args, **kwargs):
         seen["propagations"] += 1
         return propagate(*args, **kwargs)
 
-    def counting_roots(v, *args, **kwargs):
-        roots = hermite_roots(v, *args, **kwargs)
-        c = np.abs(v.coeffs)
-        seen["orders"].append(roots.size)
-        seen["resolved"].append(int(np.flatnonzero(c > oracle._AGREE**2 * c.max())[-1]))
-        seen["cutoffs"].append(v.cutoff)
-        return roots
+    def counting_roots(d):
+        seen["orders"].append(d.size - 1)
+        return hermite_roots(d)
 
     monkeypatch.setattr(oracle, "evolve_fock", counting_propagation)
     monkeypatch.setattr(oracle, "_hermite_roots", counting_roots)
     return seen
 
 
-def test_verify_makes_one_propagation_and_three_colleague_solves(monkeypatch, capsys, tmp_path):
-    # One propagation for all times, its first rows the solved vectors and
-    # all of it the partner, and no colleague solve for the partner: a return
-    # to one dense solve per time fails here, not only in the benchmark.
-    # Each solve is on the degree cut at the partner's resolution, _AGREE**2
-    # of the largest coefficient, well below the cutoff.
-    seen = spy_on_oracle(monkeypatch)
-    path = tmp_path / "r2.json"
-    path.write_text(json.dumps(state_to_json(ring_state(2, 1))), encoding="utf-8")
-    assert main(["verify", "--state", str(path)]) == 0
-    assert "status=PASS" in capsys.readouterr().out
-    assert seen["propagations"] == 1 and len(seen["orders"]) == 3
-    assert seen["orders"] == seen["resolved"]
-    assert all(n < cutoff for n, cutoff in zip(seen["orders"], seen["cutoffs"]))
-
-
 @pytest.mark.parametrize("H", VERIFY_HAMILTONIANS, ids=["hp", "h1", "h2"])
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_verify_ring_fixtures_stay_on_the_first_rung(monkeypatch, capsys, tmp_path, rank, H):
-    # The benchmark's ring fixtures: each time is certified by one solve at the
-    # partner's resolution, and no solve moves on to the eps or full degree.
+    # The benchmark's ring fixtures: one propagation for the three times, and
+    # each time certified by its one colleague solve, of the state's own degree.
     st = ring_state(rank, 1000, radius=0.85, chi=0.12, alpha=0.08)
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(state_to_json(st)), encoding="utf-8")
@@ -500,16 +387,4 @@ def test_verify_ring_fixtures_stay_on_the_first_rung(monkeypatch, capsys, tmp_pa
     hamiltonian = ",".join(map(str, H.as_tuple()))
     assert main(["verify", "--state", str(path), "--hamiltonian", hamiltonian]) == 0
     assert "status=PASS" in capsys.readouterr().out
-    assert len(seen["orders"]) == 3
-    assert seen["orders"] == seen["resolved"]
-
-
-def test_verify_solves_the_hermite_band_ten_times(monkeypatch, capsys, tmp_path):
-    # One solve for the dual-path grid, then per time two for the partner's
-    # Newton steps and one for the certificate contour's samples.
-    calls = count_hermite_solves(monkeypatch)
-    path = tmp_path / "r3.json"
-    path.write_text(json.dumps(state_to_json(ring_state(3, 2))), encoding="utf-8")
-    assert main(["verify", "--state", str(path)]) == 0
-    assert "status=PASS" in capsys.readouterr().out
-    assert len(calls) == 10
+    assert seen == {"propagations": 1, "orders": [rank] * 3}

@@ -9,13 +9,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import stellar_zeros
 import stellar_zeros.oracle
 import stellar_zeros.rootfind
 import stellar_zeros.wavefunction
-from stellar_zeros import CountMismatch, ZeroOnContour, errors
+from stellar_zeros import errors
 
 PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
 
@@ -164,37 +163,35 @@ def test_oracle_propagates_without_a_truncated_hamiltonian():
 
 
 def test_oracle_has_one_colleague_solver():
-    # Every rung of the floor ladder, the full degree included, is one function
-    # with a floor argument, so the oracle's only eigenvalue solve lives there.
+    # The oracle's only eigenvalue solve is the degree-r colleague matrix of
+    # the frame series, and its only factorization the SVD of the rank system.
     assert [s for s in _scopes_of("eigvals") if s[0] == "oracle"] == [("oracle", "_hermite_roots")]
+    assert [s for s in _scopes_of("svd") if s[0] == "oracle"] == [("oracle", "_stellar_exponents")]
+    assert [s for s in _scopes_of("count_zeros_box") if s[0] == "oracle"] == []
 
 
-def test_oracle_floor_ladder(monkeypatch):
-    # With a partner the solves cut the series at _AGREE**2 of its largest
-    # coefficient, then eps, then only where dividing would overflow; without
-    # one they start at eps.  A failed certificate moves to the next rung, and
-    # the last rung's error is the one raised.
-    assert set(_scopes_of("_certified_zeros")) == {("oracle", "zeros_from_fock")}
-    floors = []
+def test_oracle_makes_one_svd_and_one_degree_r_solve(monkeypatch):
+    # Per call one SVD of the (N x (2r + 3)) scaled system and one colleague
+    # solve of degree r, whatever the cutoff: no contour and no series-length
+    # solve.
+    shapes = {"svd": [], "eigvals": []}
+    for name in shapes:
+        original = getattr(np.linalg, name)
 
-    def failing(v, expected_rank, hw, partner, floor):
-        floors.append(floor)
-        raise (ZeroOnContour if len(floors) == 1 else CountMismatch)(f"rung {len(floors)}")
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(stellar_zeros.oracle, "_certified_zeros", failing)
-    v = stellar_zeros.FockVector(np.array([0.0, 1.0], dtype=complex))
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    with pytest.raises(CountMismatch, match="rung 3"):
-        stellar_zeros.zeros_from_fock(v, 1, 2.0, partner=v)
-    assert floors == [stellar_zeros.oracle._AGREE**2, eps, tiny / eps]
-    floors.clear()
-    with pytest.raises(CountMismatch, match="rung 2"):
-        stellar_zeros.zeros_from_fock(v, 1, 2.0)
-    assert floors == [eps, tiny / eps]
+        monkeypatch.setattr(np.linalg, name, recording)
+    st = stellar_zeros.random_stellar_state(4, 1)
+    v = stellar_zeros.stellar_to_fock(st, 300)
+    zeros = stellar_zeros.zeros_from_fock(v, 4)
+    assert len(zeros) == 4
+    assert shapes == {"svd": [(300, 11)], "eigvals": [(4, 4)]}
 
 
 def test_one_hermite_evaluator():
-    # Every Hermite-series value, the oracle's Newton steps included, comes
+    # Every Hermite-series value, the oracle's frame samples included, comes
     # from the one banded solve; the series adds its checks without a loop.
     assert _scopes_of("ztbsv") == [("wavefunction", "_hermite_functions")]
     tree = ast.parse(Path(stellar_zeros.wavefunction.__file__).read_text(encoding="utf-8"))

@@ -139,7 +139,7 @@ class TestGaussianPacket:
         alpha, chi = 0.5 + 0.3j, -0.25 + 0.35j
         st = StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=alpha, chi=chi)
         wf = build_wavefunction(st)
-        v = _series(st, 3.0)[0]
+        v = _series(st, 3.0)
         zs = np.linspace(-2.2, 2.2, 20) + 0.15j
         a = eval_form(wf, zs)
         b = eval_entire(v, zs)
@@ -284,7 +284,7 @@ class TestEvalEntire:
 
     def test_grid_keeps_its_shape(self):
         st = random_stellar_state(2, 3)
-        v = _series(st, 3.0)[0]
+        v = _series(st, 3.0)
         zs = np.array([[0.1 + 0.2j, -1.0, 2.0j], [0.5 - 0.5j, 1.5 + 0.3j, -2.0 - 1.0j]])
         flat = eval_entire(v, zs.ravel())
         assert np.array_equal(eval_entire(v, zs), flat.reshape(2, 3))
@@ -332,7 +332,7 @@ class TestEvalEntire:
 
     def test_dual_path_rank3(self):
         st, wf = distinct_random_state(3, 5, min_gap=0.0)
-        v = _series(st, 3.0)[0]
+        v = _series(st, 3.0)
         zs = standard_grid()
         a = eval_form(wf, zs)
         b, envelope = eval_entire_envelope(v, zs)
@@ -351,7 +351,7 @@ class TestEvalEntire:
             for seed in range(10):
                 st = random_stellar_state(rank, seed)
                 wf = build_wavefunction(st)
-                v = _series(st, 3.0)[0]
+                v = _series(st, 3.0)
                 zs = standard_grid()
                 a = eval_form(wf, zs)
                 b, envelope = eval_entire_envelope(v, zs)
@@ -378,7 +378,7 @@ class TestSeriesCutoff:
     def test_cut_series_matches_twice_its_length(self, rank, seed):
         # The tail past the cutoff stays below eps of the termwise envelope on the grid.
         st = random_stellar_state(rank, seed)
-        v = _series(st, 3.0)[0]
+        v = _series(st, 3.0)
         zs = standard_grid()
         cut = eval_entire(v, zs, check=False)
         full, envelope = eval_entire_envelope(stellar_to_fock(st, 2 * v.cutoff), zs)
@@ -398,7 +398,7 @@ class TestSeriesCutoff:
                 st = random_stellar_state(rank, seed, scale=scale)
                 floor = default_cutoff(st.rank, st.alpha, st.chi)
                 builds.clear()
-                v = _series(st, y)[0]
+                v = _series(st, y)
                 assert builds[0] == 2 * floor, (rank, seed)
                 assert v.cutoff >= floor, (rank, seed)
                 assert np.array_equal(v.coeffs, rows(st, v.cutoff)), (rank, seed)
@@ -407,7 +407,7 @@ class TestSeriesCutoff:
     def test_a_core_without_packet_ends_without_underflow(self, y):
         # |4> has no amplitude past n = 4 by construction, so however far the
         # strip reaches, the series ends there and the floor is the cutoff.
-        v = _series(fock_state(4), y)[0]
+        v = _series(fock_state(4), y)
         assert v.cutoff == default_cutoff(4, 0.0, 0.0)
         assert abs(v.coeffs[4]) > 0.5 and not v.coeffs[5:].any()
 
@@ -602,7 +602,7 @@ class TestStellarEval:
         st = random_stellar_state(rank, seed, scale=0.7)
         wf = build_wavefunction(st)
         assert len(wf.zeros) == rank
-        cutoff = max(160, _series(st, 3.0)[0].cutoff)
+        cutoff = max(160, _series(st, 3.0).cutoff)
         v = stellar_to_fock(st, cutoff)
         hw = 3.0
         while hw < 40:
