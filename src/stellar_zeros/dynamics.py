@@ -67,6 +67,8 @@ __all__ = [
 
 COLLISION_GAP = 1e-9
 RTOL, ATOL = 1e-10, 1e-12  # integrate's relative and absolute tolerances
+# SciPy's step controller (scipy.integrate._ivp.rk): safety factor and step-size change bounds.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
 @dataclass(frozen=True)
@@ -192,17 +194,20 @@ def _time_grid(t) -> np.ndarray:
 def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTrajectory:
     """Integrate the coupled system, sampling on ``t_grid``.
 
-    One pass of SciPy's DOP853 (Dormand-Prince 8(5,3), Hairer, Norsett &
-    Wanner, *Solving ODEs I*, 1993, II.5-6) over ``[0, t_grid[-1]]`` at
-    ``RTOL``/``ATOL``.  Each accepted step that covers grid samples keeps its
-    7th-order dense output (II.6); after the last step :func:`_dense_samples`
-    evaluates every sample from its step's interpolant in one vectorized
-    pass, with SciPy's own arithmetic, so the values are those of calling
-    each interpolant.  ``t_grid`` must be finite and strictly increasing
-    from ``t >= 0``; a sample at ``t = 0`` is the initial state itself.  The
-    initial zeros must be pairwise separated by more than 1e-6.  ``g0`` is
-    not integrated (the phase equation is not needed for zeros);
-    trajectories carry ``(g2, g1)`` only.
+    One pass of Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, 1993, II.5-6) over ``[0, t_grid[-1]]`` at ``RTOL``/``ATOL``.  The
+    package steps SciPy's DOP853 tableau, initial step and step controller in
+    its own loop, with SciPy's arithmetic in SciPy's order, so the steps, the
+    right-hand-side calls and the samples are bitwise those of stepping with
+    SciPy's ``DOP853.step`` and calling its interpolants.  Each accepted step
+    that covers grid samples keeps its 7th-order dense output (II.6); after
+    the last step :func:`_dense_samples` evaluates every sample from its
+    step's interpolant in one vectorized pass.
+    ``t_grid`` must be finite and strictly increasing from ``t >= 0``; a
+    sample at ``t = 0`` is the initial state itself.  The initial zeros must
+    be pairwise separated by more than 1e-6.  ``g0`` is not integrated (the
+    phase equation is not needed for zeros); trajectories carry ``(g2, g1)``
+    only.
     """
     ts = _time_grid(t_grid)
     if _min_gap(wf.zeros) <= 1e-6:
@@ -211,18 +216,62 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     # about 0.05 s and 3 MB, and most never integrate.
     from scipy.integrate import DOP853
 
-    y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
-    out = np.empty((y0.size, ts.size), dtype=complex)
+    y = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
+    out = np.empty((y.size, ts.size), dtype=complex)
     start = int(ts[0] == 0.0)
-    out[:, :start] = y0[:, None]
-    solver = DOP853(_rhs(H), 0.0, y0, ts[-1], rtol=RTOL, atol=ATOL)
-    steps, owned, i = [], [], start  # each covering step's interpolant and its sample count
+    out[:, :start] = y[:, None]
+    fun, t, t_end = _rhs(H), 0.0, float(ts[-1])
+    # SciPy validates the tolerances and takes f(0, y0) and the first step size.
+    solver = DOP853(fun, t, y, t_end, rtol=RTOL, atol=ATOL)
+    rtol, atol, h_abs = solver.rtol, solver.atol, solver.h_abs
+    # The tableau's rows are cast to complex once, exactly, as np.dot would cast
+    # them at every stage.  K[:13] holds a step's stages and K[13:] the
+    # interpolant's extra ones; each stage reads a fixed view of those before it.
+    b, e3, e5, d = (x.astype(complex) for x in (DOP853.B, DOP853.E3, DOP853.E5, DOP853.D))
+    K = np.empty((d.shape[1], y.size), dtype=complex)
+    last, exponent = DOP853.n_stages, -1 / (DOP853.error_estimator_order + 1)
+    stages = [(K[:s].T, a[:s].astype(complex), float(c), s)
+              for s, (a, c) in enumerate(zip(DOP853.A, DOP853.C)) if s]
+    extra = [(K[:s].T, a[:s].astype(complex), float(c), s)
+             for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=last + 1)]
+    kt_b, kt_e = K[:last].T, K[: last + 1].T
+    K[0] = solver.f
+    steps, owned, i = [], [], start  # each covering step's (t_old, h, F, y_old), its sample count
     # A NaN or overflowing stage (a collision, a hyperbolic blow-up) makes the
     # error norm NaN or inf, which rejects the step; samples are checked after.
     with np.errstate(invalid="ignore", over="ignore"):
         while i < ts.size:
-            failed = solver.step() is not None
-            t, lam = solver.t, solver.y[2:].tolist()
+            # SciPy's RungeKutta._step_impl with rk_step and DOP853._estimate_error_norm.
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while not (failed := h_abs < min_step):  # until a step is accepted or too small
+                t_new = min(t + h_abs, t_end)
+                h = t_new - t
+                h_abs = abs(h)
+                for kt, a, c, s in stages:
+                    K[s] = fun(t + c * h, y + np.dot(kt, a) * h)
+                y_new = y + h * np.dot(kt_b, b)
+                K[last] = fun(t + h, y_new)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err5 = np.dot(kt_e, e5) / scale
+                err3 = np.dot(kt_e, e3) / scale
+                # np.linalg.norm's own arithmetic, squared as SciPy squares it.
+                norm5 = math.sqrt(err5.real.dot(err5.real) + err5.imag.dot(err5.imag)) ** 2
+                norm3 = math.sqrt(err3.real.dot(err3.real) + err3.imag.dot(err3.imag)) ** 2
+                if norm5 == 0 and norm3 == 0:
+                    error_norm = 0.0
+                else:
+                    error_norm = abs(h) * norm5 / math.sqrt((norm5 + 0.01 * norm3) * y.size)
+                if error_norm < 1:
+                    factor = _MAX_FACTOR if error_norm == 0 else min(
+                        _MAX_FACTOR, _SAFETY * error_norm ** exponent)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
+                rejected = True
+            if not failed:
+                t_old, y_old, t, y = t, y, t_new, y_new
+            lam = y[2:].tolist()
             gap = min([abs(p - q) for k, p in enumerate(lam) for q in lam[:k]], default=math.inf)
             if failed and gap < 1e-6:
                 msg = f"step collapse near zero collision at t~{t:.6g}"
@@ -231,11 +280,21 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 raise StepFailure(f"step size underflow at t={t:.6g}")
             if gap <= COLLISION_GAP:
                 raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
-            j = int(np.searchsorted(ts, t, side="right"))
-            if j > i:
-                steps.append(solver.dense_output())
+            if t >= ts[i]:
+                # SciPy's DOP853._dense_output_impl, before K[0] takes the new f.
+                for kt, a, c, s in extra:
+                    K[s] = fun(t_old + c * h, y_old + np.dot(kt, a) * h)
+                F = np.empty((d.shape[0] + 3, y.size), dtype=complex)
+                delta_y = y - y_old
+                F[0] = delta_y
+                F[1] = h * K[0] - delta_y
+                F[2] = 2 * delta_y - h * (K[last] + K[0])
+                F[3:] = h * np.dot(d, K)
+                steps.append((t_old, t - t_old, F, y_old))
+                j = int(np.searchsorted(ts, t, side="right"))
                 owned.append(j - i)
                 i = j
+            K[0] = K[last]
         if steps:
             _dense_samples(steps, owned, ts[start:], out[:, start:])
     out = _finite(out, ts, "integrated solution", axis=0)
@@ -245,25 +304,25 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
 def _dense_samples(steps, owned, ts, y) -> None:
     """Fill ``y`` (components x samples) from the DOP853 interpolants ``steps``.
 
-    ``steps[k]`` owns the next ``owned[k]`` samples, in order.  This is SciPy's
+    ``steps[k]`` is one step's ``(t_old, h, F, y_old)`` and owns the next
+    ``owned[k]`` samples, in order.  This is SciPy's
     ``Dop853DenseOutput._call_impl`` elementwise, in its order: from
     ``x = (t - t_old)/h``, take the rows of ``F`` in reverse, alternately
     ``y += f; y *= x`` and ``y += f; y *= 1 - x``, then add ``y_old``.  So
     every sample is bitwise what calling its step's interpolant gives.
     """
     owner = np.repeat(np.arange(len(steps)), owned)
-    t_old = np.array([d.t_old for d in steps])[owner]
-    h = np.array([d.h for d in steps])[owner]
-    x = (ts - t_old) / h
+    t_old, h, F, y_old = zip(*steps)
+    x = (ts - np.array(t_old)[owner]) / np.array(h)[owner]
     # (powers, components, steps): each power's rows gather into one reused buffer.  The
     # owners are in range by construction; mode "raise" would copy through a temporary.
-    F = np.array([d.F for d in steps]).transpose(1, 2, 0)
+    F = np.array(F).transpose(1, 2, 0)
     buf = np.empty_like(y)
     y.fill(0)
     for k, f in enumerate(F[::-1]):
         y += np.take(f, owner, axis=1, out=buf, mode="clip")
         y *= x if k % 2 == 0 else 1 - x
-    y += np.take(np.array([d.y_old for d in steps]).T, owner, axis=1, out=buf, mode="clip")
+    y += np.take(np.array(y_old).T, owner, axis=1, out=buf, mode="clip")
 
 
 def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from .errors import CountMismatch, InvalidParameter, PrecisionLoss, TruncationLeakage
 from .dynamics import QuadraticHamiltonian
-from .states import FockVector, _kernel_rows
+from .states import FockVector, _kernel_rows, _log_factorials
 from .wavefunction import _hermite_functions, eval_entire
 
 __all__ = ["evolve_fock", "zeros_from_fock"]
@@ -110,7 +110,7 @@ def _stellar_exponents(c: np.ndarray, r: int):
     """
     n, cols = c.size - 1, 2 * r + 3
     rows = max(n, cols)  # zero rows past the cutoff keep every right singular vector
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, rows + 2)))))
+    log_fact = _log_factorials(rows + 1)
     m, j = np.arange(rows)[:, None], np.arange(cols)
     k = m + np.where(j <= r, 1 - j, r + 1 - j)
     inside = (k >= 0) & (k <= n) & (m < n)

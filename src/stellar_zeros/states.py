@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import CutoffTooSmall, InvalidParameter, PrecisionLoss, ZeroVector
 
@@ -306,16 +305,22 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     return FockVector(vec)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """``log k!`` for ``k = 0 .. n``, summed from ``log 1 .. log n``."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))
+
+
 def _log_hermite_bound(n: np.ndarray, y: float) -> np.ndarray:
     """``log B_n(y)``, where ``B_n(y) >= |phi_n(z)|`` on the whole strip ``|Im z| <= y`` (y >= 0).
 
     Cauchy's estimate on ``sum_n phi_n(z) w^n / sqrt(n!) = pi^{-1/4} exp(-z^2/2 + sqrt(2) z w
     - w^2/2)``, whose modulus on ``|w| = rho`` is at most ``pi^{-1/4} exp(y^2/2 + rho^2/2 +
     sqrt(2) y rho)``, taken at the best radius ``rho = (sqrt(2 y^2 + 4n) - sqrt(2) y) / 2``.
+    At ``n = 0`` the factor ``rho^n`` is 1 whatever ``rho``.
     """
     rho = 0.5 * (np.sqrt(2.0 * y * y + 4.0 * n) - _SQRT2 * y)
-    return (math.log(_PI_M14) + 0.5 * (gammaln(n + 1.0) + y * y + rho * rho)
-            + _SQRT2 * y * rho - xlogy(n, rho))
+    return (math.log(_PI_M14) + 0.5 * (_log_factorials(n.max(initial=0))[n] + y * y + rho * rho)
+            + _SQRT2 * y * rho - n * np.log(np.where(n > 0, rho, 1.0)))
 
 
 def _series(st: StellarState, max_abs_im: float) -> FockVector:

@@ -322,7 +322,12 @@ H_ELLIPTIC = QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)
 
 
 def dense_output_reference(wf, H, ts):
-    """``integrate``'s samples as SciPy documents them: each covering step's interpolant, called."""
+    """``integrate`` stepped by SciPy's own ``DOP853.step``: ``(samples, right-hand-side calls)``.
+
+    ``DOP853.step`` takes the steps and each covering step's interpolant is
+    called; the collision, step-failure and overflow checks and their messages
+    are ``integrate``'s.
+    """
     from scipy.integrate import DOP853
 
     ts = np.asarray(ts, dtype=float)
@@ -333,12 +338,51 @@ def dense_output_reference(wf, H, ts):
     solver = DOP853(dynamics._rhs(H), 0.0, y0, ts[-1], rtol=dynamics.RTOL, atol=dynamics.ATOL)
     with np.errstate(invalid="ignore", over="ignore"):
         while i < ts.size:
-            assert solver.step() is None
+            failed = solver.step() is not None
+            t, lam = solver.t, solver.y[2:]
+            gap = min([abs(p - q) for k, p in enumerate(lam) for q in lam[:k]], default=math.inf)
+            if failed and gap < 1e-6:
+                raise ZeroCollision(f"step collapse near zero collision at t~{t:.6g}", t_estimate=t)
+            if failed:
+                raise StepFailure(f"step size underflow at t={t:.6g}")
+            if gap <= dynamics.COLLISION_GAP:
+                raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
             j = int(np.searchsorted(ts, solver.t, side="right"))
             if j > i:
                 out[:, i:j] = solver.dense_output()(ts[i:j])
                 i = j
-    return out
+    return dynamics._finite(out, ts, "integrated solution", axis=0), solver.nfev
+
+
+def _nan_past_half(H, rhs=dynamics._rhs):
+    # `rhs` is bound here, before a test patches `dynamics._rhs` with this function.
+    f = rhs(H)
+    return lambda t, y: [complex(math.nan, math.nan)] * y.size if y[2].real < -0.5 else f(t, y)
+
+
+def _attracted(H):
+    def f(t, y):
+        pull = 0.5 / (y[2] - y[3])
+        return [0j, 0j, -pull, pull]
+
+    return f
+
+
+def _pulled(H):
+    def f(t, y):
+        half = 0.5 * (y[2] - y[3])
+        return [0j, 0j, -half, half]
+
+    return f
+
+
+# The initial zeros, injected right-hand sides and grids of TestIntegrate's
+# NaN step failure, square-root head-on collision and e^{-t} collision.
+INJECTED_FAILURES = {
+    "nan-rhs": ([1j], _nan_past_half, np.linspace(0, 2.0, 9)),
+    "head-on": ([0.5, -0.5], _attracted, np.linspace(0, 1.0, 5)),
+    "inside-gap": ([1.0, -1.0], _pulled, np.linspace(0, 30.0, 31)),
+}
 
 
 class TestDenseSamples:
@@ -352,9 +396,23 @@ class TestDenseSamples:
     }
 
     def test_interpolant_keeps_the_attributes_the_pass_reads(self):
+        # `integrate` runs SciPy's DOP853 arithmetic in its own loop: it reads
+        # the tableau, the step controller's constants and the solver's first
+        # step, so a SciPy release that changes one of them fails here by name.
         from scipy.integrate import DOP853
+        from scipy.integrate._ivp import rk
 
         solver = DOP853(lambda t, y: -y, 0.0, np.ones(3, dtype=complex), 1.0)
+        for name in ("h_abs", "f", "rtol", "atol"):
+            assert hasattr(solver, name), f"SciPy's DOP853 solver has no {name!r} any more"
+        assert solver.f.shape == (3,) and solver.h_abs > 0
+        assert DOP853.n_stages == 12 and DOP853.error_estimator_order == 7
+        shapes = {"A": (12, 12), "B": (12,), "C": (12,), "E3": (13,), "E5": (13,),
+                  "D": (4, 16), "A_EXTRA": (3, 16), "C_EXTRA": (3,)}
+        for name, shape in shapes.items():
+            assert getattr(DOP853, name).shape == shape, f"DOP853.{name} is no longer {shape}"
+        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+            assert getattr(rk, name) == getattr(dynamics, "_" + name), f"rk.{name} changed"
         assert solver.step() is None
         interp = solver.dense_output()
         for name in ("t_old", "h", "F", "y_old"):
@@ -373,37 +431,70 @@ class TestDenseSamples:
         _, wf = distinct_random_state(rank, 7, scale=0.8, min_gap=0.12, max_extent=2.5)
         ts = self.GRIDS[grid]
         tr = integrate(wf, H, ts)
-        want = dense_output_reference(wf, H, ts)
+        want, _ = dense_output_reference(wf, H, ts)
         assert np.array_equal(tr.gauss_path, want[:2])
         assert np.array_equal(tr.paths, want[2:])
 
     @pytest.mark.parametrize("H", [HP, H_HYP], ids=["phase", "hyperbolic"])
     def test_no_interpolant_is_called_and_at_most_one_built_per_step(self, monkeypatch, H):
-        from scipy.integrate import DOP853, DenseOutput
+        # The loop builds each covering step's interpolant itself: it calls the
+        # right-hand side exactly as often as SciPy's own stepping, which builds one
+        # per covering step, and it neither builds nor calls a DenseOutput.
+        from scipy.integrate import DenseOutput
 
-        counts = {"accepted": 0, "built": 0, "called": 0}
-        step, build, call = DOP853.step, DOP853.dense_output, DenseOutput.__call__
+        _, wf = distinct_random_state(4, 3, scale=0.8, min_gap=0.12, max_extent=2.5)
+        ts = np.linspace(0.0, 6.0, 3721)
+        _, nfev = dense_output_reference(wf, H, ts)
+        counts = {"rhs": 0, "built": 0, "called": 0}
+        rhs, build, call = dynamics._rhs, DenseOutput.__init__, DenseOutput.__call__
 
-        def counting_step(solver):
-            failed = step(solver)
-            counts["accepted"] += failed is None
-            return failed
+        def counting_rhs(H):
+            f = rhs(H)
 
-        def counting_build(solver):
+            def g(t, y):
+                counts["rhs"] += 1
+                return f(t, y)
+
+            return g
+
+        def counting_build(interp, *args):
             counts["built"] += 1
-            return build(solver)
+            return build(interp, *args)
 
         def counting_call(interp, t):
             counts["called"] += 1
             return call(interp, t)
 
-        monkeypatch.setattr(DOP853, "step", counting_step)
-        monkeypatch.setattr(DOP853, "dense_output", counting_build)
+        monkeypatch.setattr(dynamics, "_rhs", counting_rhs)
+        monkeypatch.setattr(DenseOutput, "__init__", counting_build)
         monkeypatch.setattr(DenseOutput, "__call__", counting_call)
-        _, wf = distinct_random_state(4, 3, scale=0.8, min_gap=0.12, max_extent=2.5)
-        integrate(wf, H, np.linspace(0.0, 6.0, 3721))
-        assert counts["called"] == 0
-        assert 0 < counts["built"] <= counts["accepted"], counts
+        integrate(wf, H, ts)
+        assert counts == {"rhs": nfev, "built": 0, "called": 0}, (counts, nfev)
+
+    @staticmethod
+    def _outcome(run):
+        """``(type, message, t_estimate)`` of the typed error ``run()`` raises."""
+        with pytest.raises((StepFailure, ZeroCollision, InvalidParameter)) as excinfo:
+            run()
+        return type(excinfo.value), str(excinfo.value), getattr(excinfo.value, "t_estimate", None)
+
+    @pytest.mark.parametrize("case", list(INJECTED_FAILURES))
+    def test_failures_match_scipys_solver(self, monkeypatch, case):
+        zeros, rhs, ts = INJECTED_FAILURES[case]
+        wf = build_wavefunction(stellar_state_from_zeros(zeros))
+        monkeypatch.setattr(dynamics, "_rhs", rhs)
+        want = self._outcome(lambda: dense_output_reference(wf, HP, ts))
+        assert self._outcome(lambda: integrate(wf, HP, ts)) == want
+
+    @pytest.mark.parametrize("t_end", [705.0, 710.0])
+    def test_hyperbolic_blow_up_fails_like_scipys_solver(self, t_end):
+        # The sample at t = 705 overflows; past it the step size underflows.
+        wf = build_wavefunction(random_stellar_state(2, 0))
+        H = QuadraticHamiltonian(B=0.5, C=1.0)
+        ts = np.linspace(0.0, t_end, 3)
+        want = self._outcome(lambda: dense_output_reference(wf, H, ts))
+        assert want[0] is (InvalidParameter if t_end == 705.0 else StepFailure)
+        assert self._outcome(lambda: integrate(wf, H, ts)) == want
 
 
 def flow_reference(w2, t):

@@ -1,6 +1,7 @@
 """Package structure: what importing costs and what the oracle may use."""
 
 import ast
+import functools
 import importlib
 import inspect
 import os
@@ -56,26 +57,39 @@ def test_oracle_shares_no_code_with_the_closed_form():
             assert name == "QuadraticHamiltonian", (module, name)
 
 
+@functools.lru_cache(maxsize=None)
+def _package_trees():
+    """``(module, tree, child -> parent map)`` of every module in the package, parsed once."""
+    trees = []
+    for path in sorted(Path(stellar_zeros.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        trees.append((path.stem, tree, parents))
+    return trees
+
+
 def _scopes_of(name, node_type=ast.Call):
     """(module, enclosing function) of every ``node_type`` node in the package naming ``name``.
 
     A call names the function it calls; a ``raise`` names the exception it
-    constructs.
+    constructs; an attribute read on a name is named ``"name.attr"``.
     """
     scopes = []
-    for path in sorted(Path(stellar_zeros.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for stem, tree, parents in _package_trees():
         for node in ast.walk(tree):
             if not isinstance(node, node_type):
                 continue
-            f = getattr(node.exc, "func", node.exc) if node_type is ast.Raise else node.func
-            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) != name:
+            if node_type is ast.Attribute:
+                label = f"{getattr(node.value, 'id', None)}.{node.attr}"
+            else:
+                f = getattr(node.exc, "func", node.exc) if node_type is ast.Raise else node.func
+                label = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if label != name:
                 continue
             scope = node
             while scope in parents and not isinstance(scope, ast.FunctionDef):
                 scope = parents[scope]
-            scopes.append((path.stem, getattr(scope, "name", "<module>")))
+            scopes.append((stem, getattr(scope, "name", "<module>")))
     return scopes
 
 
@@ -148,9 +162,14 @@ def test_closed_form_shares_no_code_with_the_ode():
 
 
 def test_only_integrate_builds_step_interpolants():
-    # Grid samples come from one vectorized pass over the interpolants that
-    # `integrate` keeps; nothing else in the package builds or calls one.
-    assert _scopes_of("dense_output") == [("dynamics", "integrate")]
+    # `integrate` steps SciPy's DOP853 tableau in its own loop and keeps each
+    # covering step's interpolant; one vectorized pass samples them all.
+    # Nothing else in the package reads the tableau or samples a step, and no
+    # SciPy interpolant is built.
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        assert set(_scopes_of(f"DOP853.{name}", ast.Attribute)) == {("dynamics", "integrate")}, name
+    assert _scopes_of("_dense_samples") == [("dynamics", "integrate")]
+    assert _scopes_of("dense_output") == []
 
 
 def test_oracle_propagates_without_a_truncated_hamiltonian():

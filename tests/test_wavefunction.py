@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from conftest import (
     annihilation_matrix,
@@ -42,6 +43,7 @@ from stellar_zeros import (
     stellar_state_from_zeros,
     stellar_to_fock,
 )
+from stellar_zeros import states
 from stellar_zeros.states import _log_hermite_bound, _series, _stellar_rows
 from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
 
@@ -369,6 +371,33 @@ class TestSeriesCutoff:
         ratio = np.exp(max_log_abs_hermite_functions(n.size, zs) - bound)
         assert ratio.max() <= 1.0 + 1e-12  # n = 0 at z = iy: the bound is attained
         assert ratio.min() > 5e-3  # and never loose by more than a factor 200
+
+    def test_cutoffs_match_the_gammaln_bound(self, monkeypatch):
+        # The bound sums log n! from logs instead of calling gammaln; over
+        # r 0-12 x s 0-19 x |Im z| in {0, 1, 3} no cutoff, and no refusal, moves.
+        def gammaln_bound(n, y):
+            rho = 0.5 * (np.sqrt(2.0 * y * y + 4.0 * n) - math.sqrt(2.0) * y)
+            return (math.log(PI14) + 0.5 * (gammaln(n + 1.0) + y * y + rho * rho)
+                    + math.sqrt(2.0) * y * rho - xlogy(n, rho))
+
+        def cutoffs():
+            got = []
+            for rank in range(13):
+                for seed in range(20):
+                    st = random_stellar_state(rank, seed)
+                    for y in (0.0, 1.0, 3.0):
+                        try:
+                            got.append(_series(st, y).cutoff)
+                        except PrecisionLoss:
+                            got.append(None)
+            return got
+
+        n = np.arange(3000)
+        for y in (0.0, 1.0, 3.0):
+            assert np.max(np.abs(_log_hermite_bound(n, y) - gammaln_bound(n, y))) < 1e-10
+        got = cutoffs()
+        monkeypatch.setattr(states, "_log_hermite_bound", gammaln_bound)
+        assert cutoffs() == got
 
     @pytest.mark.parametrize(
         "rank,seed",
