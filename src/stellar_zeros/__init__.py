@@ -39,7 +39,6 @@ from .states import (
 from .rootfind import eigenvalues_small, roots_hermite
 from .wavefunction import (
     GrowthBound,
-    HudsonResult,
     WavefunctionForm,
     apply_creation_polynomial,
     build_wavefunction,
@@ -52,7 +51,6 @@ from .wavefunction import (
     form_to_json,
     growth_bound,
     growth_bound_holds,
-    hudson_test,
     stellar_state_from_zeros,
 )
 from .dynamics import (
@@ -69,7 +67,7 @@ from .dynamics import (
     second_order_acceleration,
     zero_pair,
 )
-from .oracle import evolve_fock, zeros_from_fock
+from .oracle import HudsonResult, evolve_fock, hudson_test, zeros_from_fock
 from .phase import (
     AuditResult,
     CrossingEvent,

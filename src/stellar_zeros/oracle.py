@@ -4,7 +4,8 @@
 recurrences of a Gaussian unitary's matrix elements, with no truncated
 operator.  :func:`zeros_from_fock` reads the vector's own Gaussian frame off
 its amplitudes and takes a rank-r state's zeros from its r + 1 Hermite terms
-in that frame.  None of this shares a code path with the closed-form zero
+in that frame, and :func:`hudson_test` counts a state's zeros as the least rank it
+certifies.  None of this shares a code path with the closed-form zero
 dynamics, which is the point: agreement between the two is the package's
 strongest check.  The flow of ``(a, a†, 1)`` is the one physics both start
 from; criterion 2's ODE checks it apart.
@@ -15,16 +16,18 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import CountMismatch, InvalidParameter, PrecisionLoss, TruncationLeakage
 from .dynamics import QuadraticHamiltonian
-from .states import FockVector, _kernel_rows, _log_factorials
+from .states import (FockVector, StellarState, _kernel_rows, _log_factorials, _nonnegative_int,
+                     _series)
 from .wavefunction import _hermite_functions, eval_entire
 
-__all__ = ["evolve_fock", "zeros_from_fock"]
+__all__ = ["HudsonResult", "evolve_fock", "hudson_test", "zeros_from_fock"]
 
 # Singular values at most this fraction of the largest span the degree-r null space.
 _NULL = 1e-10
@@ -145,11 +148,9 @@ def zeros_from_fock(v: FockVector, expected_rank: int) -> list:
     exists or ``|d_r|`` is at most ``_TAIL`` of ``max|d|``, :class:`PrecisionLoss` if the
     frame is not normalizable or ``d_{r+1..}`` exceeds ``_TAIL`` of ``|d_r|``.
     """
-    if expected_rank < 0:
-        raise InvalidParameter("expected_rank must be nonnegative")
+    r = _nonnegative_int(expected_rank, "expected_rank")
     if not np.any(v.coeffs):
         raise InvalidParameter("the zero vector has no isolated zeros")
-    r = int(expected_rank)
     e, f0 = _stellar_exponents(v.coeffs, r)
     a, g1 = (1.0 - e) / (1.0 + e), math.sqrt(2.0) * f0 / (1.0 + e)
     if not (cmath.isfinite(a) and cmath.isfinite(g1) and a.real > 0.0):
@@ -167,3 +168,29 @@ def zeros_from_fock(v: FockVector, expected_rank: int) -> list:
         raise PrecisionLoss(f"frame series past degree {r} reaches {tail / lead:.1e} of its "
                             f"degree-{r} term; the frame is not resolved")
     return [complex(z) for z in xbar + s * _hermite_roots(d[: r + 1])]
+
+
+@dataclass(frozen=True)
+class HudsonResult:
+    gaussian: bool
+    zero_count: int
+
+
+def hudson_test(st: StellarState) -> HudsonResult:
+    """Zero-existence non-Gaussianity test: the number of zeros of the state's entire
+    extension, and whether it is zero (the state is then Gaussian).
+
+    A finite-rank state has as many zeros as its stellar rank: the least ``r`` at which
+    :func:`zeros_from_fock` certifies the real-line series of ``st``.  From ``r = 0`` up, a
+    :class:`CountMismatch` moves on to the next ``r``, and is raised at ``r = st.rank``; a
+    :class:`PrecisionLoss` propagates.  Zero counting certifies non-Gaussianity only under
+    an ``<s^n>`` energy bound for some ``s > 1``, which every finite-rank state meets.
+    """
+    v = _series(st, 0.0)
+    for r in range(st.rank + 1):
+        try:
+            zeros_from_fock(v, r)
+            return HudsonResult(gaussian=(r == 0), zero_count=r)
+        except CountMismatch:
+            if r == st.rank:
+                raise

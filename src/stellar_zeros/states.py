@@ -44,6 +44,16 @@ __all__ = [
 TAIL_TOL = 1e-6
 _PI_M14 = math.pi ** -0.25
 _SQRT2 = math.sqrt(2.0)
+# The working vector that sizes a series holds at most this many rows.
+_MAX_ROWS = 2**18
+
+
+def _nonnegative_int(value, name: str) -> int:
+    """``value`` as an ``int``; :class:`InvalidParameter` unless it is a nonnegative Python or
+    NumPy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidParameter(f"{name} must be a nonnegative integer, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -92,10 +102,7 @@ class StellarState:
     chi: complex
 
     def __post_init__(self):
-        rank = self.rank
-        if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or rank < 0:
-            raise InvalidParameter(f"rank must be a nonnegative integer, not {rank!r}")
-        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "rank", _nonnegative_int(self.rank, "rank"))
         core = np.asarray(self.core, dtype=complex)
         if core.ndim != 1 or core.size != self.rank + 1:
             raise InvalidParameter("core must have length rank + 1")
@@ -294,6 +301,7 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     """
     if cutoff is None:
         return _series(st, 0.0)
+    cutoff = _nonnegative_int(cutoff, "cutoff")
     if cutoff < st.rank:
         raise CutoffTooSmall("cutoff below the stellar rank")
     vec = _stellar_rows(st, cutoff)
@@ -327,12 +335,14 @@ def _series(st: StellarState, max_abs_im: float) -> FockVector:
     """Fock vector of ``st`` for its Hermite series at ``|Im z| <= max_abs_im``.
 
     The one rule by which :func:`stellar_to_fock` without a cutoff,
-    :func:`~stellar_zeros.wavefunction.hudson_test` and ``verify`` size and build a series:
-    the least cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
+    :func:`~stellar_zeros.oracle.hudson_test` (on the real line) and ``verify`` size and build
+    a series: the least cutoff ``N`` with ``sum_{n>N} |c_n| B_n <= eps sum_n |c_n| B_n``
     (:func:`_log_hermite_bound`), not below :func:`default_cutoff`, read off a working vector
     doubled from twice that floor until ``N`` is below its top quarter.  The rows are exact
     (:func:`_stellar_rows`), so the vector is the working one's start.  Raises
-    :class:`PrecisionLoss` if amplitudes underflow first.
+    :class:`PrecisionLoss` if amplitudes underflow first, or if the working vector would pass
+    ``_MAX_ROWS``: past the amplitudes' rounding plateau the rows grow again, and the
+    doubling would not end.
     """
     floor = work = default_cutoff(st.rank, st.alpha, st.chi)
     while True:
@@ -345,6 +355,9 @@ def _series(st: StellarState, max_abs_im: float) -> FockVector:
         cut = int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])) - 1
         if cut < (3 * amps.size) // 4:
             break
+        if 2 * work > _MAX_ROWS:
+            raise PrecisionLoss(f"Hermite series at |Im z| <= {max_abs_im:g} is not cut within "
+                                f"{work + 1} rows")
     if amps[cut] < np.finfo(float).tiny / np.finfo(float).eps and not amps[cut + 1 :].any():
         raise PrecisionLoss(
             f"Hermite series at |Im z| <= {max_abs_im:g} outgrows the double range: "
@@ -355,8 +368,7 @@ def _series(st: StellarState, max_abs_im: float) -> FockVector:
 
 def random_stellar_state(rank: int, seed: int, scale: float = 1.0) -> StellarState:
     """Seeded random fixture: complex-normal core, disc-uniform alpha, chi."""
-    if rank < 0 or seed < 0:
-        raise InvalidParameter("rank and seed must be nonnegative")
+    rank, seed = _nonnegative_int(rank, "rank"), _nonnegative_int(seed, "seed")
     if not 0.0 <= scale < math.inf:
         raise InvalidParameter("scale must be finite and nonnegative")
     rng = np.random.default_rng(seed)

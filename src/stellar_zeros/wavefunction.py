@@ -8,14 +8,8 @@ square-integrable on the real line (``Re g2 < 0``).  This module builds that
 closed form from the displaced-squeezed parametrization, evaluates the same
 function through the truncated Hermite series of an arbitrary Fock vector
 (one banded triangular solve for all points; the two paths share no code
-and are compared in tests), counts zeros by the argument principle, and runs
-the non-Gaussianity test based on zero existence.
-
-A caveat inherited from the theory: zero-based non-Gaussianity certification
-requires the ``<s^n>`` energy bound for some ``s > 1``.  States violating it
-for every ``s`` (the classic example is the non-vanishing, non-Gaussian
-profile ``x -> exp(-x^4)``) are outside the contract of
-:func:`hudson_test`, which only accepts finite-rank states.
+and are compared in tests), and counts the zeros of any entire function in a
+box by the argument principle.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from .states import (
     StellarState,
     Verdict,
     _packet_exponents,
-    _series,
     _squeeze_frame,
     energy_moment,
 )
@@ -47,7 +40,6 @@ from .states import (
 __all__ = [
     "WavefunctionForm",
     "GrowthBound",
-    "HudsonResult",
     "build_wavefunction",
     "apply_creation_polynomial",
     "stellar_state_from_zeros",
@@ -57,7 +49,6 @@ __all__ = [
     "growth_bound",
     "growth_bound_holds",
     "count_zeros_box",
-    "hudson_test",
     "form_norm_squared",
     "form_to_json",
     "form_from_json",
@@ -116,12 +107,6 @@ class GrowthBound:
     L_bound: float
     s_used: float
     alpha_used: float
-
-
-@dataclass(frozen=True)
-class HudsonResult:
-    gaussian: bool
-    zero_count: int
 
 
 _hermgauss = lru_cache(maxsize=64)(np.polynomial.hermite.hermgauss)  # by node count
@@ -469,38 +454,6 @@ def count_zeros_box(f, box) -> int:
     if abs(winding - nearest) > 0.25:
         raise ZeroOnContour(f"non-integer winding {winding:.3f}")
     return int(nearest)
-
-
-def hudson_test(st: StellarState) -> HudsonResult:
-    """Zero-existence non-Gaussianity test on the Hermite-series extension.
-
-    Counts zeros of the independently evaluated entire extension by the
-    argument principle around the bounding rectangle of the closed-form
-    zeros with unit margin (the square ``[-1, 1]^2`` at rank 0);
-    ``gaussian`` is true iff the count is zero.  Contour points far from
-    every zero would only degrade the evaluation conditioning.  Where the
-    series cancels below ``64 eps`` of its termwise envelope on the contour
-    its phase is rounding, and a negative count is no count: both raise
-    :class:`PrecisionLoss`.
-    """
-    wf = build_wavefunction(st)
-    res = [z.real for z in wf.zeros] or [0.0]
-    ims = [z.imag for z in wf.zeros] or [0.0]
-    box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
-    v = _series(st, max(abs(box[2]), abs(box[3])))
-
-    def resolved(zz):
-        vals, envelope = eval_entire_envelope(v, zz)
-        lost = np.abs(vals) < 64.0 * np.finfo(float).eps * envelope
-        if np.any(lost):
-            raise PrecisionLoss(f"Hermite series cancels below its rounding floor at "
-                                f"z={zz[np.argmax(lost)]:.4g} on the contour")
-        return vals
-
-    count = count_zeros_box(resolved, box)
-    if count < 0:
-        raise PrecisionLoss(f"contour counts {count} zeros: the series is not resolved there")
-    return HudsonResult(gaussian=(count == 0), zero_count=count)
 
 
 def _sorted_zeros(zeros):

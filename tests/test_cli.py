@@ -301,6 +301,15 @@ class TestVerifyCommand:
         assert "N = 15961, past verify's cap N = 2048" in err
         assert out == ""
 
+    def test_series_past_the_row_budget_is_one_error_line(self, capsys, tmp_state):
+        # The series of this state at Im 3 never gets cut: its doubling ran past
+        # 2.3 million rows, and verify never reached its cap.
+        path = tmp_state("plateau.json", random_stellar_state(15, 0, scale=3.0))
+        rc, out, err = run_cli(capsys, ["verify", "--state", path])
+        assert_one_error_line(rc, err)
+        assert "not cut within" in err
+        assert out == ""
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
         rc, out, err = run_cli(capsys, ["verify", "--random", "3,1", "--tol", tol])

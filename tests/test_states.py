@@ -34,6 +34,7 @@ from stellar_zeros import (
     state_from_json,
     state_to_json,
     stellar_to_fock,
+    zeros_from_fock,
 )
 from stellar_zeros.states import _series
 
@@ -408,6 +409,29 @@ class TestStellarState:
         st_ = StellarState(np.int64(1), [0.6, 0.8], 0.1, 0.1)
         assert type(st_.rank) is int
         assert json.loads(json.dumps(state_to_json(st_)))["rank"] == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: zeros_from_fock(v, 2.7),
+        lambda v: zeros_from_fock(v, True),
+        lambda v: zeros_from_fock(v, "2"),
+        lambda v: stellar_to_fock(random_stellar_state(2, 1), 80.5),
+        lambda v: stellar_to_fock(random_stellar_state(2, 1), -1),
+        lambda v: random_stellar_state(1.5, 0),
+        lambda v: random_stellar_state(2, np.float64(3.0)),
+        lambda v: random_stellar_state(False, 0),
+    ],
+    ids=["rank-float", "rank-bool", "rank-str", "cutoff-float", "cutoff-negative",
+         "fixture-rank-float", "fixture-seed-float", "fixture-rank-bool"],
+)
+def test_integer_arguments_must_be_nonnegative_integers(call):
+    # A float rank was truncated (2.7 solved at rank 2), True taken as rank 1, and a
+    # string, a float cutoff or a float fixture rank raised an untyped TypeError.
+    v = stellar_to_fock(random_stellar_state(2, 1))
+    with pytest.raises(InvalidParameter, match="must be a nonnegative integer"):
+        call(v)
 
 
 class TestStateJson:

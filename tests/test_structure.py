@@ -106,13 +106,21 @@ def test_series_cutoff_rule_is_written_once():
     assert sorted(_scopes_of("_stellar_rows")) == [("states", "_series"),
                                                     ("states", "stellar_to_fock")]
     assert _scopes_of("stellar_to_fock") == []
-    callers = [("cli", "_cmd_verify"), ("states", "stellar_to_fock"),
-               ("wavefunction", "hudson_test")]
+    callers = [("cli", "_cmd_verify"), ("oracle", "hudson_test"),
+               ("states", "stellar_to_fock")]
     assert sorted(_scopes_of("_series")) == callers
     for path in Path(stellar_zeros.__file__).parent.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         for name in ("hermite_eval_cutoff", "_series_cutoff"):
             assert name not in text, (path.name, name)
+
+
+def test_hudson_counts_with_the_oracle_frame():
+    # The zero count of the Hudson test is the least rank the oracle's frame
+    # solve certifies on the real-line series: no closed form, and no contour.
+    assert ("oracle", "hudson_test") in _scopes_of("zeros_from_fock")
+    for name in ("build_wavefunction", "count_zeros_box"):
+        assert ("oracle", "hudson_test") not in _scopes_of(name), name
 
 
 def test_one_gaussian_kernel_recurrence():

@@ -20,6 +20,7 @@ from stellar_zeros import (
     InvalidParameter,
     PrecisionLoss,
     StellarState,
+    StellarZerosError,
     Verdict,
     WavefunctionForm,
     ZeroOnContour,
@@ -440,11 +441,18 @@ class TestSeriesCutoff:
         assert v.cutoff == default_cutoff(4, 0.0, 0.0)
         assert abs(v.coeffs[4]) > 0.5 and not v.coeffs[5:].any()
 
+    def test_series_past_the_row_budget_is_refused(self):
+        # At Im 3 this squeezed state's amplitudes level off near 6e-305 around
+        # n = 57,500, above the smallest normal double, and then grow, so the
+        # bounded tail never falls: the doubling stops at the row budget.
+        with pytest.raises(PrecisionLoss, match="not cut within"):
+            _series(random_stellar_state(15, 0, scale=3.0), 3.0)
+
     def test_far_strip_stops_where_the_amplitudes_underflow(self):
         # Far off the axis the bound outgrows every amplitude a double can hold:
         # the series would stop at the last amplitude that did not underflow, with
-        # its tail unproven (for the squeezed (6, 0) at Im 6, n = 29,290, whose
-        # weighted term is still 0.13 of the peak).
+        # its tail unproven (for the squeezed (6, 0) at Im 6, n = 30,099, where the
+        # weighted terms still peak).
         for (rank, seed, scale), y in [((5, 0, 1.0), 25.0), ((6, 0, 2.0), 6.0),
                                        ((3, 1, 3.0), 25.0)]:
             with pytest.raises(PrecisionLoss, match="underflow past n = "):
@@ -586,15 +594,32 @@ class TestHudson:
         res = hudson_test(st)
         assert res.zero_count == 4
 
-    def test_underflowed_series_is_a_typed_error(self):
-        # The box reaches Im 11.8, past where this squeezed state's amplitudes underflow.
-        with pytest.raises(PrecisionLoss, match="underflow"):
-            hudson_test(random_stellar_state(6, 0, scale=2.0))
+    def test_squeezed_draw_counts_from_its_real_line_series(self):
+        # A contour box around its zeros reached Im 11.8, past where this squeezed
+        # state's amplitudes underflow; the count needs only the real line.
+        res = hudson_test(random_stellar_state(6, 0, scale=2.0))
+        assert (res.gaussian, res.zero_count) == (False, 6)
+
+    def test_counts_every_unit_scale_draw(self):
+        # Ranks 0-12 x seeds 0-19: the contour count refused 94 of these 260.
+        for rank in range(13):
+            for seed in range(20):
+                res = hudson_test(random_stellar_state(rank, seed))
+                assert (res.gaussian, res.zero_count) == (rank == 0, rank), (rank, seed)
+
+    def test_rank_thirty_ends_in_a_count_or_a_typed_error(self):
+        # A contour box around its zeros reached Im 10.3, where the strip series
+        # did not end within 20 s.
+        try:
+            res = hudson_test(random_stellar_state(30, 4))
+        except StellarZerosError:
+            return
+        assert res.zero_count == 30
 
     def test_never_a_wrong_count(self):
-        # Unit-scale draws of ranks 0-8: where the contour passes through the
-        # series' rounding floor (e.g. (2, 3)) the count is a PrecisionLoss,
-        # never a wrong number such as (6, 6)'s zero or (6, 2)'s -14.
+        # Unit-scale draws of ranks 0-8: a count that cannot be certified is a
+        # PrecisionLoss, never a wrong number such as the contour count's zero
+        # for (6, 6) or -14 for (6, 2).
         counted = 0
         for rank in range(9):
             for seed in range(10):
