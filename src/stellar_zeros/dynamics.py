@@ -493,4 +493,4 @@ def evolve_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float) -> Wave
         raise InvalidParameter("evolve_form needs t >= 0")
     pair = zero_pair(wf)
     g2t, g1t = _gaussian_at(pair, H, t)
-    return WavefunctionForm(g2t, g1t, 0.0, _zeros_at(pair, H, t), 1.0).normalized()
+    return WavefunctionForm(g2t, g1t, 0.0, _zeros_at(pair, H, t)).normalized()

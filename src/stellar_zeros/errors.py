@@ -71,4 +71,4 @@ class TruncationLeakage(StellarZerosError):
 
 
 class CountMismatch(StellarZerosError):
-    """Zero count inside a box disagrees with the expected rank."""
+    """A Fock vector has no stellar frame of the expected rank (its zero count differs)."""

@@ -104,7 +104,7 @@ def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajecto
     floor of :func:`detect_crossings`, whose times come from the pencil: this
     grid and a 2049-point one give the same events.
     """
-    wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0)
+    wf = WavefunctionForm(g2_0, g1_0, 0.0, zeros0)
     H = QuadraticHamiltonian.phase_shift()
     pair = zero_pair(wf)
     ts = np.linspace(0.0, 2.0 * math.pi, PERIOD_STEPS + 1)
@@ -201,7 +201,7 @@ def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinRe
     ``|Im(conj(a) b)| > |a| rho``, decided once per pair with no sampling.
     """
     zeros0 = [complex(z) for z in zeros0]
-    pair = zero_pair(WavefunctionForm(g2_0, g1_0, 0.0, zeros0, 1.0))
+    pair = zero_pair(WavefunctionForm(g2_0, g1_0, 0.0, zeros0))
     threshold = math.sqrt(max(len(zeros0) - 1, 0) / abs(complex(g2_0).real))
     x0, lmat, _ = pair.terms  # L = 2B P0 + C X0 + E I is P0 at the phase shift
     off = np.abs(lmat)

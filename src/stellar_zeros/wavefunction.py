@@ -2,27 +2,27 @@
 
 A finite-rank state has the position wavefunction
 
-    ``psi(z) = leading * prod_k (z - lambda_k) * exp(g2 z^2 + g1 z + g0)``,
+    ``psi(z) = prod_k (z - lambda_k) * exp(g2 z^2 + g1 z + g0)``,
 
-square-integrable on the real line (``Re g2 < 0``).  This module builds that
-closed form from the displaced-squeezed parametrization, evaluates the same
-function through the truncated Hermite series of an arbitrary Fock vector
-(one banded triangular solve for all points; the two paths share no code
-and are compared in tests), and counts the zeros of any entire function in a
-box by the argument principle.
+square-integrable on the real line (``Re g2 < 0``), whose one constant is ``exp(g0)``.
+This module builds that closed form from the displaced-squeezed parametrization,
+evaluates the same function through the truncated Hermite series of an arbitrary Fock
+vector (one banded triangular solve for all points; the two paths share no code and
+are compared in tests), and counts the zeros of any entire function in a box by the
+argument principle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg.blas import ztbsv
+from scipy.special import logsumexp
 
 from .errors import InvalidParameter, PrecisionLoss, ZeroOnContour
 from .rootfind import roots_hermite
@@ -63,25 +63,21 @@ _EDGE_SAMPLES = 64
 
 @dataclass(frozen=True)
 class WavefunctionForm:
-    """Exponent coefficients, zero multiset and leading coefficient."""
+    """Exponent coefficients and zero multiset; ``exp(g0)`` is the whole constant."""
 
     g2: complex
     g1: complex
     g0: complex
     zeros: tuple
-    leading: complex
 
     def __post_init__(self):
         object.__setattr__(self, "g2", complex(self.g2))
         object.__setattr__(self, "g1", complex(self.g1))
         object.__setattr__(self, "g0", complex(self.g0))
-        object.__setattr__(self, "leading", complex(self.leading))
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         if not self.g2.real < 0:
             raise InvalidParameter("Re(g2) must be negative for square integrability")
-        if self.leading == 0:
-            raise InvalidParameter("leading coefficient must be nonzero")
-        for z in (self.g2, self.g1, self.g0, self.leading, *self.zeros):
+        for z in (self.g2, self.g1, self.g0, *self.zeros):
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise InvalidParameter("wavefunction parameters must be finite")
 
@@ -90,13 +86,8 @@ class WavefunctionForm:
         return len(self.zeros)
 
     def normalized(self) -> "WavefunctionForm":
-        """Rescale by a positive real so that the L2 norm on R is one."""
-        nsq = form_norm_squared(self)
-        if not (nsq > 0 and math.isfinite(nsq)):
-            raise InvalidParameter("cannot normalize: norm is zero or non-finite")
-        return WavefunctionForm(
-            self.g2, self.g1, self.g0 - 0.5 * math.log(nsq), self.zeros, self.leading
-        )
+        """Rescale by a positive real so that the L2 norm on R is one (also where it overflows)."""
+        return replace(self, g0=self.g0 - 0.5 * _log_norm_squared(self))
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,18 @@ class GrowthBound:
     alpha_used: float
 
 
-_hermgauss = lru_cache(maxsize=64)(np.polynomial.hermite.hermgauss)  # by node count
+def _log_norm_squared(wf: WavefunctionForm) -> float:
+    """Logarithm of the L2 norm squared on the real line (see :func:`form_norm_squared`)."""
+    beta = -2.0 * wf.g2.real
+    mu = wf.g1.real / beta
+    with np.errstate(all="ignore"):  # NumPy's weights overflow from 371 nodes on
+        nodes, weights = np.polynomial.hermite.hermgauss(wf.rank + 1)
+    if not (weights.sum() > 0 and np.isfinite(nodes).all()):  # NaN or zero weights
+        raise PrecisionLoss(f"the {wf.rank + 1}-node Gauss-Hermite rule is not finite")
+    xs = mu + nodes / math.sqrt(beta)
+    with np.errstate(divide="ignore"):  # a real zero on a node zeroes that term
+        logs = np.log(weights) + 2.0 * np.log(np.abs(xs[:, None] - np.array(wf.zeros))).sum(axis=1)
+    return 2.0 * wf.g0.real + beta * mu * mu - 0.5 * math.log(beta) + float(logsumexp(logs))
 
 
 def form_norm_squared(wf: WavefunctionForm) -> float:
@@ -117,28 +119,13 @@ def form_norm_squared(wf: WavefunctionForm) -> float:
 
     After the standardizing substitution the integrand is a polynomial of
     degree ``2 * rank`` times the Gauss-Hermite weight, so the quadrature is
-    exact up to roundoff.  The zero factors are summed in log space, so high
-    ranks do not overflow.
+    exact up to roundoff.  The zero factors are summed in log space; where the norm
+    overflows a double, or the rule does (from 370 zeros on), :class:`PrecisionLoss`.
     """
-    beta = -2.0 * wf.g2.real
-    mu = wf.g1.real / beta
-    logfactor = 2.0 * wf.g0.real + beta * mu * mu + 2.0 * math.log(abs(wf.leading))
-    nodes, weights = _hermgauss(wf.rank + 1)
-    xs = mu + nodes / math.sqrt(beta)
-    with np.errstate(divide="ignore"):  # a real zero on a node zeroes that term
-        logs = np.log(weights) + 2.0 * np.log(np.abs(xs[:, None] - np.array(wf.zeros))).sum(axis=1)
-    top = float(np.max(logs))
-    return math.exp(logfactor - 0.5 * math.log(beta) + top + math.log(np.sum(np.exp(logs - top))))
-
-
-def eval_form(wf: WavefunctionForm, z):
-    """Evaluate the closed form; exact formula, no truncation."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, wf.leading, dtype=complex)
-    for lam in wf.zeros:
-        acc = acc * (z - lam)
-    acc = acc * np.exp(wf.g2 * z * z + wf.g1 * z + wf.g0)
-    return acc if acc.shape else complex(acc)
+    log_nsq = _log_norm_squared(wf)
+    if not log_nsq < math.log(np.finfo(float).max):
+        raise PrecisionLoss(f"norm squared exp({log_nsq:.6g}) overflows a double")
+    return math.exp(log_nsq)
 
 
 def _hermite_frame(alpha: complex, chi: complex, g2: complex, g1: complex):
@@ -164,17 +151,14 @@ def build_wavefunction(st: StellarState) -> WavefunctionForm:
 
     The polynomial is ``sum_n c_n s^n h_n(w)`` in the frame of :func:`_hermite_frame`,
     so its zeros are ``x = (s w - a0) / a1`` at the roots of :func:`roots_hermite`.
-    The leading coefficient ``c_r a1^r / sqrt(r!)`` may be tiny at high rank;
-    :class:`PrecisionLoss` is raised only when it is no finite nonzero double.
+    Its leading coefficient ``c_r a1^r / sqrt(r!)`` enters ``g0`` as a logarithm, so it
+    cannot underflow, and the form is normalized as the state is.
     """
     g2, g1, g0 = _packet_exponents(st.alpha, st.chi)
     a1, a0, s = _hermite_frame(st.alpha, st.chi, g2, g1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        leading = complex(st.core[-1] * np.prod(a1 / np.sqrt(np.arange(1.0, st.rank + 1))))
-    if not (cmath.isfinite(leading) and leading != 0):
-        raise PrecisionLoss(f"leading coefficient c_r a1^r / sqrt(r!) is {leading}")
     zeros = (s * np.array(roots_hermite(st.core * s ** np.arange(st.rank + 1))) - a0) / a1
-    return WavefunctionForm(g2, g1, g0, zeros, leading).normalized()
+    log_leading = cmath.log(st.core[-1]) + st.rank * cmath.log(a1) - 0.5 * math.lgamma(st.rank + 1)
+    return WavefunctionForm(g2, g1, g0 + log_leading, zeros)
 
 
 def apply_creation_polynomial(packet: WavefunctionForm, coeffs) -> np.ndarray:
@@ -287,9 +271,22 @@ def _finite(vals, zz):
     not finite."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise PrecisionLoss(f"Hermite series value at z={zz.reshape(-1)[np.argmax(bad)]:.4g} "
+        raise PrecisionLoss(f"value at z={zz.reshape(-1)[np.argmax(bad)]:.4g} "
                             "is not finite (overflow or NaN)")
     return vals
+
+
+@_unwarned
+def eval_form(wf: WavefunctionForm, z):
+    """The closed form, exactly: its zero factors as logarithms inside one ``exp``, which
+    overflows only with the value.  Points and values are typed as in :func:`eval_entire`."""
+    zz = _points(z)
+    logs = wf.g2 * zz * zz + wf.g1 * zz + wf.g0
+    with np.errstate(divide="ignore"):  # log 0 = -inf at a zero: the value is 0
+        for lam in wf.zeros:
+            logs = logs + np.log(zz - lam)
+    vals = _finite(np.exp(logs), zz)
+    return vals if vals.shape else complex(vals)
 
 
 @_unwarned
@@ -461,23 +458,24 @@ def _sorted_zeros(zeros):
 
 
 def form_to_json(wf: WavefunctionForm) -> dict:
+    """The form as JSON; ``leading`` is 1, since ``g0`` carries the whole constant."""
     return {
         "g2": [wf.g2.real, wf.g2.imag],
         "g1": [wf.g1.real, wf.g1.imag],
         "g0": [wf.g0.real, wf.g0.imag],
         "zeros": [[z.real, z.imag] for z in _sorted_zeros(wf.zeros)],
-        "leading": [wf.leading.real, wf.leading.imag],
+        "leading": [1.0, 0.0],
     }
 
 
 def form_from_json(data: dict) -> WavefunctionForm:
+    """The form of :func:`form_to_json`; a ``leading`` other than 1 is folded into ``g0``."""
     try:
         return WavefunctionForm(
             g2=complex(*data["g2"]),
             g1=complex(*data["g1"]),
-            g0=complex(*data["g0"]),
+            g0=complex(*data["g0"]) + cmath.log(complex(*data["leading"])),  # ValueError at 0
             zeros=[complex(re, im) for re, im in data["zeros"]],
-            leading=complex(*data["leading"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed wavefunction descriptor: {exc}") from exc

@@ -358,9 +358,12 @@ class TestErrors:
         else:
             assert rc == 0 and len(out.strip().splitlines()) == rank
 
-    def test_rank_300_overflow_is_one_error_line(self, capsys):
-        # The leading coefficient c_r a1^r / sqrt(r!) underflows a float at rank 300.
-        rc, _, err = run_cli(capsys, ["zeros", "--random", "300,0"])
+    def test_rank_300_gives_its_zeros_and_rank_600_one_error_line(self, capsys):
+        # The leading coefficient c_r a1^r / sqrt(r!) underflows a double at rank 300,
+        # which g0 carries as a logarithm; at rank 600 the Hermite roots fail.
+        rc, out, _ = run_cli(capsys, ["zeros", "--random", "300,0"])
+        assert rc == 0 and len(out.strip().splitlines()) == 300
+        rc, _, err = run_cli(capsys, ["zeros", "--random", "600,0"])
         assert_one_error_line(rc, err)
 
     @pytest.mark.parametrize("method", ["closed", "ode"])

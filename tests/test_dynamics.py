@@ -204,7 +204,7 @@ class TestIntegrate:
             integrate(wf, HP, grid)
 
     def test_initial_gap_guard(self):
-        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.3, 0.3 + 1e-8), 1.0).normalized()
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.3, 0.3 + 1e-8)).normalized()
         with pytest.raises(DegenerateInitialZeros):
             integrate(wf, HP, [0.0, 1.0])
 
@@ -229,7 +229,7 @@ class TestIntegrate:
             tr = integrate(wf, H, ts)
             end = WavefunctionForm(
                 tr.gauss_path[0, -1], tr.gauss_path[1, -1], 0.0,
-                list(tr.paths[:, -1]), 1.0,
+                list(tr.paths[:, -1]),
             ).normalized()
             back = integrate(end, QuadraticHamiltonian(*(-v for v in H.as_tuple())), ts)
             assert matching_distance(back.paths[:, -1], wf.zeros) < 1e-7
@@ -595,7 +595,7 @@ class TestClosedForm:
             assert dev < 1e-8, H
 
     def test_degenerate_zeros(self):
-        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.5, 0.5 + 1e-11), 1.0).normalized()
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.5, 0.5 + 1e-11)).normalized()
         with pytest.raises(DegenerateInitialZeros):
             zero_pair(wf)
 
@@ -679,6 +679,8 @@ class TestSampleClosedForm:
             sample_closed_form(wf, HP, [-0.5, 1.0])
         with pytest.raises(InvalidParameter):
             sample_closed_form(wf, HP, [0.0, 0.5, 0.4])
+        with pytest.raises(InvalidParameter, match="t >= 0"):
+            evolve_form(wf, HP, -0.5)
 
     @pytest.mark.parametrize("grid", [[0.0, math.nan, math.nan], [0.0, 1.0, math.inf]])
     def test_non_finite_grid_rejected(self, grid):

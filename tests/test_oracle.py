@@ -321,6 +321,17 @@ class TestZerosFromFock:
         with pytest.raises((PrecisionLoss, CountMismatch)):
             zeros_from_fock(v, rank + 1)
 
+    @pytest.mark.parametrize("e, a", [(1.2, "-0.0909"), (-1.5, "-5")], ids=["E>1", "E<-1"])
+    def test_frame_that_is_not_normalizable_is_refused(self, e, a):
+        # The first 40 Fock terms of exp(E b^2 / 2), E real: the frame
+        # exponent is A = (1 - E) / (1 + E) < 0, a Gaussian that grows.
+        n = np.arange(40)
+        k = n // 2
+        coeffs = np.where(n % 2 == 0, (e / 2) ** k * np.exp(0.5 * gammaln(n + 1) - gammaln(k + 1)), 0)
+        v = normalize(FockVector(coeffs.astype(complex)))
+        with pytest.raises(PrecisionLoss, match=f"A = {a}.* is not normalizable"):
+            zeros_from_fock(v, 0)
+
     def test_parameter_validation(self):
         v = stellar_to_fock(fock_state(1), 60)
         with pytest.raises(InvalidParameter):

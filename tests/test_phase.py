@@ -42,7 +42,7 @@ HP = QuadraticHamiltonian.phase_shift()
 
 def phase_zero_matrix(zeros, g2, t, g1=0.0):
     """The general zero matrix at the phase shift."""
-    return closed_form_matrix(zero_pair(WavefunctionForm(g2, g1, 0.0, zeros, 1.0)), HP, t)
+    return closed_form_matrix(zero_pair(WavefunctionForm(g2, g1, 0.0, zeros)), HP, t)
 
 
 def hand_derived_phase_shift_matrix(zeros, g2, g1, t):
@@ -58,7 +58,7 @@ def hand_derived_phase_shift_matrix(zeros, g2, g1, t):
 
 def sampled_min_separation(zeros, g2, g1, ts):
     """Smallest gap between two Gershgorin discs of the phase-shift zero matrix at times ``ts``."""
-    x0, lmat, _ = zero_pair(WavefunctionForm(g2, g1, 0.0, zeros, 1.0)).terms  # L = P0 here
+    x0, lmat, _ = zero_pair(WavefunctionForm(g2, g1, 0.0, zeros)).terms  # L = P0 here
     centers = np.outer(np.diag(x0), np.cos(ts)) + np.outer(np.diag(lmat), np.sin(ts))
     off = np.abs(lmat)
     np.fill_diagonal(off, 0.0)
@@ -153,7 +153,7 @@ class TestDetectCrossings:
         no_pair = type(traj)(traj.times, traj.paths, traj.gauss_path)
         with pytest.raises(InvalidParameter):
             detect_crossings(no_pair)
-        part = sample_closed_form(WavefunctionForm(-0.5, 0.0, 0.0, [1j], 1.0), HP,
+        part = sample_closed_form(WavefunctionForm(-0.5, 0.0, 0.0, [1j]), HP,
                                   np.linspace(0.0, 3.0, 300))
         with pytest.raises(InvalidParameter):
             detect_crossings(part)

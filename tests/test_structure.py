@@ -1,6 +1,7 @@
 """Package structure: what importing costs and what the oracle may use."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -121,6 +122,27 @@ def test_hudson_counts_with_the_oracle_frame():
     assert ("oracle", "hudson_test") in _scopes_of("zeros_from_fock")
     for name in ("build_wavefunction", "count_zeros_box"):
         assert ("oracle", "hudson_test") not in _scopes_of(name), name
+
+
+def test_one_constant_in_the_closed_form():
+    # g0 carries the whole constant of the closed form, the polynomial's
+    # leading coefficient included: the form has no other field, the build
+    # neither normalizes nor refuses an underflowed coefficient, and only the
+    # JSON pair names a "leading" value, which it writes as 1 and folds into g0.
+    fields = dataclasses.fields(stellar_zeros.wavefunction.WavefunctionForm)
+    assert [field.name for field in fields] == ["g2", "g1", "g0", "zeros"]
+    for name in ("normalized", "form_norm_squared", "_log_norm_squared"):
+        assert ("wavefunction", "build_wavefunction") not in _scopes_of(name), name
+    assert ("wavefunction", "build_wavefunction") not in _scopes_of("PrecisionLoss", ast.Raise)
+    named = set()
+    for stem, tree, parents in _package_trees():
+        for node in ast.walk(tree):
+            if "leading" in (getattr(node, "attr", None), getattr(node, "id", None),
+                             getattr(node, "arg", None), getattr(node, "value", None)):
+                while node in parents and not isinstance(node, ast.FunctionDef):
+                    node = parents[node]
+                named.add((stem, getattr(node, "name", "<module>")))
+    assert named == {("wavefunction", "form_to_json"), ("wavefunction", "form_from_json")}
 
 
 def test_one_gaussian_kernel_recurrence():

@@ -165,8 +165,11 @@ class TestBuildWavefunction:
             assert len(build_wavefunction(st).zeros) == rank
 
     def test_normalization(self):
-        wf = build_wavefunction(random_stellar_state(4, 2))
-        assert abs(form_norm_squared(wf) - 1.0) < 1e-8
+        # The form is normalized by construction: g0 holds the leading coefficient.
+        for rank in (0, 1, 4, 5, 20, 80, 200, 300):
+            for seed in range(3):
+                wf = build_wavefunction(random_stellar_state(rank, seed))
+                assert abs(form_norm_squared(wf) - 1.0) < 1e-12, (rank, seed)
 
     def test_norm_against_dense_quadrature(self):
         wf = build_wavefunction(random_stellar_state(3, 8))
@@ -198,15 +201,35 @@ class TestBuildWavefunction:
         assert len(wf.zeros) == 120
         assert abs(form_norm_squared(wf) - 1.0) < 1e-12
 
-    def test_rank_300_overflow_is_typed(self):
-        # The leading coefficient c_r a1^r / sqrt(r!) underflows a float at rank 300.
-        with pytest.raises(PrecisionLoss):
-            build_wavefunction(random_stellar_state(300, 0))
+    @pytest.mark.parametrize("rank", [270, 300, 400, 550])
+    def test_ranks_past_the_leading_coefficient_underflow_build(self, rank):
+        # c_r a1^r / sqrt(r!) underflows a double from rank 270 on; as a logarithm
+        # in g0 it does not, and the state comes back from its zeros.
+        st = random_stellar_state(rank, 0)
+        wf = build_wavefunction(st)
+        assert len(wf.zeros) == rank
+        back = stellar_state_from_zeros(wf.zeros, alpha=st.alpha, chi=st.chi)
+        assert abs(np.vdot(back.core, st.core)) > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("n, fault", [(369, "overflows a double"),
+                                          (370, "371-node Gauss-Hermite rule")],
+                             ids=["norm", "rule"])
+    def test_norm_past_a_double_is_typed(self, n, fault):
+        # At n = 369 the norm squared is about e^1801, which normalized() still
+        # divides out through its logarithm.  From n = 370 the rule's weights overflow.
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, np.linspace(-6, 6, n) + 0.3j)
+        with pytest.raises(PrecisionLoss, match=fault):
+            form_norm_squared(wf)
+        if n == 369:
+            assert abs(form_norm_squared(wf.normalized()) - 1.0) < 1e-12
+        else:
+            with pytest.raises(PrecisionLoss, match=fault):
+                wf.normalized()
 
     def test_norm_with_a_zero_on_a_quadrature_node(self):
         # Zeros 0 and 1 at g2 = -1/2: three nodes, the middle one at x = 0,
         # and the integral of x^2 (x - 1)^2 exp(-x^2) is 5 sqrt(pi) / 4.
-        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.0, 1.0), 1.0)
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.0, 1.0))
         assert abs(form_norm_squared(wf) - 1.25 * math.sqrt(math.pi)) < 1e-14
 
     @pytest.mark.parametrize("alpha,chi", [(0.0, 0.0), (0.4, 0.0), (0.3, 0.5), (-0.2j, 0.2j)])
@@ -234,6 +257,13 @@ class TestEvalForm:
         wf = build_wavefunction(fock_state(1))
         v = stellar_to_fock(fock_state(1), 60)
         assert abs(eval_form(wf, 1.0) - eval_entire(v, 1.0)) < 1e-10
+        # Like the series, the closed form takes finite points only, and an
+        # overflowed value is a typed error naming its point.
+        for z in (math.nan, math.inf, complex(0.0, math.inf)):
+            with pytest.raises(InvalidParameter, match="finite"):
+                eval_form(wf, [0.5, z])
+        with pytest.raises(PrecisionLoss, match=r"z=0\+40j is not finite"):
+            eval_form(wf, [1.0, 40j])
 
 
 class TestEvalEntire:
@@ -746,10 +776,40 @@ class TestStateFromZeros:
 class TestFormJson:
     def test_roundtrip(self):
         wf = build_wavefunction(random_stellar_state(3, 9))
-        back = form_from_json(form_to_json(wf))
+        data = form_to_json(wf)
+        assert data["leading"] == [1.0, 0.0]
+        back = form_from_json(data)
         assert abs(back.g2 - wf.g2) < 1e-15
         assert abs(back.g1 - wf.g1) < 1e-15
+        assert abs(back.g0 - wf.g0) < 1e-15
         assert matching_distance(back.zeros, wf.zeros) < 1e-15
+
+    def test_a_file_with_a_leading_coefficient_reads_as_the_same_function(self):
+        # A form file may carry the constant split between "leading" and g0, as
+        # `build` wrote it before g0 held the whole constant: this is that
+        # file for random_stellar_state(3, 9).
+        data = {
+            "g2": [-1.2362168809705552, -0.9293911178541182],
+            "g1": [-0.5263931213119236, -0.30716046316536527],
+            "g0": [-0.11591754526203782, 0.21304434026998995],
+            "zeros": [[-0.8693705070895553, -0.34877784785807103],
+                      [0.258881855023521, 0.063994277942944],
+                      [0.813784857553362, -1.4158046872862367]],
+            "leading": [-0.35288368242392865, 1.2802860763644375],
+        }
+        wf = build_wavefunction(random_stellar_state(3, 9))
+        zs = standard_grid()
+        want = eval_form(wf, zs)
+        got = eval_form(form_from_json(data), zs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("leading", [[0.0, 0.0], [math.inf, 0.0], [math.nan, 1.0]],
+                             ids=["zero", "inf", "nan"])
+    def test_zero_or_non_finite_leading_is_rejected(self, leading):
+        data = form_to_json(build_wavefunction(random_stellar_state(2, 0)))
+        data["leading"] = leading
+        with pytest.raises(InvalidParameter):
+            form_from_json(data)
 
 
 def test_energy_moment_convergence_needed_for_growth_bound():
