@@ -34,6 +34,7 @@ the line goes to ``k' = (F21 + F22 k)/(F11 + F12 k)``,
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -162,7 +163,8 @@ def _rhs(H: QuadraticHamiltonian):
     b4, b2, drift_b, c2, e2, ia, id_ = 4j * B, 2j * B, -2j * B, 2.0 * C, 2.0 * E, 1j * A, 1j * D
 
     def f(t, y):
-        a, b, *lam = y.tolist()  # one object per entry, so identity picks out the self term
+        # One object per entry (y: a list or an array), so identity picks out the self term.
+        a, b, *lam = y if isinstance(y, list) else y.tolist()
         out = [b4 * a * a - c2 * a - ia, b4 * a * b - C * b - e2 * a - id_]
         # The interaction enters with -2iB: verified against the exactly
         # solvable two-zero phase-shift evolution and the Fock-basis oracle
@@ -177,7 +179,7 @@ def _rhs(H: QuadraticHamiltonian):
                         s += 1.0 / (lk - lm)
                 out.append(lk * coef + drift - b2 * s)
         except ZeroDivisionError:  # two zeros exactly equal
-            return [complex(math.nan, math.nan)] * y.size
+            return [complex(math.nan, math.nan)] * len(y)
         return out
 
     return f
@@ -200,9 +202,9 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     its own loop, with SciPy's arithmetic in SciPy's order, so the steps, the
     right-hand-side calls and the samples are bitwise those of stepping with
     SciPy's ``DOP853.step`` and calling its interpolants.  Each accepted step
-    that covers grid samples keeps its 7th-order dense output (II.6); after
-    the last step :func:`_dense_samples` evaluates every sample from its
-    step's interpolant in one vectorized pass.
+    that covers grid samples keeps the raw rows of its 7th-order dense output
+    (II.6); after the last step :func:`_dense_samples` builds every interpolant
+    and evaluates every sample in one vectorized pass.
     ``t_grid`` must be finite and strictly increasing from ``t >= 0``; a
     sample at ``t = 0`` is the initial state itself.  The initial zeros must
     be pairwise separated by more than 1e-6.  ``g0`` is not integrated (the
@@ -236,23 +238,26 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
              for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=last + 1)]
     kt_b, kt_e = K[:last].T, K[: last + 1].T
     K[0] = solver.f
-    steps, owned, i = [], [], start  # each covering step's (t_old, h, F, y_old), its sample count
+    ry, y, grid = np.abs(y) * rtol, y.tolist(), ts.tolist()
+    steps, owned, i = [], [], start  # covering steps' raw rows (see _dense_samples), sample counts
     # A NaN or overflowing stage (a collision, a hyperbolic blow-up) makes the
     # error norm NaN or inf, which rejects the step; samples are checked after.
     with np.errstate(invalid="ignore", over="ignore"):
         while i < ts.size:
-            # SciPy's RungeKutta._step_impl with rk_step and DOP853._estimate_error_norm.
+            # SciPy's RungeKutta._step_impl, rk_step and DOP853._estimate_error_norm; y + dot * h
+            # on Python numbers, h complex as NumPy casts it, rounds as NumPy's does.  |y| * rtol
+            # carries over: max(|y|, |y_new|) * rtol is the max of the products.
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
             h_abs, rejected = max(h_abs, min_step), False
             while not (failed := h_abs < min_step):  # until a step is accepted or too small
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
-                h_abs = abs(h)
+                h_abs, hz = abs(h), complex(h)
                 for kt, a, c, s in stages:
-                    K[s] = fun(t + c * h, y + np.dot(kt, a) * h)
-                y_new = y + h * np.dot(kt_b, b)
+                    K[s] = fun(t + c * h, [p + q * hz for p, q in zip(y, np.dot(kt, a).tolist())])
+                y_new = [p + hz * q for p, q in zip(y, np.dot(kt_b, b).tolist())]
                 K[last] = fun(t + h, y_new)
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                scale = atol + np.maximum(ry, ry_new := np.abs(y_new) * rtol)
                 err5 = np.dot(kt_e, e5) / scale
                 err3 = np.dot(kt_e, e3) / scale
                 # np.linalg.norm's own arithmetic, squared as SciPy squares it.
@@ -261,7 +266,7 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 if norm5 == 0 and norm3 == 0:
                     error_norm = 0.0
                 else:
-                    error_norm = abs(h) * norm5 / math.sqrt((norm5 + 0.01 * norm3) * y.size)
+                    error_norm = abs(h) * norm5 / math.sqrt((norm5 + 0.01 * norm3) * len(y))
                 if error_norm < 1:
                     factor = _MAX_FACTOR if error_norm == 0 else min(
                         _MAX_FACTOR, _SAFETY * error_norm ** exponent)
@@ -270,28 +275,22 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
                 rejected = True
             if not failed:
-                t_old, y_old, t, y = t, y, t_new, y_new
-            lam = y[2:].tolist()
+                t_old, y_old, t, y, ry = t, y, t_new, y_new, ry_new
+            lam = y[2:]
             gap = min([abs(p - q) for k, p in enumerate(lam) for q in lam[:k]], default=math.inf)
             if failed and gap < 1e-6:
-                msg = f"step collapse near zero collision at t~{t:.6g}"
-                raise ZeroCollision(msg, t_estimate=t)
+                raise ZeroCollision(f"step collapse near zero collision at t~{t:.6g}", t_estimate=t)
             if failed:
                 raise StepFailure(f"step size underflow at t={t:.6g}")
             if gap <= COLLISION_GAP:
                 raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
-            if t >= ts[i]:
+            if t >= grid[i]:
                 # SciPy's DOP853._dense_output_impl, before K[0] takes the new f.
                 for kt, a, c, s in extra:
-                    K[s] = fun(t_old + c * h, y_old + np.dot(kt, a) * h)
-                F = np.empty((d.shape[0] + 3, y.size), dtype=complex)
-                delta_y = y - y_old
-                F[0] = delta_y
-                F[1] = h * K[0] - delta_y
-                F[2] = 2 * delta_y - h * (K[last] + K[0])
-                F[3:] = h * np.dot(d, K)
-                steps.append((t_old, t - t_old, F, y_old))
-                j = int(np.searchsorted(ts, t, side="right"))
+                    dy = np.dot(kt, a).tolist()
+                    K[s] = fun(t_old + c * h, [p + q * hz for p, q in zip(y_old, dy)])
+                steps.append((t_old, h, y_old, y, K[[0, last]], np.dot(d, K)))
+                j = bisect_right(grid, t, i)
                 owned.append(j - i)
                 i = j
             K[0] = K[last]
@@ -302,27 +301,29 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
 
 
 def _dense_samples(steps, owned, ts, y) -> None:
-    """Fill ``y`` (components x samples) from the DOP853 interpolants ``steps``.
+    """Fill ``y`` (components x samples) from the DOP853 interpolants of ``steps``.
 
-    ``steps[k]`` is one step's ``(t_old, h, F, y_old)`` and owns the next
-    ``owned[k]`` samples, in order.  This is SciPy's
-    ``Dop853DenseOutput._call_impl`` elementwise, in its order: from
+    ``steps[k]`` is one step's raw rows ``(t_old, h, y_old, y, K[[0, 12]], D K)``
+    and owns the next ``owned[k]`` samples, in order.  All steps' ``F`` come
+    from SciPy's ``DOP853._dense_output_impl`` elementwise operations at once;
+    then, as ``Dop853DenseOutput._call_impl`` in its order: from
     ``x = (t - t_old)/h``, take the rows of ``F`` in reverse, alternately
     ``y += f; y *= x`` and ``y += f; y *= 1 - x``, then add ``y_old``.  So
     every sample is bitwise what calling its step's interpolant gives.
     """
     owner = np.repeat(np.arange(len(steps)), owned)
-    t_old, h, F, y_old = zip(*steps)
-    x = (ts - np.array(t_old)[owner]) / np.array(h)[owner]
+    t_old, h, y_old, y_new, f, dk = (np.array(x) for x in zip(*steps))
+    x, h, delta = (ts - t_old[owner]) / h[owner], h[:, None, None], (y_new - y_old)[:, None]
     # (powers, components, steps): each power's rows gather into one reused buffer.  The
     # owners are in range by construction; mode "raise" would copy through a temporary.
-    F = np.array(F).transpose(1, 2, 0)
+    F = np.concatenate([delta, h * f[:, :1] - delta, 2 * delta - h * (f[:, 1:] + f[:, :1]),
+                        h * dk], axis=1).transpose(1, 2, 0)
     buf = np.empty_like(y)
     y.fill(0)
     for k, f in enumerate(F[::-1]):
         y += np.take(f, owner, axis=1, out=buf, mode="clip")
         y *= x if k % 2 == 0 else 1 - x
-    y += np.take(np.array(y_old).T, owner, axis=1, out=buf, mode="clip")
+    y += np.take(y_old.T, owner, axis=1, out=buf, mode="clip")
 
 
 def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:
@@ -353,18 +354,17 @@ def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
     """Rows ``(F11, F12, F13)``, ``(F21, F22, F23)`` of H's affine flow, entries shaped like ``t``.
 
     They are linear in ``c = cos theta``, ``s = t sinc theta`` and
-    ``q = (t^2/2) sinc^2(theta/2)``, with ``theta = omega t``: nothing cancels
-    as ``omega^2 -> 0`` or ``t -> 0``, and ``omega^2 < 0`` makes ``theta``
-    imaginary and the three hyperbolic.  The callers ignore overflow in
+    ``q = (t^2/2) sinc^2(theta/2)``, with ``theta = |omega| t``: nothing
+    cancels as ``omega^2 -> 0`` or ``t -> 0``, and ``omega^2 < 0`` makes the
+    three hyperbolic (``cosh``, ``sinh``).  The callers ignore overflow in
     ``np.errstate``; :func:`_finite` finds it in their products.
     """
     t = np.asarray(t, dtype=float)[()]  # one time: a NumPy scalar, 10x cheaper than 0-d
-    # np.sinc's own steps without its overhead: theta through theta/pi, 1e-20 for 0.
-    theta = np.pi * (np.sqrt(complex(H.omega2)) * t / np.pi)
-    y = np.where(theta, theta, 1e-20)[()]
+    sin, cos = (np.sin, np.cos) if H.omega2 >= 0 else (np.sinh, np.cosh)
+    theta = math.sqrt(abs(H.omega2)) * t
+    y = np.where(theta, theta, 1e-20)[()]  # sin(y)/y is exactly 1 at y = 1e-20
     half = 0.5 * y
-    csq = np.array([np.cos(theta), t * (np.sin(y) / y), 0.5 * t * t * (np.sin(half) / half) ** 2])
-    c, s, q = csq.real
+    c, s, q = cos(theta), t * (sin(y) / y), 0.5 * t * t * (sin(half) / half) ** 2
     A, B, C, D, E, _ = H.as_tuple()
     return ((c + s * C, 2.0 * B * s, s * E + q * (C * E - 2.0 * B * D)),
             (-2.0 * A * s, c - s * C, q * (C * D - 2.0 * A * E) - s * D))

@@ -107,6 +107,23 @@ class TestOdeRhs:
         row = dynamics._rhs(HP)(0.0, y)
         assert len(row) == y.size and np.all(np.isnan(row))
 
+    @pytest.mark.parametrize("rank", range(6))
+    def test_a_list_and_an_array_give_the_same_row(self, rank):
+        # integrate passes the state as a list of Python complex numbers and
+        # SciPy's solver as an array: both must give the same bits.
+        rng = np.random.default_rng(100 + rank)
+        for _ in range(5):
+            f = dynamics._rhs(QuadraticHamiltonian(*rng.normal(size=6)))
+            y = rng.normal(size=rank + 2) + 1j * rng.normal(size=rank + 2)
+            want = f(0.0, y)
+            assert np.array(f(0.0, y.tolist())).tobytes() == np.array(want).tobytes()
+
+    def test_an_exact_tie_in_a_list_gives_the_all_nan_row(self):
+        # tolist() makes one object per entry, as integrate's stage sums do.
+        y = np.array([-0.5, 0.1, 0.3 + 1j, -1.0, 0.3 + 1j], dtype=complex).tolist()
+        row = dynamics._rhs(HP)(0.0, y)
+        assert len(row) == len(y) and np.all(np.isnan(row))
+
     def test_second_order_acceleration_exact(self):
         # the same fixture: lambda''(0) = -omega^2 * 1 + 8 B^2 / 2^3 = -3/4
         acc = second_order_acceleration([1.0, -1.0], HP)
@@ -246,7 +263,7 @@ class TestIntegrate:
             f = rhs(H)
 
             def g(t, y):
-                return [complex(math.nan, math.nan)] * y.size if y[2].real < -0.5 else f(t, y)
+                return [complex(math.nan, math.nan)] * len(y) if y[2].real < -0.5 else f(t, y)
 
             return g
 
@@ -357,7 +374,7 @@ def dense_output_reference(wf, H, ts):
 def _nan_past_half(H, rhs=dynamics._rhs):
     # `rhs` is bound here, before a test patches `dynamics._rhs` with this function.
     f = rhs(H)
-    return lambda t, y: [complex(math.nan, math.nan)] * y.size if y[2].real < -0.5 else f(t, y)
+    return lambda t, y: [complex(math.nan, math.nan)] * len(y) if y[2].real < -0.5 else f(t, y)
 
 
 def _attracted(H):
@@ -434,6 +451,24 @@ class TestDenseSamples:
         want, _ = dense_output_reference(wf, H, ts)
         assert np.array_equal(tr.gauss_path, want[:2])
         assert np.array_equal(tr.paths, want[2:])
+
+    # Cores without a packet (alpha = chi = 0), so g1 = 0 exactly: exact zeros in the
+    # state are where the loop's Python-number stage sums could part from NumPy's.
+    EXACT = {"vacuum": [], "origin": [0.0], "pair": [1.0, -1.0], "cross": [1j, -1j, 0.0]}
+
+    @pytest.mark.parametrize("zeros", list(EXACT))
+    @pytest.mark.parametrize("h", ["phase", "hyperbolic"])
+    @pytest.mark.parametrize("grid", ["window", "verify"])
+    def test_exact_zeros_sample_bitwise_as_scipys_solver(self, zeros, h, grid):
+        H = {"phase": HP, "hyperbolic": H_HYP}[h]
+        wf = build_wavefunction(stellar_state_from_zeros(self.EXACT[zeros]))
+        assert wf.g1 == 0
+        ts = self.GRIDS[grid]
+        tr = integrate(wf, H, ts)
+        want, _ = dense_output_reference(wf, H, ts)
+        # Bitwise, signed zeros too.
+        assert tr.gauss_path.tobytes() == want[:2].tobytes()
+        assert tr.paths.tobytes() == want[2:].tobytes()
 
     @pytest.mark.parametrize("H", [HP, H_HYP], ids=["phase", "hyperbolic"])
     def test_no_interpolant_is_called_and_at_most_one_built_per_step(self, monkeypatch, H):
