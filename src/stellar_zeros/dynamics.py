@@ -34,12 +34,14 @@ the line goes to ``k' = (F21 + F22 k)/(F11 + F12 k)``,
 from __future__ import annotations
 
 import math
+import os
+import runpy
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 
 from .errors import (
     DegenerateInitialZeros,
@@ -68,8 +70,9 @@ __all__ = [
 
 COLLISION_GAP = 1e-9
 RTOL, ATOL = 1e-10, 1e-12  # integrate's relative and absolute tolerances
-# SciPy's step controller (scipy.integrate._ivp.rk): safety factor and step-size change bounds.
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+# SciPy's step controller (scipy.integrate._ivp.rk): safety factor and step-size change bounds,
+# and DOP853's error estimator order.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ORDER = 0.9, 0.2, 10, 7
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,12 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
 
     One pass of Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving
     ODEs I*, 1993, II.5-6) over ``[0, t_grid[-1]]`` at ``RTOL``/``ATOL``.  The
-    package steps SciPy's DOP853 tableau, initial step and step controller in
-    its own loop, with SciPy's arithmetic in SciPy's order, so the steps, the
-    right-hand-side calls and the samples are bitwise those of stepping with
-    SciPy's ``DOP853.step`` and calling its interpolants.  Each accepted step
+    package runs SciPy's DOP853 in its own loop: the tableau read from SciPy's
+    coefficients file (:func:`_dop853`), SciPy's first step after ``f(0, y0)``
+    (:func:`_first_step`) and its step controller, with SciPy's arithmetic in
+    SciPy's order, so the steps, the right-hand-side calls and the samples are
+    bitwise those of stepping with SciPy's ``DOP853.step`` and calling its
+    interpolants; ``scipy.integrate`` itself is never imported.  Each accepted step
     that covers grid samples keeps the raw rows of its 7th-order dense output
     (II.6); after the last step :func:`_dense_samples` builds every interpolant
     and evaluates every sample in one vectorized pass.
@@ -214,31 +219,27 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     ts = _time_grid(t_grid)
     if _min_gap(wf.zeros) <= 1e-6:
         raise DegenerateInitialZeros("initial zeros closer than 1e-6")
-    # Imported here: scipy.integrate costs every importer of the package
-    # about 0.05 s and 3 MB, and most never integrate.
-    from scipy.integrate import DOP853
-
     y = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
     out = np.empty((y.size, ts.size), dtype=complex)
     start = int(ts[0] == 0.0)
     out[:, :start] = y[:, None]
     fun, t, t_end = _rhs(H), 0.0, float(ts[-1])
-    # SciPy validates the tolerances and takes f(0, y0) and the first step size.
-    solver = DOP853(fun, t, y, t_end, rtol=RTOL, atol=ATOL)
-    rtol, atol, h_abs = solver.rtol, solver.atol, solver.h_abs
+    f0 = np.asarray(fun(t, y), dtype=complex)
+    h_abs = _first_step(fun, y, f0, t_end)
     # The tableau's rows are cast to complex once, exactly, as np.dot would cast
     # them at every stage.  K[:13] holds a step's stages and K[13:] the
     # interpolant's extra ones; each stage reads a fixed view of those before it.
-    b, e3, e5, d = (x.astype(complex) for x in (DOP853.B, DOP853.E3, DOP853.E5, DOP853.D))
+    tab = _dop853()
+    b, e3, e5, d = (tab[x].astype(complex) for x in ("B", "E3", "E5", "D"))
     K = np.empty((d.shape[1], y.size), dtype=complex)
-    last, exponent = DOP853.n_stages, -1 / (DOP853.error_estimator_order + 1)
+    last, exponent = tab["n_stages"], -1 / (_ORDER + 1)
     stages = [(K[:s].T, a[:s].astype(complex), float(c), s)
-              for s, (a, c) in enumerate(zip(DOP853.A, DOP853.C)) if s]
+              for s, (a, c) in enumerate(zip(tab["A"], tab["C"])) if s]
     extra = [(K[:s].T, a[:s].astype(complex), float(c), s)
-             for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=last + 1)]
+             for s, (a, c) in enumerate(zip(tab["A_EXTRA"], tab["C_EXTRA"]), start=last + 1)]
     kt_b, kt_e = K[:last].T, K[: last + 1].T
-    K[0] = solver.f
-    ry, y, grid = np.abs(y) * rtol, y.tolist(), ts.tolist()
+    K[0] = f0
+    ry, y, grid = np.abs(y) * RTOL, y.tolist(), ts.tolist()
     steps, owned, i = [], [], start  # covering steps' raw rows (see _dense_samples), sample counts
     # A NaN or overflowing stage (a collision, a hyperbolic blow-up) makes the
     # error norm NaN or inf, which rejects the step; samples are checked after.
@@ -257,7 +258,7 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                     K[s] = fun(t + c * h, [p + q * hz for p, q in zip(y, np.dot(kt, a).tolist())])
                 y_new = [p + hz * q for p, q in zip(y, np.dot(kt_b, b).tolist())]
                 K[last] = fun(t + h, y_new)
-                scale = atol + np.maximum(ry, ry_new := np.abs(y_new) * rtol)
+                scale = ATOL + np.maximum(ry, ry_new := np.abs(y_new) * RTOL)
                 err5 = np.dot(kt_e, e5) / scale
                 err3 = np.dot(kt_e, e3) / scale
                 # np.linalg.norm's own arithmetic, squared as SciPy squares it.
@@ -298,6 +299,40 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
             _dense_samples(steps, owned, ts[start:], out[:, start:])
     out = _finite(out, ts, "integrated solution", axis=0)
     return ZeroTrajectory(ts, out[2:], out[:2])
+
+
+@cache
+def _dop853() -> dict:
+    """SciPy's DOP853 tableau, keyed by its class attributes' names (``A`` ... ``n_stages``).
+
+    Read from SciPy's coefficients file, which imports only NumPy, and sliced as
+    ``scipy.integrate._ivp.rk`` slices it; ``scipy.integrate`` itself would
+    load ``scipy.optimize`` and ``scipy.special``.
+    """
+    c = runpy.run_path(os.path.join(os.path.dirname(scipy.__file__), "integrate", "_ivp",
+                                    "dop853_coefficients.py"))
+    n, a = c["N_STAGES"], c["A"]
+    return {"A": a[:n, :n], "B": c["B"], "C": c["C"][:n], "E3": c["E3"], "E5": c["E5"], "D": c["D"],
+            "A_EXTRA": a[n + 1:], "C_EXTRA": c["C"][n + 1:], "n_stages": n}
+
+
+def _first_step(fun, y0, f0, t_end: float) -> float:
+    """SciPy's ``select_initial_step`` (Hairer, Norsett & Wanner, II.4) from 0 up to ``t_end``.
+
+    ``y0`` and ``f0 = fun(0, y0)`` are complex arrays; the tolerances are
+    ``RTOL``/``ATOL``, with no step bound.  SciPy's arithmetic in SciPy's
+    order, so the step is bitwise its solver's ``h_abs``.
+    """
+    if t_end == 0.0:
+        return 0.0
+    scale = ATOL + np.abs(y0) * RTOL
+    d0, d1 = (np.linalg.norm(x / scale) / x.size ** 0.5 for x in (y0, f0))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    df = np.asarray(fun(h0, y0 + h0 * f0), dtype=complex) - f0
+    d2 = np.linalg.norm(df / scale) / df.size ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return min(100 * h0, max(1e-6, h0 * 1e-3), t_end)
+    return min(100 * h0, (0.01 / max(d1, d2)) ** (1 / (_ORDER + 1)), t_end)
 
 
 def _dense_samples(steps, owned, ts, y) -> None:
@@ -409,15 +444,58 @@ def match_sets(a, b):
         raise InvalidParameter("multisets must have equal size")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidParameter("multisets must be finite")
-    cost = np.abs(a[:, None] - b[None, :])
-    _, perm = linear_sum_assignment(cost)  # rows come back as 0 .. n-1
-    return perm, cost[np.arange(a.size), perm]
+    cost = np.abs(a[:, None] - b[None, :]).tolist()
+    perm = _assignment(cost)
+    dists = [row[j] for row, j in zip(cost, perm)]
+    return np.array(perm, dtype=np.intp), np.array(dists, dtype=float)
+
+
+def _assignment(cost: list) -> list:
+    """Column of each row in a minimum-cost assignment of the square matrix ``cost`` (nested lists).
+
+    The shortest augmenting path of Crouse (IEEE TAES 52(4), 2016) as SciPy's
+    ``linear_sum_assignment`` runs it: each path scans the remaining columns
+    from the last and takes the first lowest reduced cost, on a tie an
+    unassigned column, so the permutation is SciPy's.
+    """
+    n = len(cost)
+    u, v, path, col4row, row4col = [0.0] * n, [0.0] * n, [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        short, remaining, seen_rows, seen_cols = [math.inf] * n, list(range(n - 1, -1, -1)), [], []
+        i, low = cur, 0.0
+        while i != -1:  # until the path reaches an unassigned column, the sink
+            seen_rows.append(i)
+            row, ui, base, index, lowest = cost[i], u[i], low, -1, math.inf
+            for it, j in enumerate(remaining):
+                r = base + row[j] - ui - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                else:
+                    r = short[j]
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest, index = r, it
+            if lowest == math.inf:
+                raise InvalidParameter("pair distances overflow")
+            low, sink = lowest, remaining[index]
+            seen_cols.append(sink)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row4col[sink]
+        u[cur] += low
+        for i in seen_rows[1:]:
+            u[i] += low - short[col4row[i]]
+        for j in seen_cols:
+            v[j] -= low - short[j]
+        i, j = -1, sink
+        while i != cur:  # augment along the path back to cur
+            i = path[j]
+            row4col[j], col4row[i], j = i, j, col4row[i]
+    return col4row
 
 
 def matching_distance(a, b) -> float:
     """Largest matched pair distance between two equal-size multisets."""
-    _, dists = match_sets(a, b)
-    return float(np.max(dists)) if dists.size else 0.0
+    return max(match_sets(a, b)[1].tolist(), default=0.0)
 
 
 def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:

@@ -22,7 +22,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg.blas import ztbsv
-from scipy.special import logsumexp
 
 from .errors import InvalidParameter, PrecisionLoss, ZeroOnContour
 from .rootfind import roots_hermite
@@ -111,7 +110,20 @@ def _log_norm_squared(wf: WavefunctionForm) -> float:
     xs = mu + nodes / math.sqrt(beta)
     with np.errstate(divide="ignore"):  # a real zero on a node zeroes that term
         logs = np.log(weights) + 2.0 * np.log(np.abs(xs[:, None] - np.array(wf.zeros))).sum(axis=1)
-    return 2.0 * wf.g0.real + beta * mu * mu - 0.5 * math.log(beta) + float(logsumexp(logs))
+    return 2.0 * wf.g0.real + beta * mu * mu - 0.5 * math.log(beta) + _logsumexp(logs)
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """``log(sum(exp(x)))`` of a 1-d array with a finite maximum, bitwise SciPy's ``logsumexp``.
+
+    SciPy's arithmetic: the ``m`` entries at the maximum add exactly ``m``, the
+    rest are summed relative to it and divided by ``m``.
+    """
+    top = x.max()
+    at_top = x == top
+    m = float(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, x) - top).sum() / m
+    return float(np.log1p(s) + np.log(m) + top)
 
 
 def form_norm_squared(wf: WavefunctionForm) -> float:

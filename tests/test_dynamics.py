@@ -414,28 +414,48 @@ class TestDenseSamples:
 
     def test_interpolant_keeps_the_attributes_the_pass_reads(self):
         # `integrate` runs SciPy's DOP853 arithmetic in its own loop: it reads
-        # the tableau, the step controller's constants and the solver's first
-        # step, so a SciPy release that changes one of them fails here by name.
+        # the tableau from SciPy's coefficients file and restates the step
+        # controller's constants, so a SciPy release that moves the file or
+        # changes one of them fails here by name.
         from scipy.integrate import DOP853
         from scipy.integrate._ivp import rk
 
-        solver = DOP853(lambda t, y: -y, 0.0, np.ones(3, dtype=complex), 1.0)
-        for name in ("h_abs", "f", "rtol", "atol"):
-            assert hasattr(solver, name), f"SciPy's DOP853 solver has no {name!r} any more"
-        assert solver.f.shape == (3,) and solver.h_abs > 0
-        assert DOP853.n_stages == 12 and DOP853.error_estimator_order == 7
-        shapes = {"A": (12, 12), "B": (12,), "C": (12,), "E3": (13,), "E5": (13,),
-                  "D": (4, 16), "A_EXTRA": (3, 16), "C_EXTRA": (3,)}
-        for name, shape in shapes.items():
-            assert getattr(DOP853, name).shape == shape, f"DOP853.{name} is no longer {shape}"
+        tableau = dynamics._dop853()
+        for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+            got, want = tableau[name], getattr(DOP853, name)
+            assert got.shape == want.shape and np.array_equal(got, want), f"DOP853.{name} changed"
+        assert tableau["n_stages"] == DOP853.n_stages == 12
+        assert dynamics._ORDER == DOP853.error_estimator_order == 7
         for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
             assert getattr(rk, name) == getattr(dynamics, "_" + name), f"rk.{name} changed"
+        solver = DOP853(lambda t, y: -y, 0.0, np.ones(3, dtype=complex), 1.0)
         assert solver.step() is None
         interp = solver.dense_output()
         for name in ("t_old", "h", "F", "y_old"):
             assert hasattr(interp, name), f"SciPy's DOP853 interpolant has no {name!r} any more"
         assert interp.t_old == solver.t_old and interp.h == solver.t - solver.t_old
         assert interp.F.shape == (7, 3) and interp.y_old.shape == (3,)
+
+    @pytest.mark.parametrize("H", [HP, H_ELLIPTIC, H_HYP], ids=["phase", "elliptic", "hyperbolic"])
+    def test_first_step_is_scipys(self, H):
+        # `integrate` restates SciPy's `select_initial_step`: on this class's
+        # states and exact-zero states, to each grid's end (t = 0 too), the
+        # step is exactly the solver's `h_abs`.
+        from scipy.integrate import DOP853
+
+        forms = [distinct_random_state(rank, 7, scale=0.8, min_gap=0.12, max_extent=2.5)[1]
+                 for rank in range(6)]
+        forms += [build_wavefunction(stellar_state_from_zeros(z)) for z in self.EXACT.values()]
+        fun = dynamics._rhs(H)
+        for wf in forms:
+            y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
+            f0 = np.asarray(fun(0.0, y0), dtype=complex)
+            for t_end in sorted({float(grid[-1]) for grid in self.GRIDS.values()}):
+                solver = DOP853(fun, 0.0, y0, t_end, rtol=dynamics.RTOL, atol=dynamics.ATOL)
+                assert f0.tobytes() == solver.f.tobytes()
+                h_abs = dynamics._first_step(fun, y0, f0, t_end)
+                assert h_abs == solver.h_abs, (wf.zeros, t_end, h_abs, solver.h_abs)
+                assert (h_abs == 0) == (t_end == 0)
 
     CASES = [(rank, "phase", "window") for rank in range(6)] + [(3, "hyperbolic", "window")]
     CASES += [(rank, h, g) for rank in range(6) for h in ("phase", "elliptic", "hyperbolic")
@@ -834,6 +854,47 @@ class TestMatching:
 
     def test_matching_distance_empty(self):
         assert matching_distance([], []) == 0.0
+
+    @staticmethod
+    def _points(kind, n, rng):
+        """Random points, integer points on the real line, or Gaussian-integer lattice points."""
+        if kind == "random":
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+        if kind == "integer":
+            return rng.integers(-3, 4, n).astype(complex)
+        return rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "lattice"])
+    def test_permutation_is_scipys(self, kind):
+        # `match_sets` solves the assignment itself, with SciPy's algorithm and
+        # tie rule, so on tied costs too it picks the permutation SciPy picks.
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(11)
+        for n in [*range(61), 300]:
+            for _ in range(3 if n <= 60 else 1):
+                a, b = self._points(kind, n, rng), self._points(kind, n, rng)
+                perm, dists = match_sets(a, b)
+                cost = np.abs(a[:, None] - b[None, :])
+                rows, want = linear_sum_assignment(cost)
+                assert np.array_equal(rows, np.arange(n))
+                assert np.array_equal(perm, want), (kind, n)
+                assert dists.tobytes() == cost[rows, want].tobytes()
+
+    def test_integer_cost_matrices_are_assigned_as_scipy_assigns_them(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(12)
+        for n in range(61):
+            for high in (1, 2, 5):
+                cost = rng.integers(0, high + 1, (n, n)).astype(float)
+                assert dynamics._assignment(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+
+    def test_overflowing_distances_are_rejected(self):
+        # Finite points whose every distance overflows leave no finite assignment
+        # (SciPy's solver calls it infeasible).
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameter, match="overflow"):
+            match_sets([1e308, 1.5e308], [-1e308, -1.5e308])
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidParameter):

@@ -19,6 +19,7 @@ from conftest import (
 from stellar_zeros import (
     InvalidParameter,
     PrecisionLoss,
+    QuadraticHamiltonian,
     StellarState,
     StellarZerosError,
     Verdict,
@@ -32,6 +33,7 @@ from stellar_zeros import (
     eval_entire,
     eval_entire_envelope,
     eval_form,
+    evolve_form,
     form_from_json,
     form_norm_squared,
     form_to_json,
@@ -44,7 +46,7 @@ from stellar_zeros import (
     stellar_state_from_zeros,
     stellar_to_fock,
 )
-from stellar_zeros import states
+from stellar_zeros import states, wavefunction
 from stellar_zeros.states import _log_hermite_bound, _series, _stellar_rows
 from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
 
@@ -231,6 +233,41 @@ class TestBuildWavefunction:
         # and the integral of x^2 (x - 1)^2 exp(-x^2) is 5 sqrt(pi) / 4.
         wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.0, 1.0))
         assert abs(form_norm_squared(wf) - 1.25 * math.sqrt(math.pi)) < 1e-14
+
+    def test_logsumexp_is_scipys(self):
+        # The norm sums its own logsumexp with SciPy's arithmetic: bitwise
+        # `scipy.special.logsumexp` on finite vectors, with ties at and below
+        # the top, and with -inf entries (a real zero on a node).
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(5)
+        for k in range(3000):
+            x = rng.normal(0.0, 10.0 ** rng.uniform(-2, 3), int(rng.integers(1, 400)))
+            if k % 3:
+                x = np.round(x, int(rng.integers(0, 2)))
+            if k % 2:
+                gone = rng.random(x.size) < 0.3
+                gone[0] = False
+                x[gone] = -np.inf
+            assert wavefunction._logsumexp(x) == float(logsumexp(x)), k
+
+    def test_norm_is_the_one_scipys_logsumexp_gives(self, monkeypatch):
+        # On the benchmark's ODE states (ranks 1-5, seeds 1000-1002 and
+        # 2000-2002) and their evolved forms, whose g0 comes from the norm.
+        from scipy.special import logsumexp
+
+        forms = [distinct_random_state(rank, 1000 * seed + rnd, scale=0.8, min_gap=0.12,
+                                       max_extent=2.5)[1]
+                 for seed in (1, 2) for rnd in range(3) for rank in range(1, 6)]
+        H = QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)
+
+        def norms():
+            evolved = [evolve_form(wf, H, 0.7) for wf in forms]
+            return [form_norm_squared(wf) for wf in forms], [wf.g0 for wf in evolved]
+
+        got = norms()
+        monkeypatch.setattr(wavefunction, "_logsumexp", lambda x: float(logsumexp(x)))
+        assert norms() == got
 
     @pytest.mark.parametrize("alpha,chi", [(0.0, 0.0), (0.4, 0.0), (0.3, 0.5), (-0.2j, 0.2j)])
     def test_rank_one_leading_coefficient(self, alpha, chi):
