@@ -20,7 +20,6 @@ from .errors import (
     TrackingAmbiguity,
     TruncationLeakage,
     ZeroCollision,
-    ZeroOnContour,
     ZeroVector,
 )
 from .states import (
@@ -42,7 +41,6 @@ from .wavefunction import (
     WavefunctionForm,
     apply_creation_polynomial,
     build_wavefunction,
-    count_zeros_box,
     eval_entire,
     eval_entire_envelope,
     eval_form,

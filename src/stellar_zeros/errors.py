@@ -21,10 +21,6 @@ class PrecisionLoss(StellarZerosError):
     """An evaluation cannot meet its accuracy contract at this cutoff."""
 
 
-class ZeroOnContour(StellarZerosError):
-    """A zero lies on (or unresolvably near) an integration contour."""
-
-
 class NoConvergence(StellarZerosError):
     """Computed roots fail their residual bound; carries the roots and residuals."""
 

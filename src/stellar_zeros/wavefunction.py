@@ -8,8 +8,7 @@ square-integrable on the real line (``Re g2 < 0``), whose one constant is ``exp(
 This module builds that closed form from the displaced-squeezed parametrization,
 evaluates the same function through the truncated Hermite series of an arbitrary Fock
 vector (one banded triangular solve for all points; the two paths share no code and
-are compared in tests), and counts the zeros of any entire function in a box by the
-argument principle.
+are compared in tests).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg.blas import ztbsv
 
-from .errors import InvalidParameter, PrecisionLoss, ZeroOnContour
+from .errors import InvalidParameter, PrecisionLoss
 from .rootfind import roots_hermite
 from .states import (
     _PI_M14,
@@ -47,7 +46,6 @@ __all__ = [
     "eval_entire_envelope",
     "growth_bound",
     "growth_bound_holds",
-    "count_zeros_box",
     "form_norm_squared",
     "form_to_json",
     "form_from_json",
@@ -56,8 +54,6 @@ __all__ = [
 # Point-terms per banded Hermite solve: about 260 KB of work arrays, which malloc
 # reuses (from 2**13 on they are mapped afresh and page-fault on every call).
 _CHUNK = 2**12
-# Initial contour samples per box edge of the argument principle.
-_EDGE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -388,81 +384,6 @@ def growth_bound_holds(gb: GrowthBound, v: FockVector, zs) -> bool:
     lhs = 2.0 * np.log(np.where(mags > 0, mags, 1e-300))
     rhs = math.log(gb.K_bound) + gb.L_bound * np.abs(zs) ** 2
     return bool(np.all(lhs <= rhs))
-
-
-def _box_boundary(box, ts):
-    """Map parameters in [0,4) to boundary points, counterclockwise."""
-    x0, x1, y0, y1 = box
-    corners = np.array(
-        [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
-    )
-    ts = np.asarray(ts, dtype=float) % 4.0
-    side = np.floor(ts).astype(int)
-    frac = ts - side
-    return corners[side] + frac * (corners[side + 1] - corners[side])
-
-
-def count_zeros_box(f, box) -> int:
-    """Number of zeros of an entire function inside a rectangle.
-
-    Sums phase increments of ``f`` around the boundary, starting from
-    ``_EDGE_SAMPLES`` samples per edge and halving each segment until
-    adjacent samples differ by less than pi/2 (winding-number
-    correctness needs increments below pi; the extra margin is cheap).  The
-    result is an exact integer.  Raises :class:`ZeroOnContour` when ``f``
-    nearly vanishes on the contour or a phase jump cannot be resolved, and
-    :class:`PrecisionLoss` when a contour value is not finite (inf or NaN
-    carries no phase).
-
-    ``box`` is ``(re_min, re_max, im_min, im_max)``; ``f`` must accept a
-    complex ndarray.
-    """
-    x0, x1, y0, y1 = box
-    if not (all(map(math.isfinite, box)) and x1 > x0 and y1 > y0):
-        raise InvalidParameter("box must be finite, with positive width and height")
-    ts = np.arange(4 * _EDGE_SAMPLES) / _EDGE_SAMPLES
-    fs = np.asarray(f(_box_boundary(box, ts)), dtype=complex)
-
-    def contour_guard(values):
-        if not np.isfinite(values.view(float)).all():
-            raise PrecisionLoss("contour value is not finite (overflow or NaN)")
-        # The Gaussian factor makes |f| vary by many orders along a large
-        # contour, so zero proximity is judged against the local median:
-        # a genuine near-zero dips sharply below its own neighborhood.
-        mags = np.abs(values)
-        if np.any(mags == 0.0):
-            raise ZeroOnContour("contour value vanished (zero or underflow); perturb the box")
-        i = int(np.argmin(mags))
-        idx = (i + np.arange(-16, 17)) % mags.size
-        med = float(np.median(mags[idx]))
-        if med == 0.0 or mags[i] < 1e-9 * med:
-            raise ZeroOnContour("function nearly vanishes on the contour; perturb the box")
-
-    contour_guard(fs)
-    # A bad segment is halved on every pass and a good one is never split,
-    # so the 1e-9 gap test ends the loop within 25 passes.
-    while True:
-        args = np.angle(fs)
-        dphi = np.diff(args, append=args[0])
-        dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
-        bad = np.abs(dphi) >= math.pi / 2.0
-        if not np.any(bad):
-            break
-        gaps = np.diff(ts, append=ts[0] + 4.0)
-        if np.any(gaps[bad] < 1e-9):
-            raise ZeroOnContour("unresolvable phase jump on the contour")
-        # ts starts at 0, so even the closing segment's midpoint stays below 4.
-        idx = np.flatnonzero(bad) + 1
-        mid_ts = ts[bad] + 0.5 * gaps[bad]
-        ts, fs = np.insert(ts, idx, mid_ts), np.insert(fs, idx, f(_box_boundary(box, mid_ts)))
-        if ts.size > 200_000:
-            raise ZeroOnContour("contour refinement budget exhausted")
-        contour_guard(fs)
-    winding = float(np.sum(dphi)) / (2.0 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 0.25:
-        raise ZeroOnContour(f"non-integer winding {winding:.3f}")
-    return int(nearest)
 
 
 def _sorted_zeros(zeros):

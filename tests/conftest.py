@@ -132,14 +132,3 @@ def annihilation_matrix(dim):
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def stellar_eval(v, z):
-    """Truncated stellar series ``sum_n psi_n z^n / sqrt(n!)``."""
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    term = np.ones_like(zz)
-    acc = v.coeffs[0] * term
-    for n in range(1, v.coeffs.size):
-        term = term * zz / math.sqrt(n)
-        acc = acc + v.coeffs[n] * term
-    return acc if np.asarray(z).shape else complex(acc[0])

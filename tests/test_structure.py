@@ -139,8 +139,7 @@ def test_hudson_counts_with_the_oracle_frame():
     # The zero count of the Hudson test is the least rank the oracle's frame
     # solve certifies on the real-line series: no closed form, and no contour.
     assert ("oracle", "hudson_test") in _scopes_of("zeros_from_fock")
-    for name in ("build_wavefunction", "count_zeros_box"):
-        assert ("oracle", "hudson_test") not in _scopes_of(name), name
+    assert ("oracle", "hudson_test") not in _scopes_of("build_wavefunction")
 
 
 def test_one_constant_in_the_closed_form():
@@ -237,7 +236,6 @@ def test_oracle_has_one_colleague_solver():
     # the frame series, and its only factorization the SVD of the rank system.
     assert [s for s in _scopes_of("eigvals") if s[0] == "oracle"] == [("oracle", "_hermite_roots")]
     assert [s for s in _scopes_of("svd") if s[0] == "oracle"] == [("oracle", "_stellar_exponents")]
-    assert [s for s in _scopes_of("count_zeros_box") if s[0] == "oracle"] == []
 
 
 def test_oracle_makes_one_svd_and_one_degree_r_solve(monkeypatch):
@@ -315,7 +313,9 @@ def test_public_api_is_declared_once():
     # the error types, and every declared name resolves.  The special cases
     # of the general paths are gone: the squeezed vacuum is stellar_to_fock
     # of a rank-0 state, the Gaussian packet its build_wavefunction, and the
-    # phase shift evolve_fock under QuadraticHamiltonian.phase_shift().
+    # phase shift evolve_fock under QuadraticHamiltonian.phase_shift().  The
+    # argument-principle counter is gone too: hudson_test counts with the
+    # oracle's frame solve.
     package = Path(stellar_zeros.__file__).parent
     modules = [importlib.import_module(f"stellar_zeros.{path.stem}")
                for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
@@ -328,10 +328,11 @@ def test_public_api_is_declared_once():
     public = {name for name, obj in vars(stellar_zeros).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == declared | error_types
-    gone = ("squeezed_vacuum_fock", "gaussian_packet_params", "phase_shift", "packet_exponents")
+    gone = ("squeezed_vacuum_fock", "gaussian_packet_params", "phase_shift", "packet_exponents",
+            "count_zeros_box", "_box_boundary", "ZeroOnContour")
     for name in gone:
         assert not hasattr(stellar_zeros, name), name
     for path in package.glob("*.py"):
         top = ast.parse(path.read_text(encoding="utf-8")).body
-        defined = {node.name for node in top if isinstance(node, ast.FunctionDef)}
+        defined = {node.name for node in top if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not defined & set(gone), (path.name, defined & set(gone))

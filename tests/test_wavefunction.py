@@ -13,7 +13,6 @@ from conftest import (
     distinct_random_state,
     fock_state,
     standard_grid,
-    stellar_eval,
 )
 
 from stellar_zeros import (
@@ -24,10 +23,8 @@ from stellar_zeros import (
     StellarZerosError,
     Verdict,
     WavefunctionForm,
-    ZeroOnContour,
     apply_creation_polynomial,
     build_wavefunction,
-    count_zeros_box,
     default_cutoff,
     energy_moment,
     eval_entire,
@@ -48,7 +45,7 @@ from stellar_zeros import (
 )
 from stellar_zeros import states, wavefunction
 from stellar_zeros.states import _log_hermite_bound, _series, _stellar_rows
-from stellar_zeros.wavefunction import _CHUNK, _box_boundary, _hermite_functions
+from stellar_zeros.wavefunction import _CHUNK, _hermite_functions
 
 PI14 = math.pi ** -0.25
 EPS = np.finfo(float).eps
@@ -572,79 +569,6 @@ def normalize_like(amps):
     return FockVector(arr / np.linalg.norm(arr))
 
 
-class TestCountZerosBox:
-    def test_gaussian_has_no_zeros(self):
-        wf = packet(0.0, 0.0)
-        assert count_zeros_box(lambda z: eval_form(wf, z), (-4, 4, -4, 4)) == 0
-
-    def test_fock_two_roots_inside(self):
-        wf = build_wavefunction(fock_state(2))
-        assert count_zeros_box(lambda z: eval_form(wf, z), (-4, 4, -4, 4)) == 2
-
-    def test_offset_box_excludes_roots(self):
-        wf = build_wavefunction(fock_state(2))
-        assert count_zeros_box(lambda z: eval_form(wf, z), (1, 4, -1, 1)) == 0
-
-    def test_zero_on_contour_detected(self):
-        wf = build_wavefunction(fock_state(2))
-        edge = 1 / math.sqrt(2)
-        with pytest.raises(ZeroOnContour):
-            count_zeros_box(lambda z: eval_form(wf, z), (edge - 1, edge, -1, 1))
-
-    def test_box_validation(self):
-        with pytest.raises(InvalidParameter):
-            count_zeros_box(lambda z: z, (1, 0, -1, 1))
-
-    @pytest.mark.parametrize("box", [(-math.inf, 1, -1, 1), (-1, 1, -1, math.inf),
-                                     (-1, math.nan, -1, 1)])
-    def test_non_finite_box_is_rejected(self, box):
-        with pytest.raises(InvalidParameter, match="finite"):
-            count_zeros_box(lambda z: z, box)
-
-    @pytest.mark.parametrize("zero,count", [(0.3 + 0.999j, 1), (-0.2 - 1.001j, 0),
-                                            (-0.999 + 0.45j, 1), (-1.001 + 0.45j, 0)])
-    def test_zero_next_to_an_edge_is_resolved_by_refinement(self, zero, count):
-        # 1e-3 from an edge, between two of its first samples, the zero turns the
-        # phase by nearly pi across one step: the halving passes decide its side.
-        calls = []
-
-        def f(z):
-            calls.append(z.size)
-            return z - zero
-
-        assert count_zeros_box(f, (-1.0, 1.0, -1.0, 1.0)) == count
-        assert len(calls) > 1
-
-    @pytest.mark.parametrize("zero,message", [
-        (1.0, "vanished"),  # on a first sample: the value is exactly zero
-        (1.0 + 1e-12 + 0.0123j, "unresolvable phase jump"),  # halving reaches the 1e-9 floor
-    ])
-    def test_zero_on_the_contour_is_a_typed_error(self, zero, message):
-        with pytest.raises(ZeroOnContour, match=message):
-            count_zeros_box(lambda z: z - zero, (-1.0, 1.0, -1.0, 1.0))
-
-    @pytest.mark.parametrize(
-        "f",
-        [lambda z, value=value: np.full(z.shape, value, dtype=complex)
-         for value in (np.inf, np.nan, complex(np.inf, np.nan))]
-        + [lambda z: np.exp(400.0 * z * z)],  # overflows on part of the contour only
-        ids=["inf", "nan", "inf_nan", "partial_overflow"],
-    )
-    def test_non_finite_contour_is_a_typed_error(self, f):
-        # An infinite contour has no phase to wind (it would count 0), and a
-        # NaN one no winding number to round.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(PrecisionLoss, match="not finite"):
-                count_zeros_box(f, (-2.0, 2.0, -0.5, 0.5))
-
-    def test_boundary_parameters_hit_corners_and_midpoints(self):
-        # Counterclockwise from (re_min, im_min): corners at integer
-        # parameters, edge midpoints at half-integers.
-        pts = _box_boundary((-1.0, 3.0, -2.0, 4.0), np.arange(8) / 2.0)
-        want = [-1 - 2j, 1 - 2j, 3 - 2j, 3 + 1j, 3 + 4j, 1 + 4j, -1 + 4j, -1 + 1j]
-        assert pts.tolist() == want
-
-
 class TestHudson:
     def test_rank_zero_is_gaussian(self):
         st = random_stellar_state(0, 3, scale=0.7)
@@ -656,10 +580,16 @@ class TestHudson:
         assert not res.gaussian
         assert res.zero_count == 1
 
-    def test_rank_four_seed_eleven(self):
-        st = random_stellar_state(4, 11, scale=0.7)
+    @pytest.mark.parametrize(
+        "st",
+        [random_stellar_state(r, s, scale=0.7)
+         for r, s in [(0, 1), (1, 4), (2, 2), (3, 6), (4, 11)]]
+        + [StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.8, chi=0.0)],
+        ids=["0-1", "1-4", "2-2", "3-6", "4-11", "coherent"],
+    )
+    def test_counts_the_declared_rank(self, st):
         res = hudson_test(st)
-        assert res.zero_count == 4
+        assert (res.gaussian, res.zero_count) == (st.rank == 0, st.rank)
 
     def test_squeezed_draw_counts_from_its_real_line_series(self):
         # A contour box around its zeros reached Im 11.8, past where this squeezed
@@ -697,56 +627,6 @@ class TestHudson:
                 assert (res.gaussian, res.zero_count) == (rank == 0, rank), (rank, seed)
                 counted += 1
         assert counted >= 66
-
-
-class TestStellarEval:
-    def test_vacuum_constant(self):
-        v = FockVector(np.array([1.0, 0, 0], dtype=complex))
-        for z in (0.0, 1.3 - 0.7j, 3j):
-            assert abs(stellar_eval(v, z) - 1.0) < 1e-15
-
-    def test_single_photon_linear(self):
-        v = FockVector(np.array([0, 1.0, 0, 0], dtype=complex))
-        for z in (0.3, -1.2 + 0.4j):
-            assert abs(stellar_eval(v, z) - z) < 1e-14
-
-    def test_coherent_state_never_vanishes(self):
-        st = StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.8, chi=0.0)
-        v = stellar_to_fock(st, 120)
-        n = count_zeros_box(lambda z: stellar_eval(v, z), (-5, 5, -5, 5))
-        assert n == 0
-
-    @pytest.mark.parametrize("rank,seed", [(0, 1), (1, 4), (2, 2), (3, 6)])
-    def test_stellar_rank_agreement(self, rank, seed):
-        # The stellar-series zero count and the wavefunction zero count both
-        # equal the declared rank once the box is large enough.
-        st = random_stellar_state(rank, seed, scale=0.7)
-        wf = build_wavefunction(st)
-        assert len(wf.zeros) == rank
-        cutoff = max(160, _series(st, 3.0).cutoff)
-        v = stellar_to_fock(st, cutoff)
-        hw = 3.0
-        while hw < 40:
-            try:
-                n = count_zeros_box(lambda z: stellar_eval(v, z), (-hw, hw, -hw, hw))
-            except ZeroOnContour:
-                hw *= 1.17
-                continue
-            if n == rank:
-                break
-            hw *= 1.4
-        assert n == rank
-
-
-class TestZeroCountEqualsRank:
-    @pytest.mark.parametrize("rank,seed", [(0, 0), (1, 2), (2, 1), (3, 0), (4, 4), (5, 3)])
-    def test_argument_principle_count_on_closed_form(self, rank, seed):
-        st = random_stellar_state(rank, seed, scale=0.8)
-        wf = build_wavefunction(st)
-        res = [z.real for z in wf.zeros] or [0.0]
-        ims = [z.imag for z in wf.zeros] or [0.0]
-        box = (min(res) - 1.0, max(res) + 1.0, min(ims) - 1.0, max(ims) + 1.0)
-        assert count_zeros_box(lambda z: eval_form(wf, z), box) == rank
 
 
 class TestStateFromZeros:
