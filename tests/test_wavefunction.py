@@ -158,6 +158,13 @@ class TestBuildWavefunction:
         wf = build_wavefunction(fock_state(2))
         assert matching_distance(wf.zeros, [1 / math.sqrt(2), -1 / math.sqrt(2)]) < 1e-10
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_number_states_have_the_hermite_roots(self, n):
+        # The stellar zero of |n> is 0, n times over; its wavefunction's zeros
+        # are the n distinct real roots of H_n.
+        want = np.polynomial.hermite.hermroots(np.eye(n + 1)[n])
+        assert matching_distance(build_wavefunction(fock_state(n)).zeros, want) < 1e-13
+
     def test_rank_matches_zero_count(self):
         for rank in range(6):
             st = random_stellar_state(rank, 5)
@@ -584,12 +591,41 @@ class TestHudson:
         "st",
         [random_stellar_state(r, s, scale=0.7)
          for r, s in [(0, 1), (1, 4), (2, 2), (3, 6), (4, 11)]]
+        + [random_stellar_state(r, s, scale=0.8)
+           for r, s in [(0, 0), (1, 2), (2, 1), (3, 0), (4, 4), (5, 3)]]
         + [StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.8, chi=0.0)],
-        ids=["0-1", "1-4", "2-2", "3-6", "4-11", "coherent"],
+        ids=["0-1", "1-4", "2-2", "3-6", "4-11",
+             "0-0@0.8", "1-2@0.8", "2-1@0.8", "3-0@0.8", "4-4@0.8", "5-3@0.8", "coherent"],
     )
     def test_counts_the_declared_rank(self, st):
         res = hudson_test(st)
         assert (res.gaussian, res.zero_count) == (st.rank == 0, st.rank)
+        assert len(build_wavefunction(st).zeros) == st.rank
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_number_state_counts_past_its_repeated_stellar_zero(self, n):
+        # Every zero of |n> is real, and below rank n its repeated stellar zero
+        # leaves null vectors without a frame: each such rank must move the
+        # count on, not end it.
+        res = hudson_test(fock_state(n))
+        assert (res.gaussian, res.zero_count) == (n == 0, n)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_displaced_squeezed_number_states(self, n):
+        st = StellarState(rank=n, core=np.eye(n + 1)[n], alpha=0.3 - 0.2j, chi=0.25 + 0.1j)
+        res = hudson_test(st)
+        assert (res.gaussian, res.zero_count) == (False, n)
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [[0.0], [1.0, -1.0], [0.5 + 1e-3j, 0.5 - 1e-3j], [1e-12j, -2.0, 2.0 + 1e-9j], [0.7, 0.7]],
+        ids=["origin", "pair", "conjugates", "near_real", "double"],
+    )
+    def test_zeros_on_and_next_to_the_real_line_are_counted(self, zeros):
+        # The count is made from the series on the real line, where these
+        # zeros lie or nearly lie.
+        res = hudson_test(stellar_state_from_zeros(zeros))
+        assert (res.gaussian, res.zero_count) == (False, len(zeros))
 
     def test_squeezed_draw_counts_from_its_real_line_series(self):
         # A contour box around its zeros reached Im 11.8, past where this squeezed
