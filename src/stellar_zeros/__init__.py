@@ -57,9 +57,7 @@ from .dynamics import (
     ZeroTrajectory,
     closed_form,
     closed_form_matrix,
-    evolve_form,
     integrate,
-    match_sets,
     matching_distance,
     sample_closed_form,
     second_order_acceleration,

@@ -63,8 +63,6 @@ __all__ = [
     "closed_form_matrix",
     "closed_form",
     "sample_closed_form",
-    "evolve_form",
-    "match_sets",
     "matching_distance",
 ]
 
@@ -436,20 +434,6 @@ def closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t):
     return _zeros_at(zero_pair(wf), H, t)
 
 
-def match_sets(a, b):
-    """Optimal assignment of multiset b onto a; returns (permutation, distances)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.size != b.size:
-        raise InvalidParameter("multisets must have equal size")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidParameter("multisets must be finite")
-    cost = np.abs(a[:, None] - b[None, :]).tolist()
-    perm = _assignment(cost)
-    dists = [row[j] for row, j in zip(cost, perm)]
-    return np.array(perm, dtype=np.intp), np.array(dists, dtype=float)
-
-
 def _assignment(cost: list) -> list:
     """Column of each row in a minimum-cost assignment of the square matrix ``cost`` (nested lists).
 
@@ -494,8 +478,17 @@ def _assignment(cost: list) -> list:
 
 
 def matching_distance(a, b) -> float:
-    """Largest matched pair distance between two equal-size multisets."""
-    return max(match_sets(a, b)[1].tolist(), default=0.0)
+    """Largest pair distance of a minimum-cost assignment between two equal-size 1-d multisets."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 1 or b.ndim != 1:
+        raise InvalidParameter("multisets must be 1-d")
+    if a.size != b.size:
+        raise InvalidParameter("multisets must have equal size")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidParameter("multisets must be finite")
+    cost = np.abs(a[:, None] - b[None, :]).tolist()
+    return max((row[j] for row, j in zip(cost, _assignment(cost))), default=0.0)
 
 
 def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
@@ -559,16 +552,3 @@ def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> 
     paths = _track(np.concatenate([[0.0], later]), np.concatenate([start, at(later)]), at)
     return ZeroTrajectory(ts, paths[int(ts[0] > 0) :].T, gauss, pair, H)
 
-
-def evolve_form(wf: WavefunctionForm, H: QuadraticHamiltonian, t: float) -> WavefunctionForm:
-    """Full wavefunction form at time t.
-
-    Zeros and Gaussian coefficients both come from the state's pair under
-    the classical flow of ``H``; ``g0`` is recovered by normalization.  The
-    global phase is left free.
-    """
-    if t < 0:
-        raise InvalidParameter("evolve_form needs t >= 0")
-    pair = zero_pair(wf)
-    g2t, g1t = _gaussian_at(pair, H, t)
-    return WavefunctionForm(g2t, g1t, 0.0, _zeros_at(pair, H, t)).normalized()

@@ -51,8 +51,10 @@ class TrackingAmbiguity(StellarZerosError):
 
     Raised when the tracker's step refinement reaches its 1e-9 width cap
     with the largest matched displacement still at least half the smallest
-    zero gap (as at an exact collision on the sampling grid); ``t``, ``gap``
-    and ``displacement`` describe the unresolved step.
+    zero gap (as at an exact collision on the sampling grid), and at once,
+    with no refinement, when the zeros a step leaves are exactly tied
+    (``gap == 0``; ``t`` is then the step's start).  ``t``, ``gap`` and
+    ``displacement`` describe the unresolved step.
     """
 
     def __init__(self, message, t=None, gap=None, displacement=None):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -80,10 +80,6 @@ class WavefunctionForm:
     def rank(self) -> int:
         return len(self.zeros)
 
-    def normalized(self) -> "WavefunctionForm":
-        """Rescale by a positive real so that the L2 norm on R is one (also where it overflows)."""
-        return replace(self, g0=self.g0 - 0.5 * _log_norm_squared(self))
-
 
 @dataclass(frozen=True)
 class GrowthBound:
@@ -95,8 +91,14 @@ class GrowthBound:
     alpha_used: float
 
 
-def _log_norm_squared(wf: WavefunctionForm) -> float:
-    """Logarithm of the L2 norm squared on the real line (see :func:`form_norm_squared`)."""
+def form_norm_squared(wf: WavefunctionForm) -> float:
+    """L2 norm squared on the real line, by ``(rank + 1)``-node Gauss-Hermite quadrature.
+
+    After the standardizing substitution the integrand is a polynomial of
+    degree ``2 * rank`` times the Gauss-Hermite weight, so the quadrature is
+    exact up to roundoff.  The zero factors are summed in log space; where the norm
+    overflows a double, or the rule does (from 370 zeros on), :class:`PrecisionLoss`.
+    """
     beta = -2.0 * wf.g2.real
     mu = wf.g1.real / beta
     with np.errstate(all="ignore"):  # NumPy's weights overflow from 371 nodes on
@@ -106,31 +108,9 @@ def _log_norm_squared(wf: WavefunctionForm) -> float:
     xs = mu + nodes / math.sqrt(beta)
     with np.errstate(divide="ignore"):  # a real zero on a node zeroes that term
         logs = np.log(weights) + 2.0 * np.log(np.abs(xs[:, None] - np.array(wf.zeros))).sum(axis=1)
-    return 2.0 * wf.g0.real + beta * mu * mu - 0.5 * math.log(beta) + _logsumexp(logs)
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    """``log(sum(exp(x)))`` of a 1-d array with a finite maximum, bitwise SciPy's ``logsumexp``.
-
-    SciPy's arithmetic: the ``m`` entries at the maximum add exactly ``m``, the
-    rest are summed relative to it and divided by ``m``.
-    """
-    top = x.max()
-    at_top = x == top
-    m = float(np.count_nonzero(at_top))
-    s = np.exp(np.where(at_top, -np.inf, x) - top).sum() / m
-    return float(np.log1p(s) + np.log(m) + top)
-
-
-def form_norm_squared(wf: WavefunctionForm) -> float:
-    """L2 norm squared on the real line, by ``(rank + 1)``-node Gauss-Hermite quadrature.
-
-    After the standardizing substitution the integrand is a polynomial of
-    degree ``2 * rank`` times the Gauss-Hermite weight, so the quadrature is
-    exact up to roundoff.  The zero factors are summed in log space; where the norm
-    overflows a double, or the rule does (from 370 zeros on), :class:`PrecisionLoss`.
-    """
-    log_nsq = _log_norm_squared(wf)
+    top = logs.max()
+    log_sum = top + math.log(np.exp(logs - top).sum())
+    log_nsq = 2.0 * wf.g0.real + beta * mu * mu - 0.5 * math.log(beta) + log_sum
     if not log_nsq < math.log(np.finfo(float).max):
         raise PrecisionLoss(f"norm squared exp({log_nsq:.6g}) overflows a double")
     return math.exp(log_nsq)

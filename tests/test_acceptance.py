@@ -187,6 +187,24 @@ def test_criterion_02_closed_form_vs_ode(crit2_trajectories):
     )
 
 
+def test_closed_form_vs_ode_on_unscreened_draws():
+    """Criterion 2's 1e-6 bound on states drawn with no screen: ranks 1..5, seeds 0..3.
+
+    Criterion 2's fixture keeps only draws whose paths stay 0.25 apart, for
+    criterion 4's second differences; this set is the raw draws, under the
+    same Hamiltonians, windows and comparison times.
+    """
+    for rank in range(1, 6):
+        for seed in range(4):
+            wf = build_wavefunction(random_stellar_state(rank, seed, scale=0.8))
+            for name, H in _draw_hamiltonians(rank, seed):
+                dense = np.linspace(0.0, _window(H), N_DENSE)
+                paths = integrate(wf, H, dense).paths[:, ::STRIDE_32]
+                zc = closed_form(wf, H, dense[::STRIDE_32])
+                worst = max(map(matching_distance, paths.T, zc))
+                assert worst <= 1e-6, (rank, seed, name, worst)
+
+
 def test_criterion_03_oracle_equivalence():
     """Fock-oracle zeros match the closed form to 1e-4 at cutoff 80."""
     h1 = QuadraticHamiltonian(A=0.50, B=0.45, C=0.08, D=0.12, E=-0.10)

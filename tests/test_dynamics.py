@@ -28,11 +28,10 @@ from stellar_zeros import (
     build_wavefunction,
     closed_form,
     evolve_fock,
-    evolve_form,
     eval_entire,
     eval_form,
+    form_norm_squared,
     integrate,
-    match_sets,
     matching_distance,
     random_stellar_state,
     sample_closed_form,
@@ -221,7 +220,7 @@ class TestIntegrate:
             integrate(wf, HP, grid)
 
     def test_initial_gap_guard(self):
-        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.3, 0.3 + 1e-8)).normalized()
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.3, 0.3 + 1e-8))
         with pytest.raises(DegenerateInitialZeros):
             integrate(wf, HP, [0.0, 1.0])
 
@@ -247,7 +246,7 @@ class TestIntegrate:
             end = WavefunctionForm(
                 tr.gauss_path[0, -1], tr.gauss_path[1, -1], 0.0,
                 list(tr.paths[:, -1]),
-            ).normalized()
+            )
             back = integrate(end, QuadraticHamiltonian(*(-v for v in H.as_tuple())), ts)
             assert matching_distance(back.paths[:, -1], wf.zeros) < 1e-7
 
@@ -650,7 +649,7 @@ class TestClosedForm:
             assert dev < 1e-8, H
 
     def test_degenerate_zeros(self):
-        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.5, 0.5 + 1e-11)).normalized()
+        wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.5, 0.5 + 1e-11))
         with pytest.raises(DegenerateInitialZeros):
             zero_pair(wf)
 
@@ -734,14 +733,27 @@ class TestSampleClosedForm:
             sample_closed_form(wf, HP, [-0.5, 1.0])
         with pytest.raises(InvalidParameter):
             sample_closed_form(wf, HP, [0.0, 0.5, 0.4])
-        with pytest.raises(InvalidParameter, match="t >= 0"):
-            evolve_form(wf, HP, -0.5)
 
     @pytest.mark.parametrize("grid", [[0.0, math.nan, math.nan], [0.0, 1.0, math.inf]])
     def test_non_finite_grid_rejected(self, grid):
         wf = build_wavefunction(random_stellar_state(1, 1))
         with pytest.raises(InvalidParameter):
             sample_closed_form(wf, HP, grid)
+
+    def test_evolved_form_matches_the_oracle(self):
+        # The whole evolved form: zeros and (g2, g1) from the classical flow,
+        # g0 from the norm.  Its global phase is free: align it where |psi| peaks.
+        st = ring_state(3, 7)
+        t = 0.7
+        tr = sample_closed_form(build_wavefunction(st), HP, [t])
+        (g2, g1), zeros = tr.gauss_path[:, 0], tr.paths[:, 0]
+        g0 = -0.5 * math.log(form_norm_squared(WavefunctionForm(g2, g1, 0.0, zeros)))
+        xs = np.arange(-3.0, 3.01, 0.5)
+        got = eval_form(WavefunctionForm(g2, g1, g0, zeros), xs)
+        want = eval_entire(evolve_fock(stellar_to_fock(st, 120), HP, t), xs)
+        j = int(np.argmax(np.abs(want)))
+        got = got * (want[j] / got[j]) / abs(want[j] / got[j])
+        assert np.max(np.abs(got - want)) < 1e-6
 
     def test_exact_collision_on_grid_raises(self):
         # The +-1 pair meets at the origin at t = pi/2, a grid point here:
@@ -806,51 +818,12 @@ class TestEveryQuadraticHamiltonian:
         assert matching_distance(got, want) < 1e-8
 
 
-class TestEvolveForm:
-    def test_time_zero_roundtrip_up_to_phase(self):
-        _, wf = distinct_random_state(2, 2, scale=0.7)
-        out = evolve_form(wf, HP, 0.0)
-        xs = np.linspace(-2, 2, 11)
-        assert np.max(np.abs(np.abs(eval_form(out, xs)) - np.abs(eval_form(wf, xs)))) < 1e-9
-        assert matching_distance(out.zeros, wf.zeros) < 1e-9
-
-    def test_constant_hamiltonian_global_phase_only(self):
-        _, wf = distinct_random_state(2, 5, scale=0.7)
-        out = evolve_form(wf, QuadraticHamiltonian(F=1.3), 0.8)
-        assert matching_distance(out.zeros, wf.zeros) < 1e-10
-        xs = np.linspace(-2, 2, 11)
-        assert np.max(np.abs(np.abs(eval_form(out, xs)) - np.abs(eval_form(wf, xs)))) < 1e-9
-
-    def test_oracle_cross_validation_with_phase(self):
-        st = ring_state(3, 7)
-        wf = build_wavefunction(st)
-        t = 0.7
-        vt = evolve_fock(stellar_to_fock(st, 120), HP, t)
-        xs = np.arange(-3.0, 3.01, 0.5)
-        got = eval_form(evolve_form(wf, HP, t), xs)
-        want = eval_entire(vt, xs)
-        # evolve_form leaves the global phase free: align it where |psi| peaks.
-        j = int(np.argmax(np.abs(want)))
-        got = got * (want[j] / got[j]) / abs(want[j] / got[j])
-        assert np.max(np.abs(got - want)) < 1e-6
-
-    def test_b_zero_and_omega2_zero_closed_form(self):
-        _, wf = distinct_random_state(2, 8, scale=0.6)
-        for H in (H_B0, H_W0):
-            out = evolve_form(wf, H, 0.5)
-            tr = integrate(wf, H, [0.0, 0.5])
-            assert matching_distance(out.zeros, tr.paths[:, -1]) < 1e-8, H
-            assert abs(out.g2 - tr.gauss_path[0, -1]) < 1e-8, H
-            assert abs(out.g1 - tr.gauss_path[1, -1]) < 1e-8, H
-
-
 class TestMatching:
-    def test_match_sets_permutation(self):
+    def test_nearest_assignment(self):
         a = np.array([1.0, 2.0, 3.0], dtype=complex)
         b = np.array([3.01, 1.02, 1.98], dtype=complex)
-        perm, dists = match_sets(a, b)
-        assert list(perm) == [1, 2, 0]
-        assert np.max(dists) < 0.03
+        assert dynamics._assignment(np.abs(a[:, None] - b[None, :]).tolist()) == [1, 2, 0]
+        assert abs(matching_distance(a, b) - 0.02) < 1e-12
 
     def test_matching_distance_empty(self):
         assert matching_distance([], []) == 0.0
@@ -866,20 +839,21 @@ class TestMatching:
 
     @pytest.mark.parametrize("kind", ["random", "integer", "lattice"])
     def test_permutation_is_scipys(self, kind):
-        # `match_sets` solves the assignment itself, with SciPy's algorithm and
-        # tie rule, so on tied costs too it picks the permutation SciPy picks.
+        # `matching_distance` solves the assignment itself, with SciPy's algorithm
+        # and tie rule, so on tied costs too it picks the permutation SciPy picks
+        # and reports its largest cost to the bit.
         from scipy.optimize import linear_sum_assignment
 
         rng = np.random.default_rng(11)
         for n in [*range(61), 300]:
             for _ in range(3 if n <= 60 else 1):
                 a, b = self._points(kind, n, rng), self._points(kind, n, rng)
-                perm, dists = match_sets(a, b)
                 cost = np.abs(a[:, None] - b[None, :])
                 rows, want = linear_sum_assignment(cost)
                 assert np.array_equal(rows, np.arange(n))
-                assert np.array_equal(perm, want), (kind, n)
-                assert dists.tobytes() == cost[rows, want].tobytes()
+                assert dynamics._assignment(cost.tolist()) == want.tolist(), (kind, n)
+                got = np.float64(matching_distance(a, b))
+                assert got.tobytes() == cost[rows, want].max(initial=0.0).tobytes(), (kind, n)
 
     def test_integer_cost_matrices_are_assigned_as_scipy_assigns_them(self):
         from scipy.optimize import linear_sum_assignment
@@ -894,16 +868,20 @@ class TestMatching:
         # Finite points whose every distance overflows leave no finite assignment
         # (SciPy's solver calls it infeasible).
         with np.errstate(over="ignore"), pytest.raises(InvalidParameter, match="overflow"):
-            match_sets([1e308, 1.5e308], [-1e308, -1.5e308])
+            matching_distance([1e308, 1.5e308], [-1e308, -1.5e308])
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidParameter):
-            match_sets([1.0], [1.0, 2.0])
+            matching_distance([1.0], [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match="1-d"):
+            matching_distance(1.0, 1.0)
+        with pytest.raises(InvalidParameter, match="1-d"):
+            matching_distance([[1, 2], [3, 4]], [[1, 2], [3, 4]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
     def test_non_finite_entry_is_rejected(self, bad):
         with pytest.raises(InvalidParameter, match="finite"):
-            match_sets([1.0, bad], [1.0, 2.0])
+            matching_distance([1.0, bad], [1.0, 2.0])
         with pytest.raises(InvalidParameter, match="finite"):
             matching_distance([1.0, 2.0], [bad, 1.0])
 
@@ -933,7 +911,7 @@ class TestTracker:
         dist = np.abs(a[:, None] - b[None, :])
         if np.all(dist.min(axis=1) < 0.5 * gap):
             nearest = dist.argmin(axis=1)
-            assert np.array_equal(nearest, match_sets(a, b)[0])
+            assert np.array_equal(nearest, dynamics._assignment(dist.tolist()))
             assert np.array_equal(dynamics._track([0.0, 1.0], [a, b], zeros_at)[1], b[nearest])
         else:
             with pytest.raises(TrackingAmbiguity):

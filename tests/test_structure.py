@@ -40,8 +40,8 @@ print(code, *map(sorted, loaded), sep="|")
 
 def test_import_does_not_load_the_ode_solver():
     # At run time the package needs NumPy and scipy.linalg only: `integrate`
-    # reads SciPy's DOP853 tableau from its file, `match_sets` solves its own
-    # assignment and the norm sums its own logsumexp.  A fresh interpreter
+    # reads SciPy's DOP853 tableau from its file, `matching_distance` solves its
+    # own assignment and the norm sums its own log-sum-exp.  A fresh interpreter
     # shows what the import, an ODE run, a matching, a norm and a `verify`
     # pull in; the three heavier SciPy subpackages stay out.
     env = dict(os.environ)
@@ -149,8 +149,7 @@ def test_one_constant_in_the_closed_form():
     # JSON pair names a "leading" value, which it writes as 1 and folds into g0.
     fields = dataclasses.fields(stellar_zeros.wavefunction.WavefunctionForm)
     assert [field.name for field in fields] == ["g2", "g1", "g0", "zeros"]
-    for name in ("normalized", "form_norm_squared", "_log_norm_squared"):
-        assert ("wavefunction", "build_wavefunction") not in _scopes_of(name), name
+    assert ("wavefunction", "build_wavefunction") not in _scopes_of("form_norm_squared")
     assert ("wavefunction", "build_wavefunction") not in _scopes_of("PrecisionLoss", ast.Raise)
     named = set()
     for stem, tree, parents in _package_trees():
@@ -197,9 +196,8 @@ def test_no_multiprecision_reference_in_the_package_or_tests():
 
 def test_one_zero_tracker():
     # Sampling and crossing detection share one tracker, which orders zeros
-    # by nearest successor; optimal assignment is left to `match_sets`,
-    # which serves `matching_distance`.
-    assert _scopes_of("_assignment") == [("dynamics", "match_sets")]
+    # by nearest successor; optimal assignment is left to `matching_distance`.
+    assert _scopes_of("_assignment") == [("dynamics", "matching_distance")]
     assert _scopes_of("TrackingAmbiguity", ast.Raise) == [("dynamics", "_track")]
 
 
@@ -329,7 +327,8 @@ def test_public_api_is_declared_once():
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == declared | error_types
     gone = ("squeezed_vacuum_fock", "gaussian_packet_params", "phase_shift", "packet_exponents",
-            "count_zeros_box", "_box_boundary", "ZeroOnContour")
+            "count_zeros_box", "_box_boundary", "ZeroOnContour", "evolve_form", "match_sets",
+            "_log_norm_squared", "_logsumexp")
     for name in gone:
         assert not hasattr(stellar_zeros, name), name
     for path in package.glob("*.py"):
