@@ -740,20 +740,49 @@ class TestSampleClosedForm:
         with pytest.raises(InvalidParameter):
             sample_closed_form(wf, HP, grid)
 
-    def test_evolved_form_matches_the_oracle(self):
-        # The whole evolved form: zeros and (g2, g1) from the classical flow,
-        # g0 from the norm.  Its global phase is free: align it where |psi| peaks.
-        st = ring_state(3, 7)
-        t = 0.7
-        tr = sample_closed_form(build_wavefunction(st), HP, [t])
+    @staticmethod
+    def _evolved_form(wf, H, t):
+        """The whole form at time t: zeros and (g2, g1) from the flow, g0 from the norm."""
+        tr = sample_closed_form(wf, H, [t])
         (g2, g1), zeros = tr.gauss_path[:, 0], tr.paths[:, 0]
         g0 = -0.5 * math.log(form_norm_squared(WavefunctionForm(g2, g1, 0.0, zeros)))
+        return WavefunctionForm(g2, g1, g0, zeros)
+
+    def test_evolved_form_matches_the_oracle(self):
+        # Its global phase is free: align it where |psi| peaks.
+        st = ring_state(3, 7)
+        t = 0.7
         xs = np.arange(-3.0, 3.01, 0.5)
-        got = eval_form(WavefunctionForm(g2, g1, g0, zeros), xs)
+        got = eval_form(self._evolved_form(build_wavefunction(st), HP, t), xs)
         want = eval_entire(evolve_fock(stellar_to_fock(st, 120), HP, t), xs)
         j = int(np.argmax(np.abs(want)))
         got = got * (want[j] / got[j]) / abs(want[j] / got[j])
         assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_evolved_form_at_time_zero_is_the_initial_one(self):
+        _, wf = distinct_random_state(2, 2, scale=0.7)
+        out = self._evolved_form(wf, HP, 0.0)
+        xs = np.linspace(-2, 2, 11)
+        assert np.max(np.abs(np.abs(eval_form(out, xs)) - np.abs(eval_form(wf, xs)))) < 1e-9
+        assert matching_distance(out.zeros, wf.zeros) < 1e-9
+
+    def test_constant_hamiltonian_moves_only_the_phase(self):
+        _, wf = distinct_random_state(2, 5, scale=0.7)
+        out = self._evolved_form(wf, QuadraticHamiltonian(F=1.3), 0.8)
+        assert matching_distance(out.zeros, wf.zeros) < 1e-10
+        xs = np.linspace(-2, 2, 11)
+        assert np.max(np.abs(np.abs(eval_form(out, xs)) - np.abs(eval_form(wf, xs)))) < 1e-9
+
+    @pytest.mark.parametrize("H", [H_B0, H_W0], ids=["B0", "omega2_0"])
+    def test_evolved_form_matches_integrate_where_the_flow_degenerates(self, H):
+        # B = 0 and omega^2 = 0 take the closed form's limiting branches.
+        _, wf = distinct_random_state(2, 8, scale=0.6)
+        out = self._evolved_form(wf, H, 0.5)
+        tr = integrate(wf, H, [0.0, 0.5])
+        assert matching_distance(out.zeros, tr.paths[:, -1]) < 1e-8
+        assert abs(out.g2 - tr.gauss_path[0, -1]) < 1e-8
+        assert abs(out.g1 - tr.gauss_path[1, -1]) < 1e-8
+        assert abs(form_norm_squared(out) - 1.0) < 1e-12
 
     def test_exact_collision_on_grid_raises(self):
         # The +-1 pair meets at the origin at t = pi/2, a grid point here:

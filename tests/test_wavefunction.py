@@ -231,6 +231,43 @@ class TestBuildWavefunction:
         wf = WavefunctionForm(-0.5, 0.0, 0.0, (0.0, 1.0))
         assert abs(form_norm_squared(wf) - 1.25 * math.sqrt(math.pi)) < 1e-14
 
+    def test_norm_sums_its_terms_as_scipys_logsumexp_does_to_rounding(self):
+        # The norm's log-space quadrature terms span hundreds of orders of
+        # magnitude; its max-shifted sum must agree with SciPy's logsumexp on
+        # the same terms, also where a real zero sits on a node (a -inf term).
+        from scipy.special import logsumexp
+
+        def log_norm_squared(wf):
+            beta = -2.0 * wf.g2.real
+            mu = wf.g1.real / beta
+            nodes, weights = np.polynomial.hermite.hermgauss(wf.rank + 1)
+            xs = mu + nodes / math.sqrt(beta)
+            with np.errstate(divide="ignore"):
+                logs = (np.log(weights)
+                        + 2.0 * np.log(np.abs(xs[:, None] - np.array(wf.zeros))).sum(axis=1))
+            return 2.0 * wf.g0.real + beta * mu * mu - 0.5 * math.log(beta) + logsumexp(logs)
+
+        rng = np.random.default_rng(3)
+        forms = [WavefunctionForm(-0.5, 0.0, 0.0, (0.0, 1.0))]
+        for _ in range(200):
+            # Up to 360 zeros, spread up to 4: many terms past e^709 (exp overflows),
+            # with g0 bringing most totals back into a double's normal range.
+            r = int(rng.integers(0, 360))
+            zeros = (rng.normal(0, rng.uniform(0.1, 4), r)
+                     + 1j * rng.normal(0, rng.uniform(0, 1), r))
+            forms.append(WavefunctionForm(complex(-rng.uniform(0.2, 2), rng.normal()),
+                                          complex(rng.normal(), rng.normal()),
+                                          complex(rng.uniform(-600, 100), rng.normal()), zeros))
+        checked = 0
+        for wf in forms:
+            want = log_norm_squared(wf)
+            if not math.log(np.finfo(float).tiny) < want < math.log(np.finfo(float).max):
+                continue
+            got = math.log(form_norm_squared(wf))
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), wf.rank
+            checked += 1
+        assert checked > 100
+
     @pytest.mark.parametrize("alpha,chi", [(0.0, 0.0), (0.4, 0.0), (0.3, 0.5), (-0.2j, 0.2j)])
     def test_rank_one_leading_coefficient(self, alpha, chi):
         # Leading coefficient of (c0 + c1 a†) applied to a packet is
