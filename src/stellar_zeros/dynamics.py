@@ -488,6 +488,14 @@ def matching_distance(a, b) -> float:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidParameter("multisets must be finite")
     cost = np.abs(a[:, None] - b[None, :]).tolist()
+    # _track's half-gap rule: then the nearest pairs are the only optimal assignment.  The
+    # test is doubled so that a gap overflowing to inf passes no cost above half the largest
+    # double, and its 1e-12 margin covers the rounding of the costs and the gap.
+    near = max(map(min, cost), default=0.0)
+    own = np.abs(a[:, None] - a[None, :]).tolist()
+    gap = min((d for k, row in enumerate(own) for d in row[:k]), default=math.inf)
+    if 2.0 * near < (1.0 - 1e-12) * gap:
+        return near
     return max((row[j] for row, j in zip(cost, _assignment(cost))), default=0.0)
 
 
@@ -528,10 +536,15 @@ def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
         mid = 0.5 * (ts[bad] + ts[bad + 1])
         ts, zs = np.insert(ts, bad + 1, mid), np.insert(zs, bad + 1, zeros_at(mid), axis=0)
         asked, anchors = np.insert(asked, bad + 1, False), np.insert(anchors, bad + 1, False)
-    order = [np.arange(zs.shape[1])]  # row k: where each tracked zero sits in zs[k]
-    for succ, anchor in zip(np.argmin(dist, axis=2), anchors[1:]):
-        order.append(order[0] if anchor else succ[order[-1]])
-    return np.take_along_axis(zs, np.array(order), axis=1)[asked]
+    # The order (where each tracked zero sits in a row) changes only at an anchor or at a
+    # step whose nearest successors are not the identity; each run between keeps it.
+    succ, ident = np.argmin(dist, axis=2), np.arange(zs.shape[1])
+    change = anchors[1:] | (succ != ident).any(axis=1)
+    order = [ident]
+    for k in np.flatnonzero(change).tolist():
+        order.append(ident if anchors[k + 1] else succ[k][order[-1]])
+    run = np.concatenate([[0], np.cumsum(change)])[asked]
+    return np.take_along_axis(zs[asked], np.array(order)[run], axis=1)
 
 
 def sample_closed_form(wf: WavefunctionForm, H: QuadraticHamiltonian, times) -> ZeroTrajectory:

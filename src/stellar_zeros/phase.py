@@ -125,20 +125,36 @@ def _pencil_times(pair, H: QuadraticHamiltonian) -> np.ndarray:
     """
     x0, p0, eye = pair.terms
     lmat = 2.0 * H.B * p0 + H.C * x0 + H.E * eye
-    k0 = np.kron(x0, eye) - np.kron(eye, x0.conj())
-    k1 = np.kron(lmat, eye) - np.kron(eye, lmat.conj())
+    # np.kron's products, broadcast: K[(i, j), (k, l)] = M_ik I_jl - I_ik conj(M)_jl.
+    left, right, size = eye[:, None, :, None], eye[None, :, None, :], eye.size
+    k0, k1 = ((m[:, None, :, None] * right - left * m.conj()[None, :, None, :]).reshape(size, size)
+              for m in (x0, lmat))
     alpha, beta = eigvals(k0, -k1, homogeneous_eigvals=True)
     # w = (beta + i alpha)/(beta - i alpha) = e^{2it} for a real root
     # tan t = alpha/beta.  A vanishing denominator marks the singular part
     # of the pencil (alpha ~ beta ~ 0, a zero pinned on the axis) or a root
     # far off the unit circle; both are dropped.
     num, den = beta + 1j * alpha, beta - 1j * alpha
-    keep = np.abs(den) > DEFECTIVE_TOL * np.abs([k0, k1]).max(initial=0.0)
+    scale = max(np.abs(k0).max(initial=0.0), np.abs(k1).max(initial=0.0))
+    keep = np.abs(den) > DEFECTIVE_TOL * scale
     # A double root (mirror zeros crossing at the same t) splits by about
     # sqrt(eps) off the circle; its mean lies back on it to roundoff.
     w = _cluster(num[keep] / den[keep], DEFECTIVE_TOL)
     half = np.angle(w[np.abs(np.abs(w) - 1.0) <= DEFECTIVE_TOL]) / 2.0 % math.pi
     return np.unique(np.concatenate([half, half + math.pi]) % (2.0 * math.pi))
+
+
+def _antiperiodic(traj: ZeroTrajectory, what: str) -> QuadraticHamiltonian:
+    """``traj.H``, or :class:`InvalidParameter` unless ``X(t + pi) = -X(t)`` along ``traj``.
+
+    That holds for a closed-form trajectory under a Hamiltonian with
+    ``omega^2 = 1`` and ``kappa = CE - 2BD = 0``: then ``F11``, ``F12`` and
+    ``F13 = sE`` of its flow change sign over half a period.
+    """
+    H = traj.H
+    if traj.pair is None or H.omega2 != 1.0 or H.C * H.E != 2.0 * H.B * H.D:
+        raise InvalidParameter(f"{what} needs a closed-form phase-shift trajectory")
+    return H
 
 
 def detect_crossings(traj: ZeroTrajectory) -> list:
@@ -158,9 +174,7 @@ def detect_crossings(traj: ZeroTrajectory) -> list:
     honest, since on a 2-sample grid ``X(0) = X(2 pi)`` and a zero real at
     t = 0 would read as pinned.
     """
-    H = traj.H  # kappa = CE - 2BD must vanish
-    if traj.pair is None or H.omega2 != 1.0 or H.C * H.E != 2.0 * H.B * H.D:
-        raise InvalidParameter("crossing detection needs a closed-form phase-shift trajectory")
+    H = _antiperiodic(traj, "crossing detection")
     if traj.times.size < PERIOD_STEPS:
         raise InvalidParameter(f"crossing detection needs at least {PERIOD_STEPS} samples")
     if traj.times[0] != 0.0 or traj.times[-1] < 2.0 * math.pi:
@@ -253,11 +267,14 @@ def imbalance(zeros):
 
 
 def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
-    """Assignment distance between the zero sets at ``t`` and ``-(t + pi)``.
+    """Assignment distance between the zeros at ``t`` and the negated zeros at ``t + pi``.
 
     The phase-shift zero matrix satisfies ``X(t + pi) = -X(t)``, so the
     zero multisets must match under negation; for closed-form trajectories
-    the returned distance is at roundoff level (contract: below 1e-8).
+    the returned distance is at roundoff level (contract: below 1e-8).  A
+    trajectory that is not closed-form under ``omega^2 = 1`` and
+    ``CE = 2BD``, where the identity fails, raises :class:`InvalidParameter`.
     """
+    _antiperiodic(traj, "the antipodal check")
     now, later = traj.zeros_at(np.array([t, t + math.pi]))
     return matching_distance(now, -later)

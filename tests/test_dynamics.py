@@ -17,6 +17,7 @@ from conftest import (
 )
 
 from stellar_zeros import dynamics
+from stellar_zeros.rootfind import _min_gap
 from stellar_zeros import (
     DegenerateInitialZeros,
     InvalidParameter,
@@ -860,29 +861,53 @@ class TestMatching:
     @staticmethod
     def _points(kind, n, rng):
         """Random points, integer points on the real line, or Gaussian-integer lattice points."""
-        if kind == "random":
+        if kind in ("random", "near"):
             return rng.normal(size=n) + 1j * rng.normal(size=n)
         if kind == "integer":
             return rng.integers(-3, 4, n).astype(complex)
         return rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
 
-    @pytest.mark.parametrize("kind", ["random", "integer", "lattice"])
+    @staticmethod
+    def _near(a, rng):
+        """A permutation of ``a``, each point moved by less than half of its smallest gap."""
+        gap = min(float(_min_gap(a)), 1.0)
+        moves = rng.uniform(0.0, 0.49, a.size) * gap * np.exp(2j * math.pi * rng.random(a.size))
+        return (a + moves)[rng.permutation(a.size)]
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "lattice", "near"])
     def test_permutation_is_scipys(self, kind):
         # `matching_distance` solves the assignment itself, with SciPy's algorithm
         # and tie rule, so on tied costs too it picks the permutation SciPy picks
-        # and reports its largest cost to the bit.
+        # and reports its largest cost to the bit.  On "near" pairs it takes the
+        # half-gap rule instead, and the nearest pairs are that permutation.
         from scipy.optimize import linear_sum_assignment
 
         rng = np.random.default_rng(11)
         for n in [*range(61), 300]:
             for _ in range(3 if n <= 60 else 1):
-                a, b = self._points(kind, n, rng), self._points(kind, n, rng)
+                a = self._points(kind, n, rng)
+                b = self._near(a, rng) if kind == "near" else self._points(kind, n, rng)
                 cost = np.abs(a[:, None] - b[None, :])
                 rows, want = linear_sum_assignment(cost)
                 assert np.array_equal(rows, np.arange(n))
                 assert dynamics._assignment(cost.tolist()) == want.tolist(), (kind, n)
                 got = np.float64(matching_distance(a, b))
                 assert got.tobytes() == cost[rows, want].max(initial=0.0).tobytes(), (kind, n)
+
+    def test_half_gap_rule_skips_the_assignment(self, monkeypatch):
+        calls, assign = [], dynamics._assignment
+        monkeypatch.setattr(dynamics, "_assignment", lambda cost: calls.append(len(cost)) or assign(cost))
+        a = np.array([0.0, 1.0, 1j, 2.0 + 2j])  # smallest gap 1
+        b = a + 0.3 * np.exp(1j * np.array([0.1, 2.0, 4.0, 5.5]))
+        assert matching_distance(a, b[[2, 0, 3, 1]]) == np.abs(a - b).max()
+        assert calls == []
+        # A duplicate in `a` has gap 0, which no distance is below.
+        assert matching_distance([1.0, 1.0, 2.0], [2.0, 1.0, 1.0]) == 0.0
+        assert calls == [3]
+        # One point moved past half the gap.
+        b[0] = 0.6
+        assert matching_distance(a, b) == 0.6
+        assert calls == [3, 4]
 
     def test_integer_cost_matrices_are_assigned_as_scipy_assigns_them(self):
         from scipy.optimize import linear_sum_assignment
@@ -915,7 +940,66 @@ class TestMatching:
             matching_distance([1.0, 2.0], [bad, 1.0])
 
 
+def per_row_track(ts, zs, zeros_at, anchors=None):
+    """``dynamics._track`` composing the order at every row: the reference for its change-only pass."""
+    ts, zs = np.asarray(ts, dtype=float), np.asarray(zs, dtype=complex)
+    if zs.shape[1] < 2:
+        return zs
+    asked = np.ones(ts.size, dtype=bool)
+    anchors = np.arange(ts.size) == 0 if anchors is None else np.asarray(anchors, dtype=bool)
+    while True:
+        gap = _min_gap(zs[:-1])
+        dist = np.abs(zs[:-1, :, None] - zs[1:, None, :])
+        bad = np.flatnonzero((np.min(dist, axis=2).max(axis=1) >= 0.5 * gap) & ~anchors[1:])
+        if bad.size == 0:
+            break
+        mid = 0.5 * (ts[bad] + ts[bad + 1])
+        ts, zs = np.insert(ts, bad + 1, mid), np.insert(zs, bad + 1, zeros_at(mid), axis=0)
+        asked, anchors = np.insert(asked, bad + 1, False), np.insert(anchors, bad + 1, False)
+    order = [np.arange(zs.shape[1])]
+    for succ, anchor in zip(np.argmin(dist, axis=2), anchors[1:]):
+        order.append(order[0] if anchor else succ[order[-1]])
+    return np.take_along_axis(zs, np.array(order), axis=1)[asked]
+
+
 class TestTracker:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_change_only_order_matches_per_row_composition(self, seed):
+        # Zeros on small circles around well-separated centres, each row shuffled by a
+        # permutation that a random step swaps; fast circles leave steps to refine.
+        rng = np.random.default_rng(seed)
+        for rank in range(2, 7):
+            centres = 3.0 * np.arange(rank) + 1j * rng.normal(size=rank)
+            speed, phase = rng.uniform(0.5, 40.0, rank), rng.uniform(0.0, 2 * math.pi, rank)
+
+            def zeros_at(ts, shuffle=True):
+                z = centres + 0.8 * np.exp(1j * (np.outer(ts, speed) + phase))
+                return np.random.default_rng(len(ts)).permuted(z, axis=1) if shuffle else z
+
+            ts = np.sort(rng.uniform(0.0, 2.0, int(rng.integers(40, 301))))
+            zs, perm = zeros_at(ts, shuffle=False), np.arange(rank)
+            for k in range(ts.size):
+                if rng.random() < 0.1:
+                    i, j = rng.choice(rank, 2, replace=False)
+                    perm[[i, j]] = perm[[j, i]]
+                zs[k] = zs[k, perm]
+            for anchors in (None, rng.random(ts.size) < 0.1):
+                got = dynamics._track(ts, zs, zeros_at, anchors)
+                want = per_row_track(ts, zs, zeros_at, anchors)
+                assert got.tobytes() == want.tobytes(), (seed, rank)
+
+    def test_change_only_order_matches_on_the_mirrored_period(self):
+        # phase_trajectory's stack, on criterion 5's fixtures.
+        ts = np.linspace(0.0, 2.0 * math.pi, 257)
+        for rank in range(1, 7):
+            for seed in range(40, 44):
+                _, wf = distinct_random_state(rank, seed, scale=0.8, min_gap=0.05)
+                at = functools.partial(dynamics._zeros_at, zero_pair(wf), HP)
+                half = at(ts[1:129])
+                zs = np.concatenate([np.reshape(wf.zeros, (1, rank)), half, -half])
+                got, want = dynamics._track(ts, zs, at), per_row_track(ts, zs, at)
+                assert got.tobytes() == want.tobytes(), (rank, seed)
+
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(hst.data())
     def test_half_gap_rule_agrees_with_optimal_assignment(self, data):

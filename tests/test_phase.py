@@ -299,6 +299,17 @@ class TestAntipodal:
         traj = phase_trajectory([], -0.5)
         assert antipodal_check(traj, 0.7) == 0.0
 
+    @pytest.mark.parametrize("h", [(0.5, 0.5, 0.0, 0.3, 0.0), (0.5, 0.45, 0.08, 0.12, -0.1)])
+    def test_other_hamiltonian_rejected(self, h):
+        # omega^2 = 1 with kappa = CE - 2BD = -0.3, and omega^2 != 1: X(t + pi) = -X(t)
+        # fails under both, and the distance read 0.600 and 0.582 here.
+        wf = build_wavefunction(random_stellar_state(3, 1, scale=0.8))
+        traj = sample_closed_form(wf, QuadraticHamiltonian(*h), np.linspace(0.0, 2.0 * math.pi, 257))
+        with pytest.raises(InvalidParameter, match="phase-shift"):
+            antipodal_check(traj, 0.7)
+        with pytest.raises(InvalidParameter, match="phase-shift"):
+            detect_crossings(traj)
+
 
 class TestTrackingCost:
     @pytest.mark.parametrize("seed", [42, 43])
