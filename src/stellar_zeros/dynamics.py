@@ -159,6 +159,11 @@ def _rhs(H: QuadraticHamiltonian):
 
     H's constant products are formed once per Hamiltonian.  NaN makes the
     integrator's error norm NaN, so the step is rejected and retried shorter.
+    Precondition: ``f`` finds each zero's self term by identity (``is``), so every entry
+    of a list ``y`` must be its own object; a list holding one complex object twice misses
+    that exact tie.  :func:`integrate` meets it: ``y.tolist()``, its stage list
+    comprehensions and ``y_new`` each make one object per entry.  Index-based forms cost
+    about 1.5 us more per call at ranks 1-3.
     """
     A, B, C, D, E, _ = H.as_tuple()
     b4, b2, drift_b, c2, e2, ia, id_ = 4j * B, 2j * B, -2j * B, 2.0 * C, 2.0 * E, 1j * A, 1j * D

@@ -239,19 +239,23 @@ def _kernel_rows(mu, nu, gamma, c: np.ndarray, rows: int) -> np.ndarray:
     underflow.  Each later column comes from ``sqrt(n+1) g_{m,n+1} = b2 g_mn + a12 sqrt(m)
     g_{m-1,n} + a22 sqrt(n) g_{m,n-1}``.  Neither reaches a row above m, so the rows are
     exact; each column is summed against ``c``, trailing zeros trimmed, as it is made.
-    Raises :class:`PrecisionLoss` if rounding adds more than 1e-8 of ``|c|^2``: the column
-    recurrence amplifies it with ``|gamma|`` and the number of columns.
+    A unitary whose kernel leaves the double range (``|gamma|^2 |nu|`` or ``|gamma mu|`` past
+    it, a state spread over more photons than any row count reaches) gets zero rows.  Raises
+    :class:`PrecisionLoss` if rounding adds more than 1e-8 of ``|c|^2``: the column recurrence
+    amplifies it with ``|gamma|`` and the number of columns.
     """
     mu, nu, gamma = (np.asarray(x, dtype=complex).reshape(-1) for x in (mu, nu, gamma))
-    mu_bar, gamma_bar = np.conj(mu), np.conj(gamma)
-    log_c = 0.5 * (np.real(nu * gamma_bar**2 / mu_bar) - np.abs(gamma) ** 2 - np.log(np.abs(mu)))
-    a11, b1 = nu / mu_bar, (gamma * mu_bar - nu * gamma_bar) / mu_bar
-    a12, a22, b2 = (np.asarray(x / mu_bar)[:, None] for x in (1.0, -np.conj(nu), -gamma_bar))
     c = c[: max(1, np.trim_zeros(c, "b").size)]
     sq = np.sqrt(np.arange(rows + 1))
-    sq_list, up = sq.tolist(), a12 * sq[1:]  # Python floats keep the scalar loop fast
     col = np.empty((mu.size, rows + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        mu_bar, gamma_bar = np.conj(mu), np.conj(gamma)
+        log_c = 0.5 * (np.real(nu * gamma_bar**2 / mu_bar) - np.abs(gamma) ** 2
+                       - np.log(np.abs(mu)))
+        a11, b1 = nu / mu_bar, (gamma * mu_bar - nu * gamma_bar) / mu_bar
+        a12, a22, b2 = (np.asarray(x / mu_bar)[:, None] for x in (1.0, -np.conj(nu), -gamma_bar))
+        beyond = ~np.isfinite(log_c + b1)
+        sq_list, up = sq.tolist(), a12 * sq[1:]  # Python floats keep the scalar loop fast
         for k, (b, a, scale) in enumerate(zip(b1, a11, log_c)):
             prev, cur, vals, scales = 0j, 1 + 0j, [1 + 0j], [scale]
             for m in range(1, rows + 1):
@@ -267,6 +271,7 @@ def _kernel_rows(mu, nu, gamma, c: np.ndarray, rows: int) -> np.ndarray:
             nxt[:, 1:] += up * col[:, :-1]
             prev, col = col, nxt * (1.0 / math.sqrt(n))
             out += c[n] * col
+        out[beyond] = 0.0
         norm = np.sum(np.abs(c) ** 2)
         grown = np.sum(np.abs(out) ** 2, axis=1) - norm
     if not np.all(grown <= 1e-8 * norm):
@@ -274,20 +279,34 @@ def _kernel_rows(mu, nu, gamma, c: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _stellar_rows(st: StellarState, rows: int) -> np.ndarray:
-    """Amplitudes ``0..rows`` of ``D(alpha) S(chi) sum_n c_n |n>``, exact to rounding.
+def _stellar_rows(st: StellarState, rows: int, outer=None) -> np.ndarray:
+    """Amplitudes ``0..rows`` of ``D(alpha) S(chi) sum_n c_n |n>``, exact to rounding; with
+    ``outer = (mu, nu, gamma)`` (1-d arrays), one row of ``V D S sum_n c_n |n>`` for each
+    Gaussian unitary ``V† a V = mu a + nu a† + gamma``, up to the phase that makes ``<0|V D
+    S|0>`` positive.
 
-    :func:`_kernel_rows` with ``U† a U = cosh r a - e^{i phi} sinh r a† + alpha``, times the
-    phase ``exp(-i Im(e^{i phi} tanh r alpha*^2) / 2)`` of ``<0|D S|0>``.  Past the core, from
-    the first two amplitudes below the smallest normal double on, the rows are zero: there
-    the recurrences carry only underflowed noise.
+    :func:`_kernel_rows` on the core's ``r + 1`` columns, with ``U† a U = cosh r a - e^{i phi}
+    sinh r a† + alpha``, times the phase ``exp(-i Im(e^{i phi} tanh r alpha*^2) / 2)`` of
+    ``<0|D S|0>``.  After ``V`` the coefficients compose to ``mu cosh r - nu e^{-i phi} sinh
+    r``, ``nu cosh r - mu e^{i phi} sinh r`` and ``mu alpha + nu alpha* + gamma``.  Past the
+    core, from the first two amplitudes below the smallest normal double on, the rows are
+    zero: there the recurrences carry only underflowed noise.
     """
     ch, sh, w = _squeeze_frame(st.chi)
-    g = _kernel_rows(ch, -w * sh, st.alpha, st.core, rows)[0]
-    g *= cmath.exp(-0.5j * (w * (sh / ch) * st.alpha.conjugate() ** 2).imag)
-    small = np.abs(g[st.rank + 1 :]) < np.finfo(float).tiny
-    g[st.rank + 1 + np.append(np.flatnonzero(small[:-1] & small[1:]), small.size)[0] :] = 0.0
-    return g
+    flow = (ch, -w * sh, st.alpha)
+    phase = cmath.exp(-0.5j * (w * (sh / ch) * st.alpha.conjugate() ** 2).imag)
+    if outer is not None:
+        mu, nu, gamma = outer
+        with np.errstate(over="ignore", invalid="ignore"):  # _kernel_rows zeros what overflows
+            flow = (mu * ch - nu * (w.conjugate() * sh), nu * ch - mu * (w * sh),
+                    mu * st.alpha + nu * st.alpha.conjugate() + gamma)
+        phase = 1.0
+    g = _kernel_rows(*flow, st.core, rows)
+    g *= phase
+    for row in g:
+        small = np.abs(row[st.rank + 1 :]) < np.finfo(float).tiny
+        row[st.rank + 1 + np.append(np.flatnonzero(small[:-1] & small[1:]), small.size)[0] :] = 0
+    return g if outer is not None else g[0]
 
 
 def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:

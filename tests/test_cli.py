@@ -227,14 +227,25 @@ class TestVerifyCommand:
         assert "status=PASS" in out
 
     def test_builds_its_series_once(self, capsys, tmp_state, monkeypatch):
-        # The dual path and the oracle share the one vector that sized the series.
+        # The dual path reads the one vector that sized the series, and the oracle
+        # propagates the state at that vector's rows, all three times in one build.
+        st = ring_state(3, 2)
+        cutoff = states._series(st, 3.0).cutoff
         builds, rows = [], states._stellar_rows
-        monkeypatch.setattr(states, "_stellar_rows", lambda st, n: builds.append(n) or rows(st, n))
-        path = tmp_state("ring.json", ring_state(3, 2))
+
+        def recording(st, n, outer=None):
+            builds.append((n, None if outer is None else len(outer[0])))
+            return rows(st, n, outer)
+
+        monkeypatch.setattr(states, "_stellar_rows", recording)
+        monkeypatch.setattr(oracle, "_stellar_rows", recording)
+        path = tmp_state("ring.json", st)
         rc, out, _ = run_cli(capsys, ["verify", "--state", path])
         assert rc == 0
         assert "status=PASS" in out
-        assert len(builds) == 1
+        assert len(builds) == 2
+        assert builds[0][1] is None and builds[0][0] > cutoff
+        assert builds[1] == (cutoff, 3)
 
     @pytest.mark.parametrize("rank", [4, 5, 6])
     def test_high_rank_ring_passes(self, capsys, tmp_state, rank):
@@ -291,9 +302,10 @@ class TestVerifyCommand:
         assert float(re.search(r"oracle=(\S+)", out).group(1)) <= 1e-4
 
     def test_series_past_the_cap_is_refused_before_propagating(self, capsys, tmp_state, monkeypatch):
-        # This state's series has N = 15,961: its propagation alone would take about
-        # 15 s, so verify names the cap before anything is propagated or solved.
+        # This state's series has N = 15,961, past the cap, so verify names the cap
+        # before anything is propagated or solved.
         monkeypatch.setattr(dynamics, "integrate", lambda *a: pytest.fail("integrated"))
+        monkeypatch.setattr(oracle, "_evolve_stellar", lambda *a: pytest.fail("propagated"))
         monkeypatch.setattr(oracle, "evolve_fock", lambda *a: pytest.fail("propagated"))
         path = tmp_state("big.json", random_stellar_state(6, 0, scale=2.0))
         rc, out, err = run_cli(capsys, ["verify", "--state", path])

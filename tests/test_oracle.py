@@ -29,7 +29,7 @@ from stellar_zeros import (
     stellar_to_fock,
     zeros_from_fock,
 )
-from stellar_zeros import oracle
+from stellar_zeros import oracle, states
 from stellar_zeros.cli import main
 
 HP = QuadraticHamiltonian.phase_shift()
@@ -236,6 +236,79 @@ class TestKernelPins:
             evolve_fock(padded(v, 2100), H, 1.0)
 
 
+# B = 0 (C != 0, so the zeros move) and omega^2 = 4AB - C^2 = 0, verify's edge runs.
+EDGE_HAMILTONIANS = (
+    QuadraticHamiltonian(A=0.3, C=0.2, D=0.1, E=0.1),
+    QuadraticHamiltonian(A=0.5, B=0.5, C=1.0, D=0.1, E=-0.1),
+)
+
+
+def state_path_deviation(st, H, times):
+    """Largest deviation of verify's propagation of ``st`` from ``evolve_fock`` of its Fock
+    vector at the same rows (those of its series at Im 3), after aligning the global phase."""
+    cutoff = states._series(st, 3.0).cutoff
+    want = evolve_fock(stellar_to_fock(st, cutoff), H, list(times))
+    got = oracle._evolve_stellar(st, H, list(times), cutoff)
+    assert len(got) == len(want) == len(times)
+    return max(np.max(np.abs(aligned(g.coeffs, w.coeffs) - w.coeffs)) for g, w in zip(got, want))
+
+
+class TestStatePropagation:
+    """verify propagates the state through its core: ``exp(-itH) D(alpha) S(chi)`` is one
+    Gaussian unitary on ``r + 1`` columns, with the rows of ``evolve_fock`` on the state's
+    whole Fock vector, up to the global phase."""
+
+    @pytest.mark.parametrize("H", VERIFY_HAMILTONIANS, ids=["hp", "h1", "h2"])
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_ring_fixtures_match_evolve_fock(self, rank, H):
+        st = ring_state(rank, 1000, radius=0.85, chi=0.12, alpha=0.08)
+        assert state_path_deviation(st, H, VERIFY_TIMES) < 1e-13
+
+    @pytest.mark.parametrize("H", EDGE_HAMILTONIANS, ids=["B0", "omega2_0"])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_edge_hamiltonians_match_evolve_fock(self, H, alpha):
+        st = stellar_state_from_zeros([0.8j, -0.5 + 0.2j], alpha=alpha)
+        assert state_path_deviation(st, H, [0.15, 0.3]) < 1e-13
+
+    @pytest.mark.parametrize("H", VERIFY_HAMILTONIANS, ids=["hp", "h1", "h2"])
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_strong_displacement_matches_evolve_fock(self, rank, H):
+        # |alpha| = 2: the composed |gamma| reaches about 2 on the core's few columns.
+        st = ring_state(rank, 3, alpha=2.0)
+        assert state_path_deviation(st, H, VERIFY_TIMES) < 1e-13
+
+    def test_leakage_is_checked_at_every_time(self):
+        st = ring_state(2, 4)
+        squeezer = QuadraticHamiltonian(A=1.0, B=-1.0)
+        assert len(oracle._evolve_stellar(st, squeezer, [0.02, 0.05], 80)) == 2
+        with pytest.raises(TruncationLeakage, match=r"evolved state lost .* of \|v\|\^2 past row 80"):
+            oracle._evolve_stellar(st, squeezer, [0.02, 2.0, 0.05], 80)
+
+    @pytest.mark.parametrize("t, first", [(720.0, 720), ([0.5, 800.0, 900.0], 800)])
+    def test_overflowing_flow_names_its_first_time(self, t, first):
+        # Past t = 711 this hyperbolic flow's 3x3 exponential overflows: a typed error
+        # names the cause and the time, and no RuntimeWarning escapes.
+        st = random_stellar_state(2, 0)
+        H = QuadraticHamiltonian(B=0.5, C=1.0)
+        match = f"flow of H overflows at t = {first};"
+        with pytest.raises(TruncationLeakage, match=match):
+            evolve_fock(stellar_to_fock(st, 100), H, t)
+        with pytest.raises(TruncationLeakage, match=match):
+            oracle._evolve_stellar(st, H, t, 100)
+
+    @pytest.mark.parametrize("D", [0.0, 0.1])
+    def test_kernel_past_the_double_range_loses_the_state(self, D):
+        # At t = 700 the flow is finite but |gamma|^2 |nu| is not (the state's own
+        # displacement, composed, or H's): those rows are zero, so the whole norm is lost.
+        st = random_stellar_state(2, 0)
+        H = QuadraticHamiltonian(B=0.5, C=1.0, D=D, E=D)
+        lost = r"evolved state lost 1\.000e\+00 of \|v\|\^2 past row 100"
+        with pytest.raises(TruncationLeakage, match=lost):
+            evolve_fock(stellar_to_fock(st, 100), H, 700.0)
+        with pytest.raises(TruncationLeakage, match=lost):
+            oracle._evolve_stellar(st, H, [0.3, 700.0], 100)
+
+
 def hermite_zeros(n):
     """Zeros of ``H_n``, those of the number state ``|n>``'s wavefunction."""
     return np.polynomial.hermite.hermroots(np.eye(n + 1)[n]) if n else np.empty(0)
@@ -369,21 +442,32 @@ class TestOracleLoop:
 
 
 def spy_on_oracle(monkeypatch):
-    """Count propagations, and the degree of every colleague solve."""
+    """Count propagations, by either path, and the degree of every colleague solve."""
     seen = {"propagations": 0, "orders": []}
-    propagate, hermite_roots = oracle.evolve_fock, oracle._hermite_roots
 
-    def counting_propagation(*args, **kwargs):
-        seen["propagations"] += 1
-        return propagate(*args, **kwargs)
+    def counting(propagate):
+        def counted(*args, **kwargs):
+            seen["propagations"] += 1
+            return propagate(*args, **kwargs)
 
-    def counting_roots(d):
+        return counted
+
+    def counting_roots(d, hermite_roots=oracle._hermite_roots):
         seen["orders"].append(d.size - 1)
         return hermite_roots(d)
 
-    monkeypatch.setattr(oracle, "evolve_fock", counting_propagation)
+    for name in ("evolve_fock", "_evolve_stellar"):
+        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
     monkeypatch.setattr(oracle, "_hermite_roots", counting_roots)
     return seen
+
+
+def verify_ring_fixture(tmp_path, rank, H):
+    """Exit code of ``verify`` on the benchmark's rank-``rank`` ring fixture under ``H``."""
+    st = ring_state(rank, 1000, radius=0.85, chi=0.12, alpha=0.08)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(state_to_json(st)), encoding="utf-8")
+    return main(["verify", "--state", str(path), "--hamiltonian", ",".join(map(str, H.as_tuple()))])
 
 
 @pytest.mark.parametrize("H", VERIFY_HAMILTONIANS, ids=["hp", "h1", "h2"])
@@ -391,11 +475,28 @@ def spy_on_oracle(monkeypatch):
 def test_verify_ring_fixtures_stay_on_the_first_rung(monkeypatch, capsys, tmp_path, rank, H):
     # The benchmark's ring fixtures: one propagation for the three times, and
     # each time certified by its one colleague solve, of the state's own degree.
-    st = ring_state(rank, 1000, radius=0.85, chi=0.12, alpha=0.08)
-    path = tmp_path / "ring.json"
-    path.write_text(json.dumps(state_to_json(st)), encoding="utf-8")
     seen = spy_on_oracle(monkeypatch)
-    hamiltonian = ",".join(map(str, H.as_tuple()))
-    assert main(["verify", "--state", str(path), "--hamiltonian", hamiltonian]) == 0
+    assert verify_ring_fixture(tmp_path, rank, H) == 0
     assert "status=PASS" in capsys.readouterr().out
     assert seen == {"propagations": 1, "orders": [rank] * 3}
+
+
+@pytest.mark.parametrize("rank", [1, 6])
+def test_verify_propagates_on_the_core_columns(monkeypatch, capsys, tmp_path, rank):
+    # Cost pin: besides the one build that sizes the series, verify runs the kernel
+    # recurrence once, for its three times together, on the core's r + 1 columns
+    # (O(N r) per time), and never on the series' N + 1 columns through evolve_fock.
+    calls, kernel = [], states._kernel_rows
+
+    def recording(mu, nu, gamma, c, rows):
+        out = kernel(mu, nu, gamma, c, rows)
+        calls.append((out.shape[0], c.size, rows))
+        return out
+
+    monkeypatch.setattr(states, "_kernel_rows", recording)
+    monkeypatch.setattr(oracle, "_kernel_rows", lambda *a: pytest.fail("evolve_fock's kernel"))
+    assert verify_ring_fixture(tmp_path, rank, VERIFY_HAMILTONIANS[1]) == 0
+    assert "status=PASS" in capsys.readouterr().out
+    (series, _, work), (times, columns, rows) = calls
+    assert (series, times, columns) == (1, 3, rank + 1)
+    assert rows < work

@@ -120,10 +120,13 @@ def test_series_cutoff_rule_is_written_once():
     # bound measured, and it takes its rows from the one row function that the
     # conversion at a given cutoff also uses.  The conversion without a
     # cutoff and the commands that count zeros get a series only through
-    # that helper.  The old cutoff helpers are gone.
+    # that helper; verify's oracle propagates the state itself through the
+    # same row function, at the rows the series was cut to.  The old cutoff
+    # helpers are gone.
     for name in ("_log_hermite_bound", "default_cutoff"):
         assert _scopes_of(name) == [("states", "_series")], name
-    assert sorted(_scopes_of("_stellar_rows")) == [("states", "_series"),
+    assert sorted(_scopes_of("_stellar_rows")) == [("oracle", "_evolve_stellar"),
+                                                    ("states", "_series"),
                                                     ("states", "stellar_to_fock")]
     assert _scopes_of("stellar_to_fock") == []
     callers = [("cli", "_cmd_verify"), ("oracle", "hudson_test"),
@@ -165,8 +168,11 @@ def test_one_constant_in_the_closed_form():
 def test_one_gaussian_kernel_recurrence():
     # Every Fock vector of a Gaussian unitary acting on a finite vector, the
     # state conversion's and the oracle's propagation alike, comes from one
-    # kernel recurrence in `states`; the closed-form side never calls it, and
-    # the conversion's old packet recurrence and sqrt(n!) table are gone.
+    # kernel recurrence in `states`: `evolve_fock` runs it on a vector's
+    # columns, and verify's propagation of a state on its core's columns,
+    # through the conversion's row function.  The closed-form side never
+    # calls it, and the conversion's old packet recurrence and sqrt(n!)
+    # table are gone.
     package = Path(stellar_zeros.__file__).parent
     defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
