@@ -42,7 +42,6 @@ from .wavefunction import (
     apply_creation_polynomial,
     build_wavefunction,
     eval_entire,
-    eval_entire_envelope,
     eval_form,
     form_from_json,
     form_norm_squared,

@@ -31,10 +31,11 @@ import numpy as np
 from . import dynamics, oracle, phase, states, wavefunction
 from .errors import InvalidParameter, StellarZerosError
 
-# verify refuses a longer oracle series.  The cap no longer bounds a cost: the state is
-# propagated on its core's columns, O(N r) per time, and a whole rank-3 verify takes 21 ms
-# at N = 1,325 and 32 ms at N = 2,034 on one core (92 and 201 ms when the propagation ran
-# over the series' N + 1 columns).  Lifting it changes which states verify accepts.
+# verify refuses a longer oracle series.  The cap bounds the dual path's memory: eval_entire
+# holds a 169 x (N + 1) complex Hermite table on the standard grid, 5.5 MB at N = 2,048 and
+# 709 MB at the series' 2^18-row budget.  The propagation runs on the core's columns, O(N r)
+# per time; a whole rank-3 verify takes 21 ms at N = 1,325 and 32 ms at N = 2,034 on one
+# core.  Lifting the cap changes which states verify accepts.
 _MAX_ORACLE_CUTOFF = 2048
 _METHODS = ("ode", "closed", "both")
 

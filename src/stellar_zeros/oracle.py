@@ -140,11 +140,13 @@ def _stellar_exponents(c: np.ndarray, r: int):
     ``P F' = R F`` with ``R = P' + (E b + F0) P`` is linear in the ``2r + 3`` coefficients of
     ``P`` and ``R``.  Its order ``m < N`` reads ``sum_j p_j (m-j+1) f_{m-j+1} = sum_j rho_j
     f_{m-j}`` in ``f_k = c_k / sqrt(k!)``; row m times ``sqrt((m+1)!)`` has entries ``c_k
-    sqrt((m+1)!/k!)``, which neither overflow nor use the amplitudes past the cutoff.  The
-    null space is spanned by the right singular vectors at most ``_NULL`` of the largest
-    (after unit column scaling).  A repeated zero leaves more than one direction, all with
-    the same ``E = rho_{r+1} / p_r`` and ``F0 = (rho_r - E p_{r-1}) / p_r``; the one with the
-    largest ``|p_r|`` divides best.
+    sqrt((m+1)!/k!)``, which use no amplitude past the cutoff but overflow where the ``c_k``
+    decay slower than ``sqrt(k!/(m+1)!)`` grows (number states from rank 150 on):
+    :class:`PrecisionLoss` if a column's norm or ``(E, F0)`` is not finite.  The null space is
+    spanned by the right singular vectors at most ``_NULL`` of the largest (after unit column
+    scaling).  A repeated zero leaves more than one direction, all with the same ``E =
+    rho_{r+1} / p_r`` and ``F0 = (rho_r - E p_{r-1}) / p_r``; the one with the largest
+    ``|p_r|`` divides best.
     """
     n, cols = c.size - 1, 2 * r + 3
     rows = max(n, cols)  # zero rows past the cutoff keep every right singular vector
@@ -153,9 +155,12 @@ def _stellar_exponents(c: np.ndarray, r: int):
     k = m + np.where(j <= r, 1 - j, r + 1 - j)
     inside = (k >= 0) & (k <= n) & (m < n)
     k = np.where(inside, k, 0)
-    system = np.where(inside, np.where(j <= r, k, -1) * c[k]
-                      * np.exp(0.5 * (log_fact[m + 1] - log_fact[k])), 0.0)
-    scale = np.linalg.norm(system, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = np.where(inside, np.where(j <= r, k, -1) * c[k]
+                          * np.exp(0.5 * (log_fact[m + 1] - log_fact[k])), 0.0)
+        scale = np.linalg.norm(system, axis=0)
+    if not np.isfinite(scale).all():  # an entry, or a column's norm, overflows
+        raise PrecisionLoss(f"the degree-{r} rank system overflows a double")
     scale[scale == 0.0] = 1.0
     _, sigma, vh = np.linalg.svd(system / scale, full_matrices=False)
     null = vh[sigma <= _NULL * sigma[0]].conj()
@@ -164,8 +169,12 @@ def _stellar_exponents(c: np.ndarray, r: int):
                             f"{sigma[-1] / sigma[0]:.1e} of the largest; the rank is higher")
     x = (null.T @ null[:, r].conj()) / scale
     p, rho = x[: r + 1], x[r + 1 :]
-    e = rho[r + 1] / p[r]
-    return e, (rho[r] - e * (p[r - 1] if r else 0.0)) / p[r]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e = rho[r + 1] / p[r]
+        f0 = (rho[r] - e * (p[r - 1] if r else 0.0)) / p[r]
+    if not (np.isfinite(e) and np.isfinite(f0)):
+        raise PrecisionLoss(f"Bargmann exponents E = {e:.3g}, F0 = {f0:.3g} are not finite")
+    return e, f0
 
 
 def zeros_from_fock(v: FockVector, expected_rank: int) -> list:

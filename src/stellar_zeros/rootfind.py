@@ -111,9 +111,11 @@ def eigenvalues_small(m: np.ndarray) -> np.ndarray:
     ``4 sqrt(eps) max|M|`` are chained into clusters and each cluster is
     reported as its mean, repeated: a defective eigenvalue splits by about
     ``sqrt(eps) max|M|`` under LAPACK, and the mean of the split pair is
-    accurate to roundoff.
+    accurate to roundoff.  :class:`InvalidParameter` if an entry is not finite.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise InvalidParameter("matrix entries must be finite")
     if m.shape[-1] < 2:  # the entry of a 1x1 matrix is its eigenvalue; nothing to cluster
         return m.diagonal(axis1=-2, axis2=-1).copy()
     ev = np.linalg.eigvals(m)

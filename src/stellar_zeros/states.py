@@ -163,8 +163,8 @@ def energy_moment(v: FockVector, s: float) -> EnergyMomentReport:
     ``Diverged``, anything else is ``Inconclusive``.  A vector whose support
     ends well before the cutoff is a polynomial state and converges exactly.
     """
-    if not s > 1.0:
-        raise InvalidParameter("energy moment needs s > 1")
+    if not 1.0 < s < math.inf:
+        raise InvalidParameter("energy moment needs a finite s > 1")
     idx, logs = _log_terms(v, s)
     if idx.size == 0:
         raise ZeroVector("energy moment of the zero vector")
@@ -208,6 +208,14 @@ def _squeeze_frame(chi: complex):
     return math.cosh(r), math.sinh(r), (cmath.exp(1j * cmath.phase(chi)) if chi != 0 else 1.0)
 
 
+def _squeeze_gap(chi: complex) -> complex:
+    """``cosh r - e^{i phi} sinh r`` of ``chi = r e^{i phi}`` without cancellation, as ``e^{-r}
+    - 2i sin(phi/2) e^{i phi/2} sinh r``: the difference of two terms near ``e^r / 2`` loses all
+    of ``e^{-r}`` at real ``chi`` from ``r`` about 19 on."""
+    r, phi = abs(chi), cmath.phase(chi)
+    return math.exp(-r) - 2j * math.sin(0.5 * phi) * cmath.exp(0.5j * phi) * math.sinh(r)
+
+
 def _packet_exponents(alpha: complex, chi: complex):
     """Exponent coefficients ``(g2, g1, g0)`` of the rank-0 packet.
 
@@ -218,7 +226,7 @@ def _packet_exponents(alpha: complex, chi: complex):
     """
     alpha = complex(alpha)
     ch, sh, w = _squeeze_frame(complex(chi))
-    denom = ch - w * sh
+    denom = _squeeze_gap(chi)
     g2 = -(ch + w * sh) / (2.0 * denom)
     x0 = math.sqrt(2.0) * alpha.real
     p0 = math.sqrt(2.0) * alpha.imag
@@ -279,34 +287,30 @@ def _kernel_rows(mu, nu, gamma, c: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _stellar_rows(st: StellarState, rows: int, outer=None) -> np.ndarray:
-    """Amplitudes ``0..rows`` of ``D(alpha) S(chi) sum_n c_n |n>``, exact to rounding; with
-    ``outer = (mu, nu, gamma)`` (1-d arrays), one row of ``V D S sum_n c_n |n>`` for each
-    Gaussian unitary ``V† a V = mu a + nu a† + gamma``, up to the phase that makes ``<0|V D
-    S|0>`` positive.
+def _stellar_rows(st: StellarState, rows: int, outer) -> np.ndarray:
+    """Amplitudes ``0..rows`` of ``V D(alpha) S(chi) sum_n c_n |n>``, exact to rounding, one
+    row for each Gaussian unitary ``V† a V = mu a + nu a† + gamma`` in ``outer = (mu, nu,
+    gamma)`` (scalars or 1-d arrays); the conversion passes the identity ``(1, 0, 0)``.
 
-    :func:`_kernel_rows` on the core's ``r + 1`` columns, with ``U† a U = cosh r a - e^{i phi}
-    sinh r a† + alpha``, times the phase ``exp(-i Im(e^{i phi} tanh r alpha*^2) / 2)`` of
-    ``<0|D S|0>``.  After ``V`` the coefficients compose to ``mu cosh r - nu e^{-i phi} sinh
-    r``, ``nu cosh r - mu e^{i phi} sinh r`` and ``mu alpha + nu alpha* + gamma``.  Past the
-    core, from the first two amplitudes below the smallest normal double on, the rows are
-    zero: there the recurrences carry only underflowed noise.
+    With ``D S``'s ``cosh r a - e^{i phi} sinh r a† + alpha`` the coefficients compose to ``mu
+    cosh r - nu e^{-i phi} sinh r``, ``nu cosh r - mu e^{i phi} sinh r`` and ``mu alpha + nu
+    alpha* + gamma``, and :func:`_kernel_rows`, which makes ``<0|V D S|0>`` positive, runs on
+    the core's ``r + 1`` columns.  The rows then carry the phase ``exp(-i Im(e^{i phi} tanh r
+    alpha*^2) / 2)`` of ``<0|D S|0>``: exact at ``V = 1``, global otherwise.  Past the core,
+    from the first two amplitudes below the smallest normal double on, the rows are zero:
+    there the recurrences carry only underflowed noise.
     """
     ch, sh, w = _squeeze_frame(st.chi)
-    flow = (ch, -w * sh, st.alpha)
-    phase = cmath.exp(-0.5j * (w * (sh / ch) * st.alpha.conjugate() ** 2).imag)
-    if outer is not None:
-        mu, nu, gamma = outer
-        with np.errstate(over="ignore", invalid="ignore"):  # _kernel_rows zeros what overflows
-            flow = (mu * ch - nu * (w.conjugate() * sh), nu * ch - mu * (w * sh),
-                    mu * st.alpha + nu * st.alpha.conjugate() + gamma)
-        phase = 1.0
+    mu, nu, gamma = outer
+    with np.errstate(over="ignore", invalid="ignore"):  # _kernel_rows zeros what overflows
+        flow = (mu * ch - nu * (w.conjugate() * sh), nu * ch - mu * (w * sh),
+                mu * st.alpha + nu * st.alpha.conjugate() + gamma)
     g = _kernel_rows(*flow, st.core, rows)
-    g *= phase
+    g *= cmath.exp(-0.5j * (w * (sh / ch) * st.alpha.conjugate() ** 2).imag)
     for row in g:
         small = np.abs(row[st.rank + 1 :]) < np.finfo(float).tiny
         row[st.rank + 1 + np.append(np.flatnonzero(small[:-1] & small[1:]), small.size)[0] :] = 0
-    return g if outer is not None else g[0]
+    return g
 
 
 def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
@@ -323,7 +327,7 @@ def stellar_to_fock(st: StellarState, cutoff: int | None = None) -> FockVector:
     cutoff = _nonnegative_int(cutoff, "cutoff")
     if cutoff < st.rank:
         raise CutoffTooSmall("cutoff below the stellar rank")
-    vec = _stellar_rows(st, cutoff)
+    vec = _stellar_rows(st, cutoff, (1, 0, 0))[0]
     discarded = 1.0 - float(np.sum(np.abs(vec) ** 2))
     if discarded >= 1e-10:
         raise CutoffTooSmall(
@@ -366,7 +370,7 @@ def _series(st: StellarState, max_abs_im: float) -> FockVector:
     floor = work = default_cutoff(st.rank, st.alpha, st.chi)
     while True:
         work *= 2
-        v = _stellar_rows(st, work)
+        v = _stellar_rows(st, work, (1, 0, 0))[0]
         amps = np.abs(v)
         with np.errstate(divide="ignore"):  # an underflowed amplitude weighs nothing
             logs = np.log(amps) + _log_hermite_bound(np.arange(amps.size), max_abs_im)

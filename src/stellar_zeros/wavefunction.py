@@ -32,6 +32,7 @@ from .states import (
     Verdict,
     _packet_exponents,
     _squeeze_frame,
+    _squeeze_gap,
     energy_moment,
 )
 
@@ -43,7 +44,6 @@ __all__ = [
     "stellar_state_from_zeros",
     "eval_form",
     "eval_entire",
-    "eval_entire_envelope",
     "growth_bound",
     "growth_bound_holds",
     "form_norm_squared",
@@ -128,7 +128,7 @@ def _hermite_frame(alpha: complex, chi: complex, g2: complex, g1: complex):
     ch, sh, w = _squeeze_frame(chi)
     wbar = w.conjugate()
     u = (ch + sh * wbar) / _SQRT2
-    v = (ch - sh * wbar) / _SQRT2
+    v = _squeeze_gap(chi.conjugate()) / _SQRT2
     mu = ch * np.conj(alpha) + wbar * sh * alpha
     a1 = u - 2.0 * v * g2
     return a1, complex(-(v * g1 + mu)), cmath.sqrt(v * a1)
@@ -230,17 +230,6 @@ def _hermite_functions(n: int, z) -> np.ndarray:
     return phi
 
 
-def _hermite_series(coeffs: np.ndarray, z: np.ndarray):
-    """Values, termwise magnitude envelope, and truncation-tail estimate of the series."""
-    n = coeffs.size
-    phi = _hermite_functions(n, z)
-    ring = np.zeros((phi.shape[0], 8))  # the last eight terms past phi_0, oldest first
-    ring[:, 8 - min(8, n - 1) :] = np.abs(phi[:, max(1, n - 8) :] * coeffs[max(1, n - 8) :])
-    recent, older = ring[:, 4:].max(axis=1), ring[:, :4].max(axis=1)
-    tail = recent * np.where(recent > older, 50.0, 2.0)
-    return phi @ coeffs, np.abs(phi) @ np.abs(coeffs), tail
-
-
 # The series evaluators run under this: a value that overflows or turns NaN is a
 # typed error where it is checked, and is returned raw, unwarned, where it is not.
 _unwarned = np.errstate(over="ignore", invalid="ignore")
@@ -287,16 +276,22 @@ def eval_entire(v: FockVector, z, check: bool = True):
     banded solve for all points; values take the shape of ``z``, whose points
     must be finite (:class:`InvalidParameter`).  With ``check=True`` a
     :class:`PrecisionLoss` is raised at the first value that is not finite,
-    and where the estimated truncation tail exceeds ``1e-8`` of the result;
-    cancellation at genuine zeros of the function does not trigger it.  With
-    ``check=False`` the values are returned as they come, inf and NaN included.
+    and where the truncation tail, estimated from the last eight terms, exceeds
+    ``1e-8`` of the result and ``64 eps`` of the termwise envelope ``sum_n |psi_n|
+    |phi_n(z)|``; cancellation at genuine zeros of the function does not trigger it.
+    With ``check=False`` the values are returned as they come, inf and NaN included.
     """
     zz = _points(z)
-    if not check:
-        vals = _hermite_functions(v.coeffs.size, zz) @ v.coeffs
-    else:
-        vals, envelope, tail = _hermite_series(v.coeffs, zz)
+    coeffs, n = v.coeffs, v.coeffs.size
+    phi = _hermite_functions(n, zz)
+    vals = phi @ coeffs
+    if check:
         _finite(vals, zz)
+        ring = np.zeros((phi.shape[0], 8))  # the last eight terms past phi_0, oldest first
+        ring[:, 8 - min(8, n - 1) :] = np.abs(phi[:, max(1, n - 8) :] * coeffs[max(1, n - 8) :])
+        recent, older = ring[:, 4:].max(axis=1), ring[:, :4].max(axis=1)
+        tail = recent * np.where(recent > older, 50.0, 2.0)
+        envelope = np.abs(phi) @ np.abs(coeffs)
         bad = tail > np.maximum(1e-8 * np.abs(vals), 64.0 * np.finfo(float).eps * envelope)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -305,25 +300,6 @@ def eval_entire(v: FockVector, z, check: bool = True):
                 f"(cutoff {v.cutoff}); increase the cutoff"
             )
     return vals.reshape(zz.shape) if zz.ndim else complex(vals[0])
-
-
-@_unwarned
-def eval_entire_envelope(v: FockVector, z):
-    """Series value together with its termwise magnitude envelope.
-
-    The envelope ``sum_n |psi_n| |phi_n(z)|`` is the conditioning scale of
-    the evaluation: no double-precision summation can resolve the value
-    below roughly ``eps`` times it.  Comparisons against the closed form
-    use it as the honest accuracy floor at points where the two exponent
-    scales cancel deeply.  As in :func:`eval_entire`, a non-finite point is
-    an :class:`InvalidParameter` and a non-finite value a :class:`PrecisionLoss`.
-    """
-    zz = _points(z)
-    vals, envelope, _ = _hermite_series(v.coeffs, zz)
-    _finite(vals, zz)
-    if zz.ndim:
-        return vals.reshape(zz.shape), envelope.reshape(zz.shape)
-    return complex(vals[0]), float(envelope[0])
 
 
 def growth_bound(v: FockVector, s: float, alpha: float) -> GrowthBound:

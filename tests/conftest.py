@@ -21,6 +21,7 @@ from stellar_zeros import (
     zero_pair,
 )
 from stellar_zeros.rootfind import _min_gap
+from stellar_zeros.wavefunction import _hermite_functions
 
 
 def standard_grid(step=0.5, extent=3.0):
@@ -28,6 +29,21 @@ def standard_grid(step=0.5, extent=3.0):
     line = np.arange(-extent, extent + step / 2, step)
     xs, ys = np.meshgrid(line, line)
     return (xs + 1j * ys).ravel()
+
+
+def eval_entire_envelope(v, z):
+    """Hermite-series value of ``v`` at ``z`` and its termwise magnitude envelope
+    ``sum_n |psi_n| |phi_n(z)|``, both in the shape of ``z``.
+
+    The envelope is the conditioning scale of the evaluation: no double-precision
+    summation resolves the value below roughly ``eps`` times it.  Comparisons
+    against the closed form use it as the accuracy floor at points where the two
+    exponent scales cancel deeply.
+    """
+    zz = np.asarray(z, dtype=complex)
+    phi = _hermite_functions(v.coeffs.size, zz)
+    vals, envelope = phi @ v.coeffs, np.abs(phi) @ np.abs(v.coeffs)
+    return vals.reshape(zz.shape), envelope.reshape(zz.shape)
 
 
 def fock_state(n, cutoff=None):

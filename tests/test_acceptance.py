@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     distinct_random_state,
+    eval_entire_envelope,
     imbalanced_state,
     ring_state,
     separated_state,
@@ -33,7 +34,6 @@ from stellar_zeros import (
     detect_crossings,
     energy_moment,
     eval_entire,
-    eval_entire_envelope,
     eval_form,
     evolve_fock,
     growth_bound,

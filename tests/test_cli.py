@@ -233,8 +233,8 @@ class TestVerifyCommand:
         cutoff = states._series(st, 3.0).cutoff
         builds, rows = [], states._stellar_rows
 
-        def recording(st, n, outer=None):
-            builds.append((n, None if outer is None else len(outer[0])))
+        def recording(st, n, outer):
+            builds.append((n, len(outer[0]) if np.ndim(outer[0]) else None))  # None: V = 1
             return rows(st, n, outer)
 
         monkeypatch.setattr(states, "_stellar_rows", recording)

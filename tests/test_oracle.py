@@ -385,6 +385,15 @@ class TestZerosFromFock:
                 continue
             assert matching_distance(got, want) <= 1e-8 * max(1.0, np.max(np.abs(want))), seed
 
+    @pytest.mark.parametrize("n", [150, 210])
+    def test_rank_system_past_the_double_range_fails_typed(self, n):
+        # |n>'s rank system has entries c_k sqrt((m+1)!/k!), whose column norms leave
+        # the double range from n ~ 150 on: a typed error, with no warning on the way,
+        # where a NaN frame (n = 150) or an SVD that did not converge (n = 210) came.
+        v = stellar_to_fock(fock_state(n))
+        with pytest.raises(PrecisionLoss, match=f"degree-{n} rank system overflows"):
+            zeros_from_fock(v, n)
+
     @pytest.mark.parametrize("rank, seed", [(24, 3), (30, 3)])
     def test_one_rank_too_many_is_refused(self, rank, seed):
         # Asked for rank + 1, the frame's noise puts d_{r+1} just above 1e-9 of

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import distinct_random_state, fock_state, imbalanced_state, separated_state
+from conftest import (distinct_random_state, eval_entire_envelope, fock_state,
+                      imbalanced_state, separated_state)
 
 import stellar_zeros.dynamics as dynamics_mod
 import stellar_zeros.phase as phase_mod
@@ -24,7 +25,6 @@ from stellar_zeros import (
     crossing_guarantee_audit,
     detect_crossings,
     eigenvalues_small,
-    eval_entire_envelope,
     evolve_fock,
     gershgorin_check,
     imbalance,

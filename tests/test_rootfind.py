@@ -201,6 +201,17 @@ class TestCharPoly:
         assert abs(pair[0] - (0.5 + 0.2j)) < 1e-12
         assert eigenvalues_small(np.zeros((3, 0, 0))).shape == (3, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_finite_entry_is_rejected(self, n, bad):
+        # LAPACK refuses it with NumPy's LinAlgError; a 1x1 matrix once returned it.
+        m = np.eye(n, dtype=complex)
+        m[0, -1] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            eigenvalues_small(m)
+        with pytest.raises(InvalidParameter, match="finite"):
+            eigenvalues_small(np.stack([np.eye(n), m]))
+
     def test_small_sizes(self):
         assert np.array_equal(eigenvalues_small(np.zeros((0, 0))), np.zeros(0, dtype=complex))
         assert np.array_equal(eigenvalues_small(np.array([[2.5 + 1j]])), [2.5 + 1j])

@@ -13,7 +13,7 @@ from scipy.special import gammaln
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from conftest import annihilation_matrix
+from conftest import annihilation_matrix, eval_entire_envelope
 
 from stellar_zeros import (
     CutoffTooSmall,
@@ -26,7 +26,6 @@ from stellar_zeros import (
     ZeroVector,
     build_wavefunction,
     energy_moment,
-    eval_entire_envelope,
     eval_form,
     evolve_fock,
     normalize,
@@ -131,6 +130,12 @@ class TestEnergyMoment:
     def test_requires_s_above_one(self):
         with pytest.raises(InvalidParameter):
             energy_moment(vec(1, 0), 1.0)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_requires_a_finite_s(self, s):
+        # An infinite s once ran into 0 * inf, a RuntimeWarning, before any verdict.
+        with pytest.raises(InvalidParameter, match="finite s > 1"):
+            energy_moment(vec(0.6, 0.8, 0), s)
 
     def test_two_terms_at_the_cutoff_are_inconclusive(self):
         # The support reaches the cutoff, so it may be a cut tail, and two

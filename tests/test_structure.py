@@ -264,11 +264,14 @@ def test_oracle_makes_one_svd_and_one_degree_r_solve(monkeypatch):
 
 def test_one_hermite_evaluator():
     # Every Hermite-series value, the oracle's frame samples included, comes
-    # from the one banded solve; the series adds its checks without a loop.
+    # from the one banded solve; the checked series adds its tail and
+    # envelope tests without a loop.
     assert _scopes_of("ztbsv") == [("wavefunction", "_hermite_functions")]
+    assert _scopes_of("_hermite_functions") == [("oracle", "_frame_projection"),
+                                                 ("wavefunction", "eval_entire")]
     tree = ast.parse(Path(stellar_zeros.wavefunction.__file__).read_text(encoding="utf-8"))
     (series,) = [
-        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_hermite_series"
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "eval_entire"
     ]
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [n for n in ast.walk(series) if isinstance(n, loops)]
@@ -334,10 +337,34 @@ def test_public_api_is_declared_once():
     assert public == declared | error_types
     gone = ("squeezed_vacuum_fock", "gaussian_packet_params", "phase_shift", "packet_exponents",
             "count_zeros_box", "_box_boundary", "ZeroOnContour", "evolve_form", "match_sets",
-            "_log_norm_squared", "_logsumexp")
+            "_log_norm_squared", "_logsumexp", "eval_entire_envelope", "_hermite_series")
     for name in gone:
         assert not hasattr(stellar_zeros, name), name
     for path in package.glob("*.py"):
         top = ast.parse(path.read_text(encoding="utf-8")).body
         defined = {node.name for node in top if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not defined & set(gone), (path.name, defined & set(gone))
+
+
+# Public names that nothing in the package or the benchmark calls: each states a
+# result of the paper or is an entry point for users.
+UNCALLED_PUBLIC = {"apply_creation_polynomial", "evolve_fock", "form_norm_squared",
+                   "growth_bound", "growth_bound_holds", "hudson_test", "imbalance",
+                   "normalize", "second_order_acceleration", "stellar_to_fock"}
+
+
+def test_no_test_only_public_name():
+    # The library holds no code that only the tests use: every public name
+    # but the pinned few is loaded somewhere in the package outside
+    # __init__, or in the benchmark, so a new uncalled name fails here by name.
+    package = Path(stellar_zeros.__file__).parent
+    paths = [path for path in package.glob("*.py") if path.stem != "__init__"]
+    paths += sorted((package.parents[1] / "perfbench").glob("*.py"))
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+    public = {name for name, obj in vars(stellar_zeros).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public - loaded == UNCALLED_PUBLIC

@@ -11,6 +11,7 @@ from scipy.special import gammaln, xlogy
 from conftest import (
     annihilation_matrix,
     distinct_random_state,
+    eval_entire_envelope,
     fock_state,
     standard_grid,
 )
@@ -27,7 +28,6 @@ from stellar_zeros import (
     default_cutoff,
     energy_moment,
     eval_entire,
-    eval_entire_envelope,
     eval_form,
     form_from_json,
     form_norm_squared,
@@ -130,6 +130,18 @@ class TestGaussianPacket:
         x = (a + a.conj().T) / math.sqrt(2)
         var = np.real(np.vdot(v.coeffs, x @ (x @ v.coeffs)))
         assert abs(var - math.exp(-2 * r) / 2) < 1e-10
+
+    @pytest.mark.parametrize("r", (10.0, 15.0, 18.0, 25.0))
+    def test_strong_real_squeezing_has_no_cancellation(self, r):
+        # cosh r - sinh r, the difference of two numbers near e^r / 2, once lost
+        # g2 to 2e-2 at r = 18 and left Re g2 >= 0 or a zero division from r = 19.
+        assert abs(packet(0.3, r).g2 + math.exp(2 * r) / 2) <= 1e-14 * math.exp(2 * r) / 2
+
+    @pytest.mark.parametrize("chi", (19.0, 25.0))
+    def test_strongly_squeezed_form_is_built(self, chi):
+        wf = build_wavefunction(StellarState(1, [0.6, 0.8], 0.3, chi))
+        assert abs(wf.g2 + math.exp(2 * chi) / 2) <= 1e-14 * math.exp(2 * chi) / 2
+        assert wf.rank == 1 and np.isfinite(wf.zeros[0])
 
     def test_normalized(self):
         wf = packet(0.7 - 0.2j, 0.3 + 0.4j)
@@ -329,14 +341,13 @@ class TestEvalEntire:
         with pytest.raises(PrecisionLoss, match=r"z=0\+40j is not finite"):
             eval_entire(v, 40j)
         with pytest.raises(PrecisionLoss, match=r"z=0\+40j is not finite"):
-            eval_entire_envelope(v, [1.0, 40j])
+            eval_entire(v, [1.0, 40j])
         assert np.isnan(eval_entire(v, [1.0, 40j], check=False)[1])
 
     @pytest.mark.parametrize("z", [math.nan, complex(0.0, math.inf)])
     def test_non_finite_point_is_rejected(self, z):
         v = stellar_to_fock(random_stellar_state(2, 1))
-        for evaluate in (eval_entire, eval_entire_envelope,
-                         lambda v, z: eval_entire(v, z, check=False)):
+        for evaluate in (eval_entire, lambda v, z: eval_entire(v, z, check=False)):
             with pytest.raises(InvalidParameter, match="finite"):
                 evaluate(v, [0.5, z])
 
@@ -358,22 +369,14 @@ class TestEvalEntire:
         flat = eval_entire(v, zs.ravel())
         assert np.array_equal(eval_entire(v, zs), flat.reshape(2, 3))
         assert np.array_equal(eval_entire(v, zs, check=False), flat.reshape(2, 3))
-        vals, envelope = eval_entire_envelope(v, zs)
-        flat_vals, flat_envelope = eval_entire_envelope(v, zs.ravel())
-        assert vals.shape == envelope.shape == (2, 3)
-        assert np.array_equal(vals.ravel(), flat_vals)
-        assert np.array_equal(envelope.ravel(), flat_envelope)
 
     def test_empty_and_scalar_arguments(self):
         v = FockVector(np.array([0.6, 0.8j] + [0.0] * 10, dtype=complex))
         assert eval_entire(v, np.empty(0)).shape == (0,)
         assert eval_entire(v, np.empty(0), check=False).shape == (0,)
-        assert [a.shape for a in eval_entire_envelope(v, np.empty(0))] == [(0,), (0,)]
         assert isinstance(eval_entire(v, 0.5), complex)
         assert isinstance(eval_entire(v, 0.5, check=False), complex)
-        value, envelope = eval_entire_envelope(v, 0.5)
-        assert isinstance(value, complex) and isinstance(envelope, float)
-        assert value == eval_entire(v, np.array([0.5]))[0]
+        assert eval_entire(v, 0.5) == eval_entire(v, np.array([0.5]))[0]
 
     def test_chunks_equal_single_point_solves(self):
         n, size = 852, 3 * (_CHUNK // 852) + 5
@@ -487,7 +490,7 @@ class TestSeriesCutoff:
         builds, rows = [], _stellar_rows
         monkeypatch.setattr(
             "stellar_zeros.states._stellar_rows",
-            lambda st, n: builds.append(n) or rows(st, n),
+            lambda st, n, outer: builds.append(n) or rows(st, n, outer),
         )
         for rank in (0, 2, 4, 6, 8):
             for seed, scale in [(0, 0.5), (1, 1.0), (2, 1.5)]:
@@ -497,7 +500,7 @@ class TestSeriesCutoff:
                 v = _series(st, y)
                 assert builds[0] == 2 * floor, (rank, seed)
                 assert v.cutoff >= floor, (rank, seed)
-                assert np.array_equal(v.coeffs, rows(st, v.cutoff)), (rank, seed)
+                assert np.array_equal(v.coeffs, rows(st, v.cutoff, (1, 0, 0))[0]), (rank, seed)
 
     @pytest.mark.parametrize("y", [0.0, 3.0, 25.0])
     def test_a_core_without_packet_ends_without_underflow(self, y):
@@ -553,6 +556,8 @@ class TestGrowthBound:
             growth_bound(v, 0.9, 0.25)
         with pytest.raises(InvalidParameter):
             growth_bound(v, 2.0, 0.7)
+        with pytest.raises(InvalidParameter, match="finite s > 1"):
+            growth_bound(v, math.inf, 0.25)
         diverging = stellar_to_fock(
             StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.0, chi=1.2), 400
         )
