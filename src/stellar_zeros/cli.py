@@ -31,11 +31,12 @@ import numpy as np
 from . import dynamics, oracle, phase, states, wavefunction
 from .errors import InvalidParameter, StellarZerosError
 
-# verify refuses a longer oracle series.  The cap bounds the dual path's memory: eval_entire
-# holds a 169 x (N + 1) complex Hermite table on the standard grid, 5.5 MB at N = 2,048 and
-# 709 MB at the series' 2^18-row budget.  The propagation runs on the core's columns, O(N r)
-# per time; a whole rank-3 verify takes 21 ms at N = 1,325 and 32 ms at N = 2,034 on one
-# core.  Lifting the cap changes which states verify accepts.
+# verify refuses a longer oracle series, before the dual path builds anything.  The cap
+# bounds the dual path's memory: eval_entire holds a 169 x (N + 1) complex Hermite table on
+# the standard grid, 5.5 MB at N = 2,048 and 709 MB at the series' 2^18-row budget.  The
+# propagation runs on the core's columns, O(N r) per time; a whole rank-3 verify takes 21 ms
+# at N = 1,325 and 32 ms at N = 2,034 on one core.  Lifting the cap changes which states
+# verify accepts.
 _MAX_ORACLE_CUTOFF = 2048
 _METHODS = ("ode", "closed", "both")
 
@@ -194,6 +195,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
     v = states._series(st, 3.0)
+    if wf.rank > 0 and v.cutoff > _MAX_ORACLE_CUTOFF:
+        raise InvalidParameter(f"oracle series needs N = {v.cutoff}, past verify's cap N = "
+                               f"{_MAX_ORACLE_CUTOFF}")
     a = wavefunction.eval_form(wf, zs)
     b = wavefunction.eval_entire(v, zs, check=False)
     grid_scale = float(np.max(np.abs(a)))
@@ -202,9 +206,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Zero propagation: ODE vs closed form vs Fock oracle.
     ode_dev = oracle_dev = 0.0
     if wf.rank > 0:
-        if v.cutoff > _MAX_ORACLE_CUTOFF:
-            raise InvalidParameter(f"oracle series needs N = {v.cutoff}, past verify's cap N = "
-                                   f"{_MAX_ORACLE_CUTOFF}")
         traj = dynamics.integrate(wf, H, times)
         refs = dynamics.closed_form(wf, H, times)
         ode_dev = max(map(dynamics.matching_distance, traj.paths.T, refs))

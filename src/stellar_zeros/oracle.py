@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CountMismatch, InvalidParameter, PrecisionLoss, TruncationLeakage
 from .dynamics import QuadraticHamiltonian
@@ -42,6 +41,9 @@ _TAIL = 1e-9
 _NODES = 13
 # The propagated rows may lose at most this fraction of the norm.
 _LEAK = 1e-8
+# Taylor coefficients 1/k! of exp to degree 19, in Paterson-Stockmeyer blocks of four: the
+# terms past them sum to below 1/20! * e = 1.1e-18 for an argument of 1-norm under 1.
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(20)]).reshape(5, 4)
 
 
 def evolve_fock(v: FockVector, H: QuadraticHamiltonian, t):
@@ -73,9 +75,9 @@ def _evolve_stellar(st: StellarState, H: QuadraticHamiltonian, t, cutoff: int):
 
 def _flow(H: QuadraticHamiltonian, t):
     """The times ``t`` as an array and ``(mu, nu, gamma)`` of ``U† a U = mu a + nu a† +
-    gamma``, ``U = exp(-itH)``, one entry per time: the first row of ``expm`` of the generator
-    of ``(a, a†, 1)``.  :class:`TruncationLeakage` naming the first time where they overflow:
-    the evolved state leaves every row there.
+    gamma``, ``U = exp(-itH)``, one entry per time: the first row of :func:`_expm` of the
+    generator of ``(a, a†, 1)``.  :class:`TruncationLeakage` naming the first time where they
+    overflow: the evolved state leaves every row there.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or not np.all(np.isfinite(times)):
@@ -85,13 +87,40 @@ def _flow(H: QuadraticHamiltonian, t):
                           [H.C + 1j * (H.A - H.B), 1j * (H.A + H.B), np.conj(shift)],
                           [0.0, 0.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = expm(times.reshape(-1, 1, 1) * generator)[:, 0, :]
+        flow = _expm(generator, times.reshape(-1))[:, 0, :]
     finite = np.all(np.isfinite(flow), axis=1)
     if not finite.all():
         first = times.reshape(-1)[~finite][0]
         raise TruncationLeakage(f"the flow of H overflows at t = {first:g}; the evolved state "
                                 "leaves every row")
     return times, flow.T
+
+
+def _expm(g: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``exp(t g)`` for each finite ``t`` of ``times`` by scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 2005): the degree-19 Taylor polynomial of ``t g / 2^s``, 1-norm
+    under 1, squared ``s`` times; non-finite past the double range.  Its complex products are
+    taken as real ``2n x 2n`` ones, which NumPy multiplies faster.
+    """
+    k, n = times.size, len(g)
+    norm = float(np.abs(g).sum(axis=0).max())
+    s = [max(0, math.frexp(abs(t) * norm)[1]) for t in times.tolist()]
+    r = np.array([[g.real, -g.imag], [g.imag, g.real]]).swapaxes(1, 2).reshape(2 * n, 2 * n)
+    p = np.empty((4, k, 2 * n, 2 * n))  # x^0 .. x^3
+    p[0] = np.eye(2 * n)
+    np.multiply(np.ldexp(times, -np.array(s, dtype=int))[:, None, None], r, out=p[1])
+    np.matmul(p[1], p[1], out=p[2])
+    np.matmul(p[2], p[1], out=p[3])
+    x4 = p[2] @ p[2]
+    blocks = (_TAYLOR @ p.reshape(4, -1)).reshape(5, k, 2 * n, 2 * n)
+    e = blocks[4]
+    for b in blocks[3::-1]:
+        e = x4 @ e
+        e += b
+    for i, si in enumerate(s):
+        for _ in range(si):
+            e[i] = e[i] @ e[i]
+    return e[:, :n, :n] + 1j * e[:, n:, :n]
 
 
 def _leak_checked(out: np.ndarray, norm: float, cutoff: int, ndim: int):

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import eigvals
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, NoConvergence
 from .dynamics import (
     QuadraticHamiltonian,
     ZeroTrajectory,
@@ -40,9 +39,11 @@ from .dynamics import (
     matching_distance,
     zero_pair,
 )
-from .rootfind import DEFECTIVE_TOL, _cluster, _min_gap
+from .rootfind import DEFECTIVE_TOL, _cluster, _min_gap, _scipy_module
 from .states import StellarState
 from .wavefunction import WavefunctionForm, build_wavefunction
+
+zggev = _scipy_module("linalg._flapack").zggev
 
 __all__ = [
     "CrossingEvent",
@@ -129,7 +130,13 @@ def _pencil_times(pair, H: QuadraticHamiltonian) -> np.ndarray:
     left, right, size = eye[:, None, :, None], eye[None, :, None, :], eye.size
     k0, k1 = ((m[:, None, :, None] * right - left * m.conj()[None, :, None, :]).reshape(size, size)
               for m in (x0, lmat))
-    alpha, beta = eigvals(k0, -k1, homogeneous_eigvals=True)
+    if not size:
+        return np.zeros(0)
+    # scipy.linalg.eigvals' call: a workspace query, then the solve without vectors.
+    lwork = int(zggev(k0, -k1, lwork=-1)[-2][0].real)
+    alpha, beta, _, _, _, info = zggev(k0, -k1, 0, 0, lwork)
+    if info:
+        raise NoConvergence(f"the QZ solve of the crossing pencil failed (zggev info {info})")
     # w = (beta + i alpha)/(beta - i alpha) = e^{2it} for a real root
     # tan t = alpha/beta.  A vanishing denominator marks the singular part
     # of the pencil (alpha ~ beta ~ 0, a zero pinned on the axis) or a root
@@ -141,7 +148,8 @@ def _pencil_times(pair, H: QuadraticHamiltonian) -> np.ndarray:
     # sqrt(eps) off the circle; its mean lies back on it to roundoff.
     w = _cluster(num[keep] / den[keep], DEFECTIVE_TOL)
     half = np.angle(w[np.abs(np.abs(w) - 1.0) <= DEFECTIVE_TOL]) / 2.0 % math.pi
-    return np.unique(np.concatenate([half, half + math.pi]) % (2.0 * math.pi))
+    t = np.sort(np.concatenate([half, half + math.pi]) % (2.0 * math.pi))
+    return t[np.diff(t, prepend=-1.0) != 0.0]  # np.unique, which would load numpy.ma
 
 
 def _antiperiodic(traj: ZeroTrajectory, what: str) -> QuadraticHamiltonian:

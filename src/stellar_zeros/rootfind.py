@@ -8,12 +8,19 @@ multiplies ``h_n``.  Eigenvalues of small dense matrices, one or a stack of
 them, come from one ``np.linalg.eigvals`` call; within each matrix,
 eigenvalues closer than ``4 sqrt(eps) max|M|`` are reported as their mean,
 because LAPACK splits a defective eigenvalue (an exact zero collision) by
-about ``sqrt(eps)`` while the cluster mean stays accurate.
+about ``sqrt(eps)`` while the cluster mean stays accurate.  The rest of the
+package takes SciPy's compiled BLAS and LAPACK wrappers and its DOP853 tableau from
+:func:`_scipy_module`, which loads them by path: importing ``scipy.linalg`` would cost
+about 0.18 s.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -27,6 +34,23 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 DEFECTIVE_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
 _POLISH_ULPS = 8.0 * np.finfo(float).eps
+
+
+def _scipy_module(name: str):
+    """``scipy.<name>``, loaded from its file without its parent packages and registered
+    under its name, so a later ``import scipy.linalg`` finds the same wrappers.
+    :class:`ImportError` naming the directory if the file is not there."""
+    full = f"scipy.{name}"
+    if full not in sys.modules:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        where = os.path.join(root, *name.split(".")[:-1])
+        spec = PathFinder.find_spec(full, [where])
+        if spec is None:
+            raise ImportError(f"no module {full} in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return sys.modules[full]
 
 
 def _min_gap(z):

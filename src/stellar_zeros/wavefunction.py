@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import herme2poly
-from scipy.linalg.blas import ztbsv
 
 from .errors import InvalidParameter, PrecisionLoss
-from .rootfind import roots_hermite
+from .rootfind import _scipy_module, roots_hermite
 from .states import (
     _PI_M14,
     _SQRT2,
@@ -51,9 +50,11 @@ __all__ = [
     "form_from_json",
 ]
 
-# Point-terms per banded Hermite solve: about 260 KB of work arrays, which malloc
-# reuses (from 2**13 on they are mapped afresh and page-fault on every call).
-_CHUNK = 2**12
+# Point-terms per banded Hermite solve.  The largest work array, the band, is then 96 KiB:
+# under glibc's default 128 KiB mmap threshold, so malloc reuses it, where a larger one is
+# mapped afresh and page-faults on every call.  A longer series is solved point by point.
+_CHUNK = 2**11
+ztbsv = _scipy_module("linalg._fblas").ztbsv
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,7 @@ def _hermite_functions(n: int, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     k = np.arange(1.0, n)
+    down, skip = np.sqrt(2.0 / k), np.sqrt(k[:-1] / k[1:])
     phi = np.zeros((z.size, n), dtype=complex)
     phi[:, 0] = _PI_M14 * np.exp(-0.5 * z * z)
     step = max(1, _CHUNK // n)
@@ -220,8 +222,8 @@ def _hermite_functions(n: int, z) -> np.ndarray:
     while todo:
         rows = todo.pop()
         bands = np.zeros(phi[rows].shape + (3,), dtype=complex)  # the column-major band, transposed
-        bands[:, :-1, 1] = -z[rows, None] * np.sqrt(2.0 / k)
-        bands[:, :-2, 2] = np.sqrt(k[:-1] / k[1:])
+        bands[:, :-1, 1] = -z[rows, None] * down
+        bands[:, :-2, 2] = skip
         part = ztbsv(2, bands.reshape(-1, 3).T, phi[rows].reshape(-1), lower=1, diag=1)
         if len(bands) > 1 and not np.isfinite(part.view(float)).all():
             todo += [slice(j, j + 1) for j in range(rows.start, rows.stop)]

@@ -14,7 +14,7 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
-from stellar_zeros import cli, dynamics, oracle, states
+from stellar_zeros import cli, dynamics, oracle, states, wavefunction
 from stellar_zeros import (
     StellarState,
     matching_distance,
@@ -311,6 +311,17 @@ class TestVerifyCommand:
         rc, out, err = run_cli(capsys, ["verify", "--state", path])
         assert_one_error_line(rc, err)
         assert "N = 15961, past verify's cap N = 2048" in err
+        assert out == ""
+
+    def test_series_past_the_cap_is_refused_before_the_dual_path(self, capsys, tmp_state,
+                                                                 monkeypatch):
+        # N = 3,050: the cap is checked before eval_entire builds its 169 x (N + 1) table,
+        # which is what the cap bounds.
+        monkeypatch.setattr(wavefunction, "eval_entire", lambda *a, **k: pytest.fail("tabled"))
+        path = tmp_state("big.json", random_stellar_state(3, 0, scale=1.5))
+        rc, out, err = run_cli(capsys, ["verify", "--state", path])
+        assert_one_error_line(rc, err)
+        assert err == "error: oracle series needs N = 3050, past verify's cap N = 2048\n"
         assert out == ""
 
     def test_series_past_the_row_budget_is_one_error_line(self, capsys, tmp_state):

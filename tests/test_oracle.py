@@ -253,6 +253,40 @@ def state_path_deviation(st, H, times):
     return max(np.max(np.abs(aligned(g.coeffs, w.coeffs) - w.coeffs)) for g, w in zip(got, want))
 
 
+FLOW_HAMILTONIANS = {
+    "hp": HP, "h1": VERIFY_HAMILTONIANS[1], "h2": VERIFY_HAMILTONIANS[2],
+    "B0": QuadraticHamiltonian(A=0.3, B=0.0, C=0.2, D=0.1, E=0.1),
+    "omega2_0": QuadraticHamiltonian(A=0.5, B=0.5, C=1.0, D=0.1, E=-0.1),
+    "hyperbolic": QuadraticHamiltonian(B=0.5, C=1.0, D=0.3, E=-0.2),
+}
+
+
+class TestFlowExponential:
+    # The oracle's 3x3 exponential is its own scaling-and-squaring step; SciPy's
+    # expm (Pade, a different approximant) is the reference.
+    @pytest.mark.parametrize("H", FLOW_HAMILTONIANS.values(), ids=FLOW_HAMILTONIANS.keys())
+    def test_flow_exponential_matches_scipy_expm(self, monkeypatch, H):
+        generators = []
+        expm_of = oracle._expm
+        monkeypatch.setattr(oracle, "_expm", lambda g, t: generators.append(g) or expm_of(g, t))
+        times = np.array([0.0, 0.3, 1.1, 2.9, -1.1, 7.5])
+        oracle._flow(H, times)
+        (g,) = generators
+        got, want = expm_of(g, times), expm(times[:, None, None] * g)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
+        assert np.array_equal(got[0], np.eye(3))
+
+    def test_any_square_matrix(self):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        times = np.array([0.05, 0.4, 1.7])
+        want = expm(times[:, None, None] * g)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(oracle._expm(g, times) - want).max(axis=(1, 2)) <= 1e-13 * scale)
+        assert oracle._expm(g, np.zeros(0)).shape == (0, 4, 4)
+
+
 class TestStatePropagation:
     """verify propagates the state through its core: ``exp(-itH) D(alpha) S(chi)`` is one
     Gaussian unitary on ``r + 1`` columns, with the rows of ``evolve_fock`` on the state's

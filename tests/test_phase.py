@@ -14,6 +14,7 @@ import stellar_zeros.phase as phase_mod
 from stellar_zeros import (
     DegenerateInitialZeros,
     InvalidParameter,
+    NoConvergence,
     QuadraticHamiltonian,
     StellarState,
     TrackingAmbiguity,
@@ -198,6 +199,49 @@ class TestDetectCrossings:
                 if o.zero_index != e.zero_index and abs(o.t_star - e.t_star) < 1e-9
             ]
             assert len(mirror) == 1 and abs(mirror[0].x_star + e.x_star) < 1e-9
+
+
+def _eigvals_zggev(a, b, *args, **kwargs):
+    """``zggev``'s outputs, with ``(alpha, beta)`` from ``scipy.linalg.eigvals``."""
+    import scipy.linalg
+
+    alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+    return alpha, beta, None, None, np.ones(1, dtype=complex), 0
+
+
+def pencil_times(st):
+    return phase_mod._pencil_times(zero_pair(build_wavefunction(st)), HP)
+
+
+PINNED_ODD = StellarState(rank=3, core=np.array([0, 0.6, 0, 0.8j]), alpha=0.0, chi=0.0)
+
+
+class TestPencilSolve:
+    # The pencil is solved by the LAPACK routine that scipy.linalg.eigvals calls, loaded
+    # without scipy.linalg, in the same two calls: every crossing time is bitwise eigvals'.
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_times_are_scipy_eigvals_times(self, monkeypatch, rank):
+        states = [random_stellar_state(rank, seed) for seed in range(40)]
+        states += [fock_state(rank)] + ([PINNED_ODD] if rank == 3 else [])
+        got = [pencil_times(st) for st in states]
+        monkeypatch.setattr(phase_mod, "zggev", _eigvals_zggev)
+        for st, times in zip(states, got):
+            want = pencil_times(st)
+            assert times.dtype == want.dtype and times.tobytes() == want.tobytes(), st
+
+    def test_rank_zero_has_no_times(self, monkeypatch):
+        monkeypatch.setattr(phase_mod, "zggev", lambda *a, **k: pytest.fail("solved"))
+        times = pencil_times(random_stellar_state(0, 1))
+        assert times.dtype == np.float64 and times.shape == (0,)
+
+    def test_failed_qz_is_a_typed_error(self, monkeypatch):
+        def failing(a, b, *args, **kwargs):
+            return _eigvals_zggev(a, b)[:-1] + (5,)
+
+        monkeypatch.setattr(phase_mod, "zggev", failing)
+        wf = build_wavefunction(separated_state(3, 1))
+        with pytest.raises(NoConvergence, match="zggev info 5"):
+            detect_crossings(phase_trajectory(wf.zeros, wf.g2, wf.g1))
 
 
 class TestGershgorin:

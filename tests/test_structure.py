@@ -6,11 +6,13 @@ import functools
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stellar_zeros
 import stellar_zeros.oracle
@@ -23,7 +25,7 @@ PACKAGE_ROOT = str(Path(stellar_zeros.__file__).resolve().parents[1])
 
 IMPORT_THEN_RUN = """
 import contextlib, io, sys
-HEAVY = {"scipy.integrate", "scipy.optimize", "scipy.special"}
+HEAVY = {"scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "numpy.ma"}
 import stellar_zeros
 from stellar_zeros import cli
 loaded = [sys.modules.keys() & HEAVY]
@@ -31,19 +33,25 @@ wf = stellar_zeros.build_wavefunction(stellar_zeros.random_stellar_state(3, 0))
 tr = stellar_zeros.integrate(wf, stellar_zeros.QuadraticHamiltonian.phase_shift(), [0.0, 0.5])
 stellar_zeros.matching_distance(tr.paths[:, -1], wf.zeros)
 stellar_zeros.form_norm_squared(wf)
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "--random", "2,1"])
+codes = []
+for argv in (["build", "--random", "2,1"], ["zeros", "--random", "2,1"],
+             ["evolve", "--random", "2,1", "--time", "0,1,5"], ["crossings", "--random", "3,1"],
+             ["audit", "--random", "3,1"], ["verify", "--random", "2,1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
 loaded.append(sys.modules.keys() & HEAVY)
-print(code, *map(sorted, loaded), sep="|")
+print(*codes, *map(sorted, loaded), sep="|")
 """
 
 
 def test_import_does_not_load_the_ode_solver():
-    # At run time the package needs NumPy and scipy.linalg only: `integrate`
-    # reads SciPy's DOP853 tableau from its file, `matching_distance` solves its
-    # own assignment and the norm sums its own log-sum-exp.  A fresh interpreter
-    # shows what the import, an ODE run, a matching, a norm and a `verify`
-    # pull in; the three heavier SciPy subpackages stay out.
+    # At run time the package needs NumPy and two of SciPy's compiled extensions,
+    # loaded by path: `integrate` reads SciPy's DOP853 tableau from its file,
+    # `matching_distance` solves its own assignment, the norm sums its own
+    # log-sum-exp and the oracle takes its own 3x3 exponential.  A fresh
+    # interpreter shows what the import, an ODE run, a matching, a norm and every
+    # command pull in; `scipy.linalg`, the heavier SciPy subpackages and
+    # `numpy.ma` stay out.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -54,7 +62,28 @@ def test_import_does_not_load_the_ode_solver():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0|[]|[]"
+    assert proc.stdout.strip() == "0|0|0|0|0|0|[]|[]"
+
+
+def test_scipy_wrappers_are_loaded_by_path_once():
+    # One loader knows SciPy's layout.  What it loads is registered under SciPy's
+    # own names, so importing scipy.linalg afterwards finds the same wrappers.
+    import scipy.linalg
+
+    assert sorted(_scopes_of("_scipy_module")) == [("dynamics", "_dop853"),
+                                                   ("phase", "<module>"),
+                                                   ("wavefunction", "<module>")]
+    assert stellar_zeros.wavefunction.ztbsv is scipy.linalg.blas.ztbsv
+    assert stellar_zeros.phase.zggev is scipy.linalg.lapack.zggev
+
+
+def test_missing_scipy_extension_names_its_directory():
+    import scipy
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError, match=re.escape(where)):
+        stellar_zeros.rootfind._scipy_module("linalg._no_such_extension")
+    assert "scipy.linalg._no_such_extension" not in sys.modules
 
 
 def test_oracle_shares_no_code_with_the_closed_form():
@@ -220,7 +249,7 @@ def test_only_integrate_builds_step_interpolants():
     # file, or takes the first step, or samples a step, and no SciPy
     # interpolant is built.
     assert _scopes_of("_dop853") == [("dynamics", "integrate")]
-    assert _scopes_of("run_path") == [("dynamics", "_dop853")]
+    assert _scopes_of("run_path") == []
     assert _scopes_of("_first_step") == [("dynamics", "integrate")]
     assert _scopes_of("_dense_samples") == [("dynamics", "integrate")]
     assert _scopes_of("dense_output") == []
