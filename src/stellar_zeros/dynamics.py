@@ -363,10 +363,13 @@ def _dense_samples(steps, owned, ts, y) -> None:
 def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:
     """``x``, or :class:`InvalidParameter` at the first time of ``t`` where it is not finite.
 
-    ``axis`` lists the axes of ``x`` other than time.  Only a hyperbolic flow overflows.
+    ``axis`` lists the axes of ``x`` other than time.  Only a hyperbolic flow overflows,
+    unless the time itself is not finite.
     """
     if not np.isfinite(x).all():
         bad = np.ravel(t)[np.argmin(np.isfinite(x).all(axis=axis))]
+        if not math.isfinite(bad):
+            raise InvalidParameter(f"time t={bad} is not finite")
         raise InvalidParameter(f"{what} overflows at t={bad:.6g}")
     return x
 
@@ -385,13 +388,15 @@ def zero_pair(wf: WavefunctionForm) -> ZeroPair:
 
 
 def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
-    """Rows ``(F11, F12, F13)``, ``(F21, F22, F23)`` of H's affine flow, entries shaped like ``t``.
+    """Row ``(F11, F12, F13)`` of H's affine flow and its ``(c, s, q)``, entries shaped like ``t``.
 
-    They are linear in ``c = cos theta``, ``s = t sinc theta`` and
+    The flow is linear in ``c = cos theta``, ``s = t sinc theta`` and
     ``q = (t^2/2) sinc^2(theta/2)``, with ``theta = |omega| t``: nothing
     cancels as ``omega^2 -> 0`` or ``t -> 0``, and ``omega^2 < 0`` makes the
-    three hyperbolic (``cosh``, ``sinh``).  The callers ignore overflow in
-    ``np.errstate``; :func:`_finite` finds it in their products.
+    three hyperbolic (``cosh``, ``sinh``).  The zero matrix needs only the
+    first row; :func:`_gaussian_at` forms the second from ``(c, s, q)``.  The
+    callers ignore overflow in ``np.errstate``; :func:`_finite` finds it in
+    their products.
     """
     t = np.asarray(t, dtype=float)[()]  # one time: a NumPy scalar, 10x cheaper than 0-d
     sin, cos = (np.sin, np.cos) if H.omega2 >= 0 else (np.sinh, np.cosh)
@@ -399,15 +404,16 @@ def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
     y = np.where(theta, theta, 1e-20)[()]  # sin(y)/y is exactly 1 at y = 1e-20
     half = 0.5 * y
     c, s, q = cos(theta), t * (sin(y) / y), 0.5 * t * t * (sin(half) / half) ** 2
-    A, B, C, D, E, _ = H.as_tuple()
-    return ((c + s * C, 2.0 * B * s, s * E + q * (C * E - 2.0 * B * D)),
-            (-2.0 * A * s, c - s * C, q * (C * D - 2.0 * A * E) - s * D))
+    _, B, C, D, E, _ = H.as_tuple()
+    return (c + s * C, 2.0 * B * s, s * E + q * (C * E - 2.0 * B * D)), (c, s, q)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gaussian_at(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray:
     """``(g2, g1) = (i k'/2, i m')`` at time(s) ``t``, on a leading axis: the flow moves the line."""
-    (f11, f12, f13), (f21, f22, f23) = _classical_flow(H, t)
+    (f11, f12, f13), (c, s, q) = _classical_flow(H, t)
+    A, _, C, D, E, _ = H.as_tuple()
+    f21, f22, f23 = -2.0 * A * s, c - s * C, q * (C * D - 2.0 * A * E) - s * D
     k = (f21 + f22 * pair.k) / (f11 + f12 * pair.k)
     m = f22 * pair.m + f23 - k * (f12 * pair.m + f13)
     return _finite(np.array([0.5j * k, 1j * m]), t, "Gaussian flow", axis=0)
@@ -419,7 +425,10 @@ def closed_form_matrix(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray
 
     An array of times gives the stack ``(..., rank, rank)``.
     """
-    ts = np.asarray(t, dtype=float)
+    try:
+        ts = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"time t={t!r} is not a real number") from None
     row = np.array(_classical_flow(H, ts)[0]).reshape(3, -1).T  # (F11, F12, F13) per time
     mats = (row @ pair.terms.reshape(3, -1)).reshape(*ts.shape, *pair.terms.shape[1:])
     return _finite(mats, ts, "zero matrix", axis=(-2, -1))
@@ -523,7 +532,10 @@ def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
     while True:
         gap = _min_gap(zs[:-1])
         dist = np.abs(zs[:-1, :, None] - zs[1:, None, :])
-        near = np.min(dist, axis=2).max(axis=1)
+        # Each zero's nearest successor, and the largest of those distances per step.
+        succ = np.argmin(dist, axis=2)
+        near = dist.reshape(-1, zs.shape[1])[np.arange(succ.size), succ.ravel()]
+        near = near.reshape(succ.shape).max(axis=1)
         bad = np.flatnonzero((near >= 0.5 * gap) & ~anchors[1:])
         if bad.size == 0:
             break
@@ -539,7 +551,7 @@ def _track(ts, zs, zeros_at, anchors=None) -> np.ndarray:
         asked, anchors = np.insert(asked, bad + 1, False), np.insert(anchors, bad + 1, False)
     # The order (where each tracked zero sits in a row) changes only at an anchor or at a
     # step whose nearest successors are not the identity; each run between keeps it.
-    succ, ident = np.argmin(dist, axis=2), np.arange(zs.shape[1])
+    ident = np.arange(zs.shape[1])
     change = anchors[1:] | (succ != ident).any(axis=1)
     order = [ident]
     for k in np.flatnonzero(change).tolist():

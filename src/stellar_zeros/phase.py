@@ -6,15 +6,16 @@ Under ``H = (x^2 + p^2)/2`` the general zero matrix of
     ``X(t) = X0 cos t + L sin t``,
 
 which is antiperiodic, ``X(t + pi) = -X(t)``: the zeros half a period on
-are the negated zeros, so a sampled period takes eigen-solves only on its
-first half, and the antipodal check tests that identity with fresh solves.
+are the negated zeros, so a sampled period is solved and tracked only on
+its first half, and the antipodal check tests that identity with fresh solves.
 Its diagonal traces ellipses ``lam_j (cos t - 2i g2 sin t)`` (plus small
 drift and interaction shifts) and its off-diagonal part has Gershgorin
 radii ``|sin t| * sum_j 1/|lam_i - lam_j|``.  When the initial zeros are
 separated by at least ``sqrt((r-1)/|Re g2|)`` (real ``g2``), the discs stay
 disjoint, each zero is trapped near its ellipse, and must land on the real
-axis at least twice per period; with unbalanced numbers of zeros above and
-below the axis at least one crossing happens regardless.  This module
+axis at least twice per period; with ``n+`` zeros above the axis and
+``n-`` below, at least ``2 |n+ - n-|`` crossings happen per period
+regardless, since half a period swaps the two counts.  This module
 detects and certifies those crossing events.  A zero is real exactly when
 ``X(t)`` and ``conj(X(t))`` share an eigenvalue, so every crossing time in
 the period comes from one QZ solve of an ``r^2 x r^2`` Kronecker pencil,
@@ -98,9 +99,12 @@ def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajecto
     This is :func:`~stellar_zeros.dynamics.sample_closed_form` at
     ``H = (x^2 + p^2)/2`` from half the eigen-solves: ``X(t + pi) = -X(t)``,
     so one stacked solve gives the 128 times in ``(0, pi]`` and their
-    negatives are the samples at the 128 in ``(pi, 2 pi]``.  The tracker then
-    orders the period, with one fresh solve per refinement pass; the Gaussian
-    coefficients are in closed form.  Criterion 5 (:func:`antipodal_check`)
+    negatives are the samples at the 128 in ``(pi, 2 pi]``.  The tracker
+    orders the first half up to the junction, the first sample past ``pi``,
+    with one fresh solve per refinement pass; each later step repeats a step
+    of the first half, negated, so its rows are those tracked rows negated,
+    in the junction's order.  The Gaussian coefficients are in closed form.
+    Criterion 5 (:func:`antipodal_check`)
     checks that identity with fresh solves.  ``PERIOD_STEPS`` is also the
     floor of :func:`detect_crossings`, whose times come from the pencil: this
     grid and a 2049-point one give the same events.
@@ -110,8 +114,14 @@ def phase_trajectory(zeros0, g2_0: complex, g1_0: complex = 0.0) -> ZeroTrajecto
     pair = zero_pair(wf)
     ts = np.linspace(0.0, 2.0 * math.pi, PERIOD_STEPS + 1)
     half = _zeros_at(pair, H, ts[1 : PERIOD_STEPS // 2 + 1])
-    start = np.asarray(wf.zeros, dtype=complex).reshape(1, -1)
-    paths = _track(ts, np.concatenate([start, half, -half]), partial(_zeros_at, pair, H))
+    paths = np.concatenate([np.asarray(wf.zeros, dtype=complex).reshape(1, -1), half, -half])
+    if len(wf.zeros) > 1:  # below rank 2 there is nothing to order
+        # |-a - (-b)| = |a - b| bitwise: past the junction (row j) the steps repeat the first half's.
+        j = PERIOD_STEPS // 2 + 1
+        first = _track(ts[: j + 1], paths[: j + 1], partial(_zeros_at, pair, H))
+        # Row j holds row 1's numbers negated; their order there is the one the mirror keeps.
+        turn = np.argmax(first[1] == -first[j][:, None], axis=1)
+        paths = np.concatenate([first, -first[2:j, turn]])
     return ZeroTrajectory(ts, paths.T, _gaussian_at(pair, H, ts), pair, H)
 
 
@@ -243,32 +253,40 @@ def gershgorin_check(zeros0, g2_0: complex, g1_0: complex = 0.0) -> GershgorinRe
 
 
 def crossing_guarantee_audit(st: StellarState) -> AuditResult:
-    """Count one period of real-axis crossings against the separation certificate.
+    """Count one period of real-axis crossings against the separation and imbalance guarantees.
 
-    When the hypothesis holds (real Gaussian exponent and initial zeros
-    separated by at least the threshold) the audit demands at least ``2 r``
-    crossing events; ``GuaranteedButMissed`` is a contract violation, never
-    an acceptable outcome.
+    When the separation hypothesis holds (real Gaussian exponent and initial
+    zeros separated by at least the threshold) a period holds at least
+    ``2 r`` crossing events.  Whatever the separation, it holds at least
+    ``2 |n+ - n-|``, counted by :func:`imbalance` on the initial zeros:
+    ``X(t + pi) = -X(t)`` swaps the counts above and below the axis, and a
+    crossing moves one zero between them, in each half period.  The audit
+    demands the larger bound; ``GuaranteedButMissed`` is a contract
+    violation, never an acceptable outcome.
     """
     wf = build_wavefunction(st)
     if wf.rank == 0:
         return AuditResult("NotGuaranteedNone", 0, (), False)
     report = gershgorin_check(wf.zeros, wf.g2, wf.g1)
-    guaranteed = report.certified and report.separation_ok
+    n_plus, n_minus = imbalance(wf.zeros)
+    separated = report.certified and report.separation_ok
+    bound = max(2 * wf.rank if separated else 0, 2 * abs(n_plus - n_minus))
     events = detect_crossings(phase_trajectory(wf.zeros, wf.g2, wf.g1))
     crossings = [e for e in events if e.flag == "crossing"]
     count = len(crossings)
+    guaranteed = bound > 0
     if guaranteed:
-        outcome = (
-            "GuaranteedAndObserved" if count >= 2 * wf.rank else "GuaranteedButMissed"
-        )
+        outcome = "GuaranteedAndObserved" if count >= bound else "GuaranteedButMissed"
     else:
         outcome = "NotGuaranteedObserved" if count >= 1 else "NotGuaranteedNone"
     return AuditResult(outcome, count, tuple(events), guaranteed, report)
 
 
 def imbalance(zeros):
-    """Counts of zeros strictly above/below the axis (band 1e-12 excluded)."""
+    """Counts ``(n+, n-)`` of zeros strictly above/below the axis.
+
+    A zero within ``IM_BAND`` (1e-12) of the axis is in neither count.
+    """
     n_plus = sum(1 for z in zeros if complex(z).imag > IM_BAND)
     n_minus = sum(1 for z in zeros if complex(z).imag < -IM_BAND)
     return n_plus, n_minus
@@ -284,5 +302,11 @@ def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
     ``CE = 2BD``, where the identity fails, raises :class:`InvalidParameter`.
     """
     _antiperiodic(traj, "the antipodal check")
+    try:
+        finite = math.isfinite(t)
+    except TypeError:
+        raise InvalidParameter(f"the antipodal check takes one real time, not t={t!r}") from None
+    if not finite:
+        raise InvalidParameter(f"time t={t} is not finite")
     now, later = traj.zeros_at(np.array([t, t + math.pi]))
     return matching_distance(now, -later)

@@ -682,6 +682,21 @@ class TestClosedForm:
         )
         assert dev < 1e-7
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_a_time_that_is_not_finite_is_named(self, t):
+        # The zero matrix at such a time is not finite; the error names the time, not an overflow.
+        _, wf = distinct_random_state(3, 2, scale=0.7)
+        traj = sample_closed_form(wf, HP, [0.0, 1.0])
+        with pytest.raises(InvalidParameter, match=r"time t=.*(nan|inf).* is not finite"):
+            closed_form(wf, HP, t)
+        with pytest.raises(InvalidParameter, match=r"time t=.*(nan|inf).* is not finite"):
+            traj.zeros_at(t)
+
+    def test_a_complex_time_is_a_typed_error(self):
+        _, wf = distinct_random_state(3, 2, scale=0.7)
+        with pytest.raises(InvalidParameter, match=r"time t=1j is not a real number"):
+            closed_form(wf, HP, 1j)
+
 
 class TestSampleClosedForm:
     def test_matches_integrate(self):

@@ -1,6 +1,7 @@
 """Phase-shift specialization: ellipses, crossings, certificates."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stellar_zeros import (
     StellarState,
     TrackingAmbiguity,
     WavefunctionForm,
+    ZeroTrajectory,
     antipodal_check,
     build_wavefunction,
     closed_form,
@@ -312,10 +314,42 @@ class TestAudit:
         assert res.count >= 4
 
     def test_close_zeros_not_guaranteed_but_observed(self):
-        st = stellar_state_from_zeros([0.3j, 0.55j])  # far below the threshold
+        # Far below the separation threshold, so separation guarantees nothing.  Both zeros
+        # lie above the axis, so the imbalance bound 2 |n+ - n-| = 4 holds instead.
+        st = stellar_state_from_zeros([0.3j, 0.55j])
         res = crossing_guarantee_audit(st)
-        assert not res.guaranteed
-        assert res.outcome in ("NotGuaranteedObserved", "NotGuaranteedNone")
+        assert not res.gershgorin.separation_ok
+        assert res.guaranteed and res.outcome == "GuaranteedAndObserved"
+        assert res.count == 8
+
+    def test_balanced_close_zeros_not_guaranteed(self):
+        st = stellar_state_from_zeros([0.3j, -0.3j])
+        res = crossing_guarantee_audit(st)
+        assert not res.gershgorin.separation_ok and not res.guaranteed
+        assert res.outcome == "NotGuaranteedObserved"
+
+    def test_imbalance_bound_holds_on_every_sweep_state(self):
+        # Half a period swaps the counts above and below the axis, and a crossing moves one
+        # zero between them: at least |n+ - n-| crossings in (0, pi], 2 |n+ - n-| a period.
+        states = [imbalanced_state(r, seed) for r in range(1, 7) for seed in range(500, 560)]
+        states += [random_stellar_state(r, seed) for r in range(1, 7) for seed in range(60)]
+        imbalanced = 0
+        for st in states:
+            n_plus, n_minus = imbalance(build_wavefunction(st).zeros)
+            res = crossing_guarantee_audit(st)
+            assert res.outcome != "GuaranteedButMissed", st
+            assert res.count >= 2 * abs(n_plus - n_minus), st
+            first = [e for e in res.events if e.flag == "crossing" and 0.0 < e.t_star <= math.pi]
+            assert len(first) >= abs(n_plus - n_minus), st
+            imbalanced += n_plus != n_minus
+        assert imbalanced >= 360
+
+    def test_fewer_crossings_than_the_imbalance_bound_are_a_miss(self, monkeypatch):
+        # Fewer crossings than 2 |n+ - n-| on a state that separation does not cover.
+        st = stellar_state_from_zeros([0.3j, 0.55j])
+        monkeypatch.setattr(phase_mod, "detect_crossings", lambda traj: [])
+        res = crossing_guarantee_audit(st)
+        assert res.guaranteed and res.outcome == "GuaranteedButMissed"
 
 
 class TestImbalance:
@@ -342,6 +376,22 @@ class TestAntipodal:
     def test_empty_zero_set(self):
         traj = phase_trajectory([], -0.5)
         assert antipodal_check(traj, 0.7) == 0.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_a_time_that_is_not_finite_is_named(self, t):
+        traj = phase_trajectory([0.5 + 0.3j, -1.0 + 0.2j], -0.5)
+        with pytest.raises(InvalidParameter, match=f"time t={t} is not finite"):
+            antipodal_check(traj, t)
+
+    def test_a_string_time_is_a_typed_error(self):
+        traj = phase_trajectory([0.5 + 0.3j, -1.0 + 0.2j], -0.5)
+        with pytest.raises(InvalidParameter, match="one real time, not t='a'"):
+            antipodal_check(traj, "a")
+
+    def test_an_array_of_times_is_a_typed_error(self):
+        traj = phase_trajectory([0.5 + 0.3j, -1.0 + 0.2j], -0.5)
+        with pytest.raises(InvalidParameter, match=r"one real time, not t=array\(\[0.1, 0.2\]\)"):
+            antipodal_check(traj, np.array([0.1, 0.2]))
 
     @pytest.mark.parametrize("h", [(0.5, 0.5, 0.0, 0.3, 0.0), (0.5, 0.45, 0.08, 0.12, -0.1)])
     def test_other_hamiltonian_rejected(self, h):
@@ -383,6 +433,25 @@ def _fixture_forms():
     return [build_wavefunction(st) for st in states]
 
 
+def tracked_whole_period(wf, asked=None):
+    """:func:`phase_trajectory` with ``_track`` over all 257 rows ``[start, half, -half]``.
+
+    The times of every refinement solve go to the list ``asked``.
+    """
+    pair = zero_pair(wf)
+    solve = partial(dynamics_mod._zeros_at, pair, HP)
+    ts = np.linspace(0.0, 2.0 * math.pi, 257)
+    half = solve(ts[1:129])
+    zs = np.concatenate([np.array(wf.zeros, dtype=complex).reshape(1, -1), half, -half])
+    log = [] if asked is None else asked
+    paths = dynamics_mod._track(ts, zs, lambda t: log.append(t) or solve(t))
+    return ZeroTrajectory(ts, paths.T, dynamics_mod._gaussian_at(pair, HP, ts), pair, HP)
+
+
+def exact_event_rows(events):
+    return [(e.zero_index, e.flag, e.t_star.hex(), e.x_star.hex()) for e in events]
+
+
 class TestHalfPeriod:
     """``X(t + pi) = -X(t)``: the second half of a period is the first half negated."""
 
@@ -401,6 +470,56 @@ class TestHalfPeriod:
             assert events[0] == events[1], wf.zeros
             ranks.add(wf.rank)
         assert ranks == set(range(7))
+
+    def test_mirror_is_bitwise_the_whole_period_tracked(self):
+        # _track over all 257 rows, [start, half, -half], solves the second half's unsafe
+        # steps afresh; the mirror negates the first half's tracked rows instead.
+        states = [imbalanced_state(r, seed) for r in range(1, 7) for seed in range(500, 520)]
+        states += [random_stellar_state(r, seed) for r in range(1, 7) for seed in range(20)]
+        for st in states:
+            wf = build_wavefunction(st)
+            got = phase_trajectory(wf.zeros, wf.g2, wf.g1)
+            want = tracked_whole_period(wf)
+            assert got.paths.tobytes() == want.paths.tobytes(), st
+            assert got.gauss_path.tobytes() == want.gauss_path.tobytes(), st
+            assert exact_event_rows(detect_crossings(got)) == exact_event_rows(detect_crossings(want))
+
+    def test_near_collisions_raise_the_whole_period_ambiguity(self):
+        # The +-1 pair meets at the origin at t = pi/2; nudged by 1e-16 to 1e-4 it misses, by
+        # roughly the square root of the nudge, and the closest misses stay unsafe down to a
+        # step of 1e-9.
+        rng = np.random.default_rng(44)
+        raised = 0
+        for _ in range(40):
+            eps = 10.0 ** rng.uniform(-16, -4)
+            zeros = [z + eps * complex(*rng.normal(size=2)) for z in (1.0, -1.0)]
+            wf = build_wavefunction(stellar_state_from_zeros(zeros))
+            outcomes = []
+            for run in (lambda: phase_trajectory(wf.zeros, wf.g2, wf.g1),
+                        lambda: tracked_whole_period(wf)):
+                try:
+                    outcomes.append(run().paths.tobytes())
+                except TrackingAmbiguity as exc:
+                    outcomes.append((exc.t, exc.gap, exc.displacement, str(exc)))
+            assert outcomes[0] == outcomes[1], zeros
+            raised += isinstance(outcomes[0], tuple)
+        assert 0 < raised < 40
+
+    def test_refines_only_up_to_the_junction(self, monkeypatch):
+        # This rank-5 state fails the half-gap test in both halves of its period.
+        wf = build_wavefunction(random_stellar_state(5, 8))
+        whole = []
+        tracked_whole_period(wf, asked=whole)
+        asked = []
+        solve = phase_mod._zeros_at
+        monkeypatch.setattr(phase_mod, "_zeros_at",
+                            lambda pair, H, t: asked.append(np.asarray(t)) or solve(pair, H, t))
+        phase_trajectory(wf.zeros, wf.g2, wf.g1)
+        grid = np.linspace(0.0, 2.0 * math.pi, 257)
+        assert np.array_equal(asked[0], grid[1:129])
+        mids = np.concatenate(asked[1:])
+        assert mids.size and mids.max() < grid[129]
+        assert 2 * mids.size <= sum(t.size for t in whole)
 
     def test_exact_collision_raises_at_the_same_time(self):
         # The +-1 pair meets at the origin at t = pi/2, a grid point.
