@@ -33,6 +33,7 @@ the line goes to ``k' = (F21 + F22 k)/(F11 + F12 k)``,
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -140,57 +141,115 @@ class ZeroPair:
 
 
 def second_order_acceleration(zeros, H: QuadraticHamiltonian):
-    """Decoupled second-order accelerations of the zeros."""
+    """Decoupled second-order accelerations of the zeros.
+
+    :class:`InvalidParameter` if a zero is not finite, :class:`DegenerateInitialZeros` if two
+    are exactly equal.
+    """
     zeros = [complex(z) for z in zeros]
+    if not all(map(cmath.isfinite, zeros)):
+        raise InvalidParameter("zeros must be finite")
     A, B, C, D, E, _ = H.as_tuple()
     const = C * E - 2.0 * B * D
     out = []
-    for k, lk in enumerate(zeros):
-        s = sum((lk - lm) ** -3 for m, lm in enumerate(zeros) if m != k)
-        out.append((C * C - 4.0 * A * B) * lk + const + 8.0 * B * B * s)
+    try:
+        for k, lk in enumerate(zeros):
+            s = sum((lk - lm) ** -3 for m, lm in enumerate(zeros) if m != k)
+            out.append((C * C - 4.0 * A * B) * lk + const + 8.0 * B * B * s)
+    except ZeroDivisionError:
+        raise DegenerateInitialZeros("zeros must be pairwise distinct") from None
     return out
 
 
-def _rhs(H: QuadraticHamiltonian):
-    """System rhs ``f(t, y)`` on the packed state [g2, g1, zeros...]; NaN on an exact collision.
-
-    H's constant products are formed once per Hamiltonian.  NaN makes the
-    integrator's error norm NaN, so the step is rejected and retried shorter.
-    Precondition: ``f`` finds each zero's self term by identity (``is``), so every entry
-    of a list ``y`` must be its own object; a list holding one complex object twice misses
-    that exact tie.  :func:`integrate` meets it: ``y.tolist()``, its stage list
-    comprehensions and ``y_new`` each make one object per entry.  Index-based forms cost
-    about 1.5 us more per call at ranks 1-3.
-    """
-    A, B, C, D, E, _ = H.as_tuple()
-    b4, b2, drift_b, c2, e2, ia, id_ = 4j * B, 2j * B, -2j * B, 2.0 * C, 2.0 * E, 1j * A, 1j * D
-
+# _rhs's two functions at one rank, as straight-line code: `{zeros}` names the zeros l0, l1, ...,
+# `{pairs}` assigns q{j}_{k} = 1.0 / (l{j} - l{k}) for each j < k and `{rows}` lists the zeros'
+# rows.  `bind` closes them over one Hamiltonian's constants.
+_RHS_TEMPLATE = """\
+def bind(b4, b2, drift_b, C, c2, e2, ia, id_, E):
     def f(t, y):
-        # One object per entry (y: a list or an array), so identity picks out the self term.
-        a, b, *lam = y if isinstance(y, list) else y.tolist()
-        out = [b4 * a * a - c2 * a - ia, b4 * a * b - C * b - e2 * a - id_]
-        # The interaction enters with -2iB: verified against the exactly
-        # solvable two-zero phase-shift evolution and the Fock-basis oracle
-        # (the opposite sign breaks agreement with the closed form's P0 and
-        # with the oracle at rank >= 2).
+        a, b, {zeros} = y if isinstance(y, list) else y.tolist()
+{body}
+    def stage(y, dy, hz):
+        ya, yb, {y_zeros} = y
+        da, db, {dy_zeros} = dy
+        a = ya + da * hz
+        b = yb + db * hz
+{inputs}
+{body}
+    return f, stage
+"""
+_RHS_BODY = """\
         coef, drift = C - b4 * a, drift_b * b + E
         try:
-            for lk in lam:
-                s = 0j
-                for lm in lam:
-                    if lm is not lk:
-                        s += 1.0 / (lk - lm)
-                out.append(lk * coef + drift - b2 * s)
+{pairs}
+            return [b4 * a * a - c2 * a - ia, b4 * a * b - C * b - e2 * a - id_, {rows}]
         except ZeroDivisionError:  # two zeros exactly equal
-            return [complex(math.nan, math.nan)] * len(y)
-        return out
+            return [NAN] * {size}"""
 
-    return f
+
+@cache
+def _rhs_factory(rank: int):
+    """``_RHS_TEMPLATE`` filled in and compiled at ``rank``: its ``bind`` (see :func:`_rhs`)."""
+    ks = range(rank)
+    pairs = "\n".join(f"            q{j}_{k} = 1.0 / (l{j} - l{k})" for k in ks for j in range(k))
+    # Row k's interaction sum, m ascending: 1/(l_k - l_m) is -q{m}_{k} below k and q{k}_{m} above.
+    interaction = [" ".join(f"- q{m}_{k}" if m < k else f"+ q{k}_{m}" for m in ks if m != k)
+                   for k in ks]
+    rows = ", ".join(f"l{k} * coef + drift - b2 * (0j {s})" for k, s in zip(ks, interaction))
+    body = _RHS_BODY.format(pairs=pairs, rows=rows, size=rank + 2)
+    source = _RHS_TEMPLATE.format(
+        zeros=", ".join(f"l{k}" for k in ks), y_zeros=", ".join(f"y{k}" for k in ks),
+        dy_zeros=", ".join(f"d{k}" for k in ks), body=body,
+        inputs="\n".join(f"        l{k} = y{k} + d{k} * hz" for k in ks))
+    namespace = {"NAN": complex(math.nan, math.nan)}
+    exec(compile(source, f"<right-hand side, rank {rank}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _rhs(H: QuadraticHamiltonian, rank: int):
+    """The system's right-hand side on the packed state [g2, g1, zeros...]: ``(f, stage)``.
+
+    ``f(t, y)`` takes ``y`` as a list of Python complex numbers or as an
+    array; ``stage(y, dy, hz)`` is ``f`` at ``[p + q * hz for p, q in zip(y,
+    dy)]``, the input of a Runge-Kutta stage, formed inside it.  Both return a
+    list, all NaN on an exact collision: NaN makes the integrator's error norm
+    NaN, so the step is rejected and retried shorter.
+
+    Both are straight-line code, generated and compiled once per rank
+    (:func:`_rhs_factory`) and bound to H's constant products here.  Each pair
+    takes one division, ``q_jk = 1.0 / (l_j - l_k)`` for ``j < k``, and row k
+    sums its interaction from ``0j`` in ascending m, subtracting ``q_mk`` below
+    k and adding ``q_km`` above.  That is bitwise the double loop
+    ``s += 1.0 / (l_k - l_m)``: ``l_k - l_m`` is exactly ``-(l_m - l_k)``,
+    CPython's complex division only changes its sign when its divisor is
+    negated, and ``s - x`` is ``s + (-x)`` in IEEE arithmetic.  Two equal
+    entries of ``y`` are a tie, whether or not they are one object.
+    """
+    A, B, C, D, E, _ = H.as_tuple()
+    # The interaction enters with -2iB: verified against the exactly
+    # solvable two-zero phase-shift evolution and the Fock-basis oracle
+    # (the opposite sign breaks agreement with the closed form's P0 and
+    # with the oracle at rank >= 2).
+    return _rhs_factory(rank)(4j * B, 2j * B, -2j * B, C, 2.0 * C, 2.0 * E, 1j * A, 1j * D, E)
+
+
+def _real_times(t) -> np.ndarray:
+    """``t`` as a float array, or :class:`InvalidParameter` if it is not real: complex dtypes too,
+    which NumPy would cast to their real parts with only a warning."""
+    ts = np.asarray(t)
+    if ts.dtype.char != "d":  # off the float64 path: another real dtype, or not a real number
+        try:
+            if ts.dtype.kind == "c":
+                raise TypeError
+            ts = ts.astype(float)
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"time t={t!r} is not a real number") from None
+    return ts
 
 
 def _time_grid(t) -> np.ndarray:
     """``t`` as a float array, or :class:`InvalidParameter` unless it is a sampling grid."""
-    ts = np.asarray(t, dtype=float)
+    ts = _real_times(t)
     if ts.ndim == 1 and ts.size and np.isfinite(ts).all() and ts[0] >= 0 and (np.diff(ts) > 0).all():
         return ts
     raise InvalidParameter("time grid must be finite, 1-d and strictly increasing from t >= 0")
@@ -223,7 +282,7 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     out = np.empty((y.size, ts.size), dtype=complex)
     start = int(ts[0] == 0.0)
     out[:, :start] = y[:, None]
-    fun, t, t_end = _rhs(H), 0.0, float(ts[-1])
+    (fun, stage), t, t_end = _rhs(H, len(wf.zeros)), 0.0, float(ts[-1])
     f0 = np.asarray(fun(t, y), dtype=complex)
     h_abs = _first_step(fun, y, f0, t_end)
     # The tableau's rows are cast to complex once, exactly, as np.dot would cast
@@ -233,10 +292,9 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     b, e3, e5, d = (tab[x].astype(complex) for x in ("B", "E3", "E5", "D"))
     K = np.empty((d.shape[1], y.size), dtype=complex)
     last, exponent = tab["n_stages"], -1 / (_ORDER + 1)
-    stages = [(K[:s].T, a[:s].astype(complex), float(c), s)
-              for s, (a, c) in enumerate(zip(tab["A"], tab["C"])) if s]
-    extra = [(K[:s].T, a[:s].astype(complex), float(c), s)
-             for s, (a, c) in enumerate(zip(tab["A_EXTRA"], tab["C_EXTRA"]), start=last + 1)]
+    # The system is autonomous, so a stage needs no time, only its input (see _rhs).
+    stages = [(K[:s].T, a[:s].astype(complex), s) for s, a in enumerate(tab["A"]) if s]
+    extra = [(K[:s].T, a[:s].astype(complex), s) for s, a in enumerate(tab["A_EXTRA"], last + 1)]
     kt_b, kt_e = K[:last].T, K[: last + 1].T
     K[0] = f0
     ry, y, grid = np.abs(y) * RTOL, y.tolist(), ts.tolist()
@@ -254,8 +312,8 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
                 h_abs, hz = abs(h), complex(h)
-                for kt, a, c, s in stages:
-                    K[s] = fun(t + c * h, [p + q * hz for p, q in zip(y, np.dot(kt, a).tolist())])
+                for kt, a, s in stages:
+                    K[s] = stage(y, np.dot(kt, a).tolist(), hz)
                 y_new = [p + hz * q for p, q in zip(y, np.dot(kt_b, b).tolist())]
                 K[last] = fun(t + h, y_new)
                 scale = ATOL + np.maximum(ry, ry_new := np.abs(y_new) * RTOL)
@@ -287,9 +345,8 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 raise ZeroCollision(f"zero collision detected at t~{t:.6g}", t_estimate=t)
             if t >= grid[i]:
                 # SciPy's DOP853._dense_output_impl, before K[0] takes the new f.
-                for kt, a, c, s in extra:
-                    dy = np.dot(kt, a).tolist()
-                    K[s] = fun(t_old + c * h, [p + q * hz for p, q in zip(y_old, dy)])
+                for kt, a, s in extra:
+                    K[s] = stage(y_old, np.dot(kt, a).tolist(), hz)
                 steps.append((t_old, h, y_old, y, K[[0, last]], np.dot(d, K)))
                 j = bisect_right(grid, t, i)
                 owned.append(j - i)
@@ -425,12 +482,11 @@ def closed_form_matrix(pair: ZeroPair, H: QuadraticHamiltonian, t) -> np.ndarray
 
     An array of times gives the stack ``(..., rank, rank)``.
     """
-    try:
-        ts = np.asarray(t, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"time t={t!r} is not a real number") from None
+    ts = _real_times(t)
     row = np.array(_classical_flow(H, ts)[0]).reshape(3, -1).T  # (F11, F12, F13) per time
     mats = (row @ pair.terms.reshape(3, -1)).reshape(*ts.shape, *pair.terms.shape[1:])
+    if not mats.size:  # rank 0: no entry carries a time that is not finite
+        _finite(ts, ts, "time", axis=())
     return _finite(mats, ts, "zero matrix", axis=(-2, -1))
 
 

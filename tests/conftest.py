@@ -138,7 +138,8 @@ def ode_rhs(g2, g1, zeros, H):
     zeros = [complex(z) for z in zeros]
     if _min_gap(zeros) <= dynamics.COLLISION_GAP:
         raise ZeroCollision("pairwise zero gap at or below 1e-9")
-    da, db, *dz = dynamics._rhs(H)(0.0, np.array([g2, g1, *zeros], dtype=complex))
+    f, _ = dynamics._rhs(H, len(zeros))
+    da, db, *dz = f(0.0, np.array([g2, g1, *zeros], dtype=complex))
     return da, db, dz
 
 

@@ -22,6 +22,7 @@ from stellar_zeros import (
     DegenerateInitialZeros,
     InvalidParameter,
     QuadraticHamiltonian,
+    StellarState,
     StepFailure,
     TrackingAmbiguity,
     WavefunctionForm,
@@ -55,6 +56,19 @@ def rank2_exact_zero(t):
     return np.sqrt((1 + np.exp(2j * t)) / 2)
 
 
+def injected(make):
+    """A stand-in for ``dynamics._rhs`` built on ``make(H, rank)``, a right-hand side ``f(t, y)``.
+
+    Its ``stage`` forms the stage input ``p + q * hz`` and calls ``f`` on it,
+    so ``f`` sees, and can count or poison, every evaluation.
+    """
+    def rhs(H, rank):
+        f = make(H, rank)
+        return f, lambda y, dy, hz: f(None, [p + q * hz for p, q in zip(y, dy)])
+
+    return rhs
+
+
 class TestOdeRhs:
     def test_vacuum_is_stationary(self):
         dg2, dg1, dz = ode_rhs(-0.5, 0.0, [], HP)
@@ -82,7 +96,7 @@ class TestOdeRhs:
         with pytest.raises(ZeroCollision):
             ode_rhs(-0.5, 0.0, [1.0, 1.0 + 1e-12], HP)
 
-    @pytest.mark.parametrize("rank", range(1, 9))
+    @pytest.mark.parametrize("rank", range(13))
     def test_rhs_equals_the_plain_double_loop(self, rank):
         # Same products in the same operand order, m ascending with k skipped,
         # so the factory's values are the loop's to the last bit.
@@ -100,11 +114,11 @@ class TestOdeRhs:
                     if m != k:
                         s += 1.0 / (lk - lm)
                 want.append(lk * (C - 4j * B * a) + (-2j * B * b + E) - 2j * B * s)
-            assert dynamics._rhs(H)(0.0, y) == want
+            assert dynamics._rhs(H, rank)[0](0.0, y) == want
 
     def test_exact_tie_gives_the_all_nan_row(self):
         y = np.array([-0.5, 0.1, 0.3 + 1j, -1.0, 0.3 + 1j], dtype=complex)
-        row = dynamics._rhs(HP)(0.0, y)
+        row = dynamics._rhs(HP, 3)[0](0.0, y)
         assert len(row) == y.size and np.all(np.isnan(row))
 
     @pytest.mark.parametrize("rank", range(6))
@@ -113,21 +127,87 @@ class TestOdeRhs:
         # SciPy's solver as an array: both must give the same bits.
         rng = np.random.default_rng(100 + rank)
         for _ in range(5):
-            f = dynamics._rhs(QuadraticHamiltonian(*rng.normal(size=6)))
+            f, _ = dynamics._rhs(QuadraticHamiltonian(*rng.normal(size=6)), rank)
             y = rng.normal(size=rank + 2) + 1j * rng.normal(size=rank + 2)
             want = f(0.0, y)
             assert np.array(f(0.0, y.tolist())).tobytes() == np.array(want).tobytes()
 
     def test_an_exact_tie_in_a_list_gives_the_all_nan_row(self):
-        # tolist() makes one object per entry, as integrate's stage sums do.
+        # A list, as integrate passes the state.
         y = np.array([-0.5, 0.1, 0.3 + 1j, -1.0, 0.3 + 1j], dtype=complex).tolist()
-        row = dynamics._rhs(HP)(0.0, y)
+        row = dynamics._rhs(HP, 3)[0](0.0, y)
         assert len(row) == len(y) and np.all(np.isnan(row))
+
+    def test_one_object_twice_is_a_tie(self):
+        # Each pair's difference is taken, so a zero listed twice as the same
+        # object is the exact tie it is: the all-NaN row, from f and from stage.
+        z = 0.3 + 1j
+        f, stage = dynamics._rhs(HP, 3)
+        for row in (f(0.0, [-0.5, 0.1, z, -1.0, z]),
+                    stage([-0.5, 0.1, z, -1.0, z], [0j] * 5, 0.25 + 0j)):
+            assert len(row) == 5 and np.all(np.isnan(row))
+
+    @pytest.mark.parametrize("rank", range(9))
+    def test_stage_is_f_at_the_summed_input(self, rank):
+        # integrate's stage input p + q * hz, formed inside stage: bitwise f of
+        # the summed list, signed zeros too, on random states and on the
+        # exact-zero states of TestDenseSamples.EXACT.
+        rng = np.random.default_rng(200 + rank)
+        states = [(rng.normal(size=rank + 2) + 1j * rng.normal(size=rank + 2)).tolist()
+                  for _ in range(6)]
+        for zeros in TestDenseSamples.EXACT.values():
+            if len(zeros) == rank:
+                wf = build_wavefunction(stellar_state_from_zeros(zeros))
+                states.append(np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex).tolist())
+        inputs = [(rng.normal(size=rank + 2) * (1 + 1j), 0.125 + 0j),
+                  (np.zeros(rank + 2, dtype=complex), complex(-0.0, 0.0)),
+                  (np.full(rank + 2, complex(-0.0, -0.0)), 0.5 + 0j)]
+        for n, y in enumerate(states):
+            f, stage = dynamics._rhs(QuadraticHamiltonian(*rng.normal(size=6)) if n % 2 else HP,
+                                     rank)
+            for dy, hz in inputs:
+                dy = dy.tolist()
+                want = f(0.0, [p + q * hz for p, q in zip(y, dy)])
+                assert np.array(stage(y, dy, hz)).tobytes() == np.array(want).tobytes()
+
+    def test_one_compiled_template_per_rank(self, monkeypatch):
+        # The straight-line source is compiled once per rank; each Hamiltonian
+        # only binds its constants to it.
+        compiled = []
+
+        def counting_compile(*args):
+            compiled.append(args[1])
+            return compile(*args)
+
+        monkeypatch.setattr(dynamics, "compile", counting_compile, raising=False)
+        dynamics._rhs_factory.cache_clear()
+        f1, stage1 = dynamics._rhs(HP, 4)
+        f2, stage2 = dynamics._rhs(H_W0, 4)
+        assert len(compiled) == 1
+        assert f1.__code__ is f2.__code__ and stage1.__code__ is stage2.__code__
+        y = [-0.5, 0.1, 1.0, -1.0, 0.5j, 2.0]
+        assert f1(0.0, y) != f2(0.0, y)
+        dynamics._rhs(H_B0, 5)
+        assert len(compiled) == 2
 
     def test_second_order_acceleration_exact(self):
         # the same fixture: lambda''(0) = -omega^2 * 1 + 8 B^2 / 2^3 = -3/4
         acc = second_order_acceleration([1.0, -1.0], HP)
         assert abs(acc[0] + 0.75) < 1e-15
+
+    def test_second_order_acceleration_on_a_tie_is_typed(self):
+        with pytest.raises(DegenerateInitialZeros):
+            second_order_acceleration([1.0, 1.0], HP)
+        with pytest.raises(DegenerateInitialZeros):
+            second_order_acceleration([0.5j, 2.0, 0.5j], H_W0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_second_order_acceleration_of_a_non_finite_zero_is_typed(self, bad):
+        # It used to return NaN silently.
+        with pytest.raises(InvalidParameter, match="finite"):
+            second_order_acceleration([1.0, bad], HP)
+        with pytest.raises(InvalidParameter, match="finite"):
+            second_order_acceleration([bad], H_W0)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
@@ -259,15 +339,15 @@ class TestIntegrate:
         wf = build_wavefunction(stellar_state_from_zeros([1j]))
         rhs = dynamics._rhs
 
-        def poisoned(H):
-            f = rhs(H)
+        def poisoned(H, rank):
+            f, _ = rhs(H, rank)
 
             def g(t, y):
                 return [complex(math.nan, math.nan)] * len(y) if y[2].real < -0.5 else f(t, y)
 
             return g
 
-        monkeypatch.setattr(dynamics, "_rhs", poisoned)
+        monkeypatch.setattr(dynamics, "_rhs", injected(poisoned))
         with pytest.raises(StepFailure, match=r"t=0\.523"):
             integrate(wf, HP, np.linspace(0, 2.0, 9))
 
@@ -277,14 +357,14 @@ class TestIntegrate:
         # the first accepted step past it raises, before the grid's end.
         wf = build_wavefunction(stellar_state_from_zeros([1.0, -1.0]))
 
-        def pulled(H):
+        def pulled(H, rank):
             def f(t, y):
                 half = 0.5 * (y[2] - y[3])
                 return [0j, 0j, -half, half]
 
             return f
 
-        monkeypatch.setattr(dynamics, "_rhs", pulled)
+        monkeypatch.setattr(dynamics, "_rhs", injected(pulled))
         with pytest.raises(ZeroCollision, match="detected") as excinfo:
             integrate(wf, HP, np.linspace(0, 30.0, 31))
         assert math.log(2e9) <= excinfo.value.t_estimate < 30.0
@@ -296,14 +376,14 @@ class TestIntegrate:
         # failure is reported as the collision it is.
         wf = build_wavefunction(stellar_state_from_zeros([0.5, -0.5]))
 
-        def attracted(H):
+        def attracted(H, rank):
             def f(t, y):
                 pull = 0.5 / (y[2] - y[3])
                 return [0j, 0j, -pull, pull]
 
             return f
 
-        monkeypatch.setattr(dynamics, "_rhs", attracted)
+        monkeypatch.setattr(dynamics, "_rhs", injected(attracted))
         with pytest.raises(ZeroCollision, match="step collapse") as excinfo:
             integrate(wf, HP, np.linspace(0, 1.0, 5))
         assert abs(excinfo.value.t_estimate - 0.5) < 1e-9
@@ -317,8 +397,8 @@ class TestIntegrate:
         ts = np.linspace(0, 6, 3721)
         rhs, calls = dynamics._rhs, [0]
 
-        def counted(H):
-            f = rhs(H)
+        def counted(H, rank):
+            f, _ = rhs(H, rank)
 
             def g(t, y):
                 calls[0] += 1
@@ -326,7 +406,7 @@ class TestIntegrate:
 
             return g
 
-        monkeypatch.setattr(dynamics, "_rhs", counted)
+        monkeypatch.setattr(dynamics, "_rhs", injected(counted))
         for H in (HP, QuadraticHamiltonian(0.5, 0.45, 0.08, 0.12, -0.1)):
             calls[0] = 0
             integrate(wf, H, ts)
@@ -352,7 +432,8 @@ def dense_output_reference(wf, H, ts):
     out = np.empty((y0.size, ts.size), dtype=complex)
     i = int(ts[0] == 0.0)
     out[:, :i] = y0[:, None]
-    solver = DOP853(dynamics._rhs(H), 0.0, y0, ts[-1], rtol=dynamics.RTOL, atol=dynamics.ATOL)
+    fun, _ = dynamics._rhs(H, len(wf.zeros))
+    solver = DOP853(fun, 0.0, y0, ts[-1], rtol=dynamics.RTOL, atol=dynamics.ATOL)
     with np.errstate(invalid="ignore", over="ignore"):
         while i < ts.size:
             failed = solver.step() is not None
@@ -371,13 +452,13 @@ def dense_output_reference(wf, H, ts):
     return dynamics._finite(out, ts, "integrated solution", axis=0), solver.nfev
 
 
-def _nan_past_half(H, rhs=dynamics._rhs):
+def _nan_past_half(H, rank, rhs=dynamics._rhs):
     # `rhs` is bound here, before a test patches `dynamics._rhs` with this function.
-    f = rhs(H)
+    f, _ = rhs(H, rank)
     return lambda t, y: [complex(math.nan, math.nan)] * len(y) if y[2].real < -0.5 else f(t, y)
 
 
-def _attracted(H):
+def _attracted(H, rank):
     def f(t, y):
         pull = 0.5 / (y[2] - y[3])
         return [0j, 0j, -pull, pull]
@@ -385,7 +466,7 @@ def _attracted(H):
     return f
 
 
-def _pulled(H):
+def _pulled(H, rank):
     def f(t, y):
         half = 0.5 * (y[2] - y[3])
         return [0j, 0j, -half, half]
@@ -396,9 +477,9 @@ def _pulled(H):
 # The initial zeros, injected right-hand sides and grids of TestIntegrate's
 # NaN step failure, square-root head-on collision and e^{-t} collision.
 INJECTED_FAILURES = {
-    "nan-rhs": ([1j], _nan_past_half, np.linspace(0, 2.0, 9)),
-    "head-on": ([0.5, -0.5], _attracted, np.linspace(0, 1.0, 5)),
-    "inside-gap": ([1.0, -1.0], _pulled, np.linspace(0, 30.0, 31)),
+    "nan-rhs": ([1j], injected(_nan_past_half), np.linspace(0, 2.0, 9)),
+    "head-on": ([0.5, -0.5], injected(_attracted), np.linspace(0, 1.0, 5)),
+    "inside-gap": ([1.0, -1.0], injected(_pulled), np.linspace(0, 30.0, 31)),
 }
 
 
@@ -446,8 +527,8 @@ class TestDenseSamples:
         forms = [distinct_random_state(rank, 7, scale=0.8, min_gap=0.12, max_extent=2.5)[1]
                  for rank in range(6)]
         forms += [build_wavefunction(stellar_state_from_zeros(z)) for z in self.EXACT.values()]
-        fun = dynamics._rhs(H)
         for wf in forms:
+            fun, _ = dynamics._rhs(H, len(wf.zeros))
             y0 = np.array([wf.g2, wf.g1, *wf.zeros], dtype=complex)
             f0 = np.asarray(fun(0.0, y0), dtype=complex)
             for t_end in sorted({float(grid[-1]) for grid in self.GRIDS.values()}):
@@ -503,8 +584,8 @@ class TestDenseSamples:
         counts = {"rhs": 0, "built": 0, "called": 0}
         rhs, build, call = dynamics._rhs, DenseOutput.__init__, DenseOutput.__call__
 
-        def counting_rhs(H):
-            f = rhs(H)
+        def counting_rhs(H, rank):
+            f, _ = rhs(H, rank)
 
             def g(t, y):
                 counts["rhs"] += 1
@@ -520,7 +601,7 @@ class TestDenseSamples:
             counts["called"] += 1
             return call(interp, t)
 
-        monkeypatch.setattr(dynamics, "_rhs", counting_rhs)
+        monkeypatch.setattr(dynamics, "_rhs", injected(counting_rhs))
         monkeypatch.setattr(DenseOutput, "__init__", counting_build)
         monkeypatch.setattr(DenseOutput, "__call__", counting_call)
         integrate(wf, H, ts)
@@ -696,6 +777,30 @@ class TestClosedForm:
         _, wf = distinct_random_state(3, 2, scale=0.7)
         with pytest.raises(InvalidParameter, match=r"time t=1j is not a real number"):
             closed_form(wf, HP, 1j)
+
+    @pytest.mark.parametrize("t", [np.array([0.5 + 2j]), np.complex128(0.5), [np.complex128(1.0)]],
+                             ids=["array", "scalar", "list"])
+    def test_a_complex_numpy_time_is_a_typed_error(self, t):
+        # NumPy would cast a complex dtype to its real part with only a
+        # ComplexWarning: the zeros at t = 0.5 for t = 0.5 + 2i.
+        _, wf = distinct_random_state(3, 2, scale=0.7)
+        traj = sample_closed_form(wf, HP, [0.0, 1.0])
+        for call in (lambda: closed_form(wf, HP, t), lambda: traj.zeros_at(t),
+                     lambda: dynamics.closed_form_matrix(traj.pair, HP, t),
+                     lambda: sample_closed_form(wf, HP, t), lambda: integrate(wf, HP, t)):
+            with pytest.raises(InvalidParameter, match=r"is not a real number"):
+                call()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_a_time_that_is_not_finite_is_named_at_rank_zero(self, t):
+        # A rank-0 form has no zero matrix entry to carry the time; the time is named all the same.
+        wf = build_wavefunction(StellarState(rank=0, core=np.array([1.0 + 0j]), alpha=0.3, chi=0.1))
+        traj = sample_closed_form(wf, HP, [0.0, 1.0])
+        assert closed_form(wf, HP, [0.5, 1.0]).shape == traj.zeros_at([0.5, 1.0]).shape == (2, 0)
+        with pytest.raises(InvalidParameter, match=r"time t=.*(nan|inf).* is not finite"):
+            closed_form(wf, HP, t)
+        with pytest.raises(InvalidParameter, match=r"time t=.*(nan|inf).* is not finite"):
+            traj.zeros_at(t)
 
 
 class TestSampleClosedForm:

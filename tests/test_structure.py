@@ -242,6 +242,16 @@ def test_closed_form_shares_no_code_with_the_ode():
     assert _scopes_of("_rhs") == [("dynamics", "integrate")]
 
 
+def test_generated_code_stays_in_the_rhs_builder():
+    # The ODE's right-hand side is the package's only generated code: one
+    # template, filled in and compiled once per rank.  Nothing else in the
+    # package compiles or runs source text.
+    assert _scopes_of("compile") == [("dynamics", "_rhs_factory")]
+    assert _scopes_of("exec") == [("dynamics", "_rhs_factory")]
+    assert _scopes_of("eval") == []
+    assert _scopes_of("_rhs_factory") == [("dynamics", "_rhs")]
+
+
 def test_only_integrate_builds_step_interpolants():
     # `integrate` steps SciPy's DOP853 tableau in its own loop and keeps each
     # covering step's interpolant; one vectorized pass samples them all.
