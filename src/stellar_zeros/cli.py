@@ -29,15 +29,8 @@ import sys
 import numpy as np
 
 from . import dynamics, oracle, phase, states, wavefunction
-from .errors import InvalidParameter, StellarZerosError
+from .errors import StellarZerosError
 
-# verify refuses a longer oracle series, before the dual path builds anything.  The cap
-# bounds the dual path's memory: eval_entire holds a 169 x (N + 1) complex Hermite table on
-# the standard grid, 5.5 MB at N = 2,048 and 709 MB at the series' 2^18-row budget.  The
-# propagation runs on the core's columns, O(N r) per time; a whole rank-3 verify takes 21 ms
-# at N = 1,325 and 32 ms at N = 2,034 on one core.  Lifting the cap changes which states
-# verify accepts.
-_MAX_ORACLE_CUTOFF = 2048
 _METHODS = ("ode", "closed", "both")
 
 
@@ -190,18 +183,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     st = _load_state(args)
     wf = wavefunction.build_wavefunction(st)
 
-    # Dual representation on the standard grid.
+    # Dual representation on the standard grid, in the real-line series' own Gaussian frame.
     grid_1d = np.arange(-3.0, 3.01, 0.5)
     xs, ys = np.meshgrid(grid_1d, grid_1d)
     zs = (xs + 1j * ys).ravel()
-    v = states._series(st, 3.0)
-    if wf.rank > 0 and v.cutoff > _MAX_ORACLE_CUTOFF:
-        raise InvalidParameter(f"oracle series needs N = {v.cutoff}, past verify's cap N = "
-                               f"{_MAX_ORACLE_CUTOFF}")
-    a = wavefunction.eval_form(wf, zs)
-    b = wavefunction.eval_entire(v, zs, check=False)
-    grid_scale = float(np.max(np.abs(a)))
-    dual_dev = float(np.max(np.abs(a - b))) / grid_scale
+    v = states._series(st, 0.0)
+    a, g1, xbar, s, d = oracle._frame(v, wf.rank)
+    closed = wavefunction.eval_form(wf, zs)
+    fock = np.exp(-1j * (0.5 * a.imag * zs * zs - g1.imag * zs)) * wavefunction.eval_entire(
+        states.FockVector(d), (zs - xbar) / s, check=False)
+    dual_dev = float(np.max(np.abs(closed - fock))) / float(np.max(np.abs(closed)))
 
     # Zero propagation: ODE vs closed form vs Fock oracle.
     ode_dev = oracle_dev = 0.0

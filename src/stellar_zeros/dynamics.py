@@ -360,7 +360,7 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
 
 @cache
 def _dop853() -> dict:
-    """SciPy's DOP853 tableau, keyed by its class attributes' names (``A`` ... ``n_stages``).
+    """SciPy's DOP853 tableau as :func:`integrate` reads it (no stage times), by attribute name.
 
     Loaded from SciPy's coefficients file by path, which imports only NumPy, and sliced as
     ``scipy.integrate._ivp.rk`` slices it; ``scipy.integrate`` itself would
@@ -368,8 +368,8 @@ def _dop853() -> dict:
     """
     c = _scipy_module("integrate._ivp.dop853_coefficients")
     n, a = c.N_STAGES, c.A
-    return {"A": a[:n, :n], "B": c.B, "C": c.C[:n], "E3": c.E3, "E5": c.E5, "D": c.D,
-            "A_EXTRA": a[n + 1:], "C_EXTRA": c.C[n + 1:], "n_stages": n}
+    return {"A": a[:n, :n], "B": c.B, "E3": c.E3, "E5": c.E5, "D": c.D, "A_EXTRA": a[n + 1:],
+            "n_stages": n}
 
 
 def _first_step(fun, y0, f0, t_end: float) -> float:

@@ -206,22 +206,21 @@ def _stellar_exponents(c: np.ndarray, r: int):
     return e, f0
 
 
-def zeros_from_fock(v: FockVector, expected_rank: int) -> list:
-    """Zeros of the entire extension of a Fock vector of stellar rank ``expected_rank``.
+def _frame(v: FockVector, r: int):
+    """``(A, g1, xbar, s, d_0 .. d_r)``: the Gaussian frame of a Fock vector of stellar rank r.
 
     A finite-rank state has ``psi(x) = Q(x) exp(-A x^2/2 + g1 x + g0)`` with ``deg Q = r``,
     ``A = (1 - E)/(1 + E)`` and ``g1 = sqrt(2) F0 / (1 + E)`` from the Bargmann exponents
     (:func:`_stellar_exponents`).  In the frame ``x = xbar + s w`` with ``s = 1/sqrt(Re A)``
     and ``xbar = Re g1 / Re A``, ``psi`` times the unimodular ``exp(i Im A x^2/2 - i Im g1 x)``
-    is ``Q(xbar + s w) exp(-w^2/2)`` up to a constant: exactly the Hermite terms ``d_0 ..
-    d_r``.  The ``r + 13`` coefficients ``d_n`` come from the series of ``v`` at as many
-    Gauss-Hermite nodes on the real line (:func:`_frame_projection`), where it is well
-    conditioned, and the zeros from one degree-r colleague solve, mapped back.  The rank gap
-    and the w-tail are the certificate: :class:`CountMismatch` if no degree-r null vector
-    exists or ``|d_r|`` is at most ``_TAIL`` of ``max|d|``, :class:`PrecisionLoss` if the
-    frame is not normalizable or ``d_{r+1..}`` exceeds ``_TAIL`` of ``|d_r|``.
+    is ``Q(xbar + s w) exp(-w^2/2)`` up to a constant: exactly ``sum_{n<=r} d_n phi_n(w)``, at
+    every complex ``x``.  The ``r + 13`` coefficients ``d_n`` come from the series of ``v`` at
+    as many Gauss-Hermite nodes on the real line (:func:`_frame_projection`), where it is well
+    conditioned.  The rank gap and the w-tail are the certificate: :class:`CountMismatch` if
+    no degree-r null vector exists or ``|d_r|`` is at most ``_TAIL`` of ``max|d|``,
+    :class:`PrecisionLoss` if the frame is not normalizable or ``d_{r+1..}`` exceeds ``_TAIL``
+    of ``|d_r|``.
     """
-    r = _nonnegative_int(expected_rank, "expected_rank")
     if not np.any(v.coeffs):
         raise InvalidParameter("the zero vector has no isolated zeros")
     e, f0 = _stellar_exponents(v.coeffs, r)
@@ -240,7 +239,14 @@ def zeros_from_fock(v: FockVector, expected_rank: int) -> list:
     if not tail <= _TAIL * lead:
         raise PrecisionLoss(f"frame series past degree {r} reaches {tail / lead:.1e} of its "
                             f"degree-{r} term; the frame is not resolved")
-    return [complex(z) for z in xbar + s * _hermite_roots(d[: r + 1])]
+    return a, g1, xbar, s, d[: r + 1]
+
+
+def zeros_from_fock(v: FockVector, expected_rank: int) -> list:
+    """Zeros of the entire extension of a Fock vector of stellar rank ``expected_rank``: the
+    roots of its frame series (:func:`_frame`, whose errors propagate), mapped back."""
+    _, _, xbar, s, d = _frame(v, _nonnegative_int(expected_rank, "expected_rank"))
+    return [complex(z) for z in xbar + s * _hermite_roots(d)]
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,8 @@ def _packet_exponents(alpha: complex, chi: complex):
     alpha = complex(alpha)
     ch, sh, w = _squeeze_frame(complex(chi))
     denom = _squeeze_gap(chi)
-    g2 = -(ch + w * sh) / (2.0 * denom)
+    # cosh r + e^{i phi} sinh r cancels where cos(phi) < 0; it is then the gap at -chi, exact.
+    g2 = -(_squeeze_gap(-chi) if w.real < 0 else ch + w * sh) / (2.0 * denom)
     x0 = math.sqrt(2.0) * alpha.real
     p0 = math.sqrt(2.0) * alpha.imag
     g1 = -2.0 * g2 * x0 + 1j * p0

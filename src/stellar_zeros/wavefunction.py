@@ -128,7 +128,7 @@ def _hermite_frame(alpha: complex, chi: complex, g2: complex, g1: complex):
     """
     ch, sh, w = _squeeze_frame(chi)
     wbar = w.conjugate()
-    u = (ch + sh * wbar) / _SQRT2
+    u = (_squeeze_gap(-chi.conjugate()) if w.real < 0 else ch + sh * wbar) / _SQRT2  # as in g2
     v = _squeeze_gap(chi.conjugate()) / _SQRT2
     mu = ch * np.conj(alpha) + wbar * sh * alpha
     a1 = u - 2.0 * v * g2

@@ -14,7 +14,7 @@ import pytest
 from conftest import ring_state
 
 import stellar_zeros
-from stellar_zeros import cli, dynamics, oracle, states, wavefunction
+from stellar_zeros import cli, dynamics, oracle, states
 from stellar_zeros import (
     StellarState,
     matching_distance,
@@ -48,6 +48,13 @@ def fock2():
 # B = 0 (C != 0, so the zeros move) and omega^2 = 4AB - C^2 = 0.
 EDGE_HAMILTONIANS = pytest.mark.parametrize(
     "hamiltonian", ["0.3,0,0.2,0.1,0.1,0", "0.5,0.5,1.0,0.1,-0.1,0"], ids=["B0", "omega2_0"]
+)
+# The three Hamiltonians of the oracle-verify benchmark: the phase shift and two
+# general elliptic flows.
+ORACLE_HAMILTONIANS = pytest.mark.parametrize(
+    "hamiltonian",
+    ["0.5,0.5,0,0,0,0", "0.50,0.45,0.08,0.12,-0.10,0", "0.45,0.52,-0.10,-0.10,0.08,0"],
+    ids=["hp", "h1", "h2"],
 )
 
 
@@ -227,10 +234,10 @@ class TestVerifyCommand:
         assert "status=PASS" in out
 
     def test_builds_its_series_once(self, capsys, tmp_state, monkeypatch):
-        # The dual path reads the one vector that sized the series, and the oracle
-        # propagates the state at that vector's rows, all three times in one build.
+        # The dual path reads the one real-line vector that sized the series, and the
+        # oracle propagates the state at that vector's rows, all three times in one build.
         st = ring_state(3, 2)
-        cutoff = states._series(st, 3.0).cutoff
+        cutoff = states._series(st, 0.0).cutoff
         builds, rows = [], states._stellar_rows
 
         def recording(st, n, outer):
@@ -286,51 +293,56 @@ class TestVerifyCommand:
         assert rc == 0
         assert "status=PASS" in out
 
-    @pytest.mark.parametrize(
-        "hamiltonian",
-        ["0.5,0.5,0,0,0,0", "0.50,0.45,0.08,0.12,-0.10,0", "0.45,0.52,-0.10,-0.10,0.08,0"],
-        ids=["hp", "h1", "h2"],
-    )
+    @ORACLE_HAMILTONIANS
     @pytest.mark.parametrize("spec", "1,0 2,1 5,0 6,2 3,4 5,1 1,1 3,1 4,0".split())
     def test_oracle_finds_every_random_zero(self, capsys, spec, hamiltonian):
         # In the lab-frame Hermite series some of these zeros cancel below any
         # double-precision floor (2,1 at t = 1.1 under the phase shift: |psi| =
-        # 264 under a termwise envelope of 2e22).  The stellar frame resolves
-        # all of them; a FAIL (exit 2) may remain on the dual path only.
+        # 264 under a termwise envelope of 2e22), and so did the dual path's values
+        # off the real line (3,4: 0.28 of max|psi|).  The stellar frame resolves both.
         rc, out, err = run_cli(capsys, ["verify", "--random", spec, "--hamiltonian=" + hamiltonian])
-        assert rc != 1, err
-        assert float(re.search(r"oracle=(\S+)", out).group(1)) <= 1e-4
+        assert (rc, err) == (0, "")
+        assert "status=PASS" in out
 
-    def test_series_past_the_cap_is_refused_before_propagating(self, capsys, tmp_state, monkeypatch):
-        # This state's series has N = 15,961, past the cap, so verify names the cap
-        # before anything is propagated or solved.
-        monkeypatch.setattr(dynamics, "integrate", lambda *a: pytest.fail("integrated"))
-        monkeypatch.setattr(oracle, "_evolve_stellar", lambda *a: pytest.fail("propagated"))
-        monkeypatch.setattr(oracle, "evolve_fock", lambda *a: pytest.fail("propagated"))
-        path = tmp_state("big.json", random_stellar_state(6, 0, scale=2.0))
+    @ORACLE_HAMILTONIANS
+    def test_squeezed_rank_three_draw_passes(self, capsys, tmp_state, hamiltonian):
+        # Its lab-frame series on the strip |Im z| <= 3 had N = 2,034 rows and cancelled
+        # there to a dual path of 1.1e10; the frame's four Hermite terms read 6.7e-14.
+        path = tmp_state("squeezed.json", random_stellar_state(3, 1, scale=1.4))
+        argv = ["verify", "--state", path, "--hamiltonian=" + hamiltonian]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert "status=PASS" in out
+
+    @pytest.mark.parametrize("rank, seed, scale", [(6, 0, 2.0), (3, 0, 1.5)])
+    def test_long_strip_series_pass_on_real_line_rows(self, capsys, tmp_state, monkeypatch,
+                                                      rank, seed, scale):
+        # On the strip |Im z| <= 3 these series need N = 15,961 and 3,050 rows.  verify
+        # builds none of them: no build exceeds the real-line series' own working vector.
+        st = random_stellar_state(rank, seed, scale=scale)
+        builds, rows = [], states._stellar_rows
+
+        def recording(st, n, outer):
+            builds.append(n)
+            return rows(st, n, outer)
+
+        monkeypatch.setattr(states, "_stellar_rows", recording)
+        monkeypatch.setattr(oracle, "_stellar_rows", recording)
+        states._series(st, 0.0)
+        budget, builds[:] = max(builds), []
+        path = tmp_state("big.json", st)
         rc, out, err = run_cli(capsys, ["verify", "--state", path])
-        assert_one_error_line(rc, err)
-        assert "N = 15961, past verify's cap N = 2048" in err
-        assert out == ""
+        assert (rc, err) == (0, "")
+        assert "status=PASS" in out
+        assert builds and max(builds) <= budget
 
-    def test_series_past_the_cap_is_refused_before_the_dual_path(self, capsys, tmp_state,
-                                                                 monkeypatch):
-        # N = 3,050: the cap is checked before eval_entire builds its 169 x (N + 1) table,
-        # which is what the cap bounds.
-        monkeypatch.setattr(wavefunction, "eval_entire", lambda *a, **k: pytest.fail("tabled"))
-        path = tmp_state("big.json", random_stellar_state(3, 0, scale=1.5))
-        rc, out, err = run_cli(capsys, ["verify", "--state", path])
-        assert_one_error_line(rc, err)
-        assert err == "error: oracle series needs N = 3050, past verify's cap N = 2048\n"
-        assert out == ""
-
-    def test_series_past_the_row_budget_is_one_error_line(self, capsys, tmp_state):
-        # The series of this state at Im 3 never gets cut: its doubling ran past
-        # 2.3 million rows, and verify never reached its cap.
+    def test_unresolved_frame_is_one_error_line(self, capsys, tmp_state):
+        # The series of this state at Im 3 never gets cut; on the real line it is, and
+        # the frame fit there names the Gaussian frame it cannot resolve.
         path = tmp_state("plateau.json", random_stellar_state(15, 0, scale=3.0))
         rc, out, err = run_cli(capsys, ["verify", "--state", path])
         assert_one_error_line(rc, err)
-        assert "not cut within" in err
+        assert "the frame is not resolved" in err
         assert out == ""
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

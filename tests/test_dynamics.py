@@ -502,7 +502,9 @@ class TestDenseSamples:
         from scipy.integrate._ivp import rk
 
         tableau = dynamics._dop853()
-        for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        read = ("A", "B", "E3", "E5", "D", "A_EXTRA")  # no stage times: the system is autonomous
+        assert sorted(tableau) == sorted(read + ("n_stages",))
+        for name in read:
             got, want = tableau[name], getattr(DOP853, name)
             assert got.shape == want.shape and np.array_equal(got, want), f"DOP853.{name} changed"
         assert tableau["n_stages"] == DOP853.n_stages == 12

@@ -43,7 +43,7 @@ from stellar_zeros import (
 )
 from stellar_zeros import states
 from stellar_zeros.states import _log_hermite_bound, _series, _stellar_rows
-from stellar_zeros.wavefunction import _CHUNK, _hermite_functions
+from stellar_zeros.wavefunction import _CHUNK, _hermite_frame, _hermite_functions
 
 PI14 = math.pi ** -0.25
 EPS = np.finfo(float).eps
@@ -136,6 +136,26 @@ class TestGaussianPacket:
         # cosh r - sinh r, the difference of two numbers near e^r / 2, once lost
         # g2 to 2e-2 at r = 18 and left Re g2 >= 0 or a zero division from r = 19.
         assert abs(packet(0.3, r).g2 + math.exp(2 * r) / 2) <= 1e-14 * math.exp(2 * r) / 2
+
+    @pytest.mark.parametrize("chi", (3.0, 10.0, 12.0, 18.0, 19.0, 25.0, 3 - 2j, -19 + 0.1j))
+    def test_opposite_squeezes_multiply_to_a_quarter(self, chi):
+        # g2(chi) = -(cosh r + e^{i phi} sinh r) / (2 (cosh r - e^{i phi} sinh r)), so
+        # g2(chi) g2(-chi) = 1/4 exactly.  At negative real chi the numerator cancels
+        # as the denominator does at positive: g2(-18) was once 26 % off, g2(-19) of
+        # the wrong sign.
+        g2 = states._packet_exponents(0.3, chi)[0]
+        g2_opposite = states._packet_exponents(0.3, -chi)[0]
+        assert abs(g2 * g2_opposite - 0.25) <= 1e-14 * 0.25
+
+    @pytest.mark.parametrize("r", (3.0, 10.0, 19.0, 25.0))
+    def test_negative_real_squeezing_keeps_the_hermite_scale(self, r):
+        # At chi = -r the packet has g2 = -e^{-2r}/2 and the raising operator's
+        # x-coefficient is a1 = u - 2 v g2 = sqrt(2) e^{-r}, with u = e^{-r}/sqrt(2)
+        # the sum that cancels in cosh r - sinh r.
+        g2, g1, _ = states._packet_exponents(0.0, -r)
+        assert abs(g2 + math.exp(-2 * r) / 2) <= 1e-14 * math.exp(-2 * r) / 2
+        a1 = _hermite_frame(0.0, complex(-r), g2, g1)[0]
+        assert abs(a1 - math.sqrt(2) * math.exp(-r)) <= 1e-14 * math.sqrt(2) * math.exp(-r)
 
     @pytest.mark.parametrize("chi", (19.0, 25.0))
     def test_strongly_squeezed_form_is_built(self, chi):
