@@ -84,7 +84,10 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         for name in "ABCDEF":
-            val = float(getattr(self, name))
+            try:
+                val = float(getattr(self, name))
+            except OverflowError:  # an integer past the double range
+                val = math.inf
             if not math.isfinite(val):
                 raise InvalidParameter("Hamiltonian coefficients must be finite")
             object.__setattr__(self, name, val)
@@ -132,7 +135,8 @@ class ZeroPair:
     """Zero positions ``X0``, momenta ``P0`` and the Gaussian line ``p = k x + m`` of one state.
 
     ``terms`` stacks ``X0``, ``P0`` and the identity, so that ``F11 X0 + F12 P0 + F13 I``
-    is one product for a whole array of times.
+    is one product for a whole array of times.  :func:`zero_pair` shares one pair among
+    all its callers on a form, so ``terms`` is read-only.
     """
 
     terms: np.ndarray  # (3, rank, rank): X0 (diagonal), P0, I
@@ -146,7 +150,10 @@ def second_order_acceleration(zeros, H: QuadraticHamiltonian):
     :class:`InvalidParameter` if a zero is not finite, :class:`DegenerateInitialZeros` if two
     are exactly equal.
     """
-    zeros = [complex(z) for z in zeros]
+    try:
+        zeros = [complex(z) for z in zeros]
+    except OverflowError:  # an integer past the double range
+        raise InvalidParameter("zeros must be finite") from None
     if not all(map(cmath.isfinite, zeros)):
         raise InvalidParameter("zeros must be finite")
     A, B, C, D, E, _ = H.as_tuple()
@@ -242,6 +249,8 @@ def _real_times(t) -> np.ndarray:
             if ts.dtype.kind == "c":
                 raise TypeError
             ts = ts.astype(float)
+        except OverflowError:  # an integer past the double range
+            raise InvalidParameter("time t is not a finite double") from None
         except (TypeError, ValueError):
             raise InvalidParameter(f"time t={t!r} is not a real number") from None
     return ts
@@ -266,9 +275,9 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
     SciPy's order, so the steps, the right-hand-side calls and the samples are
     bitwise those of stepping with SciPy's ``DOP853.step`` and calling its
     interpolants; ``scipy.integrate`` itself is never imported.  Each accepted step
-    that covers grid samples keeps the raw rows of its 7th-order dense output
-    (II.6); after the last step :func:`_dense_samples` builds every interpolant
-    and evaluates every sample in one vectorized pass.
+    that covers grid samples keeps its ends and a copy of its stages, the raw rows
+    of its 7th-order dense output (II.6); after the last step :func:`_dense_samples`
+    builds every interpolant and evaluates every sample in one vectorized pass.
     ``t_grid`` must be finite and strictly increasing from ``t >= 0``; a
     sample at ``t = 0`` is the initial state itself.  The initial zeros must
     be pairwise separated by more than 1e-6.  ``g0`` is not integrated (the
@@ -347,13 +356,13 @@ def integrate(wf: WavefunctionForm, H: QuadraticHamiltonian, t_grid) -> ZeroTraj
                 # SciPy's DOP853._dense_output_impl, before K[0] takes the new f.
                 for kt, a, s in extra:
                     K[s] = stage(y_old, np.dot(kt, a).tolist(), hz)
-                steps.append((t_old, h, y_old, y, K[[0, last]], np.dot(d, K)))
+                steps.append((t_old, h, y_old, y, K.copy()))
                 j = bisect_right(grid, t, i)
                 owned.append(j - i)
                 i = j
             K[0] = K[last]
         if steps:
-            _dense_samples(steps, owned, ts[start:], out[:, start:])
+            _dense_samples(steps, owned, d, last, ts[start:], out[:, start:])
     out = _finite(out, ts, "integrated solution", axis=0)
     return ZeroTrajectory(ts, out[2:], out[:2])
 
@@ -391,11 +400,13 @@ def _first_step(fun, y0, f0, t_end: float) -> float:
     return min(100 * h0, (0.01 / max(d1, d2)) ** (1 / (_ORDER + 1)), t_end)
 
 
-def _dense_samples(steps, owned, ts, y) -> None:
+def _dense_samples(steps, owned, d, last: int, ts, y) -> None:
     """Fill ``y`` (components x samples) from the DOP853 interpolants of ``steps``.
 
-    ``steps[k]`` is one step's raw rows ``(t_old, h, y_old, y, K[[0, 12]], D K)``
-    and owns the next ``owned[k]`` samples, in order.  All steps' ``F`` come
+    ``steps[k]`` is one step's raw rows ``(t_old, h, y_old, y, K)``, ``K`` its
+    stages and the interpolant's, with the step's last stage at ``K[last]``; it
+    owns the next ``owned[k]`` samples, in order.  All steps' ``D K`` come from
+    one stacked product, as BLAS forms each step's alone, and all their ``F``
     from SciPy's ``DOP853._dense_output_impl`` elementwise operations at once;
     then, as ``Dop853DenseOutput._call_impl`` in its order: from
     ``x = (t - t_old)/h``, take the rows of ``F`` in reverse, alternately
@@ -403,12 +414,13 @@ def _dense_samples(steps, owned, ts, y) -> None:
     every sample is bitwise what calling its step's interpolant gives.
     """
     owner = np.repeat(np.arange(len(steps)), owned)
-    t_old, h, y_old, y_new, f, dk = (np.array(x) for x in zip(*steps))
+    t_old, h, y_old, y_new, stages = (np.array(x) for x in zip(*steps))
     x, h, delta = (ts - t_old[owner]) / h[owner], h[:, None, None], (y_new - y_old)[:, None]
+    first, final = stages[:, :1], stages[:, last : last + 1]
     # (powers, components, steps): each power's rows gather into one reused buffer.  The
     # owners are in range by construction; mode "raise" would copy through a temporary.
-    F = np.concatenate([delta, h * f[:, :1] - delta, 2 * delta - h * (f[:, 1:] + f[:, :1]),
-                        h * dk], axis=1).transpose(1, 2, 0)
+    F = np.concatenate([delta, h * first - delta, 2 * delta - h * (final + first),
+                        h * np.matmul(d, stages)], axis=1).transpose(1, 2, 0)
     buf = np.empty_like(y)
     y.fill(0)
     for k, f in enumerate(F[::-1]):
@@ -432,7 +444,15 @@ def _finite(x: np.ndarray, t, what: str, axis) -> np.ndarray:
 
 
 def zero_pair(wf: WavefunctionForm) -> ZeroPair:
-    """The matrix pair ``(X0, P0)`` and the Gaussian line of ``wf`` (see the module docstring)."""
+    """The matrix pair ``(X0, P0)`` and the Gaussian line of ``wf`` (see the module docstring).
+
+    Built once per form object and kept on it, so every call on ``wf`` returns the same
+    pair, with read-only ``terms``.  The key is the object, never its value: forms equal
+    under ``==``, as with zeros ``0.0`` and ``-0.0``, can differ in their pairs' bits.
+    """
+    pair = wf.__dict__.get("_zero_pair")
+    if pair is not None:
+        return pair
     lam = np.array(wf.zeros, dtype=complex)
     diff, eye = lam[:, None] - lam, np.eye(lam.size)
     diff.flat[:: lam.size + 1] = np.inf  # the diagonal: only pairs can fail the test, and i/inf = 0
@@ -441,7 +461,11 @@ def zero_pair(wf: WavefunctionForm) -> ZeroPair:
     p0, k, m = 1j / diff, -2j * wf.g2, -1j * wf.g1
     # The Gaussian line's momentum k lam + m, less row k's sum of i/(lam_k - lam_m).
     p0.flat[:: lam.size + 1] = k * lam + m - p0.sum(axis=1)
-    return ZeroPair(np.array([eye * lam, p0, eye]), k, m)
+    terms = np.array([eye * lam, p0, eye])
+    terms.flags.writeable = False
+    pair = ZeroPair(terms, k, m)
+    object.__setattr__(wf, "_zero_pair", pair)  # past the frozen dataclass's guard
+    return pair
 
 
 def _classical_flow(H: QuadraticHamiltonian, t) -> tuple:
@@ -545,8 +569,11 @@ def _assignment(cost: list) -> list:
 
 def matching_distance(a, b) -> float:
     """Largest pair distance of a minimum-cost assignment between two equal-size 1-d multisets."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    try:
+        a = np.asarray(a, dtype=complex)
+        b = np.asarray(b, dtype=complex)
+    except OverflowError:  # an integer past the double range
+        raise InvalidParameter("multisets must be finite") from None
     if a.ndim != 1 or b.ndim != 1:
         raise InvalidParameter("multisets must be 1-d")
     if a.size != b.size:

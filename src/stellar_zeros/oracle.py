@@ -79,7 +79,10 @@ def _flow(H: QuadraticHamiltonian, t):
     generator of ``(a, a†, 1)``.  :class:`TruncationLeakage` naming the first time where they
     overflow: the evolved state leaves every row there.
     """
-    times = np.asarray(t, dtype=float)
+    try:
+        times = np.asarray(t, dtype=float)
+    except OverflowError:  # an integer past the double range
+        raise InvalidParameter("t must be a finite scalar or 1-d sequence") from None
     if times.ndim > 1 or not np.all(np.isfinite(times)):
         raise InvalidParameter("t must be a finite scalar or 1-d sequence")
     shift = (H.E - 1j * H.D) / math.sqrt(2.0)

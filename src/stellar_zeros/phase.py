@@ -306,6 +306,8 @@ def antipodal_check(traj: ZeroTrajectory, t: float) -> float:
         finite = math.isfinite(t)
     except TypeError:
         raise InvalidParameter(f"the antipodal check takes one real time, not t={t!r}") from None
+    except OverflowError:  # an integer past the double range
+        raise InvalidParameter("time t is not a finite double") from None
     if not finite:
         raise InvalidParameter(f"time t={t} is not finite")
     now, later = traj.zeros_at(np.array([t, t + math.pi]))

@@ -5,7 +5,8 @@ eigenvalues of its colleague matrix (Good, 1961), the Jacobi matrix of
 ``w h_n = sqrt(n+1) h_{n+1} + sqrt(n) h_{n-1}`` with the series folded into
 its last column, each followed by one bounded Newton step; ``coeffs[n]``
 multiplies ``h_n``.  Eigenvalues of small dense matrices, one or a stack of
-them, come from one ``np.linalg.eigvals`` call; within each matrix,
+them, come from one call of the LAPACK gufunc that ``np.linalg.eigvals``
+wraps, without the wrapper's own checks; within each matrix,
 eigenvalues closer than ``4 sqrt(eps) max|M|`` are reported as their mean,
 because LAPACK splits a defective eigenvalue (an exact zero collision) by
 about ``sqrt(eps)`` while the cluster mean stays accurate.  The rest of the
@@ -34,6 +35,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 DEFECTIVE_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
 _POLISH_ULPS = 8.0 * np.finfo(float).eps
+# zgeev on a matrix or a stack, as ``np.linalg.eigvals`` calls it; a failed solve returns NaN.
+_lapack_eigvals = np.linalg._umath_linalg.eigvals
 
 
 def _scipy_module(name: str):
@@ -91,7 +94,10 @@ def roots_hermite(coeffs):
     than ``4 sqrt(eps) max(1, max|w|)`` (a split multiple root) are reported
     as one repeated (mean) root.
     """
-    d = np.asarray(coeffs, dtype=complex)
+    try:
+        d = np.asarray(coeffs, dtype=complex)
+    except OverflowError:  # an integer past the double range
+        raise NoConvergence("coefficients are not finite", roots=[], residuals=[]) from None
     if d.ndim != 1 or not d.any():
         raise InvalidParameter("coefficients must be a 1-d list, not all zero")
     d = np.trim_zeros(d, "b")  # exact zeros only: a tiny top coefficient is the caller's problem
@@ -131,21 +137,31 @@ def roots_hermite(coeffs):
 def eigenvalues_small(m: np.ndarray) -> np.ndarray:
     """Eigenvalue multisets ``(..., n)`` of a small dense matrix or a stack ``(..., n, n)``.
 
-    From LAPACK.  Within each matrix, eigenvalues closer than
-    ``4 sqrt(eps) max|M|`` are chained into clusters and each cluster is
-    reported as its mean, repeated: a defective eigenvalue splits by about
-    ``sqrt(eps) max|M|`` under LAPACK, and the mean of the split pair is
-    accurate to roundoff.  :class:`InvalidParameter` if an entry is not finite.
+    From LAPACK, bitwise as ``np.linalg.eigvals`` returns them.  Within each
+    matrix, eigenvalues closer than ``4 sqrt(eps) max|M|`` are chained into
+    clusters and each cluster is reported as its mean, repeated: a defective
+    eigenvalue splits by about ``sqrt(eps) max|M|`` under LAPACK, and the
+    mean of the split pair is accurate to roundoff.  :class:`InvalidParameter` if the matrices are not
+    square or an entry is not a finite double, :class:`NoConvergence` if
+    LAPACK's solve fails.
     """
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except OverflowError:  # an integer past the double range
+        raise InvalidParameter("matrix entries must be finite") from None
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:  # NumPy's wrapper would have refused it
+        raise InvalidParameter("eigenvalues need a square matrix or a stack of them")
     if not np.isfinite(m).all():
         raise InvalidParameter("matrix entries must be finite")
     if m.shape[-1] < 2:  # the entry of a 1x1 matrix is its eigenvalue; nothing to cluster
         return m.diagonal(axis1=-2, axis2=-1).copy()
-    ev = np.linalg.eigvals(m)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        ev = _lapack_eigvals(m, signature="D->D")
     tol = DEFECTIVE_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
-    split = _min_gap(ev) <= tol
-    if split.any():  # rare, so the common case skips the index search
-        for idx in map(tuple, np.argwhere(split)):
+    gap = _min_gap(ev)  # NaN where a solve failed
+    if not (gap > tol).all():  # rare, so the common case skips both searches
+        if np.isnan(gap).any():
+            raise NoConvergence("LAPACK's eigenvalue solve did not converge")
+        for idx in map(tuple, np.argwhere(gap <= tol)):
             ev[idx] = _cluster(ev[idx], tol[idx])
     return ev

@@ -67,7 +67,10 @@ class FockVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
+        try:
+            arr = np.asarray(self.coeffs, dtype=complex)
+        except OverflowError:  # an integer past the double range
+            raise InvalidParameter("FockVector amplitudes must be finite") from None
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidParameter("FockVector needs a nonempty 1-d amplitude list")
         if not np.all(np.isfinite(arr.view(float))):
@@ -103,10 +106,14 @@ class StellarState:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", _nonnegative_int(self.rank, "rank"))
-        core = np.asarray(self.core, dtype=complex)
+        try:
+            core = np.asarray(self.core, dtype=complex)
+            finite = all(map(cmath.isfinite, (self.alpha, self.chi)))
+        except OverflowError:  # an integer past the double range
+            raise InvalidParameter("core, alpha and chi must be finite") from None
         if core.ndim != 1 or core.size != self.rank + 1:
             raise InvalidParameter("core must have length rank + 1")
-        if not (np.isfinite(core).all() and all(map(cmath.isfinite, (self.alpha, self.chi)))):
+        if not (np.isfinite(core).all() and finite):
             raise InvalidParameter("core, alpha and chi must be finite")
         nrm = np.linalg.norm(core)
         if not nrm > 1e-300:
@@ -393,7 +400,11 @@ def _series(st: StellarState, max_abs_im: float) -> FockVector:
 def random_stellar_state(rank: int, seed: int, scale: float = 1.0) -> StellarState:
     """Seeded random fixture: complex-normal core, disc-uniform alpha, chi."""
     rank, seed = _nonnegative_int(rank, "rank"), _nonnegative_int(seed, "seed")
-    if not 0.0 <= scale < math.inf:
+    try:
+        valid = 0.0 <= scale and math.isfinite(scale)
+    except OverflowError:  # an integer past the double range
+        valid = False
+    if not valid:
         raise InvalidParameter("scale must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     while True:

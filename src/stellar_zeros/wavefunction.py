@@ -67,10 +67,13 @@ class WavefunctionForm:
     zeros: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "g2", complex(self.g2))
-        object.__setattr__(self, "g1", complex(self.g1))
-        object.__setattr__(self, "g0", complex(self.g0))
-        object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
+        try:
+            object.__setattr__(self, "g2", complex(self.g2))
+            object.__setattr__(self, "g1", complex(self.g1))
+            object.__setattr__(self, "g0", complex(self.g0))
+            object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
+        except OverflowError:  # an integer past the double range
+            raise InvalidParameter("wavefunction parameters must be finite") from None
         if not self.g2.real < 0:
             raise InvalidParameter("Re(g2) must be negative for square integrability")
         for z in (self.g2, self.g1, self.g0, *self.zeros):
@@ -186,8 +189,12 @@ def stellar_state_from_zeros(zeros, alpha: complex = 0.0, chi: complex = 0.0) ->
     come back from their zeros within 1.5e-13, where Leja order loses 4e-6 at
     rank 80 and a sorted order 2e-2 at rank 50.
     """
-    zeros = np.array(zeros, dtype=complex).reshape(-1)
-    if not (np.isfinite(zeros).all() and all(map(cmath.isfinite, (alpha, chi)))):
+    try:
+        zeros = np.array(zeros, dtype=complex).reshape(-1)
+        finite = np.isfinite(zeros).all() and all(map(cmath.isfinite, (alpha, chi)))
+    except OverflowError:  # an integer past the double range
+        finite = False
+    if not finite:
         raise InvalidParameter("zeros, alpha and chi must be finite")
     g2, g1, _ = _packet_exponents(alpha, chi)
     a1, a0, s = _hermite_frame(alpha, chi, g2, g1)
@@ -239,7 +246,10 @@ _unwarned = np.errstate(over="ignore", invalid="ignore")
 
 def _points(z) -> np.ndarray:
     """``z`` as a complex array; :class:`InvalidParameter` if a point is not finite."""
-    zz = np.asarray(z, dtype=complex)
+    try:
+        zz = np.asarray(z, dtype=complex)
+    except OverflowError:  # an integer past the double range
+        raise InvalidParameter("evaluation points must be finite") from None
     if not np.isfinite(zz).all():
         raise InvalidParameter("evaluation points must be finite")
     return zz

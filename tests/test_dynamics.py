@@ -1,7 +1,9 @@
 """Zero dynamics: coupled ODE system vs the exact matrix solution."""
 
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,22 +22,28 @@ from stellar_zeros import dynamics
 from stellar_zeros.rootfind import _min_gap
 from stellar_zeros import (
     DegenerateInitialZeros,
+    FockVector,
     InvalidParameter,
+    NoConvergence,
     QuadraticHamiltonian,
     StellarState,
     StepFailure,
     TrackingAmbiguity,
     WavefunctionForm,
     ZeroCollision,
+    antipodal_check,
     build_wavefunction,
     closed_form,
+    eigenvalues_small,
     evolve_fock,
     eval_entire,
     eval_form,
     form_norm_squared,
     integrate,
     matching_distance,
+    phase_trajectory,
     random_stellar_state,
+    roots_hermite,
     sample_closed_form,
     second_order_acceleration,
     stellar_state_from_zeros,
@@ -232,6 +240,45 @@ class TestZeroPair:
                 lax = 2.0 * H.B * p0 + H.C * x0 + H.E * eye
                 want = np.array(ode_rhs(wf.g2, wf.g1, wf.zeros, H)[2])
                 assert np.max(np.abs(np.diag(lax) - want)) <= 1e-12 * np.max(np.abs(want)), H
+
+
+class TestZeroPairCache:
+    """``zero_pair`` builds one read-only pair per form object and keeps it on the form."""
+
+    def test_one_build_per_form(self, monkeypatch):
+        built, make = [], dynamics.ZeroPair
+        monkeypatch.setattr(dynamics, "ZeroPair", lambda *args: built.append(args) or make(*args))
+        forms = [distinct_random_state(rank, 3, scale=0.8, min_gap=0.12)[1] for rank in (2, 4)]
+        hams, times = (HP, H_ELLIPTIC, H_HYP), np.linspace(0, 3, 32).tolist()
+        got = [closed_form(wf, H, t).tobytes() for wf in forms for H in hams for t in times]
+        assert len(built) == len(forms)
+        # Fresh forms of the same bits build their own pairs and give the same zeros, bitwise.
+        copies = [WavefunctionForm(wf.g2, wf.g1, wf.g0, wf.zeros) for wf in forms]
+        again = [closed_form(wf, H, t).tobytes() for wf in copies for H in hams for t in times]
+        assert again == got
+        assert len(built) == 2 * len(forms)
+
+    def test_terms_are_read_only(self):
+        pair = zero_pair(distinct_random_state(3, 2)[1])
+        with pytest.raises(ValueError, match="read-only"):
+            pair.terms[0, 0, 0] = 1.0
+
+    def test_equal_forms_of_different_bits_keep_their_own_pairs(self):
+        # 0.0 == -0.0, so the two forms compare and hash equal, yet X0's diagonals differ in sign.
+        plus, minus = (WavefunctionForm(-0.5, 0.0, 0.0, (z, 1.0)) for z in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        bits = [zero_pair(f).terms.tobytes() for f in (plus, minus)]
+        assert bits[0] != bits[1]
+        for f, b in zip((plus, minus), bits):
+            assert zero_pair(WavefunctionForm(f.g2, f.g1, f.g0, f.zeros)).terms.tobytes() == b
+
+    def test_the_pair_goes_with_its_form(self):
+        wf = distinct_random_state(3, 2)[1]
+        pair = weakref.ref(zero_pair(wf))
+        assert pair() is zero_pair(wf)
+        del wf
+        gc.collect()
+        assert pair() is None
 
 
 class TestIntegrate:
@@ -803,6 +850,45 @@ class TestClosedForm:
             closed_form(wf, HP, t)
         with pytest.raises(InvalidParameter, match=r"time t=.*(nan|inf).* is not finite"):
             traj.zeros_at(t)
+
+
+HUGE = 10**400  # a Python integer past the double range: float(HUGE) overflows
+
+PAST_THE_DOUBLE_RANGE = {
+    "closed_form": lambda wf, traj: closed_form(wf, HP, HUGE),
+    "closed_form_times": lambda wf, traj: closed_form(wf, HP, [0.5, HUGE]),
+    "sample_closed_form": lambda wf, traj: sample_closed_form(wf, HP, [0.0, HUGE]),
+    "integrate": lambda wf, traj: integrate(wf, HP, [0.0, HUGE]),
+    "zeros_at": lambda wf, traj: traj.zeros_at(HUGE),
+    "antipodal_check": lambda wf, traj: antipodal_check(traj, HUGE),
+    "matching_distance": lambda wf, traj: matching_distance([HUGE], [1.0]),
+    "eigenvalues_small": lambda wf, traj: eigenvalues_small([[HUGE]]),
+    "second_order_acceleration": lambda wf, traj: second_order_acceleration([HUGE, 1.0], HP),
+    "hamiltonian": lambda wf, traj: QuadraticHamiltonian(A=HUGE),
+    "form_zero": lambda wf, traj: WavefunctionForm(-0.5, 0, 0, (HUGE,)),
+    "form_g1": lambda wf, traj: WavefunctionForm(-0.5, HUGE, 0, ()),
+    "phase_trajectory": lambda wf, traj: phase_trajectory([HUGE], -0.5),
+    "state_core": lambda wf, traj: StellarState(rank=1, core=[1.0, HUGE], alpha=0.0, chi=0.0),
+    "state_alpha": lambda wf, traj: StellarState(rank=1, core=[1.0, 1.0], alpha=HUGE, chi=0.0),
+    "state_from_zeros": lambda wf, traj: stellar_state_from_zeros([HUGE]),
+    "state_from_zeros_chi": lambda wf, traj: stellar_state_from_zeros([1.0], chi=HUGE),
+    "random_state_scale": lambda wf, traj: random_stellar_state(2, 0, scale=HUGE),
+    "fock_vector": lambda wf, traj: FockVector([1.0, HUGE]),
+    "evolve_fock": lambda wf, traj: evolve_fock(FockVector([1.0, 0.0]), HP, HUGE),
+    "eval_form": lambda wf, traj: eval_form(wf, [HUGE]),
+    "roots_hermite": lambda wf, traj: roots_hermite([1.0, HUGE]),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_DOUBLE_RANGE))
+def test_an_integer_past_the_double_range_is_a_typed_error(case):
+    # Converting it to a double raises OverflowError; each input conversion names it instead,
+    # as it names the same value given as inf (roots_hermite: NoConvergence, as for inf).
+    _, wf = distinct_random_state(2, 2, scale=0.7)
+    traj = sample_closed_form(wf, HP, [0.0, 1.0])
+    error = NoConvergence if case == "roots_hermite" else InvalidParameter
+    with pytest.raises(error):
+        PAST_THE_DOUBLE_RANGE[case](wf, traj)
 
 
 class TestSampleClosedForm:

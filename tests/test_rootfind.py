@@ -17,6 +17,7 @@ from stellar_zeros import (
     matching_distance,
     roots_hermite,
 )
+from stellar_zeros import rootfind
 from stellar_zeros.rootfind import _cluster
 
 RESIDUAL_TOL = 1e-10
@@ -215,3 +216,45 @@ class TestCharPoly:
     def test_small_sizes(self):
         assert np.array_equal(eigenvalues_small(np.zeros((0, 0))), np.zeros(0, dtype=complex))
         assert np.array_equal(eigenvalues_small(np.array([[2.5 + 1j]])), [2.5 + 1j])
+
+
+class TestLapackEntry:
+    """``eigenvalues_small`` calls the LAPACK gufunc behind ``np.linalg.eigvals`` directly."""
+
+    def test_numpy_still_wraps_the_gufunc_it_calls(self):
+        # A NumPy release that moves or renames the gufunc fails here by name.
+        umath_linalg = getattr(np.linalg, "_umath_linalg", None)
+        assert umath_linalg is not None, "numpy.linalg._umath_linalg is gone"
+        gufunc = getattr(umath_linalg, "eigvals", None)
+        assert gufunc is not None, "numpy.linalg._umath_linalg.eigvals is gone"
+        assert rootfind._lapack_eigvals is gufunc
+        assert "D->D" in gufunc.types and gufunc.signature == "(m,m)->(m)"
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("stack", [(), (2,), (128,)], ids=["single", "stack2", "stack128"])
+    def test_bitwise_numpys_eigvals(self, n, stack):
+        rng = np.random.default_rng(100 * n + len(stack))
+        shape = (*stack, n, n)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = eigenvalues_small(m), np.linalg.eigvals(m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 3, 2), (2, 1), (1, 0)])
+    def test_a_matrix_that_is_not_square_is_rejected(self, shape):
+        # The gufunc would raise NumPy's untyped ValueError; a (2, 1) shape once passed as 1x1.
+        with pytest.raises(InvalidParameter, match="square"):
+            eigenvalues_small(np.ones(shape))
+
+    def test_failed_solve_is_no_convergence(self, monkeypatch):
+        # zgeev's failure comes back as NaN eigenvalues, where NumPy's wrapper
+        # raises its untyped LinAlgError.
+        def failing(m, signature):
+            assert signature == "D->D"
+            return np.full(m.shape[:-1], complex(math.nan, math.nan))
+
+        monkeypatch.setattr(rootfind, "_lapack_eigvals", failing)
+        with pytest.raises(NoConvergence):
+            eigenvalues_small(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(NoConvergence):
+            eigenvalues_small(np.stack([np.eye(2), np.diag([1.0, 2.0])]))

@@ -281,6 +281,22 @@ def test_oracle_has_one_colleague_solver():
     assert [s for s in _scopes_of("svd") if s[0] == "oracle"] == [("oracle", "_stellar_exponents")]
 
 
+def test_small_eigen_solves_go_through_one_function():
+    # Outside the oracle every small eigen-solve is one call of `eigenvalues_small`, from the
+    # closed form, and that makes the package's only call of the LAPACK gufunc behind
+    # `np.linalg.eigvals`.  The wrapper itself serves only the two colleague-matrix solves,
+    # the oracle's and the series root finder's, and no other eigen-solver is called.
+    assert sorted(_scopes_of("eigvals")) == [("oracle", "_hermite_roots"),
+                                             ("rootfind", "roots_hermite")]
+    assert _scopes_of("eigenvalues_small") == [("dynamics", "_zeros_at")]
+    assert _scopes_of("_lapack_eigvals") == [("rootfind", "eigenvalues_small")]
+    for name in ("eig", "eigh", "eigvalsh"):
+        assert _scopes_of(name) == [], name
+    holders = [path.stem for path in Path(stellar_zeros.__file__).parent.glob("*.py")
+               if "_umath_linalg" in path.read_text(encoding="utf-8")]
+    assert holders == ["rootfind"]
+
+
 def test_oracle_makes_one_svd_and_one_degree_r_solve(monkeypatch):
     # Per call one SVD of the (N x (2r + 3)) scaled system and one colleague
     # solve of degree r, whatever the cutoff: no contour and no series-length
